@@ -9,6 +9,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every by-name test invocation below goes through this helper: it runs
+# `cargo test "$@"` and additionally fails when the invocation ran no
+# test at all — a renamed or deleted test makes its filter match nothing,
+# which cargo reports as success.
+run_tests() {
+    local out passed status=0
+    out=$(cargo test "$@" 2>&1) || status=$?
+    printf '%s\n' "$out"
+    [[ "$status" -eq 0 ]] || return "$status"
+    passed=$(printf '%s\n' "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')
+    if [[ "$passed" -eq 0 ]]; then
+        echo "ci: 'cargo test $*' ran zero tests (renamed or deleted?)" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -39,8 +55,8 @@ echo "==> static analysis: positive certification of every shipped program"
 # Range + sensitivity + information-flow certification (dstress-analyze):
 # the four analytics and the modular counter certify clean, and both
 # finance case studies certify on a live shocked network.
-cargo test -q -p dstress-analyze --test certify
-cargo test -q -p dstress-analyze --test finance
+run_tests -q -p dstress-analyze --test certify
+run_tests -q -p dstress-analyze --test finance
 
 echo "==> static analysis: golden rejections, guard refinements, interval soundness"
 # Deliberately broken artifacts (width overflow, under-declared
@@ -48,10 +64,9 @@ echo "==> static analysis: golden rejections, guard refinements, interval soundn
 # window) must fail with their exact typed findings; the guard/dominance
 # refinements are pinned; proptests check concrete runs always land
 # inside certified intervals.
-cargo test -q -p dstress-analyze --test golden
-cargo test -q -p dstress-analyze --test refinement
-cargo test -q -p dstress-analyze --test soundness
-cargo test -q -p dstress-analyze --lib
+run_tests -q -p dstress-analyze --test golden
+run_tests -q -p dstress-analyze --test refinement
+run_tests -q -p dstress-analyze --test soundness
 
 echo "==> repro -- analyze smoke (release; exits non-zero on any finding)"
 cargo run --release -q -p dstress-bench --bin repro -- analyze > /dev/null
@@ -61,64 +76,64 @@ echo "==> determinism suite under --release (Sim == Threaded == Socket, three-wa
 # backends_agree_per_gate_mode tests plus mode-crossing proptests), with the
 # real-TCP SocketTransport held to the same bit-identity contract as the
 # in-process backends.
-cargo test --release -q -p dstress-mpc --test transport_determinism
-cargo test --release -q -p dstress-core concurrency_mode_does_not_change_results
-cargo test --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
-cargo test --release -q -p dstress-bench concurrency_modes_agree_on_small_point
+run_tests --release -q -p dstress-mpc --test transport_determinism
+run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results
+run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
+run_tests --release -q -p dstress-bench concurrency_modes_agree_on_small_point
 
 echo "==> round model: batched rounds scale with depth, not AND-gate count"
-cargo test --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
+run_tests --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
 
 echo "==> crypto kernels: windowed/multi-exp/dlog kernels pinned to the naive path"
 # Fixed-base tables, Straus/Pippenger multi-exp and the signed-BSGS /
 # fingerprint dlog recovery must be bit-identical to square-and-multiply
 # on both groups; the transfer protocol must produce identical shares and
 # wire bytes with kernels off, auto and precomputed.
-cargo test -q -p dstress-crypto kernels::
-cargo test -q -p dstress-crypto dlog::
-cargo test -q -p dstress-transfer kernel
-cargo test -q -p dstress-bench kernel_and_naive_arms_agree
-cargo test -q -p dstress-core transfer_modes_account_identically
+run_tests -q -p dstress-crypto kernels::
+run_tests -q -p dstress-crypto dlog::
+run_tests -q -p dstress-transfer kernel
+run_tests -q -p dstress-bench kernel_and_naive_arms_agree
+run_tests -q -p dstress-core transfer_modes_account_identically
 
 echo "==> crypto kernels: release A/B speedup gate (kernels >= 5x naive on the 256-bit group)"
-cargo test --release -q -p dstress-bench kernel_speedup_exceeds_5x -- --ignored
+run_tests --release -q -p dstress-bench kernel_speedup_exceeds_5x -- --ignored
 
 echo "==> repro -- transfer smoke (time/traffic/ablation/kernels A/B into BENCH_results.json)"
 cargo run --release -q -p dstress-bench --bin repro -- transfer --threads 2 > /dev/null
 
 echo "==> wire format: round-trip, rejection and golden byte-layout suites"
 # Primitive layouts and the per-crate message codecs (GMW, transfer, engine).
-cargo test -q -p dstress-net --test wire_golden
-cargo test -q -p dstress-net wire::
-cargo test -q -p dstress-mpc wire::
-cargo test -q -p dstress-transfer wire::
-cargo test -q -p dstress-core wire::
-cargo test -q -p dstress-deploy proto::
+run_tests -q -p dstress-net --test wire_golden
+run_tests -q -p dstress-net wire::
+run_tests -q -p dstress-mpc wire::
+run_tests -q -p dstress-transfer wire::
+run_tests -q -p dstress-core wire::
+run_tests -q -p dstress-deploy proto::
 
 echo "==> wire bytes: release-mode byte determinism + measured/modeled reconciliation"
-cargo test --release -q -p dstress-mpc --test transport_determinism measured_wire_bytes_bit_identical_across_the_grid
-cargo test --release -q -p dstress-mpc --test transport_determinism batched_choices_payload_is_bit_packed_on_the_wire
-cargo test --release -q -p dstress-bench --test byte_reconciliation
+run_tests --release -q -p dstress-mpc --test transport_determinism measured_wire_bytes_bit_identical_across_the_grid
+run_tests --release -q -p dstress-mpc --test transport_determinism batched_choices_payload_is_bit_packed_on_the_wire
+run_tests --release -q -p dstress-bench --test byte_reconciliation
 
 echo "==> streaming generators: streaming build == materialised build, degree bounds, determinism"
-cargo test -q -p dstress-graph stream::
-cargo test -q -p dstress-graph csr_
-cargo test -q -p dstress-finance streaming_core_periphery
+run_tests -q -p dstress-graph stream::
+run_tests -q -p dstress-graph csr_
+run_tests -q -p dstress-finance streaming_core_periphery
 
 echo "==> block-streaming execution: streaming == materialised, Sequential == Threaded"
-cargo test --release -q -p dstress-core streaming_execution_matches_materialised
-cargo test --release -q -p dstress-core streaming_sequential_and_threaded_agree
-cargo test --release -q -p dstress-core streaming_runs_csr_graphs_from_edge_streams
+run_tests --release -q -p dstress-core streaming_execution_matches_materialised
+run_tests --release -q -p dstress-core streaming_sequential_and_threaded_agree
+run_tests --release -q -p dstress-core streaming_runs_csr_graphs_from_edge_streams
 
 echo "==> lazy OT setup: zero-AND circuits charge no setup rounds or bytes"
-cargo test -q -p dstress-mpc zero_and_circuit_pays_no_ot_setup
-cargo test -q -p dstress-mpc ot_payload_content_is_seed_derived_and_replayable
-cargo test -q -p dstress-mpc wire_payload_content_is_derived_from_the_pair_seed
+run_tests -q -p dstress-mpc zero_and_circuit_pays_no_ot_setup
+run_tests -q -p dstress-mpc ot_payload_content_is_seed_derived_and_replayable
+run_tests -q -p dstress-mpc wire_payload_content_is_derived_from_the_pair_seed
 
 echo "==> scale acceptance: measured streaming point past the 2,000-vertex wall"
 # Measured n > 2000 on streamed CSR graphs, Sequential == Threaded at n = 2100,
 # peak memory sub-linear in edges and below the materialised schedule.
-cargo test --release -q -p dstress-bench --test streaming_scale -- --ignored
+run_tests --release -q -p dstress-bench --test streaming_scale -- --ignored
 
 echo "==> repro -- scale smoke (quick sweep includes a measured N = 2500 point)"
 cargo run --release -q -p dstress-bench --bin repro -- scale --threads 2 > /dev/null
@@ -129,19 +144,19 @@ echo "==> state store: backends, spill lifecycle, checkpoint formats and recover
 # paths, golden checkpoint/segment byte layouts with truncation /
 # trailing-garbage / bad-digest rejection, and in-process
 # kill-and-resume bit-identity (plain and spilling).
-cargo test -q -p dstress-core store::
-cargo test -q -p dstress-core spilling_backend_is_bit_identical_to_memory
-cargo test -q -p dstress-core spill_directory_is_removed_even_when_a_round_errors
-cargo test -q -p dstress-core checkpoint
-cargo test -q -p dstress-core kill_and_resume_is_bit_identical
-cargo test -q -p dstress-core resume_rejects_missing_and_foreign_checkpoints
-cargo test -q -p dstress-bench persist::
+run_tests -q -p dstress-core store::
+run_tests -q -p dstress-core spilling_backend_is_bit_identical_to_memory
+run_tests -q -p dstress-core spill_directory_is_removed_even_when_a_round_errors
+run_tests -q -p dstress-core checkpoint
+run_tests -q -p dstress-core kill_and_resume_is_bit_identical
+run_tests -q -p dstress-core resume_rejects_missing_and_foreign_checkpoints
+run_tests -q -p dstress-bench persist::
 
 echo "==> persist acceptance: budgeted run past the 10,000-vertex RAM wall + recovery"
 # Measured N = 12,000 with the budget at 1/4 of the store bytes: real
 # spill-file bytes, resident peak under budget (+ segment slack), and
 # kill-and-resume bit-identity on the budgeted path.
-cargo test --release -q -p dstress-bench --test persist_recovery -- --ignored
+run_tests --release -q -p dstress-bench --test persist_recovery -- --ignored
 
 echo "==> repro -- persist smoke (quick sweep includes a measured N = 12,000 point)"
 cargo run --release -q -p dstress-bench --bin repro -- persist --threads 2 > /dev/null
@@ -151,52 +166,58 @@ echo "==> DP edge cases: integer budget ledger, geometric clamp, PSA aggregation
 # boundaries, million-charge drift-free totals, typed errors), the
 # for_epsilon underflow clamp, and the PSA encrypt/aggregate/decrypt
 # round-trip with mask cancellation.
-cargo test -q -p dstress-dp budget::
-cargo test -q -p dstress-dp geometric::
-cargo test -q -p dstress-dp psa::
+run_tests -q -p dstress-dp budget::
+run_tests -q -p dstress-dp geometric::
+run_tests -q -p dstress-dp psa::
 
 echo "==> analytics suite: plaintext references, circuit programs, engine releases"
 # The four scenario programs (degree histogram, WCC, SSSP, PageRank):
 # circuit == reference on every vertex, engine releases inside the
 # analytic error bounds, fixed-point quantisation accounting.
-cargo test -q -p dstress-graph analytics::
-cargo test --release -q -p dstress-core analytics::
+run_tests -q -p dstress-graph analytics::
+run_tests --release -q -p dstress-core analytics::
 
 echo "==> recurring releases: ε composition, exhaustion, full-MPC/PSA cadence"
-cargo test --release -q -p dstress-core schedule::
-cargo test --release -q -p dstress-finance monitor::
-cargo test --release -q -p dstress-bench --lib scenarios::
+run_tests --release -q -p dstress-core schedule::
+run_tests --release -q -p dstress-finance monitor::
+run_tests --release -q -p dstress-bench --lib scenarios::
 
 echo "==> repro -- scenarios smoke (per-program releases + recurring A/B into BENCH_results.json)"
 cargo run --release -q -p dstress-bench --bin repro -- scenarios --threads 2 > /dev/null
 
 echo "==> kill-and-resume e2e (master halted between rounds, restarted from checkpoint)"
-cargo test --release -q -p dstress-deploy --test kill_resume
+run_tests --release -q -p dstress-deploy --test kill_resume
 
 echo "==> socket frame layer: fault injection errors cleanly, never hangs"
 # Torn/partial frames, trailing garbage, oversized length prefixes,
 # mid-message disconnects and silent peers all surface as typed
 # TransportErrors within the stall timeout.
-cargo test -q -p dstress-net --test socket_faults
-cargo test -q -p dstress-net frame::
-cargo test -q -p dstress-net socket::
+run_tests -q -p dstress-net --test socket_faults
+run_tests -q -p dstress-net frame::
+run_tests -q -p dstress-net socket::
 
 echo "==> deployment: engine-level transport invariance + master/worker units"
-cargo test --release -q -p dstress-core transport_kind_does_not_change_results
-cargo test -q -p dstress-deploy --lib
+run_tests --release -q -p dstress-core transport_kind_does_not_change_results
+run_tests -q -p dstress-deploy --lib
 
 echo "==> loopback deployment e2e (master + 3 workers, release mode)"
 # Spawns the built dstress-master and dstress-node binaries on 127.0.0.1
 # and pins the released value bit-for-bit against the in-process run.
-cargo test --release -q -p dstress-deploy --test loopback
+run_tests --release -q -p dstress-deploy --test loopback
 
 echo "==> repro -- sockets smoke (Sim vs Socket measured/modeled into BENCH_results.json)"
 cargo run --release -q -p dstress-bench --bin repro -- sockets --threads 2 > /dev/null
 
 echo "==> threaded speedup check (asserts >= 2x only on >= 4 cores)"
-cargo test --release -q -p dstress-bench threaded_is_at_least_twice_as_fast_at_64_nodes -- --ignored
+run_tests --release -q -p dstress-bench threaded_is_at_least_twice_as_fast_at_64_nodes -- --ignored
 
 echo "==> cargo bench (compile only)"
 cargo bench -p dstress-bench --no-run
+
+echo "==> benchmark/: the yardstick builds against the public API, its tests pass, every workload runs"
+# benchmark/ is a package of its own, outside the workspace: a public-API
+# change that stops it compiling shows up only here.
+run_tests --release --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke > /dev/null
 
 echo "CI gate passed."

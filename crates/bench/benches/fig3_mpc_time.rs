@@ -2,7 +2,7 @@
 //! MPC circuits at small block sizes (the full sweep lives in `repro`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dstress_bench::mpc_micro::{run_mpc_micro, MpcCircuitKind};
+use dstress_bench::mpc_micro::{deep_narrow_point, run_mpc_micro, MpcCircuitKind};
 
 fn bench_fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_mpc_time");
@@ -16,6 +16,10 @@ fn bench_fig3(c: &mut Criterion) {
             );
         }
     }
+    // The per-message-overhead point: ≈ 500 layers of ≈ 18 AND gates.
+    group.bench_function("EN step deep-narrow D=5/8", |b| {
+        b.iter(|| deep_narrow_point(1))
+    });
     group.finish();
 }
 

@@ -61,8 +61,8 @@
 use dstress_bench::analyze_suite::analyze_suite_rows;
 use dstress_bench::end_to_end::{fig5_sweep_with_threads, EndToEndParams};
 use dstress_bench::mpc_micro::{
-    block_size_sweep_with_threads, parameter_sweep_with_threads, run_mpc_micro_with,
-    MpcCircuitKind, MpcMicroRow,
+    block_size_sweep_with_threads, deep_narrow_point, parameter_sweep_with_threads,
+    run_mpc_micro_with, MpcCircuitKind, MpcMicroRow, DEEP_NARROW_NS_PER_AND_PAIR_BEFORE,
 };
 use dstress_bench::naive_baseline::{baseline_comparison, paper_comparison};
 use dstress_bench::persist::{kill_resume_check, persist_sweep};
@@ -128,6 +128,28 @@ fn fig3_left(rows: &[MpcMicroRow], full: bool, results: &mut BenchResults) {
             .extra("rounds_per_pair", row.rounds as f64)
             .extra("projected_seconds", row.projected_seconds);
     }
+    // Beside the EN-step rows: the same step at D = 5 among 8 parties,
+    // where ~500 narrow layers make per-message overhead the whole cost.
+    let row = deep_narrow_point(if full { 15 } else { 5 });
+    println!(
+        "{:<16} {:>6} {:>10} {:>14} {:>14}   D=5, {} layers: {:.1} ns per AND-pair ({:.1} before the pipeline rebuild)",
+        "EN deep-narrow",
+        row.block_size,
+        row.and_gates,
+        format_seconds(row.measured_seconds),
+        format_seconds(row.projected_seconds),
+        row.and_layers,
+        row.ns_per_and_pair(),
+        DEEP_NARROW_NS_PER_AND_PAIR_BEFORE,
+    );
+    results
+        .point("fig3-left", "EN step deep-narrow D=5 block=8")
+        .wall_seconds(row.measured_seconds)
+        .counts(row.counts)
+        .extra("rounds_per_pair", row.rounds as f64)
+        .extra("and_layers", row.and_layers as f64)
+        .extra("ns_per_and_pair", row.ns_per_and_pair())
+        .extra("ns_per_and_pair_before", DEEP_NARROW_NS_PER_AND_PAIR_BEFORE);
 }
 
 fn fig3_right(full: bool, threads: usize, results: &mut BenchResults) {

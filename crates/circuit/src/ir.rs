@@ -7,8 +7,10 @@
 //! statistics module only needs gate counts and fan-in information.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 use crate::gadgets::GadgetEvent;
+use crate::layers::CircuitLayers;
 
 /// Identifier of a wire (the index of the gate that drives it).
 pub type WireId = usize;
@@ -99,6 +101,8 @@ pub struct Circuit {
     num_inputs: usize,
     outputs: Vec<WireId>,
     gadgets: Vec<GadgetEvent>,
+    /// The depth layering, computed on first use (see [`Circuit::layers`]).
+    layers: OnceLock<CircuitLayers>,
 }
 
 impl Circuit {
@@ -166,6 +170,7 @@ impl Circuit {
             num_inputs,
             outputs,
             gadgets,
+            layers: OnceLock::new(),
         })
     }
 
@@ -208,6 +213,14 @@ impl Circuit {
             .iter()
             .filter(|g| matches!(g, Gate::Xor(_, _)))
             .count()
+    }
+
+    /// The circuit's depth layering ([`CircuitLayers::of`]), computed once
+    /// and shared by every execution of this circuit — a release runs the
+    /// same update circuit once per vertex step, and the layering depends
+    /// on nothing but the gate list.
+    pub fn layers(&self) -> &CircuitLayers {
+        self.layers.get_or_init(|| CircuitLayers::of(self))
     }
 
     /// The word-level gadget trace recorded by the builder (empty for

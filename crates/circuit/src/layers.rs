@@ -54,10 +54,20 @@ pub struct CircuitLayers {
     /// `and_layers[r]` holds the AND-gate wires of round `r + 1`, in
     /// ascending (topological) wire order.  Every layer is non-empty.
     and_layers: Vec<Vec<WireId>>,
+    /// `and_operands[r][slot]` holds the two input wires of the gate
+    /// `and_layers[r][slot]`, so a layer-at-a-time evaluator reads its
+    /// operands without going back to the gate list.  Stored as `u32`
+    /// to halve the footprint a circuit carries for life.
+    and_operands: Vec<Vec<(u32, u32)>>,
     /// `free_schedule[r]` holds the non-AND gates that become computable
     /// once AND round `r` has completed (`r = 0` means "before any
     /// round"), in ascending wire order.  Has `rounds() + 1` entries.
     free_schedule: Vec<Vec<WireId>>,
+}
+
+/// One empty vector per layer, each with room for exactly its width.
+fn sized<T>(widths: &[usize]) -> Vec<Vec<T>> {
+    widths.iter().map(|&w| Vec::with_capacity(w)).collect()
 }
 
 impl CircuitLayers {
@@ -65,9 +75,13 @@ impl CircuitLayers {
     pub fn of(circuit: &Circuit) -> Self {
         let gates = circuit.gates();
         // layer[w] = number of AND gates on the longest path ending at w,
-        // counting w itself if it is an AND gate.
+        // counting w itself if it is an AND gate.  A first pass sizes
+        // every layer, so the vectors below are allocated exactly once at
+        // their final length — a circuit keeps its layering for life
+        // ([`Circuit::layers`]), and growth slack would stay with it.
         let mut layer = vec![0usize; gates.len()];
-        let mut and_layers: Vec<Vec<WireId>> = Vec::new();
+        let mut and_widths: Vec<usize> = Vec::new();
+        let mut free_widths: Vec<usize> = vec![0];
         for (i, gate) in gates.iter().enumerate() {
             let l = match *gate {
                 Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => 0,
@@ -77,22 +91,32 @@ impl CircuitLayers {
             };
             layer[i] = l;
             if matches!(gate, Gate::And(_, _)) {
-                if and_layers.len() < l {
-                    and_layers.resize_with(l, Vec::new);
+                if and_widths.len() < l {
+                    and_widths.resize(l, 0);
+                    free_widths.resize(l + 1, 0);
                 }
-                and_layers[l - 1].push(i);
+                and_widths[l - 1] += 1;
+            } else {
+                // A free gate's layer never exceeds the deepest AND layer.
+                free_widths[l] += 1;
             }
         }
-        let rounds = and_layers.len();
-        let mut free_schedule = vec![Vec::new(); rounds + 1];
+        let mut and_layers: Vec<Vec<WireId>> = sized(&and_widths);
+        let mut and_operands: Vec<Vec<(u32, u32)>> = sized(&and_widths);
+        let mut free_schedule: Vec<Vec<WireId>> = sized(&free_widths);
+        let narrow =
+            |wire: WireId| u32::try_from(wire).expect("circuits have fewer than 2^32 wires");
         for (i, gate) in gates.iter().enumerate() {
-            if !matches!(gate, Gate::And(_, _)) {
-                // A free gate's layer never exceeds the deepest AND layer.
+            if let Gate::And(a, b) = *gate {
+                and_layers[layer[i] - 1].push(i);
+                and_operands[layer[i] - 1].push((narrow(a), narrow(b)));
+            } else {
                 free_schedule[layer[i]].push(i);
             }
         }
         CircuitLayers {
             and_layers,
+            and_operands,
             free_schedule,
         }
     }
@@ -105,6 +129,14 @@ impl CircuitLayers {
     /// The AND gates of each round, ascending wire order within a round.
     pub fn and_layers(&self) -> &[Vec<WireId>] {
         &self.and_layers
+    }
+
+    /// The input wires `(a, b)` of the AND gates of round `round + 1`,
+    /// slot for slot with `and_layers()[round]`.
+    pub fn and_operands(&self, round: usize) -> impl Iterator<Item = (WireId, WireId)> + '_ {
+        self.and_operands[round]
+            .iter()
+            .map(|&(a, b)| (a as WireId, b as WireId))
     }
 
     /// The free-gate schedule: entry `r` lists the gates computable after
@@ -166,10 +198,8 @@ pub fn evaluate_layered(
             eval_free(&mut values, w);
         }
         if round < layers.rounds() {
-            for &w in &layers.and_layers()[round] {
-                let Gate::And(a, b) = gates[w] else {
-                    unreachable!("AND layers hold only AND gates");
-                };
+            let layer = layers.and_layers()[round].iter();
+            for (&w, (a, b)) in layer.zip(layers.and_operands(round)) {
                 values[w] = values[a] && values[b];
             }
         }
@@ -320,8 +350,18 @@ mod tests {
             let input_bits: Vec<bool> =
                 (0..circuit.num_inputs()).map(|n| bits >> (n % 64) & 1 == 1).collect();
             let layers = CircuitLayers::of(&circuit);
-            // Every AND gate appears in exactly one layer.
+            // Every AND gate appears in exactly one layer, beside its
+            // own operands.
             prop_assert_eq!(layers.and_gates(), circuit.and_gates());
+            for (round, wires) in layers.and_layers().iter().enumerate() {
+                prop_assert_eq!(wires.len(), layers.and_operands(round).count());
+                prop_assert_eq!(wires.len(), wires.capacity());
+                for (&w, (a, b)) in wires.iter().zip(layers.and_operands(round)) {
+                    prop_assert_eq!(circuit.gates()[w], Gate::And(a, b));
+                }
+            }
+            // The circuit's memoised layering is the same value.
+            prop_assert_eq!(circuit.layers(), &layers);
             let scheduled: usize =
                 layers.free_schedule().iter().map(Vec::len).sum::<usize>() + layers.and_gates();
             prop_assert_eq!(scheduled, circuit.len());

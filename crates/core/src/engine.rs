@@ -845,6 +845,10 @@ impl DStressRuntime {
                 });
             }
         }
+        // The iterations are over: release the update circuit — and the
+        // layering memoised on it — before the aggregation MPC allocates
+        // its own, typically larger, circuit.
+        drop(update_circuit);
 
         // ---- Aggregation + noising ----------------------------------------
         let agg_start = Instant::now(); // lint:allow-nondeterminism -- wall-clock metrics only, never touches shares
@@ -1214,7 +1218,6 @@ mod tests {
     #[test]
     fn concurrency_mode_does_not_change_results() {
         use crate::config::ConcurrencyMode;
-        let graph = ring_graph(6);
         let program = CounterProgram {
             width: 8,
             rounds: 2,
@@ -1224,6 +1227,15 @@ mod tests {
         let thr_cfg = seq_cfg
             .clone()
             .with_concurrency(ConcurrencyMode::Threaded { threads: 4 });
+        // A ring long enough that a round's block steps are worth two
+        // workers to the executor (see `MIN_AND_PAIRS_PER_WORKER`), so
+        // helper threads really run.
+        let member_pairs = seq_cfg.block_size() * (seq_cfg.block_size() - 1) / 2;
+        let and_gates = program.update_circuit(2).layers().and_gates();
+        let graph = ring_graph(
+            (2 * crate::exec::MIN_AND_PAIRS_PER_WORKER).div_ceil(member_pairs * and_gates),
+        );
+        assert_eq!(graph.degree_bound(), 2);
 
         let seq = DStressRuntime::new(seq_cfg)
             .execute(&graph, &program)

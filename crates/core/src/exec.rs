@@ -7,8 +7,8 @@
 //! placement:
 //!
 //! * [`LocalExecutor`] shards the batch across the in-process worker
-//!   pool ([`dstress_net::pool::parallel_map`]) — this is the schedule
-//!   every prior PR ran, and remains the default.
+//!   pool ([`dstress_net::pool::parallel_map`]), with as many of the
+//!   configured workers as the batch has work for — the default.
 //! * The `dstress-node` deployment crate implements the same trait by
 //!   shipping task batches to registered worker processes over framed
 //!   TCP and collecting the outcomes.
@@ -165,8 +165,18 @@ pub trait StepExecutor {
     ) -> Result<Vec<TransferOutcome>, RuntimeError>;
 }
 
+/// Pairwise AND evaluations (AND gates × member pairs) a batch of block
+/// steps must hold per worker before [`LocalExecutor`] gives it that
+/// worker.  At the measured 30–80 ns per AND-pair this is about a
+/// millisecond of GMW work, several times what starting and joining a
+/// helper thread costs; below it the helper's start-up would be the
+/// batch's critical path, and a wait whose length is the host's
+/// scheduling latency rather than anything the run computes.
+pub(crate) const MIN_AND_PAIRS_PER_WORKER: usize = 16_384;
+
 /// The in-process executor: shards tasks across the worker pool
-/// configured by [`crate::config::ConcurrencyMode`].
+/// configured by [`crate::config::ConcurrencyMode`], using as many of its
+/// workers as the batch has work for.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LocalExecutor;
 
@@ -176,7 +186,25 @@ impl StepExecutor for LocalExecutor {
         ctx: &StepContext<'_>,
         tasks: Vec<BlockStepTask>,
     ) -> Result<Vec<BlockStepOutcome>, RuntimeError> {
-        let threads = ctx.config.concurrency.worker_threads();
+        // One worker per `MIN_AND_PAIRS_PER_WORKER` of estimated work, at
+        // most the configured pool: a streaming window of small block
+        // MPCs stays on the calling thread, where its time does not
+        // depend on how soon the host schedules a second thread.  (A
+        // socket MPC costs its TCP mesh whatever its gates, so those
+        // always get the configured pool.)
+        let configured = ctx.config.concurrency.worker_threads();
+        let threads = match ctx.config.transport {
+            TransportKind::Socket => configured,
+            TransportKind::Sim => {
+                let member_pairs: usize = tasks
+                    .iter()
+                    .map(|task| task.members.len() * task.members.len().saturating_sub(1) / 2)
+                    .sum();
+                let and_pairs =
+                    member_pairs.saturating_mul(ctx.update_circuit.layers().and_gates());
+                configured.min((and_pairs / MIN_AND_PAIRS_PER_WORKER).max(1))
+            }
+        };
         let update_circuit = ctx.update_circuit;
         let batching = ctx.config.gmw_batching;
         let transport = ctx.config.transport;
@@ -200,19 +228,21 @@ impl StepExecutor for LocalExecutor {
         ctx: &StepContext<'_>,
         tasks: Vec<TransferTask>,
     ) -> Result<Vec<TransferOutcome>, RuntimeError> {
-        let threads = ctx.config.concurrency.worker_threads();
-        parallel_map(tasks, threads, |_off, task| {
-            match ctx.config.transfer_mode {
-                TransferMode::RealCrypto => real_crypto_transfer(ctx, task),
-                TransferMode::Accounted => Ok(execute_accounted_transfer_task(
-                    ctx.group,
-                    ctx.message_width,
-                    &task,
-                )),
+        match ctx.config.transfer_mode {
+            TransferMode::RealCrypto => {
+                let threads = ctx.config.concurrency.worker_threads();
+                parallel_map(tasks, threads, |_off, task| real_crypto_transfer(ctx, task))
+                    .into_iter()
+                    .collect()
             }
-        })
-        .into_iter()
-        .collect()
+            // An accounted transfer is bookkeeping — about a microsecond,
+            // against tens of microseconds to start a helper thread — so
+            // the batch runs on the calling thread in every mode.
+            TransferMode::Accounted => Ok(tasks
+                .iter()
+                .map(|task| execute_accounted_transfer_task(ctx.group, ctx.message_width, task))
+                .collect()),
+        }
     }
 }
 

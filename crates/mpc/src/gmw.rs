@@ -32,7 +32,7 @@
 
 use crate::error::MpcError;
 use crate::party::{GmwBatching, GmwMessage, GmwParty, OtConfig};
-use dstress_circuit::{Circuit, CircuitLayers, CircuitStats};
+use dstress_circuit::{Circuit, Gate};
 use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::OperationCounts;
@@ -215,13 +215,10 @@ impl GmwProtocol {
             }
         }
 
-        // One layering pass per execution, shared by every party.
-        let layers = CircuitLayers::of(circuit);
         let mut parties: Vec<GmwParty> = (0..n)
             .map(|p| {
                 GmwParty::new(
                     circuit,
-                    &layers,
                     p,
                     self.config.node_ids.clone(),
                     input_shares[p].clone(),
@@ -248,14 +245,20 @@ impl GmwProtocol {
             merged_traffic.merge(party.traffic());
             counts.merge(party.counts());
         }
-        let stats = CircuitStats::of(circuit);
+        // One allocation-free pass: the gate counts are all this needs of
+        // the circuit's statistics.
+        let free_gates = circuit
+            .gates()
+            .iter()
+            .filter(|gate| matches!(gate, Gate::Xor(..) | Gate::Not(_)))
+            .count();
         // Rounds are *measured* from the parties' exchange counters, not
         // derived from circuit statistics: every pair exchanges in
         // parallel, so the critical path is the per-pair maximum plus the
         // final output-reconstruction round.
         let rounds = parties.iter().map(GmwParty::rounds).max().unwrap_or(0) + 1;
-        counts.and_gates += stats.and_gates as u64;
-        counts.free_gates += (stats.xor_gates + stats.not_gates) as u64;
+        counts.and_gates += circuit.layers().and_gates() as u64;
+        counts.free_gates += free_gates as u64;
         counts.rounds += rounds;
         let bytes_sent_per_party: Vec<u64> = self
             .config
@@ -586,7 +589,7 @@ mod tests {
         assert_eq!(exec.counts.rounds, exec.rounds);
         // The layering covers *all* gates (GMW evaluates them all), so it
         // can only be at least the output-reachable AND depth.
-        let stats = CircuitStats::of(&circuit);
+        let stats = dstress_circuit::CircuitStats::of(&circuit);
         assert!(layers.rounds() >= stats.and_depth);
     }
 

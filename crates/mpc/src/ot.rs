@@ -65,13 +65,32 @@ pub trait OtProvider {
     /// Performs a batch of OTs that share one message exchange, as when a
     /// whole circuit layer's transfers ride in a single round.
     ///
-    /// The default implementation loops [`OtProvider::transfer`], so the
-    /// accounted totals are *identical* to per-gate execution — batching
-    /// changes the round structure, never the work.  Providers with
-    /// amortisable per-call overhead (OT extension) override this with a
-    /// vectorised path charging the same totals in one pass.
+    /// Batching changes the round structure, never the work: the
+    /// accounted totals are *identical* to per-gate execution.
     fn transfer_many(&mut self, requests: &[OtRequest]) -> BatchOtOutcome {
         let mut received = Vec::with_capacity(requests.len());
+        let (sender_bytes, receiver_bytes) = self.transfer_many_into(requests, &mut received);
+        BatchOtOutcome {
+            received,
+            sender_bytes,
+            receiver_bytes,
+        }
+    }
+
+    /// [`OtProvider::transfer_many`] into a caller-owned buffer: appends
+    /// the bit the receiver learned from each transfer, in request order,
+    /// to `received` and returns the batch's `(sender_bytes,
+    /// receiver_bytes)`.
+    ///
+    /// The default implementation loops [`OtProvider::transfer`];
+    /// providers with amortisable per-call overhead (OT extension)
+    /// override it with a vectorised path charging the same totals in one
+    /// pass.
+    fn transfer_many_into(
+        &mut self,
+        requests: &[OtRequest],
+        received: &mut Vec<bool>,
+    ) -> (u64, u64) {
         let mut sender_bytes = 0;
         let mut receiver_bytes = 0;
         for &(messages, choice) in requests {
@@ -80,11 +99,7 @@ pub trait OtProvider {
             sender_bytes += outcome.sender_bytes;
             receiver_bytes += outcome.receiver_bytes;
         }
-        BatchOtOutcome {
-            received,
-            sender_bytes,
-            receiver_bytes,
-        }
+        (sender_bytes, receiver_bytes)
     }
 
     /// Charges the per-session setup cost for one party pair (base OTs for
@@ -258,21 +273,22 @@ impl OtProvider for SimulatedOtExtension {
     /// whole layer.  Totals are bit-identical to looping [`Self::transfer`]
     /// (a unit test pins them against each other); what the batch saves is
     /// per-call overhead and, at the protocol level, message rounds.
-    fn transfer_many(&mut self, requests: &[OtRequest]) -> BatchOtOutcome {
+    fn transfer_many_into(
+        &mut self,
+        requests: &[OtRequest],
+        received: &mut Vec<bool>,
+    ) -> (u64, u64) {
         let n = requests.len() as u64;
-        let received = requests
-            .iter()
-            .map(|&(messages, choice)| messages[choice_index(choice)])
-            .collect();
+        received.extend(
+            requests
+                .iter()
+                .map(|&(messages, choice)| messages[choice_index(choice)]),
+        );
         let receiver_bytes = n * (self.security_parameter as u64).div_ceil(8);
         let sender_bytes = n;
         self.counts.extended_ots += n;
         self.counts.bytes_sent += receiver_bytes + sender_bytes;
-        BatchOtOutcome {
-            received,
-            sender_bytes,
-            receiver_bytes,
-        }
+        (sender_bytes, receiver_bytes)
     }
 
     fn session_setup(&mut self) -> (u64, u64) {

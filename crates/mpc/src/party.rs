@@ -59,6 +59,42 @@
 //! [`TrafficAccountant`]; merging every party's accountant therefore
 //! yields each flow exactly once.
 //!
+//! ## The layered hot path: who owns which buffer
+//!
+//! A deep, narrow circuit (the Eisenberg–Noe step: ≈ 500 layers of ≈ 18
+//! AND gates) makes the per-message overhead, not the gate work, the
+//! cost of an execution, so one pair-layer exchange is kept to a handful
+//! of allocations and no hashing:
+//!
+//! * **The circuit** owns its layering ([`Circuit::layers`], computed
+//!   once per circuit): each layer's wire ids with its operand indices
+//!   beside them.  Parties borrow it; nothing re-matches `Gate::And`.
+//! * **The party** owns three scratch vectors reused from layer to
+//!   layer — its `(x, y)` input shares for the layer in flight (read once
+//!   when the layer starts, cloned into each `Choices` message because
+//!   the message type owns its `Vec`), the accumulating output share per
+//!   gate, and the [`OtRequest`]s toward the peer being served — plus one
+//!   flat `(bytes, messages)` accumulator per peer and direction, folded
+//!   into its [`TrafficAccountant`] exactly once, when it finishes
+//!   ([`TrafficAccountant::record_bulk`]).
+//! * **Each message** owns exactly its fields: `pairs`/`bits` and the
+//!   seed-derived `ot_payload`, allocated at their final length
+//!   ([`OtProvider::transfer_many_into`] fills the `Responses` bits in
+//!   place).  The codec packs and unpacks the bit planes straight
+//!   between those vectors and the wire bytes ([`crate::wire`]).
+//! * **The transport** owns the encode buffer (reused from send to send)
+//!   and one FIFO lane per `(recipient, sender)`.
+//!
+//! None of this is visible from outside: every send still crosses
+//! `encode → decode`, every AND mask is still the seed-keyed
+//! `derive_seed(mask_seed, "and_mask", wire · parties + peer)` (its two
+//! index-independent mixing rounds are hoisted out of the per-gate loop),
+//! and the bytes, counts, rounds and shares of an execution are pinned
+//! absolutely by `tests/transport_determinism.rs`.  A peer's batch whose
+//! layer tag or length does not match the layer in flight is rejected in
+//! every build profile, naming party, peer and layer — socket bytes are
+//! untrusted input.
+//!
 //! ## Example
 //!
 //! ```
@@ -106,6 +142,7 @@
 use crate::ot::{ElGamalOt, OtProvider, OtRequest, SimulatedOtExtension};
 use dstress_circuit::{Circuit, CircuitLayers, Gate};
 use dstress_crypto::group::{Group, GroupKind};
+use dstress_math::rng::splitmix64_finalize as mix;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
 use dstress_net::transport::{ActorStatus, Endpoint, NodeActor};
@@ -304,10 +341,14 @@ const TAG_PAIR_PAYLOAD: u64 = 0x7061_6972_5F70_6179; // "pair_pay"
 /// which left adjacent pair indices with correlated — and occasionally
 /// colliding — streams.)
 pub fn derive_seed(master: u64, tag: u64, index: u64) -> u64 {
-    use dstress_math::rng::splitmix64_finalize as mix;
-    let mut h = mix(master.wrapping_add(0x9E37_79B9_7F4A_7C15));
-    h = mix(h ^ tag);
-    mix(h ^ index)
+    mix(derive_stream(master, tag) ^ index)
+}
+
+/// The rounds of [`derive_seed`] that depend only on the master seed and
+/// the domain tag: `derive_seed(m, t, i) == mix(derive_stream(m, t) ^ i)`.
+/// A loop deriving many indices of one stream mixes these once.
+fn derive_stream(master: u64, tag: u64) -> u64 {
+    mix(mix(master.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ tag)
 }
 
 /// The OT-sender mask for one AND gate toward one peer, derived from the
@@ -343,13 +384,12 @@ struct AndGateState {
     next_receiver_peer: usize,
 }
 
-/// In-flight state of the AND layer a party is evaluating (layered mode).
-#[derive(Clone, Debug)]
+/// In-flight state of the AND layer a party is evaluating (layered mode);
+/// the layer's share accumulators live in the party's scratch buffers.
+#[derive(Clone, Copy, Debug)]
 struct LayerState {
     /// Index of the layer in the circuit's [`CircuitLayers`].
     layer: usize,
-    /// The party's accumulating output share per gate of the layer.
-    shares: Vec<bool>,
     /// Whether the batched choices to lower-indexed peers went out.
     choices_sent: bool,
     /// Next higher-indexed peer whose Choices this party still serves.
@@ -361,8 +401,7 @@ struct LayerState {
 /// One party of a GMW execution, runnable on any transport backend.
 pub struct GmwParty<'c> {
     circuit: &'c Circuit,
-    /// The circuit's depth layering, computed once per execution and
-    /// shared by every party (it depends only on the circuit).
+    /// The circuit's memoised depth layering ([`Circuit::layers`]).
     layers: &'c CircuitLayers,
     batching: GmwBatching,
     index: usize,
@@ -370,6 +409,9 @@ pub struct GmwParty<'c> {
     node_ids: Vec<NodeId>,
     /// Seed of this party's AND-mask stream (see [`mask_bit`]).
     mask_seed: u64,
+    /// [`derive_stream`] of the mask seed: the layered path's per-gate
+    /// mask is one mixing round on top of this.
+    mask_stream: u64,
     /// OT provider for every pair this party owns (peers with a larger
     /// index); `None` for peers whose pair the peer owns.
     ots: Vec<Option<Box<dyn OtProvider + Send>>>,
@@ -388,6 +430,15 @@ pub struct GmwParty<'c> {
     wires: Vec<bool>,
     counts: OperationCounts,
     traffic: TrafficAccountant,
+    /// Layered mode: modeled OT traffic per peer, folded into `traffic`
+    /// once when the party finishes.
+    flows: Vec<PairFlow>,
+    /// Layered-mode scratch, reused across layers: this party's `(x, y)`
+    /// input shares and accumulating output share per gate of the layer
+    /// in flight, and the OT requests toward the peer being served.
+    layer_inputs: Vec<(bool, bool)>,
+    layer_shares: Vec<bool>,
+    requests: Vec<OtRequest>,
     /// Measured one-way message rounds this party participated in per
     /// pair: session setup, then 2 per exchange (choices out, responses
     /// back).  All pairs run in parallel, so this is the sequential
@@ -412,16 +463,13 @@ pub struct GmwParty<'c> {
 impl<'c> GmwParty<'c> {
     /// Creates party `index` of `node_ids.len()` parties.
     ///
-    /// `input_share` is this party's XOR share of every circuit input,
-    /// and `layers` is the circuit's [`CircuitLayers`] (computed once by
-    /// the caller and shared across the block's parties).  All party and
-    /// pair randomness derives from `master_seed`, so a fixed seed yields
-    /// bit-identical executions on every backend — and, because AND masks
-    /// are keyed by `(wire, peer)`, across both [`GmwBatching`] modes.
-    #[allow(clippy::too_many_arguments)]
+    /// `input_share` is this party's XOR share of every circuit input.
+    /// All party and pair randomness derives from `master_seed`, so a
+    /// fixed seed yields bit-identical executions on every backend — and,
+    /// because AND masks are keyed by `(wire, peer)`, across both
+    /// [`GmwBatching`] modes.
     pub fn new(
         circuit: &'c Circuit,
-        layers: &'c CircuitLayers,
         index: usize,
         node_ids: Vec<NodeId>,
         input_share: Vec<bool>,
@@ -449,12 +497,13 @@ impl<'c> GmwParty<'c> {
             .collect();
         GmwParty {
             circuit,
-            layers,
+            layers: circuit.layers(),
             batching,
             index,
             parties,
             node_ids,
             mask_seed,
+            mask_stream: derive_stream(mask_seed, TAG_AND_MASK),
             ots,
             pair_payload_seed,
             ot_recv_payload: ot.wire_receiver_bytes_per_ot(),
@@ -467,6 +516,10 @@ impl<'c> GmwParty<'c> {
             // byte flows available to callers that merge into a
             // pair-tracking accountant.
             traffic: TrafficAccountant::with_pair_tracking(),
+            flows: vec![PairFlow::default(); parties],
+            layer_inputs: Vec::new(),
+            layer_shares: Vec::new(),
+            requests: Vec::new(),
             protocol_rounds: 0,
             gate_index: 0,
             and_state: None,
@@ -498,7 +551,8 @@ impl<'c> GmwParty<'c> {
     }
 
     /// The traffic this party accounted (each flow of a pair appears in
-    /// exactly one party's accountant).
+    /// exactly one party's accountant).  Complete once the party has
+    /// finished: the layered path folds its per-peer totals in then.
     pub fn traffic(&self) -> &TrafficAccountant {
         &self.traffic
     }
@@ -741,43 +795,26 @@ impl<'c> GmwParty<'c> {
     /// committed.
     fn advance_layer(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> bool {
         let mut st = self.layer_state.take().expect("a layer is in flight");
-        let circuit = self.circuit;
-        let parties = self.parties;
-        let mask_seed = self.mask_seed;
+        let gates = &self.layers.and_layers()[st.layer];
         let layer_tag = st.layer as u32;
 
         // As OT receiver: announce the whole layer's choices to every
         // pair owner in one message each.
         if !st.choices_sent {
-            if self.index > 0 {
-                let gates = &self.layers.and_layers()[st.layer];
-                let pairs: Vec<(bool, bool)> = gates
-                    .iter()
-                    .map(|&w| {
-                        let Gate::And(a, b) = circuit.gates()[w] else {
-                            unreachable!("AND layers hold only AND gates");
-                        };
-                        (self.wires[a], self.wires[b])
-                    })
-                    .collect();
-                let batch: Vec<(usize, GmwMessage)> = (0..self.index)
-                    .map(|owner| {
-                        (
-                            owner,
-                            GmwMessage::Choices {
-                                layer: layer_tag,
-                                pairs: pairs.clone(),
-                                ot_payload: crate::wire::ot_payload(
-                                    self.pair_payload_seed[owner],
-                                    crate::wire::PAYLOAD_RECEIVER,
-                                    u64::from(layer_tag),
-                                    pairs.len() * self.ot_recv_payload,
-                                ),
-                            },
-                        )
-                    })
-                    .collect();
-                endpoint.send_many(batch);
+            for owner in 0..self.index {
+                endpoint.send(
+                    owner,
+                    GmwMessage::Choices {
+                        layer: layer_tag,
+                        pairs: self.layer_inputs.clone(),
+                        ot_payload: crate::wire::ot_payload(
+                            self.pair_payload_seed[owner],
+                            crate::wire::PAYLOAD_RECEIVER,
+                            u64::from(layer_tag),
+                            gates.len() * self.ot_recv_payload,
+                        ),
+                    },
+                );
             }
             st.choices_sent = true;
         }
@@ -785,7 +822,7 @@ impl<'c> GmwParty<'c> {
         // As OT sender (pair owner): serve each higher-indexed peer's
         // whole layer through one batched transfer and one response
         // message.
-        while st.next_sender_peer < parties {
+        while st.next_sender_peer < self.parties {
             let peer = st.next_sender_peer;
             let Some(message) = endpoint.try_recv_from(peer) else {
                 self.layer_state = Some(st);
@@ -802,51 +839,51 @@ impl<'c> GmwParty<'c> {
                     self.index
                 );
             };
-            debug_assert_eq!(layer, layer_tag, "layer choices out of order");
+            // Unconditional: a peer's bytes are untrusted input, and a
+            // short batch would otherwise be zipped into wrong shares.
+            assert!(
+                layer == layer_tag && pairs.len() == gates.len(),
+                "party {}: Choices from party {peer} carry layer {layer} with {} gates, \
+                 expected layer {layer_tag} with {} gates",
+                self.index,
+                pairs.len(),
+                gates.len()
+            );
             debug_assert_eq!(
                 ot_payload.len(),
                 pairs.len() * self.ot_recv_payload,
                 "batched OT payload size"
             );
-            let gates = &self.layers.and_layers()[st.layer];
-            debug_assert_eq!(pairs.len(), gates.len(), "peer batched a different layer");
-            let mut requests: Vec<OtRequest> = Vec::with_capacity(gates.len());
-            for (slot, &w) in gates.iter().enumerate() {
-                let Gate::And(a, b) = circuit.gates()[w] else {
-                    unreachable!("AND layers hold only AND gates");
-                };
-                let (x, y) = (self.wires[a], self.wires[b]);
-                let r = mask_bit(mask_seed, parties, w, peer);
-                requests.push(([r, r ^ x, r ^ y, r ^ x ^ y], pairs[slot]));
-                st.shares[slot] ^= r;
+            // The sender's masks; each pair's cross terms x_i·y_j ⊕ x_j·y_i
+            // are encoded in the table, indexed by the receiver's choice.
+            self.requests.clear();
+            let own = self.layer_inputs.iter().zip(&mut self.layer_shares);
+            for ((&w, choice), (&(x, y), share)) in gates.iter().zip(pairs).zip(own) {
+                let r = mix(self.mask_stream ^ (w * self.parties + peer) as u64) & 1 == 1;
+                self.requests.push(([r, r ^ x, r ^ y, r ^ x ^ y], choice));
+                *share ^= r;
             }
             let provider = self.ots[peer].as_mut().expect("pair owner has a provider");
             let before = provider.counts();
-            let outcome = provider.transfer_many(&requests);
+            let mut bits = Vec::with_capacity(gates.len());
+            let (sender_bytes, receiver_bytes) =
+                provider.transfer_many_into(&self.requests, &mut bits);
             let after = provider.counts();
             absorb_provider_delta(&mut self.counts, &before, &after);
-            let batch_len = outcome.received.len();
             endpoint.send(
                 peer,
                 GmwMessage::Responses {
                     layer: layer_tag,
-                    bits: outcome.received,
+                    bits,
                     ot_payload: crate::wire::ot_payload(
                         self.pair_payload_seed[peer],
                         crate::wire::PAYLOAD_SENDER,
                         u64::from(layer_tag),
-                        batch_len * self.ot_send_payload,
+                        gates.len() * self.ot_send_payload,
                     ),
                 },
             );
-            let me = self.node_ids[self.index];
-            let peer_id = self.node_ids[peer];
-            if outcome.sender_bytes > 0 {
-                self.traffic.record(me, peer_id, outcome.sender_bytes);
-            }
-            if outcome.receiver_bytes > 0 {
-                self.traffic.record(peer_id, me, outcome.receiver_bytes);
-            }
+            self.flows[peer].add(sender_bytes, receiver_bytes);
             st.next_sender_peer += 1;
         }
 
@@ -869,18 +906,23 @@ impl<'c> GmwParty<'c> {
                     self.index
                 );
             };
-            debug_assert_eq!(layer, layer_tag, "layer responses out of order");
-            debug_assert_eq!(bits.len(), st.shares.len(), "response batch size");
-            for (share, bit) in st.shares.iter_mut().zip(bits) {
+            assert!(
+                layer == layer_tag && bits.len() == gates.len(),
+                "party {}: Responses from party {owner} carry layer {layer} with {} bits, \
+                 expected layer {layer_tag} with {} bits",
+                self.index,
+                bits.len(),
+                gates.len()
+            );
+            for (share, bit) in self.layer_shares.iter_mut().zip(bits) {
                 *share ^= bit;
             }
             st.next_receiver_peer += 1;
         }
 
         // Commit the layer's output shares and advance the schedule.
-        let gates = &self.layers.and_layers()[st.layer];
-        for (slot, &w) in gates.iter().enumerate() {
-            self.wires[w] = st.shares[slot];
+        for (&w, &share) in gates.iter().zip(&self.layer_shares) {
+            self.wires[w] = share;
         }
         // One layer = one choices/responses exchange = two one-way
         // rounds, regardless of how many gates it carried.
@@ -915,28 +957,66 @@ impl<'c> GmwParty<'c> {
                 }
                 self.setup_done = true;
             }
-            // Start the next layer: seed each gate's share with the
-            // party's local cross term x_i · y_i.
-            let gates = &self.layers.and_layers()[self.round];
-            let shares: Vec<bool> = gates
-                .iter()
-                .map(|&w| {
-                    let Gate::And(a, b) = self.circuit.gates()[w] else {
-                        unreachable!("AND layers hold only AND gates");
-                    };
-                    self.wires[a] && self.wires[b]
-                })
-                .collect();
+            // Start the next layer: read the party's input shares once
+            // and seed each gate's share with the local cross term
+            // x_i · y_i.
+            let wires = &self.wires;
+            self.layer_inputs.clear();
+            self.layer_inputs.extend(
+                self.layers
+                    .and_operands(self.round)
+                    .map(|(a, b)| (wires[a], wires[b])),
+            );
+            self.layer_shares.clear();
+            self.layer_shares
+                .extend(self.layer_inputs.iter().map(|&(x, y)| x && y));
             self.layer_state = Some(LayerState {
                 layer: self.round,
-                shares,
                 choices_sent: false,
                 next_sender_peer: self.index + 1,
                 next_receiver_peer: 0,
             });
         }
+        self.flush_flows();
         self.finished = true;
         ActorStatus::Done
+    }
+
+    /// Folds the per-peer flow accumulators into the party's accountant:
+    /// per-node totals, message counts and pair flows come out exactly as
+    /// if every served batch had been recorded on its own.
+    fn flush_flows(&mut self) {
+        let me = self.node_ids[self.index];
+        for (flow, &peer_id) in self.flows.iter().zip(&self.node_ids) {
+            if flow.sent_messages > 0 {
+                self.traffic
+                    .record_bulk(me, peer_id, flow.sent_bytes, flow.sent_messages);
+            }
+            if flow.received_messages > 0 {
+                self.traffic
+                    .record_bulk(peer_id, me, flow.received_bytes, flow.received_messages);
+            }
+        }
+    }
+}
+
+/// Modeled OT traffic between a pair owner and one peer, accumulated per
+/// served batch.  A direction with zero bytes in a batch carries no
+/// message, as in the per-message accounting of the per-gate path.
+#[derive(Clone, Copy, Debug, Default)]
+struct PairFlow {
+    sent_bytes: u64,
+    sent_messages: u64,
+    received_bytes: u64,
+    received_messages: u64,
+}
+
+impl PairFlow {
+    fn add(&mut self, sender_bytes: u64, receiver_bytes: u64) {
+        self.sent_bytes += sender_bytes;
+        self.sent_messages += u64::from(sender_bytes > 0);
+        self.received_bytes += receiver_bytes;
+        self.received_messages += u64::from(receiver_bytes > 0);
     }
 }
 
@@ -1181,12 +1261,10 @@ mod tests {
         // the exact payload bytes it puts on the wire against the
         // documented derivation — the "replayable by construction" claim.
         let circuit = tiny_and_circuit();
-        let layers = CircuitLayers::of(&circuit);
         let master = 0xFEED;
         let ot = OtConfig::extension();
         let mut party = GmwParty::new(
             &circuit,
-            &layers,
             1,
             vec![NodeId(0), NodeId(1)],
             vec![true, false],
@@ -1250,14 +1328,110 @@ mod tests {
         assert!(expected.iter().any(|&b| b != 0), "payload is key material");
     }
 
+    /// One layer of two independent AND gates.
+    fn two_and_circuit() -> Circuit {
+        let mut b = CircuitBuilder::new();
+        let (w, x, y, z) = (b.input(), b.input(), b.input(), b.input());
+        let p = b.and(w, x);
+        let q = b.and(y, z);
+        b.output(p);
+        b.output(q);
+        b.build().unwrap()
+    }
+
+    /// Drives party `index` of a two-party run over [`two_and_circuit`]
+    /// through the setup exchange, then feeds it `batch` from its peer as
+    /// the layer-0 message.
+    fn feed_layer_batch(index: usize, batch: GmwMessage) {
+        let circuit = two_and_circuit();
+        let ot = OtConfig::extension();
+        let mut party = GmwParty::new(
+            &circuit,
+            index,
+            vec![NodeId(0), NodeId(1)],
+            vec![true; 4],
+            &ot,
+            3,
+            GmwBatching::Layered,
+        );
+        let peer = 1 - index;
+        let mut endpoint = ScriptedEndpoint::new(2);
+        endpoint.feed(
+            peer,
+            GmwMessage::OtSetup {
+                ot_payload: vec![0; ot.wire_setup_bytes().0],
+            },
+        );
+        endpoint.feed(peer, batch);
+        party.poll(&mut endpoint);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "party 0: Choices from party 1 carry layer 0 with 1 gates, expected layer 0 with 2 gates"
+    )]
+    fn short_choices_batch_is_rejected_in_every_build() {
+        // Previously a `debug_assert`: a release build indexed past the
+        // end of the short batch.
+        feed_layer_batch(
+            0,
+            GmwMessage::Choices {
+                layer: 0,
+                pairs: vec![(true, false)],
+                ot_payload: vec![0; 10],
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "party 1: Responses from party 0 carry layer 0 with 1 bits, expected layer 0 with 2 bits"
+    )]
+    fn short_responses_batch_is_rejected_in_every_build() {
+        // Previously a `debug_assert`: a release build zipped the short
+        // batch into its shares and finished with a wrong output.
+        feed_layer_batch(
+            1,
+            GmwMessage::Responses {
+                layer: 0,
+                bits: vec![true],
+                ot_payload: vec![0],
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "carry layer 7 with 2 bits, expected layer 0 with 2 bits")]
+    fn out_of_order_layer_tag_is_rejected_in_every_build() {
+        feed_layer_batch(
+            1,
+            GmwMessage::Responses {
+                layer: 7,
+                bits: vec![true, false],
+                ot_payload: vec![0; 2],
+            },
+        );
+    }
+
+    #[test]
+    fn hoisted_mask_mixing_matches_the_per_gate_derivation() {
+        for (seed, parties, wire, peer) in [(42u64, 4usize, 17usize, 2usize), (7, 8, 9_000, 7)] {
+            let stream = derive_stream(seed, TAG_AND_MASK);
+            let index = (wire * parties + peer) as u64;
+            assert_eq!(mix(stream ^ index), derive_seed(seed, TAG_AND_MASK, index));
+            assert_eq!(
+                mix(stream ^ index) & 1 == 1,
+                mask_bit(seed, parties, wire, peer)
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "has not finished")]
     fn output_share_requires_completion() {
         let circuit = tiny_and_circuit();
-        let layers = CircuitLayers::of(&circuit);
         let party = GmwParty::new(
             &circuit,
-            &layers,
             0,
             vec![NodeId(0), NodeId(1)],
             vec![false, true],

@@ -20,6 +20,11 @@
 //! The batched choice and share bits therefore cost **one bit each** on
 //! the wire — `⌈w/8⌉` bytes per plane for a `w`-gate layer — instead of
 //! the byte-or-more the per-gate messages pay in headers.
+//!
+//! Every encoding is written into a buffer reserved to its exact length
+//! ([`GmwMessage::encoded_len`]), and the batched messages pack and
+//! unpack their planes straight between the wire bytes and the message's
+//! own `pairs` / `bits` vectors, with no intermediate plane copies.
 
 use crate::party::{derive_seed, GmwMessage};
 use dstress_math::rng::{DetRng, SplitMix64};
@@ -66,8 +71,68 @@ pub fn ot_payload(pair_seed: u64, direction: u64, index: u64, len: usize) -> Vec
 /// (one bit per choice bit, two planes) plus this header.
 pub const BATCH_HEADER_MAX: usize = 1 + 5 + 5 + 1;
 
+/// Packs the x- and y-planes of a `Choices` batch (`put_bits(xs)` then
+/// `put_bits(ys)`) straight from the pairs.
+fn put_choice_planes(out: &mut Vec<u8>, pairs: &[(bool, bool)]) {
+    let plane = wire::bits_len(pairs.len());
+    let start = out.len();
+    out.resize(start + 2 * plane, 0);
+    let (xs, ys) = out[start..].split_at_mut(plane);
+    for ((chunk, x_byte), y_byte) in pairs.chunks(8).zip(xs).zip(ys) {
+        for (i, &(x, y)) in chunk.iter().enumerate() {
+            *x_byte |= (x as u8) << i;
+            *y_byte |= (y as u8) << i;
+        }
+    }
+}
+
+/// Reads the two planes of a `count`-gate `Choices` batch back into pairs.
+fn get_choice_planes(buf: &mut &[u8], count: usize) -> Result<Vec<(bool, bool)>, WireError> {
+    let xs = wire::get_bit_plane(buf, count)?;
+    let ys = wire::get_bit_plane(buf, count)?;
+    let mut pairs = Vec::with_capacity(count);
+    for (&x_byte, &y_byte) in xs.iter().zip(ys) {
+        let width = (count - pairs.len()).min(8);
+        pairs.extend((0..width).map(|i| (x_byte >> i & 1 == 1, y_byte >> i & 1 == 1)));
+    }
+    Ok(pairs)
+}
+
+impl GmwMessage {
+    /// The exact length of the message's encoding, from the layouts in
+    /// the module docs.
+    pub fn encoded_len(&self) -> usize {
+        let bytes_len = |payload: &[u8]| wire::uvarint_len(payload.len() as u64) + payload.len();
+        let batch_len = |layer: u32, count: usize, planes: usize| {
+            wire::uvarint_len(u64::from(layer))
+                + wire::uvarint_len(count as u64)
+                + planes * wire::bits_len(count)
+        };
+        1 + match self {
+            GmwMessage::OtSetup { ot_payload } => bytes_len(ot_payload),
+            GmwMessage::Choice {
+                gate, ot_payload, ..
+            }
+            | GmwMessage::Response {
+                gate, ot_payload, ..
+            } => wire::uvarint_len(u64::from(*gate)) + 1 + bytes_len(ot_payload),
+            GmwMessage::Choices {
+                layer,
+                pairs,
+                ot_payload,
+            } => batch_len(*layer, pairs.len(), 2) + bytes_len(ot_payload),
+            GmwMessage::Responses {
+                layer,
+                bits,
+                ot_payload,
+            } => batch_len(*layer, bits.len(), 1) + bytes_len(ot_payload),
+        }
+    }
+}
+
 impl Wire for GmwMessage {
     fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
         match self {
             GmwMessage::OtSetup { ot_payload } => {
                 wire::put_u8(out, TAG_OT_SETUP);
@@ -102,10 +167,7 @@ impl Wire for GmwMessage {
                 wire::put_u8(out, TAG_CHOICES);
                 wire::put_uvarint(out, u64::from(*layer));
                 wire::put_uvarint(out, pairs.len() as u64);
-                let xs: Vec<bool> = pairs.iter().map(|&(x, _)| x).collect();
-                let ys: Vec<bool> = pairs.iter().map(|&(_, y)| y).collect();
-                wire::put_bits(out, &xs);
-                wire::put_bits(out, &ys);
+                put_choice_planes(out, pairs);
                 wire::put_bytes(out, ot_payload);
             }
             GmwMessage::Responses {
@@ -153,11 +215,9 @@ impl Wire for GmwMessage {
             TAG_CHOICES => {
                 let layer = gate_or_layer(buf)?;
                 let count = wire::get_uvarint(buf)? as usize;
-                let xs = wire::get_bits(buf, count)?;
-                let ys = wire::get_bits(buf, count)?;
                 Ok(GmwMessage::Choices {
                     layer,
-                    pairs: xs.into_iter().zip(ys).collect(),
+                    pairs: get_choice_planes(buf, count)?,
                     ot_payload: wire::get_bytes(buf)?,
                 })
             }
@@ -403,6 +463,143 @@ mod tests {
                 ot_payload: payload.to_vec(),
             },
         ]
+    }
+
+    /// The reference packing of a batched message: header, then
+    /// `put_bits` per plane, then the payload.
+    fn reference_batch_encoding(
+        tag: u8,
+        layer: u32,
+        planes: &[Vec<bool>],
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut out = vec![tag];
+        wire::put_uvarint(&mut out, u64::from(layer));
+        wire::put_uvarint(&mut out, planes[0].len() as u64);
+        for plane in planes {
+            wire::put_bits(&mut out, plane);
+        }
+        wire::put_bytes(&mut out, payload);
+        out
+    }
+
+    /// The reference decoder of a batched message: one `get_bits` per
+    /// plane into intermediate vectors.
+    fn reference_batch_decoding(mut buf: &[u8], planes: usize) -> Result<GmwMessage, WireError> {
+        let buf = &mut buf;
+        let tag = wire::get_u8(buf)?;
+        let layer = u32::try_from(wire::get_uvarint(buf)?)
+            .map_err(|_| WireError::Invalid { what: "GmwMessage" })?;
+        let count = wire::get_uvarint(buf)? as usize;
+        let mut decoded: Vec<Vec<bool>> = Vec::new();
+        for _ in 0..planes {
+            decoded.push(wire::get_bits(buf, count)?);
+        }
+        let ot_payload = wire::get_bytes(buf)?;
+        if !buf.is_empty() {
+            return Err(WireError::Trailing {
+                remaining: buf.len(),
+            });
+        }
+        Ok(if tag == TAG_CHOICES {
+            GmwMessage::Choices {
+                layer,
+                pairs: decoded[0]
+                    .iter()
+                    .copied()
+                    .zip(decoded[1].iter().copied())
+                    .collect(),
+                ot_payload,
+            }
+        } else {
+            GmwMessage::Responses {
+                layer,
+                bits: decoded.remove(0),
+                ot_payload,
+            }
+        })
+    }
+
+    /// Holds one batch of `gates` against the reference codec: encodings
+    /// byte-identical and reserved exactly; every truncation point and
+    /// every dirty padding bit rejected with the reference decoder's
+    /// error.
+    fn check_batched_codec(layer: u32, gates: &[(bool, bool)], payload: &[u8]) {
+        let (xs, ys): (Vec<bool>, Vec<bool>) = gates.iter().copied().unzip();
+        let cases = [
+            (
+                GmwMessage::Choices {
+                    layer,
+                    pairs: gates.to_vec(),
+                    ot_payload: payload.to_vec(),
+                },
+                reference_batch_encoding(TAG_CHOICES, layer, &[xs, ys.clone()], payload),
+                2usize,
+            ),
+            (
+                GmwMessage::Responses {
+                    layer,
+                    bits: ys.clone(),
+                    ot_payload: payload.to_vec(),
+                },
+                reference_batch_encoding(TAG_RESPONSES, layer, &[ys], payload),
+                1usize,
+            ),
+        ];
+        for (message, reference, planes) in cases {
+            let encoded = message.encode();
+            assert_eq!(encoded, reference);
+            assert_eq!(encoded.len(), message.encoded_len());
+            // One reservation, never a regrowth (8 is `Vec<u8>`'s
+            // smallest non-empty capacity).
+            assert!(encoded.capacity() <= encoded.len().max(8));
+            assert_eq!(GmwMessage::decode_exact(&encoded), Ok(message));
+            for cut in 0..encoded.len() {
+                let expected = reference_batch_decoding(&encoded[..cut], planes);
+                assert!(expected.is_err());
+                assert_eq!(GmwMessage::decode_exact(&encoded[..cut]), expected);
+            }
+            // Set each padding bit of each plane's last byte in turn.
+            let plane_len = wire::bits_len(gates.len());
+            let planes_start =
+                1 + wire::uvarint_len(u64::from(layer)) + wire::uvarint_len(gates.len() as u64);
+            let padding = if gates.len() % 8 == 0 {
+                8..8
+            } else {
+                gates.len() % 8..8
+            };
+            for plane in 0..planes {
+                for bit in padding.clone() {
+                    let mut dirty = encoded.clone();
+                    dirty[planes_start + (plane + 1) * plane_len - 1] |= 1 << bit;
+                    let expected = Err(WireError::Invalid {
+                        what: "bit-plane padding",
+                    });
+                    assert_eq!(reference_batch_decoding(&dirty, planes), expected);
+                    assert_eq!(GmwMessage::decode_exact(&dirty), expected);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The packed-plane codec against the reference packing
+        /// (`put_bits(xs) ‖ put_bits(ys)`), at every width 0..=200.
+        #[test]
+        fn prop_batched_codec_matches_the_reference_packing(
+            layer in any::<u32>(),
+            seed in any::<u64>(),
+            payload in proptest::collection::vec(any::<u8>(), 0..48),
+        ) {
+            for width in 0..=200u64 {
+                let mut rng = SplitMix64::new(seed ^ width);
+                let gates: Vec<(bool, bool)> =
+                    (0..width).map(|_| (rng.next_bool(), rng.next_bool())).collect();
+                check_batched_codec(layer, &gates, &payload);
+            }
+        }
     }
 
     proptest! {

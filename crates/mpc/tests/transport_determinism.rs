@@ -426,3 +426,314 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
     assert_eq!(a.output_shares, b.output_shares);
     assert_eq!(a.counts, b.counts);
 }
+
+// ---------------------------------------------------------------------------
+// Pinned execution fingerprint
+// ---------------------------------------------------------------------------
+//
+// The suites above compare backends and batchings *with each other*, so a
+// change that moved all of them together would pass.  The constants below
+// were captured once, on the commit before the layered hot path was
+// rebuilt, and pin every observable of a layered execution absolutely:
+// output shares, operation counts, rounds, the per-pair wire tally, the
+// accountant's node and pair flows, and a fold over every encoded message
+// in lane order.
+
+use dstress_mpc::GmwMessage;
+use dstress_net::cost::OperationCounts;
+use dstress_net::traffic::NodeId;
+use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, TransportError};
+use dstress_net::wire::{Wire, WireTally};
+use std::sync::Mutex;
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a, continued from `h`.
+fn fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+fn fold_u64s(h: u64, values: &[u64]) -> u64 {
+    values.iter().fold(h, |h, v| fold(h, &v.to_le_bytes()))
+}
+
+/// An endpoint that folds the encoding of every message its actor sends
+/// into the sender's per-recipient lane hash before passing it on.
+struct RecordingEndpoint<'a> {
+    inner: &'a mut dyn Endpoint<GmwMessage>,
+    lanes: &'a mut [u64],
+}
+
+impl RecordingEndpoint<'_> {
+    fn record(&mut self, to: usize, message: &GmwMessage) {
+        let bytes = message.encode();
+        let h = fold(self.lanes[to], &(bytes.len() as u64).to_le_bytes());
+        self.lanes[to] = fold(h, &bytes);
+    }
+}
+
+impl Endpoint<GmwMessage> for RecordingEndpoint<'_> {
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+    fn send(&mut self, to: usize, message: GmwMessage) {
+        self.record(to, &message);
+        self.inner.send(to, message);
+    }
+    fn send_many(&mut self, batch: Vec<(usize, GmwMessage)>) {
+        for (to, message) in &batch {
+            self.record(*to, message);
+        }
+        self.inner.send_many(batch);
+    }
+    fn try_recv_from(&mut self, peer: usize) -> Option<GmwMessage> {
+        self.inner.try_recv_from(peer)
+    }
+}
+
+struct RecordingActor<'a> {
+    inner: &'a mut dyn NodeActor<GmwMessage>,
+    /// One running hash per recipient: this sender's lanes.
+    lanes: Vec<u64>,
+}
+
+impl NodeActor<GmwMessage> for RecordingActor<'_> {
+    fn poll(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
+        self.inner.poll(&mut RecordingEndpoint {
+            inner: endpoint,
+            lanes: &mut self.lanes,
+        })
+    }
+}
+
+/// Wraps any backend; after a run, holds the run's tally and the fold of
+/// all `(from, to)` lane hashes in index order.
+struct RecordingTransport<'t> {
+    inner: &'t dyn Transport<GmwMessage>,
+    seen: Mutex<Option<(WireTally, u64)>>,
+}
+
+impl Transport<GmwMessage> for RecordingTransport<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run(
+        &self,
+        actors: &mut [&mut dyn NodeActor<GmwMessage>],
+    ) -> Result<WireTally, TransportError> {
+        let n = actors.len();
+        let mut recorders: Vec<RecordingActor> = actors
+            .iter_mut()
+            .map(|actor| RecordingActor {
+                inner: &mut **actor,
+                lanes: vec![FNV_OFFSET; n],
+            })
+            .collect();
+        let tally = {
+            let mut refs: Vec<&mut dyn NodeActor<GmwMessage>> = recorders
+                .iter_mut()
+                .map(|r| r as &mut dyn NodeActor<GmwMessage>)
+                .collect();
+            self.inner.run(&mut refs)?
+        };
+        let messages = recorders
+            .iter()
+            .fold(FNV_OFFSET, |h, r| fold_u64s(h, &r.lanes));
+        *self.seen.lock().unwrap() = Some((tally.clone(), messages));
+        Ok(tally)
+    }
+}
+
+/// Everything observable about one layered execution.
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    /// Fold over every party's output shares.
+    shares: u64,
+    /// `OperationCounts`, in field order.
+    counts: [u64; 10],
+    rounds: u64,
+    /// Fold over the tally's `(from, to, bytes, messages)` pairs.
+    tally: u64,
+    /// Fold over every encoded message, lane by lane.
+    messages: u64,
+    /// Fold over the accountant's per-node counters and pair flows.
+    traffic: u64,
+}
+
+fn counts_array(c: &OperationCounts) -> [u64; 10] {
+    [
+        c.exponentiations,
+        c.fixed_base_exponentiations,
+        c.group_multiplications,
+        c.base_ots,
+        c.extended_ots,
+        c.and_gates,
+        c.free_gates,
+        c.bytes_sent,
+        c.wire_bytes,
+        c.rounds,
+    ]
+}
+
+/// A ≈500-layer chain, three AND gates per layer: the shape of the
+/// Eisenberg–Noe update circuit (deep, narrow).
+fn deep_narrow_circuit() -> Circuit {
+    let mut b = CircuitBuilder::new();
+    let mut s = [b.input(), b.input(), b.input()];
+    let k = b.input();
+    for _ in 0..500 {
+        let t0 = b.and(s[0], s[1]);
+        let t1 = b.and(s[1], s[2]);
+        let t2 = b.and(s[2], s[0]);
+        let n2 = b.not(t2);
+        s = [b.xor(t0, s[2]), b.xor(t1, k), b.xor(n2, s[1])];
+    }
+    for wire in s {
+        b.output(wire);
+    }
+    b.build().unwrap()
+}
+
+/// Two wide layers (701 and 350 AND gates — neither a multiple of eight,
+/// so both bit planes end in padding).
+fn wide_shallow_circuit() -> Circuit {
+    let mut b = CircuitBuilder::new();
+    let first: Vec<WireId> = (0..701)
+        .map(|_| {
+            let x = b.input();
+            let y = b.input();
+            b.and(x, y)
+        })
+        .collect();
+    let second: Vec<WireId> = first.chunks_exact(2).map(|p| b.and(p[0], p[1])).collect();
+    for &wire in second.iter().step_by(25).chain(first.iter().step_by(100)) {
+        b.output(wire);
+    }
+    b.build().unwrap()
+}
+
+fn fingerprint(
+    transport: &dyn Transport<GmwMessage>,
+    circuit: &Circuit,
+    parties: usize,
+    ot: &OtConfig,
+) -> Fingerprint {
+    let mut input_rng = SplitMix64::new(0xF1A6);
+    let inputs: Vec<bool> = (0..circuit.num_inputs())
+        .map(|_| input_rng.next_bool())
+        .collect();
+    let shares = share_inputs(&inputs, parties, &mut Xoshiro256::new(0x5A17));
+    let node_ids: Vec<NodeId> = (0..parties).map(|p| NodeId(100 + 7 * p)).collect();
+    let protocol = GmwProtocol::new(GmwConfig::with_node_ids(node_ids.clone())).unwrap();
+    let recording = RecordingTransport {
+        inner: transport,
+        seen: Mutex::new(None),
+    };
+    let mut traffic = TrafficAccountant::with_pair_tracking();
+    let exec = protocol
+        .execute_seeded(
+            &recording,
+            circuit,
+            &shares,
+            ot,
+            &mut traffic,
+            0x0D57_2E55_F1A6,
+        )
+        .expect("execution succeeds");
+    assert_eq!(
+        reconstruct_outputs(&exec.output_shares).unwrap(),
+        evaluate(circuit, &inputs).unwrap()
+    );
+    let (tally, messages) = recording.seen.lock().unwrap().take().expect("one run");
+
+    let share_bytes: Vec<u8> = exec
+        .output_shares
+        .iter()
+        .flat_map(|party| party.iter().map(|&bit| bit as u8))
+        .collect();
+    let tally_fold = tally.pairs().fold(FNV_OFFSET, |h, (from, to, b, m)| {
+        fold_u64s(h, &[from as u64, to as u64, b, m])
+    });
+    let mut traffic_fold = FNV_OFFSET;
+    for (id, t) in traffic.sorted_node_entries() {
+        traffic_fold = fold_u64s(
+            traffic_fold,
+            &[
+                id.0 as u64,
+                t.bytes_sent,
+                t.bytes_received,
+                t.messages_sent,
+                t.messages_received,
+                t.wire_bytes_sent,
+                t.wire_bytes_received,
+            ],
+        );
+    }
+    for &from in &node_ids {
+        for &to in &node_ids {
+            let bytes = traffic.pair_bytes(from, to).expect("pair tracking is on");
+            traffic_fold = fold_u64s(traffic_fold, &[bytes]);
+        }
+    }
+    Fingerprint {
+        shares: fold(FNV_OFFSET, &share_bytes),
+        counts: counts_array(&exec.counts),
+        rounds: exec.rounds,
+        tally: tally_fold,
+        messages,
+        traffic: traffic_fold,
+    }
+}
+
+/// Captured on the parent of the hot-path rebuild (commit b69d153) with
+/// `SimTransport`; never regenerate these to make a change pass.
+#[rustfmt::skip]
+const PINNED: [(&str, &str, usize, Fingerprint); 12] = [
+    ("deep", "extension", 3, Fingerprint { shares: 5123522497241910172, counts: [720, 0, 0, 240, 4500, 1500, 2000, 80220, 98970, 1003], rounds: 1003, tally: 17503285370796608251, messages: 14997814937247267381, traffic: 13601190562446389833 }),
+    ("deep", "extension", 5, Fingerprint { shares: 7631902638434219146, counts: [2400, 0, 0, 800, 15000, 1500, 2000, 267400, 329900, 1003], rounds: 1003, tally: 16033738224191658465, messages: 1147820364187734940, traffic: 12373332802621121609 }),
+    ("deep", "extension", 8, Fingerprint { shares: 16428961054209189680, counts: [6720, 0, 0, 2240, 42000, 1500, 2000, 748720, 923720, 1003], rounds: 1003, tally: 14797853441262008245, messages: 3793855001994877100, traffic: 4717705037886606649 }),
+    ("deep", "elgamal", 3, Fingerprint { shares: 5123522497241910172, counts: [72000, 0, 0, 4500, 0, 1500, 2000, 432000, 452232, 1001], rounds: 1001, tally: 12272581752034311900, messages: 15507424422150957847, traffic: 1864713179926586181 }),
+    ("deep", "elgamal", 5, Fingerprint { shares: 7631902638434219146, counts: [240000, 0, 0, 15000, 0, 1500, 2000, 1440000, 1507440, 1001], rounds: 1001, tally: 5559117139399330305, messages: 7220901252255997288, traffic: 14707509370068110721 }),
+    ("deep", "elgamal", 8, Fingerprint { shares: 16428961054209189680, counts: [672000, 0, 0, 42000, 0, 1500, 2000, 4032000, 4220832, 1001], rounds: 1001, tally: 5737559769125257045, messages: 1622164794988598037, traffic: 10016635184815943653 }),
+    ("wide", "extension", 3, Fingerprint { shares: 18301796936191437206, counts: [720, 0, 0, 240, 3153, 1051, 0, 65403, 66681, 7], rounds: 7, tally: 9969474062762851432, messages: 12289296861088390307, traffic: 11719017552131503470 }),
+    ("wide", "extension", 5, Fingerprint { shares: 9260127984839528710, counts: [2400, 0, 0, 800, 10510, 1051, 0, 218010, 222270, 7], rounds: 7, tally: 921918314326206805, messages: 17019116995583694260, traffic: 10494882322554984077 }),
+    ("wide", "extension", 8, Fingerprint { shares: 11010598065292202474, counts: [6720, 0, 0, 2240, 29428, 1051, 0, 610428, 622356, 7], rounds: 7, tally: 9801018694936820445, messages: 10169534055813686848, traffic: 4561413460450917537 }),
+    ("wide", "elgamal", 3, Fingerprint { shares: 18301796936191437206, counts: [50448, 0, 0, 3153, 0, 1051, 0, 302688, 303957, 5], rounds: 5, tally: 3297569108055309822, messages: 12473165375077455620, traffic: 13491381051174720114 }),
+    ("wide", "elgamal", 5, Fingerprint { shares: 9260127984839528710, counts: [168160, 0, 0, 10510, 0, 1051, 0, 1008960, 1013190, 5], rounds: 5, tally: 5298078028870286773, messages: 623907360314115871, traffic: 4602794964473352569 }),
+    ("wide", "elgamal", 8, Fingerprint { shares: 11010598065292202474, counts: [470848, 0, 0, 29428, 0, 1051, 0, 2825088, 2836932, 5], rounds: 5, tally: 274950429683024685, messages: 8986842107210137925, traffic: 7987394551177103733 }),
+];
+
+/// The pinned fingerprints hold on every backend, for both providers.
+#[test]
+fn layered_execution_matches_the_pinned_fingerprints() {
+    let (deep, wide) = (deep_narrow_circuit(), wide_shallow_circuit());
+    assert_eq!(dstress_circuit::CircuitLayers::of(&deep).rounds(), 500);
+    let backends: [(&str, Box<dyn Transport<GmwMessage>>); 3] = [
+        ("sim", Box::new(SimTransport)),
+        ("threaded", Box::new(ThreadedTransport::with_threads(3))),
+        ("socket", Box::new(SocketTransport::with_threads(2))),
+    ];
+    for (circuit_name, ot_name, parties, expected) in &PINNED {
+        let circuit = if *circuit_name == "deep" {
+            &deep
+        } else {
+            &wide
+        };
+        let ot = if *ot_name == "extension" {
+            OtConfig::extension()
+        } else {
+            OtConfig::elgamal(dstress_crypto::group::GroupKind::Sim64)
+        };
+        for (backend, transport) in &backends {
+            assert_eq!(
+                &fingerprint(&**transport, circuit, *parties, &ot),
+                expected,
+                "{circuit_name} / {ot_name} / {parties} parties on {backend}"
+            );
+        }
+    }
+}

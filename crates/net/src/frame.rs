@@ -95,11 +95,12 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Appends a framed copy of `payload` to `out` (the allocation-reusing
-/// form of [`encode_frame`]).
-pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    out.push(FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+/// form of [`encode_frame`]); `out` is any byte sink, so a connection
+/// frames straight into its write queue.
+pub fn encode_frame_into(out: &mut impl Extend<u8>, payload: &[u8]) {
+    out.extend([FRAME_MAGIC]);
+    out.extend((payload.len() as u32).to_le_bytes());
+    out.extend(payload.iter().copied());
 }
 
 /// Incremental frame decoder: feed it stream chunks, pop complete frames.

@@ -56,14 +56,6 @@ impl<T> Mailbox<T> {
         self.queues[node.0].pop_front()
     }
 
-    /// Receives the oldest pending message for `node` that was sent by
-    /// `from`, preserving per-sender FIFO order.
-    pub fn recv_from(&mut self, node: NodeId, from: NodeId) -> Option<T> {
-        let queue = &mut self.queues[node.0];
-        let position = queue.iter().position(|(sender, _)| *sender == from)?;
-        queue.remove(position).map(|(_, message)| message)
-    }
-
     /// Drains every pending message for `node`.
     pub fn drain(&mut self, node: NodeId) -> Vec<(NodeId, T)> {
         self.queues[node.0].drain(..).collect()
@@ -131,20 +123,6 @@ mod tests {
         assert_eq!(mb.total_delivered(), 3);
         assert_eq!(mb.drain(NodeId(1)), vec![(NodeId(0), 1), (NodeId(0), 3)]);
         assert_eq!(mb.recv(NodeId(2)), Some((NodeId(0), 2)));
-    }
-
-    #[test]
-    fn recv_from_is_per_sender_fifo() {
-        let mut mb: Mailbox<u8> = Mailbox::new(3);
-        mb.send(NodeId(1), NodeId(0), 10);
-        mb.send(NodeId(2), NodeId(0), 20);
-        mb.send(NodeId(1), NodeId(0), 11);
-        // Skips node 2's message, preserves node 1's order.
-        assert_eq!(mb.recv_from(NodeId(0), NodeId(1)), Some(10));
-        assert_eq!(mb.recv_from(NodeId(0), NodeId(1)), Some(11));
-        assert_eq!(mb.recv_from(NodeId(0), NodeId(1)), None);
-        assert_eq!(mb.recv_from(NodeId(0), NodeId(2)), Some(20));
-        assert!(mb.is_idle());
     }
 
     #[test]

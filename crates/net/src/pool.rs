@@ -67,7 +67,10 @@ pub fn default_threads() -> usize {
 /// `f` receives `(index, item)` so callers can derive per-task seeds from
 /// the input position.  With `threads <= 1` (or a single item) everything
 /// runs inline on the calling thread — the deterministic "sequential"
-/// mode is literally the same code path with a pool of one.
+/// mode is literally the same code path with a pool of one.  Otherwise
+/// the calling thread is one of the workers and `threads - 1` helpers are
+/// spawned beside it, so a helper the host is slow to schedule costs the
+/// batch nothing but the items it would have taken.
 ///
 /// # Panics
 ///
@@ -88,23 +91,29 @@ where
             .collect();
     }
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let job = queue.lock().expect("pool queue poisoned").pop_front();
-                let Some((index, item)) = job else { break };
-                let result = f(index, item);
-                results.lock().expect("pool results poisoned")[index] = Some(result);
-            });
+    // Every worker keeps what it computed and hands it back when the
+    // queue is empty.
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let job = queue.lock().expect("pool queue poisoned").pop_front();
+            let Some((index, item)) = job else { break done };
+            done.push((index, f(index, item)));
         }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
     });
-    results
-        .into_inner()
-        .expect("pool results poisoned")
-        .into_iter()
-        .map(|r| r.expect("every slot filled by a worker"))
-        .collect()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -124,6 +133,36 @@ mod tests {
     fn inline_when_single_threaded() {
         let out = parallel_map(vec![1, 2, 3], 1, |_i, x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn the_calling_thread_is_a_worker() {
+        // With a pool of two, at most one other thread ever runs an item.
+        let caller = std::thread::current().id();
+        let ids = parallel_map(vec![(); 64], 2, |_i, ()| std::thread::current().id());
+        let others: std::collections::BTreeSet<_> = ids
+            .into_iter()
+            .filter(|&id| id != caller)
+            .map(|id| format!("{id:?}"))
+            .collect();
+        assert!(others.len() <= 1, "helpers seen: {others:?}");
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller_with_its_message() {
+        let outcome = std::panic::catch_unwind(|| {
+            parallel_map((0..32u32).collect(), 4, |_i, x| {
+                assert!(x != 17, "item seventeen");
+                x
+            })
+        });
+        let payload = outcome.expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(message.contains("item seventeen"), "got {message:?}");
     }
 
     #[test]

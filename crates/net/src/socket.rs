@@ -153,9 +153,7 @@ impl FramedConn {
     /// Queues `payload` as one frame and flushes as much as the socket
     /// will take without blocking.
     pub fn send_frame(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        let mut framed = Vec::new();
-        encode_frame_into(&mut framed, payload);
-        self.outbuf.extend(framed);
+        encode_frame_into(&mut self.outbuf, payload);
         self.flush().map(|_| ())
     }
 

@@ -123,12 +123,21 @@ impl TrafficAccountant {
 
     /// Records a message of `bytes` bytes from `from` to `to`.
     pub fn record(&mut self, from: NodeId, to: NodeId, bytes: u64) {
+        self.record_bulk(from, to, bytes, 1);
+    }
+
+    /// Records `messages` messages totalling `bytes` bytes from `from` to
+    /// `to` in one step — the entry point for callers that accumulate a
+    /// flow's counters themselves and fold them in once.  Equal, on every
+    /// counter, to `messages` calls of [`Self::record`] with the same
+    /// byte total.
+    pub fn record_bulk(&mut self, from: NodeId, to: NodeId, bytes: u64, messages: u64) {
         let sender = self.per_node.entry(from).or_default();
         sender.bytes_sent += bytes;
-        sender.messages_sent += 1;
+        sender.messages_sent += messages;
         let receiver = self.per_node.entry(to).or_default();
         receiver.bytes_received += bytes;
-        receiver.messages_received += 1;
+        receiver.messages_received += messages;
         if self.track_pairs {
             *self.per_pair.entry((from, to)).or_insert(0) += bytes;
         }
@@ -257,6 +266,7 @@ impl TrafficAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn records_both_directions() {
@@ -389,6 +399,43 @@ mod tests {
         assert_eq!(replayed.report(), merged.report());
         for id in 0..4 {
             assert_eq!(replayed.node(NodeId(id)), merged.node(NodeId(id)));
+        }
+    }
+
+    proptest! {
+        /// Accumulating each flow's `(bytes, messages)` and folding them
+        /// in once equals recording every message on its own: per-node
+        /// totals, message counts, pair bytes and the report.
+        #[test]
+        fn prop_bulk_flush_equals_per_message_record(
+            messages in proptest::collection::vec(any::<u64>(), 0..120),
+        ) {
+            const NODES: usize = 5;
+            let mut per_message = TrafficAccountant::with_pair_tracking();
+            let mut flows = [[(0u64, 0u64); NODES]; NODES];
+            for word in messages {
+                let (from, to) = ((word % 5) as usize, (word / 5 % 5) as usize);
+                let bytes = word >> 40;
+                per_message.record(NodeId(10 * from), NodeId(10 * to), bytes);
+                flows[from][to].0 += bytes;
+                flows[from][to].1 += 1;
+            }
+            let mut bulk = TrafficAccountant::with_pair_tracking();
+            for (from, row) in flows.iter().enumerate() {
+                for (to, &(bytes, count)) in row.iter().enumerate() {
+                    if count > 0 {
+                        bulk.record_bulk(NodeId(10 * from), NodeId(10 * to), bytes, count);
+                    }
+                }
+            }
+            prop_assert_eq!(bulk.report(), per_message.report());
+            prop_assert_eq!(bulk.sorted_node_entries(), per_message.sorted_node_entries());
+            for from in 0..NODES {
+                for to in 0..NODES {
+                    let (from, to) = (NodeId(10 * from), NodeId(10 * to));
+                    prop_assert_eq!(bulk.pair_bytes(from, to), per_message.pair_bytes(from, to));
+                }
+            }
         }
     }
 

@@ -11,11 +11,11 @@
 //! Two backends are provided:
 //!
 //! * [`SimTransport`] — the deterministic in-process backend.  All actors
-//!   run on the calling thread, round-robin, with messages queued in a
-//!   [`Mailbox`].  This is the reference backend: its schedule is fully
-//!   deterministic, and a stalled protocol (every actor idle with no
-//!   message in flight) is reported as [`TransportError::Stalled`] rather
-//!   than deadlocking.
+//!   run on the calling thread, round-robin, with messages queued in one
+//!   FIFO per `(recipient, sender)`.  This is the reference backend: its
+//!   schedule is fully deterministic, and a stalled protocol (every actor
+//!   idle with no message in flight) is reported as
+//!   [`TransportError::Stalled`] rather than deadlocking.
 //! * [`ThreadedTransport`] — real concurrency.  Nodes are sharded across
 //!   a worker pool (sized by [`std::thread::available_parallelism`] by
 //!   default) and exchange messages over per-node [`std::sync::mpsc`]
@@ -80,8 +80,6 @@
 //! ```
 
 use crate::frame::FrameError;
-use crate::mailbox::Mailbox;
-use crate::traffic::NodeId;
 use crate::wire::{Wire, WireError, WireTally};
 use core::fmt;
 use std::collections::VecDeque;
@@ -93,15 +91,18 @@ use std::time::{Duration, Instant};
 /// decodes it back — the boundary every transport send passes through.
 /// Both backends deliver the *decoded* copy, so a message type whose
 /// codec cannot round-trip fails loudly in any test that exchanges it.
+/// The encoding lands in `scratch`, an endpoint-owned buffer reused from
+/// send to send.
 ///
 /// A decode failure here is an encoder/decoder mismatch in the message
 /// type itself (never data-dependent), so it panics rather than poisoning
 /// the run.
-fn through_wire<M: Wire>(message: M) -> (M, u64) {
-    let bytes = message.encode();
-    let decoded = M::decode_exact(&bytes)
+fn through_wire<M: Wire>(message: M, scratch: &mut Vec<u8>) -> (M, u64) {
+    scratch.clear();
+    message.encode_into(scratch);
+    let decoded = M::decode_exact(scratch)
         .expect("wire round-trip failed: the message type's encoder and decoder disagree");
-    (decoded, bytes.len() as u64)
+    (decoded, scratch.len() as u64)
 }
 
 /// What an actor reports after a [`NodeActor::poll`] call.
@@ -130,8 +131,8 @@ pub trait NodeActor<M>: Send {
 /// specific peer.
 ///
 /// Nodes are addressed by dense local indices `0..nodes()`; mapping local
-/// indices to global [`NodeId`]s (for traffic accounting) is the actor's
-/// business, which keeps the transport payload-agnostic.
+/// indices to global [`crate::traffic::NodeId`]s (for traffic accounting)
+/// is the actor's business, which keeps the transport payload-agnostic.
 pub trait Endpoint<M> {
     /// Number of nodes attached to this transport run.
     fn nodes(&self) -> usize;
@@ -259,17 +260,22 @@ pub trait Transport<M: Wire + Send> {
 // SimTransport
 // ---------------------------------------------------------------------------
 
-/// The deterministic single-threaded backend, built on [`Mailbox`].
+/// The deterministic single-threaded backend.
 ///
-/// Actors are polled round-robin in index order; messages go through a
-/// `Mailbox` (per-recipient FIFO queues).  The schedule — and therefore
-/// every observable of a run — is fully deterministic.
+/// Actors are polled round-robin in index order; every `(recipient,
+/// sender)` pair has its own FIFO lane, which is exactly the order
+/// [`Endpoint::try_recv_from`] exposes — a receive is a `pop_front`, never
+/// a search.  The schedule — and therefore every observable of a run — is
+/// fully deterministic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimTransport;
 
 struct SimEndpoint<'a, M> {
     node: usize,
-    mailbox: &'a mut Mailbox<M>,
+    nodes: usize,
+    /// Lane `to * nodes + from` holds what `from` sent to `to`.
+    lanes: &'a mut [VecDeque<M>],
+    scratch: &'a mut Vec<u8>,
     tally: &'a mut WireTally,
     /// Sends plus successful receives, used for stall detection.
     activity: &'a mut u64,
@@ -277,32 +283,18 @@ struct SimEndpoint<'a, M> {
 
 impl<M: Wire> Endpoint<M> for SimEndpoint<'_, M> {
     fn nodes(&self) -> usize {
-        self.mailbox.nodes()
+        self.nodes
     }
 
     fn send(&mut self, to: usize, message: M) {
         *self.activity += 1;
-        let (decoded, bytes) = through_wire(message);
+        let (decoded, bytes) = through_wire(message, self.scratch);
         self.tally.record(self.node, to, bytes);
-        self.mailbox.send(NodeId(self.node), NodeId(to), decoded);
-    }
-
-    fn send_many(&mut self, batch: Vec<(usize, M)>) {
-        *self.activity += batch.len() as u64;
-        let node = self.node;
-        let tally = &mut *self.tally;
-        self.mailbox.send_many(
-            NodeId(node),
-            batch.into_iter().map(|(to, m)| {
-                let (decoded, bytes) = through_wire(m);
-                tally.record(node, to, bytes);
-                (NodeId(to), decoded)
-            }),
-        );
+        self.lanes[to * self.nodes + self.node].push_back(decoded);
     }
 
     fn try_recv_from(&mut self, peer: usize) -> Option<M> {
-        let message = self.mailbox.recv_from(NodeId(self.node), NodeId(peer));
+        let message = self.lanes[self.node * self.nodes + peer].pop_front();
         if message.is_some() {
             *self.activity += 1;
         }
@@ -317,7 +309,8 @@ impl<M: Wire + Send> Transport<M> for SimTransport {
 
     fn run(&self, actors: &mut [&mut dyn NodeActor<M>]) -> Result<WireTally, TransportError> {
         let n = actors.len();
-        let mut mailbox: Mailbox<M> = Mailbox::new(n);
+        let mut lanes: Vec<VecDeque<M>> = (0..n * n).map(|_| VecDeque::new()).collect();
+        let mut scratch = Vec::new();
         let mut tally = WireTally::new(n);
         let mut done = vec![false; n];
         let mut done_count = 0usize;
@@ -329,7 +322,9 @@ impl<M: Wire + Send> Transport<M> for SimTransport {
                 }
                 let mut endpoint = SimEndpoint {
                     node: i,
-                    mailbox: &mut mailbox,
+                    nodes: n,
+                    lanes: &mut lanes,
+                    scratch: &mut scratch,
                     tally: &mut tally,
                     activity: &mut activity,
                 };
@@ -502,6 +497,8 @@ struct ThreadedEndpoint<M> {
     buffers: Vec<VecDeque<M>>,
     counters: Arc<QueueCounters>,
     wire: Arc<SharedTally>,
+    /// Encode buffer of [`through_wire`].
+    scratch: Vec<u8>,
     activity: u64,
 }
 
@@ -531,22 +528,12 @@ impl<M: Wire> Endpoint<M> for ThreadedEndpoint<M> {
 
     fn send(&mut self, to: usize, message: M) {
         self.activity += 1;
-        let (decoded, bytes) = through_wire(message);
+        let (decoded, bytes) = through_wire(message, &mut self.scratch);
         self.wire.record(self.node, to, bytes);
         self.counters.sent[to].fetch_add(1, Ordering::Relaxed);
         // A closed peer channel means that actor already finished; its
         // protocol role no longer needs the message.
         let _ = self.peers[to].send((self.node, decoded));
-    }
-
-    fn send_many(&mut self, batch: Vec<(usize, M)>) {
-        self.activity += batch.len() as u64;
-        for (to, message) in batch {
-            let (decoded, bytes) = through_wire(message);
-            self.wire.record(self.node, to, bytes);
-            self.counters.sent[to].fetch_add(1, Ordering::Relaxed);
-            let _ = self.peers[to].send((self.node, decoded));
-        }
     }
 
     fn try_recv_from(&mut self, peer: usize) -> Option<M> {
@@ -740,6 +727,7 @@ impl<M: Wire + Send> Transport<M> for ThreadedTransport {
                 buffers: (0..n).map(|_| VecDeque::new()).collect(),
                 counters: Arc::clone(&counters),
                 wire: Arc::clone(&wire),
+                scratch: Vec::new(),
                 activity: 0,
             })
             .collect();
@@ -848,6 +836,39 @@ mod tests {
         for (i, sum) in sums.iter().enumerate() {
             assert_eq!(*sum, 10 - i as u64);
         }
+    }
+
+    #[test]
+    fn sim_lanes_are_per_sender_fifo() {
+        /// Nodes 1 and 2 each send two numbered messages to node 0, which
+        /// reads node 2's lane first: a receive never sees another
+        /// sender's message and keeps each sender's order.
+        struct Lanes(Vec<u64>);
+        impl NodeActor<u64> for Lanes {
+            fn poll(&mut self, ep: &mut dyn Endpoint<u64>) -> ActorStatus {
+                if self.0.is_empty() {
+                    self.0.push(u64::MAX);
+                    return ActorStatus::Idle;
+                }
+                self.0.clear();
+                for peer in [2, 1, 2, 1, 1] {
+                    self.0.extend(ep.try_recv_from(peer));
+                }
+                ActorStatus::Done
+            }
+        }
+        struct Sender(u64);
+        impl NodeActor<u64> for Sender {
+            fn poll(&mut self, ep: &mut dyn Endpoint<u64>) -> ActorStatus {
+                ep.send(0, self.0);
+                ep.send(0, self.0 + 1);
+                ActorStatus::Done
+            }
+        }
+        let (mut reader, mut a, mut b) = (Lanes(Vec::new()), Sender(10), Sender(20));
+        let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut reader, &mut a, &mut b];
+        SimTransport.run(&mut refs).unwrap();
+        assert_eq!(reader.0, vec![20, 10, 21, 11]);
     }
 
     #[test]

@@ -271,19 +271,12 @@ pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, WireError> {
 /// composite messages carry it in their own header).  Padding bits in the
 /// final byte are zero, and [`get_bits`] rejects anything else.
 pub fn put_bits(out: &mut Vec<u8>, bits: &[bool]) {
-    let mut byte = 0u8;
-    for (i, &bit) in bits.iter().enumerate() {
-        if bit {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if bits.len() % 8 != 0 {
-        out.push(byte);
-    }
+    out.extend(bits.chunks(8).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0u8, |byte, (i, &bit)| byte | (bit as u8) << i)
+    }));
 }
 
 /// The packed size of an `n`-bit plane.
@@ -291,21 +284,38 @@ pub fn bits_len(n: usize) -> usize {
     n.div_ceil(8)
 }
 
-/// Unpacks an `n`-bit plane written by [`put_bits`].
+/// Takes the packed bytes of an `n`-bit plane off the front of `buf`,
+/// checked but not unpacked — for decoders that unpack straight into
+/// their own layout.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Truncated`] if the plane runs off the buffer and
 /// [`WireError::Invalid`] if any padding bit of the final byte is set.
-pub fn get_bits(buf: &mut &[u8], n: usize) -> Result<Vec<bool>, WireError> {
+pub fn get_bit_plane<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     let bytes = take(buf, bits_len(n))?;
-    let pad = bits_len(n) * 8 - n;
+    let pad = bytes.len() * 8 - n;
     if pad > 0 && bytes[bytes.len() - 1] >> (8 - pad) != 0 {
         return Err(WireError::Invalid {
             what: "bit-plane padding",
         });
     }
-    Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
+    Ok(bytes)
+}
+
+/// Unpacks an `n`-bit plane written by [`put_bits`].
+///
+/// # Errors
+///
+/// See [`get_bit_plane`].
+pub fn get_bits(buf: &mut &[u8], n: usize) -> Result<Vec<bool>, WireError> {
+    let plane = get_bit_plane(buf, n)?;
+    let mut bits = Vec::with_capacity(n);
+    for &byte in plane {
+        let width = (n - bits.len()).min(8);
+        bits.extend((0..width).map(|i| byte >> i & 1 == 1));
+    }
+    Ok(bits)
 }
 
 /// Renders a buffer as lowercase hex, for golden byte-layout fixtures.
@@ -669,6 +679,34 @@ mod tests {
             let mut rd: &[u8] = &buf;
             prop_assert_eq!(get_bits(&mut rd, bits.len()).unwrap(), bits);
             prop_assert!(rd.is_empty());
+        }
+
+        /// The chunked packer against the bit-at-a-time definition of
+        /// the layout, and the plane reader against every padding bit.
+        #[test]
+        fn prop_bits_match_the_per_bit_packing(bits in proptest::collection::vec(any::<bool>(), 0..200)) {
+            let mut reference = vec![0u8; bits_len(bits.len())];
+            for (i, &bit) in bits.iter().enumerate() {
+                reference[i / 8] |= (bit as u8) << (i % 8);
+            }
+            let mut buf = Vec::new();
+            put_bits(&mut buf, &bits);
+            prop_assert_eq!(&buf, &reference);
+            prop_assert_eq!(get_bit_plane(&mut &buf[..], bits.len()), Ok(&reference[..]));
+            if bits.len() % 8 != 0 {
+                for pad in bits.len() % 8..8 {
+                    let mut dirty = buf.clone();
+                    *dirty.last_mut().unwrap() |= 1 << pad;
+                    let expected = Err(WireError::Invalid { what: "bit-plane padding" });
+                    prop_assert_eq!(get_bits(&mut &dirty[..], bits.len()), expected);
+                }
+            }
+            for cut in 0..buf.len() {
+                prop_assert_eq!(
+                    get_bits(&mut &buf[..cut], bits.len()),
+                    Err(WireError::Truncated { needed: buf.len(), available: cut })
+                );
+            }
         }
 
         #[test]

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Experiments: `fig3-left`, `fig3-right`, `fig4`, `transfer-time`,
-//! `transfer-traffic`, `transfer-ablation`, `transfer-kernels`,
-//! `transfer` (the four transfer experiments), `fig5-time`,
+//! `transfer-traffic`, `transfer-ablation`, `transfer` (the three
+//! transfer experiments), `fig5-time`,
 //! `fig5-traffic`, `fig6`, `scale`, `naive-baseline`, `utility`,
 //! `edge-privacy`, `contagion`, `concurrency`, `sockets`, `rounds`,
 //! `bytes`, `persist`, `scenarios`, `analyze`, `all`.  The `analyze`
@@ -23,12 +23,7 @@
 //! runs the DP graph-analytics suite (degree histogram, WCC, SSSP,
 //! PageRank) through the full engine, asserts every release lands inside
 //! its analytic error bound, and A/Bs K recurring full-MPC releases
-//! against K PSA releases on one shared privacy budget.  The `transfer-kernels` experiment is the crypto-kernel
-//! A/B: the same transfers on the 256-bit production group with the
-//! exponentiation kernels off (square-and-multiply everywhere) and on
-//! (windowed fixed-base tables, shared-ephemeral aggregation, fused table
-//! decryption), asserting bit-identical shares and reporting the
-//! wall-clock speedup.
+//! against K PSA releases on one shared privacy budget.
 //! The `sockets` experiment runs the same end-to-end deployment on the
 //! in-process and the real-TCP transport backends, asserts they are
 //! bit-identical, and records measured wall time against the cost
@@ -74,8 +69,7 @@ use dstress_bench::scalability::{
 use dstress_bench::scenarios::{recurring_comparison, scenario_rows};
 use dstress_bench::streaming_scale::{scale_sweep, streaming_determinism_check, ScaleTopology};
 use dstress_bench::transfer_micro::{
-    block_size_sweep_with_threads as transfer_sweep, run_transfer_kernels_ab,
-    variant_sweep as transfer_variants,
+    block_size_sweep_with_threads as transfer_sweep, variant_sweep as transfer_variants,
 };
 use dstress_bench::{contagion_study, format_bytes, format_seconds};
 use dstress_mpc::GmwBatching;
@@ -279,45 +273,6 @@ fn transfer_ablation(results: &mut BenchResults) {
             .counts(row.counts)
             .extra("projected_seconds", row.projected_seconds);
     }
-}
-
-fn transfer_kernels(full: bool, results: &mut BenchResults) {
-    header("Crypto kernels A/B: transfer wall-clock, kernels off vs on (256-bit group)");
-    let transfers = if full { 64 } else { 32 };
-    let blocks: &[usize] = if full { &[8, 12] } else { &[8] };
-    println!(
-        "(final protocol, 12-bit messages, {transfers} transfers per arm; the kernel arm \
-         pays its certificate-table build inside the timed region)"
-    );
-    println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>9} {:>12}",
-        "block", "transfers", "naive", "kernels", "speedup", "table mem"
-    );
-    for &block in blocks {
-        let r = run_transfer_kernels_ab(block, 12, transfers, 0x5D);
-        println!(
-            "{:<8} {:>10} {:>12} {:>12} {:>8.2}x {:>12}",
-            r.block_size,
-            r.transfers,
-            format_seconds(r.naive_seconds),
-            format_seconds(r.kernel_seconds),
-            r.speedup,
-            format_bytes(r.table_memory_bytes as f64),
-        );
-        results
-            .point("transfer-kernels", &format!("block={block}"))
-            .wall_seconds(r.kernel_seconds)
-            .counts(r.kernel_counts)
-            .extra("naive_seconds", r.naive_seconds)
-            .extra("kernel_seconds", r.kernel_seconds)
-            .extra("speedup", r.speedup)
-            .extra("table_memory_bytes", r.table_memory_bytes as f64)
-            .extra(
-                "naive_exponentiations",
-                r.naive_counts.exponentiations as f64,
-            );
-    }
-    println!("(both arms produce bit-identical receiver shares; asserted per run)");
 }
 
 fn fig5(full: bool, threads: usize, results: &mut BenchResults) {
@@ -1036,12 +991,10 @@ fn run(experiment: &str, full: bool, threads: usize, results: &mut BenchResults)
         "transfer-time" => transfer_time(full, threads, results),
         "transfer-traffic" => transfer_traffic(full, threads, results),
         "transfer-ablation" => transfer_ablation(results),
-        "transfer-kernels" => transfer_kernels(full, results),
         "transfer" => {
             transfer_time(full, threads, results);
             transfer_traffic(full, threads, results);
             transfer_ablation(results);
-            transfer_kernels(full, results);
         }
         "fig5-time" | "fig5-traffic" | "fig5" => fig5(full, threads, results),
         "fig6" => fig6(full, results),
@@ -1067,7 +1020,6 @@ fn run(experiment: &str, full: bool, threads: usize, results: &mut BenchResults)
                 "transfer-time",
                 "transfer-traffic",
                 "transfer-ablation",
-                "transfer-kernels",
                 "fig5",
                 "fig6",
                 "scale",
@@ -1116,7 +1068,7 @@ fn main() {
         eprintln!("unknown experiment '{experiment}'");
         eprintln!(
             "available: fig3-left fig3-right fig4 transfer-time transfer-traffic \
-             transfer-ablation transfer-kernels transfer fig5 fig6 scale persist concurrency \
+             transfer-ablation transfer fig5 fig6 scale persist concurrency \
              sockets rounds bytes scenarios analyze naive-baseline utility edge-privacy \
              contagion all"
         );

@@ -14,22 +14,13 @@
 
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::group::Group;
-use dstress_crypto::kernels::TransferKernels;
 use dstress_crypto::sharing::{split_xor, BitMessage};
 use dstress_math::rng::Xoshiro256;
 use dstress_net::cost::{CostModel, OperationCounts};
 use dstress_net::traffic::{NodeId, TrafficAccountant};
-use dstress_transfer::protocol::{
-    transfer_message, transfer_message_with_kernels, KernelMode, ProtocolVariant, TransferConfig,
-};
+use dstress_transfer::protocol::{transfer_message, ProtocolVariant, TransferConfig};
 use dstress_transfer::setup::generate_system;
 use std::time::Instant;
-
-/// Window width for the per-certificate key tables in the kernels A/B:
-/// wide enough to cut the per-bit key exponentiation to ~11 multiplies,
-/// narrow enough that the one-off build amortises within a few dozen
-/// transfers.
-const CERTIFICATE_WINDOW_BITS: u32 = 6;
 
 /// One measured transfer row.
 #[derive(Clone, Debug)]
@@ -162,121 +153,6 @@ pub fn block_size_sweep_with_threads(
     })
 }
 
-/// Result of the crypto-kernels A/B: the same transfers run once on the
-/// pre-kernel square-and-multiply path and once with every kernel enabled.
-#[derive(Clone, Debug)]
-pub struct KernelsAbResult {
-    /// Block size `k + 1`.
-    pub block_size: usize,
-    /// Message width in bits.
-    pub message_bits: u32,
-    /// Number of transfers timed per arm.
-    pub transfers: usize,
-    /// Wall-clock seconds of the naive arm.
-    pub naive_seconds: f64,
-    /// Wall-clock seconds of the kernel arm, *including* the one-off
-    /// certificate table build (amortised over the transfers).
-    pub kernel_seconds: f64,
-    /// `naive_seconds / kernel_seconds`.
-    pub speedup: f64,
-    /// Memory held by the per-certificate fixed-base tables.
-    pub table_memory_bytes: usize,
-    /// Operation counts of one naive-arm transfer.
-    pub naive_counts: OperationCounts,
-    /// Operation counts of one kernel-arm transfer.
-    pub kernel_counts: OperationCounts,
-}
-
-/// The crypto-kernels A/B (ISSUE 7 tentpole measurement): runs `transfers`
-/// final-protocol transfers twice from identical per-transfer seeds — once
-/// with [`KernelMode::Naive`], once with [`KernelMode::Precomputed`] tables
-/// built inside the timed region — asserts the two arms produce
-/// bit-identical receiver shares, and reports the wall-clock speedup.
-///
-/// Unlike the latency sweeps (which use the fast simulation group to reach
-/// large scales), the A/B runs on the 256-bit production group: that is the
-/// secp384r1-class regime the paper measures, where exponentiations
-/// dominate and the kernels matter.
-pub fn run_transfer_kernels_ab(
-    block_size: usize,
-    message_bits: u32,
-    transfers: usize,
-    seed: u64,
-) -> KernelsAbResult {
-    let group = Group::prod256();
-    let mut rng = Xoshiro256::new(seed);
-    let collusion_bound = block_size - 1;
-    let nodes = (3 * block_size).max(8);
-    let (secrets, setup) =
-        generate_system(&group, nodes, collusion_bound, 2, message_bits, &mut rng)
-            .expect("setup succeeds for benchmark parameters");
-    let dlog = DlogTable::new_signed(&group, 4 * (1 << message_bits.min(14)) as u64 + 200);
-    let config = TransferConfig::final_protocol(message_bits, 0.9);
-    let certificate = &setup.certificates[1][0];
-    let neighbor_key = &secrets[1].neighbor_keys[0];
-
-    let run_arm = |mode: KernelMode<'_>| {
-        let mut outcomes = Vec::with_capacity(transfers);
-        let mut counts = OperationCounts::default();
-        for r in 0..transfers {
-            let mut rng = Xoshiro256::new(seed ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let message = BitMessage::new(r as u64 & ((1 << message_bits) - 1), message_bits)
-                .expect("value fits the width");
-            let sender_shares = split_xor(message, block_size, &mut rng);
-            let mut traffic = TrafficAccountant::new();
-            let outcome = transfer_message_with_kernels(
-                &group,
-                &config,
-                mode,
-                NodeId(0),
-                NodeId(1),
-                &setup.blocks[0],
-                &setup.blocks[1],
-                &sender_shares,
-                &secrets,
-                certificate,
-                neighbor_key,
-                &dlog,
-                &mut traffic,
-                &mut rng,
-            )
-            .expect("benchmark transfer succeeds");
-            counts = outcome.counts;
-            outcomes.push(outcome.receiver_shares);
-        }
-        (outcomes, counts)
-    };
-
-    let start = Instant::now();
-    let (naive_shares, naive_counts) = run_arm(KernelMode::Naive);
-    let naive_seconds = start.elapsed().as_secs_f64();
-
-    // The kernel arm pays for its certificate tables inside the timed
-    // region, so the reported speedup includes the amortised build cost.
-    let start = Instant::now();
-    let kernels =
-        TransferKernels::for_certificate(&group, &certificate.keys, CERTIFICATE_WINDOW_BITS);
-    let (kernel_shares, kernel_counts) = run_arm(KernelMode::Precomputed(&kernels));
-    let kernel_seconds = start.elapsed().as_secs_f64();
-
-    assert_eq!(
-        naive_shares, kernel_shares,
-        "kernel and naive arms must produce bit-identical shares"
-    );
-
-    KernelsAbResult {
-        block_size,
-        message_bits,
-        transfers,
-        naive_seconds,
-        kernel_seconds,
-        speedup: naive_seconds / kernel_seconds.max(f64::MIN_POSITIVE),
-        table_memory_bytes: kernels.memory_bytes(),
-        naive_counts,
-        kernel_counts,
-    }
-}
-
 /// The protocol ablation: all four variants at a fixed block size.
 pub fn variant_sweep(block_size: usize, message_bits: u32) -> Vec<TransferRow> {
     [
@@ -328,34 +204,6 @@ mod tests {
         let const_ratio = rows[1].receiver_member_received_bytes as f64
             / rows[0].receiver_member_received_bytes as f64;
         assert!(const_ratio < 1.6, "receiver-member ratio {const_ratio}");
-    }
-
-    #[test]
-    fn kernel_and_naive_arms_agree() {
-        // The A/B asserts bit-identical shares internally; here we pin the
-        // count split: the naive arm does no fixed-base work, the kernel
-        // arm shifts almost everything onto the tables.
-        let result = run_transfer_kernels_ab(4, 8, 2, 0xAB);
-        assert_eq!(result.naive_counts.fixed_base_exponentiations, 0);
-        assert!(result.kernel_counts.fixed_base_exponentiations > 0);
-        assert!(result.kernel_counts.exponentiations < result.naive_counts.exponentiations);
-        assert!(result.table_memory_bytes > 0);
-        assert!(result.speedup > 0.0);
-    }
-
-    #[test]
-    #[ignore = "timing-sensitive: run in release via ci.sh"]
-    fn kernel_speedup_exceeds_5x() {
-        // The ISSUE 7 acceptance gate: ≥ 5× wall-clock on the paper's
-        // 12-bit messages with 8-node blocks, kernels on vs off.
-        let result = run_transfer_kernels_ab(8, 12, 32, 0x5D);
-        assert!(
-            result.speedup >= 5.0,
-            "kernel speedup was only {:.2}× (naive {:.1} ms, kernels {:.1} ms)",
-            result.speedup,
-            result.naive_seconds * 1e3,
-            result.kernel_seconds * 1e3,
-        );
     }
 
     #[test]

@@ -54,9 +54,8 @@ pub enum TransferMode {
 /// Which [`dstress_net::Transport`] backend carries the GMW messages of
 /// every block MPC (computation steps, aggregation, noising).
 ///
-/// All backends are bit-identical in outputs, operation counts and
-/// measured `wire_bytes` — the three-way determinism suite pins this — so
-/// the knob only changes *how* the messages move: through in-process
+/// Both backends are bit-identical in outputs, operation counts and
+/// measured `wire_bytes` — the determinism suite pins this — so the knob only changes *how* the messages move: through in-process
 /// queues, or over real loopback TCP connections with length-prefixed
 /// frames.  `Socket` is what a [`crate::exec::StepExecutor`] deployment
 /// worker uses so its node actors exchange bytes over real connections.

@@ -219,8 +219,8 @@ pub fn encrypt_bits_multi_recipient(
 /// `c1 = g^y` **once** instead of once per bit.
 ///
 /// Bit-identical to the per-bit path (each ciphertext's values are the same
-/// group elements); the kernel-enabled transfer protocol uses this to avoid
-/// `L − 1` redundant generator exponentiations per sub-share.
+/// group elements); the transfer protocol uses this to avoid `L − 1`
+/// redundant generator exponentiations per sub-share.
 ///
 /// # Errors
 ///

@@ -1,10 +1,9 @@
 //! Fast exponentiation kernels for the transfer hot path.
 //!
 //! The transfer protocol's cost is dominated by exponentiations whose bases
-//! are *fixed* across a run — the group generator and the long-lived
-//! (re-randomised) block-certificate keys — plus exponential-ElGamal
-//! decryptions whose per-receiver ciphertexts all share one ephemeral
-//! component. Three kernels exploit that structure:
+//! are *fixed* across many uses — above all the group generator — plus
+//! exponential-ElGamal decryptions whose per-receiver ciphertexts all
+//! share one ephemeral component. Two kernels exploit that structure:
 //!
 //! * [`FixedBasePow`] — a windowed fixed-base table: one-off precomputation
 //!   of `base^(d·2^(w·i))` for every window `i` and digit `d`, after which a
@@ -15,19 +14,14 @@
 //! * [`multi_pow`] — simultaneous multi-exponentiation `∏ bᵢ^eᵢ`: Straus's
 //!   interleaved method for small batches (shared squaring chain), switching
 //!   to Pippenger's bucket method for large ones.
-//! * [`TransferKernels`] / [`RerandFactors`] — protocol-level bundles: one
-//!   [`FixedBasePow`] per certificate bit-key, and precomputed
-//!   re-randomisation factor pairs `(g^r, h^r)` for ciphertext refresh.
 //!
 //! Every kernel is pinned bit-identical to the square-and-multiply path by
 //! proptests (exponents in the order-`q` subgroup wrap mod `q`, exactly as
 //! [`Group::pow`] documents), so swapping a kernel into the protocol cannot
 //! change any released value.
 
-use crate::elgamal::{Ciphertext, PublicKey};
 use crate::group::{Group, GroupElem};
 use dstress_math::field::{FpCtx, FpElem};
-use dstress_math::rng::DetRng;
 use dstress_math::u256::LIMBS;
 use dstress_math::window::radix_digits;
 use dstress_math::U256;
@@ -264,97 +258,9 @@ fn highest_nonzero_digit(rows: &[Vec<u64>]) -> Option<usize> {
         .max()
 }
 
-/// Fixed-base tables for every bit-key of one block certificate, held for
-/// the lifetime of a run and reused across all transfers to that block.
-#[derive(Clone, Debug)]
-pub struct TransferKernels {
-    key_tables: Vec<Vec<FixedBasePow>>,
-}
-
-impl TransferKernels {
-    /// Builds one table per certificate key. `keys[y][l]` is the
-    /// (re-randomised) public key of receiver member `y` for bit `l`,
-    /// exactly as stored in a block certificate.
-    pub fn for_certificate(group: &Group, keys: &[Vec<PublicKey>], window_bits: u32) -> Self {
-        let key_tables = keys
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|pk| FixedBasePow::new(group, pk.0, window_bits))
-                    .collect()
-            })
-            .collect();
-        TransferKernels { key_tables }
-    }
-
-    /// Whether the tables cover `rows` receiver members of `bits` keys each.
-    pub fn matches_shape(&self, rows: usize, bits: usize) -> bool {
-        self.key_tables.len() == rows && self.key_tables.iter().all(|r| r.len() == bits)
-    }
-
-    /// `keys[recipient][bit]^e` through the precomputed table.
-    pub fn key_pow(&self, recipient: usize, bit: usize, e: &U256) -> GroupElem {
-        self.key_tables[recipient][bit].pow(e)
-    }
-
-    /// Total table memory across all keys.
-    pub fn memory_bytes(&self) -> usize {
-        self.key_tables
-            .iter()
-            .flatten()
-            .map(FixedBasePow::memory_bytes)
-            .sum()
-    }
-}
-
-/// Precomputed re-randomisation factors for ciphertext refresh under one
-/// public key: pairs `(g^r, h^r)` for fresh exponents `r`.
-///
-/// Multiplying a ciphertext `(c1, c2)` by a pair gives a *fresh-looking*
-/// encryption of the same plaintext without any online exponentiation —
-/// two multiplies instead of two exponentiations.
-#[derive(Clone, Debug)]
-pub struct RerandFactors {
-    factors: Vec<(GroupElem, GroupElem)>,
-}
-
-impl RerandFactors {
-    /// Draws `count` exponents and precomputes their factor pairs using
-    /// the generator table and one variable-base pow per factor.
-    pub fn new(group: &Group, pk: &PublicKey, count: usize, rng: &mut dyn DetRng) -> Self {
-        let factors = (0..count)
-            .map(|_| {
-                let r = group.random_nonzero_exponent(rng);
-                (group.generator_pow(&r), group.pow(pk.0, &r))
-            })
-            .collect();
-        RerandFactors { factors }
-    }
-
-    /// Number of precomputed factors.
-    pub fn len(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
-    }
-
-    /// Refreshes `ct` with factor `index` (wraps around the pool).
-    pub fn refresh(&self, group: &Group, index: usize, ct: &Ciphertext) -> Ciphertext {
-        let (g_r, h_r) = self.factors[index % self.factors.len()];
-        Ciphertext {
-            c1: group.mul(ct.c1, g_r),
-            c2: group.mul(ct.c2, h_r),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elgamal::{decrypt, encrypt_exponent, KeyPair};
     use crate::group::GroupKind;
     use dstress_math::rng::Xoshiro256;
     use proptest::prelude::*;
@@ -446,51 +352,6 @@ mod tests {
             multi_pow(&group, &bases, &exps),
             group.pow(bases[2], &U256::from_u64(9))
         );
-    }
-
-    #[test]
-    fn transfer_kernels_cover_certificate_shape() {
-        let group = Group::sim64();
-        let mut rng = Xoshiro256::new(0xCE27);
-        let keys: Vec<Vec<PublicKey>> = (0..3)
-            .map(|_| {
-                (0..4)
-                    .map(|_| KeyPair::generate(&group, &mut rng).public)
-                    .collect()
-            })
-            .collect();
-        let kernels = TransferKernels::for_certificate(&group, &keys, 6);
-        assert!(kernels.matches_shape(3, 4));
-        assert!(!kernels.matches_shape(4, 3));
-        assert!(kernels.memory_bytes() > 0);
-        for (y, row) in keys.iter().enumerate() {
-            for (l, pk) in row.iter().enumerate() {
-                let e = group.random_exponent(&mut rng);
-                assert_eq!(kernels.key_pow(y, l, &e), group.pow(pk.0, &e));
-            }
-        }
-    }
-
-    #[test]
-    fn rerand_factors_refresh_preserves_plaintext() {
-        for group in groups() {
-            let mut rng = Xoshiro256::new(0x5EAF);
-            let kp = KeyPair::generate(&group, &mut rng);
-            let pool = RerandFactors::new(&group, &kp.public, 4, &mut rng);
-            assert_eq!(pool.len(), 4);
-            assert!(!pool.is_empty());
-            let ct = encrypt_exponent(&group, &kp.public, 42, &mut rng);
-            for i in 0..6 {
-                let fresh = pool.refresh(&group, i, &ct);
-                assert_ne!(fresh, ct, "refresh must change the ciphertext");
-                assert_eq!(
-                    decrypt(&group, &kp.secret, &fresh).unwrap(),
-                    decrypt(&group, &kp.secret, &ct).unwrap(),
-                    "{:?}",
-                    group.kind()
-                );
-            }
-        }
     }
 
     proptest! {

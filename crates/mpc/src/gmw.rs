@@ -21,8 +21,8 @@
 //! ([`crate::party::GmwParty`]) driven by a
 //! [`dstress_net::transport::Transport`]: the same parties run
 //! deterministically in process ([`SimTransport`]) or genuinely
-//! concurrently across a worker pool
-//! ([`dstress_net::ThreadedTransport`]), with bit-identical results.
+//! concurrently across a worker pool over TCP
+//! ([`dstress_net::SocketTransport`]), with bit-identical results.
 //! [`GmwProtocol::execute`] is the convenience entry point over the
 //! deterministic backend.
 //!
@@ -184,7 +184,7 @@ impl GmwProtocol {
     /// bit-identical output shares and identical [`OperationCounts`] on
     /// every backend — the invariant the workspace's determinism suite
     /// asserts across [`SimTransport`] and
-    /// [`dstress_net::ThreadedTransport`].
+    /// [`dstress_net::SocketTransport`].
     ///
     /// # Errors
     ///

@@ -5,8 +5,8 @@
 //! the AND-gate oblivious transfers with each peer through the transport.
 //! Because each party is a self-contained actor, a block's parties can run
 //! round-robin on one thread ([`dstress_net::SimTransport`]) or genuinely
-//! concurrently, one node per worker ([`dstress_net::ThreadedTransport`])
-//! — with bit-identical results, since parties consume messages in a
+//! concurrently over TCP, one node per worker
+//! ([`dstress_net::SocketTransport`]) — with bit-identical results, since parties consume messages in a
 //! protocol-fixed per-peer order and derive all randomness from their own
 //! seeded streams.
 //!
@@ -102,7 +102,7 @@
 //! use dstress_math::rng::Xoshiro256;
 //! use dstress_mpc::gmw::{reconstruct_outputs, share_inputs, GmwConfig, GmwProtocol};
 //! use dstress_mpc::party::OtConfig;
-//! use dstress_net::{SimTransport, ThreadedTransport, TrafficAccountant};
+//! use dstress_net::{SimTransport, SocketTransport, TrafficAccountant};
 //!
 //! let mut b = CircuitBuilder::new();
 //! let x = b.input_word(8);
@@ -123,9 +123,9 @@
 //!     .execute_seeded(&SimTransport, &circuit, &shares, &OtConfig::extension(), &mut traffic, 99)
 //!     .unwrap();
 //! let mut traffic = TrafficAccountant::new();
-//! let threaded = protocol
+//! let socket = protocol
 //!     .execute_seeded(
-//!         &ThreadedTransport::with_threads(2),
+//!         &SocketTransport::with_threads(2),
 //!         &circuit,
 //!         &shares,
 //!         &OtConfig::extension(),
@@ -134,8 +134,8 @@
 //!     )
 //!     .unwrap();
 //!
-//! assert_eq!(sim.output_shares, threaded.output_shares);
-//! assert_eq!(sim.counts, threaded.counts);
+//! assert_eq!(sim.output_shares, socket.output_shares);
+//! assert_eq!(sim.counts, socket.counts);
 //! assert_eq!(decode_word(&reconstruct_outputs(&sim.output_shares).unwrap()), 42);
 //! ```
 

@@ -2,14 +2,13 @@
 //!
 //! 1. GMW executions are bit-identical across transport backends.  For
 //!    random circuits, inputs and seeds, running the same per-party state
-//!    machines on the deterministic [`SimTransport`], on the
-//!    multi-threaded [`ThreadedTransport`] and on the real-TCP
-//!    [`SocketTransport`] must produce identical output shares, identical
-//!    `OperationCounts`, identical per-party byte totals and identical
-//!    traffic reports — concurrency and real sockets may only change
-//!    wall-clock, never results.  This three-way contract is what lets
-//!    the deployment layer place block MPCs on remote workers without
-//!    changing a bit of any run.
+//!    machines on the deterministic [`SimTransport`] and on the
+//!    multi-threaded, real-TCP [`SocketTransport`] must produce identical
+//!    output shares, identical `OperationCounts`, identical per-party
+//!    byte totals and identical traffic reports — concurrency and real
+//!    sockets may only change wall-clock, never results.  This contract is
+//!    what lets the deployment layer place block MPCs on remote workers
+//!    without changing a bit of any run.
 //! 2. GMW executions are bit-identical across [`GmwBatching`] modes in
 //!    everything except the round structure: layer batching regroups the
 //!    same OT payloads into fewer messages, so output shares and byte
@@ -24,7 +23,7 @@ use dstress_mpc::party::{GmwBatching, OtConfig};
 use dstress_mpc::GmwExecution;
 use dstress_net::socket::SocketTransport;
 use dstress_net::traffic::TrafficAccountant;
-use dstress_net::transport::{SimTransport, ThreadedTransport, Transport};
+use dstress_net::transport::{SimTransport, Transport};
 use proptest::prelude::*;
 
 /// Builds a random circuit mixing AND / XOR / NOT / MUX gates over a
@@ -105,15 +104,6 @@ fn assert_backends_agree(
         master_seed,
         batching,
     );
-    let (thr, thr_traffic) = run_on(
-        &ThreadedTransport::with_threads(threads),
-        &circuit,
-        &shares,
-        parties,
-        ot,
-        master_seed,
-        batching,
-    );
     let (sock, sock_traffic) = run_on(
         &SocketTransport::with_threads(threads),
         &circuit,
@@ -124,38 +114,23 @@ fn assert_backends_agree(
         batching,
     );
 
-    for (label, other, other_traffic) in [
-        ("threaded", &thr, &thr_traffic),
-        ("socket", &sock, &sock_traffic),
-    ] {
-        // Bit-identical shares, not merely identical reconstructions.
-        assert_eq!(
-            sim.output_shares, other.output_shares,
-            "{label} seed {seed}"
-        );
-        assert_eq!(sim.counts, other.counts, "{label} seed {seed}");
-        assert_eq!(sim.rounds, other.rounds, "{label} seed {seed}");
-        assert_eq!(
-            sim.bytes_sent_per_party, other.bytes_sent_per_party,
-            "{label} seed {seed}"
-        );
-        // Measured wire bytes — the encoded sizes of the actual messages
-        // — are as deterministic as the modeled totals, even when the
-        // messages crossed real TCP frames.
-        assert_eq!(
-            sim.wire_bytes_per_party, other.wire_bytes_per_party,
-            "{label} seed {seed}"
-        );
-        assert_eq!(
-            sim.counts.wire_bytes, other.counts.wire_bytes,
-            "{label} seed {seed}"
-        );
-        assert_eq!(
-            sim_traffic.report(),
-            other_traffic.report(),
-            "{label} seed {seed}"
-        );
-    }
+    // Bit-identical shares, not merely identical reconstructions.
+    assert_eq!(sim.output_shares, sock.output_shares, "seed {seed}");
+    assert_eq!(sim.counts, sock.counts, "seed {seed}");
+    assert_eq!(sim.rounds, sock.rounds, "seed {seed}");
+    assert_eq!(
+        sim.bytes_sent_per_party, sock.bytes_sent_per_party,
+        "seed {seed}"
+    );
+    // Measured wire bytes — the encoded sizes of the actual messages —
+    // are as deterministic as the modeled totals, even when the messages
+    // crossed real TCP frames.
+    assert_eq!(
+        sim.wire_bytes_per_party, sock.wire_bytes_per_party,
+        "seed {seed}"
+    );
+    assert_eq!(sim.counts.wire_bytes, sock.counts.wire_bytes, "seed {seed}");
+    assert_eq!(sim_traffic.report(), sock_traffic.report(), "seed {seed}");
 
     // Both must also be *correct*: reconstruction equals the plaintext
     // evaluation.
@@ -225,7 +200,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn prop_all_three_backends_are_bit_identical(
+    fn prop_backends_are_bit_identical(
         seed in any::<u64>(),
         parties in 2usize..6,
         threads in 1usize..5,
@@ -239,12 +214,12 @@ proptest! {
     fn prop_batched_and_per_gate_gmw_are_bit_identical(
         seed in any::<u64>(),
         parties in 2usize..6,
-        backend in 0u8..3,
+        on_sockets in any::<bool>(),
     ) {
-        match backend {
-            0 => assert_batching_modes_agree(seed, parties, &SimTransport),
-            1 => assert_batching_modes_agree(seed, parties, &ThreadedTransport::with_threads(2)),
-            _ => assert_batching_modes_agree(seed, parties, &SocketTransport::with_threads(2)),
+        if on_sockets {
+            assert_batching_modes_agree(seed, parties, &SocketTransport::with_threads(2));
+        } else {
+            assert_batching_modes_agree(seed, parties, &SimTransport);
         }
     }
 }
@@ -282,9 +257,9 @@ fn backends_agree_per_gate_with_real_elgamal_ot() {
 }
 
 /// Measured byte totals across the full backend × batching grid —
-/// {Sim, Threaded, Socket} × {Layered, PerGate}: within each batching
-/// mode all three backends must agree bit for bit, and the batched
-/// framing must never exceed the per-gate framing.
+/// {Sim, Socket} × {Layered, PerGate}: within each batching mode both
+/// backends must agree bit for bit, and the batched framing must never
+/// exceed the per-gate framing.
 #[test]
 fn measured_wire_bytes_bit_identical_across_the_grid() {
     let parties = 4;
@@ -301,34 +276,28 @@ fn measured_wire_bytes_bit_identical_across_the_grid() {
             master_seed,
             batching,
         );
-        let backends: [(&str, Box<dyn Transport<dstress_mpc::GmwMessage>>); 2] = [
-            ("threaded", Box::new(ThreadedTransport::with_threads(3))),
-            ("socket", Box::new(SocketTransport::with_threads(3))),
-        ];
-        for (label, transport) in backends {
-            let (other, other_traffic) = run_on(
-                &*transport,
-                &circuit,
-                &shares,
-                parties,
-                &ot,
-                master_seed,
-                batching,
-            );
-            assert_eq!(
-                sim.counts.wire_bytes, other.counts.wire_bytes,
-                "{label} {batching:?}"
-            );
-            assert_eq!(
-                sim.wire_bytes_per_party, other.wire_bytes_per_party,
-                "{label} {batching:?}"
-            );
-            assert_eq!(
-                sim_traffic.report().total_wire_bytes,
-                other_traffic.report().total_wire_bytes,
-                "{label} {batching:?}"
-            );
-        }
+        let (sock, sock_traffic) = run_on(
+            &SocketTransport::with_threads(3),
+            &circuit,
+            &shares,
+            parties,
+            &ot,
+            master_seed,
+            batching,
+        );
+        assert_eq!(
+            sim.counts.wire_bytes, sock.counts.wire_bytes,
+            "{batching:?}"
+        );
+        assert_eq!(
+            sim.wire_bytes_per_party, sock.wire_bytes_per_party,
+            "{batching:?}"
+        );
+        assert_eq!(
+            sim_traffic.report().total_wire_bytes,
+            sock_traffic.report().total_wire_bytes,
+            "{batching:?}"
+        );
         assert!(sim.counts.wire_bytes > 0, "{batching:?}");
         grid.push(sim.counts.wire_bytes);
     }
@@ -406,7 +375,7 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
     let shares = share_inputs(&inputs, 4, &mut share_rng);
     let ot = OtConfig::extension();
     let (a, _) = run_on(
-        &ThreadedTransport::with_threads(4),
+        &SocketTransport::with_threads(4),
         &circuit,
         &shares,
         4,
@@ -415,7 +384,7 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
         GmwBatching::Layered,
     );
     let (b, _) = run_on(
-        &ThreadedTransport::with_threads(2),
+        &SocketTransport::with_threads(2),
         &circuit,
         &shares,
         4,
@@ -712,9 +681,8 @@ const PINNED: [(&str, &str, usize, Fingerprint); 12] = [
 fn layered_execution_matches_the_pinned_fingerprints() {
     let (deep, wide) = (deep_narrow_circuit(), wide_shallow_circuit());
     assert_eq!(dstress_circuit::CircuitLayers::of(&deep).rounds(), 500);
-    let backends: [(&str, Box<dyn Transport<GmwMessage>>); 3] = [
+    let backends: [(&str, Box<dyn Transport<GmwMessage>>); 2] = [
         ("sim", Box::new(SimTransport)),
-        ("threaded", Box::new(ThreadedTransport::with_threads(3))),
         ("socket", Box::new(SocketTransport::with_threads(2))),
     ];
     for (circuit_name, ot_name, parties, expected) in &PINNED {

@@ -26,8 +26,8 @@ pub struct OperationCounts {
     /// key terms, ciphertext adjustments, key re-randomisations).
     pub exponentiations: u64,
     /// Fixed-base exponentiations served from a windowed precomputation
-    /// table (generator powers, precomputed certificate keys, per-receiver
-    /// decryption tables). Split out so the kernel A/B is measurable.
+    /// table (generator powers, per-receiver decryption tables). Split
+    /// out because the cost model prices them separately.
     pub fixed_base_exponentiations: u64,
     /// Group multiplications outside of exponentiations (homomorphic
     /// ciphertext aggregation).

@@ -8,14 +8,9 @@
 //! * [`traffic`] — a per-node (and per-pair) byte/message accountant.
 //!   Every protocol component in the workspace records its sends here, so
 //!   the traffic numbers in Figures 4–6 are measured, not estimated.
-//! * [`mailbox`] — a typed, deterministic message-passing facility for
-//!   protocol code that wants to exchange actual values between simulated
-//!   nodes (rather than only account for them).  It is the queue behind
-//!   [`transport::SimTransport`].
 //! * [`transport`] — the [`transport::Transport`] abstraction: protocol
 //!   code written as per-node actors runs unchanged on the deterministic
-//!   in-process backend ([`transport::SimTransport`]), on a real worker
-//!   pool with per-node channels ([`transport::ThreadedTransport`]), or
+//!   in-process backend ([`transport::SimTransport`]) or on a worker pool
 //!   over real TCP connections ([`socket::SocketTransport`]).
 //! * [`frame`] — length-prefixed framing that restores message boundaries
 //!   on a TCP byte stream, with typed errors for torn frames, trailing
@@ -50,7 +45,6 @@
 
 pub mod cost;
 pub mod frame;
-pub mod mailbox;
 pub mod pool;
 pub mod socket;
 pub mod traffic;
@@ -59,10 +53,7 @@ pub mod wire;
 
 pub use cost::{CostModel, OperationCounts};
 pub use frame::{FrameDecoder, FrameError, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
-pub use mailbox::Mailbox;
 pub use socket::{FramedConn, Hello, SocketTransport};
 pub use traffic::{NodeId, TrafficAccountant, TrafficReport};
-pub use transport::{
-    ActorStatus, Endpoint, NodeActor, SimTransport, ThreadedTransport, Transport, TransportError,
-};
+pub use transport::{ActorStatus, Endpoint, NodeActor, SimTransport, Transport, TransportError};
 pub use wire::{Wire, WireError, WireTally};

@@ -1,42 +1,39 @@
-//! [`SocketTransport`]: the third [`Transport`] backend — real TCP.
+//! [`SocketTransport`]: the concurrent [`Transport`] backend — real TCP.
 //!
-//! Where [`crate::transport::SimTransport`] queues messages in memory and
-//! [`crate::transport::ThreadedTransport`] uses mpsc channels, this
-//! backend moves every message through an actual kernel socket: each pair
-//! of nodes shares one loopback TCP connection, messages travel as
+//! Where [`crate::transport::SimTransport`] queues messages in memory on
+//! one thread, this backend shards the actors across a worker pool and
+//! moves every message through an actual kernel socket: each pair of
+//! nodes shares one loopback TCP connection, messages travel as
 //! length-prefixed frames ([`crate::frame`]) carrying the exact
-//! [`Wire`]-encoded payload the other backends account, and the returned
-//! [`WireTally`] records the *payload* bytes only — so measured
-//! `wire_bytes` are byte-identical across all three backends while the
-//! frame header is charged to transport overhead.
+//! [`Wire`]-encoded payload the in-process backend accounts, and the
+//! returned [`WireTally`] records the *payload* bytes only — so measured
+//! `wire_bytes` are byte-identical across both backends while the frame
+//! header is charged to transport overhead.
 //!
 //! There is no async runtime in this workspace (the shims environment has
 //! no tokio), and none is needed: streams are switched to non-blocking
-//! mode and polled readiness-style by the same worker-loop machinery the
-//! threaded backend uses — actors are polled until idle, sockets are
-//! drained/flushed on every pass, and the PR 3 quiescence check (per-node
-//! sent/drained counters plus parked-worker accounting) turns a genuine
-//! protocol stall into a typed [`TransportError::Stalled`] instead of a
-//! hang.  Socket-specific failures — torn frames, trailing garbage,
-//! oversized length prefixes, undecodable payloads, I/O errors — surface
-//! as the typed [`TransportError`] variants rather than panics, because
-//! bytes read from a socket are untrusted input even on loopback.
+//! mode and polled readiness-style by the worker loop — actors are polled
+//! until idle, sockets are drained/flushed on every pass, and the
+//! quiescence check (per-node sent/drained counters plus parked-worker
+//! accounting) turns a genuine protocol stall into a typed
+//! [`TransportError::Stalled`] instead of a hang.  Socket-specific
+//! failures — torn frames, trailing garbage, oversized length prefixes,
+//! undecodable payloads, I/O errors — surface as the typed
+//! [`TransportError`] variants rather than panics, because bytes read
+//! from a socket are untrusted input even on loopback.
 //!
 //! The module also exposes [`FramedConn`], the single-connection building
 //! block (non-blocking stream + frame codec + write buffer), which the
 //! deployment layer reuses for master↔worker control connections.
 
 use crate::frame::{encode_frame_into, FrameDecoder};
-use crate::transport::{
-    ActorStatus, Endpoint, NodeActor, QueueCounters, SharedTally, Transport, TransportError,
-    WorkerShared, SPIN_PASSES_BEFORE_SLEEP, STALL_TIMEOUT,
-};
+use crate::transport::{ActorStatus, Endpoint, NodeActor, Transport, TransportError};
 use crate::wire::{get_u32_le, get_u8, put_u32_le, put_u8, Wire, WireError, WireTally};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long [`SocketTransport`] waits for mesh peers to complete the
@@ -85,9 +82,9 @@ impl Wire for Hello {
 }
 
 /// I/O error kinds that mean "the peer is gone", which the transport
-/// treats like a closed mpsc channel (the threaded backend's analogue)
-/// rather than a run-failing error: a finished actor's worker may drop
-/// its sockets while slower peers still hold late messages for it.
+/// does not treat as a run-failing error: a finished actor's worker may
+/// drop its sockets while slower peers still hold late messages for it,
+/// and its protocol role no longer needs them.
 fn peer_gone(kind: ErrorKind) -> bool {
     matches!(
         kind,
@@ -304,9 +301,14 @@ impl FramedConn {
 // SocketTransport
 // ---------------------------------------------------------------------------
 
-/// The TCP loopback backend: one real socket per node pair, frames on the
-/// wire, the same actor contract and stall detection as the other
-/// backends.
+/// The TCP loopback backend: nodes sharded across a worker pool, one real
+/// socket per node pair, frames on the wire.
+///
+/// Workers poll their shard of actors in a loop; an actor whose messages
+/// have not arrived yet simply yields until they do.  With actors that
+/// follow the [`NodeActor`] schedule-independence discipline, the results
+/// are bit-identical to [`crate::transport::SimTransport`] — only the
+/// wall-clock differs.
 #[derive(Clone, Copy, Debug)]
 pub struct SocketTransport {
     threads: usize,
@@ -418,6 +420,158 @@ impl Default for SocketTransport {
     }
 }
 
+/// How long a run tolerates global quiescence before declaring a stall.
+/// Generous: it only matters for protocol bugs, which the deterministic
+/// [`crate::transport::SimTransport`] surfaces first in any well-tested
+/// code path.
+const STALL_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Per-node queue counters shared by a run's endpoints: how many messages
+/// were sent to each node and how many its endpoint has drained out of
+/// its sockets.  `sent == drained` for every node means no message is in
+/// flight anywhere — the quiescence half of stall detection.  (Counting
+/// per node rather than globally keeps the counters useful for
+/// diagnostics and avoids a single hot cacheline under fan-in.)
+struct QueueCounters {
+    sent: Vec<AtomicU64>,
+    drained: Vec<AtomicU64>,
+    /// Set once a node's actor is [`ActorStatus::Done`].  A finished
+    /// node's sockets may never be drained again (its worker may already
+    /// have exited), so messages addressed to it are protocol garbage
+    /// and must not count as traffic in flight — otherwise one late send
+    /// to a finished node would disable stall detection and turn every
+    /// genuine stall into an unbounded hang.
+    finished: Vec<AtomicBool>,
+}
+
+impl QueueCounters {
+    fn new(nodes: usize) -> Self {
+        QueueCounters {
+            sent: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            drained: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            finished: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// Whether every message ever sent to a still-running node has been
+    /// drained by its recipient.  Racy reads are fine: a message sent
+    /// concurrently with this check implies progress, which independently
+    /// resets the stall clock.
+    fn quiescent(&self) -> bool {
+        self.sent
+            .iter()
+            .zip(&self.drained)
+            .zip(&self.finished)
+            .all(|((s, d), f)| {
+                f.load(Ordering::Relaxed) || s.load(Ordering::Relaxed) == d.load(Ordering::Relaxed)
+            })
+    }
+}
+
+/// Lock-free per-pair wire counters shared by a run's endpoints;
+/// folded into a plain [`WireTally`] once every worker has joined.
+struct SharedTally {
+    nodes: usize,
+    bytes: Vec<AtomicU64>,
+    messages: Vec<AtomicU64>,
+}
+
+impl SharedTally {
+    fn new(nodes: usize) -> Self {
+        SharedTally {
+            nodes,
+            bytes: (0..nodes * nodes).map(|_| AtomicU64::new(0)).collect(),
+            messages: (0..nodes * nodes).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    fn record(&self, from: usize, to: usize, bytes: u64) {
+        let idx = from * self.nodes + to;
+        self.bytes[idx].fetch_add(bytes, Ordering::Relaxed);
+        self.messages[idx].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshot after all workers joined (the join is the happens-before
+    /// edge that makes the relaxed counters complete).
+    fn collect(&self) -> WireTally {
+        let mut tally = WireTally::new(self.nodes);
+        for from in 0..self.nodes {
+            for to in 0..self.nodes {
+                let idx = from * self.nodes + to;
+                tally.add(
+                    from,
+                    to,
+                    self.bytes[idx].load(Ordering::Relaxed),
+                    self.messages[idx].load(Ordering::Relaxed),
+                );
+            }
+        }
+        tally
+    }
+}
+
+/// Consecutive no-progress polling passes a worker tolerates before it
+/// backs off from `yield_now` spinning to millisecond sleeps (so a peer
+/// worker stuck in a long computation — or a stall running out the
+/// timeout — does not burn a core).
+const SPIN_PASSES_BEFORE_SLEEP: u32 = 256;
+
+/// State shared by the workers of one run, used for *global* stall
+/// detection.  A run is declared stalled only when the system is provably
+/// quiescent: every worker is parked idle (or has finished its shard), no
+/// message is in flight in any node's queue ([`QueueCounters`]), and no
+/// progress event has happened anywhere for the stall timeout.  A single
+/// busy worker — e.g. one actor deep in a long computation between
+/// batched rounds — keeps the whole run alive, because workers unpark
+/// *before* each polling pass, not after it.
+struct WorkerShared {
+    /// Progress events (sends, receives, completions) across all workers.
+    progress: AtomicU64,
+    /// Workers currently parked idle, plus workers that finished.
+    idle_workers: AtomicUsize,
+    /// Total workers in the run.
+    workers: usize,
+    /// Per-node sent/drained message counters for the quiescence check.
+    counters: Arc<QueueCounters>,
+    /// How long global quiescence is tolerated before failing the run.
+    stall_timeout: Duration,
+    /// Set when the run failed (stall or socket error); all workers
+    /// bail out.
+    failed: AtomicBool,
+    /// The first non-stall failure any worker hit (a bare `failed` flag
+    /// with an empty slot means a stall).
+    failure: Mutex<Option<TransportError>>,
+}
+
+impl WorkerShared {
+    fn new(counters: Arc<QueueCounters>, workers: usize, stall_timeout: Duration) -> Self {
+        WorkerShared {
+            progress: AtomicU64::new(0),
+            idle_workers: AtomicUsize::new(0),
+            workers,
+            counters,
+            stall_timeout,
+            failed: AtomicBool::new(false),
+            failure: Mutex::new(None),
+        }
+    }
+
+    /// Records the first failure and tells every worker to bail out.
+    fn fail(&self, error: TransportError) {
+        let mut slot = self.failure.lock().expect("failure slot poisoned");
+        if slot.is_none() {
+            *slot = Some(error);
+        }
+        drop(slot);
+        self.failed.store(true, Ordering::Relaxed);
+    }
+
+    /// Takes the recorded failure, if any (after all workers joined).
+    fn take_failure(&self) -> Option<TransportError> {
+        self.failure.lock().expect("failure slot poisoned").take()
+    }
+}
+
 /// A node's endpoint onto the socket mesh: per-peer framed connections
 /// plus per-peer reorder buffers of already-decoded messages.
 struct SocketEndpoint<M> {
@@ -474,16 +628,14 @@ impl<M: Wire> SocketEndpoint<M> {
         moved
     }
 
-    /// Pumps every peer connection; returns how many messages moved
-    /// (the socket analogue of the threaded backend's channel sweep).
+    /// Pumps every peer connection; returns how many messages moved.
     fn sweep(&mut self) -> u64 {
         (0..self.buffers.len()).map(|peer| self.pump(peer)).sum()
     }
 
     /// Flushes every peer connection's write buffer; returns bytes the
     /// kernel accepted.  Peers that vanished (worker exited after its
-    /// actor finished) are dropped silently, mirroring the threaded
-    /// backend's closed-channel sends.
+    /// actor finished) are dropped silently.
     fn flush_all(&mut self) -> u64 {
         let mut written = 0u64;
         for peer in 0..self.links.len() {
@@ -523,7 +675,7 @@ impl<M: Wire> Endpoint<M> for SocketEndpoint<M> {
         self.activity += 1;
         if to == self.node {
             // Self-sends never touch a socket; deliver through the same
-            // encode → decode boundary the in-process backends use.
+            // encode → decode boundary the in-process backend uses.
             let payload = message.encode();
             let decoded = M::decode_exact(&payload)
                 .expect("wire round-trip failed: the message type's encoder and decoder disagree");
@@ -557,7 +709,7 @@ impl<M: Wire> Endpoint<M> for SocketEndpoint<M> {
     }
 }
 
-/// The socket worker loop: the threaded backend's poll/park/stall cycle
+/// The worker loop: a poll/park/stall cycle over one shard of actors,
 /// with socket draining and flushing folded into the idle sweep, and
 /// typed socket errors lifted into the run's shared failure slot.
 fn run_socket_worker<M: Wire>(
@@ -575,8 +727,9 @@ fn run_socket_worker<M: Wire>(
         if shared.failed.load(Ordering::Relaxed) {
             break;
         }
-        // Unpark *before* polling, as in the threaded backend: a worker
-        // inside a long pass must not look idle to its peers.
+        // Unpark *before* polling: while this worker is inside a pass
+        // (possibly a long batched-layer computation), the run must not
+        // look globally idle to the other workers.
         if parked_idle {
             shared.idle_workers.fetch_sub(1, Ordering::Relaxed);
             parked_idle = false;
@@ -591,6 +744,11 @@ fn run_socket_worker<M: Wire>(
                 done[k] = true;
                 remaining -= 1;
                 progress = true;
+                // From here on nobody may ever drain this node again (in
+                // particular once this worker's whole shard finishes and
+                // the worker exits), so exclude it from the quiescence
+                // check instead of letting late messages to it block
+                // stall detection forever.
                 shared.counters.finished[endpoint.node].store(true, Ordering::Relaxed);
             } else if endpoint.activity != before {
                 progress = true;
@@ -635,6 +793,8 @@ fn run_socket_worker<M: Wire>(
             }
         }
     }
+    // A finished worker counts as idle so that peers blocked on a true
+    // deadlock can still see "everyone idle" and time out.
     if !parked_idle {
         shared.idle_workers.fetch_add(1, Ordering::Relaxed);
     }

@@ -19,7 +19,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use dstress_core::exec::{execute_accounted_transfer_task, execute_block_step_task};
-use dstress_core::{CounterProgram, SecureVertexProgram};
+use dstress_core::{CounterProgram, SecureVertexProgram, TransferTask};
 use dstress_crypto::group::Group;
 use dstress_net::pool::{default_threads, parallel_map};
 use dstress_net::socket::FramedConn;
@@ -63,8 +63,38 @@ pub fn run_worker(master: &str) -> Result<(), String> {
     serve_job(&mut conn, &job)
 }
 
+/// Checks the shape of a transfer task before it reaches
+/// [`execute_accounted_transfer_task`], which treats these as internal
+/// invariants and panics on them: frames are outside input, so a
+/// malformed task must end the session with an error instead.
+fn check_transfer_shape(task: &TransferTask, width: u32) -> Result<(), String> {
+    let edge = task.edge_index;
+    if task.sender_members.is_empty() || task.receiver_members.is_empty() {
+        return Err(format!(
+            "transfer {edge} has an empty sender or receiver block"
+        ));
+    }
+    if task.shares.len() != task.sender_members.len() {
+        return Err(format!(
+            "transfer {edge} carries {} shares for {} sender members",
+            task.shares.len(),
+            task.sender_members.len()
+        ));
+    }
+    if let Some(share) = task.shares.iter().find(|s| s.len() != width as usize) {
+        return Err(format!(
+            "transfer {edge} carries a {}-bit share; the job's messages are {width} bits",
+            share.len()
+        ));
+    }
+    Ok(())
+}
+
 /// The batch loop for one received job.
 fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
+    if !(1..=64).contains(&job.width) {
+        return Err(format!("job width {} is outside 1..=64 bits", job.width));
+    }
     let program = CounterProgram {
         width: job.width,
         rounds: job.rounds,
@@ -100,6 +130,14 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                             task.vertex
                         ));
                     }
+                    // The update circuit has one message slot per possible
+                    // out-edge; the outcome is cut from its outputs.
+                    if task.out_slots > u64::from(job.degree_bound) {
+                        return Err(format!(
+                            "vertex {} asks for {} message slots; the degree bound is {}",
+                            task.vertex, task.out_slots, job.degree_bound
+                        ));
+                    }
                 }
                 let (batching, transport) = (job.batching, job.transport);
                 let circuit = &update_circuit;
@@ -132,6 +170,7 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                             task.to, job.worker
                         ));
                     }
+                    check_transfer_shape(task, job.width)?;
                 }
                 let (group, width) = (&group, job.width);
                 let outcomes: Vec<_> = parallel_map(tasks, threads, move |_off, task| {
@@ -157,5 +196,128 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
         conn.send_msg(&reply)
             .and_then(|_| conn.flush_blocking(SEND_TIMEOUT))
             .map_err(|e| format!("send results: {e}"))?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dstress_core::{BlockStepTask, TransportKind};
+    use dstress_crypto::group::GroupKind;
+    use dstress_mpc::GmwBatching;
+    use std::net::TcpListener;
+
+    fn block() -> Vec<NodeId> {
+        vec![NodeId(0), NodeId(1), NodeId(2)]
+    }
+
+    fn job() -> JobSpec {
+        JobSpec {
+            worker: 0,
+            fleet: 1,
+            width: 8,
+            rounds: 1,
+            degree_bound: 2,
+            batching: GmwBatching::Layered,
+            transport: TransportKind::Sim,
+            group: GroupKind::Sim64,
+            blocks: vec![(0, block())],
+        }
+    }
+
+    /// A well-formed transfer into the hosted vertex 0.
+    fn transfer() -> TransferTask {
+        TransferTask {
+            edge_index: 5,
+            seed: 1,
+            from: 1,
+            to: 0,
+            in_slot: 0,
+            sender_members: block(),
+            receiver_members: block(),
+            shares: vec![vec![true; 8]; 3],
+        }
+    }
+
+    /// Plays the master over a loopback connection: sends `batch` as the
+    /// job's first frame and returns how the worker's session ends.  A
+    /// task that trips an executor assert panics here (the pool re-raises
+    /// it on the calling thread) instead of returning.
+    fn serve(job: &JobSpec, batch: DeployMsg) -> Result<(), String> {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let master = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut master = FramedConn::new(master).unwrap();
+        let mut worker = FramedConn::new(listener.accept().unwrap().0).unwrap();
+        master.send_msg(&batch).unwrap();
+        master.flush_blocking(SEND_TIMEOUT).unwrap();
+        serve_job(&mut worker, job)
+    }
+
+    #[test]
+    fn transfer_without_shares_is_an_error_not_a_panic() {
+        let task = TransferTask {
+            shares: Vec::new(),
+            ..transfer()
+        };
+        let err = serve(&job(), DeployMsg::Transfers(vec![task])).unwrap_err();
+        assert!(err.contains("0 shares for 3 sender members"), "{err}");
+    }
+
+    #[test]
+    fn transfer_share_of_the_wrong_width_is_an_error_not_a_panic() {
+        for bits in [0, 7, 65] {
+            let mut task = transfer();
+            task.shares[1] = vec![false; bits];
+            let err = serve(&job(), DeployMsg::Transfers(vec![task])).unwrap_err();
+            assert!(err.contains(&format!("a {bits}-bit share")), "{err}");
+        }
+    }
+
+    #[test]
+    fn transfer_with_no_sender_members_is_an_error_not_a_panic() {
+        let task = TransferTask {
+            sender_members: Vec::new(),
+            shares: Vec::new(),
+            ..transfer()
+        };
+        let err = serve(&job(), DeployMsg::Transfers(vec![task])).unwrap_err();
+        assert!(err.contains("empty sender or receiver block"), "{err}");
+    }
+
+    #[test]
+    fn transfer_with_no_receiver_members_is_an_error_not_a_panic() {
+        let task = TransferTask {
+            receiver_members: Vec::new(),
+            ..transfer()
+        };
+        let err = serve(&job(), DeployMsg::Transfers(vec![task])).unwrap_err();
+        assert!(err.contains("empty sender or receiver block"), "{err}");
+    }
+
+    #[test]
+    fn block_step_with_too_many_out_slots_is_an_error_not_a_panic() {
+        // State word plus one message word per in-edge slot.
+        let inputs = 8 * (1 + 2);
+        let task = BlockStepTask {
+            vertex: 0,
+            seed: 9,
+            members: block(),
+            out_slots: 3,
+            input_shares: vec![vec![false; inputs]; 3],
+        };
+        let err = serve(&job(), DeployMsg::BlockSteps(vec![task])).unwrap_err();
+        assert!(
+            err.contains("3 message slots; the degree bound is 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn job_width_outside_the_share_range_is_an_error_not_a_panic() {
+        for width in [0, 65] {
+            let job = JobSpec { width, ..job() };
+            let err = serve(&job, DeployMsg::Finish).unwrap_err();
+            assert!(err.contains("outside 1..=64"), "{err}");
+        }
     }
 }

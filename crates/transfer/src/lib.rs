@@ -48,9 +48,6 @@ pub mod setup;
 pub mod wire;
 
 pub use error::TransferError;
-pub use protocol::{
-    transfer_message, transfer_message_with_kernels, KernelMode, ProtocolVariant, TransferConfig,
-    TransferOutcome,
-};
+pub use protocol::{transfer_message, ProtocolVariant, TransferConfig, TransferOutcome};
 pub use setup::{Block, BlockCertificate, NodeSecrets, SystemSetup, TrustedParty};
 pub use wire::TransferWire;

@@ -29,17 +29,15 @@ use crate::setup::{Block, BlockCertificate, NodeSecrets};
 use crate::wire::TransferWire;
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::elgamal::{
-    adjust_ciphertext, decrypt, encrypt_bits_shared_c1, encrypt_with_ephemeral, homomorphic_add,
-    Ciphertext, PublicKey,
+    adjust_ciphertext, decrypt, encrypt_bits_shared_c1, encrypt_with_ephemeral, Ciphertext,
 };
 use dstress_crypto::group::Group;
-use dstress_crypto::kernels::{FixedBasePow, TransferKernels};
+use dstress_crypto::kernels::FixedBasePow;
 use dstress_crypto::sharing::{split_xor, BitMessage};
 use dstress_dp::geometric::TwoSidedGeometric;
 use dstress_math::rng::DetRng;
 use dstress_math::U256;
 use dstress_net::cost::OperationCounts;
-use dstress_net::mailbox::Mailbox;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
 use dstress_net::wire::Wire;
 
@@ -65,35 +63,6 @@ fn wire_hop_cts(
 /// (adjusted) ephemeral component: small, because each table serves only
 /// `L` fused decryptions before being discarded.
 const DECRYPT_WINDOW_BITS: u32 = 4;
-
-/// Which exponentiation kernels the bitwise transfer protocols use.
-///
-/// All three modes are bit-identical in every produced value and every
-/// byte on the wire — they draw from the RNG in the same order and every
-/// kernel is pinned equal to its naive counterpart — so the mode only
-/// changes *how fast* the group arithmetic runs and how the work is
-/// split between `exponentiations` and `fixed_base_exponentiations`.
-#[derive(Clone, Copy, Debug)]
-pub enum KernelMode<'a> {
-    /// The pre-kernel path: square-and-multiply for every exponentiation,
-    /// Fermat inversions for negative noise, per-bit ciphertext adjustment
-    /// and inversion-based decryption. The honest baseline for the A/B.
-    Naive,
-    /// The kernel defaults: windowed generator table, shared-`c1`
-    /// encryption and aggregation, adjust-once-per-receiver, and fused
-    /// decryption through a per-receiver fixed-base table.
-    Auto,
-    /// Everything in `Auto`, plus precomputed fixed-base tables for the
-    /// certificate's bit-keys (built once per certificate and reused
-    /// across every transfer to that block).
-    Precomputed(&'a TransferKernels),
-}
-
-impl KernelMode<'_> {
-    fn is_naive(&self) -> bool {
-        matches!(self, KernelMode::Naive)
-    }
-}
 
 /// Which revision of the transfer protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -159,52 +128,6 @@ fn homomorphic_add_signed(group: &Group, ct: &Ciphertext, value: i64) -> Ciphert
     }
 }
 
-/// The pre-kernel noise fold: square-and-multiply encoding plus a Fermat
-/// inversion for negative values. Bit-identical to
-/// [`homomorphic_add_signed`]; kept as the honest baseline for the
-/// kernel A/B.
-fn homomorphic_add_signed_naive(
-    group: &Group,
-    ct: &Ciphertext,
-    value: i64,
-) -> Result<Ciphertext, TransferError> {
-    let magnitude = group.pow(group.generator(), &U256::from_u64(value.unsigned_abs()));
-    let adjustment = if value >= 0 {
-        magnitude
-    } else {
-        group.inv(magnitude)?
-    };
-    Ok(Ciphertext {
-        c1: ct.c1,
-        c2: group.mul(ct.c2, adjustment),
-    })
-}
-
-/// The pre-kernel bit encryption: square-and-multiply for every component,
-/// recomputing `c1` for each bit exactly as the original multi-recipient
-/// path did before the generator table existed.
-fn encrypt_bits_naive(
-    group: &Group,
-    pks: &[PublicKey],
-    bit_values: &[bool],
-    ephemeral: &U256,
-) -> Vec<Ciphertext> {
-    let generator = group.generator();
-    bit_values
-        .iter()
-        .zip(pks)
-        .map(|(&bit, pk)| {
-            let c1 = group.pow(generator, ephemeral);
-            let shared = group.pow(pk.element(), ephemeral);
-            let msg = group.pow(generator, &U256::from_u64(bit as u64));
-            Ciphertext {
-                c1,
-                c2: group.mul(msg, shared),
-            }
-        })
-        .collect()
-}
-
 /// Transfers the shares of one message from block `B_i` to block `B_j`
 /// along the edge `(i, j)`.
 ///
@@ -239,54 +162,6 @@ pub fn transfer_message(
     traffic: &mut TrafficAccountant,
     rng: &mut dyn DetRng,
 ) -> Result<TransferOutcome, TransferError> {
-    transfer_message_with_kernels(
-        group,
-        config,
-        KernelMode::Auto,
-        sender_vertex,
-        receiver_vertex,
-        sender_block,
-        receiver_block,
-        sender_shares,
-        node_secrets,
-        certificate,
-        neighbor_key,
-        dlog,
-        traffic,
-        rng,
-    )
-}
-
-/// [`transfer_message`] with explicit control over the exponentiation
-/// kernels of the bitwise protocols (the whole-share strawmen are
-/// unaffected — they always run the default path).
-///
-/// Every [`KernelMode`] produces bit-identical shares, traffic and wire
-/// bytes; only the speed and the `exponentiations` /
-/// `fixed_base_exponentiations` split in the returned counts change.
-///
-/// # Errors
-///
-/// In addition to [`transfer_message`]'s errors, returns
-/// [`TransferError::CertificateShapeMismatch`] when
-/// [`KernelMode::Precomputed`] tables do not cover the certificate.
-#[allow(clippy::too_many_arguments)]
-pub fn transfer_message_with_kernels(
-    group: &Group,
-    config: &TransferConfig,
-    mode: KernelMode<'_>,
-    sender_vertex: NodeId,
-    receiver_vertex: NodeId,
-    sender_block: &Block,
-    receiver_block: &Block,
-    sender_shares: &[BitMessage],
-    node_secrets: &[NodeSecrets],
-    certificate: &BlockCertificate,
-    neighbor_key: &U256,
-    dlog: &DlogTable,
-    traffic: &mut TrafficAccountant,
-    rng: &mut dyn DetRng,
-) -> Result<TransferOutcome, TransferError> {
     let block_size = sender_block.size();
     let bits = config.message_bits as usize;
     if sender_shares.len() != block_size {
@@ -303,11 +178,6 @@ pub fn transfer_message_with_kernels(
     }
     if certificate.keys.len() != block_size || certificate.keys.iter().any(|k| k.len() != bits) {
         return Err(TransferError::CertificateShapeMismatch);
-    }
-    if let KernelMode::Precomputed(kernels) = mode {
-        if !kernels.matches_shape(block_size, bits) {
-            return Err(TransferError::CertificateShapeMismatch);
-        }
     }
 
     match config.variant {
@@ -345,7 +215,6 @@ pub fn transfer_message_with_kernels(
             group,
             config,
             None,
-            mode,
             sender_vertex,
             receiver_vertex,
             sender_block,
@@ -362,7 +231,6 @@ pub fn transfer_message_with_kernels(
             group,
             config,
             Some(alpha),
-            mode,
             sender_vertex,
             receiver_vertex,
             sender_block,
@@ -573,67 +441,17 @@ fn strawman2(
     })
 }
 
-/// A message of the bitwise transfer protocol, routed between the
-/// participants through the simulated network's [`Mailbox`] (the same
-/// queue that backs `dstress_net`'s `SimTransport`).
-enum TransferMsg {
-    /// Sender member → vertex `i`: the encrypted, bit-decomposed
-    /// sub-share destined for receiver member `receiver` (shared
-    /// ephemeral, one ciphertext per bit).
-    SubShares {
-        /// Index of the receiver-block member this bundle is for.
-        receiver: usize,
-        /// One ciphertext per message bit.
-        bits: Vec<Ciphertext>,
-    },
-    /// Vertex `i` → vertex `j`: the homomorphically aggregated (and, in
-    /// the final protocol, noised) ciphertexts, per receiver member and
-    /// bit.
-    Aggregated(Vec<Vec<Ciphertext>>),
-    /// Vertex `j` → receiver member: that member's adjusted ciphertexts,
-    /// one per bit.
-    Adjusted(Vec<Ciphertext>),
-}
-
-/// Local mailbox addresses of the transfer participants: sender-block
-/// members first, then the two edge endpoints, then the receiver-block
-/// members.  (Global [`NodeId`]s are only used for traffic accounting;
-/// blocks may contain arbitrary node ids, so the in-flight messages use
-/// dense local indices.)
-struct TransferAddresses {
-    block_size: usize,
-}
-
-impl TransferAddresses {
-    fn sender_member(&self, x: usize) -> NodeId {
-        NodeId(x)
-    }
-    fn vertex_i(&self) -> NodeId {
-        NodeId(self.block_size)
-    }
-    fn vertex_j(&self) -> NodeId {
-        NodeId(self.block_size + 1)
-    }
-    fn receiver_member(&self, y: usize) -> NodeId {
-        NodeId(self.block_size + 2 + y)
-    }
-    fn nodes(&self) -> usize {
-        2 * self.block_size + 2
-    }
-}
-
 /// Strawmen #3 and the final protocol: bit decomposition, homomorphic
 /// aggregation at `i`, optional geometric noise.
 ///
-/// The ciphertexts genuinely flow `B_i → i → j → B_j` through a
-/// [`Mailbox`]; every hop is a `send`/`recv` on the queue, with the
+/// The ciphertexts flow `B_i → i → j → B_j`; every hop crosses the wire
+/// codec, and what the next role works on is the decoded copy, with the
 /// analytic wire-format sizes recorded against the real node ids.
 #[allow(clippy::too_many_arguments)]
 fn bitwise_protocol(
     group: &Group,
     config: &TransferConfig,
     noise_alpha: Option<f64>,
-    mode: KernelMode<'_>,
     sender_vertex: NodeId,
     receiver_vertex: NodeId,
     sender_block: &Block,
@@ -650,50 +468,25 @@ fn bitwise_protocol(
     let bits = config.message_bits as usize;
     let elem_bytes = group.element_bytes() as u64;
     let mut counts = OperationCounts::default();
-    let addresses = TransferAddresses { block_size };
-    let mut network: Mailbox<TransferMsg> = Mailbox::new(addresses.nodes());
 
     // Step 1+2: every sender member splits its share into sub-shares (one
     // per receiver member), bit-decomposes each sub-share, encrypts the
     // bits with the Kurosawa single-ephemeral optimisation, and sends the
-    // whole batch to its vertex `i`.
+    // bundles to its vertex `i`, which files them per receiver member.
+    //
+    // encrypted[y][x][l] = ciphertext of bit l of x's sub-share for y.
+    let mut encrypted: Vec<Vec<Vec<Ciphertext>>> = vec![Vec::with_capacity(block_size); block_size];
     for (x_idx, &x_node) in sender_block.members.iter().enumerate() {
         let subshares = split_xor(sender_shares[x_idx], block_size, rng);
-        let mut batch = Vec::with_capacity(block_size);
         for (y_idx, subshare) in subshares.iter().enumerate() {
             let bit_values = subshare.to_bits();
             let ephemeral = group.random_nonzero_exponent(rng);
-            let keys = &certificate.keys[y_idx];
-            let cts = match mode {
-                KernelMode::Naive => {
-                    counts.exponentiations += bits as u64 + 1;
-                    encrypt_bits_naive(group, keys, &bit_values, &ephemeral)
-                }
-                KernelMode::Auto => {
-                    // `c1 = g^y` through the generator table, shared across
-                    // the bits; the key terms stay variable-base.
-                    counts.fixed_base_exponentiations += 1;
-                    counts.exponentiations += bits as u64;
-                    encrypt_bits_shared_c1(group, keys, &bit_values, &ephemeral)?
-                }
-                KernelMode::Precomputed(kernels) => {
-                    // The key terms also run through the per-certificate
-                    // fixed-base tables.
-                    counts.fixed_base_exponentiations += bits as u64 + 1;
-                    let c1 = group.generator_pow(&ephemeral);
-                    bit_values
-                        .iter()
-                        .enumerate()
-                        .map(|(l, &bit)| {
-                            let shared = kernels.key_pow(y_idx, l, &ephemeral);
-                            Ciphertext {
-                                c1,
-                                c2: group.mul(group.encode_exponent(bit as u64), shared),
-                            }
-                        })
-                        .collect()
-                }
-            };
+            // `c1 = g^y` through the generator table, shared across the
+            // bits; the key terms stay variable-base.
+            counts.fixed_base_exponentiations += 1;
+            counts.exponentiations += bits as u64;
+            let cts =
+                encrypt_bits_shared_c1(group, &certificate.keys[y_idx], &bit_values, &ephemeral)?;
             // The message bits are folded in with multiplications.
             counts.group_multiplications += bits as u64;
             // Analytic wire size: the shared ephemeral component plus one
@@ -709,30 +502,13 @@ fn bitwise_protocol(
             counts.wire_bytes += encoded.len() as u64;
             let (receiver, decoded) =
                 TransferWire::decode_exact(&encoded)?.into_subshares(group)?;
-            batch.push((
-                addresses.vertex_i(),
-                TransferMsg::SubShares {
-                    receiver,
-                    bits: decoded,
-                },
-            ));
+            encrypted[receiver].push(decoded);
         }
-        network.send_many(addresses.sender_member(x_idx), batch);
     }
 
-    // Step 3: vertex i drains its inbox (per-sender FIFO keeps the
-    // bundles in member order), homomorphically aggregates per receiver
-    // member and bit position, and (final protocol only) folds in even
-    // geometric noise.
-    //
-    // encrypted[y][x][l] = ciphertext of bit l of x's sub-share for y.
-    let mut encrypted: Vec<Vec<Vec<Ciphertext>>> = vec![Vec::with_capacity(block_size); block_size];
-    while let Some((_, message)) = network.recv(addresses.vertex_i()) {
-        let TransferMsg::SubShares { receiver, bits } = message else {
-            unreachable!("vertex i only receives sub-share bundles");
-        };
-        encrypted[receiver].push(bits);
-    }
+    // Step 3: vertex i homomorphically aggregates per receiver member and
+    // bit position, and (final protocol only) folds in even geometric
+    // noise.
     let noise = noise_alpha.map(|alpha| {
         // Sensitivity of the bit-sum query is the block size k + 1; the
         // protocol therefore samples from Geo(alpha^{2/(k+1)}) and doubles.
@@ -740,46 +516,29 @@ fn bitwise_protocol(
     });
     let mut aggregated: Vec<Vec<Ciphertext>> = Vec::with_capacity(block_size);
     for per_receiver in &encrypted {
+        // Every sender's L ciphertexts for this receiver share one
+        // ephemeral component, so the aggregated `c1` is identical at
+        // every bit position: one product per receiver instead of L.
+        let mut c1 = per_receiver[0][0].c1;
+        for sender_cts in per_receiver.iter().skip(1) {
+            c1 = group.mul(c1, sender_cts[0].c1);
+            counts.group_multiplications += 1;
+        }
         let mut per_bit = Vec::with_capacity(bits);
-        if mode.is_naive() {
-            for l in 0..bits {
-                let mut acc = per_receiver[0][l];
-                for sender_cts in per_receiver.iter().skip(1) {
-                    acc = homomorphic_add(group, &acc, &sender_cts[l]);
-                    counts.group_multiplications += 2;
-                }
-                if let Some(dist) = &noise {
-                    let noise_value = dist.sample_even(rng);
-                    acc = homomorphic_add_signed_naive(group, &acc, noise_value)?;
-                    counts.exponentiations += 1;
-                    counts.group_multiplications += 1;
-                }
-                per_bit.push(acc);
-            }
-        } else {
-            // Every sender's L ciphertexts for this receiver share one
-            // ephemeral component, so the aggregated `c1` is identical at
-            // every bit position: one product per receiver instead of L.
-            let mut c1 = per_receiver[0][0].c1;
+        for l in 0..bits {
+            let mut c2 = per_receiver[0][l].c2;
             for sender_cts in per_receiver.iter().skip(1) {
-                c1 = group.mul(c1, sender_cts[0].c1);
+                c2 = group.mul(c2, sender_cts[l].c2);
                 counts.group_multiplications += 1;
             }
-            for l in 0..bits {
-                let mut c2 = per_receiver[0][l].c2;
-                for sender_cts in per_receiver.iter().skip(1) {
-                    c2 = group.mul(c2, sender_cts[l].c2);
-                    counts.group_multiplications += 1;
-                }
-                let mut acc = Ciphertext { c1, c2 };
-                if let Some(dist) = &noise {
-                    let noise_value = dist.sample_even(rng);
-                    acc = homomorphic_add_signed(group, &acc, noise_value);
-                    counts.fixed_base_exponentiations += 1;
-                    counts.group_multiplications += 1;
-                }
-                per_bit.push(acc);
+            let mut acc = Ciphertext { c1, c2 };
+            if let Some(dist) = &noise {
+                let noise_value = dist.sample_even(rng);
+                acc = homomorphic_add_signed(group, &acc, noise_value);
+                counts.fixed_base_exponentiations += 1;
+                counts.group_multiplications += 1;
             }
+            per_bit.push(acc);
         }
         aggregated.push(per_bit);
     }
@@ -794,84 +553,49 @@ fn bitwise_protocol(
     traffic.record_wire(sender_vertex, receiver_vertex, encoded.len() as u64);
     counts.wire_bytes += encoded.len() as u64;
     let aggregated = TransferWire::decode_exact(&encoded)?.into_aggregated(group)?;
-    network.send(
-        addresses.vertex_i(),
-        addresses.vertex_j(),
-        TransferMsg::Aggregated(aggregated),
-    );
 
     // Step 4: j adjusts the ephemeral keys with its neighbor key for i
     // and forwards each receiver member its L ciphertexts.
-    let Some((_, TransferMsg::Aggregated(aggregated))) = network.recv(addresses.vertex_j()) else {
-        unreachable!("vertex j receives exactly one aggregate from i");
-    };
-    for (y_idx, (&y_node, per_bit)) in receiver_block.members.iter().zip(aggregated).enumerate() {
+    let mut adjusted_bundles = Vec::with_capacity(block_size);
+    for (&y_node, per_bit) in receiver_block.members.iter().zip(aggregated) {
         let member_bytes = bits as u64 * 2 * elem_bytes;
         traffic.record(receiver_vertex, y_node, member_bytes);
         counts.bytes_sent += member_bytes;
-        let adjusted: Vec<Ciphertext> = if mode.is_naive() {
-            per_bit
-                .iter()
-                .map(|ct| {
-                    counts.exponentiations += 1;
-                    adjust_ciphertext(group, ct, neighbor_key)
-                })
-                .collect()
-        } else {
-            // The aggregated ciphertexts share their ephemeral component,
-            // so the expensive `c1^r` happens once per receiver.
-            counts.exponentiations += 1;
-            let shared_c1 = group.pow(per_bit[0].c1, neighbor_key);
-            per_bit
-                .iter()
-                .map(|ct| Ciphertext {
-                    c1: shared_c1,
-                    c2: ct.c2,
-                })
-                .collect()
-        };
-        let adjusted = wire_hop_cts(
+        // The aggregated ciphertexts share their ephemeral component, so
+        // the expensive `c1^r` happens once per receiver.
+        counts.exponentiations += 1;
+        let shared_c1 = group.pow(per_bit[0].c1, neighbor_key);
+        let adjusted: Vec<Ciphertext> = per_bit
+            .iter()
+            .map(|ct| Ciphertext {
+                c1: shared_c1,
+                c2: ct.c2,
+            })
+            .collect();
+        adjusted_bundles.push(wire_hop_cts(
             group,
             traffic,
             &mut counts,
             receiver_vertex,
             y_node,
             adjusted,
-        )?;
-        network.send(
-            addresses.vertex_j(),
-            addresses.receiver_member(y_idx),
-            TransferMsg::Adjusted(adjusted),
-        );
+        )?);
     }
 
     // Step 5: every receiver member decrypts its bits and assembles its
     // fresh share.
     let mut receiver_shares = Vec::with_capacity(block_size);
-    for (y_idx, &y_node) in receiver_block.members.iter().enumerate() {
-        let Some((_, TransferMsg::Adjusted(cts))) = network.recv(addresses.receiver_member(y_idx))
-        else {
-            unreachable!("every receiver member gets exactly one bundle from j");
-        };
+    for (&y_node, cts) in receiver_block.members.iter().zip(&adjusted_bundles) {
+        // All L adjusted ciphertexts share one ephemeral component, so a
+        // small per-receiver fixed-base table serves every fused
+        // decryption `c2 · c1^(q − x_l)`.
+        let decrypt_table = FixedBasePow::new(group, cts[0].c1, DECRYPT_WINDOW_BITS);
         let mut bit_shares = Vec::with_capacity(bits);
-        // Kernel path: all L adjusted ciphertexts share one ephemeral
-        // component, so a small per-receiver fixed-base table serves every
-        // fused decryption `c2 · c1^(q − x_l)`.
-        let decrypt_table = (!mode.is_naive() && !cts.is_empty())
-            .then(|| FixedBasePow::new(group, cts[0].c1, DECRYPT_WINDOW_BITS));
         for (l, ct) in cts.iter().enumerate() {
             let secret = &node_secrets[y_node.0].bit_keys[l].secret;
-            let elem = match &decrypt_table {
-                Some(table) => {
-                    counts.fixed_base_exponentiations += 1;
-                    let neg = group.q().wrapping_sub(&secret.exponent().rem(&group.q()));
-                    group.mul(ct.c2, table.pow(&neg))
-                }
-                None => {
-                    counts.exponentiations += 2;
-                    decrypt(group, secret, ct)?
-                }
-            };
+            counts.fixed_base_exponentiations += 1;
+            let neg = group.q().wrapping_sub(&secret.exponent().rem(&group.q()));
+            let elem = group.mul(ct.c2, decrypt_table.pow(&neg));
             let sum = dlog
                 .lookup_signed(group, elem)
                 .map_err(|_| TransferError::DecryptionFailure)?;
@@ -881,7 +605,6 @@ fn bitwise_protocol(
         }
         receiver_shares.push(BitMessage::from_bits(&bit_shares));
     }
-    debug_assert!(network.is_idle(), "every transfer message was consumed");
     counts.rounds += 3;
 
     Ok(TransferOutcome {
@@ -1209,98 +932,16 @@ mod tests {
         assert!(o_large.counts.bytes_sent > o_small.counts.bytes_sent);
     }
 
-    /// Like `run_transfer`, with an explicit kernel mode (always the
-    /// final protocol variant).
-    fn run_transfer_with_mode(
-        fx: &Fixture,
-        mode: KernelMode<'_>,
-        value: u64,
-        seed: u64,
-    ) -> TransferOutcome {
-        let config = TransferConfig::final_protocol(BITS, 0.5);
-        let mut rng = Xoshiro256::new(seed);
-        let message = BitMessage::new(value, BITS).unwrap();
-        let sender_shares = split_xor(message, fx.setup.blocks[0].size(), &mut rng);
-        let mut traffic = TrafficAccountant::new();
-        transfer_message_with_kernels(
-            &fx.group,
-            &config,
-            mode,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &sender_shares,
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn kernel_modes_are_bit_identical() {
-        let fx = fixture(3);
-        let kernels =
-            TransferKernels::for_certificate(&fx.group, &fx.setup.certificates[1][0].keys, 6);
-        let naive = run_transfer_with_mode(&fx, KernelMode::Naive, 0x9C, 31);
-        let auto = run_transfer_with_mode(&fx, KernelMode::Auto, 0x9C, 31);
-        let pre = run_transfer_with_mode(&fx, KernelMode::Precomputed(&kernels), 0x9C, 31);
-        assert_eq!(naive.receiver_shares, auto.receiver_shares);
-        assert_eq!(naive.receiver_shares, pre.receiver_shares);
-        assert_eq!(naive.counts.wire_bytes, auto.counts.wire_bytes);
-        assert_eq!(naive.counts.wire_bytes, pre.counts.wire_bytes);
-        assert_eq!(naive.counts.bytes_sent, auto.counts.bytes_sent);
-        // Naive counts everything as variable-base work; the kernels shift
-        // progressively more of it onto fixed-base tables.
-        assert_eq!(naive.counts.fixed_base_exponentiations, 0);
-        assert!(auto.counts.exponentiations < naive.counts.exponentiations);
-        assert!(pre.counts.exponentiations < auto.counts.exponentiations);
-    }
-
     #[test]
     fn kernel_counts_match_the_analytic_model() {
         // Cross-check with `dstress-core`'s accounted execution model: for
-        // block size b and L message bits the default kernel path does
+        // block size b and L message bits the final protocol does
         // b²L + b variable-base and b² + 2bL fixed-base exponentiations.
         let fx = fixture(3);
         let (b, l) = (4u64, BITS as u64);
-        let out = run_transfer_with_mode(&fx, KernelMode::Auto, 0x2F, 13);
+        let (out, _) = run_transfer(&fx, ProtocolVariant::Final { alpha: 0.5 }, 0x2F, 13);
         assert_eq!(out.counts.exponentiations, b * b * l + b);
         assert_eq!(out.counts.fixed_base_exponentiations, b * b + 2 * b * l);
-    }
-
-    #[test]
-    fn precomputed_kernels_of_wrong_shape_are_rejected() {
-        let fx = fixture(3);
-        let wrong =
-            TransferKernels::for_certificate(&fx.group, &fx.setup.certificates[1][0].keys[..2], 6);
-        let config = TransferConfig::final_protocol(BITS, 0.5);
-        let mut rng = Xoshiro256::new(3);
-        let message = BitMessage::new(1, BITS).unwrap();
-        let sender_shares = split_xor(message, 4, &mut rng);
-        let mut traffic = TrafficAccountant::new();
-        let err = transfer_message_with_kernels(
-            &fx.group,
-            &config,
-            KernelMode::Precomputed(&wrong),
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &sender_shares,
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap_err();
-        assert_eq!(err, TransferError::CertificateShapeMismatch);
     }
 
     proptest! {

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Non-test Rust lines per crate: the counter behind the ROADMAP's "fewer
+# non-test lines" acceptance.
+#
+# Every `*.rs` under a crate's `src/` is counted up to (not including)
+# its first `#[cfg(test)]` line — in this workspace the unit-test module
+# is always the tail of the file.  Integration tests (`tests/`), benches
+# and examples are not counted.  Lines are physical lines: comments and
+# blanks count, so the figure moves only when source is added or removed,
+# not when it is reformatted into denser expressions.
+#
+# Usage: scripts/loc.sh [ROOT]   (ROOT defaults to the repository root, so
+# the same script can count a checkout of another commit)
+set -euo pipefail
+root="${1:-$(dirname "$0")/..}"
+cd "$root"
+
+total=0
+for src in crates/*/src src; do
+    [[ -d "$src" ]] || continue
+    name=$(sed -n 's/^name = "\(.*\)"/\1/p' "$(dirname "$src")/Cargo.toml" | head -n 1)
+    lines=$(find "$src" -name '*.rs' -print0 | sort -z \
+        | xargs -0 awk 'FNR == 1 { skip = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }')
+    printf '%-18s %6d\n' "$name" "$lines"
+    total=$((total + lines))
+done
+printf '%-18s %6d\n' total "$total"

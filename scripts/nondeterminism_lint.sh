@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Source-level nondeterminism lint for the bit-identity invariant.
 #
-# The determinism suite (Sim == Threaded == Socket, kill-and-resume
+# The determinism suite (Sim == Socket, kill-and-resume
 # bit-identity) can only catch nondeterminism that happens to fire; this
 # lint forbids the constructs that *introduce* it at the source level in
 # the crates on the share-critical path:

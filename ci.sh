@@ -85,17 +85,29 @@ run_tests --release -q -p dstress-bench concurrency_modes_agree_on_small_point
 echo "==> round model: batched rounds scale with depth, not AND-gate count"
 run_tests --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
 
-echo "==> crypto kernels pinned to the naive references; the transfer path pinned to constants"
-# Fixed-base tables, Straus/Pippenger multi-exp and the signed-BSGS /
-# fingerprint dlog recovery must be bit-identical to square-and-multiply
-# and linear scan on both groups; the one transfer path must reproduce
-# its committed fingerprints (shares, counts, traffic, RNG draw order),
-# match the analytic count model, and agree with the accounted mode.
+echo "==> crypto kernels pinned to the naive references; the transfer path and the setup pinned to constants"
+# Fixed-base tables, comb tables (every lane of the lock-step evaluation),
+# Straus/Pippenger multi-exp and the signed-BSGS / fingerprint dlog
+# recovery must be bit-identical to square-and-multiply and linear scan on
+# both groups; the one transfer path must reproduce its committed
+# fingerprints (shares, counts, traffic, RNG draw order), match the
+# analytic count model, agree with the accounted mode, and its key-outer
+# sender side must equal the per-sender encryption bundle by bundle; the
+# key-outer setup must reproduce its committed certificate tags and equal
+# the per-entry re-randomisation.
 run_tests -q -p dstress-crypto kernels::
+run_tests -q -p dstress-crypto comb_
 run_tests -q -p dstress-crypto dlog::
 run_tests -q -p dstress-transfer --test pinned_transfer
+run_tests -q -p dstress-transfer --test pinned_setup
 run_tests -q -p dstress-transfer kernel_counts_match_the_analytic_model
+run_tests -q -p dstress-transfer key_outer_sender_path_equals_per_sender_encryption
+run_tests -q -p dstress-transfer certificates_equal_per_entry_rerandomization
 run_tests -q -p dstress-core transfer_modes_account_identically
+
+echo "==> transfer_message rejects outside input with typed errors, before any RNG draw or traffic record"
+run_tests -q -p dstress-transfer out_of_range_noise_alpha_is_a_typed_error
+run_tests -q -p dstress-transfer missing_node_secrets_are_a_typed_error
 
 echo "==> repro -- transfer smoke (time/traffic/ablation into BENCH_results.json)"
 cargo run --release -q -p dstress-bench --bin repro -- transfer --threads 2 > /dev/null

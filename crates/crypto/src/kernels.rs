@@ -3,7 +3,7 @@
 //! The transfer protocol's cost is dominated by exponentiations whose bases
 //! are *fixed* across many uses — above all the group generator — plus
 //! exponential-ElGamal decryptions whose per-receiver ciphertexts all
-//! share one ephemeral component. Two kernels exploit that structure:
+//! share one ephemeral component. Three kernels exploit that structure:
 //!
 //! * [`FixedBasePow`] — a windowed fixed-base table: one-off precomputation
 //!   of `base^(d·2^(w·i))` for every window `i` and digit `d`, after which a
@@ -11,6 +11,12 @@
 //!   with **zero** squarings. Window width `w` trades memory
 //!   (`(2^w − 1)·⌈|q|/w⌉` elements) against speed (`⌈|q|/w⌉` multiplies per
 //!   exponentiation).
+//! * [`CombPow`] — a Lim–Lee comb table for a base that lives only as long
+//!   as one transfer step (a certificate key met by the `k + 1` senders'
+//!   ephemerals, an adjusted `c1` met by the receiver's `L` secrets, a
+//!   registered key met by every neighbor key that re-randomises it): 2 KB
+//!   and 272 multiplies to build, then one squaring and one multiply per
+//!   column, for several exponents in lock-step.
 //! * [`multi_pow`] — simultaneous multi-exponentiation `∏ bᵢ^eᵢ`: Straus's
 //!   interleaved method for small batches (shared squaring chain), switching
 //!   to Pippenger's bucket method for large ones.
@@ -129,6 +135,114 @@ impl FixedBasePow {
     /// Approximate memory footprint: one 32-byte element per table entry.
     pub fn memory_bytes(&self) -> usize {
         self.windows.iter().map(Vec::len).sum::<usize>() * 32
+    }
+}
+
+/// Teeth of the [`CombPow`] comb.  With `a = ⌈|q|/h⌉` columns a table costs
+/// `(h − 1)·a` squarings + `2^h − 1 − h` multiplies to build and each
+/// exponentiation under `a` squarings + `a` multiplies, against ≈ 255 + 128
+/// for the binary ladder of [`Group::pow`].  On the 256-bit group, for one
+/// certificate key serving the `k + 1 = 8` senders of a block:
+/// `h = 4`: 203 + 8·128 = 1 227; `h = 6`: 272 + 8·86 = 960; `h = 7`:
+/// 342 + 8·74 = 934 but a 4 KB table, and measured no faster — 6 it is
+/// (ladder: 3 064).
+const COMB_TEETH: u32 = 6;
+
+/// Most columns a comb can have: `⌈256/h⌉`.
+const COMB_MAX_COLUMNS: usize = (64 * LIMBS).div_ceil(COMB_TEETH as usize);
+
+/// An exponent recoded for [`CombPow`]: column `j` holds the bits
+/// `j, a + j, …, (h − 1)·a + j` of `e mod q` as one `h`-bit digit.  Only
+/// meaningful for tables of the [`Group`] that recoded it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CombDigits([u8; COMB_MAX_COLUMNS]);
+
+/// A Lim–Lee comb table for one group element: `table[u] = ∏ base^(2^(i·a))`
+/// over the set bits `i` of `u` (`table[0]` is the identity, so evaluation
+/// never branches on a digit).
+#[derive(Clone, Debug)]
+pub struct CombPow<'g> {
+    ctx: &'g FpCtx,
+    columns: usize,
+    table: [FpElem; 1 << COMB_TEETH],
+}
+
+impl<'g> CombPow<'g> {
+    fn columns(group: &Group) -> usize {
+        group.q().bits().div_ceil(COMB_TEETH) as usize
+    }
+
+    /// Builds the table for `base` (assumed to lie in the order-`q`
+    /// subgroup, as every protocol element does).
+    pub fn new(group: &'g Group, base: GroupElem) -> Self {
+        let ctx = group.p_ctx();
+        let columns = Self::columns(group);
+        let mut table = [ctx.one(); 1 << COMB_TEETH];
+        let mut tooth = base.0;
+        for i in 0..COMB_TEETH as usize {
+            if i > 0 {
+                for _ in 0..columns {
+                    tooth = ctx.mul(tooth, tooth);
+                }
+            }
+            table[1 << i] = tooth;
+            for low in 1..1 << i {
+                table[(1 << i) | low] = ctx.mul(tooth, table[low]);
+            }
+        }
+        CombPow {
+            ctx,
+            columns,
+            table,
+        }
+    }
+
+    /// Recodes `e` once for any number of tables of `group`.  The exponent
+    /// wraps mod `q`, matching [`Group::pow`] on order-`q` bases bit for
+    /// bit; no allocation (the smaller group just uses fewer columns).
+    pub fn recode(group: &Group, e: &U256) -> CombDigits {
+        let e = e.rem(&group.q());
+        let columns = Self::columns(group);
+        let mut digits = [0u8; COMB_MAX_COLUMNS];
+        for (j, digit) in digits.iter_mut().enumerate().take(columns) {
+            for i in 0..COMB_TEETH {
+                *digit |= (e.bit(i * columns as u32 + j as u32) as u8) << i;
+            }
+        }
+        CombDigits(digits)
+    }
+
+    /// Computes `base^e` for one recoded exponent.
+    pub fn pow(&self, digits: &CombDigits) -> GroupElem {
+        let mut out = [GroupElem(self.ctx.one())];
+        self.pow_many(std::slice::from_ref(digits), &mut out);
+        out[0]
+    }
+
+    /// Computes `out[i] = base^(e_i)` for every recoded exponent, walking
+    /// the columns once with all accumulators in lock-step: the chains are
+    /// independent, so their latency-bound multiplies overlap in the CPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths.
+    pub fn pow_many(&self, digits: &[CombDigits], out: &mut [GroupElem]) {
+        assert_eq!(
+            digits.len(),
+            out.len(),
+            "pow_many needs one slot per exponent"
+        );
+        // The top column seeds the accumulators (|q| ≥ 2, so there is one).
+        let top = self.columns - 1;
+        for (acc, d) in out.iter_mut().zip(digits) {
+            acc.0 = self.table[d.0[top] as usize];
+        }
+        for j in (0..top).rev() {
+            for (acc, d) in out.iter_mut().zip(digits) {
+                let squared = self.ctx.mul(acc.0, acc.0);
+                acc.0 = self.ctx.mul(squared, self.table[d.0[j] as usize]);
+            }
+        }
     }
 }
 
@@ -316,6 +430,53 @@ mod tests {
     }
 
     #[test]
+    fn comb_matches_square_and_multiply_on_edge_cases() {
+        for group in groups() {
+            let mut rng = Xoshiro256::new(0xC0B);
+            let q = group.q();
+            let edges = [
+                U256::ZERO,
+                U256::ONE,
+                q.wrapping_sub(&U256::ONE),
+                q,
+                q.wrapping_add(&U256::ONE),
+                U256::MAX,
+            ];
+            let random = group.generator_pow(&group.random_nonzero_exponent(&mut rng));
+            for base in [group.identity(), group.generator(), random] {
+                let table = CombPow::new(&group, base);
+                for e in &edges {
+                    assert_eq!(
+                        table.pow(&CombPow::recode(&group, e)),
+                        group.pow(base, e),
+                        "{:?} e={e:?}",
+                        group.kind()
+                    );
+                }
+                // Exponents wrap mod q, as they do for `FixedBasePow`.
+                assert_eq!(
+                    CombPow::recode(&group, &q),
+                    CombPow::recode(&group, &U256::ZERO)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn comb_build_and_recode_use_the_documented_shape() {
+        // 2^6 table slots (identity + 63 products) and ⌈|q|/6⌉ columns: 43
+        // on the 256-bit group, 11 on the simulation group.
+        let prod = Group::prod256();
+        let table = CombPow::new(&prod, prod.generator());
+        assert_eq!((table.table.len(), table.columns), (64, 43));
+        assert_eq!(std::mem::size_of_val(&table.table), 2048);
+        let sim = Group::sim64();
+        assert_eq!(CombPow::new(&sim, sim.generator()).columns, 11);
+        let digits = CombPow::recode(&sim, &U256::MAX);
+        assert!(digits.0[11..].iter().all(|&d| d == 0));
+    }
+
+    #[test]
     fn multi_pow_matches_naive_product() {
         for group in groups() {
             let mut rng = Xoshiro256::new(0x3117);
@@ -366,6 +527,29 @@ mod tests {
                 let table = FixedBasePow::new(&group, base, w);
                 let e = group.random_exponent(&mut rng);
                 prop_assert_eq!(table.pow(&e), group.pow(base, &e));
+            }
+        }
+
+        #[test]
+        fn prop_comb_equals_naive_in_every_lane(seed in any::<u64>()) {
+            for kind in [GroupKind::Sim64, GroupKind::Prod256] {
+                let group = Group::new(kind);
+                let mut rng = Xoshiro256::new(seed);
+                let base = group.generator_pow(&group.random_exponent(&mut rng));
+                let table = CombPow::new(&group, base);
+                for lanes in [1usize, 2, 3, 8] {
+                    let exps: Vec<U256> =
+                        (0..lanes).map(|_| group.random_exponent(&mut rng)).collect();
+                    let digits: Vec<CombDigits> =
+                        exps.iter().map(|e| CombPow::recode(&group, e)).collect();
+                    // Stale slot contents must not leak into the result.
+                    let mut out = vec![base; lanes];
+                    table.pow_many(&digits, &mut out);
+                    for ((e, d), got) in exps.iter().zip(&digits).zip(&out) {
+                        prop_assert_eq!(*got, group.pow(base, e));
+                        prop_assert_eq!(table.pow(d), *got);
+                    }
+                }
             }
         }
 

@@ -17,7 +17,8 @@
 //!   baby-step/giant-step discrete-log recovery for decrypting
 //!   exponential-ElGamal ciphertexts that carry small sums.
 //! * [`kernels`] — fast exponentiation kernels: windowed fixed-base
-//!   tables and Straus/Pippenger multi-exponentiation, pinned
+//!   tables, short-lived comb tables evaluated for several exponents in
+//!   lock-step, and Straus/Pippenger multi-exponentiation, pinned
 //!   bit-identical to the naive square-and-multiply path.
 //! * [`sharing`] — XOR secret sharing, sub-share splitting and bit
 //!   decomposition: the `⊕`-sharing substrate used by the blocks and the
@@ -58,5 +59,5 @@ pub use dlog::DlogTable;
 pub use elgamal::{Ciphertext, KeyPair, PublicKey, SecretKey};
 pub use error::CryptoError;
 pub use group::{Group, GroupElem, GroupKind};
-pub use kernels::{multi_pow, FixedBasePow};
+pub use kernels::{multi_pow, CombDigits, CombPow, FixedBasePow};
 pub use sharing::{split_xor, xor_reconstruct, BitMessage};

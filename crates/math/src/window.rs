@@ -2,26 +2,19 @@
 //!
 //! Fixed-base and multi-exponentiation kernels both consume an exponent as a
 //! sequence of small digits rather than as raw bits. This module provides the
-//! two decompositions used by `dstress-crypto::kernels`:
-//!
-//! - [`radix_digits`]: plain base-`2^w` digits, least-significant first. Every
-//!   digit lies in `[0, 2^w)`. This is what the fixed-base comb tables and the
-//!   Straus interleaved multi-exponentiation walk.
-//! - [`naf_digits`]: the w-ary non-adjacent form, with digits in
-//!   `(-2^(w-1), 2^(w-1))` that are odd or zero, and at most one nonzero digit
-//!   in any window of `w` positions. NAF halves the table size in groups with
-//!   a cheap inverse (elliptic curves). In the Schnorr subgroups of `Z_p^*`
-//!   used here an inversion costs a full exponentiation, so the kernels stick
-//!   to plain radix digits; NAF is provided (and tested) for completeness and
-//!   for any future curve backend.
+//! decomposition used by `dstress-crypto::kernels`: [`radix_digits`], plain
+//! base-`2^w` digits, least-significant first, every digit in `[0, 2^w)` —
+//! what the windowed fixed-base tables and the Straus/Pippenger
+//! multi-exponentiations walk. (Signed forms such as NAF halve a table only
+//! where inversion is cheap; in the Schnorr subgroups of `Z_p^*` used here an
+//! inversion costs a full exponentiation.)
 
 use crate::u256::{LIMBS, U256};
 
 /// Maximum supported window width in bits.
 ///
-/// Wider windows would make single digits overflow the `i64`/`u64` digit
-/// types below long before the table sizes became practical, so decomposition
-/// functions panic beyond this.
+/// Table sizes stop being practical long before a digit outgrows the `u64`
+/// digit type below, so the decomposition panics beyond this.
 pub const MAX_WINDOW_BITS: u32 = 16;
 
 /// Decomposes `e` into base-`2^w` digits, least-significant digit first.
@@ -61,100 +54,24 @@ pub fn radix_digits(e: &U256, window_bits: u32) -> Vec<u64> {
     out
 }
 
-/// Reconstructs the value encoded by base-`2^w` digits, wrapping mod `2^256`.
-///
-/// Inverse of [`radix_digits`]; used by the equivalence tests and handy for
-/// debugging kernel tables.
-pub fn radix_reconstruct(digits: &[u64], window_bits: u32) -> U256 {
-    let mut acc = U256::ZERO;
-    for &d in digits.iter().rev() {
-        for _ in 0..window_bits {
-            acc = acc.wrapping_add(&acc);
-        }
-        acc = acc.wrapping_add(&U256::from_u64(d));
-    }
-    acc
-}
-
-/// Decomposes `e` into w-ary non-adjacent form.
-///
-/// Digits are returned least-significant first; each digit is zero or an odd
-/// value in `(-2^(w-1), 2^(w-1))`, and the value satisfies
-/// `e = sum(d_i * 2^i)`. The output length is at most 257 (one carry bit past
-/// the top of the input).
-///
-/// # Panics
-///
-/// Panics if `window_bits` is zero or exceeds [`MAX_WINDOW_BITS`].
-pub fn naf_digits(e: &U256, window_bits: u32) -> Vec<i64> {
-    assert!(
-        (1..=MAX_WINDOW_BITS).contains(&window_bits),
-        "window width {window_bits} out of range 1..={MAX_WINDOW_BITS}"
-    );
-    let modulus = 1i64 << window_bits;
-    let half = modulus >> 1;
-    let mut k = *e;
-    let mut out = Vec::new();
-    let mut carry = 0u64; // 0 or 1; propagates when a digit goes negative
-    while !(k == U256::ZERO && carry == 0) {
-        let low = (k.limbs()[0].wrapping_add(carry)) & ((modulus as u64) - 1);
-        let digit = if low & 1 == 1 {
-            let signed = low as i64;
-            if signed >= half {
-                signed - modulus
-            } else {
-                signed
-            }
-        } else {
-            0
-        };
-        // Subtract the digit (add |digit| when negative) then halve.
-        let with_carry = k.wrapping_add(&U256::from_u64(carry));
-        let next = if digit >= 0 {
-            with_carry.wrapping_sub(&U256::from_u64(digit as u64))
-        } else {
-            with_carry.wrapping_add(&U256::from_u64((-digit) as u64))
-        };
-        // `next` is even by construction; track whether the add overflowed
-        // 2^256, which can only happen transiently for negative digits near
-        // the top bit — fold that overflow into the carry chain.
-        carry = if digit < 0 && next < with_carry { 1 } else { 0 };
-        k = next.shr(1);
-        if carry == 1 {
-            // The overflow bit sits at position 255 after the shift.
-            k = k.wrapping_add(&U256::from_limbs([0, 0, 0, 1u64 << 63]));
-            carry = 0;
-        }
-        out.push(digit);
-        if out.len() > 257 {
-            break; // defensive: cannot happen for 256-bit inputs
-        }
-    }
-    if out.is_empty() {
-        out.push(0);
-    }
-    out
-}
-
-/// Reconstructs the value encoded by NAF digits, wrapping mod `2^256`.
-pub fn naf_reconstruct(digits: &[i64]) -> U256 {
-    let mut acc = U256::ZERO;
-    for &d in digits.iter().rev() {
-        acc = acc.wrapping_add(&acc);
-        if d >= 0 {
-            acc = acc.wrapping_add(&U256::from_u64(d as u64));
-        } else {
-            acc = acc.wrapping_sub(&U256::from_u64((-d) as u64));
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::{DetRng, SplitMix64};
     use proptest::prelude::*;
+
+    /// Reconstructs the value encoded by base-`2^w` digits, wrapping mod
+    /// `2^256`: the inverse of [`radix_digits`].
+    fn radix_reconstruct(digits: &[u64], window_bits: u32) -> U256 {
+        let mut acc = U256::ZERO;
+        for &d in digits.iter().rev() {
+            for _ in 0..window_bits {
+                acc = acc.wrapping_add(&acc);
+            }
+            acc = acc.wrapping_add(&U256::from_u64(d));
+        }
+        acc
+    }
 
     fn random_u256(rng: &mut SplitMix64) -> U256 {
         let mut limbs = [0u64; LIMBS];
@@ -198,52 +115,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn naf_digits_are_odd_or_zero_and_bounded() {
-        let mut rng = SplitMix64::new(0x5eed_0003);
-        for _ in 0..50 {
-            let e = random_u256(&mut rng);
-            for w in [2u32, 4, 5, 8] {
-                let half = 1i64 << (w - 1);
-                for &d in &naf_digits(&e, w) {
-                    assert!(d == 0 || d % 2 != 0, "w={w} digit {d} is even");
-                    assert!(d > -half && d < half, "w={w} digit {d} out of range");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn naf_windows_have_one_nonzero_digit() {
-        let mut rng = SplitMix64::new(0x5eed_0004);
-        for _ in 0..50 {
-            let e = random_u256(&mut rng);
-            for w in [2u32, 4, 6] {
-                let digits = naf_digits(&e, w);
-                for (i, &d) in digits.iter().enumerate() {
-                    if d != 0 {
-                        let end = (i + w as usize).min(digits.len());
-                        for (j, &next) in digits.iter().enumerate().take(end).skip(i + 1) {
-                            assert_eq!(next, 0, "w={w}: digits {i} and {j} both set");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn naf_roundtrip_on_random_values() {
-        let mut rng = SplitMix64::new(0x5eed_0005);
-        for _ in 0..100 {
-            let e = random_u256(&mut rng);
-            for w in [2u32, 3, 4, 5, 8] {
-                let digits = naf_digits(&e, w);
-                assert_eq!(naf_reconstruct(&digits), e, "w={w}");
-            }
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_radix_roundtrip(a in any::<u64>(),
@@ -252,15 +123,6 @@ mod tests {
             let e = U256::from_limbs([a, b, a ^ b, a.wrapping_mul(b)]);
             let digits = radix_digits(&e, w);
             prop_assert_eq!(radix_reconstruct(&digits, w), e);
-        }
-
-        #[test]
-        fn prop_naf_roundtrip(a in any::<u64>(),
-                              b in any::<u64>(),
-                              w in 2u32..=8) {
-            let e = U256::from_limbs([a, b, b.rotate_left(17), a | b]);
-            let digits = naf_digits(&e, w);
-            prop_assert_eq!(naf_reconstruct(&digits), e);
         }
     }
 }

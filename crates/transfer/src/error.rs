@@ -30,6 +30,14 @@ pub enum TransferError {
     /// The certificate does not carry keys for the expected block size or
     /// bit width.
     CertificateShapeMismatch,
+    /// `node_secrets` holds no entry, or fewer than `L` bit keys, for a
+    /// member of the receiving block.
+    MissingNodeSecrets {
+        /// The receiving-block member without usable secrets.
+        node: usize,
+    },
+    /// The final protocol's noise parameter α is not in `(0, 1)`.
+    InvalidNoiseAlpha,
     /// A decryption produced a sum outside the lookup-table window — the
     /// `P_fail` event of Appendix B.
     DecryptionFailure,
@@ -52,6 +60,12 @@ impl fmt::Display for TransferError {
             }
             TransferError::CertificateShapeMismatch => {
                 write!(f, "block certificate has the wrong shape")
+            }
+            TransferError::MissingNodeSecrets { node } => {
+                write!(f, "no bit keys for receiving-block member {node}")
+            }
+            TransferError::InvalidNoiseAlpha => {
+                write!(f, "edge noise parameter alpha must be in (0, 1)")
             }
             TransferError::DecryptionFailure => {
                 write!(
@@ -112,6 +126,12 @@ mod tests {
         assert!(TransferError::CertificateShapeMismatch
             .to_string()
             .contains("shape"));
+        assert!(TransferError::MissingNodeSecrets { node: 7 }
+            .to_string()
+            .contains('7'));
+        assert!(TransferError::InvalidNoiseAlpha
+            .to_string()
+            .contains("(0, 1)"));
         let e: TransferError = CryptoError::MalformedCiphertext.into();
         assert!(e.to_string().contains("crypto"));
         let e: TransferError = MathError::InvalidHex.into();

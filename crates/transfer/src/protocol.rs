@@ -28,12 +28,11 @@ use crate::error::TransferError;
 use crate::setup::{Block, BlockCertificate, NodeSecrets};
 use crate::wire::TransferWire;
 use dstress_crypto::dlog::DlogTable;
-use dstress_crypto::elgamal::{
-    adjust_ciphertext, decrypt, encrypt_bits_shared_c1, encrypt_with_ephemeral, Ciphertext,
-};
+use dstress_crypto::elgamal::{adjust_ciphertext, decrypt, encrypt_with_ephemeral, Ciphertext};
 use dstress_crypto::group::Group;
-use dstress_crypto::kernels::FixedBasePow;
+use dstress_crypto::kernels::{CombDigits, CombPow};
 use dstress_crypto::sharing::{split_xor, BitMessage};
+use dstress_crypto::CryptoError;
 use dstress_dp::geometric::TwoSidedGeometric;
 use dstress_math::rng::DetRng;
 use dstress_math::U256;
@@ -58,11 +57,6 @@ fn wire_hop_cts(
     counts.wire_bytes += encoded.len() as u64;
     TransferWire::decode_exact(&encoded)?.into_adjusted(group)
 }
-
-/// Window width of the per-receiver decryption tables built on the shared
-/// (adjusted) ephemeral component: small, because each table serves only
-/// `L` fused decryptions before being discarded.
-const DECRYPT_WINDOW_BITS: u32 = 4;
 
 /// Which revision of the transfer protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -128,6 +122,13 @@ fn homomorphic_add_signed(group: &Group, ct: &Ciphertext, value: i64) -> Ciphert
     }
 }
 
+/// The parameter of the per-bit-sum noise: the sensitivity of the bit-sum
+/// query is the block size `k + 1`, so the protocol samples from
+/// `Geo(alpha^{2/(k+1)})` and doubles.
+fn edge_noise_parameter(alpha: f64, block_size: usize) -> f64 {
+    alpha.powf(2.0 / block_size as f64)
+}
+
 /// Transfers the shares of one message from block `B_i` to block `B_j`
 /// along the edge `(i, j)`.
 ///
@@ -143,7 +144,11 @@ fn homomorphic_add_signed(group: &Group, ct: &Ciphertext, value: i64) -> Ciphert
 ///
 /// # Errors
 ///
-/// Returns shape-mismatch errors for inconsistent blocks/certificates and
+/// Returns shape-mismatch errors for inconsistent blocks/certificates,
+/// [`TransferError::MissingNodeSecrets`] when `node_secrets` does not
+/// hold `L` bit keys for a receiver member,
+/// [`TransferError::InvalidNoiseAlpha`] for a noise parameter outside
+/// `(0, 1)` — all before the first RNG draw or traffic record — and
 /// [`TransferError::DecryptionFailure`] when a noised sum falls outside
 /// the lookup window.
 #[allow(clippy::too_many_arguments)]
@@ -179,71 +184,40 @@ pub fn transfer_message(
     if certificate.keys.len() != block_size || certificate.keys.iter().any(|k| k.len() != bits) {
         return Err(TransferError::CertificateShapeMismatch);
     }
-
-    match config.variant {
-        ProtocolVariant::Strawman1 => strawman1(
-            group,
-            config,
-            sender_vertex,
-            receiver_vertex,
-            sender_block,
-            receiver_block,
-            sender_shares,
-            node_secrets,
-            certificate,
-            neighbor_key,
-            dlog,
-            traffic,
-            rng,
-        ),
-        ProtocolVariant::Strawman2 => strawman2(
-            group,
-            config,
-            sender_vertex,
-            receiver_vertex,
-            sender_block,
-            receiver_block,
-            sender_shares,
-            node_secrets,
-            certificate,
-            neighbor_key,
-            dlog,
-            traffic,
-            rng,
-        ),
-        ProtocolVariant::Strawman3 => bitwise_protocol(
-            group,
-            config,
-            None,
-            sender_vertex,
-            receiver_vertex,
-            sender_block,
-            receiver_block,
-            sender_shares,
-            node_secrets,
-            certificate,
-            neighbor_key,
-            dlog,
-            traffic,
-            rng,
-        ),
-        ProtocolVariant::Final { alpha } => bitwise_protocol(
-            group,
-            config,
-            Some(alpha),
-            sender_vertex,
-            receiver_vertex,
-            sender_block,
-            receiver_block,
-            sender_shares,
-            node_secrets,
-            certificate,
-            neighbor_key,
-            dlog,
-            traffic,
-            rng,
-        ),
+    for &member in &receiver_block.members {
+        if node_secrets.get(member.0).map_or(0, |s| s.bit_keys.len()) < bits {
+            return Err(TransferError::MissingNodeSecrets { node: member.0 });
+        }
     }
+    if let ProtocolVariant::Final { alpha } = config.variant {
+        // The protocol samples from Geo(α^{2/(k+1)}); an α one ulp below 1
+        // can round that to 1, so the derived parameter is checked too.
+        let in_range = |a: f64| a > 0.0 && a < 1.0;
+        if !in_range(alpha) || !in_range(edge_noise_parameter(alpha, block_size)) {
+            return Err(TransferError::InvalidNoiseAlpha);
+        }
+    }
+
+    let run = match config.variant {
+        ProtocolVariant::Strawman1 => strawman1,
+        ProtocolVariant::Strawman2 => strawman2,
+        ProtocolVariant::Strawman3 | ProtocolVariant::Final { .. } => bitwise_protocol,
+    };
+    run(
+        group,
+        config,
+        sender_vertex,
+        receiver_vertex,
+        sender_block,
+        receiver_block,
+        sender_shares,
+        node_secrets,
+        certificate,
+        neighbor_key,
+        dlog,
+        traffic,
+        rng,
+    )
 }
 
 /// Strawman #1: whole shares, one recipient each.
@@ -441,6 +415,69 @@ fn strawman2(
     })
 }
 
+/// The public-key work of steps 1+2 for all `k + 1` senders of the block:
+/// returns `[y][x]`, the bundle sender member `x` encrypts for receiver
+/// member `y` — exactly what [`encrypt_bits_shared_c1`] yields for `x`'s
+/// sub-share and ephemeral (a unit test pins that).
+///
+/// The simulation plays every sender, and all of them raise the same `L`
+/// certificate keys of member `y` to their own ephemerals.  So the draws
+/// happen first, in `(x, y)` order (the RNG order is pinned), with
+/// `c1 = g^e` through the generator table and `e` recoded once; then the
+/// key terms go key-outer: one comb table per certificate key serves the
+/// `k + 1` ephemerals in lock-step and is dropped, so a single 2 KB table
+/// is live at a time.
+///
+/// [`encrypt_bits_shared_c1`]: dstress_crypto::elgamal::encrypt_bits_shared_c1
+fn encrypt_subshares(
+    group: &Group,
+    certificate: &BlockCertificate,
+    sender_shares: &[BitMessage],
+    bits: usize,
+    rng: &mut dyn DetRng,
+) -> Result<Vec<Vec<Vec<Ciphertext>>>, TransferError> {
+    let block_size = sender_shares.len();
+    if let Some(share) = sender_shares.iter().find(|s| s.bits() as usize != bits) {
+        return Err(TransferError::Crypto(CryptoError::ShareCountMismatch {
+            expected: bits,
+            actual: share.bits() as usize,
+        }));
+    }
+    // Indexed [y][x], so each key's lanes are one slice: the sub-share
+    // with its `c1`, and the recoded ephemeral.
+    let mut bundles = vec![Vec::new(); block_size];
+    let mut digits = vec![Vec::new(); block_size];
+    for share in sender_shares {
+        for (y_idx, subshare) in split_xor(*share, block_size, rng).into_iter().enumerate() {
+            let ephemeral = group.random_nonzero_exponent(rng);
+            bundles[y_idx].push((subshare.value(), group.generator_pow(&ephemeral)));
+            digits[y_idx].push(CombPow::recode(group, &ephemeral));
+        }
+    }
+
+    // The message bits are folded in with multiplications.
+    let bit_elems = [group.encode_exponent(0), group.encode_exponent(1)];
+    let mut key_terms = vec![group.identity(); block_size];
+    // (`vec![v; n]` would clone away the capacity.)
+    let mut encrypted: Vec<Vec<Vec<Ciphertext>>> = (0..block_size)
+        .map(|_| (0..block_size).map(|_| Vec::with_capacity(bits)).collect())
+        .collect();
+    for (y_idx, member_keys) in certificate.keys.iter().enumerate() {
+        for (l, key) in member_keys.iter().enumerate() {
+            CombPow::new(group, key.element()).pow_many(&digits[y_idx], &mut key_terms);
+            let lanes = encrypted[y_idx].iter_mut().zip(&bundles[y_idx]);
+            for ((cts, &(subshare, c1)), &key_term) in lanes.zip(&key_terms) {
+                let bit = (subshare >> l) & 1;
+                cts.push(Ciphertext {
+                    c1,
+                    c2: group.mul(bit_elems[bit as usize], key_term),
+                });
+            }
+        }
+    }
+    Ok(encrypted)
+}
+
 /// Strawmen #3 and the final protocol: bit decomposition, homomorphic
 /// aggregation at `i`, optional geometric noise.
 ///
@@ -451,7 +488,6 @@ fn strawman2(
 fn bitwise_protocol(
     group: &Group,
     config: &TransferConfig,
-    noise_alpha: Option<f64>,
     sender_vertex: NodeId,
     receiver_vertex: NodeId,
     sender_block: &Block,
@@ -475,19 +511,15 @@ fn bitwise_protocol(
     // bundles to its vertex `i`, which files them per receiver member.
     //
     // encrypted[y][x][l] = ciphertext of bit l of x's sub-share for y.
-    let mut encrypted: Vec<Vec<Vec<Ciphertext>>> = vec![Vec::with_capacity(block_size); block_size];
+    let mut encrypted = encrypt_subshares(group, certificate, sender_shares, bits, rng)?;
+    // The hops, in (x, y) order; what vertex `i` files is the decoded copy.
     for (x_idx, &x_node) in sender_block.members.iter().enumerate() {
-        let subshares = split_xor(sender_shares[x_idx], block_size, rng);
-        for (y_idx, subshare) in subshares.iter().enumerate() {
-            let bit_values = subshare.to_bits();
-            let ephemeral = group.random_nonzero_exponent(rng);
-            // `c1 = g^y` through the generator table, shared across the
-            // bits; the key terms stay variable-base.
+        for y_idx in 0..block_size {
+            // What member x's bundle for y costs *in the protocol*: `c1`
+            // through the generator table, then per bit one key-term
+            // exponentiation and one multiply folding the bit in.
             counts.fixed_base_exponentiations += 1;
             counts.exponentiations += bits as u64;
-            let cts =
-                encrypt_bits_shared_c1(group, &certificate.keys[y_idx], &bit_values, &ephemeral)?;
-            // The message bits are folded in with multiplications.
             counts.group_multiplications += bits as u64;
             // Analytic wire size: the shared ephemeral component plus one
             // masked element per bit.
@@ -495,25 +527,25 @@ fn bitwise_protocol(
             traffic.record(x_node, sender_vertex, bytes);
             counts.bytes_sent += bytes;
             // The measured hop: the bundle crosses the wire as a
-            // SubShares message (ephemeral encoded once), and the
-            // decoded copy is what travels on.
-            let encoded = TransferWire::subshares(group, y_idx, &cts).encode();
+            // SubShares message (ephemeral encoded once).
+            let encoded = TransferWire::subshares(group, y_idx, &encrypted[y_idx][x_idx]).encode();
             traffic.record_wire(x_node, sender_vertex, encoded.len() as u64);
             counts.wire_bytes += encoded.len() as u64;
             let (receiver, decoded) =
                 TransferWire::decode_exact(&encoded)?.into_subshares(group)?;
-            encrypted[receiver].push(decoded);
+            encrypted[receiver][x_idx] = decoded;
         }
     }
 
     // Step 3: vertex i homomorphically aggregates per receiver member and
     // bit position, and (final protocol only) folds in even geometric
     // noise.
-    let noise = noise_alpha.map(|alpha| {
-        // Sensitivity of the bit-sum query is the block size k + 1; the
-        // protocol therefore samples from Geo(alpha^{2/(k+1)}) and doubles.
-        TwoSidedGeometric::new(alpha.powf(2.0 / block_size as f64))
-    });
+    let noise = match config.variant {
+        ProtocolVariant::Final { alpha } => Some(TwoSidedGeometric::new(edge_noise_parameter(
+            alpha, block_size,
+        ))),
+        _ => None,
+    };
     let mut aggregated: Vec<Vec<Ciphertext>> = Vec::with_capacity(block_size);
     for per_receiver in &encrypted {
         // Every sender's L ciphertexts for this receiver share one
@@ -586,16 +618,24 @@ fn bitwise_protocol(
     // fresh share.
     let mut receiver_shares = Vec::with_capacity(block_size);
     for (&y_node, cts) in receiver_block.members.iter().zip(&adjusted_bundles) {
-        // All L adjusted ciphertexts share one ephemeral component, so a
-        // small per-receiver fixed-base table serves every fused
-        // decryption `c2 · c1^(q − x_l)`.
-        let decrypt_table = FixedBasePow::new(group, cts[0].c1, DECRYPT_WINDOW_BITS);
+        // All L adjusted ciphertexts share one ephemeral component, so one
+        // comb table on it serves every fused decryption
+        // `c2 · c1^(q − x_l)`, the L secrets in lock-step.
+        let negated: Vec<CombDigits> = node_secrets[y_node.0].bit_keys[..bits]
+            .iter()
+            .map(|kp| {
+                let neg = group
+                    .q()
+                    .wrapping_sub(&kp.secret.exponent().rem(&group.q()));
+                CombPow::recode(group, &neg)
+            })
+            .collect();
+        let mut masks = vec![group.identity(); bits];
+        CombPow::new(group, cts[0].c1).pow_many(&negated, &mut masks);
         let mut bit_shares = Vec::with_capacity(bits);
-        for (l, ct) in cts.iter().enumerate() {
-            let secret = &node_secrets[y_node.0].bit_keys[l].secret;
+        for (ct, &mask) in cts.iter().zip(&masks) {
             counts.fixed_base_exponentiations += 1;
-            let neg = group.q().wrapping_sub(&secret.exponent().rem(&group.q()));
-            let elem = group.mul(ct.c2, decrypt_table.pow(&neg));
+            let elem = group.mul(ct.c2, mask);
             let sum = dlog
                 .lookup_signed(group, elem)
                 .map_err(|_| TransferError::DecryptionFailure)?;
@@ -617,6 +657,7 @@ fn bitwise_protocol(
 mod tests {
     use super::*;
     use crate::setup::generate_system;
+    use dstress_crypto::elgamal::encrypt_bits_shared_c1;
     use dstress_crypto::sharing::xor_reconstruct;
     use dstress_math::rng::Xoshiro256;
     use proptest::prelude::*;
@@ -841,6 +882,155 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TransferError::BlockSizeMismatch { .. }));
+    }
+
+    /// A fixed-seed transfer over the edge (0, 1) whose arguments one test
+    /// can bend: returns the result, the traffic it recorded and the RNG.
+    fn try_transfer(
+        fx: &Fixture,
+        variant: ProtocolVariant,
+        secrets: &[NodeSecrets],
+    ) -> (
+        Result<TransferOutcome, TransferError>,
+        TrafficAccountant,
+        Xoshiro256,
+    ) {
+        let config = TransferConfig {
+            variant,
+            message_bits: BITS,
+        };
+        let mut rng = Xoshiro256::new(31);
+        let mut traffic = TrafficAccountant::new();
+        let result = transfer_message(
+            &fx.group,
+            &config,
+            NodeId(0),
+            NodeId(1),
+            &fx.setup.blocks[0],
+            &fx.setup.blocks[1],
+            &[BitMessage::zero(BITS); 4],
+            secrets,
+            &fx.setup.certificates[1][0],
+            &fx.secrets[1].neighbor_keys[0],
+            &fx.dlog,
+            &mut traffic,
+            &mut rng,
+        );
+        (result, traffic, rng)
+    }
+
+    /// A rejected transfer drew nothing and recorded nothing.
+    fn assert_untouched(traffic: &TrafficAccountant, mut rng: Xoshiro256) {
+        assert!(traffic.sorted_node_entries().is_empty());
+        assert_eq!(rng.next_u64(), Xoshiro256::new(31).next_u64());
+    }
+
+    #[test]
+    fn out_of_range_noise_alpha_is_a_typed_error() {
+        let fx = fixture(3);
+        // The last one is inside (0, 1) but α^{2/(k+1)} rounds to 1.
+        for alpha in [1.0, 0.0, -0.5, 4.0, f64::NAN, 1.0 - f64::EPSILON / 2.0] {
+            let (result, traffic, rng) =
+                try_transfer(&fx, ProtocolVariant::Final { alpha }, &fx.secrets);
+            assert_eq!(
+                result.unwrap_err(),
+                TransferError::InvalidNoiseAlpha,
+                "{alpha}"
+            );
+            assert_untouched(&traffic, rng);
+        }
+        let smallest = ProtocolVariant::Final {
+            alpha: f64::MIN_POSITIVE,
+        };
+        assert!(try_transfer(&fx, smallest, &fx.secrets).0.is_ok());
+    }
+
+    #[test]
+    fn missing_node_secrets_are_a_typed_error() {
+        let fx = fixture(3);
+        let last_member = fx.setup.blocks[1]
+            .members
+            .iter()
+            .map(|m| m.0)
+            .max()
+            .unwrap();
+        // Secrets that stop short of a receiver member ...
+        let truncated = &fx.secrets[..last_member];
+        // ... and secrets that cover it with fewer than L bit keys.
+        let mut short_keys = fx.secrets.clone();
+        short_keys[last_member].bit_keys.truncate(BITS as usize - 1);
+        for variant in [
+            ProtocolVariant::Strawman1,
+            ProtocolVariant::Strawman3,
+            ProtocolVariant::Final { alpha: 0.5 },
+        ] {
+            for secrets in [truncated, &short_keys[..]] {
+                let (result, traffic, rng) = try_transfer(&fx, variant, secrets);
+                assert_eq!(
+                    result.unwrap_err(),
+                    TransferError::MissingNodeSecrets { node: last_member }
+                );
+                assert_untouched(&traffic, rng);
+            }
+        }
+    }
+
+    #[test]
+    fn key_outer_sender_path_equals_per_sender_encryption() {
+        // The sender side builds one table per certificate key and serves
+        // all k + 1 ephemerals from it; every bundle must be exactly the
+        // ciphertexts the per-sender reference computes for that ephemeral.
+        for (group, collusion_bound) in [(Group::sim64(), 2), (Group::prod256(), 7)] {
+            let block_size = collusion_bound + 1;
+            let mut rng = Xoshiro256::new(0xE0);
+            let (_, setup) =
+                generate_system(&group, 9, collusion_bound, 1, BITS, &mut rng).unwrap();
+            let certificate = &setup.certificates[1][0];
+            let message = BitMessage::new(0xC5, BITS).unwrap();
+            let sender_shares = split_xor(message, block_size, &mut rng);
+
+            let mut reference_rng = rng.clone();
+            let encrypted =
+                encrypt_subshares(&group, certificate, &sender_shares, BITS as usize, &mut rng)
+                    .unwrap();
+            assert_eq!(encrypted.len(), block_size);
+            for (x_idx, share) in sender_shares.iter().enumerate() {
+                let subshares = split_xor(*share, block_size, &mut reference_rng);
+                for (y_idx, subshare) in subshares.iter().enumerate() {
+                    let ephemeral = group.random_nonzero_exponent(&mut reference_rng);
+                    let reference = encrypt_bits_shared_c1(
+                        &group,
+                        &certificate.keys[y_idx],
+                        &subshare.to_bits(),
+                        &ephemeral,
+                    )
+                    .unwrap();
+                    assert_eq!(encrypted[y_idx][x_idx], reference, "x={x_idx} y={y_idx}");
+                }
+            }
+            assert_eq!(rng.next_u64(), reference_rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn share_width_mismatch_is_a_typed_error() {
+        // A share narrower than L used to surface from the per-bundle
+        // encryption; the key-outer path checks it before any draw.
+        let fx = fixture(3);
+        let mut rng = Xoshiro256::new(1);
+        let err = encrypt_subshares(
+            &fx.group,
+            &fx.setup.certificates[1][0],
+            &[BitMessage::zero(BITS - 1); 4],
+            BITS as usize,
+            &mut rng,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            TransferError::Crypto(CryptoError::ShareCountMismatch { .. })
+        ));
+        assert_eq!(rng.next_u64(), Xoshiro256::new(1).next_u64());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 use crate::error::TransferError;
 use dstress_crypto::elgamal::{KeyPair, PublicKey};
 use dstress_crypto::group::Group;
+use dstress_crypto::kernels::{CombDigits, CombPow};
 use dstress_math::rng::DetRng;
 use dstress_math::U256;
 use dstress_net::traffic::NodeId;
@@ -194,39 +195,57 @@ impl TrustedParty {
         let (blocks, aggregation_block, assignment_signature) =
             self.assign_blocks(n, block_size, rng);
 
-        // Build the D certificates for every node's block.
-        let mut certificates = Vec::with_capacity(n);
-        for i in 0..n {
-            let (_, neighbor_keys) = &registrations[i];
-            let mut node_certs = Vec::with_capacity(degree_bound);
-            for (j, neighbor_key) in neighbor_keys.iter().enumerate() {
-                let mut keys = Vec::with_capacity(block_size);
-                for &member in &blocks[i].members {
-                    let member_keys = &registrations[member.0].0;
-                    let rerandomized: Vec<PublicKey> = member_keys
-                        .iter()
-                        .map(|pk| {
-                            dstress_crypto::elgamal::rerandomize_public_key(group, pk, neighbor_key)
-                        })
-                        .collect();
-                    keys.push(rerandomized);
+        // Build the D certificates for every node's block: certificate
+        // (i, j) holds the bit keys of B_i's members raised to i's j-th
+        // neighbor key (`rerandomize_public_key`, entry by entry).  A
+        // registered key is raised to the neighbor keys of *every* block
+        // its node sits in, so the work goes key-outer: each neighbor key
+        // is recoded once, and one comb table per registered bit key
+        // serves all of those exponents in lock-step.
+        let mut certificates: Vec<Vec<BlockCertificate>> = (0..n)
+            .map(|i| {
+                (0..degree_bound)
+                    .map(|j| BlockCertificate {
+                        block_owner: NodeId(i),
+                        neighbor_index: j,
+                        // (`vec![v; n]` would clone away the capacity.)
+                        keys: (0..block_size)
+                            .map(|_| Vec::with_capacity(message_bits as usize))
+                            .collect(),
+                        signature: 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let neighbor_digits: Vec<Vec<CombDigits>> = registrations
+            .iter()
+            .map(|(_, keys)| keys.iter().map(|r| CombPow::recode(group, r)).collect())
+            .collect();
+        for (member, (member_keys, _)) in registrations.iter().enumerate() {
+            // Every (block, position) this node fills, and their exponents.
+            let seats: Vec<(usize, usize)> = blocks
+                .iter()
+                .enumerate()
+                .filter_map(|(i, b)| Some((i, b.member_index(NodeId(member))?)))
+                .collect();
+            let digits: Vec<CombDigits> = seats
+                .iter()
+                .flat_map(|&(i, _)| neighbor_digits[i].iter().copied())
+                .collect();
+            let mut rerandomized = vec![group.identity(); digits.len()];
+            for pk in member_keys {
+                CombPow::new(group, pk.element()).pow_many(&digits, &mut rerandomized);
+                let mut lanes = rerandomized.iter();
+                for &(i, position) in &seats {
+                    for cert in &mut certificates[i] {
+                        let key = lanes.next().expect("one lane per (seat, neighbor key)");
+                        cert.keys[position].push(PublicKey::from_element(*key));
+                    }
                 }
-                let signature = tag(
-                    self.signing_key,
-                    keys.iter().flat_map(|member_keys| {
-                        member_keys
-                            .iter()
-                            .flat_map(|pk| group.elem_to_int(pk.element()).to_be_bytes())
-                    }),
-                );
-                node_certs.push(BlockCertificate {
-                    block_owner: NodeId(i),
-                    neighbor_index: j,
-                    keys,
-                    signature,
-                });
             }
-            certificates.push(node_certs);
+        }
+        for cert in certificates.iter_mut().flatten() {
+            cert.signature = self.certificate_tag(group, cert);
         }
 
         Ok(SystemSetup {
@@ -242,15 +261,20 @@ impl TrustedParty {
 
     /// Verifies a block certificate's integrity tag.
     pub fn verify_certificate(&self, group: &Group, cert: &BlockCertificate) -> bool {
-        let expected = tag(
+        self.certificate_tag(group, cert) == cert.signature
+    }
+
+    /// The integrity tag over a certificate's keys, in `keys[member][bit]`
+    /// order.
+    fn certificate_tag(&self, group: &Group, cert: &BlockCertificate) -> u64 {
+        tag(
             self.signing_key,
             cert.keys.iter().flat_map(|member_keys| {
                 member_keys
                     .iter()
                     .flat_map(|pk| group.elem_to_int(pk.element()).to_be_bytes())
             }),
-        );
-        expected == cert.signature
+        )
     }
 
     /// Verifies the block-assignment signature of a setup.
@@ -450,6 +474,35 @@ mod tests {
                     for pk in member_keys {
                         assert!(!all_public.contains(&pk.element()));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certificates_equal_per_entry_rerandomization() {
+        // The key-outer build must place, at every (i, j, member, bit),
+        // exactly what the per-entry reference computes.
+        let (group, secrets, setup) = small_system();
+        for (i, node_certs) in setup.certificates.iter().enumerate() {
+            for (j, cert) in node_certs.iter().enumerate() {
+                assert_eq!((cert.block_owner, cert.neighbor_index), (NodeId(i), j));
+                for (position, &member) in setup.blocks[i].members.iter().enumerate() {
+                    let expected: Vec<PublicKey> = secrets[member.0]
+                        .public_bit_keys()
+                        .iter()
+                        .map(|pk| {
+                            dstress_crypto::elgamal::rerandomize_public_key(
+                                &group,
+                                pk,
+                                &secrets[i].neighbor_keys[j],
+                            )
+                        })
+                        .collect();
+                    assert_eq!(
+                        cert.keys[position], expected,
+                        "cert ({i}, {j}) member {position}"
+                    );
                 }
             }
         }

@@ -207,6 +207,24 @@ run_tests -q -p dstress-net --test socket_faults
 run_tests -q -p dstress-net frame::
 run_tests -q -p dstress-net socket::
 
+echo "==> sessions: faults on a shared connection, the stream envelope, multiplexed determinism, lane shapes"
+# One mesh carries many block MPCs as streams.  A fault injected
+# mid-stream ends the whole run with its typed error and a late frame for
+# a retired stream is dropped; the `uvarint(stream) ‖ payload` envelope is
+# pinned as bytes, written and read; executions multiplexed over a reused
+# session hit the unregenerated fingerprints and equal one-group runs; the
+# lane function takes any window shape (empty, one task, fewer tasks than
+# lanes, mixed block sizes) and a worker batch that rolls its sessions
+# over equals the per-task door outcome for outcome.
+run_tests -q -p dstress-net --test socket_faults shared_connection_faults_end_the_run_with_their_typed_error
+run_tests -q -p dstress-net --test socket_faults late_frames_for_retired_streams_are_dropped
+run_tests -q -p dstress-net --test socket_faults golden_stream_frame_is_delivered_to_its_stream
+run_tests --release -q -p dstress-mpc --test transport_determinism stream_envelope_golden_fixture_and_rejection
+run_tests --release -q -p dstress-mpc --test transport_determinism layered_execution_matches_the_pinned_fingerprints
+run_tests --release -q -p dstress-mpc --test transport_determinism prop_multiplexed_sessions_equal_one_group_runs
+run_tests -q -p dstress-core exec::tests
+run_tests -q -p dstress-deploy a_batch_that_rolls_sessions_over_equals_the_per_task_door
+
 echo "==> deployment: engine-level transport invariance + master/worker units"
 run_tests --release -q -p dstress-core transport_kind_does_not_change_results
 run_tests -q -p dstress-deploy --lib

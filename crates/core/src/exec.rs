@@ -21,6 +21,17 @@
 //! bytes, so a remote worker that decodes a task computes bit-for-bit
 //! what the local pool would have.
 //!
+//! A window's computation steps go through one function wherever they
+//! run — [`execute_block_steps`], called by [`LocalExecutor`] and by the
+//! deployment worker alike.  It cuts the window into *lanes*, one
+//! [`dstress_net::transport::Session`] each, and a lane keeps a bounded
+//! number of block MPCs in flight on its session as concurrent streams
+//! ([`dstress_mpc::gmw::execute_batch`]).  On sockets a lane is a
+//! worker's contiguous share of the window, so a window costs one TCP
+//! mesh per worker instead of one per block MPC; in process a session
+//! costs nothing and every task is a lane of its own.
+//! [`execute_block_step_task`] is the lane of one task.
+//!
 //! Because tasks carry *copies* of their input shares, the engine's
 //! [`crate::store::StateStore`] backends are only ever touched from the
 //! scheduling thread — workers (threads or remote processes) never see a
@@ -34,15 +45,15 @@ use dstress_circuit::Circuit;
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::group::Group;
 use dstress_crypto::sharing::{split_xor, xor_reconstruct, BitMessage};
-use dstress_math::rng::Xoshiro256;
-use dstress_mpc::gmw::{GmwConfig, GmwProtocol};
+use dstress_math::rng::{DetRng, Xoshiro256};
+use dstress_mpc::gmw::{execute_batch, GmwJob};
 use dstress_mpc::party::OtConfig;
-use dstress_mpc::{GmwBatching, GmwMessage};
+use dstress_mpc::{GmwBatching, GmwMessage, MpcError};
 use dstress_net::cost::OperationCounts;
 use dstress_net::pool::parallel_map;
 use dstress_net::socket::SocketTransport;
 use dstress_net::traffic::{NodeId, NodeTraffic, TrafficAccountant};
-use dstress_net::transport::{SimTransport, Transport};
+use dstress_net::transport::{Session, SimTransport, Transport};
 use dstress_transfer::protocol::{transfer_message, TransferConfig};
 use dstress_transfer::setup::{NodeSecrets, SystemSetup};
 
@@ -190,8 +201,10 @@ impl StepExecutor for LocalExecutor {
         // most the configured pool: a streaming window of small block
         // MPCs stays on the calling thread, where its time does not
         // depend on how soon the host schedules a second thread.  (A
-        // socket MPC costs its TCP mesh whatever its gates, so those
-        // always get the configured pool.)
+        // socket MPC is bound by the syscalls of its passes, not by its
+        // gates, and a lane shares those among the MPCs it keeps in
+        // flight — so socket windows get the configured pool at any
+        // gate count.)
         let configured = ctx.config.concurrency.worker_threads();
         let threads = match ctx.config.transport {
             TransportKind::Socket => configured,
@@ -205,22 +218,15 @@ impl StepExecutor for LocalExecutor {
                 configured.min((and_pairs / MIN_AND_PAIRS_PER_WORKER).max(1))
             }
         };
-        let update_circuit = ctx.update_circuit;
-        let batching = ctx.config.gmw_batching;
-        let transport = ctx.config.transport;
-        let (state_bits, message_bits) = (ctx.state_bits, ctx.message_bits);
-        parallel_map(tasks, threads, move |_off, task| {
-            execute_block_step_task(
-                update_circuit,
-                batching,
-                transport,
-                state_bits,
-                message_bits,
-                task,
-            )
-        })
-        .into_iter()
-        .collect()
+        execute_block_steps(
+            ctx.update_circuit,
+            ctx.config.gmw_batching,
+            ctx.config.transport,
+            ctx.state_bits,
+            ctx.message_bits,
+            tasks,
+            threads,
+        )
     }
 
     fn run_transfers(
@@ -258,8 +264,89 @@ pub fn mpc_transport(kind: TransportKind) -> Box<dyn Transport<GmwMessage>> {
     }
 }
 
+/// Block MPCs a lane keeps in flight on its session at once.
+///
+/// Every execution in flight holds its parties (wire values, OT state)
+/// and whatever of its messages sits in the links' queues and buffers, so
+/// the number is a trade of syscalls shared against memory held.
+/// Measured on 2 vCPUs with 600 block-3 counter MPCs (width 8, D = 5) on
+/// one lane, µs per MPC over five runs: 1 in flight 212–275, 4 in flight
+/// 70–80, 8 in flight 60–73, 16 in flight 64–72, against 30–39 in
+/// process.  `deploy-loopback` `peak_heap_bytes` (bound: 3 % of 3.68 MB)
+/// reads 3 675 182 B at 1 and at 8, 3 677 634 B at 16 — flat, because the
+/// driver flushes a link's write queue early once it holds 8 KiB; without
+/// that the same 8 in flight read 5.29 MB.  Past 8 nothing is gained: the
+/// remaining cost is the per-pass reads and the GMW work itself.
+const STREAMS_IN_FLIGHT: usize = 8;
+
+/// Executes one window's computation-step tasks on `threads` workers and
+/// returns their outcomes in task order — the one fan-out behind
+/// [`LocalExecutor`] and the deployment worker.
+///
+/// The window is cut into lanes, each with a transport session of its
+/// own.  A socket session costs a TCP mesh, so socket lanes are as long as
+/// the pool allows: one contiguous lane per worker.  An in-process session
+/// costs nothing, so there every task is its own lane and the pool hands
+/// them out one by one.  Any window is fine — empty, one task, fewer tasks
+/// than workers, tasks of different block sizes.
+///
+/// # Errors
+///
+/// Returns the first failing task's error: [`RuntimeError::Mpc`] for a
+/// malformed task (fewer than two members, misshapen input shares —
+/// refused before a session is opened for its sub-batch) or a failed
+/// transport run.
+pub fn execute_block_steps(
+    update_circuit: &Circuit,
+    batching: GmwBatching,
+    transport: TransportKind,
+    state_bits: usize,
+    message_bits: usize,
+    tasks: Vec<BlockStepTask>,
+    threads: usize,
+) -> Result<Vec<BlockStepOutcome>, RuntimeError> {
+    match transport {
+        TransportKind::Sim => parallel_map(tasks, threads, |_off, task| {
+            execute_block_step_task(
+                update_circuit,
+                batching,
+                transport,
+                state_bits,
+                message_bits,
+                task,
+            )
+        })
+        .into_iter()
+        .collect(),
+        TransportKind::Socket => {
+            let total = tasks.len();
+            let lane_len = total.div_ceil(threads.max(1)).max(1);
+            let mut tasks = tasks.into_iter();
+            let lanes: Vec<Vec<BlockStepTask>> = (0..total.div_ceil(lane_len))
+                .map(|_| tasks.by_ref().take(lane_len).collect())
+                .collect();
+            let lanes = parallel_map(lanes, threads, |_off, lane| {
+                run_lane(
+                    update_circuit,
+                    batching,
+                    transport,
+                    state_bits,
+                    message_bits,
+                    lane,
+                )
+            });
+            let mut outcomes = Vec::with_capacity(total);
+            for lane in lanes {
+                outcomes.extend(lane?);
+            }
+            Ok(outcomes)
+        }
+    }
+}
+
 /// Executes one computation-step task: a pure function of the task and
-/// the run-wide job parameters, identical on every placement.
+/// the run-wide job parameters, identical on every placement.  This is
+/// the lane of one task, on a session of its own.
 pub fn execute_block_step_task(
     update_circuit: &Circuit,
     batching: GmwBatching,
@@ -268,36 +355,80 @@ pub fn execute_block_step_task(
     message_bits: usize,
     task: BlockStepTask,
 ) -> Result<BlockStepOutcome, RuntimeError> {
-    let mut rng = Xoshiro256::new(task.seed);
-    let mut traffic = TrafficAccountant::new();
-    let block_size = task.members.len();
-    let protocol =
-        GmwProtocol::new(GmwConfig::with_node_ids(task.members.clone()).with_batching(batching))?;
-    let transport = mpc_transport(transport);
-    let exec = protocol.execute_on(
-        &*transport,
+    let mut outcomes = run_lane(
         update_circuit,
-        &task.input_shares,
-        &OtConfig::extension(),
-        &mut traffic,
-        &mut rng,
+        batching,
+        transport,
+        state_bits,
+        message_bits,
+        vec![task],
     )?;
+    Ok(outcomes.pop().expect("one task yields one outcome"))
+}
 
-    let mut new_state = Vec::with_capacity(block_size);
-    let mut outgoing = vec![vec![Vec::new(); block_size]; task.out_slots as usize];
-    for (m_idx, member_outputs) in exec.output_shares.iter().enumerate() {
-        new_state.push(member_outputs[..state_bits].to_vec());
-        for (slot, per_member) in outgoing.iter_mut().enumerate() {
-            let start = state_bits + slot * message_bits;
-            per_member[m_idx] = member_outputs[start..start + message_bits].to_vec();
+/// Runs a lane's tasks in order over one session, [`STREAMS_IN_FLIGHT`]
+/// at a time.  Each task is consumed as its sub-batch starts (its shares
+/// move into the GMW parties) and its outcome is cut as the sub-batch
+/// retires, so at most one sub-batch of parties exists at any moment.
+///
+/// A session connects a fixed number of nodes, so a sub-batch is a run of
+/// tasks with one block size; where the size changes the lane opens a new
+/// session for it.
+fn run_lane(
+    update_circuit: &Circuit,
+    batching: GmwBatching,
+    transport: TransportKind,
+    state_bits: usize,
+    message_bits: usize,
+    lane: Vec<BlockStepTask>,
+) -> Result<Vec<BlockStepOutcome>, RuntimeError> {
+    let transport = mpc_transport(transport);
+    let ot = OtConfig::extension();
+    let mut session: Option<Box<dyn Session<GmwMessage> + '_>> = None;
+    let mut outcomes = Vec::with_capacity(lane.len());
+    let mut lane = lane.into_iter().peekable();
+    while let Some(first) = lane.peek() {
+        let block_size = first.members.len();
+        let mut jobs = Vec::with_capacity(STREAMS_IN_FLIGHT);
+        let mut out_slots = Vec::with_capacity(STREAMS_IN_FLIGHT);
+        while jobs.len() < STREAMS_IN_FLIGHT {
+            let Some(task) = lane.next_if(|task| task.members.len() == block_size) else {
+                break;
+            };
+            let job = GmwJob {
+                node_ids: task.members,
+                input_shares: task.input_shares,
+                master_seed: Xoshiro256::new(task.seed).next_u64(),
+            };
+            // Shapes first: a malformed task must not cost a mesh.
+            job.check(update_circuit)?;
+            jobs.push(job);
+            out_slots.push(task.out_slots as usize);
+        }
+        let session = match &mut session {
+            Some(open) if open.nodes() == block_size => open,
+            stale => stale.insert(transport.open(block_size).map_err(MpcError::Transport)?),
+        };
+        let executions = execute_batch(&mut **session, update_circuit, batching, &ot, jobs)?;
+        for ((execution, traffic), out_slots) in executions.into_iter().zip(out_slots) {
+            let mut new_state = Vec::with_capacity(block_size);
+            let mut outgoing = vec![vec![Vec::new(); block_size]; out_slots];
+            for (m_idx, member_outputs) in execution.output_shares.iter().enumerate() {
+                new_state.push(member_outputs[..state_bits].to_vec());
+                for (slot, per_member) in outgoing.iter_mut().enumerate() {
+                    let start = state_bits + slot * message_bits;
+                    per_member[m_idx] = member_outputs[start..start + message_bits].to_vec();
+                }
+            }
+            outcomes.push(BlockStepOutcome {
+                new_state,
+                outgoing,
+                counts: execution.counts,
+                traffic: traffic.sorted_node_entries(),
+            });
         }
     }
-    Ok(BlockStepOutcome {
-        new_state,
-        outgoing,
-        counts: exec.counts,
-        traffic: traffic.sorted_node_entries(),
-    })
+    Ok(outcomes)
 }
 
 /// The local real-crypto transfer path: certificates and key material
@@ -430,5 +561,156 @@ pub fn execute_accounted_transfer_task(
         receiver_shares: receiver_shares.iter().map(BitMessage::to_bits).collect(),
         counts,
         traffic: traffic.sorted_node_entries(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::{CounterProgram, SecureVertexProgram};
+
+    const DEGREE: usize = 2;
+
+    fn program() -> CounterProgram {
+        CounterProgram {
+            width: 6,
+            rounds: 1,
+        }
+    }
+
+    /// A well-formed task for vertex `v` with `block_size` members.
+    fn task(circuit: &Circuit, v: u64, block_size: usize) -> BlockStepTask {
+        let mut rng = Xoshiro256::new(0xB10C ^ v);
+        BlockStepTask {
+            vertex: v,
+            seed: rng.next_u64(),
+            members: (0..block_size)
+                .map(|m| NodeId(v as usize * 10 + m))
+                .collect(),
+            out_slots: v % (DEGREE as u64 + 1),
+            input_shares: (0..block_size)
+                .map(|_| (0..circuit.num_inputs()).map(|_| rng.next_bool()).collect())
+                .collect(),
+        }
+    }
+
+    fn run_window(
+        circuit: &Circuit,
+        transport: TransportKind,
+        tasks: Vec<BlockStepTask>,
+        threads: usize,
+    ) -> Result<Vec<BlockStepOutcome>, RuntimeError> {
+        let p = program();
+        execute_block_steps(
+            circuit,
+            GmwBatching::Layered,
+            transport,
+            p.state_bits() as usize,
+            p.message_bits() as usize,
+            tasks,
+            threads,
+        )
+    }
+
+    /// The reference: every task alone through the per-task door, in
+    /// process.
+    fn one_by_one(circuit: &Circuit, tasks: &[BlockStepTask]) -> Vec<BlockStepOutcome> {
+        let p = program();
+        tasks
+            .iter()
+            .map(|task| {
+                execute_block_step_task(
+                    circuit,
+                    GmwBatching::Layered,
+                    TransportKind::Sim,
+                    p.state_bits() as usize,
+                    p.message_bits() as usize,
+                    task.clone(),
+                )
+                .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn windows_of_any_size_equal_the_per_task_door() {
+        let circuit = program().update_circuit(DEGREE);
+        // Empty, one task, fewer tasks than lanes, and enough that every
+        // lane's session rolls over into further sub-batches.
+        for size in [0usize, 1, 3, 2 * STREAMS_IN_FLIGHT * 2 + 3] {
+            let tasks: Vec<BlockStepTask> =
+                (0..size as u64).map(|v| task(&circuit, v, 3)).collect();
+            let expected = one_by_one(&circuit, &tasks);
+            for transport in [TransportKind::Sim, TransportKind::Socket] {
+                for threads in [0, 1, 2, 4] {
+                    let got = run_window(&circuit, transport, tasks.clone(), threads).unwrap();
+                    assert_eq!(
+                        got, expected,
+                        "{size} tasks, {transport:?}, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_block_sizes_run_as_separate_sub_batches() {
+        // A lane whose tasks disagree on the member count: every run of
+        // equal sizes gets a session of that size.
+        let circuit = program().update_circuit(DEGREE);
+        let sizes = [3usize, 3, 4, 4, 4, 2, 3, 5, 5, 3];
+        let tasks: Vec<BlockStepTask> = sizes
+            .iter()
+            .enumerate()
+            .map(|(v, &block_size)| task(&circuit, v as u64, block_size))
+            .collect();
+        let expected = one_by_one(&circuit, &tasks);
+        for transport in [TransportKind::Sim, TransportKind::Socket] {
+            for threads in [1, 2, 3] {
+                let got = run_window(&circuit, transport, tasks.clone(), threads).unwrap();
+                assert_eq!(got, expected, "{transport:?}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_tasks_are_typed_errors_not_panics() {
+        let circuit = program().update_circuit(DEGREE);
+        for transport in [TransportKind::Sim, TransportKind::Socket] {
+            // A block of one, in the middle of a lane of well-formed tasks.
+            let mut tasks: Vec<BlockStepTask> = (0..5).map(|v| task(&circuit, v, 3)).collect();
+            tasks[2] = task(&circuit, 2, 1);
+            let err = run_window(&circuit, transport, tasks, 2).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RuntimeError::Mpc(MpcError::TooFewParties { parties: 1 })
+                ),
+                "{transport:?}: {err:?}"
+            );
+            // No members at all.
+            let err = run_window(&circuit, transport, vec![task(&circuit, 0, 0)], 2).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RuntimeError::Mpc(MpcError::TooFewParties { parties: 0 })
+                ),
+                "{transport:?}: {err:?}"
+            );
+            // Fewer share vectors than members, and a share of the wrong
+            // width.
+            let mut short = task(&circuit, 1, 3);
+            short.input_shares.pop();
+            let mut narrow = task(&circuit, 1, 3);
+            narrow.input_shares[1].pop();
+            for bad in [short, narrow] {
+                let tasks = vec![task(&circuit, 0, 3), bad, task(&circuit, 2, 3)];
+                let err = run_window(&circuit, transport, tasks, 1).unwrap_err();
+                assert!(
+                    matches!(err, RuntimeError::Mpc(MpcError::InputShareMismatch { .. })),
+                    "{transport:?}: {err:?}"
+                );
+            }
+        }
     }
 }

@@ -26,6 +26,16 @@
 //! [`GmwProtocol::execute`] is the convenience entry point over the
 //! deterministic backend.
 //!
+//! [`execute_batch`] is the door everything goes through: it runs several
+//! executions of one circuit — each a [`GmwJob`] with its own members,
+//! shares and seed — as the concurrent groups of one
+//! [`dstress_net::transport::Session`], so the block MPCs of a window
+//! share a socket mesh instead of building one each.
+//! [`GmwProtocol::execute_seeded`] is the batch of one on a session of
+//! its own.  Executions never interact: an execution's shares, counts,
+//! rounds and bytes are the same alone, in a batch, and on either
+//! backend.
+//!
 //! The executor measures, for every run: per-party bytes sent/received,
 //! the number of OTs and AND gates, and the number of communication
 //! rounds.  Those measurements feed the harness directly.
@@ -37,7 +47,8 @@ use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
-use dstress_net::transport::{NodeActor, SimTransport, Transport};
+use dstress_net::transport::{NodeActor, Session, SimTransport, Transport};
+use dstress_net::wire::WireTally;
 
 /// Configuration of a GMW execution.
 #[derive(Clone, Debug)]
@@ -199,96 +210,203 @@ impl GmwProtocol {
         traffic: &mut TrafficAccountant,
         master_seed: u64,
     ) -> Result<GmwExecution, MpcError> {
-        let n = self.config.parties;
-        if input_shares.len() != n {
+        // The memoised layering is built on first use and is the largest
+        // transient of a big circuit's run: build it before the shares
+        // are copied, not while every copy exists.
+        circuit.layers();
+        let job = GmwJob {
+            node_ids: self.config.node_ids.clone(),
+            input_shares: input_shares.to_vec(),
+            master_seed,
+        };
+        // Shapes first: a malformed job must not cost a mesh.
+        job.check(circuit)?;
+        let mut session = transport
+            .open(self.config.parties)
+            .map_err(MpcError::Transport)?;
+        let (execution, flows) =
+            execute_batch(&mut *session, circuit, self.config.batching, ot, vec![job])?
+                .pop()
+                .expect("one job yields one execution");
+        traffic.merge(&flows);
+        Ok(execution)
+    }
+}
+
+/// One execution of a batch: what differs between the block MPCs that
+/// share a session (the circuit, the batching mode and the OT provider
+/// are the batch's).
+#[derive(Clone, Debug)]
+pub struct GmwJob {
+    /// Node identities used for traffic accounting, one per party.
+    pub node_ids: Vec<NodeId>,
+    /// `input_shares[p]` is party `p`'s share of every circuit input.
+    pub input_shares: Vec<Vec<bool>>,
+    /// Seed of every party's randomness and every pair's OT provider.
+    pub master_seed: u64,
+}
+
+impl GmwJob {
+    /// The shape checks [`execute_batch`] starts with, for a caller that
+    /// wants them before it opens a session.
+    ///
+    /// # Errors
+    ///
+    /// [`MpcError::TooFewParties`] for fewer than two parties,
+    /// [`MpcError::InputShareMismatch`] unless every party has one share
+    /// bit per circuit input.
+    pub fn check(&self, circuit: &Circuit) -> Result<(), MpcError> {
+        let n = self.node_ids.len();
+        if n < 2 {
+            return Err(MpcError::TooFewParties { parties: n });
+        }
+        if self.input_shares.len() != n {
             return Err(MpcError::InputShareMismatch {
                 expected: n,
-                actual: input_shares.len(),
+                actual: self.input_shares.len(),
             });
         }
-        for shares in input_shares {
-            if shares.len() != circuit.num_inputs() {
-                return Err(MpcError::InputShareMismatch {
-                    expected: circuit.num_inputs(),
-                    actual: shares.len(),
-                });
-            }
+        match self
+            .input_shares
+            .iter()
+            .find(|shares| shares.len() != circuit.num_inputs())
+        {
+            Some(shares) => Err(MpcError::InputShareMismatch {
+                expected: circuit.num_inputs(),
+                actual: shares.len(),
+            }),
+            None => Ok(()),
         }
+    }
+}
 
-        let mut parties: Vec<GmwParty> = (0..n)
-            .map(|p| {
-                GmwParty::new(
-                    circuit,
-                    p,
-                    self.config.node_ids.clone(),
-                    input_shares[p].clone(),
-                    ot,
-                    master_seed,
-                    self.config.batching,
-                )
+/// Executes `circuit` once per job, all jobs at once as the groups of one
+/// run of `session`, and returns each job's execution with the traffic it
+/// accounted (node totals and pair flows), in job order.
+///
+/// The jobs are consumed: each party takes its input share by move, and
+/// the parties of the whole batch exist until the run returns — the
+/// caller bounds memory by bounding the batch.
+///
+/// # Errors
+///
+/// Returns [`MpcError::TooFewParties`] or
+/// [`MpcError::InputShareMismatch`] for a malformed job, before the
+/// session is touched, and [`MpcError::Transport`] if the run fails — a
+/// job whose party count is not the session's node count included.
+pub fn execute_batch(
+    session: &mut dyn Session<GmwMessage>,
+    circuit: &Circuit,
+    batching: GmwBatching,
+    ot: &OtConfig,
+    jobs: Vec<GmwJob>,
+) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
+    for job in &jobs {
+        job.check(circuit)?;
+    }
+    let mut members = Vec::with_capacity(jobs.len());
+    let mut parties: Vec<Vec<GmwParty>> = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        parties.push(
+            job.input_shares
+                .into_iter()
+                .enumerate()
+                .map(|(p, share)| {
+                    GmwParty::new(
+                        circuit,
+                        p,
+                        job.node_ids.clone(),
+                        share,
+                        ot,
+                        job.master_seed,
+                        batching,
+                    )
+                })
+                .collect(),
+        );
+        members.push(job.node_ids);
+    }
+    let tallies = {
+        let mut actors: Vec<Vec<&mut dyn NodeActor<GmwMessage>>> = parties
+            .iter_mut()
+            .map(|group| {
+                group
+                    .iter_mut()
+                    .map(|p| p as &mut dyn NodeActor<GmwMessage>)
+                    .collect()
             })
             .collect();
-        let tally = {
-            let mut actors: Vec<&mut dyn NodeActor<GmwMessage>> = parties
-                .iter_mut()
-                .map(|p| p as &mut dyn NodeActor<GmwMessage>)
-                .collect();
-            transport.run(&mut actors).map_err(MpcError::Transport)?
-        };
-
-        // Merge the per-party accounting.  Each pair's flows live in
-        // exactly one party's accountant, so the merge is exact; counts
-        // are sums and therefore order-independent.
-        let mut merged_traffic = TrafficAccountant::with_pair_tracking();
-        let mut counts = OperationCounts::default();
-        for party in &parties {
-            merged_traffic.merge(party.traffic());
-            counts.merge(party.counts());
-        }
-        // One allocation-free pass: the gate counts are all this needs of
-        // the circuit's statistics.
-        let free_gates = circuit
-            .gates()
-            .iter()
-            .filter(|gate| matches!(gate, Gate::Xor(..) | Gate::Not(_)))
-            .count();
-        // Rounds are *measured* from the parties' exchange counters, not
-        // derived from circuit statistics: every pair exchanges in
-        // parallel, so the critical path is the per-pair maximum plus the
-        // final output-reconstruction round.
-        let rounds = parties.iter().map(GmwParty::rounds).max().unwrap_or(0) + 1;
-        counts.and_gates += circuit.layers().and_gates() as u64;
-        counts.free_gates += free_gates as u64;
-        counts.rounds += rounds;
-        let bytes_sent_per_party: Vec<u64> = self
-            .config
-            .node_ids
-            .iter()
-            .map(|&id| merged_traffic.node(id).bytes_sent)
-            .collect();
-        counts.bytes_sent += bytes_sent_per_party.iter().sum::<u64>();
-
-        // Attribute the *measured* encoded bytes (from the transport's
-        // tally, local indices) to the configured node identities, next
-        // to the analytical totals the parties recorded.
-        let mut wire_bytes_per_party = vec![0u64; n];
-        for (from, to, bytes, _messages) in tally.pairs() {
-            merged_traffic.record_wire(self.config.node_ids[from], self.config.node_ids[to], bytes);
-            wire_bytes_per_party[from] += bytes;
-        }
-        counts.wire_bytes += tally.total_bytes();
-
-        let output_shares: Vec<Vec<bool>> = parties.iter().map(GmwParty::output_share).collect();
-        traffic.merge(&merged_traffic);
-
-        Ok(GmwExecution {
-            output_shares,
-            counts,
-            rounds,
-            bytes_sent_per_party,
-            wire_bytes_per_party,
+        let mut groups: Vec<&mut [&mut dyn NodeActor<GmwMessage>]> =
+            actors.iter_mut().map(Vec::as_mut_slice).collect();
+        session.run(&mut groups).map_err(MpcError::Transport)?
+    };
+    // One allocation-free pass: the gate counts are all the merge needs
+    // of the circuit's statistics.
+    let free_gates = circuit
+        .gates()
+        .iter()
+        .filter(|gate| matches!(gate, Gate::Xor(..) | Gate::Not(_)))
+        .count() as u64;
+    Ok(members
+        .iter()
+        .zip(&parties)
+        .zip(&tallies)
+        .map(|((node_ids, parties), tally)| {
+            merge_execution(circuit, free_gates, node_ids, parties, tally)
         })
+        .collect())
+}
+
+/// Folds the finished parties of one execution and the transport's tally
+/// of it into the execution's result and its traffic.
+fn merge_execution(
+    circuit: &Circuit,
+    free_gates: u64,
+    node_ids: &[NodeId],
+    parties: &[GmwParty],
+    tally: &WireTally,
+) -> (GmwExecution, TrafficAccountant) {
+    // Merge the per-party accounting.  Each pair's flows live in
+    // exactly one party's accountant, so the merge is exact; counts
+    // are sums and therefore order-independent.
+    let mut traffic = TrafficAccountant::with_pair_tracking();
+    let mut counts = OperationCounts::default();
+    for party in parties {
+        traffic.merge(party.traffic());
+        counts.merge(party.counts());
     }
+    // Rounds are *measured* from the parties' exchange counters, not
+    // derived from circuit statistics: every pair exchanges in
+    // parallel, so the critical path is the per-pair maximum plus the
+    // final output-reconstruction round.
+    let rounds = parties.iter().map(GmwParty::rounds).max().unwrap_or(0) + 1;
+    counts.and_gates += circuit.layers().and_gates() as u64;
+    counts.free_gates += free_gates;
+    counts.rounds += rounds;
+    let bytes_sent_per_party: Vec<u64> = node_ids
+        .iter()
+        .map(|&id| traffic.node(id).bytes_sent)
+        .collect();
+    counts.bytes_sent += bytes_sent_per_party.iter().sum::<u64>();
+
+    // Attribute the *measured* encoded bytes (from the transport's
+    // tally, local indices) to the configured node identities, next
+    // to the analytical totals the parties recorded.
+    let mut wire_bytes_per_party = vec![0u64; node_ids.len()];
+    for (from, to, bytes, _messages) in tally.pairs() {
+        traffic.record_wire(node_ids[from], node_ids[to], bytes);
+        wire_bytes_per_party[from] += bytes;
+    }
+    counts.wire_bytes += tally.total_bytes();
+
+    let execution = GmwExecution {
+        output_shares: parties.iter().map(GmwParty::output_share).collect(),
+        counts,
+        rounds,
+        bytes_sent_per_party,
+        wire_bytes_per_party,
+    };
+    (execution, traffic)
 }
 
 /// Splits plaintext input bits into XOR shares for `parties` parties.

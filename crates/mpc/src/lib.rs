@@ -60,6 +60,8 @@ pub mod party;
 pub mod wire;
 
 pub use error::MpcError;
-pub use gmw::{reconstruct_outputs, share_inputs, GmwConfig, GmwExecution, GmwProtocol};
+pub use gmw::{
+    execute_batch, reconstruct_outputs, share_inputs, GmwConfig, GmwExecution, GmwJob, GmwProtocol,
+};
 pub use ot::{ElGamalOt, OtProvider, SimulatedOtExtension};
 pub use party::{GmwBatching, GmwMessage, GmwParty, OtConfig};

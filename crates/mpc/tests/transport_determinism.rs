@@ -9,6 +9,9 @@
 //!    sockets may only change wall-clock, never results.  This contract is
 //!    what lets the deployment layer place block MPCs on remote workers
 //!    without changing a bit of any run.
+//!    The same holds when executions share a transport *session*: run as
+//!    concurrent streams of one mesh, each execution's observables equal
+//!    those of running it alone.
 //! 2. GMW executions are bit-identical across [`GmwBatching`] modes in
 //!    everything except the round structure: layer batching regroups the
 //!    same OT payloads into fewer messages, so output shares and byte
@@ -18,10 +21,12 @@
 use dstress_circuit::builder::CircuitBuilder;
 use dstress_circuit::{evaluate, Circuit, WireId};
 use dstress_math::rng::{DetRng, SplitMix64, Xoshiro256};
-use dstress_mpc::gmw::{reconstruct_outputs, share_inputs, GmwConfig, GmwProtocol};
+use dstress_mpc::gmw::{
+    execute_batch, reconstruct_outputs, share_inputs, GmwConfig, GmwJob, GmwProtocol,
+};
 use dstress_mpc::party::{GmwBatching, OtConfig};
 use dstress_mpc::GmwExecution;
-use dstress_net::socket::SocketTransport;
+use dstress_net::socket::{encode_stream_payload, split_stream_payload, SocketTransport};
 use dstress_net::traffic::TrafficAccountant;
 use dstress_net::transport::{SimTransport, Transport};
 use proptest::prelude::*;
@@ -411,8 +416,8 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
 use dstress_mpc::GmwMessage;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::NodeId;
-use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, TransportError};
-use dstress_net::wire::{Wire, WireTally};
+use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, Session, TransportError};
+use dstress_net::wire::{hex, Wire, WireError, WireTally};
 use std::sync::Mutex;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -478,11 +483,21 @@ impl NodeActor<GmwMessage> for RecordingActor<'_> {
     }
 }
 
-/// Wraps any backend; after a run, holds the run's tally and the fold of
-/// all `(from, to)` lane hashes in index order.
+/// Wraps any backend; holds, for every group its sessions have run (in
+/// run and group order), the group's tally and the fold of all its
+/// `(from, to)` lane hashes in index order.
 struct RecordingTransport<'t> {
     inner: &'t dyn Transport<GmwMessage>,
-    seen: Mutex<Option<(WireTally, u64)>>,
+    seen: Mutex<Vec<(WireTally, u64)>>,
+}
+
+impl<'t> RecordingTransport<'t> {
+    fn new(inner: &'t dyn Transport<GmwMessage>) -> Self {
+        RecordingTransport {
+            inner,
+            seen: Mutex::new(Vec::new()),
+        }
+    }
 }
 
 impl Transport<GmwMessage> for RecordingTransport<'_> {
@@ -490,30 +505,61 @@ impl Transport<GmwMessage> for RecordingTransport<'_> {
         self.inner.name()
     }
 
+    fn open(&self, nodes: usize) -> Result<Box<dyn Session<GmwMessage> + '_>, TransportError> {
+        Ok(Box::new(RecordingSession {
+            inner: self.inner.open(nodes)?,
+            seen: &self.seen,
+        }))
+    }
+}
+
+struct RecordingSession<'t> {
+    inner: Box<dyn Session<GmwMessage> + 't>,
+    seen: &'t Mutex<Vec<(WireTally, u64)>>,
+}
+
+impl Session<GmwMessage> for RecordingSession<'_> {
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+
     fn run(
-        &self,
-        actors: &mut [&mut dyn NodeActor<GmwMessage>],
-    ) -> Result<WireTally, TransportError> {
-        let n = actors.len();
-        let mut recorders: Vec<RecordingActor> = actors
+        &mut self,
+        groups: &mut [&mut [&mut dyn NodeActor<GmwMessage>]],
+    ) -> Result<Vec<WireTally>, TransportError> {
+        let mut recorders: Vec<Vec<RecordingActor>> = groups
             .iter_mut()
-            .map(|actor| RecordingActor {
-                inner: &mut **actor,
-                lanes: vec![FNV_OFFSET; n],
+            .map(|actors| {
+                let n = actors.len();
+                actors
+                    .iter_mut()
+                    .map(|actor| RecordingActor {
+                        inner: &mut **actor,
+                        lanes: vec![FNV_OFFSET; n],
+                    })
+                    .collect()
             })
             .collect();
-        let tally = {
-            let mut refs: Vec<&mut dyn NodeActor<GmwMessage>> = recorders
+        let tallies = {
+            let mut refs: Vec<Vec<&mut dyn NodeActor<GmwMessage>>> = recorders
                 .iter_mut()
-                .map(|r| r as &mut dyn NodeActor<GmwMessage>)
+                .map(|group| {
+                    group
+                        .iter_mut()
+                        .map(|r| r as &mut dyn NodeActor<GmwMessage>)
+                        .collect()
+                })
                 .collect();
-            self.inner.run(&mut refs)?
+            let mut slices: Vec<&mut [&mut dyn NodeActor<GmwMessage>]> =
+                refs.iter_mut().map(Vec::as_mut_slice).collect();
+            self.inner.run(&mut slices)?
         };
-        let messages = recorders
-            .iter()
-            .fold(FNV_OFFSET, |h, r| fold_u64s(h, &r.lanes));
-        *self.seen.lock().unwrap() = Some((tally.clone(), messages));
-        Ok(tally)
+        let mut seen = self.seen.lock().unwrap();
+        for (group, tally) in recorders.iter().zip(&tallies) {
+            let messages = group.iter().fold(FNV_OFFSET, |h, r| fold_u64s(h, &r.lanes));
+            seen.push((tally.clone(), messages));
+        }
+        Ok(tallies)
     }
 }
 
@@ -585,40 +631,56 @@ fn wide_shallow_circuit() -> Circuit {
     b.build().unwrap()
 }
 
+/// The pinned scenario's inputs, shares, node identities and seed.
+fn pinned_job(circuit: &Circuit, parties: usize) -> (Vec<bool>, GmwJob) {
+    let mut input_rng = SplitMix64::new(0xF1A6);
+    let inputs: Vec<bool> = (0..circuit.num_inputs())
+        .map(|_| input_rng.next_bool())
+        .collect();
+    let job = GmwJob {
+        node_ids: (0..parties).map(|p| NodeId(100 + 7 * p)).collect(),
+        input_shares: share_inputs(&inputs, parties, &mut Xoshiro256::new(0x5A17)),
+        master_seed: 0x0D57_2E55_F1A6,
+    };
+    (inputs, job)
+}
+
+/// The pinned scenario on a session of its own.
 fn fingerprint(
     transport: &dyn Transport<GmwMessage>,
     circuit: &Circuit,
     parties: usize,
     ot: &OtConfig,
 ) -> Fingerprint {
-    let mut input_rng = SplitMix64::new(0xF1A6);
-    let inputs: Vec<bool> = (0..circuit.num_inputs())
-        .map(|_| input_rng.next_bool())
-        .collect();
-    let shares = share_inputs(&inputs, parties, &mut Xoshiro256::new(0x5A17));
-    let node_ids: Vec<NodeId> = (0..parties).map(|p| NodeId(100 + 7 * p)).collect();
-    let protocol = GmwProtocol::new(GmwConfig::with_node_ids(node_ids.clone())).unwrap();
-    let recording = RecordingTransport {
-        inner: transport,
-        seen: Mutex::new(None),
-    };
+    let (inputs, job) = pinned_job(circuit, parties);
+    let protocol = GmwProtocol::new(GmwConfig::with_node_ids(job.node_ids.clone())).unwrap();
+    let recording = RecordingTransport::new(transport);
     let mut traffic = TrafficAccountant::with_pair_tracking();
     let exec = protocol
         .execute_seeded(
             &recording,
             circuit,
-            &shares,
+            &job.input_shares,
             ot,
             &mut traffic,
-            0x0D57_2E55_F1A6,
+            job.master_seed,
         )
         .expect("execution succeeds");
     assert_eq!(
         reconstruct_outputs(&exec.output_shares).unwrap(),
         evaluate(circuit, &inputs).unwrap()
     );
-    let (tally, messages) = recording.seen.lock().unwrap().take().expect("one run");
+    let (tally, messages) = recording.seen.lock().unwrap().pop().expect("one run");
+    fold_fingerprint(&exec, &traffic, &job.node_ids, &tally, messages)
+}
 
+fn fold_fingerprint(
+    exec: &GmwExecution,
+    traffic: &TrafficAccountant,
+    node_ids: &[NodeId],
+    tally: &WireTally,
+    messages: u64,
+) -> Fingerprint {
     let share_bytes: Vec<u8> = exec
         .output_shares
         .iter()
@@ -642,8 +704,8 @@ fn fingerprint(
             ],
         );
     }
-    for &from in &node_ids {
-        for &to in &node_ids {
+    for &from in node_ids {
+        for &to in node_ids {
             let bytes = traffic.pair_bytes(from, to).expect("pair tracking is on");
             traffic_fold = fold_u64s(traffic_fold, &[bytes]);
         }
@@ -656,6 +718,65 @@ fn fingerprint(
         messages,
         traffic: traffic_fold,
     }
+}
+
+/// An execution that has nothing to do with the pinned one but the
+/// circuit: its own inputs, shares, node identities and seed.
+fn unrelated_job(circuit: &Circuit, parties: usize, salt: u64) -> GmwJob {
+    let mut input_rng = SplitMix64::new(salt);
+    let inputs: Vec<bool> = (0..circuit.num_inputs())
+        .map(|_| input_rng.next_bool())
+        .collect();
+    GmwJob {
+        node_ids: (0..parties)
+            .map(|p| NodeId(salt as usize % 50 + 3 * p))
+            .collect(),
+        input_shares: share_inputs(&inputs, parties, &mut Xoshiro256::new(salt ^ 0xABCD)),
+        master_seed: salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    }
+}
+
+/// The pinned scenario as one of several concurrent streams: every
+/// (circuit, provider) combination is one run of the *same* session, the
+/// pinned job surrounded by unrelated ones.  Returns the pinned job's
+/// fingerprint per run, in `runs` order.
+fn multiplexed_fingerprints(
+    transport: &dyn Transport<GmwMessage>,
+    parties: usize,
+    runs: &[(&Circuit, OtConfig)],
+) -> Vec<Fingerprint> {
+    let recording = RecordingTransport::new(transport);
+    let mut session = recording.open(parties).expect("session opens");
+    let mut fingerprints = Vec::new();
+    for (run, (circuit, ot)) in runs.iter().enumerate() {
+        let (inputs, pinned) = pinned_job(circuit, parties);
+        let node_ids = pinned.node_ids.clone();
+        // The pinned job sits at a different position in every run.
+        let position = run % 3;
+        let mut jobs: Vec<GmwJob> = (0..2)
+            .map(|i| unrelated_job(circuit, parties, 0xD00D + (run * 2 + i) as u64))
+            .collect();
+        jobs.insert(position, pinned);
+        let mut executions = execute_batch(&mut *session, circuit, GmwBatching::Layered, ot, jobs)
+            .expect("batch succeeds");
+        let (exec, flows) = executions.swap_remove(position);
+        assert_eq!(
+            reconstruct_outputs(&exec.output_shares).unwrap(),
+            evaluate(circuit, &inputs).unwrap()
+        );
+        let mut traffic = TrafficAccountant::with_pair_tracking();
+        traffic.merge(&flows);
+        let (tally, messages) = {
+            let mut seen = recording.seen.lock().unwrap();
+            let group = seen.swap_remove(position);
+            seen.clear();
+            group
+        };
+        fingerprints.push(fold_fingerprint(
+            &exec, &traffic, &node_ids, &tally, messages,
+        ));
+    }
+    fingerprints
 }
 
 /// Captured on the parent of the hot-path rebuild (commit b69d153) with
@@ -676,6 +797,22 @@ const PINNED: [(&str, &str, usize, Fingerprint); 12] = [
     ("wide", "elgamal", 8, Fingerprint { shares: 11010598065292202474, counts: [470848, 0, 0, 29428, 0, 1051, 0, 2825088, 2836932, 5], rounds: 5, tally: 274950429683024685, messages: 8986842107210137925, traffic: 7987394551177103733 }),
 ];
 
+fn pinned_circuit<'c>(name: &str, deep: &'c Circuit, wide: &'c Circuit) -> &'c Circuit {
+    if name == "deep" {
+        deep
+    } else {
+        wide
+    }
+}
+
+fn pinned_ot(name: &str) -> OtConfig {
+    if name == "extension" {
+        OtConfig::extension()
+    } else {
+        OtConfig::elgamal(dstress_crypto::group::GroupKind::Sim64)
+    }
+}
+
 /// The pinned fingerprints hold on every backend, for both providers.
 #[test]
 fn layered_execution_matches_the_pinned_fingerprints() {
@@ -686,22 +823,237 @@ fn layered_execution_matches_the_pinned_fingerprints() {
         ("socket", Box::new(SocketTransport::with_threads(2))),
     ];
     for (circuit_name, ot_name, parties, expected) in &PINNED {
-        let circuit = if *circuit_name == "deep" {
-            &deep
-        } else {
-            &wide
-        };
-        let ot = if *ot_name == "extension" {
-            OtConfig::extension()
-        } else {
-            OtConfig::elgamal(dstress_crypto::group::GroupKind::Sim64)
-        };
+        let circuit = pinned_circuit(circuit_name, &deep, &wide);
         for (backend, transport) in &backends {
             assert_eq!(
-                &fingerprint(&**transport, circuit, *parties, &ot),
+                &fingerprint(&**transport, circuit, *parties, &pinned_ot(ot_name)),
                 expected,
                 "{circuit_name} / {ot_name} / {parties} parties on {backend}"
             );
         }
     }
+}
+
+/// The pinned fingerprints hold, unregenerated, for an execution that is
+/// one of several streams multiplexed over a session reused from run to
+/// run.  (A test of its own so it runs beside the one-group arm.)
+#[test]
+fn layered_execution_matches_the_pinned_fingerprints_multiplexed() {
+    let (deep, wide) = (deep_narrow_circuit(), wide_shallow_circuit());
+    let backends: [(&str, Box<dyn Transport<GmwMessage>>); 3] = [
+        ("sim session", Box::new(SimTransport)),
+        (
+            "socket session, 1 thread",
+            Box::new(SocketTransport::with_threads(1)),
+        ),
+        (
+            "socket session, 3 threads",
+            Box::new(SocketTransport::with_threads(3)),
+        ),
+    ];
+    for parties in [3usize, 5, 8] {
+        // Both providers at 3 parties; the public-key one, whose cost
+        // grows with the pair count and which the transport cannot tell
+        // from the other but by payload size, is left out above that.
+        let pinned: Vec<_> = PINNED
+            .iter()
+            .filter(|p| p.2 == parties && (p.1 == "extension" || parties == 3))
+            .collect();
+        let runs: Vec<(&Circuit, OtConfig)> = pinned
+            .iter()
+            .map(|(circuit_name, ot_name, ..)| {
+                (
+                    pinned_circuit(circuit_name, &deep, &wide),
+                    pinned_ot(ot_name),
+                )
+            })
+            .collect();
+        for (backend, transport) in &backends {
+            let fingerprints = multiplexed_fingerprints(&**transport, parties, &runs);
+            for ((circuit_name, ot_name, _, expected), got) in pinned.iter().zip(&fingerprints) {
+                assert_eq!(
+                    got, expected,
+                    "{circuit_name} / {ot_name} / {parties} parties multiplexed on {backend}"
+                );
+            }
+        }
+    }
+}
+
+/// Everything observable about one execution of a batch, and the
+/// transport's view of it.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    execution: (Vec<Vec<bool>>, OperationCounts, u64, Vec<u64>, Vec<u64>),
+    node_flows: Vec<(NodeId, dstress_net::traffic::NodeTraffic)>,
+    pair_flows: Vec<u64>,
+    tally: WireTally,
+    messages: u64,
+}
+
+fn observe(
+    exec: GmwExecution,
+    flows: &TrafficAccountant,
+    node_ids: &[NodeId],
+    seen: (WireTally, u64),
+) -> Observed {
+    let mut traffic = TrafficAccountant::with_pair_tracking();
+    traffic.merge(flows);
+    Observed {
+        execution: (
+            exec.output_shares,
+            exec.counts,
+            exec.rounds,
+            exec.bytes_sent_per_party,
+            exec.wire_bytes_per_party,
+        ),
+        node_flows: traffic.sorted_node_entries(),
+        pair_flows: node_ids
+            .iter()
+            .flat_map(|&from| node_ids.iter().map(move |&to| (from, to)))
+            .map(|(from, to)| traffic.pair_bytes(from, to).expect("pair tracking is on"))
+            .collect(),
+        tally: seen.0,
+        messages: seen.1,
+    }
+}
+
+/// Runs `jobs` as one batch on one session of `transport`.
+fn observe_batch(
+    transport: &dyn Transport<GmwMessage>,
+    circuit: &Circuit,
+    batching: GmwBatching,
+    jobs: &[GmwJob],
+) -> Vec<Observed> {
+    let recording = RecordingTransport::new(transport);
+    let mut session = recording.open(jobs[0].node_ids.len()).unwrap();
+    let executions = execute_batch(
+        &mut *session,
+        circuit,
+        batching,
+        &OtConfig::extension(),
+        jobs.to_vec(),
+    )
+    .expect("batch succeeds");
+    let seen = std::mem::take(&mut *recording.seen.lock().unwrap());
+    executions
+        .into_iter()
+        .zip(seen)
+        .zip(jobs)
+        .map(|(((exec, flows), seen), job)| observe(exec, &flows, &job.node_ids, seen))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random circuits, group counts and seeds: a batch on a `Sim`
+    /// session, the same batch on a `Socket` session, and every job run
+    /// alone through today's one-group door agree in shares, counts,
+    /// rounds, per-pair wire tallies, message bytes and accountant flows.
+    #[test]
+    fn prop_multiplexed_sessions_equal_one_group_runs(
+        seed in any::<u64>(),
+        parties in 2usize..6,
+        groups in 1usize..7,
+        threads in 1usize..5,
+        batched in any::<bool>(),
+    ) {
+        let batching = if batched { GmwBatching::Layered } else { GmwBatching::PerGate };
+        let circuit = random_circuit(seed, 3 + (seed % 6) as usize, 12 + (seed % 20) as usize);
+        let jobs: Vec<GmwJob> = (0..groups as u64)
+            .map(|g| unrelated_job(&circuit, parties, seed.rotate_left(7) ^ g))
+            .collect();
+
+        let alone: Vec<Observed> = jobs
+            .iter()
+            .map(|job| {
+                let recording = RecordingTransport::new(&SimTransport);
+                let protocol = GmwProtocol::new(
+                    GmwConfig::with_node_ids(job.node_ids.clone()).with_batching(batching),
+                )
+                .unwrap();
+                let mut flows = TrafficAccountant::with_pair_tracking();
+                let exec = protocol
+                    .execute_seeded(
+                        &recording,
+                        &circuit,
+                        &job.input_shares,
+                        &OtConfig::extension(),
+                        &mut flows,
+                        job.master_seed,
+                    )
+                    .unwrap();
+                let seen = recording.seen.lock().unwrap().pop().unwrap();
+                observe(exec, &flows, &job.node_ids, seen)
+            })
+            .collect();
+        let sim = observe_batch(&SimTransport, &circuit, batching, &jobs);
+        let socket = observe_batch(
+            &SocketTransport::with_threads(threads),
+            &circuit,
+            batching,
+            &jobs,
+        );
+        prop_assert_eq!(&sim, &alone);
+        prop_assert_eq!(&socket, &alone);
+    }
+}
+
+/// The mesh frame payload is `uvarint(stream) ‖ Wire payload`, pinned as
+/// bytes; a payload that ends inside the stream id or whose id runs past
+/// 64 bits is rejected.
+#[test]
+fn stream_envelope_golden_fixture_and_rejection() {
+    let message = GmwMessage::Choices {
+        layer: 1,
+        pairs: vec![(true, false), (true, true), (false, true)],
+        ot_payload: vec![0x11, 0x22],
+    };
+    for (stream, id_hex) in [
+        (0u64, "00"),
+        (127, "7f"),
+        (128, "8001"),
+        (300, "ac02"),
+        (u64::MAX, "ffffffffffffffffff01"),
+    ] {
+        let mut payload = Vec::new();
+        let envelope = encode_stream_payload(&mut payload, stream, &message);
+        assert_eq!(envelope, id_hex.len() / 2, "stream {stream}");
+        // The id, then exactly the message's own golden encoding.
+        assert_eq!(
+            hex(&payload),
+            format!("{id_hex}0301030306021122"),
+            "stream {stream}"
+        );
+        let (id, rest) = split_stream_payload(&payload).unwrap();
+        assert_eq!(id, stream);
+        assert_eq!(GmwMessage::decode_exact(rest).unwrap(), message);
+        // Cut inside the id: truncated.  Cut inside the message: the id
+        // still splits off, the message does not decode.
+        for cut in 0..payload.len() {
+            match split_stream_payload(&payload[..cut]) {
+                Err(error) => {
+                    assert!(cut < envelope, "stream {stream}, cut {cut}");
+                    assert!(matches!(error, WireError::Truncated { .. }));
+                }
+                Ok((id, rest)) => {
+                    assert!(cut >= envelope, "stream {stream}, cut {cut}");
+                    assert_eq!(id, stream);
+                    assert!(GmwMessage::decode_exact(rest).is_err());
+                }
+            }
+        }
+    }
+    // Ten continuation bytes, and a tenth byte carrying more than bit 63.
+    assert_eq!(
+        split_stream_payload(&[0xFF; 11]).unwrap_err(),
+        WireError::VarintOverflow
+    );
+    let mut wide = vec![0xFF; 9];
+    wide.push(0x02);
+    assert_eq!(
+        split_stream_payload(&wide).unwrap_err(),
+        WireError::VarintOverflow
+    );
 }

@@ -11,7 +11,9 @@
 //! * [`transport`] — the [`transport::Transport`] abstraction: protocol
 //!   code written as per-node actors runs unchanged on the deterministic
 //!   in-process backend ([`transport::SimTransport`]) or on a worker pool
-//!   over real TCP connections ([`socket::SocketTransport`]).
+//!   over real TCP connections ([`socket::SocketTransport`]).  A
+//!   [`transport::Session`] keeps what connects the nodes across runs and
+//!   drives several independent actor groups over it at once.
 //! * [`frame`] — length-prefixed framing that restores message boundaries
 //!   on a TCP byte stream, with typed errors for torn frames, trailing
 //!   garbage, and oversized length prefixes.
@@ -53,7 +55,9 @@ pub mod wire;
 
 pub use cost::{CostModel, OperationCounts};
 pub use frame::{FrameDecoder, FrameError, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
-pub use socket::{FramedConn, Hello, SocketTransport};
+pub use socket::{FramedConn, Hello, SocketSession, SocketTransport};
 pub use traffic::{NodeId, TrafficAccountant, TrafficReport};
-pub use transport::{ActorStatus, Endpoint, NodeActor, SimTransport, Transport, TransportError};
+pub use transport::{
+    ActorStatus, Endpoint, NodeActor, Session, SimTransport, Transport, TransportError,
+};
 pub use wire::{Wire, WireError, WireTally};

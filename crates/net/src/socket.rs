@@ -1,39 +1,75 @@
 //! [`SocketTransport`]: the concurrent [`Transport`] backend — real TCP.
 //!
 //! Where [`crate::transport::SimTransport`] queues messages in memory on
-//! one thread, this backend shards the actors across a worker pool and
+//! one thread, this backend shards the nodes across a worker pool and
 //! moves every message through an actual kernel socket: each pair of
 //! nodes shares one loopback TCP connection, messages travel as
 //! length-prefixed frames ([`crate::frame`]) carrying the exact
 //! [`Wire`]-encoded payload the in-process backend accounts, and the
 //! returned [`WireTally`] records the *payload* bytes only — so measured
 //! `wire_bytes` are byte-identical across both backends while the frame
-//! header is charged to transport overhead.
+//! header and the stream id are charged to transport overhead.
+//!
+//! ## Sessions and streams
+//!
+//! The mesh belongs to a [`SocketSession`] ([`SocketTransport::connect`],
+//! or [`Transport::open`] behind the trait): listeners bound, `n(n−1)/2`
+//! connections dialled and [`Hello`]-checked once, then kept for every
+//! [`Session::run`] the caller makes.  A run drives several actor groups
+//! at once; group `g` of a run is stream `first + g`, where `first` is
+//! the number of groups the session has run before, and every mesh
+//! frame's payload is
+//!
+//! ```text
+//! uvarint(stream) ‖ Wire payload
+//! ```
+//!
+//! so the groups share the connections.  A frame whose stream has
+//! retired — its group finished on that node, or its run is over — is
+//! late and dropped; a frame for a stream not opened yet is a typed
+//! [`TransportError::UnknownStream`], an undecodable id a
+//! [`TransportError::Codec`].
+//!
+//! ## One driver
 //!
 //! There is no async runtime in this workspace (the shims environment has
-//! no tokio), and none is needed: streams are switched to non-blocking
-//! mode and polled readiness-style by the worker loop — actors are polled
-//! until idle, sockets are drained/flushed on every pass, and the
-//! quiescence check (per-node sent/drained counters plus parked-worker
-//! accounting) turns a genuine protocol stall into a typed
+//! no tokio), and none is needed: streams are non-blocking and every
+//! worker runs the same pass over its nodes until they finish —
+//!
+//! 1. poll every unfinished actor of every live group: a send only
+//!    *queues* a frame on its link, a receive is a `pop_front` on the
+//!    `(stream, peer)` buffer, neither is a syscall;
+//! 2. flush each link once — one `write` carries what all groups queued;
+//! 3. drain each link once — one `read`, then every complete frame is
+//!    routed to its stream's buffer.
+//!
+//! So a pass costs two syscalls per link whatever the number of groups in
+//! flight, which is what makes many small block MPCs on one session cheap.
+//! The quiescence check (per-node sent/drained counters plus
+//! parked-worker accounting) turns a genuine protocol stall into a typed
 //! [`TransportError::Stalled`] instead of a hang.  Socket-specific
 //! failures — torn frames, trailing garbage, oversized length prefixes,
-//! undecodable payloads, I/O errors — surface as the typed
-//! [`TransportError`] variants rather than panics, because bytes read
-//! from a socket are untrusted input even on loopback.
+//! undecodable payloads, a connection that closes under a live session,
+//! I/O errors — surface as the typed [`TransportError`] variants rather
+//! than panics, because bytes read from a socket are untrusted input even
+//! on loopback; any of them ends the whole run.
 //!
 //! The module also exposes [`FramedConn`], the single-connection building
 //! block (non-blocking stream + frame codec + write buffer), which the
 //! deployment layer reuses for master↔worker control connections.
 
 use crate::frame::{encode_frame_into, FrameDecoder};
-use crate::transport::{ActorStatus, Endpoint, NodeActor, Transport, TransportError};
-use crate::wire::{get_u32_le, get_u8, put_u32_le, put_u8, Wire, WireError, WireTally};
+use crate::transport::{
+    check_group_sizes, ActorStatus, Endpoint, NodeActor, Session, Transport, TransportError,
+};
+use crate::wire::{
+    get_u32_le, get_u8, get_uvarint, put_u32_le, put_u8, put_uvarint, Wire, WireError, WireTally,
+};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How long [`SocketTransport`] waits for mesh peers to complete the
@@ -81,10 +117,10 @@ impl Wire for Hello {
     }
 }
 
-/// I/O error kinds that mean "the peer is gone", which the transport
-/// does not treat as a run-failing error: a finished actor's worker may
-/// drop its sockets while slower peers still hold late messages for it,
-/// and its protocol role no longer needs them.
+/// I/O error kinds that mean "the peer is gone".  On the read side they
+/// close the connection after the torn-frame check; on a session's write
+/// side they are left to the read side of the same connection to
+/// diagnose (see [`flush_links`]).
 fn peer_gone(kind: ErrorKind) -> bool {
     matches!(
         kind,
@@ -147,10 +183,16 @@ impl FramedConn {
         self.outbuf.len()
     }
 
+    /// Queues `payload` as one frame without touching the socket; a later
+    /// [`FramedConn::flush`] writes everything queued in one go.
+    pub fn queue_frame(&mut self, payload: &[u8]) {
+        encode_frame_into(&mut self.outbuf, payload);
+    }
+
     /// Queues `payload` as one frame and flushes as much as the socket
     /// will take without blocking.
     pub fn send_frame(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        encode_frame_into(&mut self.outbuf, payload);
+        self.queue_frame(payload);
         self.flush().map(|_| ())
     }
 
@@ -210,6 +252,49 @@ impl FramedConn {
         }
     }
 
+    /// One `read` into `scratch`, fed to the frame decoder; returns the
+    /// bytes read — zero when the socket has nothing (`WouldBlock`) or
+    /// has closed, which [`FramedConn::is_closed`] tells apart.  A close
+    /// (clean, or a reset, which loses bytes in flight) in the middle of
+    /// a frame is the typed torn-frame error.
+    fn read_once(&mut self, scratch: &mut [u8]) -> Result<usize, TransportError> {
+        let peer = self.peer;
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => {}
+                Ok(k) => {
+                    self.decoder.push(&scratch[..k]);
+                    return Ok(k);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(0),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if peer_gone(e.kind()) => {}
+                Err(e) => {
+                    return Err(TransportError::Io {
+                        context: "read",
+                        kind: e.kind(),
+                    })
+                }
+            }
+            self.closed = true;
+            return self
+                .decoder
+                .finish()
+                .map(|()| 0)
+                .map_err(|error| TransportError::Frame { peer, error });
+        }
+    }
+
+    /// The next complete frame already read off the socket, if any.
+    /// Frame-layer violations — bad magic (trailing garbage), an
+    /// oversized length prefix — come back as typed errors.
+    fn next_buffered_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+        let peer = self.peer;
+        self.decoder
+            .next_frame()
+            .map_err(|error| TransportError::Frame { peer, error })
+    }
+
     /// Non-blocking receive: reads whatever the socket has, returns the
     /// next complete frame payload if one has arrived.
     ///
@@ -217,38 +302,13 @@ impl FramedConn {
     /// (trailing garbage), oversized length prefixes, and — on EOF — a
     /// torn frame.  A clean EOF just marks the connection closed.
     pub fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let peer = self.peer;
-        let framed = |error| TransportError::Frame { peer, error };
-        if let Some(frame) = self.decoder.next_frame().map_err(framed)? {
+        if let Some(frame) = self.next_buffered_frame()? {
             return Ok(Some(frame));
         }
         let mut scratch = [0u8; 16 * 1024];
-        while !self.closed {
-            match self.stream.read(&mut scratch) {
-                Ok(0) => {
-                    self.closed = true;
-                    self.decoder.finish().map_err(framed)?;
-                }
-                Ok(k) => {
-                    self.decoder.push(&scratch[..k]);
-                    if let Some(frame) = self.decoder.next_frame().map_err(framed)? {
-                        return Ok(Some(frame));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if peer_gone(e.kind()) => {
-                    // A reset loses bytes in flight: apply the same torn
-                    // check a clean close gets.
-                    self.closed = true;
-                    self.decoder.finish().map_err(framed)?;
-                }
-                Err(e) => {
-                    return Err(TransportError::Io {
-                        context: "read",
-                        kind: e.kind(),
-                    })
-                }
+        while !self.closed && self.read_once(&mut scratch)? > 0 {
+            if let Some(frame) = self.next_buffered_frame()? {
+                return Ok(Some(frame));
             }
         }
         Ok(None)
@@ -304,7 +364,7 @@ impl FramedConn {
 /// The TCP loopback backend: nodes sharded across a worker pool, one real
 /// socket per node pair, frames on the wire.
 ///
-/// Workers poll their shard of actors in a loop; an actor whose messages
+/// Workers poll their shard of nodes in a loop; an actor whose messages
 /// have not arrived yet simply yields until they do.  With actors that
 /// follow the [`NodeActor`] schedule-independence discipline, the results
 /// are bit-identical to [`crate::transport::SimTransport`] — only the
@@ -350,6 +410,23 @@ impl SocketTransport {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Builds the loopback mesh of `nodes` nodes and returns the session
+    /// that owns it ([`Transport::open`] is this behind the trait).
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Io`] if a socket cannot be bound, dialled or
+    /// configured, [`TransportError::Handshake`] if a hello never arrives
+    /// or does not match the topology.
+    pub fn connect(&self, nodes: usize) -> Result<SocketSession, TransportError> {
+        Ok(SocketSession {
+            links: self.connect_mesh(nodes)?,
+            threads: self.threads,
+            stall_timeout: self.stall_timeout,
+            next_stream: 0,
+        })
     }
 
     /// Builds the full loopback mesh: node `i` dials node `j` for every
@@ -420,27 +497,195 @@ impl Default for SocketTransport {
     }
 }
 
+impl<M: Wire + Send> Transport<M> for SocketTransport {
+    fn name(&self) -> &'static str {
+        "socket"
+    }
+
+    fn open(&self, nodes: usize) -> Result<Box<dyn Session<M> + '_>, TransportError> {
+        Ok(Box::new(self.connect(nodes)?))
+    }
+}
+
 /// How long a run tolerates global quiescence before declaring a stall.
 /// Generous: it only matters for protocol bugs, which the deterministic
 /// [`crate::transport::SimTransport`] surfaces first in any well-tested
 /// code path.
 const STALL_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Per-node queue counters shared by a run's endpoints: how many messages
-/// were sent to each node and how many its endpoint has drained out of
-/// its sockets.  `sent == drained` for every node means no message is in
+/// Consecutive no-progress passes a worker tolerates before it backs off
+/// from `yield_now` spinning to millisecond sleeps (so a peer worker
+/// stuck in a long computation — or a stall running out the timeout —
+/// does not burn a core).
+const SPIN_PASSES_BEFORE_SLEEP: u32 = 256;
+
+/// Queued bytes at which a link is flushed in the middle of a pass, right
+/// after the poll that queued them, instead of at the pass's end.  A pass
+/// in which every group in flight sends its largest message at once (the
+/// 5 KB OT set-up of each block MPC) would otherwise grow every link's
+/// write queue to the sum of them — measured on `deploy-loopback` with 8
+/// groups in flight: an 82 KB queue per link end, 2 MB over the 24 link
+/// ends of a two-worker fleet — and the queue never shrinks.  Ordinary
+/// passes queue far less and keep their one write per link.
+const EARLY_FLUSH_BYTES: usize = 8 * 1024;
+
+/// Bytes one drain `read` asks a link for.  A pass's worth of small GMW
+/// frames from every group in flight fits, so a pass reads each link
+/// once; only a read that fills the buffer is followed by another.  The
+/// buffer lives on the worker's stack.
+const READ_CHUNK: usize = 16 * 1024;
+
+// ---------------------------------------------------------------------------
+// SocketSession
+// ---------------------------------------------------------------------------
+
+/// Appends the payload of one mesh frame to `out` — `uvarint(stream) ‖
+/// Wire payload` — and returns where the `Wire` payload starts in it (the
+/// bytes from there on are what a [`WireTally`] counts).
+pub fn encode_stream_payload<M: Wire>(out: &mut Vec<u8>, stream: u64, message: &M) -> usize {
+    put_uvarint(out, stream);
+    let envelope = out.len();
+    message.encode_into(out);
+    envelope
+}
+
+/// Splits the payload of one mesh frame into its stream id and the `Wire`
+/// payload that follows it.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] or [`WireError::VarintOverflow`] when the
+/// payload does not start with a well-formed stream id.
+pub fn split_stream_payload(mut payload: &[u8]) -> Result<(u64, &[u8]), WireError> {
+    let stream = get_uvarint(&mut payload)?;
+    Ok((stream, payload))
+}
+
+/// An open loopback mesh: the per-pair connections of `n` nodes, kept for
+/// every [`Session::run`] until the session is dropped.
+#[derive(Debug)]
+pub struct SocketSession {
+    /// `links[i][j]` is node `i`'s end of its connection with node `j`.
+    links: Vec<Vec<Option<FramedConn>>>,
+    threads: usize,
+    stall_timeout: Duration,
+    /// The stream id of the next run's first group; every id below it
+    /// has retired.
+    next_stream: u64,
+}
+
+impl SocketSession {
+    /// A second handle on the socket node `from` uses toward node `to`,
+    /// so a fault-injection test can put arbitrary bytes on a connection
+    /// the session is multiplexing streams over.  Bytes written through
+    /// it bypass the session's write queue.
+    ///
+    /// # Errors
+    ///
+    /// `NotFound` when the pair has no connection (`from == to`, or an
+    /// index outside the session), else whatever the clone reports.
+    pub fn raw_link(&self, from: usize, to: usize) -> std::io::Result<TcpStream> {
+        self.links
+            .get(from)
+            .and_then(|row| row.get(to)?.as_ref())
+            .ok_or(ErrorKind::NotFound)?
+            .stream
+            .try_clone()
+    }
+}
+
+impl<M: Wire + Send> Session<M> for SocketSession {
+    fn nodes(&self) -> usize {
+        self.links.len()
+    }
+
+    fn run(
+        &mut self,
+        groups: &mut [&mut [&mut dyn NodeActor<M>]],
+    ) -> Result<Vec<WireTally>, TransportError> {
+        let n = self.links.len();
+        check_group_sizes(n, groups)?;
+        let first_stream = self.next_stream;
+        self.next_stream += groups.len() as u64;
+        let actors = n * groups.len();
+        if actors == 0 {
+            return Ok(groups.iter().map(|_| WireTally::new(n)).collect());
+        }
+        // Nodes are sharded over the workers; a worker serves its nodes
+        // in every group.
+        let shard_size = n.div_ceil(self.threads.clamp(1, n));
+        let mut shards: Vec<Shard<'_, '_, M>> = self
+            .links
+            .chunks_mut(shard_size)
+            .enumerate()
+            .map(|(worker, rows)| Shard {
+                first_node: worker * shard_size,
+                rows,
+                actors: Vec::with_capacity(groups.len()),
+                first_stream,
+            })
+            .collect();
+        for group in groups.iter_mut() {
+            let mut rest: &mut [&mut dyn NodeActor<M>] = group;
+            for shard in &mut shards {
+                let (mine, tail) = rest.split_at_mut(shard.rows.len());
+                shard.actors.push(mine);
+                rest = tail;
+            }
+        }
+        let shared = RunShared::new(n, shards.len(), self.stall_timeout);
+        let outcomes: Vec<(usize, Vec<WireTally>)> = if shards.len() == 1 {
+            // One worker: the calling thread is it.
+            shards.into_iter().map(|s| s.drive(&shared)).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let shared = &shared;
+                let handles: Vec<_> = shards
+                    .into_iter()
+                    .map(|shard| scope.spawn(move || shard.drive(shared)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("socket transport worker panicked"))
+                    .collect()
+            })
+        };
+        if shared.failed.load(Ordering::Relaxed) {
+            return Err(shared.take_failure().unwrap_or(TransportError::Stalled {
+                done: outcomes.iter().map(|(done, _)| done).sum(),
+                actors,
+            }));
+        }
+        // A pair's sends are tallied by the sender's worker, so the
+        // per-worker tallies of a group add up without overlap.
+        let mut outcomes = outcomes.into_iter();
+        let (_, mut tallies) = outcomes.next().expect("a run has at least one worker");
+        for (_, partial) in outcomes {
+            for (tally, part) in tallies.iter_mut().zip(&partial) {
+                for (from, to, bytes, messages) in part.pairs() {
+                    tally.add(from, to, bytes, messages);
+                }
+            }
+        }
+        Ok(tallies)
+    }
+}
+
+/// Per-node queue counters shared by a run's workers: how many messages
+/// were sent to each node and how many its worker has drained out of its
+/// sockets.  `drained >= sent` for every node means no message is in
 /// flight anywhere — the quiescence half of stall detection.  (Counting
 /// per node rather than globally keeps the counters useful for
 /// diagnostics and avoids a single hot cacheline under fan-in.)
 struct QueueCounters {
     sent: Vec<AtomicU64>,
     drained: Vec<AtomicU64>,
-    /// Set once a node's actor is [`ActorStatus::Done`].  A finished
-    /// node's sockets may never be drained again (its worker may already
-    /// have exited), so messages addressed to it are protocol garbage
-    /// and must not count as traffic in flight — otherwise one late send
-    /// to a finished node would disable stall detection and turn every
-    /// genuine stall into an unbounded hang.
+    /// Set once a node's actor is [`ActorStatus::Done`] in every group.
+    /// A finished node's sockets may not be drained again in this run
+    /// (its worker may already have returned), so messages addressed to
+    /// it are protocol garbage and must not count as traffic in flight —
+    /// otherwise one late send to a finished node would disable stall
+    /// detection and turn every genuine stall into an unbounded hang.
     finished: Vec<AtomicBool>,
 }
 
@@ -456,65 +701,20 @@ impl QueueCounters {
     /// Whether every message ever sent to a still-running node has been
     /// drained by its recipient.  Racy reads are fine: a message sent
     /// concurrently with this check implies progress, which independently
-    /// resets the stall clock.
+    /// resets the stall clock.  "At least as many drained as sent", not
+    /// "equal": a frame that reached a live stream without a send of this
+    /// run behind it (a duplicate, a forgery) must not leave the counters
+    /// unequal forever and turn a genuine stall into a hang.
     fn quiescent(&self) -> bool {
         self.sent
             .iter()
             .zip(&self.drained)
             .zip(&self.finished)
             .all(|((s, d), f)| {
-                f.load(Ordering::Relaxed) || s.load(Ordering::Relaxed) == d.load(Ordering::Relaxed)
+                f.load(Ordering::Relaxed) || d.load(Ordering::Relaxed) >= s.load(Ordering::Relaxed)
             })
     }
 }
-
-/// Lock-free per-pair wire counters shared by a run's endpoints;
-/// folded into a plain [`WireTally`] once every worker has joined.
-struct SharedTally {
-    nodes: usize,
-    bytes: Vec<AtomicU64>,
-    messages: Vec<AtomicU64>,
-}
-
-impl SharedTally {
-    fn new(nodes: usize) -> Self {
-        SharedTally {
-            nodes,
-            bytes: (0..nodes * nodes).map(|_| AtomicU64::new(0)).collect(),
-            messages: (0..nodes * nodes).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn record(&self, from: usize, to: usize, bytes: u64) {
-        let idx = from * self.nodes + to;
-        self.bytes[idx].fetch_add(bytes, Ordering::Relaxed);
-        self.messages[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot after all workers joined (the join is the happens-before
-    /// edge that makes the relaxed counters complete).
-    fn collect(&self) -> WireTally {
-        let mut tally = WireTally::new(self.nodes);
-        for from in 0..self.nodes {
-            for to in 0..self.nodes {
-                let idx = from * self.nodes + to;
-                tally.add(
-                    from,
-                    to,
-                    self.bytes[idx].load(Ordering::Relaxed),
-                    self.messages[idx].load(Ordering::Relaxed),
-                );
-            }
-        }
-        tally
-    }
-}
-
-/// Consecutive no-progress polling passes a worker tolerates before it
-/// backs off from `yield_now` spinning to millisecond sleeps (so a peer
-/// worker stuck in a long computation — or a stall running out the
-/// timeout — does not burn a core).
-const SPIN_PASSES_BEFORE_SLEEP: u32 = 256;
 
 /// State shared by the workers of one run, used for *global* stall
 /// detection.  A run is declared stalled only when the system is provably
@@ -523,8 +723,8 @@ const SPIN_PASSES_BEFORE_SLEEP: u32 = 256;
 /// progress event has happened anywhere for the stall timeout.  A single
 /// busy worker — e.g. one actor deep in a long computation between
 /// batched rounds — keeps the whole run alive, because workers unpark
-/// *before* each polling pass, not after it.
-struct WorkerShared {
+/// *before* each pass, not after it.
+struct RunShared {
     /// Progress events (sends, receives, completions) across all workers.
     progress: AtomicU64,
     /// Workers currently parked idle, plus workers that finished.
@@ -532,7 +732,7 @@ struct WorkerShared {
     /// Total workers in the run.
     workers: usize,
     /// Per-node sent/drained message counters for the quiescence check.
-    counters: Arc<QueueCounters>,
+    counters: QueueCounters,
     /// How long global quiescence is tolerated before failing the run.
     stall_timeout: Duration,
     /// Set when the run failed (stall or socket error); all workers
@@ -543,13 +743,13 @@ struct WorkerShared {
     failure: Mutex<Option<TransportError>>,
 }
 
-impl WorkerShared {
-    fn new(counters: Arc<QueueCounters>, workers: usize, stall_timeout: Duration) -> Self {
-        WorkerShared {
+impl RunShared {
+    fn new(nodes: usize, workers: usize, stall_timeout: Duration) -> Self {
+        RunShared {
             progress: AtomicU64::new(0),
             idle_workers: AtomicUsize::new(0),
             workers,
-            counters,
+            counters: QueueCounters::new(nodes),
             stall_timeout,
             failed: AtomicBool::new(false),
             failure: Mutex::new(None),
@@ -572,206 +772,184 @@ impl WorkerShared {
     }
 }
 
-/// A node's endpoint onto the socket mesh: per-peer framed connections
-/// plus per-peer reorder buffers of already-decoded messages.
-struct SocketEndpoint<M> {
+/// One actor's endpoint for one poll: its node's links to queue frames
+/// on, its `(stream, peer)` buffers to receive from.
+struct StreamEndpoint<'a, M> {
     node: usize,
-    links: Vec<Option<FramedConn>>,
-    buffers: Vec<VecDeque<M>>,
-    counters: Arc<QueueCounters>,
-    wire: Arc<SharedTally>,
-    activity: u64,
-    /// First socket failure hit by this endpoint; the worker loop lifts
-    /// it into the run's shared failure slot.
-    error: Option<TransportError>,
+    stream: u64,
+    /// The node's end of its connection with every peer.
+    links: &'a mut [Option<FramedConn>],
+    /// This actor's per-peer buffers of decoded messages.
+    inbox: &'a mut [VecDeque<M>],
+    tally: &'a mut WireTally,
+    counters: &'a QueueCounters,
+    /// Encode buffer, reused from send to send.
+    scratch: &'a mut Vec<u8>,
+    /// Sends plus successful receives, the worker's progress signal.
+    activity: &'a mut u64,
 }
 
-impl<M: Wire> SocketEndpoint<M> {
-    fn set_error(&mut self, error: TransportError) {
-        if self.error.is_none() {
-            self.error = Some(error);
-        }
-    }
-
-    /// Reads everything `peer`'s socket has, decodes complete frames into
-    /// the reorder buffer; returns how many messages arrived.
-    fn pump(&mut self, peer: usize) -> u64 {
-        if peer == self.node {
-            return 0;
-        }
-        let Some(link) = self.links[peer].as_mut() else {
-            return 0;
-        };
-        let mut moved = 0u64;
-        loop {
-            match link.poll_frame() {
-                Ok(Some(payload)) => match M::decode_exact(&payload) {
-                    Ok(message) => {
-                        self.buffers[peer].push_back(message);
-                        moved += 1;
-                    }
-                    Err(error) => {
-                        self.set_error(TransportError::Codec { peer, error });
-                        break;
-                    }
-                },
-                Ok(None) => break,
-                Err(error) => {
-                    self.set_error(error);
-                    break;
-                }
-            }
-        }
-        if moved > 0 {
-            self.counters.drained[self.node].fetch_add(moved, Ordering::Relaxed);
-        }
-        moved
-    }
-
-    /// Pumps every peer connection; returns how many messages moved.
-    fn sweep(&mut self) -> u64 {
-        (0..self.buffers.len()).map(|peer| self.pump(peer)).sum()
-    }
-
-    /// Flushes every peer connection's write buffer; returns bytes the
-    /// kernel accepted.  Peers that vanished (worker exited after its
-    /// actor finished) are dropped silently.
-    fn flush_all(&mut self) -> u64 {
-        let mut written = 0u64;
-        for peer in 0..self.links.len() {
-            let Some(link) = self.links[peer].as_mut() else {
-                continue;
-            };
-            match link.flush() {
-                Ok(k) => written += k,
-                Err(TransportError::Io { kind, .. }) if peer_gone(kind) => {
-                    self.links[peer] = None;
-                }
-                Err(error) => self.set_error(error),
-            }
-        }
-        written
-    }
-
-    /// Bytes still queued for peers whose actors have not finished (the
-    /// only bytes worth waiting on during the end-of-shard flush).
-    fn pending_to_unfinished(&self) -> usize {
-        self.links
-            .iter()
-            .enumerate()
-            .filter_map(|(peer, link)| link.as_ref().map(|l| (peer, l)))
-            .filter(|(peer, _)| !self.counters.finished[*peer].load(Ordering::Relaxed))
-            .map(|(_, link)| link.pending_out())
-            .sum()
-    }
-}
-
-impl<M: Wire> Endpoint<M> for SocketEndpoint<M> {
+impl<M: Wire> Endpoint<M> for StreamEndpoint<'_, M> {
     fn nodes(&self) -> usize {
-        self.buffers.len()
+        self.inbox.len()
     }
 
     fn send(&mut self, to: usize, message: M) {
-        self.activity += 1;
+        *self.activity += 1;
+        self.scratch.clear();
+        let envelope = encode_stream_payload(self.scratch, self.stream, &message);
+        let payload = &self.scratch[envelope..];
+        self.tally.record(self.node, to, payload.len() as u64);
         if to == self.node {
             // Self-sends never touch a socket; deliver through the same
             // encode → decode boundary the in-process backend uses.
-            let payload = message.encode();
-            let decoded = M::decode_exact(&payload)
+            let decoded = M::decode_exact(payload)
                 .expect("wire round-trip failed: the message type's encoder and decoder disagree");
-            self.wire.record(to, to, payload.len() as u64);
-            self.counters.sent[to].fetch_add(1, Ordering::Relaxed);
-            self.buffers[to].push_back(decoded);
-            self.counters.drained[to].fetch_add(1, Ordering::Relaxed);
+            self.inbox[to].push_back(decoded);
             return;
         }
-        let payload = message.encode();
-        self.wire.record(self.node, to, payload.len() as u64);
         self.counters.sent[to].fetch_add(1, Ordering::Relaxed);
         if let Some(link) = self.links[to].as_mut() {
-            match link.send_frame(&payload) {
-                Ok(()) => {}
-                Err(TransportError::Io { kind, .. }) if peer_gone(kind) => {
-                    self.links[to] = None;
-                }
-                Err(error) => self.set_error(error),
-            }
+            link.queue_frame(self.scratch);
         }
     }
 
     fn try_recv_from(&mut self, peer: usize) -> Option<M> {
-        self.pump(peer);
-        let message = self.buffers[peer].pop_front();
+        let message = self.inbox[peer].pop_front();
         if message.is_some() {
-            self.activity += 1;
+            *self.activity += 1;
         }
         message
     }
 }
 
-/// The worker loop: a poll/park/stall cycle over one shard of actors,
-/// with socket draining and flushing folded into the idle sweep, and
-/// typed socket errors lifted into the run's shared failure slot.
-fn run_socket_worker<M: Wire>(
-    shard: &mut [&mut dyn NodeActor<M>],
-    mut endpoints: Vec<SocketEndpoint<M>>,
-    shared: &WorkerShared,
-) -> usize {
-    let mut done = vec![false; shard.len()];
-    let mut remaining = shard.len();
-    let mut parked_idle = false;
-    let mut idle_passes = 0u32;
-    let mut seen_progress = shared.progress.load(Ordering::Relaxed);
-    let mut last_global_change = Instant::now();
-    'run: while remaining > 0 {
-        if shared.failed.load(Ordering::Relaxed) {
-            break;
+/// Writes the queued frames of every link of one node that has at least
+/// `at_least` bytes queued — one `write` per link unless the kernel takes
+/// less — and returns the bytes accepted.
+///
+/// A write that finds the peer gone is not the run's error to report: the
+/// read side of the same connection sees the close too, and knows whether
+/// it tore a frame.  Reporting from both sides would make the run's error
+/// a race; the unsendable bytes are dropped instead.
+fn flush_links(row: &mut [Option<FramedConn>], at_least: usize) -> Result<u64, TransportError> {
+    let mut written = 0u64;
+    for link in row.iter_mut().flatten() {
+        if link.pending_out() < at_least {
+            continue;
         }
-        // Unpark *before* polling: while this worker is inside a pass
-        // (possibly a long batched-layer computation), the run must not
-        // look globally idle to the other workers.
-        if parked_idle {
-            shared.idle_workers.fetch_sub(1, Ordering::Relaxed);
-            parked_idle = false;
+        match link.flush() {
+            Ok(k) => written += k,
+            Err(TransportError::Io { kind, .. }) if peer_gone(kind) => link.outbuf.clear(),
+            Err(error) => return Err(error),
         }
-        let mut progress = false;
-        for (k, endpoint) in endpoints.iter_mut().enumerate() {
-            if done[k] {
+    }
+    Ok(written)
+}
+
+/// One worker's part of a run: a contiguous range of nodes — their link
+/// rows, and their actors in every group.
+struct Shard<'a, 'b, M> {
+    first_node: usize,
+    /// `rows[k]` holds node `first_node + k`'s connections.
+    rows: &'a mut [Vec<Option<FramedConn>>],
+    /// `actors[g][k]` is node `first_node + k`'s actor in group `g`.
+    actors: Vec<&'a mut [&'b mut dyn NodeActor<M>]>,
+    /// Stream id of group 0; group `g` is stream `first_stream + g`.
+    first_stream: u64,
+}
+
+/// What a worker keeps per run besides its shard: which actors are done
+/// and what has arrived for the others.
+struct ShardState<M> {
+    /// `done[g * width + k]`: node `k`'s actor in group `g` finished.
+    done: Vec<bool>,
+    /// Buffer `(g * width + k) * n + peer`: what `peer` sent to node `k`
+    /// on stream `g`, decoded, in arrival order.
+    inbox: Vec<VecDeque<M>>,
+}
+
+impl<M: Wire> Shard<'_, '_, M> {
+    /// The worker loop: poll, flush, drain, park — until every actor of
+    /// the shard is done or the run has failed.  Returns how many actors
+    /// finished and the shard's senders' part of every group's tally.
+    fn drive(mut self, shared: &RunShared) -> (usize, Vec<WireTally>) {
+        let width = self.rows.len();
+        let n = shared.counters.sent.len();
+        let groups = self.actors.len();
+        let mut state = ShardState {
+            done: vec![false; groups * width],
+            inbox: (0..groups * width * n).map(|_| VecDeque::new()).collect(),
+        };
+        // Groups in which each node still has an unfinished actor.
+        let mut open_groups = vec![groups; width];
+        let mut tallies: Vec<WireTally> = (0..groups).map(|_| WireTally::new(n)).collect();
+        let mut encode_scratch = Vec::new();
+        let mut read_scratch = [0u8; READ_CHUNK];
+        let mut remaining = groups * width;
+        let mut parked_idle = false;
+        let mut idle_passes = 0u32;
+        let mut seen_progress = shared.progress.load(Ordering::Relaxed);
+        let mut last_global_change = Instant::now();
+        while remaining > 0 && !shared.failed.load(Ordering::Relaxed) {
+            // Unpark *before* polling: while this worker is inside a pass
+            // (possibly a long batched-layer computation), the run must not
+            // look globally idle to the other workers.
+            if parked_idle {
+                shared.idle_workers.fetch_sub(1, Ordering::Relaxed);
+                parked_idle = false;
+            }
+            let mut activity = 0u64;
+            for (g, actors) in self.actors.iter_mut().enumerate() {
+                for (k, actor) in actors.iter_mut().enumerate() {
+                    let slot = g * width + k;
+                    if state.done[slot] {
+                        continue;
+                    }
+                    let mut endpoint = StreamEndpoint {
+                        node: self.first_node + k,
+                        stream: self.first_stream + g as u64,
+                        links: &mut self.rows[k],
+                        inbox: &mut state.inbox[slot * n..(slot + 1) * n],
+                        tally: &mut tallies[g],
+                        counters: &shared.counters,
+                        scratch: &mut encode_scratch,
+                        activity: &mut activity,
+                    };
+                    let status = actor.poll(&mut endpoint);
+                    if let Err(error) = flush_links(&mut self.rows[k], EARLY_FLUSH_BYTES) {
+                        shared.fail(error);
+                    }
+                    if status == ActorStatus::Done {
+                        state.done[slot] = true;
+                        remaining -= 1;
+                        activity += 1;
+                        open_groups[k] -= 1;
+                        if open_groups[k] == 0 {
+                            // Nobody may drain this node again in this run
+                            // (once the whole shard finishes, the worker
+                            // returns), so exclude it from the quiescence
+                            // check instead of letting late messages to it
+                            // block stall detection forever.
+                            shared.counters.finished[self.first_node + k]
+                                .store(true, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+            // One write and one read per link carry the whole pass, for
+            // every group at once.
+            let moved = match self.move_bytes(&mut state, shared, &mut read_scratch) {
+                Ok(moved) => moved,
+                Err(error) => {
+                    shared.fail(error);
+                    break;
+                }
+            };
+            if activity > 0 || moved > 0 {
+                shared.progress.fetch_add(1, Ordering::Relaxed);
+                idle_passes = 0;
                 continue;
             }
-            let before = endpoint.activity;
-            if shard[k].poll(endpoint) == ActorStatus::Done {
-                done[k] = true;
-                remaining -= 1;
-                progress = true;
-                // From here on nobody may ever drain this node again (in
-                // particular once this worker's whole shard finishes and
-                // the worker exits), so exclude it from the quiescence
-                // check instead of letting late messages to it block
-                // stall detection forever.
-                shared.counters.finished[endpoint.node].store(true, Ordering::Relaxed);
-            } else if endpoint.activity != before {
-                progress = true;
-            }
-        }
-        if !progress {
-            // Idle sweep: drain every socket (including finished actors',
-            // so late messages to them do not fill kernel buffers and
-            // stall senders) and push out any back-pressured writes.
-            let drained: u64 = endpoints.iter_mut().map(SocketEndpoint::sweep).sum();
-            let flushed: u64 = endpoints.iter_mut().map(SocketEndpoint::flush_all).sum();
-            progress = drained > 0 || flushed > 0;
-        }
-        for endpoint in endpoints.iter_mut() {
-            if let Some(error) = endpoint.error.take() {
-                shared.fail(error);
-                break 'run;
-            }
-        }
-        if progress {
-            shared.progress.fetch_add(1, Ordering::Relaxed);
-            idle_passes = 0;
-        } else {
             shared.idle_workers.fetch_add(1, Ordering::Relaxed);
             parked_idle = true;
             let now_progress = shared.progress.load(Ordering::Relaxed);
@@ -792,94 +970,116 @@ fn run_socket_worker<M: Wire>(
                 std::thread::yield_now();
             }
         }
+        // A finished worker counts as idle so that peers blocked on a true
+        // deadlock can still see "everyone idle" and time out.
+        if !parked_idle {
+            shared.idle_workers.fetch_add(1, Ordering::Relaxed);
+        }
+        // Before returning, push out bytes that running peers still need.
+        // Bytes addressed to finished nodes may stay queued: the next
+        // run's first flush sends them and their reader drops them as
+        // retired.  Bounded by the stall timeout so a wedged peer cannot
+        // pin this worker forever.
+        let deadline = Instant::now() + shared.stall_timeout;
+        while !shared.failed.load(Ordering::Relaxed)
+            && self.pending_to_unfinished(&shared.counters) > 0
+            && Instant::now() < deadline
+        {
+            // Keep draining too: a peer blocked writing to us frees its own
+            // write buffer only if we read.
+            match self.move_bytes(&mut state, shared, &mut read_scratch) {
+                Ok(0) => std::thread::sleep(Duration::from_millis(1)),
+                Ok(_) => {}
+                Err(error) => shared.fail(error),
+            }
+        }
+        (groups * width - remaining, tallies)
     }
-    // A finished worker counts as idle so that peers blocked on a true
-    // deadlock can still see "everyone idle" and time out.
-    if !parked_idle {
-        shared.idle_workers.fetch_add(1, Ordering::Relaxed);
+
+    /// The I/O half of a pass: flush every link, then drain every link.
+    /// Returns the bytes moved either way.
+    fn move_bytes(
+        &mut self,
+        state: &mut ShardState<M>,
+        shared: &RunShared,
+        scratch: &mut [u8],
+    ) -> Result<u64, TransportError> {
+        let mut flushed = 0;
+        for row in self.rows.iter_mut() {
+            flushed += flush_links(row, 1)?;
+        }
+        Ok(flushed + self.drain_links(state, shared, scratch)?)
     }
-    // Before dropping the shard's sockets, push out bytes that running
-    // peers still need; bytes addressed to finished nodes are theirs to
-    // ignore.  Bounded by the stall timeout so a wedged peer cannot pin
-    // this worker forever.
-    let deadline = Instant::now() + shared.stall_timeout;
-    while !shared.failed.load(Ordering::Relaxed) && Instant::now() < deadline {
-        let pending: usize = endpoints
+
+    /// Reads every link once and routes each complete frame to its
+    /// stream's buffer; returns the bytes read.
+    fn drain_links(
+        &mut self,
+        state: &mut ShardState<M>,
+        shared: &RunShared,
+        scratch: &mut [u8],
+    ) -> Result<u64, TransportError> {
+        let width = self.rows.len();
+        let n = shared.counters.sent.len();
+        let live = self.actors.len() as u64;
+        let mut read = 0u64;
+        for (k, row) in self.rows.iter_mut().enumerate() {
+            let mut drained = 0u64;
+            for (peer, link) in row.iter_mut().enumerate() {
+                let Some(link) = link else { continue };
+                // Frames are routed after every read, so the decoder never
+                // buffers more than one read and the frame it cuts.
+                loop {
+                    let got = link.read_once(scratch)?;
+                    read += got as u64;
+                    // The session owns both ends of every link, so nothing
+                    // closes one while the session lives except a fault.
+                    if link.is_closed() {
+                        return Err(TransportError::Io {
+                            context: "read",
+                            kind: ErrorKind::UnexpectedEof,
+                        });
+                    }
+                    while let Some(frame) = link.next_buffered_frame()? {
+                        let (stream, payload) = split_stream_payload(&frame)
+                            .map_err(|error| TransportError::Codec { peer, error })?;
+                        let Some(g) = stream.checked_sub(self.first_stream) else {
+                            continue; // a late frame of an earlier run: retired
+                        };
+                        if g >= live {
+                            return Err(TransportError::UnknownStream { peer, stream });
+                        }
+                        drained += 1;
+                        let slot = g as usize * width + k;
+                        if state.done[slot] {
+                            continue; // its actor finished: retired on this node
+                        }
+                        let message = M::decode_exact(payload)
+                            .map_err(|error| TransportError::Codec { peer, error })?;
+                        state.inbox[slot * n + peer].push_back(message);
+                    }
+                    if got < scratch.len() {
+                        break;
+                    }
+                }
+            }
+            if drained > 0 {
+                shared.counters.drained[self.first_node + k].fetch_add(drained, Ordering::Relaxed);
+            }
+        }
+        Ok(read)
+    }
+
+    /// Bytes still queued for peers that have an unfinished actor (the
+    /// only bytes worth waiting on once this shard's actors are done).
+    fn pending_to_unfinished(&self, counters: &QueueCounters) -> usize {
+        self.rows
             .iter()
-            .map(SocketEndpoint::pending_to_unfinished)
-            .sum();
-        if pending == 0 {
-            break;
-        }
-        let flushed: u64 = endpoints.iter_mut().map(SocketEndpoint::flush_all).sum();
-        // Keep draining too: a peer blocked writing to us frees its own
-        // write buffer only if we read.
-        let drained: u64 = endpoints.iter_mut().map(SocketEndpoint::sweep).sum();
-        for endpoint in endpoints.iter_mut() {
-            if let Some(error) = endpoint.error.take() {
-                shared.fail(error);
-            }
-        }
-        if flushed == 0 && drained == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    shard.len() - remaining
-}
-
-impl<M: Wire + Send> Transport<M> for SocketTransport {
-    fn name(&self) -> &'static str {
-        "socket"
-    }
-
-    fn run(&self, actors: &mut [&mut dyn NodeActor<M>]) -> Result<WireTally, TransportError> {
-        let n = actors.len();
-        if n == 0 {
-            return Ok(WireTally::new(0));
-        }
-        let links = self.connect_mesh(n)?;
-        let counters = Arc::new(QueueCounters::new(n));
-        let wire = Arc::new(SharedTally::new(n));
-        let mut endpoints: Vec<SocketEndpoint<M>> = links
-            .into_iter()
-            .enumerate()
-            .map(|(node, links)| SocketEndpoint {
-                node,
-                links,
-                buffers: (0..n).map(|_| VecDeque::new()).collect(),
-                counters: Arc::clone(&counters),
-                wire: Arc::clone(&wire),
-                activity: 0,
-                error: None,
-            })
-            .collect();
-        let workers = self.threads.clamp(1, n);
-        let shard_size = n.div_ceil(workers);
-        let shared = WorkerShared::new(counters, n.div_ceil(shard_size), self.stall_timeout);
-        let completed: usize = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rest: &mut [&mut dyn NodeActor<M>] = actors;
-            while !rest.is_empty() {
-                let take = shard_size.min(rest.len());
-                let (shard, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                rest = tail;
-                let shard_endpoints: Vec<_> = endpoints.drain(..take).collect();
-                let shared = &shared;
-                handles
-                    .push(scope.spawn(move || run_socket_worker(shard, shard_endpoints, shared)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("socket transport worker panicked"))
-                .sum()
-        });
-        if shared.failed.load(Ordering::Relaxed) {
-            return Err(shared.take_failure().unwrap_or(TransportError::Stalled {
-                done: completed,
-                actors: n,
-            }));
-        }
-        Ok(wire.collect())
+            .flat_map(|row| row.iter().enumerate())
+            .filter(|(peer, _)| !counters.finished[*peer].load(Ordering::Relaxed))
+            .filter_map(|(_, link)| link.as_ref())
+            .map(FramedConn::pending_out)
+            .sum()
     }
 }
 

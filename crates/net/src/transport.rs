@@ -8,6 +8,15 @@
 //! [`Transport`] takes a set of actors (one per simulated node, addressed
 //! by dense local indices `0..n`) and drives them to completion.
 //!
+//! A transport does that through a [`Session`]: [`Transport::open`]
+//! builds whatever connects `n` nodes — nothing in process, a TCP mesh on
+//! sockets — and hands it to the caller, who keeps it for as many runs as
+//! it likes.  One [`Session::run`] drives *several* actor groups at once,
+//! each group the `n` parties of one independent protocol execution (one
+//! block MPC); a group's messages travel as one *stream* of the session,
+//! so groups share the connections without ever seeing each other's
+//! messages.  [`Transport::run`] is the one-group, one-run case.
+//!
 //! Two backends are provided:
 //!
 //! * [`SimTransport`] (this module) — the deterministic in-process
@@ -19,7 +28,8 @@
 //! * [`crate::socket::SocketTransport`] — real concurrency and real bytes.
 //!   Nodes are sharded across a worker pool (sized by
 //!   [`std::thread::available_parallelism`] by default) and exchange
-//!   framed messages over loopback TCP connections.
+//!   framed messages over the loopback TCP connections of the session's
+//!   mesh, every live group multiplexed over the same connections.
 //!
 //! Actors must be written so that their *outputs* do not depend on the
 //! schedule: they may only consume messages via
@@ -203,6 +213,23 @@ pub enum TransportError {
         /// What went wrong.
         context: &'static str,
     },
+    /// A frame named a stream the session has not opened yet.  (A frame
+    /// for a stream that has *retired* is late, not hostile, and is
+    /// dropped.)
+    UnknownStream {
+        /// Local index of the offending peer.
+        peer: usize,
+        /// The stream id the frame carried.
+        stream: u64,
+    },
+    /// A group handed to [`Session::run`] does not have one actor per
+    /// node of the session.
+    GroupSize {
+        /// Nodes the session was opened for.
+        expected: usize,
+        /// Actors in the offending group.
+        actual: usize,
+    },
 }
 
 impl fmt::Display for TransportError {
@@ -224,23 +251,40 @@ impl fmt::Display for TransportError {
             TransportError::Handshake { context } => {
                 write!(f, "handshake failed: {context}")
             }
+            TransportError::UnknownStream { peer, stream } => {
+                write!(f, "frame from peer {peer} names stream {stream}, which was never opened")
+            }
+            TransportError::GroupSize { expected, actual } => write!(
+                f,
+                "a group of {actual} actors cannot run on a session of {expected} nodes"
+            ),
         }
     }
 }
 
 impl std::error::Error for TransportError {}
 
-/// A backend that drives a set of node actors to completion.
+/// A backend that drives sets of node actors to completion.
 ///
 /// Messages must implement [`Wire`]: every send is routed through
-/// `encode → byte buffer → decode`, and the run returns a [`WireTally`]
+/// `encode → byte buffer → decode`, and a run returns a [`WireTally`]
 /// of the measured encoded bytes per `(from, to)` pair.
 pub trait Transport<M: Wire + Send> {
     /// Short backend name, for logs and benchmark tables.
     fn name(&self) -> &'static str;
 
+    /// Connects `nodes` nodes and returns the session that owns whatever
+    /// connects them, for as long as the caller keeps it.
+    ///
+    /// # Errors
+    ///
+    /// The socket backend returns [`TransportError::Io`] or
+    /// [`TransportError::Handshake`] when its mesh cannot be built.
+    fn open(&self, nodes: usize) -> Result<Box<dyn Session<M> + '_>, TransportError>;
+
     /// Runs every actor until all are [`ActorStatus::Done`], returning
-    /// the measured wire traffic of the run.
+    /// the measured wire traffic of the run: one group on a session
+    /// opened for it and dropped afterwards.
     ///
     /// Actor `i` is local node `i`.  The actors are borrowed, not
     /// consumed, so the caller can extract their results afterwards.
@@ -248,8 +292,54 @@ pub trait Transport<M: Wire + Send> {
     /// # Errors
     ///
     /// Returns [`TransportError::Stalled`] if the protocol can never
-    /// complete (all remaining actors idle, no messages in flight).
-    fn run(&self, actors: &mut [&mut dyn NodeActor<M>]) -> Result<WireTally, TransportError>;
+    /// complete (all remaining actors idle, no messages in flight), or
+    /// any error of [`Transport::open`] and [`Session::run`].
+    fn run(&self, actors: &mut [&mut dyn NodeActor<M>]) -> Result<WireTally, TransportError> {
+        let mut tallies = self.open(actors.len())?.run(&mut [actors])?;
+        Ok(tallies.pop().expect("one group yields one tally"))
+    }
+}
+
+/// `n` connected nodes, kept for as many runs as the caller likes.
+///
+/// Every group of a run is one independent protocol execution among the
+/// session's `n` nodes — actor `i` of each group is local node `i` — and
+/// travels as its own stream: an actor only ever receives what the same
+/// group's actors sent.  Stream ids rise over the session's life, so a
+/// message that arrives after its group finished (or after its run
+/// ended) is recognised as late and dropped.
+pub trait Session<M: Wire + Send> {
+    /// Number of nodes the session connects.
+    fn nodes(&self) -> usize;
+
+    /// Drives every actor of every group to [`ActorStatus::Done`] and
+    /// returns each group's measured wire traffic, in group order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::GroupSize`] (before anything runs) for a
+    /// group that does not have one actor per node,
+    /// [`TransportError::Stalled`] if some group can never complete, and
+    /// on sockets the typed frame, codec, stream and I/O errors.  An
+    /// error ends the whole run: no group's result may be used.
+    fn run(
+        &mut self,
+        groups: &mut [&mut [&mut dyn NodeActor<M>]],
+    ) -> Result<Vec<WireTally>, TransportError>;
+}
+
+/// The shape check both backends' sessions start a run with.
+pub(crate) fn check_group_sizes<M>(
+    nodes: usize,
+    groups: &[&mut [&mut dyn NodeActor<M>]],
+) -> Result<(), TransportError> {
+    match groups.iter().find(|group| group.len() != nodes) {
+        Some(group) => Err(TransportError::GroupSize {
+            expected: nodes,
+            actual: group.len(),
+        }),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,42 +393,73 @@ impl<M: Wire + Send> Transport<M> for SimTransport {
         "sim"
     }
 
-    fn run(&self, actors: &mut [&mut dyn NodeActor<M>]) -> Result<WireTally, TransportError> {
-        let n = actors.len();
-        let mut lanes: Vec<VecDeque<M>> = (0..n * n).map(|_| VecDeque::new()).collect();
-        let mut scratch = Vec::new();
-        let mut tally = WireTally::new(n);
-        let mut done = vec![false; n];
-        let mut done_count = 0usize;
-        while done_count < n {
-            let mut activity = 0u64;
-            for (i, actor) in actors.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let mut endpoint = SimEndpoint {
-                    node: i,
-                    nodes: n,
-                    lanes: &mut lanes,
-                    scratch: &mut scratch,
-                    tally: &mut tally,
-                    activity: &mut activity,
-                };
-                if actor.poll(&mut endpoint) == ActorStatus::Done {
-                    done[i] = true;
-                    done_count += 1;
-                    activity += 1;
-                }
+    fn open(&self, nodes: usize) -> Result<Box<dyn Session<M> + '_>, TransportError> {
+        Ok(Box::new(SimSession { nodes }))
+    }
+}
+
+/// The in-process session: nothing to connect, so nothing to own but the
+/// node count.  Its groups run one after another, each on the
+/// deterministic round-robin schedule — the reference every other way of
+/// running them is compared against.
+struct SimSession {
+    nodes: usize,
+}
+
+impl<M: Wire + Send> Session<M> for SimSession {
+    fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    fn run(
+        &mut self,
+        groups: &mut [&mut [&mut dyn NodeActor<M>]],
+    ) -> Result<Vec<WireTally>, TransportError> {
+        check_group_sizes(self.nodes, groups)?;
+        groups
+            .iter_mut()
+            .map(|actors| run_sim_group(actors))
+            .collect()
+    }
+}
+
+fn run_sim_group<M: Wire>(
+    actors: &mut [&mut dyn NodeActor<M>],
+) -> Result<WireTally, TransportError> {
+    let n = actors.len();
+    let mut lanes: Vec<VecDeque<M>> = (0..n * n).map(|_| VecDeque::new()).collect();
+    let mut scratch = Vec::new();
+    let mut tally = WireTally::new(n);
+    let mut done = vec![false; n];
+    let mut done_count = 0usize;
+    while done_count < n {
+        let mut activity = 0u64;
+        for (i, actor) in actors.iter_mut().enumerate() {
+            if done[i] {
+                continue;
             }
-            if activity == 0 {
-                return Err(TransportError::Stalled {
-                    done: done_count,
-                    actors: n,
-                });
+            let mut endpoint = SimEndpoint {
+                node: i,
+                nodes: n,
+                lanes: &mut lanes,
+                scratch: &mut scratch,
+                tally: &mut tally,
+                activity: &mut activity,
+            };
+            if actor.poll(&mut endpoint) == ActorStatus::Done {
+                done[i] = true;
+                done_count += 1;
+                activity += 1;
             }
         }
-        Ok(tally)
+        if activity == 0 {
+            return Err(TransportError::Stalled {
+                done: done_count,
+                actors: n,
+            });
+        }
     }
+    Ok(tally)
 }
 
 #[cfg(test)]

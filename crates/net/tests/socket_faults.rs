@@ -8,12 +8,20 @@
 //! quiescence-based stall detection is exercised on real sockets as well:
 //! genuine stalls time out, long computations and late or unconsumed
 //! messages do not confuse it.
+//!
+//! The same faults are then injected *mid-stream on a shared connection*:
+//! a session multiplexing several live groups over one mesh must end the
+//! whole run with the matching typed error — no group's result survives —
+//! while a late frame for a retired stream is dropped and costs nothing.
 
-use dstress_net::socket::{FramedConn, Hello, SocketTransport};
-use dstress_net::transport::{
-    ActorStatus, Endpoint, NodeActor, SimTransport, Transport, TransportError,
+use dstress_net::frame::encode_frame;
+use dstress_net::socket::{
+    encode_stream_payload, FramedConn, Hello, SocketSession, SocketTransport,
 };
-use dstress_net::{FrameError, FRAME_MAGIC};
+use dstress_net::transport::{
+    ActorStatus, Endpoint, NodeActor, Session, SimTransport, Transport, TransportError,
+};
+use dstress_net::{FrameError, WireError, WireTally, FRAME_MAGIC};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -374,24 +382,32 @@ impl NodeActor<Vec<u64>> for Batcher {
 #[test]
 fn large_batched_payloads_do_not_trip_stall_detection() {
     let (batch, payload) = (64usize, 4096usize);
-    let mut producer = Batcher::SlowProducer { batch, payload };
-    let mut consumer = Batcher::Consumer {
-        received: 0,
-        expected: batch,
-        sum: 0,
-    };
-    let mut kicker = Batcher::Kicker;
-    let mut refs: Vec<&mut dyn NodeActor<Vec<u64>>> =
-        vec![&mut producer, &mut consumer, &mut kicker];
-    let transport = SocketTransport::with_threads(3).with_stall_timeout(Duration::from_millis(100));
-    within_deadline(|| transport.run(&mut refs).unwrap());
-    let Batcher::Consumer { received, sum, .. } = consumer else {
-        unreachable!();
-    };
-    assert_eq!(received, batch);
-    // sum of i * payload for i in 0..batch
-    let expected: u64 = (0..batch as u64).map(|i| i * payload as u64).sum();
-    assert_eq!(sum, expected);
+    for threads in [1, 2, 4] {
+        let transport =
+            SocketTransport::with_threads(threads).with_stall_timeout(Duration::from_millis(100));
+        let mut session = transport.connect(3).unwrap();
+        // Twice on one session: the mesh outlives a run and its buffers
+        // carry nothing over.
+        for run in 0..2 {
+            let mut producer = Batcher::SlowProducer { batch, payload };
+            let mut consumer = Batcher::Consumer {
+                received: 0,
+                expected: batch,
+                sum: 0,
+            };
+            let mut kicker = Batcher::Kicker;
+            let mut refs: Vec<&mut dyn NodeActor<Vec<u64>>> =
+                vec![&mut producer, &mut consumer, &mut kicker];
+            within_deadline(|| session.run(&mut [&mut refs[..]]).unwrap());
+            let Batcher::Consumer { received, sum, .. } = consumer else {
+                unreachable!();
+            };
+            assert_eq!(received, batch, "threads = {threads}, run {run}");
+            // sum of i * payload for i in 0..batch
+            let expected: u64 = (0..batch as u64).map(|i| i * payload as u64).sum();
+            assert_eq!(sum, expected, "threads = {threads}, run {run}");
+        }
+    }
 }
 
 /// A message that its recipient will never consume must not be read as
@@ -408,10 +424,416 @@ fn unconsumed_messages_do_not_mask_a_stall() {
     }
     // Node 0 only ever waits on a message from itself, so node 1's
     // message sits in node 0's buffers unconsumed.
-    let mut starved = Starved;
-    let mut sender = FireAndForget;
-    let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut starved, &mut sender];
-    let transport = SocketTransport::with_threads(2).with_stall_timeout(Duration::from_millis(100));
-    let err = within_deadline(|| transport.run(&mut refs).unwrap_err());
-    assert_eq!(err, TransportError::Stalled { done: 1, actors: 2 });
+    for threads in [1, 2, 4] {
+        let mut starved = Starved;
+        let mut sender = FireAndForget;
+        let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut starved, &mut sender];
+        let transport =
+            SocketTransport::with_threads(threads).with_stall_timeout(Duration::from_millis(100));
+        let mut session = transport.connect(2).unwrap();
+        let err = within_deadline(|| session.run(&mut [&mut refs[..]]).unwrap_err());
+        assert_eq!(
+            err,
+            TransportError::Stalled { done: 1, actors: 2 },
+            "threads = {threads}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Faults on a shared connection: several streams live on one session
+// ---------------------------------------------------------------------------
+
+/// What a [`Chatter`] does when it reaches its trigger round.
+enum Fault {
+    /// Nothing: an ordinary member of its group.
+    None,
+    /// Writes these raw bytes onto the connection it shares with every
+    /// other group, behind the session's back, and carries on.
+    Inject(TcpStream, Vec<u8>),
+    /// Writes the bytes, then shuts the connection's write side down.
+    InjectAndClose(TcpStream, Vec<u8>),
+    /// Goes silent: never sends or finishes again.
+    Silence,
+}
+
+/// A multi-round all-to-all exchange: in every round each node sends
+/// `round * 100 + node` to every peer, then sums what the peers sent.
+/// One actor of one group may carry a [`Fault`] that fires when it enters
+/// round `trigger` — mid-stream, with earlier rounds already exchanged
+/// and later ones still to come on every group.
+struct Chatter {
+    node: usize,
+    nodes: usize,
+    rounds: u64,
+    round: u64,
+    sent: bool,
+    next_peer: usize,
+    sum: u64,
+    trigger: u64,
+    fault: Fault,
+}
+
+impl Chatter {
+    fn new(node: usize, nodes: usize, rounds: u64) -> Self {
+        Chatter {
+            node,
+            nodes,
+            rounds,
+            round: 0,
+            sent: false,
+            next_peer: 0,
+            sum: 0,
+            trigger: 0,
+            fault: Fault::None,
+        }
+    }
+}
+
+impl NodeActor<u64> for Chatter {
+    fn poll(&mut self, ep: &mut dyn Endpoint<u64>) -> ActorStatus {
+        while self.round < self.rounds {
+            if !self.sent {
+                if self.round == self.trigger {
+                    match std::mem::replace(&mut self.fault, Fault::None) {
+                        Fault::None => {}
+                        Fault::Inject(mut raw, bytes) => raw.write_all(&bytes).unwrap(),
+                        Fault::InjectAndClose(mut raw, bytes) => {
+                            raw.write_all(&bytes).unwrap();
+                            raw.shutdown(Shutdown::Write).unwrap();
+                        }
+                        Fault::Silence => {
+                            self.fault = Fault::Silence;
+                            return ActorStatus::Idle;
+                        }
+                    }
+                }
+                for peer in (0..self.nodes).filter(|&p| p != self.node) {
+                    ep.send(peer, self.round * 100 + self.node as u64);
+                }
+                self.sent = true;
+            }
+            while self.next_peer < self.nodes {
+                if self.next_peer != self.node {
+                    match ep.try_recv_from(self.next_peer) {
+                        Some(v) => self.sum += v,
+                        None => return ActorStatus::Idle,
+                    }
+                }
+                self.next_peer += 1;
+            }
+            self.round += 1;
+            self.sent = false;
+            self.next_peer = 0;
+        }
+        ActorStatus::Done
+    }
+}
+
+const CHAT_NODES: usize = 3;
+const CHAT_ROUNDS: u64 = 6;
+
+fn chat_groups(groups: usize) -> Vec<Vec<Chatter>> {
+    (0..groups)
+        .map(|_| {
+            (0..CHAT_NODES)
+                .map(|node| Chatter::new(node, CHAT_NODES, CHAT_ROUNDS))
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs the groups as one run of `session`; returns the run's result and
+/// every actor's sum.
+fn run_chat(
+    session: &mut dyn Session<u64>,
+    groups: &mut [Vec<Chatter>],
+) -> (Result<Vec<WireTally>, TransportError>, Vec<Vec<u64>>) {
+    let result = {
+        let mut refs: Vec<Vec<&mut dyn NodeActor<u64>>> = groups
+            .iter_mut()
+            .map(|g| g.iter_mut().map(|a| a as &mut dyn NodeActor<u64>).collect())
+            .collect();
+        let mut slices: Vec<&mut [&mut dyn NodeActor<u64>]> =
+            refs.iter_mut().map(Vec::as_mut_slice).collect();
+        session.run(&mut slices)
+    };
+    let sums = groups
+        .iter()
+        .map(|g| g.iter().map(|a| a.sum).collect())
+        .collect();
+    (result, sums)
+}
+
+/// One mesh frame carrying `value` on `stream`, as the session writes it.
+fn stream_frame(stream: u64, value: u64) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_stream_payload(&mut payload, stream, &value);
+    encode_frame(&payload)
+}
+
+fn fault_session(threads: usize) -> SocketSession {
+    SocketTransport::with_threads(threads)
+        .with_stall_timeout(Duration::from_millis(200))
+        .connect(CHAT_NODES)
+        .unwrap()
+}
+
+/// Four groups share the session; node 0 of group 2 fires `fault` on its
+/// link to node 1 as it enters round 3.  Returns how the run ended.
+fn run_with_fault(threads: usize, fault: impl FnOnce(TcpStream) -> Fault) -> TransportError {
+    let mut session = fault_session(threads);
+    let mut groups = chat_groups(4);
+    groups[2][0].trigger = 3;
+    groups[2][0].fault = fault(session.raw_link(0, 1).unwrap());
+    let (result, _) = within_deadline(|| run_chat(&mut session, &mut groups));
+    // An error is the whole run's: no group's tally comes back.
+    result.unwrap_err()
+}
+
+#[test]
+fn shared_connection_faults_end_the_run_with_their_typed_error() {
+    // A frame header promising 100 bytes, 10 of them, then the close.
+    let mut torn = vec![FRAME_MAGIC];
+    torn.extend_from_slice(&100u32.to_le_bytes());
+    torn.extend_from_slice(&[0xAB; 10]);
+    // One whole, valid frame of a live stream, then a second one torn off
+    // mid-payload by the disconnect.
+    let mut mid_message = stream_frame(1, 7);
+    mid_message.push(FRAME_MAGIC);
+    mid_message.extend_from_slice(&64u32.to_le_bytes());
+    mid_message.extend_from_slice(&[0xCD; 5]);
+    let mut oversized = vec![FRAME_MAGIC];
+    oversized.extend_from_slice(&u32::MAX.to_le_bytes());
+
+    for threads in [1, 3] {
+        let err = run_with_fault(threads, |raw| Fault::InjectAndClose(raw, torn.clone()));
+        assert_eq!(
+            err,
+            TransportError::Frame {
+                peer: 0,
+                error: FrameError::Torn { buffered: 15 }
+            },
+            "torn frame, threads = {threads}"
+        );
+
+        let err = run_with_fault(threads, |raw| {
+            Fault::InjectAndClose(raw, mid_message.clone())
+        });
+        assert_eq!(
+            err,
+            TransportError::Frame {
+                peer: 0,
+                error: FrameError::Torn { buffered: 10 }
+            },
+            "mid-message disconnect, threads = {threads}"
+        );
+
+        let err = run_with_fault(threads, |raw| {
+            Fault::Inject(raw, b"GET /healthz HTTP/1.0\r\n\r\n".to_vec())
+        });
+        assert_eq!(
+            err,
+            TransportError::Frame {
+                peer: 0,
+                error: FrameError::BadMagic { found: b'G' }
+            },
+            "trailing garbage, threads = {threads}"
+        );
+
+        let err = run_with_fault(threads, |raw| Fault::Inject(raw, oversized.clone()));
+        assert!(
+            matches!(
+                err,
+                TransportError::Frame {
+                    peer: 0,
+                    error: FrameError::Oversized {
+                        length: u32::MAX,
+                        ..
+                    }
+                }
+            ),
+            "oversized prefix, threads = {threads}: {err:?}"
+        );
+
+        // A frame whose payload ends inside the stream id.
+        let err = run_with_fault(threads, |raw| Fault::Inject(raw, encode_frame(&[0x80])));
+        assert_eq!(
+            err,
+            TransportError::Codec {
+                peer: 0,
+                error: WireError::Truncated {
+                    needed: 1,
+                    available: 0
+                }
+            },
+            "truncated stream id, threads = {threads}"
+        );
+
+        // A stream id that runs past 64 bits.
+        let err = run_with_fault(threads, |raw| Fault::Inject(raw, encode_frame(&[0xFF; 11])));
+        assert_eq!(
+            err,
+            TransportError::Codec {
+                peer: 0,
+                error: WireError::VarintOverflow
+            },
+            "overflowing stream id, threads = {threads}"
+        );
+
+        // A well-formed frame of a live stream whose payload is not a u64.
+        let mut short = vec![0x01];
+        short.extend_from_slice(&[1, 2, 3]);
+        let err = run_with_fault(threads, |raw| Fault::Inject(raw, encode_frame(&short)));
+        assert!(
+            matches!(err, TransportError::Codec { peer: 0, .. }),
+            "undecodable payload, threads = {threads}: {err:?}"
+        );
+
+        // The session has opened streams 0..4 and nothing else.
+        let err = run_with_fault(threads, |raw| Fault::Inject(raw, stream_frame(4, 7)));
+        assert_eq!(
+            err,
+            TransportError::UnknownStream { peer: 0, stream: 4 },
+            "stream never opened, threads = {threads}"
+        );
+
+        // A peer that goes silent starves its own group; the other three
+        // finish, and the stall is diagnosed inside the timeout.
+        let err = run_with_fault(threads, |_raw| Fault::Silence);
+        assert_eq!(
+            err,
+            TransportError::Stalled {
+                done: 3 * CHAT_NODES,
+                actors: 4 * CHAT_NODES
+            },
+            "silent peer, threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn late_frames_for_retired_streams_are_dropped() {
+    // The reference: the same groups on the in-process backend.
+    let mut reference = chat_groups(3);
+    let (expected_tallies, expected_sums) = {
+        let mut session = Transport::<u64>::open(&SimTransport, CHAT_NODES).unwrap();
+        let (result, sums) = run_chat(&mut *session, &mut reference);
+        (result.unwrap(), sums)
+    };
+
+    for threads in [1, 3] {
+        let mut session = fault_session(threads);
+        let mut raw = session.raw_link(0, 1).unwrap();
+
+        // Run 1 opens and retires streams 0..3.
+        let mut first = chat_groups(3);
+        let (result, sums) = within_deadline(|| run_chat(&mut session, &mut first));
+        assert_eq!(result.unwrap(), expected_tallies, "threads = {threads}");
+        assert_eq!(sums, expected_sums, "threads = {threads}");
+
+        // A straggler of stream 1 arrives between the runs, and another
+        // in the middle of run 2 — which is streams 3..6.
+        raw.write_all(&stream_frame(1, 999)).unwrap();
+        let mut second = chat_groups(3);
+        second[1][0].trigger = 2;
+        second[1][0].fault = Fault::Inject(raw.try_clone().unwrap(), stream_frame(2, 999));
+        let (result, sums) = within_deadline(|| run_chat(&mut session, &mut second));
+        assert_eq!(result.unwrap(), expected_tallies, "threads = {threads}");
+        assert_eq!(sums, expected_sums, "threads = {threads}");
+
+        // The same bytes on a stream of run 2 would have been delivered:
+        // a frame for stream 6, which the *next* run would open, is not
+        // late but unknown.
+        let mut third = chat_groups(3);
+        third[0][0].trigger = 1;
+        third[0][0].fault = Fault::Inject(raw.try_clone().unwrap(), stream_frame(9, 999));
+        let (result, _) = within_deadline(|| run_chat(&mut session, &mut third));
+        assert_eq!(
+            result.unwrap_err(),
+            TransportError::UnknownStream { peer: 0, stream: 9 },
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
+fn golden_stream_frame_is_delivered_to_its_stream() {
+    // The envelope as bytes: frame header, uvarint stream id 2, then the
+    // u64 payload — written by hand, read by the session.
+    let golden: Vec<u8> = vec![
+        0xD5, 0x09, 0x00, 0x00, 0x00, // magic, payload length 9
+        0x02, // stream 2
+        0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 42u64, little-endian
+    ];
+    assert_eq!(stream_frame(2, 42), golden);
+
+    /// Node 1 of its group waits for one message from node 0, which never
+    /// sends one through the session: the golden bytes are its message.
+    struct Expect(Option<u64>);
+    impl NodeActor<u64> for Expect {
+        fn poll(&mut self, ep: &mut dyn Endpoint<u64>) -> ActorStatus {
+            self.0 = self.0.or_else(|| ep.try_recv_from(0));
+            match self.0 {
+                Some(_) => ActorStatus::Done,
+                None => ActorStatus::Idle,
+            }
+        }
+    }
+    struct Quiet;
+    impl NodeActor<u64> for Quiet {
+        fn poll(&mut self, _ep: &mut dyn Endpoint<u64>) -> ActorStatus {
+            ActorStatus::Done
+        }
+    }
+
+    let mut session = fault_session(1);
+    session.raw_link(0, 1).unwrap().write_all(&golden).unwrap();
+    let mut waiting: Vec<Expect> = (0..3).map(|_| Expect(None)).collect();
+    let (mut q0, mut q1, mut q2, mut q3, mut q4, mut q5) =
+        (Quiet, Quiet, Quiet, Quiet, Quiet, Quiet);
+    let [w0, w1, w2] = &mut waiting[..] else {
+        unreachable!()
+    };
+    // Streams 0 and 1 wait too, and must not see stream 2's message.
+    let mut g0: Vec<&mut dyn NodeActor<u64>> = vec![&mut q0, w0, &mut q1];
+    let mut g1: Vec<&mut dyn NodeActor<u64>> = vec![&mut q2, w1, &mut q3];
+    let mut g2: Vec<&mut dyn NodeActor<u64>> = vec![&mut q4, w2, &mut q5];
+    let result = within_deadline(|| {
+        Session::<u64>::run(&mut session, &mut [&mut g0[..], &mut g1[..], &mut g2[..]])
+    });
+    // Groups 0 and 1 starve (nobody sends to them); group 2 got the frame.
+    assert_eq!(
+        result.unwrap_err(),
+        TransportError::Stalled { done: 7, actors: 9 }
+    );
+    assert_eq!(waiting[0].0, None);
+    assert_eq!(waiting[1].0, None);
+    assert_eq!(waiting[2].0, Some(42));
+}
+
+#[test]
+fn a_group_of_the_wrong_size_is_refused_before_it_runs() {
+    let mut actors = chat_groups(1).remove(0);
+    actors.pop();
+    let mut refs: Vec<&mut dyn NodeActor<u64>> = actors
+        .iter_mut()
+        .map(|a| a as &mut dyn NodeActor<u64>)
+        .collect();
+    let expected = TransportError::GroupSize {
+        expected: CHAT_NODES,
+        actual: CHAT_NODES - 1,
+    };
+    let mut sim = Transport::<u64>::open(&SimTransport, CHAT_NODES).unwrap();
+    assert_eq!(sim.run(&mut [&mut refs[..]]).unwrap_err(), expected);
+    let mut socket = fault_session(2);
+    assert_eq!(
+        Session::<u64>::run(&mut socket, &mut [&mut refs[..]]).unwrap_err(),
+        expected
+    );
+    drop(refs);
+    assert!(
+        actors.iter().all(|a| a.round == 0 && !a.sent),
+        "nothing ran"
+    );
 }

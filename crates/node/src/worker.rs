@@ -3,13 +3,14 @@
 //! A worker is a deterministic function of its [`JobSpec`] and the task
 //! stream: it connects to the master, registers, rebuilds the program
 //! circuit from the job parameters, and then executes every batch with
-//! the engine's own task-level entry points
-//! ([`dstress_core::exec::execute_block_step_task`],
+//! the engine's own entry points
+//! ([`dstress_core::exec::execute_block_steps`],
 //! [`dstress_core::exec::execute_accounted_transfer_task`]) — so the
 //! outcomes it returns are bit-for-bit what the master's in-process
 //! pool would have computed.  With `TransportKind::Socket` in the job,
 //! every block MPC the worker runs exchanges its GMW messages between
-//! the block's node actors over real loopback TCP connections.
+//! the block's node actors over real loopback TCP connections: one mesh
+//! per pool lane and batch, the lane's block MPCs multiplexed over it.
 //!
 //! Per-node traffic is accounted locally as batches execute and
 //! reported back as totals when the master sends `Finish`.
@@ -18,7 +19,7 @@ use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use dstress_core::exec::{execute_accounted_transfer_task, execute_block_step_task};
+use dstress_core::exec::{execute_accounted_transfer_task, execute_block_steps};
 use dstress_core::{CounterProgram, SecureVertexProgram, TransferTask};
 use dstress_crypto::group::Group;
 use dstress_net::pool::{default_threads, parallel_map};
@@ -139,21 +140,15 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                         ));
                     }
                 }
-                let (batching, transport) = (job.batching, job.transport);
-                let circuit = &update_circuit;
-                let outcomes: Result<Vec<_>, _> =
-                    parallel_map(tasks, threads, move |_off, task| {
-                        execute_block_step_task(
-                            circuit,
-                            batching,
-                            transport,
-                            state_bits,
-                            message_bits,
-                            task,
-                        )
-                    })
-                    .into_iter()
-                    .collect();
+                let outcomes = execute_block_steps(
+                    &update_circuit,
+                    job.batching,
+                    job.transport,
+                    state_bits,
+                    message_bits,
+                    tasks,
+                    threads,
+                );
                 let outcomes = outcomes.map_err(|e| format!("block step failed: {e}"))?;
                 for outcome in &outcomes {
                     for (id, totals) in &outcome.traffic {
@@ -202,8 +197,10 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dstress_core::exec::execute_block_step_task;
     use dstress_core::{BlockStepTask, TransportKind};
     use dstress_crypto::group::GroupKind;
+    use dstress_math::rng::{DetRng, Xoshiro256};
     use dstress_mpc::GmwBatching;
     use std::net::TcpListener;
 
@@ -318,6 +315,78 @@ mod tests {
             let job = JobSpec { width, ..job() };
             let err = serve(&job, DeployMsg::Finish).unwrap_err();
             assert!(err.contains("outside 1..=64"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_batch_that_rolls_sessions_over_equals_the_per_task_door() {
+        // Every lane keeps 8 block MPCs in flight on its session; 20 tasks
+        // per lane (and 3 to make the lanes uneven) roll each lane's
+        // session over into a third sub-batch.
+        let tasks_in_batch = default_threads() * 20 + 3;
+        let job = JobSpec {
+            transport: TransportKind::Socket,
+            blocks: (0..tasks_in_batch as u64)
+                .map(|v| (v, (0..3).map(|m| NodeId(v as usize + m)).collect()))
+                .collect(),
+            ..job()
+        };
+        let program = CounterProgram {
+            width: job.width,
+            rounds: job.rounds,
+        };
+        let circuit = program.update_circuit(job.degree_bound as usize);
+        let mut rng = Xoshiro256::new(0x5E55);
+        let tasks: Vec<BlockStepTask> = job
+            .blocks
+            .iter()
+            .map(|(vertex, members)| BlockStepTask {
+                vertex: *vertex,
+                seed: rng.next_u64(),
+                members: members.clone(),
+                out_slots: vertex % 3,
+                input_shares: (0..3)
+                    .map(|_| (0..circuit.num_inputs()).map(|_| rng.next_bool()).collect())
+                    .collect(),
+            })
+            .collect();
+        let expected: Vec<_> = tasks
+            .iter()
+            .map(|task| {
+                execute_block_step_task(
+                    &circuit,
+                    job.batching,
+                    TransportKind::Sim,
+                    program.state_bits() as usize,
+                    program.message_bits() as usize,
+                    task.clone(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut expected_report = TrafficAccountant::new();
+        for (id, totals) in expected.iter().flat_map(|outcome| &outcome.traffic) {
+            expected_report.add_node_traffic(*id, totals);
+        }
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let master = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut master = FramedConn::new(master).unwrap();
+        let mut worker = FramedConn::new(listener.accept().unwrap().0).unwrap();
+        for message in [DeployMsg::BlockSteps(tasks), DeployMsg::Finish] {
+            master.send_msg(&message).unwrap();
+            master.flush_blocking(SEND_TIMEOUT).unwrap();
+        }
+        serve_job(&mut worker, &job).unwrap();
+        match master.recv_msg::<DeployMsg>(SEND_TIMEOUT).unwrap() {
+            DeployMsg::BlockStepResults(outcomes) => assert_eq!(outcomes, expected),
+            other => panic!("expected block step results, got {other:?}"),
+        }
+        match master.recv_msg::<DeployMsg>(SEND_TIMEOUT).unwrap() {
+            DeployMsg::Report { traffic } => {
+                assert_eq!(traffic, expected_report.sorted_node_entries())
+            }
+            other => panic!("expected the traffic report, got {other:?}"),
         }
     }
 }

@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# A run must leave the work tree as it found it; compared at the end
+# (outside a git work tree both readings are the same placeholder).
+tree_state() { git status --porcelain 2>/dev/null || echo "not a git work tree"; }
+tree_before=$(tree_state)
+
 # Every by-name test invocation below goes through this helper: it runs
 # `cargo test "$@"` and additionally fails when the invocation ran no
 # test at all — a renamed or deleted test makes its filter match nothing,
@@ -80,7 +85,6 @@ echo "==> determinism suite under --release (Sim == Socket)"
 run_tests --release -q -p dstress-mpc --test transport_determinism
 run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results
 run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
-run_tests --release -q -p dstress-bench concurrency_modes_agree_on_small_point
 
 echo "==> round model: batched rounds scale with depth, not AND-gate count"
 run_tests --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
@@ -109,7 +113,7 @@ echo "==> transfer_message rejects outside input with typed errors, before any R
 run_tests -q -p dstress-transfer out_of_range_noise_alpha_is_a_typed_error
 run_tests -q -p dstress-transfer missing_node_secrets_are_a_typed_error
 
-echo "==> repro -- transfer smoke (time/traffic/ablation into BENCH_results.json)"
+echo "==> repro -- transfer smoke (time/traffic/ablation)"
 cargo run --release -q -p dstress-bench --bin repro -- transfer --threads 2 > /dev/null
 
 echo "==> wire format: round-trip, rejection and golden byte-layout suites"
@@ -141,14 +145,6 @@ run_tests -q -p dstress-mpc zero_and_circuit_pays_no_ot_setup
 run_tests -q -p dstress-mpc ot_payload_content_is_seed_derived_and_replayable
 run_tests -q -p dstress-mpc wire_payload_content_is_derived_from_the_pair_seed
 
-echo "==> scale acceptance: measured streaming point past the 2,000-vertex wall"
-# Measured n > 2000 on streamed CSR graphs, Sequential == Threaded at n = 2100,
-# peak memory sub-linear in edges and below the materialised schedule.
-run_tests --release -q -p dstress-bench --test streaming_scale -- --ignored
-
-echo "==> repro -- scale smoke (quick sweep includes a measured N = 2500 point)"
-cargo run --release -q -p dstress-bench --bin repro -- scale --threads 2 > /dev/null
-
 echo "==> state store: backends, spill lifecycle, checkpoint formats and recovery"
 # The MemStore/SpillStore contract (bit-identical, segment geometry
 # backend-invariant), spill-log compaction, run-dir cleanup on error
@@ -161,16 +157,12 @@ run_tests -q -p dstress-core spill_directory_is_removed_even_when_a_round_errors
 run_tests -q -p dstress-core checkpoint
 run_tests -q -p dstress-core kill_and_resume_is_bit_identical
 run_tests -q -p dstress-core resume_rejects_missing_and_foreign_checkpoints
-run_tests -q -p dstress-bench persist::
 
-echo "==> persist acceptance: budgeted run past the 10,000-vertex RAM wall + recovery"
-# Measured N = 12,000 with the budget at 1/4 of the store bytes: real
-# spill-file bytes, resident peak under budget (+ segment slack), and
-# kill-and-resume bit-identity on the budgeted path.
-run_tests --release -q -p dstress-bench --test persist_recovery -- --ignored
-
-echo "==> repro -- persist smoke (quick sweep includes a measured N = 12,000 point)"
-cargo run --release -q -p dstress-bench --bin repro -- persist --threads 2 > /dev/null
+echo "==> memory shape: budgeted run past the 10,000-vertex RAM wall, streaming peak heap"
+# N = 12,000 with the budget at 1/4 of the store bytes: real spill-file
+# bytes and a resident peak under budget (+ segment slack); peak heap
+# sub-linear in edges and below the materialised schedule.
+run_tests --release -q -p dstress --test streaming_memory -- --ignored
 
 echo "==> DP edge cases: integer budget ledger, geometric clamp, PSA aggregation"
 # The micro-ε budget accounting (max_queries == successful charges at FP
@@ -193,7 +185,7 @@ run_tests --release -q -p dstress-core schedule::
 run_tests --release -q -p dstress-finance monitor::
 run_tests --release -q -p dstress-bench --lib scenarios::
 
-echo "==> repro -- scenarios smoke (per-program releases + recurring A/B into BENCH_results.json)"
+echo "==> repro -- scenarios smoke (per-program releases + recurring A/B)"
 cargo run --release -q -p dstress-bench --bin repro -- scenarios --threads 2 > /dev/null
 
 echo "==> kill-and-resume e2e (master halted between rounds, restarted from checkpoint)"
@@ -234,22 +226,24 @@ echo "==> loopback deployment e2e (master + 3 workers, release mode)"
 # and pins the released value bit-for-bit against the in-process run.
 run_tests --release -q -p dstress-deploy --test loopback
 
-echo "==> repro -- sockets smoke (Sim vs Socket measured/modeled into BENCH_results.json)"
-cargo run --release -q -p dstress-bench --bin repro -- sockets --threads 2 > /dev/null
-
-echo "==> threaded speedup check (asserts >= 2x only on >= 4 cores)"
-run_tests --release -q -p dstress-bench threaded_is_at_least_twice_as_fast_at_64_nodes -- --ignored
-
-echo "==> cargo bench (compile only)"
-cargo bench -p dstress-bench --no-run
-
 echo "==> benchmark/: the yardstick builds against the public API, its tests pass, every workload runs"
 # benchmark/ is a package of its own, outside the workspace: a public-API
 # change that stops it compiling shows up only here.
 run_tests --release --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke > /dev/null
 
+echo "==> repro command line: accepted names, usage errors, nothing written to the cwd"
+run_tests --release -q -p dstress-bench --test repro_cli
+
 echo "==> non-test Rust lines per crate (scripts/loc.sh)"
 ./scripts/loc.sh
+
+echo "==> the run left the work tree as it found it"
+tree_after=$(tree_state)
+if [[ "$tree_after" != "$tree_before" ]]; then
+    echo "ci: the work tree changed during the run:" >&2
+    diff <(printf '%s\n' "$tree_before") <(printf '%s\n' "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "CI gate passed."

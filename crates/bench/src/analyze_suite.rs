@@ -12,8 +12,6 @@
 //! runs `repro -- analyze` in release mode and the process exits
 //! non-zero on any finding.
 
-use std::time::Instant;
-
 use dstress_analyze::{analyze, analyze_program, ProgramReport};
 use dstress_circuit::spec::{CircuitSpec, FlowPolicy, Interval, ReleaseSpec, WordSpec};
 use dstress_core::analytics::{DegreeHistogramProgram, PageRankProgram, SsspProgram, WccProgram};
@@ -52,12 +50,10 @@ pub struct AnalyzeRow {
     pub assumptions: usize,
     /// Rendered findings (empty = certified).
     pub findings: Vec<String>,
-    /// Wall-clock seconds the analysis took.
-    pub wall_seconds: f64,
 }
 
 impl AnalyzeRow {
-    fn of_program(report: &ProgramReport, wall_seconds: f64) -> Self {
+    fn of_program(report: &ProgramReport) -> Self {
         AnalyzeRow {
             name: report.program.clone(),
             model: report.model.clone(),
@@ -74,7 +70,6 @@ impl AnalyzeRow {
                 .iter()
                 .map(|f| f.to_string())
                 .collect(),
-            wall_seconds,
         }
     }
 }
@@ -108,128 +103,94 @@ pub fn analyze_suite_rows() -> Vec<AnalyzeRow> {
     let mut rows = Vec::new();
     let release = dlog_release();
 
-    let mut program_row = |report: ProgramReport, start: Instant| {
-        rows.push(AnalyzeRow::of_program(
-            &report,
-            start.elapsed().as_secs_f64(),
-        ));
-    };
+    let mut program_row = |report: ProgramReport| rows.push(AnalyzeRow::of_program(&report));
 
     // The counter aggregates modulo 2^width by design: its releases are
     // decoded modularly, never through the dlog window.
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &CounterProgram {
-                width: 16,
-                rounds: 3,
-            },
-            4,
-            8,
-            None,
-        ),
-        t,
-    );
+    program_row(analyze_program(
+        &CounterProgram {
+            width: 16,
+            rounds: 3,
+        },
+        4,
+        8,
+        None,
+    ));
 
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &DegreeHistogramProgram {
-                width: 16,
-                lo: 2,
-                hi: 5,
-            },
-            4,
-            8,
-            Some(release.clone()),
-        ),
-        t,
-    );
+    program_row(analyze_program(
+        &DegreeHistogramProgram {
+            width: 16,
+            lo: 2,
+            hi: 5,
+        },
+        4,
+        8,
+        Some(release.clone()),
+    ));
 
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &WccProgram {
-                width: 16,
-                rounds: 4,
-            },
-            4,
-            8,
-            Some(release.clone()),
-        ),
-        t,
-    );
+    program_row(analyze_program(
+        &WccProgram {
+            width: 16,
+            rounds: 4,
+        },
+        4,
+        8,
+        Some(release.clone()),
+    ));
 
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &SsspProgram {
-                width: 16,
-                source: VertexId(0),
-                target: VertexId(5),
-                rounds: 6,
-            },
-            4,
-            8,
-            Some(release.clone()),
-        ),
-        t,
-    );
+    program_row(analyze_program(
+        &SsspProgram {
+            width: 16,
+            source: VertexId(0),
+            target: VertexId(5),
+            rounds: 6,
+        },
+        4,
+        8,
+        Some(release.clone()),
+    ));
 
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &PageRankProgram {
-                frac_bits: 10,
-                target: VertexId(3),
-                rounds: 5,
-                vertices: 8,
-            },
-            4,
-            8,
-            Some(release.clone()),
-        ),
-        t,
-    );
+    program_row(analyze_program(
+        &PageRankProgram {
+            frac_bits: 10,
+            target: VertexId(3),
+            rounds: 5,
+            vertices: 8,
+        },
+        4,
+        8,
+        Some(release.clone()),
+    ));
 
     // Finance case studies: the specs are derived from the live network
     // instance, so this is the coordinator's pre-deployment check.
     let net = shocked_network(13);
     let d = net.graph().degree_bound();
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &EisenbergNoeSecure {
-                network: &net,
-                params: CircuitParams::default_params(),
-                iterations: 8,
-                leverage_bound: 0.1,
-            },
-            d,
-            net.bank_count(),
-            Some(release.clone()),
-        ),
-        t,
-    );
-    let t = Instant::now();
-    program_row(
-        analyze_program(
-            &ElliottGolubJacksonSecure {
-                network: &net,
-                params: CircuitParams::default_params(),
-                iterations: 8,
-                leverage_bound: 0.1,
-            },
-            d,
-            net.bank_count(),
-            Some(release.clone()),
-        ),
-        t,
-    );
+    program_row(analyze_program(
+        &EisenbergNoeSecure {
+            network: &net,
+            params: CircuitParams::default_params(),
+            iterations: 8,
+            leverage_bound: 0.1,
+        },
+        d,
+        net.bank_count(),
+        Some(release.clone()),
+    ));
+    program_row(analyze_program(
+        &ElliottGolubJacksonSecure {
+            network: &net,
+            params: CircuitParams::default_params(),
+            iterations: 8,
+            leverage_bound: 0.1,
+        },
+        d,
+        net.bank_count(),
+        Some(release.clone()),
+    ));
 
     // The standalone noising circuit the microbenchmarks cost
     // (`MpcCircuitKind::Noising` builds the same shape).
-    let t = Instant::now();
     let noising = noising_circuit(32, 64, 0);
     let spec = CircuitSpec {
         name: "noising[32]".to_string(),
@@ -261,7 +222,6 @@ pub fn analyze_suite_rows() -> Vec<AnalyzeRow> {
             .unwrap_or(Interval::new(0, 0)),
         assumptions: 0,
         findings: report.findings.iter().map(|f| f.to_string()).collect(),
-        wall_seconds: t.elapsed().as_secs_f64(),
     });
 
     rows

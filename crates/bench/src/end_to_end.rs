@@ -194,15 +194,10 @@ pub fn run_end_to_end(
     }
 }
 
-/// The full Figure 5 sweep for both algorithms.
-pub fn fig5_sweep(params: &EndToEndParams) -> Vec<EndToEndRow> {
-    fig5_sweep_with_threads(params, 1)
-}
-
-/// [`fig5_sweep`] with the (algorithm, block size) points fanned out over
-/// a worker pool.  Every point is an independent seeded run, so the rows
-/// are identical to the sequential sweep.
-pub fn fig5_sweep_with_threads(params: &EndToEndParams, threads: usize) -> Vec<EndToEndRow> {
+/// The full Figure 5 sweep for both algorithms, the (algorithm, block
+/// size) points fanned out over `threads` workers.  Every point is an
+/// independent seeded run, so the rows do not depend on `threads`.
+pub fn fig5_sweep(params: &EndToEndParams, threads: usize) -> Vec<EndToEndRow> {
     let network = fig5_network(params.banks, params.degree_bound, 0xF15);
     let mut points = Vec::new();
     for &algorithm in &[Algorithm::EisenbergNoe, Algorithm::ElliottGolubJackson] {
@@ -230,7 +225,7 @@ mod tests {
             block_sizes: [3, 6, 0, 0],
             block_size_count: 2,
         };
-        let rows = fig5_sweep(&params);
+        let rows = fig5_sweep(&params, 1);
         assert_eq!(rows.len(), 4); // 2 algorithms × 2 block sizes
 
         // Per-node traffic and projected time grow with the block size

@@ -1,35 +1,34 @@
-//! Benchmark harness for the DStress reproduction.
+//! Figure harness for the DStress reproduction.
 //!
 //! Every table and figure in the paper's evaluation (§5 and the
 //! appendices) is regenerated by a module in this crate.  The modules
 //! expose plain `rows()` functions returning structured data, so the same
-//! code backs three consumers:
+//! code backs two consumers:
 //!
 //! * the `repro` binary (`cargo run -p dstress-bench --release --bin repro
 //!   -- <experiment>`), which prints the series in the paper's layout;
-//! * the Criterion benches under `benches/`, one per figure;
 //! * the workspace integration tests, which assert the qualitative shapes
 //!   (who wins, what scales how) that the paper reports.
 //!
 //! | Module | Paper artefact |
 //! |---|---|
 //! | [`mpc_micro`] | Figure 3 (MPC time) and Figure 4 (MPC traffic) |
-//! | [`transfer_micro`] | §5.2–5.3 message-transfer time and traffic |
+//! | [`transfer_micro`] | §5.2–5.3 message-transfer time and traffic, §3.5 ablation |
 //! | [`end_to_end`] | Figure 5 (end-to-end time breakdown and traffic) |
 //! | [`scalability`] | Figure 6 (paper-scale projection + validation runs) |
 //! | [`naive_baseline`] | §5.5 monolithic-MPC comparison |
 //! | [`policy`] | §4.5 utility analysis and Appendix B edge privacy |
 //! | [`contagion_study`] | Appendix C contagion scenarios |
-//! | [`streaming_scale`] | measured streaming sweep past the 2,000-vertex wall (`repro -- scale`) |
-//! | [`persist`] | budgeted (disk-spilling) runs past the RAM wall + kill-and-resume pin (`repro -- persist`) |
 //! | [`scenarios`] | DP graph-analytics suite + recurring full-MPC-vs-PSA releases (`repro -- scenarios`) |
-//! | [`alloc`] | peak-memory instrumentation behind the scale sweep |
+//! | [`analyze_suite`] | static certification of every shipped program (`repro -- analyze`) |
 //!
-//! The measured sweeps are embarrassingly parallel over parameter points;
-//! the `*_with_threads` variants fan them out over the worker pool in
-//! `dstress_net::pool` (the `repro` binary's `--threads` flag), and every
-//! `repro` run writes its per-point wall seconds and operation counts to
-//! `BENCH_results.json` (see [`results`]).
+//! This crate reproduces figures; it does not measure the engine.  Time,
+//! bytes, rounds and heap per workload — with spreads, bounds and a
+//! machine fingerprint — come from `benchmark/` (`DESIGN.md`,
+//! "Measurement").  The `measured` columns printed here are single
+//! samples on the machine at hand; the sweeps fan their points out over
+//! the worker pool in `dstress_net::pool` (the `repro` binary's
+//! `--threads` flag).
 //!
 //! ## Example
 //!
@@ -45,31 +44,18 @@
 //! assert_eq!(format_bytes(1_500_000.0), "1.5 MB");
 //! ```
 
-// `deny` instead of the workspace-usual `forbid`: the peak-tracking
-// allocator in [`alloc`] is the one module allowed to opt back in (it
-// must implement the unsafe `GlobalAlloc` trait).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod analyze_suite;
 pub mod contagion_study;
 pub mod end_to_end;
 pub mod mpc_micro;
 pub mod naive_baseline;
-pub mod persist;
 pub mod policy;
-pub mod results;
 pub mod scalability;
 pub mod scenarios;
-pub mod streaming_scale;
 pub mod transfer_micro;
-
-/// Every binary built from this crate (the `repro` binary, tests,
-/// benches) measures through the peak-tracking allocator, so the scale
-/// experiments can report per-point peak memory.
-#[global_allocator]
-static GLOBAL_ALLOCATOR: alloc::TrackingAllocator = alloc::TrackingAllocator;
 
 /// Pretty-prints a f64 seconds value with adaptive units.
 pub fn format_seconds(seconds: f64) -> String {

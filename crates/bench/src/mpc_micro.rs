@@ -91,34 +91,6 @@ pub struct MpcMicroRow {
     pub counts: OperationCounts,
 }
 
-impl MpcMicroRow {
-    /// Wall-clock nanoseconds per AND gate per party pair — the unit cost
-    /// of the layered GMW pipeline, comparable across circuits and block
-    /// sizes.
-    pub fn ns_per_and_pair(&self) -> f64 {
-        let pairs = self.block_size * (self.block_size - 1) / 2;
-        1e9 * self.measured_seconds / (self.and_gates * pairs).max(1) as f64
-    }
-}
-
-/// `ns_per_and_pair` of [`deep_narrow_point`] on the reference box
-/// (2 cores, Xeon 2.1 GHz) at the commit before the layered pipeline was
-/// rebuilt around packed planes, per-pair lanes and batched accounting —
-/// kept so `BENCH_results.json` carries the before next to the after.
-pub const DEEP_NARROW_NS_PER_AND_PAIR_BEFORE: f64 = 70.4;
-
-/// The deep-narrow layered-GMW point: one Eisenberg–Noe step at `D = 5`
-/// among 8 parties on `SimTransport` — ≈ 9 k AND gates in ≈ 500 layers of
-/// ≈ 18 gates, so per-message overhead, not gate work, sets its time.
-/// Reports the median of `samples` executions.
-pub fn deep_narrow_point(samples: usize) -> MpcMicroRow {
-    let mut rows: Vec<MpcMicroRow> = (0..samples.max(1))
-        .map(|_| run_mpc_micro(MpcCircuitKind::EisenbergNoeStep, 8, 5, 100, 0xF18))
-        .collect();
-    rows.sort_by(|a, b| a.measured_seconds.total_cmp(&b.measured_seconds));
-    rows.swap_remove(rows.len() / 2)
-}
-
 /// A dummy network whose only purpose is to carry a degree bound for
 /// building the finance circuits (their gate structure depends only on
 /// `D` and the word width).
@@ -247,19 +219,11 @@ pub fn run_mpc_micro_with(
     }
 }
 
-/// Figure 3 (left) / Figure 4: all five circuits across block sizes.
+/// Figure 3 (left) / Figure 4: all five circuits across block sizes, the
+/// points fanned out over `threads` workers.  Every point is an
+/// independent seeded run, so the rows do not depend on `threads` — only
+/// the wall-clock does.
 pub fn block_size_sweep(
-    block_sizes: &[usize],
-    degree_bound: usize,
-    vertices: usize,
-) -> Vec<MpcMicroRow> {
-    block_size_sweep_with_threads(block_sizes, degree_bound, vertices, 1)
-}
-
-/// [`block_size_sweep`] with the points fanned out over a worker pool.
-/// Every point is an independent seeded run, so the rows are identical to
-/// the sequential sweep — only the wall-clock changes.
-pub fn block_size_sweep_with_threads(
     block_sizes: &[usize],
     degree_bound: usize,
     vertices: usize,
@@ -277,17 +241,9 @@ pub fn block_size_sweep_with_threads(
 }
 
 /// Figure 3 (right): the step circuits across degree bounds and the
-/// aggregation circuit across node counts, at a fixed block size.
+/// aggregation circuit across node counts, at a fixed block size, the
+/// points fanned out over `threads` workers.
 pub fn parameter_sweep(
-    block_size: usize,
-    degree_bounds: &[usize],
-    node_counts: &[usize],
-) -> Vec<MpcMicroRow> {
-    parameter_sweep_with_threads(block_size, degree_bounds, node_counts, 1)
-}
-
-/// [`parameter_sweep`] with the points fanned out over a worker pool.
-pub fn parameter_sweep_with_threads(
     block_size: usize,
     degree_bounds: &[usize],
     node_counts: &[usize],
@@ -372,19 +328,6 @@ mod tests {
         // Same work and traffic; only the round structure differs.
         assert_eq!(batched.counts.bytes_sent, per_gate.counts.bytes_sent);
         assert_eq!(batched.counts.extended_ots, per_gate.counts.extended_ots);
-    }
-
-    #[test]
-    fn deep_narrow_point_is_deep_and_narrow() {
-        let row = deep_narrow_point(1);
-        assert_eq!(row.block_size, 8);
-        assert!((450..=550).contains(&row.and_layers), "{}", row.and_layers);
-        assert!(
-            (8_000..=10_000).contains(&row.and_gates),
-            "{}",
-            row.and_gates
-        );
-        assert!(row.ns_per_and_pair() > 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Measured-vs-modeled byte reconciliation on the quick benchmark
-//! circuits (the `repro -- bytes` experiment, as a regression gate).
+//! circuits, as a regression gate.
 //!
 //! *Measured* bytes are the summed lengths of the actual wire encodings
 //! every message passes through; *modeled* bytes are the analytical cost

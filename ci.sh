@@ -89,7 +89,7 @@ run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
 echo "==> round model: batched rounds scale with depth, not AND-gate count"
 run_tests --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
 
-echo "==> crypto kernels pinned to the naive references; the transfer path and the setup pinned to constants"
+echo "==> crypto kernels pinned to the naive references; the transfer path, the setup and whole engine runs pinned to constants"
 # Fixed-base tables, comb tables (every lane of the lock-step evaluation),
 # Straus/Pippenger multi-exp and the signed-BSGS / fingerprint dlog
 # recovery must be bit-identical to square-and-multiply and linear scan on
@@ -98,12 +98,15 @@ echo "==> crypto kernels pinned to the naive references; the transfer path and t
 # analytic count model, agree with the accounted mode, and its key-outer
 # sender side must equal the per-sender encryption bundle by bundle; the
 # key-outer setup must reproduce its committed certificate tags and equal
-# the per-entry re-randomisation.
+# the per-entry re-randomisation; three whole engine runs (real-crypto,
+# streamed + spilling + checkpointed, halted + resumed) must reproduce
+# their committed releases, counts, traffic, resident peak and checkpoints.
 run_tests -q -p dstress-crypto kernels::
 run_tests -q -p dstress-crypto comb_
 run_tests -q -p dstress-crypto dlog::
 run_tests -q -p dstress-transfer --test pinned_transfer
 run_tests -q -p dstress-transfer --test pinned_setup
+run_tests -q -p dstress-core --test pinned_run
 run_tests -q -p dstress-transfer kernel_counts_match_the_analytic_model
 run_tests -q -p dstress-transfer key_outer_sender_path_equals_per_sender_encryption
 run_tests -q -p dstress-transfer certificates_equal_per_entry_rerandomization
@@ -235,7 +238,7 @@ benchmark/run.sh --smoke > /dev/null
 echo "==> repro command line: accepted names, usage errors, nothing written to the cwd"
 run_tests --release -q -p dstress-bench --test repro_cli
 
-echo "==> non-test Rust lines per crate (scripts/loc.sh)"
+echo "==> non-test Rust lines per crate and the five longest functions (scripts/loc.sh)"
 ./scripts/loc.sh
 
 echo "==> the run left the work tree as it found it"

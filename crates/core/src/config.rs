@@ -126,7 +126,8 @@ impl ConcurrencyMode {
 pub struct DStressConfig {
     /// Collusion bound `k`; every block has `k + 1` members.
     pub collusion_bound: usize,
-    /// Message width `L` in bits (the prototype used 12-bit shares).
+    /// Message width `L` in bits (the prototype used 12-bit shares).  Not
+    /// read by the engine: the program's `message_bits()` decides.
     pub message_bits: u32,
     /// Output-privacy budget ε for the Laplace mechanism.
     pub epsilon: f64,

@@ -62,8 +62,9 @@ use crate::store::{
     collect_segments, digest64, load_latest_checkpoint, packed_bytes, restore_store,
     write_checkpoint, MemStore, RunDirGuard, SpillStore, StateStore, StoreError,
 };
-use crate::wire::{CheckpointManifest, EngineMsg};
+use crate::wire::{AggShare, CheckpointManifest, InitShare, SegmentRecord};
 use core::fmt;
+use core::ops::Range;
 use dstress_circuit::CircuitError;
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::group::Group;
@@ -82,7 +83,6 @@ use dstress_transfer::setup::{
     generate_block_assignment, generate_system, NodeSecrets, SystemSetup,
 };
 use dstress_transfer::TransferError;
-use std::time::Instant; // lint:allow-nondeterminism -- metrics timing import
 
 /// Errors produced by the runtime.
 #[derive(Debug)]
@@ -289,7 +289,7 @@ impl DStressRuntime {
         graph: &Graph,
         program: &P,
     ) -> Result<DStressRun, RuntimeError> {
-        self.run_windowed(graph, program, usize::MAX, &LocalExecutor, false)
+        self.execute_with(graph, program, &LocalExecutor)
     }
 
     /// Resumes an interrupted run from the newest checkpoint in the
@@ -312,7 +312,7 @@ impl DStressRuntime {
         graph: &Graph,
         program: &P,
     ) -> Result<DStressRun, RuntimeError> {
-        self.run_windowed(graph, program, usize::MAX, &LocalExecutor, true)
+        self.resume_with(graph, program, &LocalExecutor)
     }
 
     /// [`Self::resume`] through a custom [`StepExecutor`] — the recovery
@@ -327,7 +327,13 @@ impl DStressRuntime {
         program: &P,
         executor: &dyn StepExecutor,
     ) -> Result<DStressRun, RuntimeError> {
-        self.run_windowed(graph, program, usize::MAX, executor, true)
+        self.run_windowed(
+            graph,
+            program,
+            usize::MAX,
+            executor,
+            Some(self.latest_checkpoint()?),
+        )
     }
 
     /// Executes `program` over `graph` with the fully materialised
@@ -346,7 +352,7 @@ impl DStressRuntime {
         program: &P,
         executor: &dyn StepExecutor,
     ) -> Result<DStressRun, RuntimeError> {
-        self.run_windowed(graph, program, usize::MAX, executor, false)
+        self.run_windowed(graph, program, usize::MAX, executor, None)
     }
 
     /// Executes `program` over `graph` with the *block-streaming*
@@ -378,44 +384,50 @@ impl DStressRuntime {
             .concurrency
             .worker_threads()
             .saturating_mul(BLOCKS_PER_WORKER);
-        self.run_windowed(graph, program, window, &LocalExecutor, false)
+        self.run_windowed(graph, program, window, &LocalExecutor, None)
+    }
+
+    /// The newest checkpoint in the configured directory.  The resuming
+    /// doors load it before any other work, so a missing or unreadable
+    /// checkpoint fails fast.
+    fn latest_checkpoint(&self) -> Result<Checkpoint, RuntimeError> {
+        let Some(checkpoint) = &self.config.checkpoint else {
+            return Err(RuntimeError::Checkpoint {
+                context: "resume requested but no checkpoint directory is configured".to_string(),
+            });
+        };
+        Ok(load_latest_checkpoint(&checkpoint.dir)?)
     }
 
     /// One-time setup, sized to the transfer mode: real-crypto runs need
-    /// every node's key material and `D` certificates per node
-    /// (`O(N · D · L)` group elements); cost-accounted runs only need the
-    /// block assignment (`O(N · k)` node ids), so that is all they build.
+    /// every node's key material, `D` certificates per node
+    /// (`O(N · D · L)` group elements) and the discrete-log table;
+    /// cost-accounted runs only need the block assignment (`O(N · k)`
+    /// node ids), so that is all they build.
     fn build_setup(
         &self,
         group: &Group,
-        n: usize,
-        degree_bound: usize,
+        graph: &Graph,
         message_bits: u32,
         rng: &mut dyn DetRng,
-    ) -> Result<(Vec<NodeSecrets>, SystemSetup), RuntimeError> {
-        match self.config.transfer_mode {
-            TransferMode::RealCrypto => Ok(generate_system(
-                group,
-                n,
-                self.config.collusion_bound,
-                degree_bound,
-                message_bits,
-                rng,
-            )?),
-            TransferMode::Accounted => Ok((
-                Vec::new(),
-                generate_block_assignment(
-                    n,
-                    self.config.collusion_bound,
-                    degree_bound,
-                    message_bits,
-                    rng,
-                )?,
-            )),
-        }
+    ) -> Result<(Vec<NodeSecrets>, SystemSetup, Option<DlogTable>), RuntimeError> {
+        let (n, d) = (graph.vertex_count(), graph.degree_bound());
+        let k = self.config.collusion_bound;
+        Ok(match self.config.transfer_mode {
+            TransferMode::RealCrypto => {
+                let (secrets, setup) = generate_system(group, n, k, d, message_bits, rng)?;
+                let dlog = DlogTable::new_signed(group, self.config.dlog_window);
+                (secrets, setup, Some(dlog))
+            }
+            TransferMode::Accounted => {
+                let setup = generate_block_assignment(n, k, d, message_bits, rng)?;
+                (Vec::new(), setup, None)
+            }
+        })
     }
 
-    /// The windowed execution pipeline behind both entry points.
+    /// The windowed execution pipeline behind every entry point: the
+    /// paper's steps (§3.6) in order, one [`RunState`] method each.
     ///
     /// Within one round, every vertex's computation step is an
     /// independent MPC among its own block, and every edge's message
@@ -427,55 +439,217 @@ impl DStressRuntime {
     /// so the window size and the [`crate::config::ConcurrencyMode`]
     /// change peak memory and wall-clock, never a single output bit.
     ///
-    /// Message transfers write into a double-buffered inbox
-    /// (`inbox_next`), swapped at the end of the round, which is what
-    /// lets a window's transfers run before later windows of the same
-    /// round have computed.
+    /// A run resumed from `checkpoint` skips the initialization step and
+    /// enters the same loop at the checkpoint's round.
     fn run_windowed<P: SecureVertexProgram>(
         &self,
         graph: &Graph,
         program: &P,
         window: usize,
         executor: &dyn StepExecutor,
-        resume: bool,
+        checkpoint: Option<Checkpoint>,
     ) -> Result<DStressRun, RuntimeError> {
+        let config = &self.config;
+        let iterations = program.iterations();
+        let group = Group::new(config.group);
+        let mut rng = Xoshiro256::new(config.seed);
+        let (secrets, setup, dlog) =
+            self.build_setup(&group, graph, program.message_bits(), &mut rng)?;
+
+        let resuming = checkpoint.as_ref().map(|(manifest, _)| manifest);
+        let mut run = RunState::open(config, graph, program, &setup, executor, rng, resuming)?;
+        match checkpoint {
+            Some(checkpoint) => run.restore(checkpoint)?,
+            None => run.initialize()?,
+        }
+        run.sample_resident();
+
+        {
+            // Scoped to the iterations: the update circuit — and the
+            // layering memoised on it — is released before the aggregation
+            // MPC allocates its own, typically larger, circuit.
+            let update_circuit = program.update_circuit(graph.degree_bound());
+            let ctx = StepContext {
+                config,
+                update_circuit: &update_circuit,
+                state_bits: run.state_bits,
+                message_bits: run.message_bits,
+                message_width: program.message_bits(),
+                group: &group,
+                setup: &setup,
+                secrets: &secrets,
+                dlog: dlog.as_ref(),
+            };
+            while run.round <= iterations {
+                // Per-phase master seeds, drawn in the order the phases
+                // run.  The final pass, at `round == iterations`, consumes
+                // the last round of messages and sends none.
+                let comp_seed = run.rng.next_u64();
+                let comm_seed = (run.round < iterations).then(|| run.rng.next_u64());
+                for span in windowed(graph.vertex_count(), window) {
+                    let outgoing = run.compute_window(&ctx, comp_seed, span.clone())?;
+                    if let Some(comm_seed) = comm_seed {
+                        run.communicate_window(&ctx, comm_seed, span.start, outgoing)?;
+                    }
+                }
+                run.end_round(comm_seed.is_none())?;
+            }
+        }
+        run.aggregate()
+    }
+}
+
+/// A checkpoint as [`load_latest_checkpoint`] returns it.
+type Checkpoint = (CheckpointManifest, Vec<SegmentRecord>);
+
+/// Per-member shares of each outgoing message of each block of a window:
+/// `[vertex − window start][out slot][member]`.
+type WindowOut = Vec<Vec<Vec<Vec<bool>>>>;
+
+/// The only clock in `dstress-core`: starts now, and each call returns
+/// the seconds since.  It feeds [`PhaseCosts::wall_seconds`] and nothing
+/// else — no share, seed, count or traffic record depends on it.
+fn stopwatch() -> impl Fn() -> f64 {
+    let start = std::time::Instant::now(); // lint:allow-nondeterminism -- wall-clock metrics only, never touches shares
+    move || start.elapsed().as_secs_f64()
+}
+
+/// The persistent share state of a run: the state rows (row
+/// `v · block + member`) and the double-buffered inboxes (row
+/// `(in_offset[v] + slot) · block + member`), either fully resident or
+/// paged against the byte budget, split proportionally.
+///
+/// Message transfers write into `inbox_next`, swapped with `inbox` at the
+/// end of the round, which is what lets a window's transfers run before
+/// later windows of the same round have computed.
+struct Stores {
+    state: Box<dyn StateStore>,
+    inbox: Box<dyn StateStore>,
+    inbox_next: Box<dyn StateStore>,
+    /// Declared after the stores: fields drop in declaration order, so
+    /// the run-scoped spill directory is removed after the stores' files
+    /// are closed, on every exit path — success, error, or injected halt.
+    _spill_dir: Option<RunDirGuard>,
+}
+
+impl Stores {
+    fn open(
+        config: &DStressConfig,
+        state_rows: usize,
+        state_bits: usize,
+        inbox_rows: usize,
+        message_bits: usize,
+    ) -> Result<Self, StoreError> {
+        let total =
+            packed_bytes(state_rows, state_bits) + 2 * packed_bytes(inbox_rows, message_bits);
+        let spill = match config.state_budget_bytes {
+            Some(budget) if total > budget => Some((
+                RunDirGuard::create(config.spill_dir.as_deref(), config.seed)?,
+                budget,
+            )),
+            _ => None,
+        };
+        // A spilling store gets the share of the budget its bytes are of
+        // the total (which exceeds the budget, so is not zero).
+        let open = |name, rows, width| -> Result<Box<dyn StateStore>, StoreError> {
+            Ok(match &spill {
+                Some((dir, budget)) => Box::new(SpillStore::create(
+                    rows,
+                    width,
+                    budget * packed_bytes(rows, width) / total,
+                    dir.path().join(name),
+                )?),
+                None => Box::new(MemStore::new(rows, width)),
+            })
+        };
+        Ok(Stores {
+            state: open("state.log", state_rows, state_bits)?,
+            inbox: open("inbox-a.log", inbox_rows, message_bits)?,
+            inbox_next: open("inbox-b.log", inbox_rows, message_bits)?,
+            _spill_dir: spill.map(|(dir, _)| dir),
+        })
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.state.resident_bytes() + self.inbox.resident_bytes() + self.inbox_next.resident_bytes()
+    }
+}
+
+/// Writes one block's per-member shares to the rows starting at `first`.
+fn write_block(
+    store: &mut dyn StateStore,
+    first: usize,
+    shares: &[Vec<bool>],
+) -> Result<(), StoreError> {
+    (first..)
+        .zip(shares)
+        .try_for_each(|(row, share)| store.write(row, share))
+}
+
+/// Everything a run carries from one paper step to the next, plus the
+/// run's read-only inputs.  The group, the key material and the update
+/// circuit are not here: [`StepContext`] borrows them for the iterations
+/// only.
+struct RunState<'a, P> {
+    config: &'a DStressConfig,
+    graph: &'a Graph,
+    program: &'a P,
+    setup: &'a SystemSetup,
+    executor: &'a dyn StepExecutor,
+    block_size: usize,
+    state_bits: usize,
+    message_bits: usize,
+    /// Digest of the run's shape, carried by its checkpoints.
+    fingerprint: u64,
+    /// Per-vertex offsets into the packed inbox: one slot per *actual*
+    /// in-edge (slots past the in-degree hold the all-zero no-op share
+    /// forever and are padded in on demand, never stored).
+    in_offset: Vec<usize>,
+    /// The receiver inbox slot of every edge, in vertex-major (global
+    /// edge index) order — round-invariant, so the in-neighbour scans
+    /// happen once per run instead of once per edge per round.  A flat
+    /// `usize` per edge, the same memory class as the topology itself.
+    edge_in_slots: Vec<usize>,
+    stores: Stores,
+    /// High-water mark of [`Stores::resident_bytes`] at phase boundaries.
+    resident_peak: usize,
+    rng: Xoshiro256,
+    traffic: TrafficAccountant,
+    /// Running costs; `aggregation` is filled in by the last step.
+    phases: PhaseBreakdown,
+    /// The next round to execute.
+    round: u32,
+    /// Critical path of the current round's computation step: the
+    /// deepest block MPC, not the sum over blocks ([`PhaseCosts::absorb`]).
+    comp_rounds: u64,
+    /// Likewise for the round's edge transfers, not edge-count × 3.
+    comm_rounds: u64,
+    /// Global edge index in vertex-major order, continued across the
+    /// round's windows, so edge task seeds are window-invariant.
+    edge_index: u64,
+}
+
+impl<'a, P: SecureVertexProgram> RunState<'a, P> {
+    /// Validates the graph against its degree bound, fingerprints the
+    /// run's shape — rejecting `resuming`, a checkpoint's manifest, if it
+    /// belongs to another shape — and opens the stores.  `rng` is the
+    /// run's generator as the one-time setup left it.
+    fn open(
+        config: &'a DStressConfig,
+        graph: &'a Graph,
+        program: &'a P,
+        setup: &'a SystemSetup,
+        executor: &'a dyn StepExecutor,
+        rng: Xoshiro256,
+        resuming: Option<&CheckpointManifest>,
+    ) -> Result<Self, RuntimeError> {
         let n = graph.vertex_count();
         let degree_bound = graph.degree_bound();
-        let block_size = self.config.block_size();
+        let block_size = config.block_size();
         let state_bits = program.state_bits() as usize;
         let message_bits = program.message_bits() as usize;
-        let iterations = program.iterations();
-        let group = Group::new(self.config.group);
-        let mut rng = Xoshiro256::new(self.config.seed);
+        let iterations = u64::from(program.iterations());
 
-        // Load the checkpoint to resume from before doing any work, so a
-        // missing/foreign checkpoint fails fast.
-        let resume_state = if resume {
-            let Some(checkpoint) = &self.config.checkpoint else {
-                return Err(RuntimeError::Checkpoint {
-                    context: "resume requested but no checkpoint directory is configured"
-                        .to_string(),
-                });
-            };
-            Some(load_latest_checkpoint(&checkpoint.dir)?)
-        } else {
-            None
-        };
-
-        // ---- One-time setup --------------------------------------------
-        let (secrets, setup) =
-            self.build_setup(&group, n, degree_bound, program.message_bits(), &mut rng)?;
-        let dlog = match self.config.transfer_mode {
-            TransferMode::RealCrypto => {
-                Some(DlogTable::new_signed(&group, self.config.dlog_window))
-            }
-            TransferMode::Accounted => None,
-        };
-        let mut traffic = TrafficAccountant::new();
-
-        // Per-vertex offsets into the packed inbox: one slot per *actual*
-        // in-edge (slots past the in-degree hold the all-zero no-op share
-        // forever and are padded in on demand, never stored).
         let mut in_offset = vec![0usize; n + 1];
         for v in graph.vertices() {
             if graph.out_degree(v) > degree_bound || graph.in_degree(v) > degree_bound {
@@ -483,30 +657,24 @@ impl DStressRuntime {
             }
             in_offset[v.0 + 1] = in_offset[v.0] + graph.in_degree(v);
         }
-        let inbox_rows = in_offset[n] * block_size;
-        let state_rows = n * block_size;
 
-        // The run-shape fingerprint checkpoints carry: a resume against a
-        // different graph, program width, seed or iteration count is
-        // rejected instead of silently diverging.
-        let fingerprint = {
-            let mut bytes = Vec::with_capacity(64);
-            for value in [
-                n as u64,
-                in_offset[n] as u64,
-                degree_bound as u64,
-                block_size as u64,
-                state_bits as u64,
-                message_bits as u64,
-                self.config.seed,
-                u64::from(iterations),
-            ] {
-                bytes.extend_from_slice(&value.to_le_bytes());
-            }
-            digest64(&bytes)
-        };
-        if let Some((manifest, _)) = &resume_state {
-            if manifest.fingerprint != fingerprint || manifest.iterations != u64::from(iterations) {
+        // The run's shape: a resume against a different graph, program
+        // width, seed or iteration count is rejected instead of silently
+        // diverging.
+        let shape = [
+            n as u64,
+            in_offset[n] as u64,
+            degree_bound as u64,
+            block_size as u64,
+            state_bits as u64,
+            message_bits as u64,
+            config.seed,
+            iterations,
+        ];
+        let shape_bytes: Vec<u8> = shape.iter().flat_map(|value| value.to_le_bytes()).collect();
+        let fingerprint = digest64(&shape_bytes);
+        if let Some(manifest) = resuming {
+            if manifest.fingerprint != fingerprint || manifest.iterations != iterations {
                 return Err(RuntimeError::Checkpoint {
                     context: format!(
                         "checkpoint fingerprint {:016x} does not match this run's {:016x} — \
@@ -517,165 +685,9 @@ impl DStressRuntime {
             }
         }
 
-        // ---- State stores ------------------------------------------------
-        // Declared before the stores so its `Drop` (removing the whole
-        // run-scoped spill directory) runs after theirs, on every exit
-        // path — success, error, or injected halt.
-        let spill_guard = match self.config.state_budget_bytes {
-            Some(budget)
-                if packed_bytes(state_rows, state_bits)
-                    + 2 * packed_bytes(inbox_rows, message_bits)
-                    > budget =>
-            {
-                Some(RunDirGuard::create(
-                    self.config.spill_dir.as_deref(),
-                    self.config.seed,
-                )?)
-            }
-            _ => None,
-        };
-        // Persistent share state behind the store trait: the state rows
-        // (row v · block + member) and the double-buffered inboxes (row
-        // (in_offset[v] + slot) · block + member), either fully resident
-        // or paged against the byte budget, split proportionally.
-        type BoxedStore = Box<dyn StateStore>;
-        let (mut state_store, mut inbox_store, mut inbox_next): (
-            BoxedStore,
-            BoxedStore,
-            BoxedStore,
-        ) = match (&spill_guard, self.config.state_budget_bytes) {
-            (Some(guard), Some(budget)) => {
-                let state_bytes = packed_bytes(state_rows, state_bits);
-                let inbox_bytes = packed_bytes(inbox_rows, message_bits);
-                let total = (state_bytes + 2 * inbox_bytes).max(1);
-                let state_budget = budget * state_bytes / total;
-                let inbox_budget = budget * inbox_bytes / total;
-                (
-                    Box::new(SpillStore::create(
-                        state_rows,
-                        state_bits,
-                        state_budget,
-                        guard.path().join("state.log"),
-                    )?),
-                    Box::new(SpillStore::create(
-                        inbox_rows,
-                        message_bits,
-                        inbox_budget,
-                        guard.path().join("inbox-a.log"),
-                    )?),
-                    Box::new(SpillStore::create(
-                        inbox_rows,
-                        message_bits,
-                        inbox_budget,
-                        guard.path().join("inbox-b.log"),
-                    )?),
-                )
-            }
-            _ => (
-                Box::new(MemStore::new(state_rows, state_bits)),
-                Box::new(MemStore::new(inbox_rows, message_bits)),
-                Box::new(MemStore::new(inbox_rows, message_bits)),
-            ),
-        };
-        let mut store_resident_peak = 0usize;
-
-        // ---- Initialization step ----------------------------------------
-        let initialization;
-        let mut computation;
-        let mut communication;
-        let start_round: u32;
-        if let Some((manifest, records)) = resume_state {
-            // Rehydrate: stores, RNG position, accumulated costs and
-            // traffic — the initialization phase already ran before the
-            // checkpoint, so its cost carries over and its work is not
-            // repeated.
-            restore_store(state_store.as_mut(), 0, &records)?;
-            restore_store(inbox_store.as_mut(), 1, &records)?;
-            rng = Xoshiro256::from_state(manifest.rng_state);
-            initialization = manifest.initialization;
-            computation = manifest.computation;
-            communication = manifest.communication;
-            for (id, t) in &manifest.traffic {
-                traffic.add_node_traffic(*id, t);
-            }
-            start_round = manifest.round as u32;
-        } else {
-            let init_start = Instant::now(); // lint:allow-nondeterminism -- wall-clock metrics only, never touches shares
-            let mut init_counts = OperationCounts::default();
-            for v in graph.vertices() {
-                let initial = program.encode_initial_state(graph, v);
-                debug_assert_eq!(initial.len(), state_bits, "program state encoding width");
-                let mut shares = share_bits(&initial, block_size, &mut rng);
-                // Each member other than the owner receives its state share and
-                // D no-op message shares — as a real bit-packed wire message,
-                // whose decoded copy is the share the member actually uses.
-                let block = setup.block_of(NodeId(v.0));
-                let per_member_bytes =
-                    (state_bits as u64 + (degree_bound * message_bits) as u64).div_ceil(8);
-                for (m_idx, &member) in block.members.iter().enumerate() {
-                    if member == NodeId(v.0) {
-                        continue;
-                    }
-                    traffic.record(NodeId(v.0), member, per_member_bytes);
-                    init_counts.bytes_sent += per_member_bytes;
-                    let message = EngineMsg::InitShare {
-                        state: std::mem::take(&mut shares[m_idx]),
-                        inbox: vec![false; degree_bound * message_bits],
-                    };
-                    let encoded = message.encode();
-                    traffic.record_wire(NodeId(v.0), member, encoded.len() as u64);
-                    init_counts.wire_bytes += encoded.len() as u64;
-                    let EngineMsg::InitShare { state, inbox: noop } =
-                        EngineMsg::decode_exact(&encoded)?
-                    else {
-                        unreachable!("an InitShare was encoded");
-                    };
-                    shares[m_idx] = state;
-                    // The decoded no-op shares are all-zero, which is exactly
-                    // what the zero-initialised packed inbox already holds.
-                    debug_assert!(noop.iter().all(|&bit| !bit));
-                }
-                for (m_idx, share) in shares.iter().enumerate() {
-                    state_store.write(v.0 * block_size + m_idx, share)?;
-                }
-            }
-            // Every vertex distributes its shares concurrently, so the whole
-            // step is one communication round — charging one per vertex would
-            // make the latency estimate scale with N instead of depth.
-            init_counts.rounds += 1;
-            initialization = PhaseCosts {
-                counts: init_counts,
-                wall_seconds: init_start.elapsed().as_secs_f64(),
-            };
-            computation = PhaseCosts::default();
-            communication = PhaseCosts::default();
-            start_round = 0;
-        }
-        store_resident_peak = store_resident_peak.max(
-            state_store.resident_bytes()
-                + inbox_store.resident_bytes()
-                + inbox_next.resident_bytes(),
-        );
-
-        // ---- Iterations ---------------------------------------------------
-        let update_circuit = program.update_circuit(degree_bound);
-        let window = window.max(1);
-        let ctx = StepContext {
-            config: &self.config,
-            update_circuit: &update_circuit,
-            state_bits,
-            message_bits,
-            message_width: program.message_bits(),
-            group: &group,
-            setup: &setup,
-            secrets: &secrets,
-            dlog: dlog.as_ref(),
-        };
-        // The receiver inbox slot of every edge, in vertex-major (global
-        // edge index) order — round-invariant, so the in-neighbour scans
-        // happen once per run instead of once per edge per round.  A flat
-        // `usize` per edge, the same memory class as the topology itself.
-        let edge_in_slots: Vec<usize> = graph
+        let (state_rows, inbox_rows) = (n * block_size, in_offset[n] * block_size);
+        let stores = Stores::open(config, state_rows, state_bits, inbox_rows, message_bits)?;
+        let edge_in_slots = graph
             .vertices()
             .flat_map(|v| {
                 graph.out_neighbors(v).iter().map(move |&to| {
@@ -687,237 +699,328 @@ impl DStressRuntime {
                 })
             })
             .collect();
+        Ok(RunState {
+            config,
+            graph,
+            program,
+            setup,
+            executor,
+            block_size,
+            state_bits,
+            message_bits,
+            fingerprint,
+            in_offset,
+            edge_in_slots,
+            stores,
+            resident_peak: 0,
+            rng,
+            traffic: TrafficAccountant::new(),
+            phases: PhaseBreakdown::default(),
+            round: 0,
+            comp_rounds: 0,
+            comm_rounds: 0,
+            edge_index: 0,
+        })
+    }
 
-        for round in start_round..=iterations {
-            // Per-phase master seeds, drawn in the same order as the
-            // phases themselves run (computation, then communication).
-            let comp_seed = rng.next_u64();
-            let comm_seed = (round < iterations).then(|| rng.next_u64());
-            let mut comp_rounds = 0u64;
-            let mut comm_rounds = 0u64;
-            // Global edge index in vertex-major order, continued across
-            // windows, so edge task seeds are window-invariant.
-            let mut edge_index = 0u64;
+    fn sample_resident(&mut self) {
+        self.resident_peak = self.resident_peak.max(self.stores.resident_bytes());
+    }
 
-            for span in windowed(n, window) {
-                // Computation step for the window's blocks (the final
-                // pass, at `round == iterations`, consumes the last round
-                // of messages and produces no outgoing traffic).
-                let comp_start = Instant::now(); // lint:allow-nondeterminism -- wall-clock metrics only, never touches shares
-                                                 // Task building is sequential and rng-free, so the tasks —
-                                                 // and therefore the outcomes any conforming executor
-                                                 // computes from them — are bit-identical across window
-                                                 // sizes, concurrency modes and placements.
-                let tasks: Vec<BlockStepTask> = span
-                    .clone()
-                    .map(VertexId)
-                    .map(|v| {
-                        Ok(BlockStepTask {
-                            vertex: v.0 as u64,
-                            seed: task_seed(comp_seed, v.0 as u64),
-                            members: setup.block_of(NodeId(v.0)).members.clone(),
-                            out_slots: graph.out_degree(v) as u64,
-                            input_shares: gather_block_inputs(
-                                graph,
-                                v,
-                                state_store.as_ref(),
-                                inbox_store.as_ref(),
-                                &in_offset,
-                                block_size,
-                                degree_bound,
-                                state_bits,
-                                message_bits,
-                            )?,
-                        })
-                    })
-                    .collect::<Result<_, RuntimeError>>()?;
-                let outcomes = executor.run_block_steps(&ctx, tasks)?;
-                // The window's outgoing message shares, dropped as soon as
-                // its transfers have been delivered: only in-flight blocks
-                // are ever materialised.
-                let mut window_out: Vec<Vec<Vec<Vec<bool>>>> = Vec::with_capacity(span.len());
-                // All vertex MPCs of a step run concurrently: their compute
-                // and byte counts sum, but the step's *rounds* are the
-                // critical path — the deepest block MPC — not the sum over
-                // blocks.
-                for (off, outcome) in outcomes.into_iter().enumerate() {
-                    let v = span.start + off;
-                    for (m_idx, share) in outcome.new_state.iter().enumerate() {
-                        state_store.write(v * block_size + m_idx, share)?;
-                    }
-                    window_out.push(outcome.outgoing);
-                    comp_rounds = comp_rounds.max(outcome.counts.rounds);
-                    let mut counts = outcome.counts;
-                    counts.rounds = 0;
-                    computation.counts.merge(&counts);
-                    for (id, t) in &outcome.traffic {
-                        traffic.add_node_traffic(*id, t);
-                    }
-                }
-                computation.wall_seconds += comp_start.elapsed().as_secs_f64();
-                let Some(comm_seed) = comm_seed else {
+    /// Carries one engine control message over the simulated wire:
+    /// charges the model's `bytes` and the length of the real encoding to
+    /// the link and to `counts`, and returns the decoded copy — the share
+    /// the receiver actually uses.
+    fn deliver<M: Wire>(
+        &mut self,
+        counts: &mut OperationCounts,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        message: &M,
+    ) -> Result<M, WireError> {
+        self.traffic.record(from, to, bytes);
+        counts.bytes_sent += bytes;
+        let encoded = message.encode();
+        self.traffic.record_wire(from, to, encoded.len() as u64);
+        counts.wire_bytes += encoded.len() as u64;
+        M::decode_exact(&encoded)
+    }
+
+    /// Initialization step: every node XOR-shares its initial vertex
+    /// state and `D` no-op messages among its block.
+    fn initialize(&mut self) -> Result<(), RuntimeError> {
+        let seconds = stopwatch();
+        let (graph, setup) = (self.graph, self.setup);
+        let (block_size, state_bits) = (self.block_size, self.state_bits);
+        let mut counts = OperationCounts::default();
+        let inbox_bits = graph.degree_bound() * self.message_bits;
+        let per_member_bytes = (state_bits as u64 + inbox_bits as u64).div_ceil(8);
+        for v in graph.vertices() {
+            let initial = self.program.encode_initial_state(graph, v);
+            debug_assert_eq!(initial.len(), state_bits, "program state encoding width");
+            let mut shares = share_bits(&initial, block_size, &mut self.rng);
+            // Each member other than the owner receives its state share and
+            // D no-op message shares — as a real bit-packed wire message,
+            // whose decoded copy is the share the member actually uses.
+            let owner = NodeId(v.0);
+            for (m_idx, &member) in setup.block_of(owner).members.iter().enumerate() {
+                if member == owner {
                     continue;
+                }
+                let message = InitShare {
+                    state: std::mem::take(&mut shares[m_idx]),
+                    inbox: vec![false; inbox_bits],
                 };
-
-                // Communication step for the window's out-edges, delivered
-                // into the next round's inbox buffer.
-                let comm_start = Instant::now(); // lint:allow-nondeterminism -- wall-clock metrics only, never touches shares
-                let mut tasks: Vec<TransferTask> = Vec::new();
-                for (off, out_msgs) in window_out.iter().enumerate() {
-                    let v = VertexId(span.start + off);
-                    for (out_slot, &to) in graph.out_neighbors(v).iter().enumerate() {
-                        let in_slot = edge_in_slots[edge_index as usize];
-                        tasks.push(TransferTask {
-                            edge_index,
-                            seed: task_seed(comm_seed, edge_index),
-                            from: v.0 as u64,
-                            to: to.0 as u64,
-                            in_slot: in_slot as u64,
-                            sender_members: setup.block_of(NodeId(v.0)).members.clone(),
-                            receiver_members: setup.block_of(NodeId(to.0)).members.clone(),
-                            shares: out_msgs[out_slot].clone(),
-                        });
-                        edge_index += 1;
-                    }
-                }
-                let outcomes = executor.run_transfers(&ctx, tasks)?;
-                // Edge transfers of a step are likewise concurrent: rounds
-                // are the per-step maximum, not edge-count × 3.
-                for outcome in outcomes {
-                    let base =
-                        (in_offset[outcome.to as usize] + outcome.in_slot as usize) * block_size;
-                    for (m_idx, share) in outcome.receiver_shares.iter().enumerate() {
-                        inbox_next.write(base + m_idx, share)?;
-                    }
-                    comm_rounds = comm_rounds.max(outcome.counts.rounds);
-                    let mut counts = outcome.counts;
-                    counts.rounds = 0;
-                    communication.counts.merge(&counts);
-                    for (id, t) in &outcome.traffic {
-                        traffic.add_node_traffic(*id, t);
-                    }
-                }
-                communication.wall_seconds += comm_start.elapsed().as_secs_f64();
-                // `window_out` (and the per-edge share clones) die here:
-                // the next window starts from persistent packed state only.
+                let received =
+                    self.deliver(&mut counts, owner, member, per_member_bytes, &message)?;
+                shares[m_idx] = received.state;
+                // The decoded no-op shares are all-zero, which is exactly
+                // what the zero-initialised packed inbox already holds.
+                debug_assert!(received.inbox.iter().all(|&bit| !bit));
             }
+            write_block(self.stores.state.as_mut(), v.0 * block_size, &shares)?;
+        }
+        // Every vertex distributes its shares concurrently, so the whole
+        // step is one communication round — charging one per vertex would
+        // make the latency estimate scale with N instead of depth.
+        counts.rounds += 1;
+        self.phases.initialization = PhaseCosts {
+            counts,
+            wall_seconds: seconds(),
+        };
+        Ok(())
+    }
 
-            computation.counts.rounds += comp_rounds;
-            if comm_seed.is_none() {
-                break;
-            }
-            communication.counts.rounds += comm_rounds;
-            // Every in-slot with an edge was overwritten by a transfer, so
-            // the swap is a complete hand-over to the next round.
-            std::mem::swap(&mut inbox_store, &mut inbox_next);
-            store_resident_peak = store_resident_peak.max(
-                state_store.resident_bytes()
-                    + inbox_store.resident_bytes()
-                    + inbox_next.resident_bytes(),
-            );
+    /// Takes the place of [`Self::initialize`] in a resumed run:
+    /// rehydrates the stores, the RNG position, the accumulated costs and
+    /// the traffic.  The initialization phase ran before the checkpoint,
+    /// so its cost carries over and its work is not repeated.
+    fn restore(&mut self, (manifest, records): Checkpoint) -> Result<(), RuntimeError> {
+        restore_store(self.stores.state.as_mut(), 0, &records)?;
+        restore_store(self.stores.inbox.as_mut(), 1, &records)?;
+        self.rng = Xoshiro256::from_state(manifest.rng_state);
+        self.phases.initialization = manifest.initialization;
+        self.phases.computation = manifest.computation;
+        self.phases.communication = manifest.communication;
+        self.traffic.add_entries(&manifest.traffic);
+        self.round = manifest.round as u32;
+        Ok(())
+    }
 
-            // Round-boundary checkpoint: everything a resumed run needs is
-            // the post-swap state + inbox stores, the RNG position, and
-            // the accumulated costs — `inbox_next` is fully overwritten
-            // before it is read again, so it is never checkpointed.
-            let halt_here = self.config.halt_after_round == Some(u64::from(round));
-            if let Some(checkpoint) = &self.config.checkpoint {
-                if (u64::from(round) + 1) % checkpoint.cadence() == 0 || halt_here {
-                    let (digests, records) =
-                        collect_segments(&[(0, state_store.as_ref()), (1, inbox_store.as_ref())])?;
-                    let manifest = CheckpointManifest {
-                        round: u64::from(round) + 1,
-                        iterations: u64::from(iterations),
-                        fingerprint,
-                        rng_state: rng.state(),
-                        initialization,
-                        computation,
-                        communication,
-                        traffic: traffic.sorted_node_entries(),
-                        segments: digests,
-                    };
-                    write_checkpoint(&checkpoint.dir, &manifest, &records)?;
+    /// One block's GMW input shares from the packed stores: each member's
+    /// state row followed by its `D` inbox slots — the slots past the
+    /// vertex's in-degree hold the all-zero no-op share and are padded in
+    /// here rather than stored.  Store access is fallible because the
+    /// spilling backend may need to page segments in from disk.
+    fn block_inputs(&self, v: VertexId) -> Result<Vec<Vec<bool>>, RuntimeError> {
+        let in_degree = self.graph.in_degree(v);
+        let width = self.state_bits + self.graph.degree_bound() * self.message_bits;
+        (0..self.block_size)
+            .map(|m_idx| {
+                let mut member_inputs = Vec::with_capacity(width);
+                let state_row = v.0 * self.block_size + m_idx;
+                self.stores.state.read_into(state_row, &mut member_inputs)?;
+                for slot in 0..in_degree {
+                    let row = (self.in_offset[v.0] + slot) * self.block_size + m_idx;
+                    self.stores.inbox.read_into(row, &mut member_inputs)?;
                 }
-            }
-            if halt_here {
-                return Err(RuntimeError::Halted {
-                    round: u64::from(round),
+                member_inputs.resize(width, false);
+                Ok(member_inputs)
+            })
+            .collect()
+    }
+
+    /// Computation step for the window's blocks.  Returns their outgoing
+    /// message shares, which live only until the window's transfers have
+    /// been delivered: only in-flight blocks are ever materialised.
+    fn compute_window(
+        &mut self,
+        ctx: &StepContext<'_>,
+        comp_seed: u64,
+        span: Range<usize>,
+    ) -> Result<WindowOut, RuntimeError> {
+        let seconds = stopwatch();
+        // Task building is sequential and rng-free, so the tasks — and
+        // therefore the outcomes any conforming executor computes from
+        // them — are bit-identical across window sizes, concurrency modes
+        // and placements.
+        let tasks = span
+            .clone()
+            .map(|v| {
+                Ok(BlockStepTask {
+                    vertex: v as u64,
+                    seed: task_seed(comp_seed, v as u64),
+                    members: self.setup.block_of(NodeId(v)).members.clone(),
+                    out_slots: self.graph.out_degree(VertexId(v)) as u64,
+                    input_shares: self.block_inputs(VertexId(v))?,
+                })
+            })
+            .collect::<Result<Vec<_>, RuntimeError>>()?;
+        let outcomes = self.executor.run_block_steps(ctx, tasks)?;
+        let mut window_out = Vec::with_capacity(span.len());
+        for (v, outcome) in span.zip(outcomes) {
+            let state = self.stores.state.as_mut();
+            write_block(state, v * self.block_size, &outcome.new_state)?;
+            window_out.push(outcome.outgoing);
+            let phase = &mut self.phases.computation;
+            phase.absorb(&mut self.comp_rounds, outcome.counts);
+            self.traffic.add_entries(&outcome.traffic);
+        }
+        self.phases.computation.wall_seconds += seconds();
+        Ok(window_out)
+    }
+
+    /// Communication step for the out-edges of the window starting at
+    /// vertex `first`, delivered into the next round's inbox buffer.
+    fn communicate_window(
+        &mut self,
+        ctx: &StepContext<'_>,
+        comm_seed: u64,
+        first: usize,
+        window_out: WindowOut,
+    ) -> Result<(), RuntimeError> {
+        let seconds = stopwatch();
+        let mut tasks: Vec<TransferTask> = Vec::new();
+        for (off, out_msgs) in window_out.iter().enumerate() {
+            let v = VertexId(first + off);
+            for (out_slot, &to) in self.graph.out_neighbors(v).iter().enumerate() {
+                tasks.push(TransferTask {
+                    edge_index: self.edge_index,
+                    seed: task_seed(comm_seed, self.edge_index),
+                    from: v.0 as u64,
+                    to: to.0 as u64,
+                    in_slot: self.edge_in_slots[self.edge_index as usize] as u64,
+                    sender_members: self.setup.block_of(NodeId(v.0)).members.clone(),
+                    receiver_members: self.setup.block_of(NodeId(to.0)).members.clone(),
+                    shares: out_msgs[out_slot].clone(),
                 });
+                self.edge_index += 1;
             }
         }
-        // The iterations are over: release the update circuit — and the
-        // layering memoised on it — before the aggregation MPC allocates
-        // its own, typically larger, circuit.
-        drop(update_circuit);
+        for outcome in self.executor.run_transfers(ctx, tasks)? {
+            let slot = self.in_offset[outcome.to as usize] + outcome.in_slot as usize;
+            let inbox = self.stores.inbox_next.as_mut();
+            write_block(inbox, slot * self.block_size, &outcome.receiver_shares)?;
+            let phase = &mut self.phases.communication;
+            phase.absorb(&mut self.comm_rounds, outcome.counts);
+            self.traffic.add_entries(&outcome.traffic);
+        }
+        self.phases.communication.wall_seconds += seconds();
+        Ok(())
+    }
 
-        // ---- Aggregation + noising ----------------------------------------
-        let agg_start = Instant::now(); // lint:allow-nondeterminism -- wall-clock metrics only, never touches shares
-        let mut agg_counts = OperationCounts::default();
-        let agg_block = &setup.aggregation_block;
+    /// Closes the round: charges its critical paths, rewinds the round's
+    /// cursor and — unless this was the `last` pass — hands the inboxes
+    /// over, writes the round-boundary checkpoint if one is due, and
+    /// takes the injected halt.
+    fn end_round(&mut self, last: bool) -> Result<(), RuntimeError> {
+        let round = u64::from(self.round);
+        self.round += 1;
+        self.phases.computation.counts.rounds += std::mem::take(&mut self.comp_rounds);
+        self.phases.communication.counts.rounds += std::mem::take(&mut self.comm_rounds);
+        self.edge_index = 0;
+        if last {
+            return Ok(());
+        }
+        // Every in-slot with an edge was overwritten by a transfer, so
+        // the swap is a complete hand-over to the next round.
+        std::mem::swap(&mut self.stores.inbox, &mut self.stores.inbox_next);
+        self.sample_resident();
+
+        // Everything a resumed run needs is the post-swap state + inbox
+        // stores, the RNG position, and the accumulated costs —
+        // `inbox_next` is fully overwritten before it is read again, so it
+        // is never checkpointed.
+        let halt_here = self.config.halt_after_round == Some(round);
+        if let Some(checkpoint) = &self.config.checkpoint {
+            if (round + 1) % checkpoint.cadence() == 0 || halt_here {
+                let (state, inbox) = (self.stores.state.as_ref(), self.stores.inbox.as_ref());
+                let (segments, records) = collect_segments(&[(0, state), (1, inbox)])?;
+                let manifest = CheckpointManifest {
+                    round: round + 1,
+                    iterations: u64::from(self.program.iterations()),
+                    fingerprint: self.fingerprint,
+                    rng_state: self.rng.state(),
+                    initialization: self.phases.initialization,
+                    computation: self.phases.computation,
+                    communication: self.phases.communication,
+                    traffic: self.traffic.sorted_node_entries(),
+                    segments,
+                };
+                write_checkpoint(&checkpoint.dir, &manifest, &records)?;
+            }
+        }
+        if halt_here {
+            return Err(RuntimeError::Halted { round });
+        }
+        Ok(())
+    }
+
+    /// Aggregation + noising: the blocks re-share their final states into
+    /// the aggregation block, which evaluates the aggregation circuit and
+    /// the noising circuit under GMW; the run releases only the noised
+    /// aggregate.
+    fn aggregate(mut self) -> Result<DStressRun, RuntimeError> {
+        let seconds = stopwatch();
+        let (config, graph, program, setup) = (self.config, self.graph, self.program, self.setup);
+        let (block_size, state_bits) = (self.block_size, self.state_bits);
+        let mut counts = OperationCounts::default();
 
         // Re-share every vertex's state into the aggregation block: each
         // block member splits its share into |B_A| sub-shares and sends one
         // to each aggregation-block member.
+        let share_bytes = (state_bits as u64).div_ceil(8);
         let mut agg_input_shares: Vec<Vec<bool>> =
-            vec![Vec::with_capacity(n * state_bits); block_size];
+            vec![Vec::with_capacity(graph.vertex_count() * state_bits); block_size];
         for v in graph.vertices() {
-            let block = setup.block_of(NodeId(v.0));
             // Accumulated share of this vertex's state per BA member.
             let mut ba_shares = vec![vec![false; state_bits]; block_size];
-            let share_bytes = (state_bits as u64).div_ceil(8);
-            for (m_idx, &member) in block.members.iter().enumerate() {
+            for (m_idx, &member) in setup.block_of(NodeId(v.0)).members.iter().enumerate() {
+                let mut member_state = Vec::with_capacity(state_bits);
+                let row = v.0 * block_size + m_idx;
+                self.stores.state.read_into(row, &mut member_state)?;
                 // sub[ba_idx][bit]: this member's sub-share toward each
                 // aggregation-block member.
-                let mut member_state = Vec::with_capacity(state_bits);
-                state_store.read_into(v.0 * block_size + m_idx, &mut member_state)?;
-                let mut sub = vec![vec![false; state_bits]; block_size];
-                for (bit, &value) in member_state.iter().enumerate() {
-                    let subshares = split_xor_bit(value, block_size, &mut rng);
-                    for (ba_idx, s) in subshares.into_iter().enumerate() {
-                        sub[ba_idx][bit] = s;
-                    }
-                }
+                let sub = share_bits(&member_state, block_size, &mut self.rng);
                 // One bit-packed wire message per aggregation-block
                 // member; the decoded copy is what gets folded in.
-                for (ba_idx, (&ba_member, bits)) in agg_block.members.iter().zip(sub).enumerate() {
-                    traffic.record(member, ba_member, share_bytes);
-                    agg_counts.bytes_sent += share_bytes;
-                    let encoded = EngineMsg::AggShare { bits }.encode();
-                    traffic.record_wire(member, ba_member, encoded.len() as u64);
-                    agg_counts.wire_bytes += encoded.len() as u64;
-                    let EngineMsg::AggShare { bits } = EngineMsg::decode_exact(&encoded)? else {
-                        unreachable!("an AggShare was encoded");
-                    };
-                    for (bit, b) in bits.into_iter().enumerate() {
-                        ba_shares[ba_idx][bit] ^= b;
+                let ba_members = setup.aggregation_block.members.iter();
+                for (ba_share, (&ba_member, bits)) in ba_shares.iter_mut().zip(ba_members.zip(sub))
+                {
+                    let message = AggShare { bits };
+                    let received =
+                        self.deliver(&mut counts, member, ba_member, share_bytes, &message)?;
+                    for (acc, b) in ba_share.iter_mut().zip(received.bits) {
+                        *acc ^= b;
                     }
                 }
             }
-            for (ba_idx, share) in ba_shares.into_iter().enumerate() {
-                agg_input_shares[ba_idx].extend(share);
+            for (input, share) in agg_input_shares.iter_mut().zip(ba_shares) {
+                input.extend(share);
             }
         }
-        agg_counts.rounds += 1;
+        counts.rounds += 1;
 
-        // Aggregation MPC.
-        let agg_circuit = program.aggregation_circuit(n);
-        let agg_node_ids = agg_block.members.clone();
+        // Aggregation MPC.  It and the noising MPC run on the configured
+        // transport backend, like every block MPC: the backend is
+        // bit-invisible.
+        let agg_circuit = program.aggregation_circuit(graph.vertex_count());
         let protocol = GmwProtocol::new(
-            GmwConfig::with_node_ids(agg_node_ids.clone()).with_batching(self.config.gmw_batching),
+            GmwConfig::with_node_ids(setup.aggregation_block.members.clone())
+                .with_batching(config.gmw_batching),
         )?;
         let ot = OtConfig::extension();
-        // The aggregation and noising MPCs run on the configured transport
-        // backend, like every block MPC: the backend is bit-invisible.
-        let transport = mpc_transport(self.config.transport);
+        let transport = mpc_transport(config.transport);
         let agg_exec = protocol.execute_on(
             &*transport,
             &agg_circuit,
             &agg_input_shares,
             &ot,
-            &mut traffic,
-            &mut rng,
+            &mut self.traffic,
+            &mut self.rng,
         )?;
-        agg_counts.add(&agg_exec.counts);
+        counts.add(&agg_exec.counts);
         let aggregate_bits = reconstruct_outputs(&agg_exec.output_shares)?;
         let ideal_output = program.decode_aggregate(&aggregate_bits);
 
@@ -930,7 +1033,7 @@ impl DStressRuntime {
         let noise_inputs: Vec<Vec<bool>> = (0..block_size)
             .map(|_| {
                 (0..noise_circ.num_inputs())
-                    .map(|_| rng.next_bool())
+                    .map(|_| self.rng.next_bool())
                     .collect()
             })
             .collect();
@@ -939,45 +1042,33 @@ impl DStressRuntime {
             &noise_circ,
             &noise_inputs,
             &ot,
-            &mut traffic,
-            &mut rng,
+            &mut self.traffic,
+            &mut self.rng,
         )?;
-        agg_counts.add(&noise_exec.counts);
+        counts.add(&noise_exec.counts);
 
         // Joint seed: one contribution per aggregation-block member.
-        let joint_seed = (0..block_size).fold(0u64, |acc, _| acc ^ rng.next_u64());
-        let mechanism = LaplaceMechanism::new(program.sensitivity(), self.config.epsilon);
-        let mut noise_rng = SplitMix64::new(joint_seed);
-        let noised_output = mechanism.release(ideal_output, &mut noise_rng);
+        let joint_seed = (0..block_size).fold(0u64, |acc, _| acc ^ self.rng.next_u64());
+        let mechanism = LaplaceMechanism::new(program.sensitivity(), config.epsilon);
+        let noised_output = mechanism.release(ideal_output, &mut SplitMix64::new(joint_seed));
 
-        let aggregation = PhaseCosts {
-            counts: agg_counts,
-            wall_seconds: agg_start.elapsed().as_secs_f64(),
+        self.phases.aggregation = PhaseCosts {
+            counts,
+            wall_seconds: seconds(),
         };
-
-        store_resident_peak = store_resident_peak.max(
-            state_store.resident_bytes()
-                + inbox_store.resident_bytes()
-                + inbox_next.resident_bytes(),
-        );
-        let spill_file_bytes = state_store.spill_file_bytes()
-            + inbox_store.spill_file_bytes()
-            + inbox_next.spill_file_bytes();
-
+        self.sample_resident();
+        let stores = &self.stores;
         Ok(DStressRun {
             noised_output,
             ideal_output,
-            phases: PhaseBreakdown {
-                initialization,
-                computation,
-                communication,
-                aggregation,
-            },
-            traffic,
-            iterations,
+            phases: self.phases,
+            store_resident_peak_bytes: self.resident_peak,
+            spill_file_bytes: stores.state.spill_file_bytes()
+                + stores.inbox.spill_file_bytes()
+                + stores.inbox_next.spill_file_bytes(),
+            traffic: self.traffic,
+            iterations: program.iterations(),
             block_size,
-            store_resident_peak_bytes: store_resident_peak,
-            spill_file_bytes,
         })
     }
 }
@@ -988,41 +1079,16 @@ impl DStressRuntime {
 /// materialisation is bounded by the concurrency level, not the graph.
 pub const BLOCKS_PER_WORKER: usize = 4;
 
-/// Gathers one block's GMW input shares from the packed stores: each
-/// member's state row followed by its `D` inbox slots — the slots past
-/// the vertex's in-degree hold the all-zero no-op share and are padded in
-/// here rather than stored.  Store access is fallible because the
-/// spilling backend may need to page segments in from disk.
-#[allow(clippy::too_many_arguments)]
-fn gather_block_inputs(
-    graph: &Graph,
-    v: VertexId,
-    state_store: &dyn StateStore,
-    inbox_store: &dyn StateStore,
-    in_offset: &[usize],
-    block_size: usize,
-    degree_bound: usize,
-    state_bits: usize,
-    message_bits: usize,
-) -> Result<Vec<Vec<bool>>, RuntimeError> {
-    let in_degree = graph.in_degree(v);
-    (0..block_size)
-        .map(|m_idx| {
-            let mut member_inputs = Vec::with_capacity(state_bits + degree_bound * message_bits);
-            state_store.read_into(v.0 * block_size + m_idx, &mut member_inputs)?;
-            for slot in 0..degree_bound {
-                if slot < in_degree {
-                    inbox_store.read_into(
-                        (in_offset[v.0] + slot) * block_size + m_idx,
-                        &mut member_inputs,
-                    )?;
-                } else {
-                    member_inputs.extend(std::iter::repeat(false).take(message_bits));
-                }
-            }
-            Ok(member_inputs)
-        })
-        .collect()
+impl PhaseCosts {
+    /// Folds in one task outcome's counts.  The tasks of a step run
+    /// concurrently: their compute and byte counts sum, but their rounds
+    /// only raise `deepest`, the step's critical path, which
+    /// [`RunState::end_round`] charges once per round.
+    fn absorb(&mut self, deepest: &mut u64, mut counts: OperationCounts) {
+        *deepest = (*deepest).max(counts.rounds);
+        counts.rounds = 0;
+        self.counts.merge(&counts);
+    }
 }
 
 /// Derives the seed of one phase task (a vertex's computation step or an

@@ -1,6 +1,6 @@
 //! Step executors: *where* the independent tasks of a phase run.
 //!
-//! The engine's windowed pipeline (`run_windowed_with` in
+//! The engine's windowed pipeline (`run_windowed` in
 //! [`crate::engine`]) builds one serializable task per independent unit
 //! of work — a vertex's computation step, an edge's message transfer —
 //! and hands the batch to a [`StepExecutor`].  The executor decides

@@ -49,64 +49,65 @@ const TAG_SEGMENT: u8 = 0x53;
 /// Layout version of the checkpoint manifest.
 const CHECKPOINT_VERSION: u32 = 1;
 
-/// A control message of the DStress engine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EngineMsg {
-    /// Initialization: one block member's XOR share of a vertex's initial
-    /// state plus its `D` no-op inbox message slots.
-    InitShare {
-        /// The member's share of the state bits.
-        state: Vec<bool>,
-        /// The member's share of all `D · L` inbox bits, slot-major.
-        inbox: Vec<bool>,
-    },
-    /// Aggregation: one block member's sub-share of a vertex state,
-    /// destined for one aggregation-block member.
-    AggShare {
-        /// The sub-share bits.
-        bits: Vec<bool>,
-    },
+/// Takes a record's leading tag byte off `buf`.
+fn expect_tag(buf: &mut &[u8], expected: u8, what: &'static str) -> Result<(), WireError> {
+    match wire::get_u8(buf)? {
+        tag if tag == expected => Ok(()),
+        tag => Err(WireError::BadTag { tag, what }),
+    }
 }
 
-impl Wire for EngineMsg {
+/// Initialization: one block member's XOR share of a vertex's initial
+/// state plus its `D` no-op inbox message slots.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InitShare {
+    /// The member's share of the state bits.
+    pub state: Vec<bool>,
+    /// The member's share of all `D · L` inbox bits, slot-major.
+    pub inbox: Vec<bool>,
+}
+
+impl Wire for InitShare {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            EngineMsg::InitShare { state, inbox } => {
-                wire::put_u8(out, TAG_INIT_SHARE);
-                wire::put_uvarint(out, state.len() as u64);
-                wire::put_uvarint(out, inbox.len() as u64);
-                wire::put_bits(out, state);
-                wire::put_bits(out, inbox);
-            }
-            EngineMsg::AggShare { bits } => {
-                wire::put_u8(out, TAG_AGG_SHARE);
-                wire::put_uvarint(out, bits.len() as u64);
-                wire::put_bits(out, bits);
-            }
-        }
+        wire::put_u8(out, TAG_INIT_SHARE);
+        wire::put_uvarint(out, self.state.len() as u64);
+        wire::put_uvarint(out, self.inbox.len() as u64);
+        wire::put_bits(out, &self.state);
+        wire::put_bits(out, &self.inbox);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match wire::get_u8(buf)? {
-            TAG_INIT_SHARE => {
-                let state_len = wire::get_uvarint(buf)? as usize;
-                let inbox_len = wire::get_uvarint(buf)? as usize;
-                Ok(EngineMsg::InitShare {
-                    state: wire::get_bits(buf, state_len)?,
-                    inbox: wire::get_bits(buf, inbox_len)?,
-                })
-            }
-            TAG_AGG_SHARE => {
-                let len = wire::get_uvarint(buf)? as usize;
-                Ok(EngineMsg::AggShare {
-                    bits: wire::get_bits(buf, len)?,
-                })
-            }
-            tag => Err(WireError::BadTag {
-                tag,
-                what: "EngineMsg",
-            }),
-        }
+        expect_tag(buf, TAG_INIT_SHARE, "InitShare")?;
+        let state_len = wire::get_uvarint(buf)? as usize;
+        let inbox_len = wire::get_uvarint(buf)? as usize;
+        Ok(InitShare {
+            state: wire::get_bits(buf, state_len)?,
+            inbox: wire::get_bits(buf, inbox_len)?,
+        })
+    }
+}
+
+/// Aggregation: one block member's sub-share of a vertex state, destined
+/// for one aggregation-block member.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AggShare {
+    /// The sub-share bits.
+    pub bits: Vec<bool>,
+}
+
+impl Wire for AggShare {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        wire::put_u8(out, TAG_AGG_SHARE);
+        wire::put_uvarint(out, self.bits.len() as u64);
+        wire::put_bits(out, &self.bits);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        expect_tag(buf, TAG_AGG_SHARE, "AggShare")?;
+        let len = wire::get_uvarint(buf)? as usize;
+        Ok(AggShare {
+            bits: wire::get_bits(buf, len)?,
+        })
     }
 }
 
@@ -140,48 +141,11 @@ fn get_bit_vecs(buf: &mut &[u8]) -> Result<Vec<Vec<bool>>, WireError> {
     Ok(vecs)
 }
 
-/// Writes a node-id list: uvarint count, then one uvarint per id.
-fn put_node_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
-    wire::put_uvarint(out, ids.len() as u64);
-    for id in ids {
-        id.encode_into(out);
-    }
-}
-
-/// Reads a list written by [`put_node_ids`].
-fn get_node_ids(buf: &mut &[u8]) -> Result<Vec<NodeId>, WireError> {
-    let count = wire::get_uvarint(buf)? as usize;
-    let mut ids = Vec::new();
-    for _ in 0..count {
-        ids.push(NodeId::decode(buf)?);
-    }
-    Ok(ids)
-}
-
-/// Writes per-node traffic entries: uvarint count, then id · counters.
-fn put_traffic_entries(out: &mut Vec<u8>, entries: &[(NodeId, NodeTraffic)]) {
-    wire::put_uvarint(out, entries.len() as u64);
-    for (id, t) in entries {
-        id.encode_into(out);
-        t.encode_into(out);
-    }
-}
-
-/// Reads a list written by [`put_traffic_entries`].
-fn get_traffic_entries(buf: &mut &[u8]) -> Result<Vec<(NodeId, NodeTraffic)>, WireError> {
-    let count = wire::get_uvarint(buf)? as usize;
-    let mut entries = Vec::new();
-    for _ in 0..count {
-        entries.push((NodeId::decode(buf)?, NodeTraffic::decode(buf)?));
-    }
-    Ok(entries)
-}
-
 impl Wire for BlockStepTask {
     fn encode_into(&self, out: &mut Vec<u8>) {
         wire::put_uvarint(out, self.vertex);
         wire::put_u64_le(out, self.seed);
-        put_node_ids(out, &self.members);
+        self.members.encode_into(out);
         wire::put_uvarint(out, self.out_slots);
         put_bit_vecs(out, &self.input_shares);
     }
@@ -190,7 +154,7 @@ impl Wire for BlockStepTask {
         Ok(BlockStepTask {
             vertex: wire::get_uvarint(buf)?,
             seed: wire::get_u64_le(buf)?,
-            members: get_node_ids(buf)?,
+            members: Vec::decode(buf)?,
             out_slots: wire::get_uvarint(buf)?,
             input_shares: get_bit_vecs(buf)?,
         })
@@ -205,7 +169,7 @@ impl Wire for BlockStepOutcome {
             put_bit_vecs(out, slot);
         }
         self.counts.encode_into(out);
-        put_traffic_entries(out, &self.traffic);
+        self.traffic.encode_into(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -219,7 +183,7 @@ impl Wire for BlockStepOutcome {
             new_state,
             outgoing,
             counts: OperationCounts::decode(buf)?,
-            traffic: get_traffic_entries(buf)?,
+            traffic: Vec::decode(buf)?,
         })
     }
 }
@@ -231,8 +195,8 @@ impl Wire for TransferTask {
         wire::put_uvarint(out, self.from);
         wire::put_uvarint(out, self.to);
         wire::put_uvarint(out, self.in_slot);
-        put_node_ids(out, &self.sender_members);
-        put_node_ids(out, &self.receiver_members);
+        self.sender_members.encode_into(out);
+        self.receiver_members.encode_into(out);
         put_bit_vecs(out, &self.shares);
     }
 
@@ -243,8 +207,8 @@ impl Wire for TransferTask {
             from: wire::get_uvarint(buf)?,
             to: wire::get_uvarint(buf)?,
             in_slot: wire::get_uvarint(buf)?,
-            sender_members: get_node_ids(buf)?,
-            receiver_members: get_node_ids(buf)?,
+            sender_members: Vec::decode(buf)?,
+            receiver_members: Vec::decode(buf)?,
             shares: get_bit_vecs(buf)?,
         })
     }
@@ -256,7 +220,7 @@ impl Wire for TransferOutcome {
         wire::put_uvarint(out, self.in_slot);
         put_bit_vecs(out, &self.receiver_shares);
         self.counts.encode_into(out);
-        put_traffic_entries(out, &self.traffic);
+        self.traffic.encode_into(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -265,7 +229,7 @@ impl Wire for TransferOutcome {
             in_slot: wire::get_uvarint(buf)?,
             receiver_shares: get_bit_vecs(buf)?,
             counts: OperationCounts::decode(buf)?,
-            traffic: get_traffic_entries(buf)?,
+            traffic: Vec::decode(buf)?,
         })
     }
 }
@@ -298,6 +262,22 @@ pub struct SegmentDigest {
     pub index: u64,
     /// [`digest64_words`] of the segment's packed words.
     pub digest: u64,
+}
+
+impl Wire for SegmentDigest {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        wire::put_u8(out, self.store);
+        wire::put_uvarint(out, self.index);
+        wire::put_u64_le(out, self.digest);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(SegmentDigest {
+            store: wire::get_u8(buf)?,
+            index: wire::get_uvarint(buf)?,
+            digest: wire::get_u64_le(buf)?,
+        })
+    }
 }
 
 /// A round-boundary checkpoint manifest: everything the engine needs —
@@ -341,60 +321,28 @@ impl Wire for CheckpointManifest {
         self.initialization.encode_into(out);
         self.computation.encode_into(out);
         self.communication.encode_into(out);
-        put_traffic_entries(out, &self.traffic);
-        wire::put_uvarint(out, self.segments.len() as u64);
-        for segment in &self.segments {
-            wire::put_u8(out, segment.store);
-            wire::put_uvarint(out, segment.index);
-            wire::put_u64_le(out, segment.digest);
-        }
+        self.traffic.encode_into(out);
+        self.segments.encode_into(out);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match wire::get_u8(buf)? {
-            TAG_MANIFEST => {}
-            tag => {
-                return Err(WireError::BadTag {
-                    tag,
-                    what: "CheckpointManifest",
-                })
-            }
-        }
+        expect_tag(buf, TAG_MANIFEST, "CheckpointManifest")?;
         if wire::get_u32_le(buf)? != CHECKPOINT_VERSION {
             return Err(WireError::Invalid {
                 what: "unsupported checkpoint version",
             });
         }
-        let round = wire::get_uvarint(buf)?;
-        let iterations = wire::get_uvarint(buf)?;
-        let fingerprint = wire::get_u64_le(buf)?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = wire::get_u64_le(buf)?;
-        }
-        let initialization = PhaseCosts::decode(buf)?;
-        let computation = PhaseCosts::decode(buf)?;
-        let communication = PhaseCosts::decode(buf)?;
-        let traffic = get_traffic_entries(buf)?;
-        let count = wire::get_uvarint(buf)? as usize;
-        let mut segments = Vec::new();
-        for _ in 0..count {
-            segments.push(SegmentDigest {
-                store: wire::get_u8(buf)?,
-                index: wire::get_uvarint(buf)?,
-                digest: wire::get_u64_le(buf)?,
-            });
-        }
+        let word = wire::get_u64_le;
         Ok(CheckpointManifest {
-            round,
-            iterations,
-            fingerprint,
-            rng_state,
-            initialization,
-            computation,
-            communication,
-            traffic,
-            segments,
+            round: wire::get_uvarint(buf)?,
+            iterations: wire::get_uvarint(buf)?,
+            fingerprint: word(buf)?,
+            rng_state: [word(buf)?, word(buf)?, word(buf)?, word(buf)?],
+            initialization: PhaseCosts::decode(buf)?,
+            computation: PhaseCosts::decode(buf)?,
+            communication: PhaseCosts::decode(buf)?,
+            traffic: Vec::decode(buf)?,
+            segments: Vec::decode(buf)?,
         })
     }
 }
@@ -416,30 +364,15 @@ impl Wire for SegmentRecord {
         wire::put_u8(out, TAG_SEGMENT);
         wire::put_u8(out, self.store);
         wire::put_uvarint(out, self.index);
-        wire::put_uvarint(out, self.words.len() as u64);
-        for &word in &self.words {
-            wire::put_u64_le(out, word);
-        }
+        self.words.encode_into(out);
         wire::put_u64_le(out, digest64_words(&self.words));
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match wire::get_u8(buf)? {
-            TAG_SEGMENT => {}
-            tag => {
-                return Err(WireError::BadTag {
-                    tag,
-                    what: "SegmentRecord",
-                })
-            }
-        }
+        expect_tag(buf, TAG_SEGMENT, "SegmentRecord")?;
         let store = wire::get_u8(buf)?;
         let index = wire::get_uvarint(buf)?;
-        let count = wire::get_uvarint(buf)? as usize;
-        let mut words = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            words.push(wire::get_u64_le(buf)?);
-        }
+        let words = Vec::<u64>::decode(buf)?;
         if wire::get_u64_le(buf)? != digest64_words(&words) {
             return Err(WireError::Invalid {
                 what: "segment digest mismatch",
@@ -461,59 +394,71 @@ mod tests {
 
     #[test]
     fn both_variants_round_trip() {
-        let init = EngineMsg::InitShare {
+        let init = InitShare {
             state: vec![true, false, true],
             inbox: vec![false; 10],
         };
-        assert_eq!(EngineMsg::decode_exact(&init.encode()).unwrap(), init);
-        let agg = EngineMsg::AggShare {
+        assert_eq!(InitShare::decode_exact(&init.encode()).unwrap(), init);
+        let agg = AggShare {
             bits: vec![true; 9],
         };
-        assert_eq!(EngineMsg::decode_exact(&agg.encode()).unwrap(), agg);
+        assert_eq!(AggShare::decode_exact(&agg.encode()).unwrap(), agg);
     }
 
     #[test]
     fn golden_encodings() {
-        let init = EngineMsg::InitShare {
+        let init = InitShare {
             state: vec![true, false, true],
             inbox: vec![true, true, false, false, true, false, false, false, true],
         };
         // tag 00 · state bits 03 · inbox bits 09 · state plane (1,0,1)=05 ·
         // inbox planes 0b10011 = 13, then bit 8 set = 01
         assert_eq!(hex(&init.encode()), "000309051301");
-        let agg = EngineMsg::AggShare {
+        let agg = AggShare {
             bits: vec![false, true],
         };
         // tag 01 · bits 02 · plane (0,1) = 02
         assert_eq!(hex(&agg.encode()), "010202");
     }
 
+    /// Every strict prefix and a trailing byte are rejected.
+    fn assert_rejects_cut_and_trailing<M: Wire + std::fmt::Debug>(msg: &M) {
+        let encoded = msg.encode();
+        for cut in 0..encoded.len() {
+            assert!(M::decode_exact(&encoded[..cut]).is_err());
+        }
+        let mut trailing = encoded;
+        trailing.push(0xFF);
+        assert!(M::decode_exact(&trailing).is_err());
+    }
+
     #[test]
     fn truncation_trailing_and_bad_tags_error_not_panic() {
-        for msg in [
-            EngineMsg::InitShare {
-                state: vec![true; 12],
-                inbox: vec![false; 24],
-            },
-            EngineMsg::AggShare {
-                bits: vec![true, false, true],
-            },
-        ] {
-            let encoded = msg.encode();
-            for cut in 0..encoded.len() {
-                assert!(EngineMsg::decode_exact(&encoded[..cut]).is_err());
-            }
-            let mut trailing = encoded;
-            trailing.push(0xFF);
-            assert!(EngineMsg::decode_exact(&trailing).is_err());
-        }
+        let init = InitShare {
+            state: vec![true; 12],
+            inbox: vec![false; 24],
+        };
+        let agg = AggShare {
+            bits: vec![true, false, true],
+        };
+        assert_rejects_cut_and_trailing(&init);
+        assert_rejects_cut_and_trailing(&agg);
         assert!(matches!(
-            EngineMsg::decode_exact(&[0x05]),
+            InitShare::decode_exact(&[0x05]),
             Err(WireError::BadTag { .. })
+        ));
+        // Each layout refuses the other's tag.
+        assert!(matches!(
+            AggShare::decode_exact(&init.encode()),
+            Err(WireError::BadTag { tag: 0x00, .. })
+        ));
+        assert!(matches!(
+            InitShare::decode_exact(&agg.encode()),
+            Err(WireError::BadTag { tag: 0x01, .. })
         ));
         // Dirty padding bits in the plane are rejected.
         assert!(matches!(
-            EngineMsg::decode_exact(&[TAG_AGG_SHARE, 0x02, 0xFF]),
+            AggShare::decode_exact(&[TAG_AGG_SHARE, 0x02, 0xFF]),
             Err(WireError::Invalid { .. })
         ));
     }
@@ -526,10 +471,10 @@ mod tests {
             state in proptest::collection::vec(any::<bool>(), 0..64),
             inbox in proptest::collection::vec(any::<bool>(), 0..128),
         ) {
-            let init = EngineMsg::InitShare { state: state.clone(), inbox };
-            prop_assert_eq!(EngineMsg::decode_exact(&init.encode()).unwrap(), init);
-            let agg = EngineMsg::AggShare { bits: state };
-            prop_assert_eq!(EngineMsg::decode_exact(&agg.encode()).unwrap(), agg);
+            let init = InitShare { state: state.clone(), inbox };
+            prop_assert_eq!(InitShare::decode_exact(&init.encode()).unwrap(), init);
+            let agg = AggShare { bits: state };
+            prop_assert_eq!(AggShare::decode_exact(&agg.encode()).unwrap(), agg);
         }
     }
 

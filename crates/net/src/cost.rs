@@ -45,8 +45,8 @@ pub struct OperationCounts {
     pub bytes_sent: u64,
     /// Bytes *measured* on the simulated wire: the summed lengths of the
     /// actual message encodings produced by the [`crate::wire`] layer.
-    /// Reconciling this against `bytes_sent` is what `repro -- bytes`
-    /// reports.
+    /// `crates/bench/tests/byte_reconciliation.rs` reconciles this against
+    /// `bytes_sent`.
     pub wire_bytes: u64,
     /// Protocol communication rounds (sequential message exchanges).
     pub rounds: u64,

@@ -206,6 +206,14 @@ impl TrafficAccountant {
         entry.wire_bytes_received += t.wire_bytes_received;
     }
 
+    /// Adds a list of per-node counters, such as
+    /// [`Self::sorted_node_entries`] yields.
+    pub fn add_entries(&mut self, entries: &[(NodeId, NodeTraffic)]) {
+        for (id, t) in entries {
+            self.add_node_traffic(*id, t);
+        }
+    }
+
     /// Merges the counters of another accountant into this one (used when
     /// per-block sub-protocols are accounted separately and then combined).
     pub fn merge(&mut self, other: &TrafficAccountant) {

@@ -397,6 +397,19 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A pair is its two halves back to back, so keyed lists such as
+/// `Vec<(NodeId, NodeTraffic)>` go through the `Vec` impl above.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok((A::decode(buf)?, B::decode(buf)?))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Measured byte accounting
 // ---------------------------------------------------------------------------

@@ -380,11 +380,7 @@ impl Fleet {
         }
         for w in 0..fleet {
             match Fleet::recv(&mut conns, w, SEND_TIMEOUT)? {
-                DeployMsg::Report { traffic } => {
-                    for (id, totals) in &traffic {
-                        merged.add_node_traffic(*id, totals);
-                    }
-                }
+                DeployMsg::Report { traffic } => merged.add_entries(&traffic),
                 other => {
                     return Err(deploy_err(format!(
                         "expected Report from worker {w}, got {other:?}"

@@ -56,20 +56,12 @@ pub struct JobSpec {
     pub blocks: Vec<(u64, Vec<NodeId>)>,
 }
 
-fn put_node_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
-    wire::put_uvarint(out, ids.len() as u64);
-    for id in ids {
-        id.encode_into(out);
-    }
-}
-
-fn get_node_ids(buf: &mut &[u8]) -> Result<Vec<NodeId>, WireError> {
-    let count = wire::get_uvarint(buf)? as usize;
-    let mut ids = Vec::new();
-    for _ in 0..count {
-        ids.push(NodeId::decode(buf)?);
-    }
-    Ok(ids)
+/// Reads a `u32` parameter written as a uvarint; a value that does not
+/// fit is rejected, not truncated.
+fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
+    u32::try_from(wire::get_uvarint(buf)?).map_err(|_| WireError::Invalid {
+        what: "JobSpec u32 parameter",
+    })
 }
 
 impl Wire for JobSpec {
@@ -103,16 +95,16 @@ impl Wire for JobSpec {
         wire::put_uvarint(out, self.blocks.len() as u64);
         for (vertex, members) in &self.blocks {
             wire::put_uvarint(out, *vertex);
-            put_node_ids(out, members);
+            members.encode_into(out);
         }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let worker = wire::get_uvarint(buf)? as u32;
-        let fleet = wire::get_uvarint(buf)? as u32;
-        let width = wire::get_uvarint(buf)? as u32;
-        let rounds = wire::get_uvarint(buf)? as u32;
-        let degree_bound = wire::get_uvarint(buf)? as u32;
+        let worker = get_u32(buf)?;
+        let fleet = get_u32(buf)?;
+        let width = get_u32(buf)?;
+        let rounds = get_u32(buf)?;
+        let degree_bound = get_u32(buf)?;
         let batching = match wire::get_u8(buf)? {
             0 => GmwBatching::PerGate,
             1 => GmwBatching::Layered,
@@ -146,9 +138,7 @@ impl Wire for JobSpec {
         let block_count = wire::get_uvarint(buf)? as usize;
         let mut blocks = Vec::new();
         for _ in 0..block_count {
-            let vertex = wire::get_uvarint(buf)?;
-            let members = get_node_ids(buf)?;
-            blocks.push((vertex, members));
+            blocks.push((wire::get_uvarint(buf)?, Vec::decode(buf)?));
         }
         Ok(JobSpec {
             worker,
@@ -200,22 +190,6 @@ const TAG_TRANSFER_RESULTS: u8 = 0x06;
 const TAG_FINISH: u8 = 0x07;
 const TAG_REPORT: u8 = 0x08;
 
-fn put_list<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
-    wire::put_uvarint(out, items.len() as u64);
-    for item in items {
-        item.encode_into(out);
-    }
-}
-
-fn get_list<T: Wire>(buf: &mut &[u8]) -> Result<Vec<T>, WireError> {
-    let count = wire::get_uvarint(buf)? as usize;
-    let mut items = Vec::new();
-    for _ in 0..count {
-        items.push(T::decode(buf)?);
-    }
-    Ok(items)
-}
-
 impl Wire for DeployMsg {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
@@ -229,28 +203,24 @@ impl Wire for DeployMsg {
             }
             DeployMsg::BlockSteps(tasks) => {
                 wire::put_u8(out, TAG_BLOCK_STEPS);
-                put_list(out, tasks);
+                tasks.encode_into(out);
             }
             DeployMsg::BlockStepResults(outcomes) => {
                 wire::put_u8(out, TAG_BLOCK_STEP_RESULTS);
-                put_list(out, outcomes);
+                outcomes.encode_into(out);
             }
             DeployMsg::Transfers(tasks) => {
                 wire::put_u8(out, TAG_TRANSFERS);
-                put_list(out, tasks);
+                tasks.encode_into(out);
             }
             DeployMsg::TransferResults(outcomes) => {
                 wire::put_u8(out, TAG_TRANSFER_RESULTS);
-                put_list(out, outcomes);
+                outcomes.encode_into(out);
             }
             DeployMsg::Finish => wire::put_u8(out, TAG_FINISH),
             DeployMsg::Report { traffic } => {
                 wire::put_u8(out, TAG_REPORT);
-                wire::put_uvarint(out, traffic.len() as u64);
-                for (id, totals) in traffic {
-                    id.encode_into(out);
-                    totals.encode_into(out);
-                }
+                traffic.encode_into(out);
             }
         }
     }
@@ -261,21 +231,14 @@ impl Wire for DeployMsg {
                 version: wire::get_uvarint(buf)?,
             }),
             TAG_JOB => Ok(DeployMsg::Job(JobSpec::decode(buf)?)),
-            TAG_BLOCK_STEPS => Ok(DeployMsg::BlockSteps(get_list(buf)?)),
-            TAG_BLOCK_STEP_RESULTS => Ok(DeployMsg::BlockStepResults(get_list(buf)?)),
-            TAG_TRANSFERS => Ok(DeployMsg::Transfers(get_list(buf)?)),
-            TAG_TRANSFER_RESULTS => Ok(DeployMsg::TransferResults(get_list(buf)?)),
+            TAG_BLOCK_STEPS => Ok(DeployMsg::BlockSteps(Vec::decode(buf)?)),
+            TAG_BLOCK_STEP_RESULTS => Ok(DeployMsg::BlockStepResults(Vec::decode(buf)?)),
+            TAG_TRANSFERS => Ok(DeployMsg::Transfers(Vec::decode(buf)?)),
+            TAG_TRANSFER_RESULTS => Ok(DeployMsg::TransferResults(Vec::decode(buf)?)),
             TAG_FINISH => Ok(DeployMsg::Finish),
-            TAG_REPORT => {
-                let count = wire::get_uvarint(buf)? as usize;
-                let mut traffic = Vec::new();
-                for _ in 0..count {
-                    let id = NodeId::decode(buf)?;
-                    let totals = NodeTraffic::decode(buf)?;
-                    traffic.push((id, totals));
-                }
-                Ok(DeployMsg::Report { traffic })
-            }
+            TAG_REPORT => Ok(DeployMsg::Report {
+                traffic: Vec::decode(buf)?,
+            }),
             tag => Err(WireError::BadTag {
                 tag,
                 what: "DeployMsg",
@@ -426,6 +389,15 @@ mod tests {
         // tag(1) + 5 uvarints + batching + transport, then the group byte.
         bad_group[8] = 9;
         assert!(DeployMsg::decode_exact(&bad_group).is_err());
+        // A parameter past `u32` is rejected, not truncated: worker = 2³² + 1
+        // would otherwise decode as worker 1.
+        let mut wide_worker = vec![TAG_JOB];
+        wire::put_uvarint(&mut wide_worker, (1 << 32) + 1);
+        wide_worker.extend_from_slice(&DeployMsg::Job(sample_job()).encode()[2..]);
+        assert!(matches!(
+            DeployMsg::decode_exact(&wide_worker),
+            Err(WireError::Invalid { .. })
+        ));
     }
 
     proptest! {

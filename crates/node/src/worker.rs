@@ -151,9 +151,7 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                 );
                 let outcomes = outcomes.map_err(|e| format!("block step failed: {e}"))?;
                 for outcome in &outcomes {
-                    for (id, totals) in &outcome.traffic {
-                        report.add_node_traffic(*id, totals);
-                    }
+                    report.add_entries(&outcome.traffic);
                 }
                 DeployMsg::BlockStepResults(outcomes)
             }
@@ -172,9 +170,7 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                     execute_accounted_transfer_task(group, width, &task)
                 });
                 for outcome in &outcomes {
-                    for (id, totals) in &outcome.traffic {
-                        report.add_node_traffic(*id, totals);
-                    }
+                    report.add_entries(&outcome.traffic);
                 }
                 DeployMsg::TransferResults(outcomes)
             }

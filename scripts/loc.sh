@@ -10,6 +10,7 @@
 # not when it is reformatted into denser expressions.  The in-tree
 # dependency shims (`shims/*/src`, same cut rule) get one line of their
 # own after the total: they are not the system, but they are code kept.
+# The report ends with the five longest non-test functions.
 #
 # Usage: scripts/loc.sh [ROOT]   (ROOT defaults to the repository root, so
 # the same script can count a checkout of another commit)
@@ -33,3 +34,33 @@ for src in crates/*/src src; do
 done
 printf '%-18s %6d\n' total "$total"
 printf '%-18s %6d\n' shims "$(count shims/*/src)"
+
+# The five longest non-test functions, `lines file:line name`, so "no
+# 500-line function" is a number.  A function runs from its `fn` line to
+# the `}` at the same indentation (the tree is rustfmt-formatted);
+# bodiless trait declarations end in `;` and are skipped.  (`sed` reads
+# to the end of its input: `head` would close the pipe on `sort` and fail
+# the script under `pipefail`.)
+echo "longest functions:"
+find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { skip = 0; split("", start); split("", name) }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+    skip { next }
+    {
+        match($0, /^ */)
+        indent = RLENGTH
+        if ($0 ~ /^ *(pub(\([a-z]+\))? )?(const )?(unsafe )?fn [A-Za-z0-9_]+/) {
+            start[indent] = FNR
+            name[indent] = $0
+            sub(/^ *(pub(\([a-z]+\))? )?(const )?(unsafe )?fn /, "", name[indent])
+            sub(/[^A-Za-z0-9_].*$/, "", name[indent])
+            if ($0 ~ /;$/) delete start[indent]
+        } else if (indent in start) {
+            if ($0 ~ /^ *}$/) {
+                printf "%d %s:%d %s\n", FNR - start[indent] + 1, FILENAME, start[indent], name[indent]
+                delete start[indent]
+            } else if ($0 ~ /^ *\).*;$/) {
+                delete start[indent]
+            }
+        }
+    }' | sort -k1,1nr -k2,2 | sed -n '1,5s/^/  /p'

@@ -73,8 +73,16 @@ run_tests -q -p dstress-analyze --test golden
 run_tests -q -p dstress-analyze --test refinement
 run_tests -q -p dstress-analyze --test soundness
 
-echo "==> repro -- analyze smoke (release; exits non-zero on any finding)"
-cargo run --release -q -p dstress-bench --bin repro -- analyze > /dev/null
+echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables, no wasted AND gate; finance circuit ceilings"
+# Every word-level gadget is pinned to a cost, equals native integer
+# arithmetic (exhaustively at widths 1-4, proptest at 5-16) and emits no
+# AND gate that is unread or meets a constant; the Eisenberg-Noe and
+# Elliott-Golub-Jackson update circuits stay under their AND/depth ceilings.
+run_tests -q -p dstress-circuit --test gadget_costs
+run_tests -q -p dstress-bench --lib finance_update_circuits_stay_under_their_ceilings
+
+echo "==> repro -- analyze smoke (release; exits non-zero on any finding; the table carries AND and depth per program)"
+cargo run --release -q -p dstress-bench --bin repro -- analyze
 
 echo "==> determinism suite under --release (Sim == Socket)"
 # The suite covers both GmwBatching modes (named backends_agree_batched_mode /

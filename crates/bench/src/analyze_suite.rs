@@ -226,3 +226,33 @@ pub fn analyze_suite_rows() -> Vec<AnalyzeRow> {
 
     rows
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `en-fig5` pays for the Eisenberg–Noe update circuit gate by gate
+    /// and layer by layer, so a gadget regression should fail here, in
+    /// seconds, not in the next benchmark run.  Measured 3 724 / 273 and
+    /// 6 811 / 284 (13 142 / 499 and 23 527 / 510 with the 2-AND adder,
+    /// the full-width multiplier and the comparing divider).
+    #[test]
+    fn finance_update_circuits_stay_under_their_ceilings() {
+        let rows = analyze_suite_rows();
+        for (name, and_gates, and_depth) in [
+            ("eisenberg-noe", 4_000, 280),
+            ("elliott-golub-jackson", 7_200, 290),
+        ] {
+            let row = rows
+                .iter()
+                .find(|row| row.name == name)
+                .unwrap_or_else(|| panic!("no row named {name}"));
+            assert!(
+                row.update_and_gates <= and_gates && row.update_and_depth <= and_depth,
+                "{name}: update circuit is {} AND / depth {}, ceiling {and_gates} / {and_depth}",
+                row.update_and_gates,
+                row.update_and_depth
+            );
+        }
+    }
+}

@@ -9,10 +9,14 @@
 //! once and run them either in plaintext (via [`crate::eval`]) or under
 //! GMW (via `dstress-mpc`).
 //!
-//! Gate-cost notes (relevant because AND gates dominate GMW cost):
-//! ripple-carry addition costs 2 AND/bit, multiplexers 1 AND/bit,
-//! comparisons ~2 AND/bit, schoolbook multiplication ~2·W AND/bit and the
-//! restoring divider ~3·W AND per quotient bit.
+//! Gate-cost notes (an AND gate is GMW's OT, AND depth its round count):
+//! ripple-carry addition, comparison and multiplexers cost 1 AND/bit, an
+//! equality test W − 1 AND at depth ⌈log₂ W⌉, schoolbook multiplication
+//! ~2·W AND per multiplier bit for the full product and half that for the
+//! low word (only the columns returned are built), the restoring divider
+//! ~2·W AND per quotient bit and less while the remainder is short.  No
+//! gadget emits an AND gate that nothing reads or that meets a constant of
+//! its own making; `tests/gadget_costs.rs` holds the table.
 
 use crate::gadgets::{GadgetEvent, GadgetKind};
 use crate::ir::{Circuit, CircuitError, Gate, WireId};
@@ -172,30 +176,40 @@ impl CircuitBuilder {
         out
     }
 
-    /// Ripple-carry addition with explicit carry-in; returns the sum word
-    /// (same width, wrapping) and the carry-out.
-    fn add_with_carry(&mut self, a: &Word, b: &Word, carry_in: WireId) -> (Word, WireId) {
+    /// Ripple-carry addition with explicit carry-in: the sum word, one
+    /// bit wider — the carry-out on top — when `carry_out` is asked for
+    /// and wrapping when it is not (no AND gate for a carry nobody reads).
+    /// One AND per bit: `c' = c ⊕ ((x ⊕ c) ∧ (y ⊕ c))`.
+    fn add_with_carry(
+        &mut self,
+        a: &[WireId],
+        b: &[WireId],
+        carry_in: WireId,
+        carry_out: bool,
+    ) -> Word {
         assert_eq!(a.len(), b.len(), "add width mismatch");
         let mut carry = carry_in;
-        let mut sum = Vec::with_capacity(a.len());
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            let x_xor_y = self.xor(x, y);
-            let s = self.xor(x_xor_y, carry);
-            // carry-out = (x ∧ y) ⊕ (carry ∧ (x ⊕ y)); the two terms are
-            // never simultaneously true so XOR equals OR here.
-            let t1 = self.and(x, y);
-            let t2 = self.and(carry, x_xor_y);
-            carry = self.xor(t1, t2);
-            sum.push(s);
+        let mut sum = Vec::with_capacity(a.len() + 1);
+        for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
+            let x_xor_c = self.xor(x, carry);
+            sum.push(self.xor(x_xor_c, y));
+            if carry_out || i + 1 < a.len() {
+                let y_xor_c = self.xor(y, carry);
+                let differs = self.and(x_xor_c, y_xor_c);
+                carry = self.xor(carry, differs);
+            }
         }
-        (sum, carry)
+        if carry_out {
+            sum.push(carry);
+        }
+        sum
     }
 
     /// Wrapping addition of two equal-width words.
     pub fn add(&mut self, a: &Word, b: &Word) -> Word {
         self.enter_gadget();
         let zero = self.const_bit(false);
-        let out = self.add_with_carry(a, b, zero).0;
+        let out = self.add_with_carry(a, b, zero, false);
         self.record_gadget(GadgetKind::Add, &[a, b], &out);
         out
     }
@@ -205,16 +219,26 @@ impl CircuitBuilder {
         self.enter_gadget();
         let not_b = self.not_word(b);
         let one = self.const_bit(true);
-        let out = self.add_with_carry(a, &not_b, one).0;
+        let out = self.add_with_carry(a, &not_b, one, false);
         self.record_gadget(GadgetKind::Sub, &[a, b], &out);
         out
     }
 
-    /// Two's-complement negation.
+    /// Two's-complement negation, the incrementer `¬a + 1`: the carry
+    /// into a bit is "every lower bit of `¬a` is set".
     pub fn neg(&mut self, a: &Word) -> Word {
         self.enter_gadget();
-        let zero = self.const_word(0, a.len() as u32);
-        let out = self.sub(&zero, a);
+        let not_a = self.not_word(a);
+        let mut carry = self.const_bit(true);
+        let mut out = Vec::with_capacity(a.len());
+        for (i, &x) in not_a.iter().enumerate() {
+            out.push(self.xor(x, carry));
+            if i == 0 {
+                carry = x;
+            } else if i + 1 < a.len() {
+                carry = self.and(x, carry);
+            }
+        }
         self.record_gadget(GadgetKind::Neg, &[a], &out);
         out
     }
@@ -226,8 +250,8 @@ impl CircuitBuilder {
         // a + ¬b + 1 is zero.
         let not_b = self.not_word(b);
         let one = self.const_bit(true);
-        let (_, carry) = self.add_with_carry(a, &not_b, one);
-        let out = self.not(carry);
+        let widened = self.add_with_carry(a, &not_b, one, true);
+        let out = self.not(widened[a.len()]);
         self.record_gadget(GadgetKind::LtUnsigned, &[a, b], &[out]);
         out
     }
@@ -246,16 +270,22 @@ impl CircuitBuilder {
         out
     }
 
-    /// Equality test of two words (single output bit).
+    /// Equality test of two words (single output bit): the per-bit
+    /// "same" wires reduced by a balanced AND tree, depth ⌈log₂ width⌉.
     pub fn eq_word(&mut self, a: &Word, b: &Word) -> WireId {
-        assert_eq!(a.len(), b.len(), "eq width mismatch");
         self.enter_gadget();
-        let mut all_equal = self.const_bit(true);
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            let diff = self.xor(x, y);
-            let same = self.not(diff);
-            all_equal = self.and(all_equal, same);
+        let differs = self.xor_word(a, b);
+        let mut level = self.not_word(&differs);
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| match *pair {
+                    [l, r] => self.and(l, r),
+                    _ => pair[0],
+                })
+                .collect();
         }
+        let all_equal = level.pop().unwrap_or_else(|| self.const_bit(true));
         self.record_gadget(GadgetKind::EqWord, &[a, b], &[all_equal]);
         all_equal
     }
@@ -344,34 +374,54 @@ impl CircuitBuilder {
         out
     }
 
+    /// Columns `skip..cols` of the unsigned schoolbook product `a · b`.
+    /// Row `i` (`a ∧ bᵢ`) lands on columns `i .. i + a.len()` and is added
+    /// to the running product over exactly those: the columns below are
+    /// final and the adder's carry-out *is* the next column up.  Nothing
+    /// at or above `cols` is built, nor a skipped column 0 — one partial
+    /// product that carries nowhere (every other skipped column does).
+    fn mul_low(&mut self, a: &[WireId], b: &[WireId], skip: usize, cols: usize) -> Word {
+        let zero = self.const_bit(false);
+        let mut acc = Word::with_capacity(cols);
+        for (i, &b_bit) in b.iter().enumerate().take(cols) {
+            let row: Word = (i..cols)
+                .zip(a)
+                .map(|(col, &a_bit)| {
+                    if col == 0 && skip > 0 {
+                        zero
+                    } else {
+                        self.and(a_bit, b_bit)
+                    }
+                })
+                .collect();
+            if i == 0 {
+                acc = row;
+                continue;
+            }
+            // Only row 1 finds the product one column short of itself.
+            acc.resize(acc.len().max(i + row.len()), zero);
+            let sum = self.add_with_carry(&acc[i..], &row, zero, i + row.len() < cols);
+            acc.truncate(i);
+            acc.extend(sum);
+        }
+        acc.resize(cols, zero);
+        acc.split_off(skip)
+    }
+
     /// Unsigned schoolbook multiplication producing the full
     /// `a.len() + b.len()`-bit product.
     pub fn mul_full(&mut self, a: &Word, b: &Word) -> Word {
         self.enter_gadget();
-        let out_width = a.len() + b.len();
-        let mut acc = self.const_word(0, out_width as u32);
-        for (i, &b_bit) in b.iter().enumerate() {
-            // partial = (a AND b_bit) << i, zero-extended to out_width.
-            let mut partial = vec![self.const_bit(false); i];
-            for &a_bit in a {
-                let p = self.and(a_bit, b_bit);
-                partial.push(p);
-            }
-            while partial.len() < out_width {
-                partial.push(self.const_bit(false));
-            }
-            acc = self.add(&acc, &partial);
-        }
-        self.record_gadget(GadgetKind::MulFull, &[a, b], &acc);
-        acc
+        let out = self.mul_low(a, b, 0, a.len() + b.len());
+        self.record_gadget(GadgetKind::MulFull, &[a, b], &out);
+        out
     }
 
     /// Unsigned multiplication truncated to the width of `a`
     /// (wrapping, like `u64::wrapping_mul` at that width).
     pub fn mul(&mut self, a: &Word, b: &Word) -> Word {
         self.enter_gadget();
-        let full = self.mul_full(a, b);
-        let out = self.truncate(&full, a.len() as u32);
+        let out = self.mul_low(a, b, 0, a.len());
         self.record_gadget(GadgetKind::Mul, &[a, b], &out);
         out
     }
@@ -381,9 +431,8 @@ impl CircuitBuilder {
     /// truncated back to the operand width.
     pub fn mul_fixed(&mut self, a: &Word, b: &Word, frac_bits: u32) -> Word {
         self.enter_gadget();
-        let full = self.mul_full(a, b);
-        let shifted = self.shr_const(&full, frac_bits);
-        let out = self.truncate(&shifted, a.len() as u32);
+        let frac = frac_bits as usize;
+        let out = self.mul_low(a, b, frac, a.len() + frac);
         self.record_gadget(GadgetKind::MulFixed(frac_bits), &[a, b], &out);
         out
     }
@@ -392,41 +441,66 @@ impl CircuitBuilder {
     /// fractional bits: computes `(a << frac_bits) / b` by restoring
     /// division, truncated to the operand width.  Division by zero yields
     /// the all-ones word (saturates), mirroring the plaintext reference.
+    ///
+    /// A step shifts the next numerator bit into the remainder and
+    /// subtracts the divisor if it fits.  Three facts keep a step small:
+    /// the carry-out of `rem − b` (built as `rem + ¬b + 1`) is set exactly
+    /// when `rem ≥ b`, so it *is* the quotient bit; after every step
+    /// `rem < b < 2^W`, so the shifted remainder fits W + 1 bits however
+    /// many fractional steps follow; and at step `j < W` it is below
+    /// `2^(j+1)`, so subtractor and restoring mux are `j + 1` bits wide
+    /// and the carry counts only if `b < 2^(j+1)` as well (`fits`).
+    /// `b = 0` needs no case of its own: `rem + ¬0 + 1` carries at every
+    /// width, so every quotient bit is one.
     pub fn div_fixed(&mut self, a: &Word, b: &Word, frac_bits: u32) -> Word {
         assert_eq!(a.len(), b.len(), "div width mismatch");
+        assert!(!a.is_empty(), "div of empty words");
         self.enter_gadget();
         let width = a.len();
-        let total_bits = width + frac_bits as usize;
-        // Numerator is a shifted left by frac_bits, so it has
-        // width + frac_bits significant bits.
-        let wide = (width + frac_bits as usize + 1) as u32;
-        let divisor = self.zero_extend(b, wide);
-        let mut remainder = self.const_word(0, wide);
-        let mut quotient_bits: Vec<WireId> = Vec::with_capacity(total_bits);
-
-        // Numerator bits from MSB to LSB: bit positions
-        // total_bits-1 .. 0, where position p >= frac_bits maps to a's bit
-        // p - frac_bits and positions below frac_bits are zero.
-        for p in (0..total_bits).rev() {
-            // remainder = (remainder << 1) | numerator_bit(p)
-            remainder = self.shl_const(&remainder, 1);
-            if p >= frac_bits as usize {
-                remainder[0] = a[p - frac_bits as usize];
-            }
-            // If remainder >= divisor, subtract and emit a 1 bit.
-            let lt = self.lt_unsigned(&remainder, &divisor);
-            let ge = self.not(lt);
-            let diff = self.sub(&remainder, &divisor);
-            remainder = self.mux_word(ge, &diff, &remainder);
-            quotient_bits.push(ge);
+        let steps = width + frac_bits as usize;
+        let (zero, one) = (self.const_bit(false), self.const_bit(true));
+        // ¬b zero-extended by one bit; fits[k - 1] says b < 2^k, 1 ≤ k < W.
+        // A chain: it settles before a computed dividend arrives, so a
+        // log-depth tree bought the shipped programs no layer.
+        let mut not_b = self.not_word(b);
+        not_b.push(one);
+        let mut fits = not_b[1..width].to_vec();
+        for k in (1..fits.len()).rev() {
+            fits[k - 1] = self.and(fits[k - 1], fits[k]);
         }
-        quotient_bits.reverse(); // now LSB first, total_bits wide
-                                 // Saturate on division by zero: quotient would be all ones anyway
-                                 // because remainder >= 0 == divisor at every step, which is the
-                                 // documented saturation behaviour.
-        let out = self.truncate(&quotient_bits, width as u32);
-        self.record_gadget(GadgetKind::DivFixed(frac_bits), &[a, b], &out);
-        out
+
+        let mut rem = Word::with_capacity(width + 1);
+        let mut quotient = Word::with_capacity(steps); // MSB first
+        for j in 0..steps {
+            // rem − b, the carry-out on top.
+            let mut diff = if j < width {
+                rem.insert(0, a[width - 1 - j]);
+                self.add_with_carry(&rem, &not_b[..rem.len()], one, true)
+            } else {
+                // A zero is shifted in: 0 − b₀ is b₀ and carries ¬b₀, so
+                // the subtractor starts at bit 1.
+                let mut diff = self.add_with_carry(&rem, &not_b[1..], not_b[0], true);
+                diff.insert(0, b[0]);
+                rem.insert(0, zero);
+                diff
+            };
+            let carry = diff[rem.len()];
+            let q = if rem.len() < width {
+                self.and(carry, fits[rem.len() - 1])
+            } else {
+                carry
+            };
+            quotient.push(q);
+            if j + 1 < steps {
+                rem.truncate(width);
+                diff.truncate(rem.len());
+                rem = self.mux_word(q, &diff, &rem);
+            }
+        }
+        quotient.reverse(); // LSB first, `steps` wide
+        quotient.truncate(width);
+        self.record_gadget(GadgetKind::DivFixed(frac_bits), &[a, b], &quotient);
+        quotient
     }
 
     /// Sums a list of equal-width words (wrapping).
@@ -656,26 +730,6 @@ mod tests {
         let values = [10u64, 20, 30, 40, 50];
         let inputs: Vec<bool> = values.iter().flat_map(|&v| encode_word(v, W)).collect();
         assert_eq!(decode_word(&evaluate(&circuit, &inputs).unwrap()), 150);
-    }
-
-    #[test]
-    fn gate_counts_are_sensible() {
-        let mut builder = CircuitBuilder::new();
-        let a = builder.input_word(16);
-        let b = builder.input_word(16);
-        let s = builder.add(&a, &b);
-        builder.output_word(&s);
-        let adder = builder.build().unwrap();
-        // Ripple-carry adder: 2 AND gates per bit.
-        assert_eq!(adder.and_gates(), 32);
-
-        let mut builder = CircuitBuilder::new();
-        let a = builder.input_word(16);
-        let b = builder.input_word(16);
-        let p = builder.mul(&a, &b);
-        builder.output_word(&p);
-        let mult = builder.build().unwrap();
-        assert!(mult.and_gates() > 16 * 16, "multiplier should dominate");
     }
 
     #[test]

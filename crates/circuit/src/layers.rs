@@ -15,7 +15,9 @@
 //! layer 0, XOR/NOT inherit the maximum layer of their inputs, and an AND
 //! gate sits one layer above the maximum layer of its inputs.  Layers are
 //! computed over *all* gates (not only those reachable from an output),
-//! because the GMW engine evaluates every gate in the list.
+//! because the GMW engine evaluates every gate in the list — which is why
+//! `tests/gadget_costs.rs` holds every gadget to zero AND gates that no
+//! output reads.
 //!
 //! ## Example
 //!

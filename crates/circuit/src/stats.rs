@@ -146,7 +146,7 @@ mod tests {
         let mut b = CircuitBuilder::new();
         let x = b.input_word(16);
         let y = b.input_word(16);
-        let p = b.mul(&x, &y);
+        let p = b.mul_full(&x, &y);
         b.output_word(&p);
         let mul_stats = CircuitStats::of(&b.build().unwrap());
 

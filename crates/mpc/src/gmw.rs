@@ -742,10 +742,17 @@ mod tests {
         // messages: output shares, modeled traffic and every work count
         // are bit-identical; the round count drops, and the *measured*
         // wire bytes shrink because one batched message pays one header
-        // where the per-gate path pays one per gate.
-        let circuit = adder_circuit(16);
-        let mut inputs = encode_word(40_000, 16);
-        inputs.extend(encode_word(1_234, 16));
+        // where the per-gate path pays one per gate.  A multiplier has
+        // wide layers (a ripple adder has one AND gate per layer, which
+        // leaves nothing to batch).
+        let mut builder = CircuitBuilder::new();
+        let x = builder.input_word(8);
+        let y = builder.input_word(8);
+        let product = builder.mul_full(&x, &y);
+        builder.output_word(&product);
+        let circuit = builder.build().unwrap();
+        let mut inputs = encode_word(200, 8);
+        inputs.extend(encode_word(123, 8));
         for parties in [2usize, 3, 5] {
             let batched = run_gmw_with(&circuit, &inputs, parties, 77, GmwBatching::Layered);
             let per_gate = run_gmw_with(&circuit, &inputs, parties, 77, GmwBatching::PerGate);

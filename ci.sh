@@ -151,8 +151,14 @@ run_tests --release -q -p dstress-core streaming_execution_matches_materialised
 run_tests --release -q -p dstress-core streaming_sequential_and_threaded_agree
 run_tests --release -q -p dstress-core streaming_runs_csr_graphs_from_edge_streams
 
-echo "==> lazy OT setup: zero-AND circuits charge no setup rounds or bytes"
+echo "==> OT setup: lazy in one-shot executions, once per node pair per engine run"
+# A zero-AND circuit charges no setup on the one-shot door; established
+# sessions differ from it by exactly one setup per pair and put no
+# OtSetup on the wire; an engine run's base OTs are kappa x its distinct
+# node pairs, all in the Initialization step.
 run_tests -q -p dstress-mpc zero_and_circuit_pays_no_ot_setup
+run_tests -q -p dstress-mpc established_sessions_save_exactly_one_setup_per_pair
+run_tests -q -p dstress-core runs_set_up_each_node_pair_once_in_initialization
 run_tests -q -p dstress-mpc ot_payload_content_is_seed_derived_and_replayable
 run_tests -q -p dstress-mpc wire_payload_content_is_derived_from_the_pair_seed
 

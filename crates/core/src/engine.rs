@@ -6,7 +6,9 @@
 //! 1. **One-time setup** — every node generates keys, the trusted party
 //!    assigns blocks and issues block certificates (`dstress-transfer`).
 //! 2. **Initialization step** — every node XOR-shares its initial vertex
-//!    state and `D` no-op messages among its block.
+//!    state and `D` no-op messages among its block, and every node pair
+//!    that shares a block sets up its OT-extension session, which every
+//!    later MPC of the run extends from.
 //! 3. **Computation steps** — each block evaluates the program's update
 //!    circuit under GMW; inputs and outputs stay secret-shared.
 //! 4. **Communication steps** — for every edge, the message transfer
@@ -65,19 +67,20 @@ use crate::store::{
 use crate::wire::{AggShare, CheckpointManifest, InitShare, SegmentRecord};
 use core::fmt;
 use core::ops::Range;
-use dstress_circuit::CircuitError;
+use dstress_circuit::{Circuit, CircuitError};
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::group::Group;
 use dstress_crypto::sharing::split_xor_bit;
 use dstress_dp::laplace::LaplaceMechanism;
 use dstress_graph::{Graph, VertexId};
 use dstress_math::rng::{DetRng, SplitMix64, Xoshiro256};
-use dstress_mpc::gmw::{reconstruct_outputs, GmwConfig, GmwProtocol};
+use dstress_mpc::gmw::{execute_established, reconstruct_outputs, GmwExecution, GmwJob};
 use dstress_mpc::party::{derive_seed, OtConfig};
-use dstress_mpc::MpcError;
+use dstress_mpc::{GmwMessage, MpcError};
 use dstress_net::cost::OperationCounts;
 use dstress_net::pool::windowed;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
+use dstress_net::transport::Session;
 use dstress_net::wire::{Wire, WireError};
 use dstress_transfer::setup::{
     generate_block_assignment, generate_system, NodeSecrets, SystemSetup,
@@ -458,17 +461,16 @@ impl DStressRuntime {
 
         let resuming = checkpoint.as_ref().map(|(manifest, _)| manifest);
         let mut run = RunState::open(config, graph, program, &setup, executor, rng, resuming)?;
-        match checkpoint {
-            Some(checkpoint) => run.restore(checkpoint)?,
-            None => run.initialize()?,
-        }
-        run.sample_resident();
-
         {
             // Scoped to the iterations: the update circuit — and the
             // layering memoised on it — is released before the aggregation
             // MPC allocates its own, typically larger, circuit.
             let update_circuit = program.update_circuit(graph.degree_bound());
+            match checkpoint {
+                Some(checkpoint) => run.restore(checkpoint)?,
+                None => run.initialize(&update_circuit)?,
+            }
+            run.sample_resident();
             let ctx = StepContext {
                 config,
                 update_circuit: &update_circuit,
@@ -747,13 +749,35 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         M::decode_exact(&encoded)
     }
 
-    /// Initialization step: every node XOR-shares its initial vertex
-    /// state and `D` no-op messages among its block.
-    fn initialize(&mut self) -> Result<(), RuntimeError> {
+    /// Initialization step: every node pair that shares a block sets up
+    /// its OT-extension session ([`session_pairs`]), and every node
+    /// XOR-shares its initial vertex state and `D` no-op messages among
+    /// its block.
+    ///
+    /// A pair's session is a pure function of the run seed and the pair:
+    /// no RNG draw, nothing a task or a checkpoint carries.  So every
+    /// placement of the later MPCs, and a resumed run, extends from the
+    /// same sessions.
+    fn initialize(&mut self, update_circuit: &Circuit) -> Result<(), RuntimeError> {
         let seconds = stopwatch();
         let (graph, setup) = (self.graph, self.setup);
         let (block_size, state_bits) = (self.block_size, self.state_bits);
         let mut counts = OperationCounts::default();
+
+        // The pair's owner, its lower id, sends the sender-side key
+        // material; the peer answers with the receiver side.
+        let session = OtConfig::extension().session_setup();
+        let (to_peer, to_owner) = session.bytes;
+        for (owner, peer) in session_pairs(setup, update_circuit.layers().rounds() > 0) {
+            let pair = (owner.0 * graph.vertex_count() + peer.0) as u64;
+            let pair_seed = derive_seed(self.config.seed, SESSION_TAG, pair);
+            counts.add(&session.counts);
+            let message = session.message(pair_seed, true);
+            self.deliver(&mut counts, owner, peer, to_peer, &message)?;
+            let message = session.message(pair_seed, false);
+            self.deliver(&mut counts, peer, owner, to_owner, &message)?;
+        }
+
         let inbox_bits = graph.degree_bound() * self.message_bits;
         let per_member_bytes = (state_bits as u64 + inbox_bits as u64).div_ceil(8);
         for v in graph.vertices() {
@@ -781,10 +805,11 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
             }
             write_block(self.stores.state.as_mut(), v.0 * block_size, &shares)?;
         }
-        // Every vertex distributes its shares concurrently, so the whole
-        // step is one communication round — charging one per vertex would
-        // make the latency estimate scale with N instead of depth.
-        counts.rounds += 1;
+        // Every vertex distributes its shares concurrently, so the shares
+        // are one communication round — charging one per vertex would make
+        // the latency estimate scale with N instead of depth — and they
+        // ride the setup's first flight.
+        counts.rounds += session.rounds.max(1);
         self.phases.initialization = PhaseCosts {
             counts,
             wall_seconds: seconds(),
@@ -1002,24 +1027,16 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         }
         counts.rounds += 1;
 
-        // Aggregation MPC.  It and the noising MPC run on the configured
-        // transport backend, like every block MPC: the backend is
-        // bit-invisible.
+        // Aggregation MPC.  It and the noising MPC run on one session of
+        // the configured transport backend, like every block MPC: the
+        // backend is bit-invisible.
         let agg_circuit = program.aggregation_circuit(graph.vertex_count());
-        let protocol = GmwProtocol::new(
-            GmwConfig::with_node_ids(setup.aggregation_block.members.clone())
-                .with_batching(config.gmw_batching),
-        )?;
-        let ot = OtConfig::extension();
+        // Its memoised layering is the largest transient of the run's
+        // largest circuit: built before the session and the parties exist.
+        agg_circuit.layers();
         let transport = mpc_transport(config.transport);
-        let agg_exec = protocol.execute_on(
-            &*transport,
-            &agg_circuit,
-            &agg_input_shares,
-            &ot,
-            &mut self.traffic,
-            &mut self.rng,
-        )?;
+        let mut session = transport.open(block_size).map_err(MpcError::Transport)?;
+        let agg_exec = self.aggregation_mpc(&mut *session, &agg_circuit, agg_input_shares)?;
         counts.add(&agg_exec.counts);
         let aggregate_bits = reconstruct_outputs(&agg_exec.output_shares)?;
         let ideal_output = program.decode_aggregate(&aggregate_bits);
@@ -1037,14 +1054,7 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
                     .collect()
             })
             .collect();
-        let noise_exec = protocol.execute_on(
-            &*transport,
-            &noise_circ,
-            &noise_inputs,
-            &ot,
-            &mut self.traffic,
-            &mut self.rng,
-        )?;
+        let noise_exec = self.aggregation_mpc(&mut *session, &noise_circ, noise_inputs)?;
         counts.add(&noise_exec.counts);
 
         // Joint seed: one contribution per aggregation-block member.
@@ -1071,7 +1081,52 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
             block_size,
         })
     }
+
+    /// One MPC of the aggregation block on `session`, its parties on the
+    /// sessions [`RunState::initialize`] set up: draws the execution's
+    /// master seed and charges its traffic to the run.
+    fn aggregation_mpc(
+        &mut self,
+        session: &mut dyn Session<GmwMessage>,
+        circuit: &Circuit,
+        input_shares: Vec<Vec<bool>>,
+    ) -> Result<GmwExecution, RuntimeError> {
+        let job = GmwJob {
+            node_ids: self.setup.aggregation_block.members.clone(),
+            input_shares,
+            master_seed: self.rng.next_u64(),
+        };
+        let batching = self.config.gmw_batching;
+        let ot = OtConfig::extension();
+        let (execution, flows) = execute_established(session, circuit, batching, &ot, vec![job])?
+            .pop()
+            .expect("one job yields one execution");
+        self.traffic.merge(&flows);
+        Ok(execution)
+    }
 }
+
+/// Every unordered node pair that shares the aggregation block or — when
+/// the update circuit has AND gates at all — a vertex block, once, as
+/// `(lower id, higher id)` in ascending order: the pairs whose
+/// OT-extension sessions the Initialization step sets up.  The
+/// aggregation block's pairs are always set up, because its noising MPC
+/// always has AND gates.
+fn session_pairs(setup: &SystemSetup, vertex_blocks: bool) -> Vec<(NodeId, NodeId)> {
+    let vertex_blocks = setup.blocks.iter().filter(|_| vertex_blocks);
+    let mut pairs = Vec::new();
+    for block in vertex_blocks.chain([&setup.aggregation_block]) {
+        for (i, &a) in block.members.iter().enumerate() {
+            pairs.extend(block.members[i + 1..].iter().map(|&b| (a.min(b), a.max(b))));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Domain tag of the OT-extension sessions' key material.
+const SESSION_TAG: u64 = 0x6f74_3a73_6573_7369; // "ot:sessi"
 
 /// Blocks each worker keeps in flight under the streaming schedule: the
 /// window of [`DStressRuntime::execute_streaming`] is
@@ -1361,7 +1416,9 @@ mod tests {
             small.phases.initialization.counts.rounds,
             large.phases.initialization.counts.rounds
         );
-        assert_eq!(small.phases.initialization.counts.rounds, 1);
+        // Two: the OT-extension session setup's two flights, with the
+        // share distribution riding the first.
+        assert_eq!(small.phases.initialization.counts.rounds, 2);
         assert_eq!(
             small.phases.computation.counts.rounds,
             large.phases.computation.counts.rounds
@@ -1376,6 +1433,85 @@ mod tests {
         assert!(
             large.phases.computation.counts.bytes_sent > small.phases.computation.counts.bytes_sent
         );
+    }
+
+    /// κ × the distinct unordered node pairs that share the aggregation
+    /// block or, with `vertex_blocks`, a vertex block of the setup the run
+    /// builds — counted with a set, apart from the engine's own pair list.
+    fn setup_base_ots<P: SecureVertexProgram>(
+        config: &DStressConfig,
+        graph: &Graph,
+        program: &P,
+        vertex_blocks: bool,
+    ) -> u64 {
+        let (_, setup, _) = DStressRuntime::new(config.clone())
+            .build_setup(
+                &Group::new(config.group),
+                graph,
+                program.message_bits(),
+                &mut Xoshiro256::new(config.seed),
+            )
+            .unwrap();
+        let blocks = setup.blocks.iter().filter(|_| vertex_blocks);
+        let mut pairs = std::collections::BTreeSet::new();
+        for block in blocks.chain([&setup.aggregation_block]) {
+            for &a in &block.members {
+                pairs.extend(block.members.iter().filter(|&&b| a < b).map(|&b| (a, b)));
+            }
+        }
+        80 * pairs.len() as u64
+    }
+
+    #[test]
+    fn runs_set_up_each_node_pair_once_in_initialization() {
+        use crate::analytics::DegreeHistogramProgram;
+        use crate::config::ConcurrencyMode;
+        let program = CounterProgram {
+            width: 8,
+            rounds: 2,
+        };
+        let graph = ring_graph(9);
+        let mut sequential = DStressConfig::benchmark(2);
+        sequential.message_bits = 8;
+        let streamed = sequential
+            .clone()
+            .with_concurrency(ConcurrencyMode::Threaded { threads: 2 })
+            .with_state_budget(1);
+        let mut real_crypto = DStressConfig::small_test(2);
+        real_crypto.message_bits = 8;
+        let runs = [
+            ("sequential", &sequential, false),
+            ("threaded, streamed, spilling", &streamed, true),
+            ("real crypto", &real_crypto, false),
+        ];
+        for (what, config, streaming) in runs {
+            let runtime = DStressRuntime::new(config.clone());
+            let run = if streaming {
+                runtime.execute_streaming(&graph, &program)
+            } else {
+                runtime.execute(&graph, &program)
+            }
+            .unwrap();
+            let phases = &run.phases;
+            let expected = setup_base_ots(config, &graph, &program, true);
+            assert_eq!(phases.total_counts().base_ots, expected, "{what}");
+            assert_eq!(phases.initialization.counts.base_ots, expected, "{what}");
+            assert_eq!(phases.computation.counts.base_ots, 0, "{what}");
+            assert_eq!(phases.aggregation.counts.base_ots, 0, "{what}");
+        }
+
+        // An update circuit without AND gates needs no vertex-block pair.
+        let histogram = DegreeHistogramProgram {
+            width: 8,
+            lo: 1,
+            hi: 2,
+        };
+        let run = DStressRuntime::new(sequential.clone())
+            .execute(&graph, &histogram)
+            .unwrap();
+        let aggregation_only = setup_base_ots(&sequential, &graph, &histogram, false);
+        assert_eq!(run.phases.total_counts().base_ots, aggregation_only);
+        assert_eq!(aggregation_only, 80 * 3, "one block of three: three pairs");
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! deployment worker alike.  It cuts the window into *lanes*, one
 //! [`dstress_net::transport::Session`] each, and a lane keeps a bounded
 //! number of block MPCs in flight on its session as concurrent streams
-//! ([`dstress_mpc::gmw::execute_batch`]).  On sockets a lane is a
+//! ([`dstress_mpc::gmw::execute_established`]: every node pair's
+//! OT-extension session was set up once, in the run's Initialization
+//! step, so no block MPC sets one up).  On sockets a lane is a
 //! worker's contiguous share of the window, so a window costs one TCP
 //! mesh per worker instead of one per block MPC; in process a session
 //! costs nothing and every task is a lane of its own.
@@ -46,7 +48,7 @@ use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::group::Group;
 use dstress_crypto::sharing::{split_xor, xor_reconstruct, BitMessage};
 use dstress_math::rng::{DetRng, Xoshiro256};
-use dstress_mpc::gmw::{execute_batch, GmwJob};
+use dstress_mpc::gmw::{execute_established, GmwJob};
 use dstress_mpc::party::OtConfig;
 use dstress_mpc::{GmwBatching, GmwMessage, MpcError};
 use dstress_net::cost::OperationCounts;
@@ -252,11 +254,12 @@ impl StepExecutor for LocalExecutor {
     }
 }
 
-/// The transport instance one block MPC runs on.
+/// The transport a lane, or the aggregation block, opens its session on.
 ///
-/// `Socket` uses a single transport worker because block MPCs already
-/// run many-at-once inside the executor's pool; each MPC still opens a
-/// real loopback TCP mesh between its `k + 1` parties.
+/// `Socket` uses a single transport worker because lanes already run
+/// side by side in the executor's pool; each session is one real loopback
+/// TCP mesh between `k + 1` parties, and the block MPCs of the lane run on
+/// it as streams.
 pub fn mpc_transport(kind: TransportKind) -> Box<dyn Transport<GmwMessage>> {
     match kind {
         TransportKind::Sim => Box::new(SimTransport),
@@ -409,7 +412,7 @@ fn run_lane(
             Some(open) if open.nodes() == block_size => open,
             stale => stale.insert(transport.open(block_size).map_err(MpcError::Transport)?),
         };
-        let executions = execute_batch(&mut **session, update_circuit, batching, &ot, jobs)?;
+        let executions = execute_established(&mut **session, update_circuit, batching, &ot, jobs)?;
         for ((execution, traffic), out_slots) in executions.into_iter().zip(out_slots) {
             let mut new_state = Vec::with_capacity(block_size);
             let mut outgoing = vec![vec![Vec::new(); block_size]; out_slots];

@@ -146,22 +146,23 @@ impl ScalabilityModel {
         let kappa = self.ot_security as f64;
 
         // --- One GMW execution, per participating node -------------------
+        // Its OTs extend from the sessions Initialization set up, so it
+        // pays no base OTs of its own.
         let mpc_node_seconds = |and_gates: f64, free_gates: f64| -> f64 {
             and_gates * (pairs_per_node * c.seconds_per_extended_ot + c.seconds_per_and_gate)
                 + free_gates * c.seconds_per_free_gate
-                + kappa * pairs_per_node * c.seconds_per_base_ot
         };
         // Bytes *sent* per node for one GMW execution: each AND-gate OT
         // moves ~(κ/8 + 1) bytes between a pair, split between the two
-        // parties on average, plus the base-OT key material.
+        // parties on average.
         let ot_bytes = kappa / 8.0 + 1.0;
-        let mpc_node_bytes = |and_gates: f64| -> f64 {
-            and_gates * pairs_per_node * ot_bytes / 2.0 + kappa * pairs_per_node * 2.0 * 32.0
-        };
+        let mpc_node_bytes =
+            |and_gates: f64| -> f64 { and_gates * pairs_per_node * ot_bytes / 2.0 };
 
         // --- Initialization ------------------------------------------------
-        // Share distribution to k block members plus the per-session OT
-        // setup for the first computation step's sessions.
+        // Share distribution to k block members plus the OT-extension
+        // session of every pair the node shares a block with, set up once
+        // per run.
         let init_bytes_per_node = (inputs.state_bits as f64 + d as f64 * l) / 8.0 * k as f64;
         let init_seconds = block
             * (kappa * pairs_per_node * c.seconds_per_base_ot

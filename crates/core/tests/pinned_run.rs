@@ -45,6 +45,24 @@
 //! `counts[3]`, both resident peaks, every `round`, `FINGERPRINT`, every
 //! `rng_state`, every store-1 segment digest.  The rule above stands for
 //! all of those, and for these from here on.
+//!
+//! **Re-captured a second time, 2026-10-15, for a named field set.**  Each
+//! node pair's OT-extension session is now set up once per run, in the
+//! Initialization step, instead of in every block, aggregation and
+//! noising MPC.  So the setup's base OTs, their exponentiations, their
+//! key-material bytes and its two rounds left the MPCs and arrived in
+//! Initialization, and nothing else moved.  The moved fields: all of
+//! `counts[0]` (rounds 1 → 2, base OTs 0 → 80 per distinct pair: 800 in
+//! (a), 11 280 in (b)); entries 0, 3, 7, 8 and 9 (`exponentiations`,
+//! `base_ots`, `bytes_sent`, `wire_bytes`, `rounds`) of `counts[1]` and
+//! `counts[3]`; `traffic_digest`; each `PinnedCheckpoint`'s
+//! `costs_digest`.  Computation rounds fell 51 → 45 in (a) (three passes)
+//! and 68 → 60 in (b) (four), aggregation rounds 195 → 191 in both, and
+//! aggregation `base_ots` 480 → 0.  Checked field by field not to have
+//! moved: `noised_bits`, `ideal_bits`, all of `counts[2]`, entries 1, 2
+//! and 4–6 of `counts[1]` and `counts[3]`, both resident peaks, every
+//! `round`, `FINGERPRINT`, every `rng_state`, every segment digest.  Run
+//! (c) still reproduces run (b).
 
 use dstress_core::store::{digest64, load_latest_checkpoint, packed_bytes};
 use dstress_core::{
@@ -264,16 +282,16 @@ fn pinned_real_crypto() -> PinnedRun {
         noised_bits: 0x4060890138d985bb,
         ideal_bits: 0x4061000000000000,
         counts: [
-            [0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x30, 0x54, 0x1],
+            [0x960, 0x0, 0x0, 0x320, 0x0, 0x0, 0x0, 0x19030, 0x19090, 0x2],
             [
-                0x32a0, 0x0, 0x0, 0x10e0, 0x46e, 0x17a, 0x654, 0x8a0ba, 0x8b23c, 0x33,
+                0x0, 0x0, 0x0, 0x0, 0x46e, 0x17a, 0x654, 0x30ba, 0x40f8, 0x2d,
             ],
             [0x5dc, 0x474, 0xbb8, 0x0, 0x0, 0x0, 0x0, 0x6ea0, 0x729c, 0x6],
             [
-                0x5a0, 0x0, 0x0, 0x1e0, 0xbbb, 0x3e9, 0xec2, 0x1713f, 0x180d5, 0xc3,
+                0x0, 0x0, 0x0, 0x0, 0xbbb, 0x3e9, 0xec2, 0x813f, 0x90b1, 0xbf,
             ],
         ],
-        traffic_digest: 0x01d32ef2f538b6e3,
+        traffic_digest: 0x3e6a8275df6e943e,
         store_resident_peak_bytes: 0x270,
     }
 }
@@ -283,18 +301,20 @@ fn pinned_streamed() -> PinnedRun {
         noised_bits: 0x40b8b494de1d1fe5,
         ideal_bits: 0x40b8b20000000000,
         counts: [
-            [0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x180, 0x2a0, 0x1],
             [
-                0x21c00, 0x0, 0x0, 0xb400, 0x2f40, 0xfc0, 0x4380, 0x5c07c0, 0x5cc280, 0x44,
+                0x8430, 0x0, 0x0, 0x2c10, 0x0, 0x0, 0x0, 0x160980, 0x160dee, 0x2,
+            ],
+            [
+                0x0, 0x0, 0x0, 0x0, 0x2f40, 0xfc0, 0x4380, 0x207c0, 0x2b500, 0x3c,
             ],
             [
                 0x4c77, 0x3a1d, 0x98ee, 0x0, 0x0, 0x0, 0x0, 0x5a3a8, 0x5d7a7, 0x9,
             ],
             [
-                0x5a0, 0x0, 0x0, 0x1e0, 0x131d, 0x65f, 0x18ee, 0x1c3ef, 0x1d949, 0xc3,
+                0x0, 0x0, 0x0, 0x0, 0x131d, 0x65f, 0x18ee, 0xd3ef, 0xe925, 0xbf,
             ],
         ],
-        traffic_digest: 0x1434f5822f1a10ed,
+        traffic_digest: 0xdd14ae53a8a05738,
         store_resident_peak_bytes: 0x2a8,
     }
 }
@@ -312,7 +332,7 @@ fn pinned_checkpoints() -> Vec<PinnedCheckpoint> {
                 0xdd80f8a1fa485e2e,
                 0xa683540dfa3c3a74,
             ],
-            costs_digest: 0xc3a01dfa698eae52,
+            costs_digest: 0xcbc602df6ffa9b44,
             segments: vec![
                 (0, 0, 0x52d3aa4fc1523b5d),
                 (0, 1, 0xbb164f52ae0366bb),
@@ -333,7 +353,7 @@ fn pinned_checkpoints() -> Vec<PinnedCheckpoint> {
                 0x8849ca5cd76bcb68,
                 0x232b2bcc2ac5c055,
             ],
-            costs_digest: 0x7d8e2c7b5fa16105,
+            costs_digest: 0x7ecf271ff644afac,
             segments: vec![
                 (0, 0, 0xde0958e2f6756e56),
                 (0, 1, 0xbd3e4d6f335259e3),
@@ -354,7 +374,7 @@ fn pinned_checkpoints() -> Vec<PinnedCheckpoint> {
                 0x2e5f0bdaa4a2793e,
                 0x4e1740bbfcb95cbf,
             ],
-            costs_digest: 0x3b1b323b76bd2b8e,
+            costs_digest: 0x6ebe06a53b650f20,
             segments: vec![
                 (0, 0, 0x1ffbd6b53bc84ae0),
                 (0, 1, 0x6bcfdb71ee0f34cf),

@@ -36,6 +36,10 @@
 //! rounds and bytes are the same alone, in a batch, and on either
 //! backend.
 //!
+//! Those doors are one-shot: each execution sets its pairs' OT-extension
+//! sessions up itself.  [`execute_established`] is the same batch on the
+//! sessions an engine run set up once, in its Initialization step.
+//!
 //! The executor measures, for every run: per-party bytes sent/received,
 //! the number of OTs and AND gates, and the number of communication
 //! rounds.  Those measurements feed the harness directly.
@@ -100,7 +104,8 @@ pub struct GmwExecution {
     pub counts: OperationCounts,
     /// Measured sequential one-way communication rounds per party pair
     /// (pairs exchange in parallel, so this is the critical path, not a
-    /// sum over pairs): the OT session setup, two rounds per AND layer
+    /// sum over pairs): the OT session setup (not on established
+    /// sessions, [`execute_established`]), two rounds per AND layer
     /// ([`GmwBatching::Layered`]) or per AND gate
     /// ([`GmwBatching::PerGate`]), plus the output-reconstruction round.
     pub rounds: u64,
@@ -301,6 +306,37 @@ pub fn execute_batch(
     ot: &OtConfig,
     jobs: Vec<GmwJob>,
 ) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
+    run_batch(session, circuit, batching, ot, jobs, false)
+}
+
+/// [`execute_batch`] for parties whose pairs already hold OT-extension
+/// sessions, set up once per run outside the batch: no execution sends an
+/// `OtSetup` message or charges base OTs, their bytes or their two
+/// rounds.  Shares and every other count equal [`execute_batch`]'s.
+///
+/// # Errors
+///
+/// As [`execute_batch`].
+pub fn execute_established(
+    session: &mut dyn Session<GmwMessage>,
+    circuit: &Circuit,
+    batching: GmwBatching,
+    ot: &OtConfig,
+    jobs: Vec<GmwJob>,
+) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
+    run_batch(session, circuit, batching, ot, jobs, true)
+}
+
+/// The one body of [`execute_batch`] and [`execute_established`]; only
+/// `established` tells them apart.
+fn run_batch(
+    session: &mut dyn Session<GmwMessage>,
+    circuit: &Circuit,
+    batching: GmwBatching,
+    ot: &OtConfig,
+    jobs: Vec<GmwJob>,
+    established: bool,
+) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
     for job in &jobs {
         job.check(circuit)?;
     }
@@ -321,6 +357,7 @@ pub fn execute_batch(
                         job.master_seed,
                         batching,
                     )
+                    .with_established_sessions(established)
                 })
                 .collect(),
         );
@@ -445,6 +482,8 @@ mod tests {
     use dstress_circuit::evaluate;
     use dstress_crypto::group::GroupKind;
     use dstress_math::rng::Xoshiro256;
+    use dstress_net::transport::{ActorStatus, Endpoint};
+    use dstress_net::SocketTransport;
     use proptest::prelude::*;
 
     fn adder_circuit(width: u32) -> Circuit {
@@ -691,6 +730,119 @@ mod tests {
         assert_eq!(exec.counts.base_ots, 80 * 3, "3 pairs x kappa base OTs");
         assert!(exec.counts.wire_bytes > 0);
         assert_eq!(exec.rounds, 2 + 2 + 1, "setup + one layer + output");
+    }
+
+    /// Runs `job`'s parties, on established sessions or not, as one group
+    /// of `transport` and returns how many `OtSetup` messages they sent.
+    fn setups_on_the_wire(
+        transport: &dyn Transport<GmwMessage>,
+        circuit: &Circuit,
+        job: &GmwJob,
+        established: bool,
+    ) -> usize {
+        /// A party whose every send is checked for `OtSetup` on its way out.
+        struct Counted<'c>(GmwParty<'c>, usize);
+        struct Counting<'e>(&'e mut dyn Endpoint<GmwMessage>, &'e mut usize);
+        impl Endpoint<GmwMessage> for Counting<'_> {
+            fn nodes(&self) -> usize {
+                self.0.nodes()
+            }
+            fn send(&mut self, to: usize, message: GmwMessage) {
+                *self.1 += usize::from(matches!(message, GmwMessage::OtSetup { .. }));
+                self.0.send(to, message);
+            }
+            fn try_recv_from(&mut self, peer: usize) -> Option<GmwMessage> {
+                self.0.try_recv_from(peer)
+            }
+        }
+        impl NodeActor<GmwMessage> for Counted<'_> {
+            fn poll(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
+                self.0.poll(&mut Counting(endpoint, &mut self.1))
+            }
+        }
+        let ot = OtConfig::extension();
+        let mut parties: Vec<Counted> = (0..job.node_ids.len())
+            .map(|p| {
+                let share = job.input_shares[p].clone();
+                let (ids, seed) = (job.node_ids.clone(), job.master_seed);
+                let party = GmwParty::new(circuit, p, ids, share, &ot, seed, GmwBatching::Layered);
+                Counted(party.with_established_sessions(established), 0)
+            })
+            .collect();
+        let mut actors: Vec<&mut dyn NodeActor<GmwMessage>> = parties
+            .iter_mut()
+            .map(|p| p as &mut dyn NodeActor<GmwMessage>)
+            .collect();
+        transport.run(&mut actors).unwrap();
+        parties.iter().map(|p| p.1).sum()
+    }
+
+    #[test]
+    fn established_sessions_save_exactly_one_setup_per_pair() {
+        // The same job through both doors, on both backends: identical
+        // shares, and counts that differ by one session setup per pair —
+        // κ base OTs, 3κ exponentiations, the key material each way (plus
+        // its framing on the wire) — and by the setup's two rounds.
+        type Door = fn(
+            &mut dyn Session<GmwMessage>,
+            &Circuit,
+            GmwBatching,
+            &OtConfig,
+            Vec<GmwJob>,
+        ) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError>;
+        let circuit = adder_circuit(8);
+        let parties = 4;
+        let pairs = (parties * (parties - 1) / 2) as u64;
+        let mut inputs = encode_word(77, 8);
+        inputs.extend(encode_word(99, 8));
+        let job = GmwJob {
+            node_ids: (0..parties).map(|p| NodeId(10 + 3 * p)).collect(),
+            input_shares: share_inputs(&inputs, parties, &mut Xoshiro256::new(0x5E55)),
+            master_seed: 0x5E55,
+        };
+        let ot = OtConfig::extension();
+        let (to_peer, to_owner) = ot.wire_setup_bytes();
+        let framed = |len| {
+            GmwMessage::OtSetup {
+                ot_payload: vec![0; len],
+            }
+            .encoded_len() as u64
+        };
+        let setup = OperationCounts {
+            base_ots: pairs * 80,
+            exponentiations: pairs * 3 * 80,
+            bytes_sent: pairs * (to_peer + to_owner) as u64,
+            wire_bytes: pairs * (framed(to_peer) + framed(to_owner)),
+            rounds: 2,
+            ..OperationCounts::default()
+        };
+        let socket = SocketTransport::with_threads(2);
+        for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
+            let run = |door: Door| {
+                let mut session = transport.open(parties).unwrap();
+                let batch = door(
+                    &mut *session,
+                    &circuit,
+                    GmwBatching::Layered,
+                    &ot,
+                    vec![job.clone()],
+                );
+                batch.unwrap().pop().unwrap().0
+            };
+            let lazy = run(execute_batch);
+            let established = run(execute_established);
+            let name = transport.name();
+            assert_eq!(lazy.output_shares, established.output_shares, "{name}");
+            assert_eq!(lazy.counts, established.counts.combined(&setup), "{name}");
+            assert_eq!(lazy.rounds, established.rounds + 2, "{name}");
+            let lazy_setups = setups_on_the_wire(transport, &circuit, &job, false);
+            assert_eq!(lazy_setups, parties * (parties - 1), "{name}");
+            assert_eq!(
+                setups_on_the_wire(transport, &circuit, &job, true),
+                0,
+                "{name}"
+            );
+        }
     }
 
     #[test]

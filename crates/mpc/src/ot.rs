@@ -102,11 +102,6 @@ pub trait OtProvider {
         (sender_bytes, receiver_bytes)
     }
 
-    /// Charges the per-session setup cost for one party pair (base OTs for
-    /// extension providers; nothing for public-key OT).  Returns the bytes
-    /// exchanged `(sender_bytes, receiver_bytes)`.
-    fn session_setup(&mut self) -> (u64, u64);
-
     /// Cumulative operation counts performed by this provider.
     fn counts(&self) -> OperationCounts;
 }
@@ -201,23 +196,21 @@ impl OtProvider for ElGamalOt {
         }
     }
 
-    fn session_setup(&mut self) -> (u64, u64) {
-        // Public-key OT needs no per-session setup.
-        (0, 0)
-    }
-
     fn counts(&self) -> OperationCounts {
         self.counts
     }
 }
+
+/// Bytes of one group element of base-OT key material (the 256-bit
+/// group): what [`SimulatedOtExtension`] charges per element and what
+/// [`crate::party::OtConfig::wire_setup_bytes`] puts on the wire.
+pub const BASE_OT_ELEMENT_BYTES: u64 = 32;
 
 /// Functionally-correct simulation of IKNP OT extension with faithful cost
 /// accounting.
 pub struct SimulatedOtExtension {
     /// Statistical security parameter κ (the prototype used κ = 80).
     security_parameter: u32,
-    /// Bytes of a group element, used to charge the base OTs.
-    base_ot_element_bytes: u64,
     counts: OperationCounts,
 }
 
@@ -225,24 +218,37 @@ impl SimulatedOtExtension {
     /// Creates a provider with the paper's default parameters (κ = 80,
     /// base OTs over the 256-bit group).
     pub fn new() -> Self {
-        SimulatedOtExtension {
-            security_parameter: 80,
-            base_ot_element_bytes: 32,
-            counts: OperationCounts::default(),
-        }
+        SimulatedOtExtension::with_security_parameter(80)
     }
 
     /// Creates a provider with an explicit statistical security parameter.
     pub fn with_security_parameter(kappa: u32) -> Self {
         SimulatedOtExtension {
             security_parameter: kappa,
-            ..SimulatedOtExtension::new()
+            counts: OperationCounts::default(),
         }
     }
 
     /// The configured statistical security parameter.
     pub fn security_parameter(&self) -> u32 {
         self.security_parameter
+    }
+
+    /// Charges the per-session setup cost for one party pair: κ base OTs,
+    /// each transferring two group elements of key material in each
+    /// direction (Bellare–Micali style).  Returns the bytes exchanged
+    /// `(sender_bytes, receiver_bytes)`.
+    pub fn session_setup(&mut self) -> (u64, u64) {
+        let per_base_receiver = 2 * BASE_OT_ELEMENT_BYTES;
+        let per_base_sender = 2 * BASE_OT_ELEMENT_BYTES;
+        let kappa = self.security_parameter as u64;
+        self.counts.base_ots += kappa;
+        self.counts.exponentiations += 3 * kappa;
+        let sender_bytes = kappa * per_base_sender;
+        let receiver_bytes = kappa * per_base_receiver;
+        self.counts.bytes_sent += sender_bytes + receiver_bytes;
+        self.counts.rounds += 2;
+        (sender_bytes, receiver_bytes)
     }
 }
 
@@ -288,21 +294,6 @@ impl OtProvider for SimulatedOtExtension {
         let sender_bytes = n;
         self.counts.extended_ots += n;
         self.counts.bytes_sent += receiver_bytes + sender_bytes;
-        (sender_bytes, receiver_bytes)
-    }
-
-    fn session_setup(&mut self) -> (u64, u64) {
-        // κ base OTs, each transferring two group elements of key material
-        // in each direction (Bellare–Micali style).
-        let per_base_receiver = 2 * self.base_ot_element_bytes;
-        let per_base_sender = 2 * self.base_ot_element_bytes;
-        let kappa = self.security_parameter as u64;
-        self.counts.base_ots += kappa;
-        self.counts.exponentiations += 3 * kappa;
-        let sender_bytes = kappa * per_base_sender;
-        let receiver_bytes = kappa * per_base_receiver;
-        self.counts.bytes_sent += sender_bytes + receiver_bytes;
-        self.counts.rounds += 2;
         (sender_bytes, receiver_bytes)
     }
 
@@ -382,7 +373,6 @@ mod tests {
             assert!(outcome.receiver_bytes > 0);
         }
         assert!(ot.counts().exponentiations >= 4 * 10);
-        assert_eq!(ot.session_setup(), (0, 0));
     }
 
     #[test]

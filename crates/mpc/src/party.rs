@@ -32,14 +32,21 @@
 //!   gate, kept for A/B round measurements.  Rounds scale with the AND
 //!   *gate count*.
 //!
-//! At its first AND layer (or AND gate, in per-gate mode) — and only
-//! then — every pair exchanges one [`GmwMessage::OtSetup`] message in
-//! each direction carrying the base-OT key material of the pair's
-//! session (sized by the provider's analytic setup cost; skipped for
-//! providers with no setup).  The exchange is charged *lazily*: a
+//! A pair's OTs extend from an OT-extension *session*: κ base OTs whose
+//! key material one [`GmwMessage::OtSetup`] message carries in each
+//! direction (sized by [`OtConfig::session_setup`]; no message for
+//! providers with no setup).  The door that built the parties decides
+//! who pays for it.  Parties of a one-shot execution
+//! ([`crate::gmw::GmwProtocol::execute_seeded`],
+//! [`crate::gmw::execute_batch`]) set their sessions up *lazily*, at the
+//! first AND layer (or AND gate, in per-gate mode) and only then: a
 //! circuit with no AND gates performs no oblivious transfers and
-//! therefore pays no setup rounds, bytes or base OTs.  Each choice
-//! message additionally carries the OT receiver-side payload
+//! therefore pays no setup rounds, bytes or base OTs.  Parties built by
+//! [`crate::gmw::execute_established`] start on sessions the engine set up
+//! once per node pair per run, in its Initialization step, and send no
+//! `OtSetup` at all.
+//!
+//! Each choice message additionally carries the OT receiver-side payload
 //! (extension-matrix columns or public keys) and each response the
 //! sender-side payload, so the *measured* encoded bytes of a run
 //! reconcile with the analytic model; see [`crate::wire`] for the exact
@@ -139,7 +146,7 @@
 //! assert_eq!(decode_word(&reconstruct_outputs(&sim.output_shares).unwrap()), 42);
 //! ```
 
-use crate::ot::{ElGamalOt, OtProvider, OtRequest, SimulatedOtExtension};
+use crate::ot::{ElGamalOt, OtProvider, OtRequest, SimulatedOtExtension, BASE_OT_ELEMENT_BYTES};
 use dstress_circuit::{Circuit, CircuitLayers, Gate};
 use dstress_crypto::group::{Group, GroupKind};
 use dstress_math::rng::splitmix64_finalize as mix;
@@ -163,11 +170,12 @@ use dstress_net::transport::{ActorStatus, Endpoint, NodeActor};
 /// on every backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GmwMessage {
-    /// Per-pair OT session setup (both directions), exchanged lazily at
-    /// the pair's first AND layer: the base-OT key material of the
-    /// pair's extension session.  Never sent for circuits without AND
-    /// gates, nor for providers with no per-session setup (public-key
-    /// OT).
+    /// Per-pair OT session setup (both directions): the base-OT key
+    /// material of the pair's extension session.  A one-shot execution
+    /// exchanges it lazily, at the pair's first AND layer; parties on
+    /// established sessions never send it, nor does any party for a
+    /// circuit without AND gates or a provider with no per-session setup
+    /// (public-key OT).
     OtSetup {
         /// Seed-derived key material sized by the provider's setup cost.
         ot_payload: Vec<u8>,
@@ -307,12 +315,65 @@ impl OtConfig {
     pub fn wire_setup_bytes(&self) -> (usize, usize) {
         match *self {
             OtConfig::Extension { security_parameter } => {
-                // Two 32-byte group elements per base OT in each
-                // direction (see `SimulatedOtExtension::session_setup`).
-                let each = security_parameter as usize * 2 * 32;
+                // Two group elements per base OT in each direction (see
+                // `SimulatedOtExtension::session_setup`).
+                let each = security_parameter as usize * 2 * BASE_OT_ELEMENT_BYTES as usize;
                 (each, each)
             }
             OtConfig::ElGamal { .. } => (0, 0),
+        }
+    }
+
+    /// What setting up one pair's session costs: the one source of the
+    /// setup charge, for a one-shot execution's lazy setup and for a
+    /// run's Initialization step alike.
+    pub fn session_setup(&self) -> SessionSetup {
+        let OtConfig::Extension { security_parameter } = *self else {
+            // Public-key OT needs no per-session setup.
+            return SessionSetup::default();
+        };
+        let mut provider = SimulatedOtExtension::with_security_parameter(security_parameter);
+        let bytes = provider.session_setup();
+        let mut counts = OperationCounts::default();
+        absorb_provider_delta(&mut counts, &OperationCounts::default(), &provider.counts());
+        SessionSetup {
+            counts,
+            bytes,
+            rounds: provider.counts().rounds,
+            wire: self.wire_setup_bytes(),
+        }
+    }
+}
+
+/// One party pair's OT-extension session setup ([`OtConfig::session_setup`]):
+/// the κ base OTs whose seeds every later extended OT of the pair draws
+/// on, and the [`GmwMessage::OtSetup`] exchange that carries their key
+/// material.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SessionSetup {
+    /// Compute charged: base OTs and their exponentiations (no bytes, no
+    /// rounds).
+    pub counts: OperationCounts,
+    /// Modeled bytes `(owner → peer, peer → owner)`.
+    pub bytes: (u64, u64),
+    /// One-way rounds of the exchange.
+    pub rounds: u64,
+    /// `OtSetup` payload lengths `(owner → peer, peer → owner)`; both 0
+    /// when the provider exchanges no setup messages.
+    pub wire: (usize, usize),
+}
+
+impl SessionSetup {
+    /// The pair's `OtSetup` message from its owner (`from_owner`) or from
+    /// its peer, the key material derived from `pair_seed`.
+    pub fn message(&self, pair_seed: u64, from_owner: bool) -> GmwMessage {
+        let (len, direction) = if from_owner {
+            (self.wire.0, crate::wire::PAYLOAD_SETUP_FROM_OWNER)
+        } else {
+            (self.wire.1, crate::wire::PAYLOAD_SETUP_FROM_PEER)
+        };
+        GmwMessage::OtSetup {
+            ot_payload: crate::wire::ot_payload(pair_seed, direction, 0, len),
         }
     }
 }
@@ -423,8 +484,9 @@ pub struct GmwParty<'c> {
     ot_recv_payload: usize,
     /// Sender-side wire payload per OT.
     ot_send_payload: usize,
-    /// Session-setup wire payloads `(owner_to_peer, peer_to_owner)`.
-    ot_setup_payload: (usize, usize),
+    /// The provider configuration, whose session setup the lazy path
+    /// charges ([`OtConfig::session_setup`]).
+    ot: OtConfig,
     input_share: Vec<bool>,
     /// Wire values, indexed by wire id (filled as the schedule runs).
     wires: Vec<bool>,
@@ -508,7 +570,7 @@ impl<'c> GmwParty<'c> {
             pair_payload_seed,
             ot_recv_payload: ot.wire_receiver_bytes_per_ot(),
             ot_send_payload: ot.wire_sender_bytes_per_ot(),
-            ot_setup_payload: ot.wire_setup_bytes(),
+            ot: *ot,
             input_share,
             wires: vec![false; circuit.len()],
             counts: OperationCounts::default(),
@@ -531,6 +593,15 @@ impl<'c> GmwParty<'c> {
             setup_done: false,
             finished: false,
         }
+    }
+
+    /// With `established`, starts every pair of this party on an
+    /// OT-extension session set up before the execution — once per node
+    /// pair per run, in the engine's Initialization step — so the party
+    /// sends no `OtSetup` and charges no setup.
+    pub(crate) fn with_established_sessions(mut self, established: bool) -> Self {
+        self.setup_done = established;
+        self
     }
 
     /// This party's index.
@@ -581,19 +652,15 @@ impl<'c> GmwParty<'c> {
 
     /// Charges the per-pair OT session setup for every pair this party
     /// owns (no messages carry values here; the costs are what matters).
-    /// The pairs' setups run in parallel, so the measured rounds take the
-    /// maximum — not the sum — of the providers' setup exchanges.
-    fn session_setup(&mut self) {
+    /// The pairs' setups run in parallel, so the measured rounds are one
+    /// setup exchange's — and none for a party that owns no pair.
+    fn session_setup(&mut self, session: &SessionSetup) {
         let me = self.node_ids[self.index];
+        let (sender_bytes, receiver_bytes) = session.bytes;
         let mut setup_rounds = 0;
-        for peer in (self.index + 1)..self.parties {
-            let provider = self.ots[peer].as_mut().expect("pair owner has a provider");
-            let before = provider.counts();
-            let (sender_bytes, receiver_bytes) = provider.session_setup();
-            let after = provider.counts();
-            setup_rounds = setup_rounds.max(after.rounds - before.rounds);
-            absorb_provider_delta(&mut self.counts, &before, &after);
-            let peer_id = self.node_ids[peer];
+        for &peer_id in &self.node_ids[self.index + 1..] {
+            setup_rounds = session.rounds;
+            self.counts.add(&session.counts);
             if sender_bytes > 0 {
                 self.traffic.record(me, peer_id, sender_bytes);
             }
@@ -1041,7 +1108,8 @@ impl GmwParty<'_> {
     /// send the base-OT key material to every peer, and wait until every
     /// peer's material arrived.  Returns `false` while still waiting.
     ///
-    /// The exchange is *lazy*: it runs at a pair's first AND layer (or
+    /// Parties on established sessions never get here.  For the others
+    /// the exchange is *lazy*: it runs at a pair's first AND layer (or
     /// AND gate, in per-gate mode), never up front — and since every pair
     /// serves every AND layer in GMW, that is the circuit's first AND
     /// work.  A circuit with no AND gates therefore never reaches this
@@ -1052,39 +1120,26 @@ impl GmwParty<'_> {
     /// message exchange, matching their analytic model of zero setup
     /// messages.
     fn advance_setup(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> bool {
-        let (owner_to_peer, peer_to_owner) = self.ot_setup_payload;
+        let session = self.ot.session_setup();
+        let exchanges = session.wire != (0, 0);
         if !self.setup_sent {
-            self.session_setup();
-            if owner_to_peer > 0 || peer_to_owner > 0 {
+            self.session_setup(&session);
+            if exchanges {
+                // Pair owners (lower index) send the sender-side key
+                // material; the peer answers with the receiver side.
                 let batch: Vec<(usize, GmwMessage)> = (0..self.parties)
                     .filter(|&peer| peer != self.index)
                     .map(|peer| {
-                        // Pair owners (lower index) send the sender-side
-                        // key material; the peer answers with the
-                        // receiver side.
-                        let (len, direction) = if peer > self.index {
-                            (owner_to_peer, crate::wire::PAYLOAD_SETUP_FROM_OWNER)
-                        } else {
-                            (peer_to_owner, crate::wire::PAYLOAD_SETUP_FROM_PEER)
-                        };
-                        (
-                            peer,
-                            GmwMessage::OtSetup {
-                                ot_payload: crate::wire::ot_payload(
-                                    self.pair_payload_seed[peer],
-                                    direction,
-                                    0,
-                                    len,
-                                ),
-                            },
-                        )
+                        let from_owner = peer > self.index;
+                        let seed = self.pair_payload_seed[peer];
+                        (peer, session.message(seed, from_owner))
                     })
                     .collect();
                 endpoint.send_many(batch);
             }
             self.setup_sent = true;
         }
-        if owner_to_peer > 0 || peer_to_owner > 0 {
+        if exchanges {
             while self.setup_recv_peer < self.parties {
                 let peer = self.setup_recv_peer;
                 if peer == self.index {
@@ -1145,6 +1200,9 @@ mod tests {
         let outcome = eg.transfer([false, true, false, false], (false, true));
         assert!(outcome.received);
         assert_eq!(OtConfig::default(), OtConfig::extension());
+        // Public-key OT needs no per-session setup.
+        let none = OtConfig::elgamal(GroupKind::Sim64).session_setup();
+        assert_eq!(none, SessionSetup::default());
         assert_eq!(GmwBatching::default(), GmwBatching::Layered);
     }
 

@@ -85,11 +85,13 @@ echo "==> repro -- analyze smoke (release; exits non-zero on any finding; the ta
 cargo run --release -q -p dstress-bench --bin repro -- analyze
 
 echo "==> determinism suite under --release (Sim == Socket)"
-# The suite covers both GmwBatching modes (named backends_agree_batched_mode /
-# backends_agree_per_gate_mode tests plus mode-crossing proptests), with the
-# multi-threaded real-TCP SocketTransport held to bit-identity with the
-# deterministic in-process backend, and the layered path pinned to
-# committed fingerprints on both.
+# One party state machine walks either layering a GmwBatching mode lends it:
+# the depth layering (backends_agree_batched_mode) or the serial one, one AND
+# gate per layer (backends_agree_per_gate_mode); mode-crossing proptests hold
+# both to each other and to the plaintext evaluator. The multi-threaded
+# real-TCP SocketTransport is held to bit-identity with the deterministic
+# in-process backend, and the layered path pinned to committed fingerprints
+# on both.
 run_tests --release -q -p dstress-mpc --test transport_determinism
 run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results
 run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
@@ -211,10 +213,15 @@ run_tests --release -q -p dstress-deploy --test kill_resume
 echo "==> socket frame layer: fault injection errors cleanly, never hangs"
 # Torn/partial frames, trailing garbage, oversized length prefixes,
 # mid-message disconnects and silent peers all surface as typed
-# TransportErrors within the stall timeout.
+# TransportErrors within the stall timeout. A well-framed message out of
+# protocol ends the run at once: the actor that rejects it fails the run
+# (Sim and Socket alike), and a GMW party names itself, the peer and the
+# layer in a typed MpcError instead of panicking the worker.
 run_tests -q -p dstress-net --test socket_faults
 run_tests -q -p dstress-net frame::
 run_tests -q -p dstress-net socket::
+run_tests -q -p dstress-net a_failed_actor_aborts_the_run_at_once
+run_tests -q -p dstress-mpc out_of_protocol_peer_ends_the_run_typed_within_a_second
 
 echo "==> sessions: faults on a shared connection, the stream envelope, multiplexed determinism, lane shapes"
 # One mesh carries many block MPCs as streams.  A fault injected

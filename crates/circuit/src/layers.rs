@@ -9,7 +9,9 @@
 //! gate (XOR/NOT/input/constant) into the earliest gap between layers at
 //! which its inputs exist.  A round-batched evaluator then needs exactly
 //! one exchange per pair per layer, so its round count is the circuit's
-//! AND depth instead of its AND-gate count.
+//! AND depth instead of its AND-gate count.  [`CircuitLayers::serial`] is
+//! the other extreme — one AND gate per layer, the flat walk — for
+//! measuring what the batching saves.
 //!
 //! The layer of a wire is defined inductively: inputs and constants sit at
 //! layer 0, XOR/NOT inherit the maximum layer of their inputs, and an AND
@@ -67,6 +69,11 @@ pub struct CircuitLayers {
     free_schedule: Vec<Vec<WireId>>,
 }
 
+/// An operand wire id at the width the layering stores it.
+fn narrow(wire: WireId) -> u32 {
+    u32::try_from(wire).expect("circuits have fewer than 2^32 wires")
+}
+
 /// One empty vector per layer, each with room for exactly its width.
 fn sized<T>(widths: &[usize]) -> Vec<Vec<T>> {
     widths.iter().map(|&w| Vec::with_capacity(w)).collect()
@@ -106,8 +113,6 @@ impl CircuitLayers {
         let mut and_layers: Vec<Vec<WireId>> = sized(&and_widths);
         let mut and_operands: Vec<Vec<(u32, u32)>> = sized(&and_widths);
         let mut free_schedule: Vec<Vec<WireId>> = sized(&free_widths);
-        let narrow =
-            |wire: WireId| u32::try_from(wire).expect("circuits have fewer than 2^32 wires");
         for (i, gate) in gates.iter().enumerate() {
             if let Gate::And(a, b) = *gate {
                 and_layers[layer[i] - 1].push(i);
@@ -121,6 +126,32 @@ impl CircuitLayers {
             and_operands,
             free_schedule,
         }
+    }
+
+    /// The serial layering of a circuit: every AND gate alone in a layer
+    /// of its own, in wire order, and every free gate scheduled right
+    /// after the last AND gate before it — the flat gate walk, one AND
+    /// gate per round.  A round-batched evaluator run over it makes one
+    /// exchange per AND gate.
+    pub fn serial(circuit: &Circuit) -> Self {
+        let mut layers = CircuitLayers {
+            and_layers: Vec::new(),
+            and_operands: Vec::new(),
+            free_schedule: Vec::new(),
+        };
+        // The free gates since the last AND gate.
+        let mut gap = Vec::new();
+        for (i, gate) in circuit.gates().iter().enumerate() {
+            if let Gate::And(a, b) = *gate {
+                layers.and_layers.push(vec![i]);
+                layers.and_operands.push(vec![(narrow(a), narrow(b))]);
+                layers.free_schedule.push(std::mem::take(&mut gap));
+            } else {
+                gap.push(i);
+            }
+        }
+        layers.free_schedule.push(gap);
+        layers
     }
 
     /// Number of AND rounds (the circuit's AND depth over all gates).
@@ -369,7 +400,26 @@ mod tests {
             prop_assert_eq!(scheduled, circuit.len());
             let flat = evaluate_wires(&circuit, &input_bits).unwrap();
             let layered = evaluate_layered(&circuit, &layers, &input_bits).unwrap();
-            prop_assert_eq!(flat, layered);
+            prop_assert_eq!(&flat, &layered);
+
+            // The serial layering: one gate per layer, in wire order, and
+            // its schedule is the flat walk cut at every AND gate.
+            let serial = CircuitLayers::serial(&circuit);
+            prop_assert_eq!(serial.rounds(), circuit.and_gates());
+            prop_assert_eq!(serial.widest_layer(), usize::from(circuit.and_gates() > 0));
+            prop_assert_eq!(serial.free_schedule().len(), serial.rounds() + 1);
+            let mut walk = Vec::new();
+            for round in 0..=serial.rounds() {
+                walk.extend(&serial.free_schedule()[round]);
+                if round < serial.rounds() {
+                    let w = serial.and_layers()[round][0];
+                    let (a, b) = serial.and_operands(round).next().unwrap();
+                    prop_assert_eq!(circuit.gates()[w], Gate::And(a, b));
+                    walk.push(w);
+                }
+            }
+            prop_assert_eq!(walk, (0..circuit.len()).collect::<Vec<_>>());
+            prop_assert_eq!(evaluate_layered(&circuit, &serial, &input_bits).unwrap(), flat);
         }
     }
 }

@@ -29,8 +29,32 @@ pub enum MpcError {
     OutputShareMismatch,
     /// The transport driving the per-party state machines stalled (a
     /// protocol bug: every unfinished party idle with no message in
-    /// flight).
+    /// flight) or, on sockets, failed.
     Transport(dstress_net::transport::TransportError),
+    /// A peer sent what the GMW schedule does not allow at this point:
+    /// the wrong message kind, or a batch whose layer tag or width does
+    /// not match the AND layer in flight.  Peer bytes are untrusted
+    /// input, so the receiving party ends the run with this instead of
+    /// panicking.
+    UnexpectedMessage {
+        /// The party that rejected the message.
+        party: usize,
+        /// The peer that sent it.
+        peer: usize,
+        /// The message kind the schedule expected (`OtSetup`, `Choices`
+        /// or `Responses`).
+        expected: &'static str,
+        /// Index of the AND layer in flight.
+        layer: u32,
+        /// AND gates in the layer in flight.
+        gates: usize,
+        /// The kind of the message that arrived.
+        found: &'static str,
+        /// Its layer tag (0 for `OtSetup`).
+        found_layer: u32,
+        /// Its batch width (0 for `OtSetup`).
+        found_gates: usize,
+    },
 }
 
 impl fmt::Display for MpcError {
@@ -49,6 +73,20 @@ impl fmt::Display for MpcError {
             }
             MpcError::OutputShareMismatch => write!(f, "output share vectors disagree in length"),
             MpcError::Transport(e) => write!(f, "transport error: {e}"),
+            MpcError::UnexpectedMessage {
+                party,
+                peer,
+                expected,
+                layer,
+                gates,
+                found,
+                found_layer,
+                found_gates,
+            } => write!(
+                f,
+                "party {party}: {found} from party {peer} carry layer {found_layer} with \
+                 {found_gates} gates, expected {expected} for layer {layer} with {gates} gates"
+            ),
         }
     }
 }
@@ -94,5 +132,20 @@ mod tests {
             actors: 3,
         });
         assert!(t.to_string().contains("stalled"));
+        let u = MpcError::UnexpectedMessage {
+            party: 2,
+            peer: 4,
+            expected: "Choices",
+            layer: 9,
+            gates: 18,
+            found: "OtSetup",
+            found_layer: 0,
+            found_gates: 0,
+        };
+        assert_eq!(
+            u.to_string(),
+            "party 2: OtSetup from party 4 carry layer 0 with 0 gates, \
+             expected Choices for layer 9 with 18 gates"
+        );
     }
 }

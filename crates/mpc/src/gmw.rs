@@ -8,9 +8,13 @@
 //! layer ([`GmwBatching::Layered`], the default): the number of
 //! sequential communication rounds scales with the circuit's AND depth,
 //! not its AND-gate count — the amortisation that makes the paper's
-//! wide-area deployment viable (§5.1).  The historical one-exchange-per-
-//! gate path remains available ([`GmwBatching::PerGate`]) for A/B round
-//! measurements and is bit-identical in everything but rounds.  This is
+//! wide-area deployment viable (§5.1).  There is one party state machine;
+//! [`GmwBatching::PerGate`] runs it over the serial layering
+//! ([`CircuitLayers::serial`], one AND gate per layer) for A/B round
+//! measurements, bit-identical in everything but rounds and framing.
+//! What keeps both honest is the plaintext [`dstress_circuit::evaluate`]
+//! and the layered path's pinned fingerprints
+//! (`tests/transport_determinism.rs`).  This is
 //! exactly the protocol the DStress prototype runs inside each block
 //! (§3.3, §5.1), and its cost structure — traffic quadratic in the block
 //! size overall but linear per node, time linear in block size because
@@ -26,19 +30,24 @@
 //! [`GmwProtocol::execute`] is the convenience entry point over the
 //! deterministic backend.
 //!
-//! [`execute_batch`] is the door everything goes through: it runs several
+//! Two doors run batches, both over one body: each runs several
 //! executions of one circuit — each a [`GmwJob`] with its own members,
 //! shares and seed — as the concurrent groups of one
 //! [`dstress_net::transport::Session`], so the block MPCs of a window
-//! share a socket mesh instead of building one each.
-//! [`GmwProtocol::execute_seeded`] is the batch of one on a session of
-//! its own.  Executions never interact: an execution's shares, counts,
-//! rounds and bytes are the same alone, in a batch, and on either
-//! backend.
+//! share a socket mesh instead of building one each.  Executions never
+//! interact: an execution's shares, counts, rounds and bytes are the same
+//! alone, in a batch, and on either backend.
 //!
-//! Those doors are one-shot: each execution sets its pairs' OT-extension
-//! sessions up itself.  [`execute_established`] is the same batch on the
-//! sessions an engine run set up once, in its Initialization step.
+//! * [`execute_established`] is the engine's door: every block,
+//!   aggregation and noising MPC of a run goes through it, on the pairs'
+//!   OT-extension sessions the run set up once, in its Initialization
+//!   step.
+//! * [`execute_batch`] is the one-shot door: each execution sets its
+//!   pairs' sessions up itself.  [`GmwProtocol::execute_seeded`] is its
+//!   batch of one on a session of its own.
+//!
+//! A party that rejects a peer's message ends the batch at once with
+//! [`MpcError::UnexpectedMessage`], on every backend.
 //!
 //! The executor measures, for every run: per-party bytes sent/received,
 //! the number of OTs and AND gates, and the number of communication
@@ -46,23 +55,23 @@
 
 use crate::error::MpcError;
 use crate::party::{GmwBatching, GmwMessage, GmwParty, OtConfig};
-use dstress_circuit::{Circuit, Gate};
+use dstress_circuit::{Circuit, CircuitLayers, Gate};
 use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
-use dstress_net::transport::{NodeActor, Session, SimTransport, Transport};
+use dstress_net::transport::{NodeActor, Session, SimTransport, Transport, TransportError};
 use dstress_net::wire::WireTally;
 
-/// Configuration of a GMW execution.
+/// Configuration of a GMW execution: one party (the DStress block has
+/// `k + 1`) per node identity.
 #[derive(Clone, Debug)]
 pub struct GmwConfig {
-    /// Number of parties (the DStress block size `k + 1`).
-    pub parties: usize,
     /// Node identities used for traffic accounting, one per party.
     pub node_ids: Vec<NodeId>,
-    /// How AND-gate OTs are grouped into messages (layer-batched by
-    /// default; per-gate kept for A/B round measurements).
+    /// Which layering the parties walk: the depth layering by default
+    /// (one exchange per AND layer), the serial one (one exchange per
+    /// AND gate) for A/B round measurements.
     pub batching: GmwBatching,
 }
 
@@ -70,17 +79,12 @@ impl GmwConfig {
     /// Creates a configuration for `parties` parties with node ids
     /// `0..parties`.
     pub fn with_default_ids(parties: usize) -> Self {
-        GmwConfig {
-            parties,
-            node_ids: (0..parties).map(NodeId).collect(),
-            batching: GmwBatching::default(),
-        }
+        GmwConfig::with_node_ids((0..parties).map(NodeId).collect())
     }
 
     /// Creates a configuration with explicit node identities.
     pub fn with_node_ids(node_ids: Vec<NodeId>) -> Self {
         GmwConfig {
-            parties: node_ids.len(),
             node_ids,
             batching: GmwBatching::default(),
         }
@@ -105,9 +109,10 @@ pub struct GmwExecution {
     /// Measured sequential one-way communication rounds per party pair
     /// (pairs exchange in parallel, so this is the critical path, not a
     /// sum over pairs): the OT session setup (not on established
-    /// sessions, [`execute_established`]), two rounds per AND layer
+    /// sessions, [`execute_established`]), two rounds per layer of the
+    /// layering the parties walked — per AND layer
     /// ([`GmwBatching::Layered`]) or per AND gate
-    /// ([`GmwBatching::PerGate`]), plus the output-reconstruction round.
+    /// ([`GmwBatching::PerGate`]) — plus the output-reconstruction round.
     pub rounds: u64,
     /// Per-party bytes sent during this execution (analytical model).
     pub bytes_sent_per_party: Vec<u64>,
@@ -129,22 +134,16 @@ impl GmwProtocol {
     ///
     /// Returns [`MpcError::TooFewParties`] for fewer than two parties.
     pub fn new(config: GmwConfig) -> Result<Self, MpcError> {
-        if config.parties < 2 {
-            return Err(MpcError::TooFewParties {
-                parties: config.parties,
-            });
-        }
-        if config.node_ids.len() != config.parties {
-            return Err(MpcError::TooFewParties {
-                parties: config.node_ids.len(),
-            });
+        let parties = config.node_ids.len();
+        if parties < 2 {
+            return Err(MpcError::TooFewParties { parties });
         }
         Ok(GmwProtocol { config })
     }
 
-    /// Number of parties.
+    /// Number of parties: one per configured node identity.
     pub fn parties(&self) -> usize {
-        self.config.parties
+        self.config.node_ids.len()
     }
 
     /// Executes `circuit` on XOR-shared inputs with the deterministic
@@ -227,7 +226,7 @@ impl GmwProtocol {
         // Shapes first: a malformed job must not cost a mesh.
         job.check(circuit)?;
         let mut session = transport
-            .open(self.config.parties)
+            .open(self.parties())
             .map_err(MpcError::Transport)?;
         let (execution, flows) =
             execute_batch(&mut *session, circuit, self.config.batching, ot, vec![job])?
@@ -297,8 +296,10 @@ impl GmwJob {
 ///
 /// Returns [`MpcError::TooFewParties`] or
 /// [`MpcError::InputShareMismatch`] for a malformed job, before the
-/// session is touched, and [`MpcError::Transport`] if the run fails — a
-/// job whose party count is not the session's node count included.
+/// session is touched, [`MpcError::UnexpectedMessage`] as soon as a party
+/// rejects a peer's message, and [`MpcError::Transport`] if the run fails
+/// otherwise — a job whose party count is not the session's node count
+/// included.
 pub fn execute_batch(
     session: &mut dyn Session<GmwMessage>,
     circuit: &Circuit,
@@ -340,6 +341,14 @@ fn run_batch(
     for job in &jobs {
         job.check(circuit)?;
     }
+    let serial;
+    let layers = match batching {
+        GmwBatching::Layered => circuit.layers(),
+        GmwBatching::PerGate => {
+            serial = CircuitLayers::serial(circuit);
+            &serial
+        }
+    };
     let mut members = Vec::with_capacity(jobs.len());
     let mut parties: Vec<Vec<GmwParty>> = Vec::with_capacity(jobs.len());
     for job in jobs {
@@ -355,7 +364,7 @@ fn run_batch(
                         share,
                         ot,
                         job.master_seed,
-                        batching,
+                        layers,
                     )
                     .with_established_sessions(established)
                 })
@@ -375,8 +384,17 @@ fn run_batch(
             .collect();
         let mut groups: Vec<&mut [&mut dyn NodeActor<GmwMessage>]> =
             actors.iter_mut().map(Vec::as_mut_slice).collect();
-        session.run(&mut groups).map_err(MpcError::Transport)?
+        session.run(&mut groups)
     };
+    let tallies = tallies.map_err(|error| match error {
+        // The party that ended the run knows why: the first group in
+        // which that node's party failed.
+        TransportError::Aborted { node } => parties
+            .iter()
+            .find_map(|group| group.get(node)?.failure().cloned())
+            .unwrap_or(MpcError::Transport(error)),
+        error => MpcError::Transport(error),
+    })?;
     // One allocation-free pass: the gate counts are all the merge needs
     // of the circuit's statistics.
     let free_gates = circuit
@@ -524,6 +542,21 @@ mod tests {
             GmwProtocol::new(GmwConfig::with_default_ids(1)).unwrap_err(),
             MpcError::TooFewParties { parties: 1 }
         ));
+    }
+
+    #[test]
+    fn parties_are_counted_from_the_node_ids() {
+        // Once a stored field beside `node_ids`: three parties with five
+        // ids was rejected as "at least 2 parties, got 5".
+        let five = (0..5).map(|i| NodeId(10 + i)).collect();
+        let protocol = GmwProtocol::new(GmwConfig::with_node_ids(five)).unwrap();
+        assert_eq!(protocol.parties(), 5);
+        let protocol = GmwProtocol::new(GmwConfig::with_default_ids(3)).unwrap();
+        assert_eq!(protocol.parties(), 3);
+        assert_eq!(
+            GmwProtocol::new(GmwConfig::with_node_ids(vec![NodeId(7)])).unwrap_err(),
+            MpcError::TooFewParties { parties: 1 }
+        );
     }
 
     #[test]
@@ -765,7 +798,7 @@ mod tests {
             .map(|p| {
                 let share = job.input_shares[p].clone();
                 let (ids, seed) = (job.node_ids.clone(), job.master_seed);
-                let party = GmwParty::new(circuit, p, ids, share, &ot, seed, GmwBatching::Layered);
+                let party = GmwParty::new(circuit, p, ids, share, &ot, seed, circuit.layers());
                 Counted(party.with_established_sessions(established), 0)
             })
             .collect();
@@ -841,6 +874,128 @@ mod tests {
                 setups_on_the_wire(transport, &circuit, &job, true),
                 0,
                 "{name}"
+            );
+        }
+    }
+
+    /// A session whose node-1 parties are scripted out of protocol: they
+    /// send `Responses` wherever their `Choices` are due.
+    struct OutOfProtocol<'s>(Box<dyn Session<GmwMessage> + 's>);
+
+    struct Swapping<'e>(&'e mut dyn Endpoint<GmwMessage>);
+
+    impl Endpoint<GmwMessage> for Swapping<'_> {
+        fn nodes(&self) -> usize {
+            self.0.nodes()
+        }
+        fn send(&mut self, to: usize, message: GmwMessage) {
+            let message = match message {
+                GmwMessage::Choices {
+                    layer,
+                    pairs,
+                    ot_payload,
+                } => GmwMessage::Responses {
+                    layer,
+                    bits: pairs.iter().map(|&(x, _)| x).collect(),
+                    ot_payload,
+                },
+                other => other,
+            };
+            self.0.send(to, message);
+        }
+        fn try_recv_from(&mut self, peer: usize) -> Option<GmwMessage> {
+            self.0.try_recv_from(peer)
+        }
+    }
+
+    /// One actor of an [`OutOfProtocol`] run, scripted or not.
+    struct Member<'a>(&'a mut dyn NodeActor<GmwMessage>, bool);
+
+    impl NodeActor<GmwMessage> for Member<'_> {
+        fn poll(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
+            if self.1 {
+                self.0.poll(&mut Swapping(endpoint))
+            } else {
+                self.0.poll(endpoint)
+            }
+        }
+    }
+
+    impl Session<GmwMessage> for OutOfProtocol<'_> {
+        fn nodes(&self) -> usize {
+            self.0.nodes()
+        }
+        fn run(
+            &mut self,
+            groups: &mut [&mut [&mut dyn NodeActor<GmwMessage>]],
+        ) -> Result<Vec<WireTally>, TransportError> {
+            let mut members: Vec<Vec<Member>> = groups
+                .iter_mut()
+                .map(|group| {
+                    let actors = group.iter_mut().enumerate();
+                    actors
+                        .map(|(i, actor)| Member(&mut **actor, i == 1))
+                        .collect()
+                })
+                .collect();
+            let mut actors: Vec<Vec<&mut dyn NodeActor<GmwMessage>>> = members
+                .iter_mut()
+                .map(|group| {
+                    let members = group.iter_mut();
+                    members
+                        .map(|m| m as &mut dyn NodeActor<GmwMessage>)
+                        .collect()
+                })
+                .collect();
+            let mut groups: Vec<&mut [&mut dyn NodeActor<GmwMessage>]> =
+                actors.iter_mut().map(Vec::as_mut_slice).collect();
+            self.0.run(&mut groups)
+        }
+    }
+
+    #[test]
+    fn out_of_protocol_peer_ends_the_run_typed_within_a_second() {
+        // Party 1 answers with `Responses` where its layer-0 `Choices` are
+        // due: party 0 rejects them and the run ends with that typed error
+        // at once — on sockets too, long before the 60 s stall timeout —
+        // where it used to panic the worker.
+        let circuit = adder_circuit(8);
+        let mut inputs = encode_word(5, 8);
+        inputs.extend(encode_word(6, 8));
+        let job = GmwJob {
+            node_ids: vec![NodeId(3), NodeId(4)],
+            input_shares: share_inputs(&inputs, 2, &mut Xoshiro256::new(0xBAD)),
+            master_seed: 0xBAD,
+        };
+        let gates = circuit.layers().and_layers()[0].len();
+        let expected = MpcError::UnexpectedMessage {
+            party: 0,
+            peer: 1,
+            expected: "Choices",
+            layer: 0,
+            gates,
+            found: "Responses",
+            found_layer: 0,
+            found_gates: gates,
+        };
+        let socket = SocketTransport::with_threads(2);
+        for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
+            let mut session = OutOfProtocol(transport.open(2).unwrap());
+            let started = std::time::Instant::now(); // lint:allow-nondeterminism -- test-only deadline
+            let error = execute_established(
+                &mut session,
+                &circuit,
+                GmwBatching::Layered,
+                &OtConfig::extension(),
+                vec![job.clone()],
+            )
+            .unwrap_err();
+            assert_eq!(error, expected, "{}", transport.name());
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(1),
+                "{} took {:?}",
+                transport.name(),
+                started.elapsed()
             );
         }
     }

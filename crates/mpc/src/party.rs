@@ -13,24 +13,25 @@
 //! ## Wire protocol
 //!
 //! For every AND gate, each unordered party pair `(i, j)` with `i < j`
-//! performs one 1-out-of-4 OT in which `i` is the sender.  How those OTs
-//! map onto messages is the [`GmwBatching`] knob:
+//! performs one 1-out-of-4 OT in which `i` is the sender.  A party walks
+//! one schedule, a [`CircuitLayers`] lent to it: free gates run locally
+//! between AND layers, and all of a layer's OTs ride in **one** message
+//! pair per peer:
 //!
-//! * [`GmwBatching::Layered`] (the default) — the circuit is partitioned
-//!   into AND layers ([`dstress_circuit::CircuitLayers`]) and all of a
-//!   layer's OTs ride in **one** message pair per peer:
-//!   1. `j` sends [`GmwMessage::Choices`] (its shares of every gate input
-//!      in the layer).
-//!   2. `i` serves the whole layer through the pair's
-//!      [`OtProvider::transfer_many`] and answers with one
-//!      [`GmwMessage::Responses`].
+//! 1. `j` sends [`GmwMessage::Choices`] (its shares of every gate input in
+//!    the layer).
+//! 2. `i` serves the whole layer through the pair's
+//!    [`OtProvider::transfer_many`] and answers with one
+//!    [`GmwMessage::Responses`].
 //!
-//!   Rounds per pair therefore scale with the circuit's AND *depth*, the
-//!   dominant wide-area cost in the paper's model.
-//! * [`GmwBatching::PerGate`] — the historical path, one
-//!   [`GmwMessage::Choice`]/[`GmwMessage::Response`] exchange per AND
-//!   gate, kept for A/B round measurements.  Rounds scale with the AND
-//!   *gate count*.
+//! There is one state machine; the [`GmwBatching`] knob only chooses the
+//! layering it walks.  [`GmwBatching::Layered`] (the default) lends the
+//! circuit's depth layering ([`Circuit::layers`]), so rounds per pair
+//! scale with the circuit's AND *depth*, the dominant wide-area cost in
+//! the paper's model.  [`GmwBatching::PerGate`] lends the serial layering
+//! ([`CircuitLayers::serial`], one AND gate per layer, in wire order), so
+//! rounds scale with the AND *gate count* — kept for A/B round
+//! measurements.
 //!
 //! A pair's OTs extend from an OT-extension *session*: κ base OTs whose
 //! key material one [`GmwMessage::OtSetup`] message carries in each
@@ -39,27 +40,27 @@
 //! who pays for it.  Parties of a one-shot execution
 //! ([`crate::gmw::GmwProtocol::execute_seeded`],
 //! [`crate::gmw::execute_batch`]) set their sessions up *lazily*, at the
-//! first AND layer (or AND gate, in per-gate mode) and only then: a
+//! first AND layer and only then: a
 //! circuit with no AND gates performs no oblivious transfers and
 //! therefore pays no setup rounds, bytes or base OTs.  Parties built by
 //! [`crate::gmw::execute_established`] start on sessions the engine set up
 //! once per node pair per run, in its Initialization step, and send no
 //! `OtSetup` at all.
 //!
-//! Each choice message additionally carries the OT receiver-side payload
-//! (extension-matrix columns or public keys) and each response the
-//! sender-side payload, so the *measured* encoded bytes of a run
+//! Each `Choices` message additionally carries the OT receiver-side
+//! payload (extension-matrix columns or public keys) and each `Responses`
+//! the sender-side payload, so the *measured* encoded bytes of a run
 //! reconcile with the analytic model; see [`crate::wire`] for the exact
 //! layouts.  Payload *content* is derived from the pair's seed
 //! ([`crate::wire::ot_payload`]), so transcripts are replayable and
 //! byte-identical across backends by construction.
 //!
-//! The two modes exchange the same OT payloads in a different grouping:
+//! Two layerings exchange the same OT payloads in a different grouping:
 //! every AND-gate mask is derived from the pair `(wire, peer)` rather than
 //! drawn from a sequential stream, so output shares, operation counts and
-//! modeled traffic totals are bit-identical across modes (and across
-//! transport backends); only the measured round count and the measured
-//! per-message framing bytes differ.
+//! modeled traffic totals are bit-identical across [`GmwBatching`] modes
+//! (and across transport backends); only the measured round count and the
+//! measured per-message framing bytes differ.
 //!
 //! The lower-indexed party owns the pair's OT provider and accounts the
 //! pair's operation counts and traffic (both directions) in its own
@@ -97,10 +98,14 @@
 //! `derive_seed(mask_seed, "and_mask", wire · parties + peer)` (its two
 //! index-independent mixing rounds are hoisted out of the per-gate loop),
 //! and the bytes, counts, rounds and shares of an execution are pinned
-//! absolutely by `tests/transport_determinism.rs`.  A peer's batch whose
-//! layer tag or length does not match the layer in flight is rejected in
-//! every build profile, naming party, peer and layer — socket bytes are
-//! untrusted input.
+//! absolutely by `tests/transport_determinism.rs`.
+//!
+//! A peer's message of the wrong kind, or a batch whose layer tag or
+//! width does not match the layer in flight, is rejected in every build
+//! profile with [`MpcError::UnexpectedMessage`], naming party, peer and
+//! layer: the party stops and returns [`ActorStatus::Failed`], which ends
+//! the run at once on every transport — socket bytes are untrusted input,
+//! and a party never panics on them.
 //!
 //! ## Example
 //!
@@ -146,6 +151,7 @@
 //! assert_eq!(decode_word(&reconstruct_outputs(&sim.output_shares).unwrap()), 42);
 //! ```
 
+use crate::error::MpcError;
 use crate::ot::{ElGamalOt, OtProvider, OtRequest, SimulatedOtExtension, BASE_OT_ELEMENT_BYTES};
 use dstress_circuit::{Circuit, CircuitLayers, Gate};
 use dstress_crypto::group::{Group, GroupKind};
@@ -157,8 +163,8 @@ use dstress_net::transport::{ActorStatus, Endpoint, NodeActor};
 /// A GMW protocol message, routed between parties by a transport.
 ///
 /// Every variant has a hand-rolled wire encoding (see [`crate::wire`]):
-/// the per-gate and batched choice/share bits are bit-packed (one bit
-/// each), and the `ot_payload` fields carry the oblivious-transfer
+/// the batched choice/share bits are bit-packed (one bit each), and the
+/// `ot_payload` fields carry the oblivious-transfer
 /// traffic that rides in the same round — base-OT key material at setup,
 /// extension-matrix columns with the choices, masked messages with the
 /// responses.  The payload *sizes* are protocol-faithful (they match the
@@ -180,64 +186,44 @@ pub enum GmwMessage {
         /// Seed-derived key material sized by the provider's setup cost.
         ot_payload: Vec<u8>,
     },
-    /// Per-gate mode, OT receiver → sender: the receiver's shares of one
-    /// AND gate's inputs (its 1-out-of-4 choice).  Flows from the
-    /// higher-indexed to the lower-indexed party of a pair.
-    Choice {
-        /// Wire id of the AND gate, for in-order delivery checks.
-        gate: u32,
-        /// The receiver's share of the gate's left input.
-        x: bool,
-        /// The receiver's share of the gate's right input.
-        y: bool,
-        /// This OT's receiver-side payload (extension-matrix column or
-        /// the four ElGamal public keys), sized by the provider.
-        ot_payload: Vec<u8>,
-    },
-    /// Per-gate mode, OT sender → receiver: the masked table entry the
-    /// receiver chose.
-    Response {
-        /// Wire id of the AND gate.
-        gate: u32,
-        /// The received bit.
-        bit: bool,
-        /// This OT's sender-side payload (masked messages or the four
-        /// ElGamal ciphertexts), sized by the provider.
-        ot_payload: Vec<u8>,
-    },
-    /// Layered mode, OT receiver → sender: the receiver's input shares for
-    /// *every* AND gate of one circuit layer, in layer order — a whole
-    /// round's worth of choices in one message, two bit-packed planes.
+    /// OT receiver → sender: the receiver's input shares (its 1-out-of-4
+    /// choices) for *every* AND gate of one layer, in layer order — a
+    /// whole round's worth of choices in one message, two bit-packed
+    /// planes.  Flows from the higher-indexed to the lower-indexed party
+    /// of a pair.
     Choices {
         /// Index of the AND layer, for in-order delivery checks.
         layer: u32,
         /// `(x, y)` input shares per gate of the layer.
         pairs: Vec<(bool, bool)>,
-        /// The layer's batched receiver-side OT payload.
+        /// The layer's batched receiver-side OT payload (extension-matrix
+        /// columns or ElGamal public keys), sized by the provider.
         ot_payload: Vec<u8>,
     },
-    /// Layered mode, OT sender → receiver: the masked table entries for
-    /// every AND gate of one circuit layer, one bit-packed plane.
+    /// OT sender → receiver: the masked table entries the receiver chose,
+    /// for every AND gate of one layer, one bit-packed plane.
     Responses {
         /// Index of the AND layer.
         layer: u32,
         /// The received bit per gate of the layer.
         bits: Vec<bool>,
-        /// The layer's batched sender-side OT payload.
+        /// The layer's batched sender-side OT payload (masked messages or
+        /// ElGamal ciphertexts), sized by the provider.
         ot_payload: Vec<u8>,
     },
 }
 
-/// How a party groups its AND-gate OTs into messages.
+/// Which layering a party's one schedule walks, and so how its AND-gate
+/// OTs group into messages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GmwBatching {
-    /// One message exchange per AND gate per pair: rounds scale with the
-    /// AND-gate count.  Kept for A/B measurements against the paper's
-    /// round model.
+    /// One message exchange per AND gate per pair: the serial layering
+    /// ([`CircuitLayers::serial`]), so rounds scale with the AND-gate
+    /// count.  Kept for A/B measurements against the paper's round model.
     PerGate,
-    /// One message exchange per AND *layer* per pair: rounds scale with
-    /// the circuit's AND depth (the paper's §5.1 amortisation).  The
-    /// default.
+    /// One message exchange per AND *layer* per pair: the depth layering
+    /// ([`Circuit::layers`]), so rounds scale with the circuit's AND depth
+    /// (the paper's §5.1 amortisation).  The default.
     #[default]
     Layered,
 }
@@ -412,41 +398,21 @@ fn derive_stream(master: u64, tag: u64) -> u64 {
     mix(mix(master.wrapping_add(0x9E37_79B9_7F4A_7C15)) ^ tag)
 }
 
-/// The OT-sender mask for one AND gate toward one peer, derived from the
-/// party's mask stream.
+/// The OT-sender mask for one AND gate toward one peer:
+/// `derive_seed(mask_seed, TAG_AND_MASK, wire · parties + peer)`, from the
+/// party's mask stream (`derive_stream(mask_seed, TAG_AND_MASK)`, whose
+/// index-independent mixing rounds are hoisted out of the per-gate loop).
 ///
 /// Keying the mask by `(wire, peer)` — instead of drawing from a
-/// sequential stream — makes the mask independent of the order in which
-/// gates are processed, which is what keeps [`GmwBatching::Layered`] and
-/// [`GmwBatching::PerGate`] executions bit-identical in their output
-/// shares.
-fn mask_bit(mask_seed: u64, parties: usize, wire: usize, peer: usize) -> bool {
-    derive_seed(mask_seed, TAG_AND_MASK, (wire * parties + peer) as u64) & 1 == 1
+/// sequential stream — makes the mask independent of the layering the
+/// gates are processed in, which is what keeps every [`GmwBatching`]
+/// mode bit-identical in its output shares.
+fn mask_bit(mask_stream: u64, parties: usize, wire: usize, peer: usize) -> bool {
+    mix(mask_stream ^ (wire * parties + peer) as u64) & 1 == 1
 }
 
-/// In-flight state of the AND gate a party is evaluating (per-gate mode).
-#[derive(Clone, Copy, Debug)]
-struct AndGateState {
-    /// The gate's wire id.
-    wire: usize,
-    /// Left input wire.
-    a: usize,
-    /// Right input wire.
-    b: usize,
-    /// The party's accumulating share of the gate output.
-    share: bool,
-    /// Whether the choice messages to lower-indexed peers went out.
-    choices_sent: bool,
-    /// Next higher-indexed peer whose Choice this party (as OT sender)
-    /// still has to serve.
-    next_sender_peer: usize,
-    /// Next lower-indexed peer whose Response this party (as OT
-    /// receiver) still awaits.
-    next_receiver_peer: usize,
-}
-
-/// In-flight state of the AND layer a party is evaluating (layered mode);
-/// the layer's share accumulators live in the party's scratch buffers.
+/// In-flight state of the AND layer a party is evaluating; the layer's
+/// share accumulators live in the party's scratch buffers.
 #[derive(Clone, Copy, Debug)]
 struct LayerState {
     /// Index of the layer in the circuit's [`CircuitLayers`].
@@ -462,16 +428,12 @@ struct LayerState {
 /// One party of a GMW execution, runnable on any transport backend.
 pub struct GmwParty<'c> {
     circuit: &'c Circuit,
-    /// The circuit's memoised depth layering ([`Circuit::layers`]).
+    /// The layering the schedule walks ([`GmwBatching`]).
     layers: &'c CircuitLayers,
-    batching: GmwBatching,
     index: usize,
     parties: usize,
     node_ids: Vec<NodeId>,
-    /// Seed of this party's AND-mask stream (see [`mask_bit`]).
-    mask_seed: u64,
-    /// [`derive_stream`] of the mask seed: the layered path's per-gate
-    /// mask is one mixing round on top of this.
+    /// This party's AND-mask stream (see [`mask_bit`]).
     mask_stream: u64,
     /// OT provider for every pair this party owns (peers with a larger
     /// index); `None` for peers whose pair the peer owns.
@@ -492,10 +454,10 @@ pub struct GmwParty<'c> {
     wires: Vec<bool>,
     counts: OperationCounts,
     traffic: TrafficAccountant,
-    /// Layered mode: modeled OT traffic per peer, folded into `traffic`
-    /// once when the party finishes.
+    /// Modeled OT traffic per peer, folded into `traffic` once when the
+    /// party finishes.
     flows: Vec<PairFlow>,
-    /// Layered-mode scratch, reused across layers: this party's `(x, y)`
+    /// Scratch reused across layers: this party's `(x, y)`
     /// input shares and accumulating output share per gate of the layer
     /// in flight, and the OT requests toward the peer being served.
     layer_inputs: Vec<(bool, bool)>,
@@ -506,10 +468,7 @@ pub struct GmwParty<'c> {
     /// back).  All pairs run in parallel, so this is the sequential
     /// critical path, not a sum over pairs.
     protocol_rounds: u64,
-    // Per-gate mode cursor.
-    gate_index: usize,
-    and_state: Option<AndGateState>,
-    // Layered mode cursor.
+    // Schedule cursor.
     round: usize,
     free_done: bool,
     layer_state: Option<LayerState>,
@@ -520,16 +479,20 @@ pub struct GmwParty<'c> {
     setup_recv_peer: usize,
     setup_done: bool,
     finished: bool,
+    /// Why the party stopped, once a peer's message broke the schedule.
+    failure: Option<MpcError>,
 }
 
 impl<'c> GmwParty<'c> {
-    /// Creates party `index` of `node_ids.len()` parties.
+    /// Creates party `index` of `node_ids.len()` parties, walking
+    /// `layers` — a layering of `circuit`: its depth layering
+    /// ([`Circuit::layers`]) or its serial one ([`CircuitLayers::serial`]),
+    /// as [`GmwBatching`] chooses.
     ///
     /// `input_share` is this party's XOR share of every circuit input.
     /// All party and pair randomness derives from `master_seed`, so a
     /// fixed seed yields bit-identical executions on every backend — and,
-    /// because AND masks are keyed by `(wire, peer)`, across both
-    /// [`GmwBatching`] modes.
+    /// because AND masks are keyed by `(wire, peer)`, over every layering.
     pub fn new(
         circuit: &'c Circuit,
         index: usize,
@@ -537,7 +500,7 @@ impl<'c> GmwParty<'c> {
         input_share: Vec<bool>,
         ot: &OtConfig,
         master_seed: u64,
-        batching: GmwBatching,
+        layers: &'c CircuitLayers,
     ) -> Self {
         let parties = node_ids.len();
         let mask_seed = derive_seed(master_seed, TAG_PARTY_RNG, index as u64);
@@ -559,12 +522,10 @@ impl<'c> GmwParty<'c> {
             .collect();
         GmwParty {
             circuit,
-            layers: circuit.layers(),
-            batching,
+            layers,
             index,
             parties,
             node_ids,
-            mask_seed,
             mask_stream: derive_stream(mask_seed, TAG_AND_MASK),
             ots,
             pair_payload_seed,
@@ -583,8 +544,6 @@ impl<'c> GmwParty<'c> {
             layer_shares: Vec::new(),
             requests: Vec::new(),
             protocol_rounds: 0,
-            gate_index: 0,
-            and_state: None,
             round: 0,
             free_done: false,
             layer_state: None,
@@ -592,6 +551,7 @@ impl<'c> GmwParty<'c> {
             setup_recv_peer: 0,
             setup_done: false,
             finished: false,
+            failure: None,
         }
     }
 
@@ -623,7 +583,7 @@ impl<'c> GmwParty<'c> {
 
     /// The traffic this party accounted (each flow of a pair appears in
     /// exactly one party's accountant).  Complete once the party has
-    /// finished: the layered path folds its per-peer totals in then.
+    /// finished: it folds its per-peer totals in then.
     pub fn traffic(&self) -> &TrafficAccountant {
         &self.traffic
     }
@@ -631,9 +591,16 @@ impl<'c> GmwParty<'c> {
     /// Measured sequential message rounds this party took part in (its
     /// pairwise exchanges run in parallel, so this counts exchanges, not
     /// exchanges × pairs): the OT session setup plus two one-way rounds
-    /// per AND layer (layered mode) or per AND gate (per-gate mode).
+    /// per layer of its layering — per AND layer, or per AND gate on the
+    /// serial one.
     pub fn rounds(&self) -> u64 {
         self.protocol_rounds
+    }
+
+    /// Why the party stopped, if a peer's message broke its schedule
+    /// (it then polls [`ActorStatus::Failed`]).
+    pub(crate) fn failure(&self) -> Option<&MpcError> {
+        self.failure.as_ref()
     }
 
     /// This party's share of every circuit output.
@@ -685,182 +652,16 @@ impl<'c> GmwParty<'c> {
         };
     }
 
-    // ------------------------------------------------------------------
-    // Per-gate mode
-    // ------------------------------------------------------------------
-
-    /// Drives the in-flight AND gate as far as possible; returns `true`
-    /// when the gate completed and its output share was committed.
-    fn advance_and_gate(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> bool {
-        let mut st = self.and_state.take().expect("an AND gate is in flight");
-        let x = self.wires[st.a];
-        let y = self.wires[st.b];
-        let gate_tag = st.wire as u32;
-
-        // As OT receiver: announce the choice to every pair owner, each
-        // message carrying one OT's worth of receiver-side payload.
-        if !st.choices_sent {
-            if self.index > 0 {
-                let batch: Vec<(usize, GmwMessage)> = (0..self.index)
-                    .map(|owner| {
-                        (
-                            owner,
-                            GmwMessage::Choice {
-                                gate: gate_tag,
-                                x,
-                                y,
-                                ot_payload: crate::wire::ot_payload(
-                                    self.pair_payload_seed[owner],
-                                    crate::wire::PAYLOAD_RECEIVER,
-                                    u64::from(gate_tag),
-                                    self.ot_recv_payload,
-                                ),
-                            },
-                        )
-                    })
-                    .collect();
-                endpoint.send_many(batch);
-            }
-            st.choices_sent = true;
-        }
-
-        // As OT sender (pair owner): serve every higher-indexed peer in
-        // index order.
-        while st.next_sender_peer < self.parties {
-            let peer = st.next_sender_peer;
-            let Some(message) = endpoint.try_recv_from(peer) else {
-                self.and_state = Some(st);
-                return false;
-            };
-            let GmwMessage::Choice {
-                gate,
-                x: xj,
-                y: yj,
-                ot_payload,
-            } = message
-            else {
-                panic!(
-                    "party {peer} must send Choice messages to party {}",
-                    self.index
-                );
-            };
-            debug_assert_eq!(ot_payload.len(), self.ot_recv_payload, "OT payload size");
-            debug_assert_eq!(gate, gate_tag, "AND-gate choice out of order");
-            // The sender's mask; the pair's cross terms x_i·y_j ⊕ x_j·y_i
-            // are encoded in the table, indexed by the receiver's choice.
-            let r = mask_bit(self.mask_seed, self.parties, st.wire, peer);
-            let table = [r, r ^ x, r ^ y, r ^ x ^ y];
-            let provider = self.ots[peer].as_mut().expect("pair owner has a provider");
-            let before = provider.counts();
-            let outcome = provider.transfer(table, (xj, yj));
-            let after = provider.counts();
-            absorb_provider_delta(&mut self.counts, &before, &after);
-            endpoint.send(
-                peer,
-                GmwMessage::Response {
-                    gate: gate_tag,
-                    bit: outcome.received,
-                    ot_payload: crate::wire::ot_payload(
-                        self.pair_payload_seed[peer],
-                        crate::wire::PAYLOAD_SENDER,
-                        u64::from(gate_tag),
-                        self.ot_send_payload,
-                    ),
-                },
-            );
-            st.share ^= r;
-            let me = self.node_ids[self.index];
-            let peer_id = self.node_ids[peer];
-            if outcome.sender_bytes > 0 {
-                self.traffic.record(me, peer_id, outcome.sender_bytes);
-            }
-            if outcome.receiver_bytes > 0 {
-                self.traffic.record(peer_id, me, outcome.receiver_bytes);
-            }
-            st.next_sender_peer += 1;
-        }
-
-        // As OT receiver: collect every owner's response in index order.
-        while st.next_receiver_peer < self.index {
-            let owner = st.next_receiver_peer;
-            let Some(message) = endpoint.try_recv_from(owner) else {
-                self.and_state = Some(st);
-                return false;
-            };
-            let GmwMessage::Response {
-                gate,
-                bit,
-                ot_payload: _,
-            } = message
-            else {
-                panic!(
-                    "party {owner} must send Response messages to party {}",
-                    self.index
-                );
-            };
-            debug_assert_eq!(gate, gate_tag, "AND-gate response out of order");
-            st.share ^= bit;
-            st.next_receiver_peer += 1;
-        }
-
-        self.wires[st.wire] = st.share;
-        // One gate = one choice/response exchange = two one-way rounds,
-        // identical for every pair (they run in parallel).
-        self.protocol_rounds += 2;
-        true
-    }
-
-    fn poll_per_gate(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
-        loop {
-            if self.and_state.is_some() && !self.advance_and_gate(endpoint) {
-                return ActorStatus::Idle;
-            }
-            while self.gate_index < self.circuit.len() {
-                let w = self.gate_index;
-                match self.circuit.gates()[w] {
-                    Gate::And(a, b) => {
-                        // Lazy OT setup at the first AND gate; the gate
-                        // cursor only advances once setup completed.
-                        if !self.setup_done {
-                            if !self.advance_setup(endpoint) {
-                                return ActorStatus::Idle;
-                            }
-                            self.setup_done = true;
-                        }
-                        self.gate_index += 1;
-                        self.and_state = Some(AndGateState {
-                            wire: w,
-                            a,
-                            b,
-                            share: self.wires[a] && self.wires[b],
-                            choices_sent: false,
-                            next_sender_peer: self.index + 1,
-                            next_receiver_peer: 0,
-                        });
-                        break;
-                    }
-                    _ => {
-                        self.gate_index += 1;
-                        self.eval_free_gate(w);
-                    }
-                }
-            }
-            if self.and_state.is_none() {
-                break;
-            }
-        }
-        self.finished = true;
-        ActorStatus::Done
-    }
-
-    // ------------------------------------------------------------------
-    // Layered mode
-    // ------------------------------------------------------------------
-
     /// Drives the in-flight AND layer as far as possible; returns `true`
     /// when the whole layer completed and its output shares were
     /// committed.
-    fn advance_layer(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`MpcError::UnexpectedMessage`] when a peer sends anything but
+    /// this layer's `Choices` (a higher-indexed peer) or `Responses` (a
+    /// lower-indexed one), one entry per gate of the layer.
+    fn advance_layer(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> Result<bool, MpcError> {
         let mut st = self.layer_state.take().expect("a layer is in flight");
         let gates = &self.layers.and_layers()[st.layer];
         let layer_tag = st.layer as u32;
@@ -893,40 +694,25 @@ impl<'c> GmwParty<'c> {
             let peer = st.next_sender_peer;
             let Some(message) = endpoint.try_recv_from(peer) else {
                 self.layer_state = Some(st);
-                return false;
+                return Ok(false);
             };
-            let GmwMessage::Choices {
-                layer,
-                pairs,
-                ot_payload,
-            } = message
-            else {
-                panic!(
-                    "party {peer} must send Choices messages to party {}",
-                    self.index
-                );
+            // Checked in every build: a peer's bytes are untrusted input,
+            // and a short batch would otherwise be zipped into wrong
+            // shares.
+            let pairs = match message {
+                GmwMessage::Choices { layer, pairs, .. }
+                    if layer == layer_tag && pairs.len() == gates.len() =>
+                {
+                    pairs
+                }
+                other => return Err(self.unexpected(peer, "Choices", &other)),
             };
-            // Unconditional: a peer's bytes are untrusted input, and a
-            // short batch would otherwise be zipped into wrong shares.
-            assert!(
-                layer == layer_tag && pairs.len() == gates.len(),
-                "party {}: Choices from party {peer} carry layer {layer} with {} gates, \
-                 expected layer {layer_tag} with {} gates",
-                self.index,
-                pairs.len(),
-                gates.len()
-            );
-            debug_assert_eq!(
-                ot_payload.len(),
-                pairs.len() * self.ot_recv_payload,
-                "batched OT payload size"
-            );
             // The sender's masks; each pair's cross terms x_i·y_j ⊕ x_j·y_i
             // are encoded in the table, indexed by the receiver's choice.
             self.requests.clear();
             let own = self.layer_inputs.iter().zip(&mut self.layer_shares);
             for ((&w, choice), (&(x, y), share)) in gates.iter().zip(pairs).zip(own) {
-                let r = mix(self.mask_stream ^ (w * self.parties + peer) as u64) & 1 == 1;
+                let r = mask_bit(self.mask_stream, self.parties, w, peer);
                 self.requests.push(([r, r ^ x, r ^ y, r ^ x ^ y], choice));
                 *share ^= r;
             }
@@ -960,27 +746,16 @@ impl<'c> GmwParty<'c> {
             let owner = st.next_receiver_peer;
             let Some(message) = endpoint.try_recv_from(owner) else {
                 self.layer_state = Some(st);
-                return false;
+                return Ok(false);
             };
-            let GmwMessage::Responses {
-                layer,
-                bits,
-                ot_payload: _,
-            } = message
-            else {
-                panic!(
-                    "party {owner} must send Responses messages to party {}",
-                    self.index
-                );
+            let bits = match message {
+                GmwMessage::Responses { layer, bits, .. }
+                    if layer == layer_tag && bits.len() == gates.len() =>
+                {
+                    bits
+                }
+                other => return Err(self.unexpected(owner, "Responses", &other)),
             };
-            assert!(
-                layer == layer_tag && bits.len() == gates.len(),
-                "party {}: Responses from party {owner} carry layer {layer} with {} bits, \
-                 expected layer {layer_tag} with {} bits",
-                self.index,
-                bits.len(),
-                gates.len()
-            );
             for (share, bit) in self.layer_shares.iter_mut().zip(bits) {
                 *share ^= bit;
             }
@@ -996,13 +771,19 @@ impl<'c> GmwParty<'c> {
         self.protocol_rounds += 2;
         self.round = st.layer + 1;
         self.free_done = false;
-        true
+        Ok(true)
     }
 
-    fn poll_layered(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
+    /// Walks the schedule as far as the peers' messages allow: each gap's
+    /// free gates, then the next AND layer, the OT sessions set up before
+    /// the first one unless they are established.
+    fn run_schedule(
+        &mut self,
+        endpoint: &mut dyn Endpoint<GmwMessage>,
+    ) -> Result<ActorStatus, MpcError> {
         loop {
-            if self.layer_state.is_some() && !self.advance_layer(endpoint) {
-                return ActorStatus::Idle;
+            if self.layer_state.is_some() && !self.advance_layer(endpoint)? {
+                return Ok(ActorStatus::Idle);
             }
             if !self.free_done {
                 let layers = self.layers;
@@ -1019,8 +800,8 @@ impl<'c> GmwParty<'c> {
             // exchange) is charged here — a circuit with no AND layers
             // never pays it.
             if !self.setup_done {
-                if !self.advance_setup(endpoint) {
-                    return ActorStatus::Idle;
+                if !self.advance_setup(endpoint)? {
+                    return Ok(ActorStatus::Idle);
                 }
                 self.setup_done = true;
             }
@@ -1046,7 +827,7 @@ impl<'c> GmwParty<'c> {
         }
         self.flush_flows();
         self.finished = true;
-        ActorStatus::Done
+        Ok(ActorStatus::Done)
     }
 
     /// Folds the per-peer flow accumulators into the party's accountant:
@@ -1069,7 +850,7 @@ impl<'c> GmwParty<'c> {
 
 /// Modeled OT traffic between a pair owner and one peer, accumulated per
 /// served batch.  A direction with zero bytes in a batch carries no
-/// message, as in the per-message accounting of the per-gate path.
+/// message, as a record per message would count it.
 #[derive(Clone, Copy, Debug, Default)]
 struct PairFlow {
     sent_bytes: u64,
@@ -1109,17 +890,22 @@ impl GmwParty<'_> {
     /// peer's material arrived.  Returns `false` while still waiting.
     ///
     /// Parties on established sessions never get here.  For the others
-    /// the exchange is *lazy*: it runs at a pair's first AND layer (or
-    /// AND gate, in per-gate mode), never up front — and since every pair
-    /// serves every AND layer in GMW, that is the circuit's first AND
-    /// work.  A circuit with no AND gates therefore never reaches this
-    /// path and pays **zero** setup rounds, bytes and base OTs, matching
-    /// a session that never needs an oblivious transfer.
+    /// the exchange is *lazy*: it runs at a pair's first AND layer, never
+    /// up front — and since every pair serves every AND layer in GMW,
+    /// that is the circuit's first AND work.  A circuit with no AND gates
+    /// therefore never reaches this path and pays **zero** setup rounds,
+    /// bytes and base OTs, matching a session that never needs an
+    /// oblivious transfer.
     ///
     /// Providers with no per-session setup (both payloads empty) skip the
     /// message exchange, matching their analytic model of zero setup
     /// messages.
-    fn advance_setup(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`MpcError::UnexpectedMessage`] when a peer opens with anything
+    /// but its `OtSetup`.
+    fn advance_setup(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> Result<bool, MpcError> {
         let session = self.ot.session_setup();
         let exchanges = session.wire != (0, 0);
         if !self.setup_sent {
@@ -1147,18 +933,35 @@ impl GmwParty<'_> {
                     continue;
                 }
                 let Some(message) = endpoint.try_recv_from(peer) else {
-                    return false;
+                    return Ok(false);
                 };
-                let GmwMessage::OtSetup { .. } = message else {
-                    panic!(
-                        "party {peer} must open toward party {} with an OtSetup message",
-                        self.index
-                    );
-                };
+                if !matches!(message, GmwMessage::OtSetup { .. }) {
+                    return Err(self.unexpected(peer, "OtSetup", &message));
+                }
                 self.setup_recv_peer += 1;
             }
         }
-        true
+        Ok(true)
+    }
+
+    /// The rejection of `message` from `peer` where the schedule expected
+    /// `expected` for the layer in flight (the next one, during setup).
+    fn unexpected(&self, peer: usize, expected: &'static str, message: &GmwMessage) -> MpcError {
+        let (found, found_layer, found_gates) = match message {
+            GmwMessage::OtSetup { .. } => ("OtSetup", 0, 0),
+            GmwMessage::Choices { layer, pairs, .. } => ("Choices", *layer, pairs.len()),
+            GmwMessage::Responses { layer, bits, .. } => ("Responses", *layer, bits.len()),
+        };
+        MpcError::UnexpectedMessage {
+            party: self.index,
+            peer,
+            expected,
+            layer: self.round as u32,
+            gates: self.layers.and_layers()[self.round].len(),
+            found,
+            found_layer,
+            found_gates,
+        }
     }
 }
 
@@ -1167,12 +970,13 @@ impl NodeActor<GmwMessage> for GmwParty<'_> {
         if self.finished {
             return ActorStatus::Done;
         }
-        // The OT session setup is charged lazily inside the gate
-        // schedules, at the first AND layer/gate — never here.
-        match self.batching {
-            GmwBatching::PerGate => self.poll_per_gate(endpoint),
-            GmwBatching::Layered => self.poll_layered(endpoint),
+        if self.failure.is_some() {
+            return ActorStatus::Failed;
         }
+        self.run_schedule(endpoint).unwrap_or_else(|error| {
+            self.failure = Some(error);
+            ActorStatus::Failed
+        })
     }
 }
 
@@ -1265,13 +1069,14 @@ mod tests {
     fn masks_are_order_independent() {
         // The mask of a gate/peer pair is a pure function — it does not
         // depend on how many masks were drawn before it.
-        let a = mask_bit(42, 4, 17, 2);
-        let _ = mask_bit(42, 4, 3, 1);
-        let _ = mask_bit(42, 4, 99, 3);
-        assert_eq!(a, mask_bit(42, 4, 17, 2));
+        let stream = |seed| derive_stream(seed, TAG_AND_MASK);
+        let a = mask_bit(stream(42), 4, 17, 2);
+        let _ = mask_bit(stream(42), 4, 3, 1);
+        let _ = mask_bit(stream(42), 4, 99, 3);
+        assert_eq!(a, mask_bit(stream(42), 4, 17, 2));
         // Different parties draw from different streams.
-        let bits_a: Vec<bool> = (0..64).map(|w| mask_bit(1, 4, w, 2)).collect();
-        let bits_b: Vec<bool> = (0..64).map(|w| mask_bit(2, 4, w, 2)).collect();
+        let bits_a: Vec<bool> = (0..64).map(|w| mask_bit(stream(1), 4, w, 2)).collect();
+        let bits_b: Vec<bool> = (0..64).map(|w| mask_bit(stream(2), 4, w, 2)).collect();
         assert_ne!(bits_a, bits_b);
     }
 
@@ -1328,7 +1133,7 @@ mod tests {
             vec![true, false],
             &ot,
             master,
-            GmwBatching::Layered,
+            circuit.layers(),
         );
         let pair_seed = derive_seed(master, TAG_PAIR_PAYLOAD, 1);
         let mut endpoint = ScriptedEndpoint::new(2);
@@ -1398,9 +1203,9 @@ mod tests {
     }
 
     /// Drives party `index` of a two-party run over [`two_and_circuit`]
-    /// through the setup exchange, then feeds it `batch` from its peer as
-    /// the layer-0 message.
-    fn feed_layer_batch(index: usize, batch: GmwMessage) {
+    /// on `script` from its peer and returns why it failed.  A failed
+    /// party stays failed: polled again, it reports the same.
+    fn reject(index: usize, script: Vec<GmwMessage>) -> MpcError {
         let circuit = two_and_circuit();
         let ot = OtConfig::extension();
         let mut party = GmwParty::new(
@@ -1410,64 +1215,130 @@ mod tests {
             vec![true; 4],
             &ot,
             3,
-            GmwBatching::Layered,
+            circuit.layers(),
         );
-        let peer = 1 - index;
         let mut endpoint = ScriptedEndpoint::new(2);
-        endpoint.feed(
-            peer,
-            GmwMessage::OtSetup {
-                ot_payload: vec![0; ot.wire_setup_bytes().0],
-            },
-        );
-        endpoint.feed(peer, batch);
-        party.poll(&mut endpoint);
+        for message in script {
+            endpoint.feed(1 - index, message);
+        }
+        assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
+        assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
+        assert!(!party.is_finished());
+        party.failure().cloned().expect("a failed party says why")
+    }
+
+    /// The owner's `OtSetup`, then `batch` as the layer-0 message.
+    fn setup_then(batch: GmwMessage) -> Vec<GmwMessage> {
+        let setup = GmwMessage::OtSetup {
+            ot_payload: vec![0; OtConfig::extension().wire_setup_bytes().0],
+        };
+        vec![setup, batch]
+    }
+
+    /// [`MpcError::UnexpectedMessage`] for layer 0 of [`two_and_circuit`].
+    fn unexpected(
+        party: usize,
+        expected: &'static str,
+        found: &'static str,
+        found_layer: u32,
+        found_gates: usize,
+    ) -> MpcError {
+        MpcError::UnexpectedMessage {
+            party,
+            peer: 1 - party,
+            expected,
+            layer: 0,
+            gates: 2,
+            found,
+            found_layer,
+            found_gates,
+        }
     }
 
     #[test]
-    #[should_panic(
-        expected = "party 0: Choices from party 1 carry layer 0 with 1 gates, expected layer 0 with 2 gates"
-    )]
     fn short_choices_batch_is_rejected_in_every_build() {
-        // Previously a `debug_assert`: a release build indexed past the
-        // end of the short batch.
-        feed_layer_batch(
+        // Once a `debug_assert`: a release build indexed past the end of
+        // the short batch.
+        let error = reject(
             0,
-            GmwMessage::Choices {
+            setup_then(GmwMessage::Choices {
                 layer: 0,
                 pairs: vec![(true, false)],
                 ot_payload: vec![0; 10],
-            },
+            }),
+        );
+        assert_eq!(error, unexpected(0, "Choices", "Choices", 0, 1));
+        assert_eq!(
+            error.to_string(),
+            "party 0: Choices from party 1 carry layer 0 with 1 gates, \
+             expected Choices for layer 0 with 2 gates"
         );
     }
 
     #[test]
-    #[should_panic(
-        expected = "party 1: Responses from party 0 carry layer 0 with 1 bits, expected layer 0 with 2 bits"
-    )]
     fn short_responses_batch_is_rejected_in_every_build() {
-        // Previously a `debug_assert`: a release build zipped the short
-        // batch into its shares and finished with a wrong output.
-        feed_layer_batch(
+        // Once a `debug_assert`: a release build zipped the short batch
+        // into its shares and finished with a wrong output.
+        let error = reject(
             1,
-            GmwMessage::Responses {
+            setup_then(GmwMessage::Responses {
                 layer: 0,
                 bits: vec![true],
                 ot_payload: vec![0],
-            },
+            }),
+        );
+        assert_eq!(error, unexpected(1, "Responses", "Responses", 0, 1));
+        assert_eq!(
+            error.to_string(),
+            "party 1: Responses from party 0 carry layer 0 with 1 gates, \
+             expected Responses for layer 0 with 2 gates"
         );
     }
 
     #[test]
-    #[should_panic(expected = "carry layer 7 with 2 bits, expected layer 0 with 2 bits")]
     fn out_of_order_layer_tag_is_rejected_in_every_build() {
-        feed_layer_batch(
+        let error = reject(
             1,
-            GmwMessage::Responses {
+            setup_then(GmwMessage::Responses {
                 layer: 7,
                 bits: vec![true, false],
                 ot_payload: vec![0; 2],
-            },
+            }),
+        );
+        assert_eq!(error, unexpected(1, "Responses", "Responses", 7, 2));
+    }
+
+    #[test]
+    fn a_message_of_the_wrong_kind_is_rejected_wherever_it_arrives() {
+        let responses = || GmwMessage::Responses {
+            layer: 0,
+            bits: vec![true, false],
+            ot_payload: vec![0; 2],
+        };
+        let choices = GmwMessage::Choices {
+            layer: 0,
+            pairs: vec![(true, false); 2],
+            ot_payload: vec![0; 20],
+        };
+        // Where the peer's OtSetup is due.
+        assert_eq!(
+            reject(1, vec![responses()]),
+            unexpected(1, "OtSetup", "Responses", 0, 2)
+        );
+        // Where Choices are due: Responses, or a second OtSetup.
+        assert_eq!(
+            reject(0, setup_then(responses())),
+            unexpected(0, "Choices", "Responses", 0, 2)
+        );
+        let second_setup = setup_then(GmwMessage::OtSetup { ot_payload: vec![] });
+        assert_eq!(
+            reject(0, second_setup),
+            unexpected(0, "Choices", "OtSetup", 0, 0)
+        );
+        // Where Responses are due.
+        assert_eq!(
+            reject(1, setup_then(choices)),
+            unexpected(1, "Responses", "Choices", 0, 2)
         );
     }
 
@@ -1478,8 +1349,8 @@ mod tests {
             let index = (wire * parties + peer) as u64;
             assert_eq!(mix(stream ^ index), derive_seed(seed, TAG_AND_MASK, index));
             assert_eq!(
-                mix(stream ^ index) & 1 == 1,
-                mask_bit(seed, parties, wire, peer)
+                derive_seed(seed, TAG_AND_MASK, index) & 1 == 1,
+                mask_bit(stream, parties, wire, peer)
             );
         }
     }
@@ -1495,7 +1366,7 @@ mod tests {
             vec![false, true],
             &OtConfig::extension(),
             7,
-            GmwBatching::Layered,
+            circuit.layers(),
         );
         let _ = party.output_share();
     }

@@ -10,16 +10,17 @@
 //! | message | layout |
 //! |---|---|
 //! | `OtSetup`   | `0x00` · bytes(ot_payload) |
-//! | `Choice`    | `0x01` · uvarint(gate) · packed{bit0 = x, bit1 = y} · bytes(ot_payload) |
-//! | `Response`  | `0x02` · uvarint(gate) · packed{bit0 = bit} · bytes(ot_payload) |
 //! | `Choices`   | `0x03` · uvarint(layer) · uvarint(w) · x-plane⌈w/8⌉ · y-plane⌈w/8⌉ · bytes(ot_payload) |
 //! | `Responses` | `0x04` · uvarint(layer) · uvarint(w) · bit-plane⌈w/8⌉ · bytes(ot_payload) |
+//!
+//! Tags `0x01` and `0x02` are retired and decode as [`WireError::BadTag`];
+//! a per-gate run sends one-gate `Choices`/`Responses`.
 //!
 //! `bytes(…)` is a varint length followed by raw bytes; bit planes pack
 //! LSB-first with zero padding (the decoder rejects dirty padding bits).
 //! The batched choice and share bits therefore cost **one bit each** on
-//! the wire — `⌈w/8⌉` bytes per plane for a `w`-gate layer — instead of
-//! the byte-or-more the per-gate messages pay in headers.
+//! the wire — `⌈w/8⌉` bytes per plane for a `w`-gate layer — instead of a
+//! header per gate.
 //!
 //! Every encoding is written into a buffer reserved to its exact length
 //! ([`GmwMessage::encoded_len`]), and the batched messages pack and
@@ -32,8 +33,6 @@ use dstress_net::wire::{self, Wire, WireError};
 
 /// Message tags (the first byte of every encoding).
 const TAG_OT_SETUP: u8 = 0x00;
-const TAG_CHOICE: u8 = 0x01;
-const TAG_RESPONSE: u8 = 0x02;
 const TAG_CHOICES: u8 = 0x03;
 const TAG_RESPONSES: u8 = 0x04;
 
@@ -42,14 +41,14 @@ pub const PAYLOAD_SETUP_FROM_OWNER: u64 = 0x7365_7475_703A_6F77; // "setup:ow"
 /// Domain tag of the base-OT key material the *peer* answers with.
 pub const PAYLOAD_SETUP_FROM_PEER: u64 = 0x7365_7475_703A_7065; // "setup:pe"
 /// Domain tag of the receiver-side per-OT payload (extension-matrix
-/// columns or public keys), carried by `Choice`/`Choices` messages.
+/// columns or public keys), carried by `Choices` messages.
 pub const PAYLOAD_RECEIVER: u64 = 0x6F74_3A72_6563_6569; // "ot:recei"
 /// Domain tag of the sender-side per-OT payload (masked messages or
-/// ciphertexts), carried by `Response`/`Responses` messages.
+/// ciphertexts), carried by `Responses` messages.
 pub const PAYLOAD_SENDER: u64 = 0x6F74_3A73_656E_6465; // "ot:sende"
 
 /// Derives the simulated OT payload *content* for one message from the
-/// pair seed, a direction tag and the gate/layer index.
+/// pair seed, a direction tag and the layer index.
 ///
 /// Both ends of a pair derive the same seed from the execution's master
 /// seed, so every OT payload byte on the wire is a pure function of
@@ -110,12 +109,6 @@ impl GmwMessage {
         };
         1 + match self {
             GmwMessage::OtSetup { ot_payload } => bytes_len(ot_payload),
-            GmwMessage::Choice {
-                gate, ot_payload, ..
-            }
-            | GmwMessage::Response {
-                gate, ot_payload, ..
-            } => wire::uvarint_len(u64::from(*gate)) + 1 + bytes_len(ot_payload),
             GmwMessage::Choices {
                 layer,
                 pairs,
@@ -136,27 +129,6 @@ impl Wire for GmwMessage {
         match self {
             GmwMessage::OtSetup { ot_payload } => {
                 wire::put_u8(out, TAG_OT_SETUP);
-                wire::put_bytes(out, ot_payload);
-            }
-            GmwMessage::Choice {
-                gate,
-                x,
-                y,
-                ot_payload,
-            } => {
-                wire::put_u8(out, TAG_CHOICE);
-                wire::put_uvarint(out, u64::from(*gate));
-                wire::put_bits(out, &[*x, *y]);
-                wire::put_bytes(out, ot_payload);
-            }
-            GmwMessage::Response {
-                gate,
-                bit,
-                ot_payload,
-            } => {
-                wire::put_u8(out, TAG_RESPONSE);
-                wire::put_uvarint(out, u64::from(*gate));
-                wire::put_bits(out, &[*bit]);
                 wire::put_bytes(out, ot_payload);
             }
             GmwMessage::Choices {
@@ -186,34 +158,15 @@ impl Wire for GmwMessage {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let what = "GmwMessage";
-        let gate_or_layer = |buf: &mut &[u8]| -> Result<u32, WireError> {
+        let get_layer = |buf: &mut &[u8]| -> Result<u32, WireError> {
             u32::try_from(wire::get_uvarint(buf)?).map_err(|_| WireError::Invalid { what })
         };
         match wire::get_u8(buf)? {
             TAG_OT_SETUP => Ok(GmwMessage::OtSetup {
                 ot_payload: wire::get_bytes(buf)?,
             }),
-            TAG_CHOICE => {
-                let gate = gate_or_layer(buf)?;
-                let bits = wire::get_bits(buf, 2)?;
-                Ok(GmwMessage::Choice {
-                    gate,
-                    x: bits[0],
-                    y: bits[1],
-                    ot_payload: wire::get_bytes(buf)?,
-                })
-            }
-            TAG_RESPONSE => {
-                let gate = gate_or_layer(buf)?;
-                let bits = wire::get_bits(buf, 1)?;
-                Ok(GmwMessage::Response {
-                    gate,
-                    bit: bits[0],
-                    ot_payload: wire::get_bytes(buf)?,
-                })
-            }
             TAG_CHOICES => {
-                let layer = gate_or_layer(buf)?;
+                let layer = get_layer(buf)?;
                 let count = wire::get_uvarint(buf)? as usize;
                 Ok(GmwMessage::Choices {
                     layer,
@@ -222,7 +175,7 @@ impl Wire for GmwMessage {
                 })
             }
             TAG_RESPONSES => {
-                let layer = gate_or_layer(buf)?;
+                let layer = get_layer(buf)?;
                 let count = wire::get_uvarint(buf)? as usize;
                 Ok(GmwMessage::Responses {
                     layer,
@@ -245,17 +198,6 @@ mod tests {
         vec![
             GmwMessage::OtSetup {
                 ot_payload: vec![0, 1, 2],
-            },
-            GmwMessage::Choice {
-                gate: 300,
-                x: true,
-                y: false,
-                ot_payload: vec![0xAA; 10],
-            },
-            GmwMessage::Response {
-                gate: 7,
-                bit: true,
-                ot_payload: vec![],
             },
             GmwMessage::Choices {
                 layer: 2,
@@ -327,18 +269,22 @@ mod tests {
 
     #[test]
     fn unknown_tags_and_dirty_padding_are_rejected() {
-        assert_eq!(
-            GmwMessage::decode_exact(&[0x07]),
-            Err(WireError::BadTag {
-                tag: 0x07,
-                what: "GmwMessage"
-            })
-        );
-        // A Choice whose packed byte sets bits above bit 1.
+        // 0x01 and 0x02 are the retired single-gate tags.
+        for tag in [0x01, 0x02, 0x07] {
+            assert_eq!(
+                GmwMessage::decode_exact(&[tag, 0x00, 0x00]),
+                Err(WireError::BadTag {
+                    tag,
+                    what: "GmwMessage"
+                })
+            );
+        }
+        // A two-gate Choices whose x-plane sets a bit above bit 1.
         let mut bad = Vec::new();
-        wire::put_u8(&mut bad, 0x01);
+        wire::put_u8(&mut bad, TAG_CHOICES);
         wire::put_uvarint(&mut bad, 3);
-        bad.push(0b0000_0100);
+        wire::put_uvarint(&mut bad, 2);
+        bad.extend([0b0000_0101, 0b0000_0001]);
         wire::put_bytes(&mut bad, &[]);
         assert!(matches!(
             GmwMessage::decode_exact(&bad),
@@ -357,24 +303,6 @@ mod tests {
                     ot_payload: vec![0xAB, 0xCD],
                 },
                 "0002abcd",
-            ),
-            (
-                GmwMessage::Choice {
-                    gate: 300,
-                    x: true,
-                    y: false,
-                    ot_payload: vec![0xEE],
-                },
-                // tag 01 · varint 300 = ac02 · packed x=1,y=0 = 01 · len 1 · ee
-                "01ac020101ee",
-            ),
-            (
-                GmwMessage::Response {
-                    gate: 7,
-                    bit: true,
-                    ot_payload: vec![],
-                },
-                "02070100",
             ),
             (
                 GmwMessage::Choices {
@@ -439,17 +367,6 @@ mod tests {
     ) -> Vec<GmwMessage> {
         vec![
             GmwMessage::OtSetup {
-                ot_payload: payload.to_vec(),
-            },
-            GmwMessage::Choice {
-                gate: tag,
-                x: x_bits.first().copied().unwrap_or(false),
-                y: y_bits.first().copied().unwrap_or(true),
-                ot_payload: payload.to_vec(),
-            },
-            GmwMessage::Response {
-                gate: tag,
-                bit: x_bits.last().copied().unwrap_or(false),
                 ot_payload: payload.to_vec(),
             },
             GmwMessage::Choices {

@@ -13,10 +13,13 @@
 //!    concurrent streams of one mesh, each execution's observables equal
 //!    those of running it alone.
 //! 2. GMW executions are bit-identical across [`GmwBatching`] modes in
-//!    everything except the round structure: layer batching regroups the
-//!    same OT payloads into fewer messages, so output shares and byte
-//!    totals match the per-gate path exactly while rounds drop from
-//!    O(AND gates) to O(depth) and the message count shrinks.
+//!    everything except the round structure: one party state machine
+//!    walks the depth layering or the serial one (one AND gate per
+//!    layer), regrouping the same OT payloads, so output shares and byte
+//!    totals match exactly while rounds drop from O(AND gates) to
+//!    O(depth) and the message count shrinks.  Both reconstruct to the
+//!    plaintext evaluation, and the layered path is pinned to committed
+//!    fingerprints.
 
 use dstress_circuit::builder::CircuitBuilder;
 use dstress_circuit::{evaluate, Circuit, WireId};
@@ -144,13 +147,14 @@ fn assert_backends_agree(
 }
 
 /// Batched vs per-gate GMW on the *same* backend: identical output
-/// shares and byte totals, fewer rounds and messages when batching.
+/// shares and byte totals, fewer rounds and messages when batching, and
+/// both equal to the plaintext evaluation.
 fn assert_batching_modes_agree(
     seed: u64,
     parties: usize,
     transport: &dyn Transport<dstress_mpc::GmwMessage>,
 ) {
-    let (circuit, _, shares, master_seed) = scenario(seed, parties);
+    let (circuit, inputs, shares, master_seed) = scenario(seed, parties);
     let ot = OtConfig::extension();
     let (batched, batched_traffic) = run_on(
         transport,
@@ -171,6 +175,12 @@ fn assert_batching_modes_agree(
         GmwBatching::PerGate,
     );
 
+    // The plaintext evaluator is the oracle of both schedules.
+    let expected = evaluate(&circuit, &inputs).unwrap();
+    for execution in [&batched, &per_gate] {
+        let outputs = reconstruct_outputs(&execution.output_shares).unwrap();
+        assert_eq!(outputs, expected, "seed {seed}");
+    }
     assert_eq!(batched.output_shares, per_gate.output_shares, "seed {seed}");
     assert_eq!(
         batched.bytes_sent_per_party, per_gate.bytes_sent_per_party,
@@ -312,8 +322,8 @@ fn measured_wire_bytes_bit_identical_across_the_grid() {
 
 /// The satellite regression: on a `w`-wide single-AND-layer circuit the
 /// batched `Choices` message is two bit-packed planes — at most
-/// `2·⌈w/8⌉` bytes plus a bounded header — where the per-gate path pays
-/// a whole headed message per gate.  Run with κ = 0 so no OT payload
+/// `2·⌈w/8⌉` bytes plus a bounded header — where the per-gate schedule
+/// pays a whole headed message per gate.  Run with κ = 0 so no OT payload
 /// rides along and the framing itself is what gets measured.
 #[test]
 fn batched_choices_payload_is_bit_packed_on_the_wire() {
@@ -362,9 +372,9 @@ fn batched_choices_payload_is_bit_packed_on_the_wire() {
         9,
         GmwBatching::PerGate,
     );
-    // Per-gate framing pays at least tag + gate id + packed byte +
-    // payload length per AND gate — measurably more than the bit-packed
-    // batch.
+    // Per-gate framing pays a whole one-gate `Choices` per AND gate — at
+    // least tag + layer + width + two plane bytes + payload length —
+    // measurably more than the bit-packed batch.
     assert!(per_gate.wire_bytes_per_party[1] >= (3 * w) as u64);
     assert!(batched.wire_bytes_per_party[1] * 4 < per_gate.wire_bytes_per_party[1]);
 }

@@ -52,7 +52,9 @@
 //! undecodable payloads, a connection that closes under a live session,
 //! I/O errors — surface as the typed [`TransportError`] variants rather
 //! than panics, because bytes read from a socket are untrusted input even
-//! on loopback; any of them ends the whole run.
+//! on loopback; any of them ends the whole run, as does an actor that
+//! rejects a well-framed message ([`ActorStatus::Failed`]) — at once, not
+//! after the stall timeout.
 //!
 //! The module also exposes [`FramedConn`], the single-connection building
 //! block (non-blocking stream + frame codec + write buffer), which the
@@ -916,6 +918,11 @@ impl<M: Wire> Shard<'_, '_, M> {
                         activity: &mut activity,
                     };
                     let status = actor.poll(&mut endpoint);
+                    if status == ActorStatus::Failed {
+                        shared.fail(TransportError::Aborted {
+                            node: self.first_node + k,
+                        });
+                    }
                     if let Err(error) = flush_links(&mut self.rows[k], EARLY_FLUSH_BYTES) {
                         shared.fail(error);
                     }

@@ -119,6 +119,10 @@ pub enum ActorStatus {
     /// The actor has finished its protocol role; it will not be polled
     /// again.
     Done,
+    /// The actor rejected what a peer sent and abandoned its protocol
+    /// role; the run ends at once with [`TransportError::Aborted`], and
+    /// the actor's own state says why.
+    Failed,
 }
 
 /// A resumable protocol state machine bound to one simulated node.
@@ -165,7 +169,8 @@ pub trait Endpoint<M> {
 /// Errors reported by a transport run.
 ///
 /// The in-process backend can only fail with [`TransportError::Stalled`]
-/// (its byte buffers never lie); the socket backend adds the failure
+/// (its byte buffers never lie) or, on either backend, an actor's
+/// [`TransportError::Aborted`]; the socket backend adds the failure
 /// modes a real network has: I/O errors, framing violations from hostile
 /// or desynchronised peers, payloads that do not decode, and peers that
 /// never complete the connection handshake.
@@ -230,6 +235,12 @@ pub enum TransportError {
         /// Actors in the offending group.
         actual: usize,
     },
+    /// An actor returned [`ActorStatus::Failed`]: it rejected what a peer
+    /// sent, and its own state holds the reason.
+    Aborted {
+        /// Local index of the actor that failed.
+        node: usize,
+    },
 }
 
 impl fmt::Display for TransportError {
@@ -258,6 +269,9 @@ impl fmt::Display for TransportError {
                 f,
                 "a group of {actual} actors cannot run on a session of {expected} nodes"
             ),
+            TransportError::Aborted { node } => {
+                write!(f, "node {node} rejected a peer's message and aborted the run")
+            }
         }
     }
 }
@@ -319,8 +333,9 @@ pub trait Session<M: Wire + Send> {
     ///
     /// Returns [`TransportError::GroupSize`] (before anything runs) for a
     /// group that does not have one actor per node,
-    /// [`TransportError::Stalled`] if some group can never complete, and
-    /// on sockets the typed frame, codec, stream and I/O errors.  An
+    /// [`TransportError::Stalled`] if some group can never complete,
+    /// [`TransportError::Aborted`] as soon as an actor fails, and on
+    /// sockets the typed frame, codec, stream and I/O errors.  An
     /// error ends the whole run: no group's result may be used.
     fn run(
         &mut self,
@@ -446,10 +461,14 @@ fn run_sim_group<M: Wire>(
                 tally: &mut tally,
                 activity: &mut activity,
             };
-            if actor.poll(&mut endpoint) == ActorStatus::Done {
-                done[i] = true;
-                done_count += 1;
-                activity += 1;
+            match actor.poll(&mut endpoint) {
+                ActorStatus::Idle => {}
+                ActorStatus::Done => {
+                    done[i] = true;
+                    done_count += 1;
+                    activity += 1;
+                }
+                ActorStatus::Failed => return Err(TransportError::Aborted { node: i }),
             }
         }
         if activity == 0 {
@@ -610,6 +629,34 @@ mod tests {
                 Some(_) => ActorStatus::Done,
                 None => ActorStatus::Idle,
             }
+        }
+    }
+
+    #[test]
+    fn a_failed_actor_aborts_the_run_at_once() {
+        // Node 1 fails on its first poll while node 0 waits for a message
+        // it will never get: both backends end with node 1's abort, not a
+        // stall (which sockets would only declare after their timeout).
+        struct Quitter;
+        impl NodeActor<u64> for Quitter {
+            fn poll(&mut self, _: &mut dyn Endpoint<u64>) -> ActorStatus {
+                ActorStatus::Failed
+            }
+        }
+        for transport in [
+            Box::new(SimTransport) as Box<dyn Transport<u64>>,
+            Box::new(SocketTransport::with_threads(2)),
+        ] {
+            let (mut waiting, mut quitter) = (Starved, Quitter);
+            let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut waiting, &mut quitter];
+            let err = transport.run(&mut refs).unwrap_err();
+            assert_eq!(
+                err,
+                TransportError::Aborted { node: 1 },
+                "{}",
+                transport.name()
+            );
+            assert!(err.to_string().contains("node 1"));
         }
     }
 

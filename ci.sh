@@ -91,8 +91,15 @@ echo "==> determinism suite under --release (Sim == Socket)"
 # both to each other and to the plaintext evaluator. The multi-threaded
 # real-TCP SocketTransport is held to bit-identity with the deterministic
 # in-process backend, and the layered path pinned to committed fingerprints
-# on both.
+# on both. Both backends move bytes: a party writes each batch into a byte
+# lane with the in-place writer, which must produce the owned codec's bytes,
+# and reads it back with the view parser, which must accept and reject what
+# the owned decoder does; lanes keep per-sender order and give large
+# buffers back once drained.
 run_tests --release -q -p dstress-mpc --test transport_determinism
+run_tests --release -q -p dstress-mpc prop_in_place_writers_equal_the_owned_encoding
+run_tests --release -q -p dstress-mpc prop_view_and_owned_decoder_agree
+run_tests -q -p dstress-net lanes_deliver_in_order_and_give_back_large_buffers
 run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results
 run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
 
@@ -216,12 +223,17 @@ echo "==> socket frame layer: fault injection errors cleanly, never hangs"
 # TransportErrors within the stall timeout. A well-framed message out of
 # protocol ends the run at once: the actor that rejects it fails the run
 # (Sim and Socket alike), and a GMW party names itself, the peer and the
-# layer in a typed MpcError instead of panicking the worker.
+# layer in a typed MpcError instead of panicking the worker — for raw bytes
+# a peer writes too (dirty plane padding, a cut or a trailing byte, a retired
+# tag, a count off the layer width, an OT payload short of its length).
 run_tests -q -p dstress-net --test socket_faults
 run_tests -q -p dstress-net frame::
 run_tests -q -p dstress-net socket::
 run_tests -q -p dstress-net a_failed_actor_aborts_the_run_at_once
 run_tests -q -p dstress-mpc out_of_protocol_peer_ends_the_run_typed_within_a_second
+run_tests -q -p dstress-mpc short_ot_payload_ends_the_run_typed
+run_tests -q -p dstress-mpc short_ot_payloads_are_rejected_in_every_build
+run_tests -q -p dstress-mpc bytes_that_are_not_one_message_end_the_party_with_the_codec_error
 
 echo "==> sessions: faults on a shared connection, the stream envelope, multiplexed determinism, lane shapes"
 # One mesh carries many block MPCs as streams.  A fault injected

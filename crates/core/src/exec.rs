@@ -180,9 +180,11 @@ pub trait StepExecutor {
 
 /// Pairwise AND evaluations (AND gates × member pairs) a batch of block
 /// steps must hold per worker before [`LocalExecutor`] gives it that
-/// worker.  At the measured 30–80 ns per AND-pair this is about a
-/// millisecond of GMW work, several times what starting and joining a
-/// helper thread costs; below it the helper's start-up would be the
+/// worker.  At the measured ≈ 29 ns per AND-pair of a deep block MPC
+/// (`en-fig5`'s `mpc.ns_per_and_pair` on a 2-vCPU Xeon; 120–270 ns
+/// on the counter workloads' small circuits, where the per-execution
+/// fixed cost dominates) this is half a millisecond of GMW work or more,
+/// several times what starting and joining a helper thread costs; below it the helper's start-up would be the
 /// batch's critical path, and a wait whose length is the host's
 /// scheduling latency rather than anything the run computes.
 pub(crate) const MIN_AND_PAIRS_PER_WORKER: usize = 16_384;

@@ -1,5 +1,6 @@
 //! Error type for the MPC layer.
 
+use crate::wire::GmwKind;
 use core::fmt;
 use dstress_circuit::CircuitError;
 use dstress_crypto::CryptoError;
@@ -29,31 +30,38 @@ pub enum MpcError {
     OutputShareMismatch,
     /// The transport driving the per-party state machines stalled (a
     /// protocol bug: every unfinished party idle with no message in
-    /// flight) or, on sockets, failed.
+    /// flight) or, on sockets, failed.  Bytes from a peer that are not
+    /// one [`crate::party::GmwMessage`] end the run as
+    /// [`TransportError::Codec`](dstress_net::transport::TransportError::Codec)
+    /// on every backend: sockets check each frame on arrival, and a party
+    /// reading an in-process lane reports what that check would have.
     Transport(dstress_net::transport::TransportError),
     /// A peer sent what the GMW schedule does not allow at this point:
-    /// the wrong message kind, or a batch whose layer tag or width does
-    /// not match the AND layer in flight.  Peer bytes are untrusted
-    /// input, so the receiving party ends the run with this instead of
-    /// panicking.
+    /// the wrong message kind, a batch whose layer tag or width does not
+    /// match the AND layer in flight, or an OT payload of the wrong
+    /// length.  Peer bytes are untrusted input, so the receiving party
+    /// ends the run with this instead of panicking.
     UnexpectedMessage {
         /// The party that rejected the message.
         party: usize,
         /// The peer that sent it.
         peer: usize,
-        /// The message kind the schedule expected (`OtSetup`, `Choices`
-        /// or `Responses`).
-        expected: &'static str,
+        /// The message kind the schedule expected.
+        expected: GmwKind,
         /// Index of the AND layer in flight.
         layer: u32,
         /// AND gates in the layer in flight.
         gates: usize,
+        /// OT payload bytes the expected message carries.
+        payload: usize,
         /// The kind of the message that arrived.
-        found: &'static str,
+        found: GmwKind,
         /// Its layer tag (0 for `OtSetup`).
         found_layer: u32,
         /// Its batch width (0 for `OtSetup`).
         found_gates: usize,
+        /// Its OT payload bytes.
+        found_payload: usize,
     },
 }
 
@@ -79,13 +87,16 @@ impl fmt::Display for MpcError {
                 expected,
                 layer,
                 gates,
+                payload,
                 found,
                 found_layer,
                 found_gates,
+                found_payload,
             } => write!(
                 f,
                 "party {party}: {found} from party {peer} carry layer {found_layer} with \
-                 {found_gates} gates, expected {expected} for layer {layer} with {gates} gates"
+                 {found_gates} gates and {found_payload} payload bytes, expected {expected} \
+                 for layer {layer} with {gates} gates and {payload} payload bytes"
             ),
         }
     }
@@ -135,17 +146,19 @@ mod tests {
         let u = MpcError::UnexpectedMessage {
             party: 2,
             peer: 4,
-            expected: "Choices",
+            expected: GmwKind::Choices,
             layer: 9,
             gates: 18,
-            found: "OtSetup",
+            payload: 180,
+            found: GmwKind::OtSetup,
             found_layer: 0,
             found_gates: 0,
+            found_payload: 12_800,
         };
         assert_eq!(
             u.to_string(),
-            "party 2: OtSetup from party 4 carry layer 0 with 0 gates, \
-             expected Choices for layer 9 with 18 gates"
+            "party 2: OtSetup from party 4 carry layer 0 with 0 gates and 12800 payload \
+             bytes, expected Choices for layer 9 with 18 gates and 180 payload bytes"
         );
     }
 }

@@ -496,11 +496,13 @@ pub fn reconstruct_outputs(output_shares: &[Vec<bool>]) -> Result<Vec<bool>, Mpc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{GmwKind, GmwView};
     use dstress_circuit::builder::{decode_word, encode_word, CircuitBuilder};
     use dstress_circuit::evaluate;
     use dstress_crypto::group::GroupKind;
     use dstress_math::rng::Xoshiro256;
     use dstress_net::transport::{ActorStatus, Endpoint};
+    use dstress_net::wire::{self, Wire, WireError};
     use dstress_net::SocketTransport;
     use proptest::prelude::*;
 
@@ -780,12 +782,17 @@ mod tests {
             fn nodes(&self) -> usize {
                 self.0.nodes()
             }
-            fn send(&mut self, to: usize, message: GmwMessage) {
-                *self.1 += usize::from(matches!(message, GmwMessage::OtSetup { .. }));
-                self.0.send(to, message);
+            fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+                let setups = &mut *self.1;
+                self.0.send_bytes(to, &mut |out| {
+                    let at = out.len();
+                    write(out);
+                    let kind = GmwView::parse_exact(&out[at..]).map(|view| view.kind);
+                    *setups += usize::from(kind == Ok(GmwKind::OtSetup));
+                });
             }
-            fn try_recv_from(&mut self, peer: usize) -> Option<GmwMessage> {
-                self.0.try_recv_from(peer)
+            fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
+                self.0.recv_bytes(peer)
             }
         }
         impl NodeActor<GmwMessage> for Counted<'_> {
@@ -878,9 +885,18 @@ mod tests {
         }
     }
 
-    /// A session whose node-1 parties are scripted out of protocol: they
-    /// send `Responses` wherever their `Choices` are due.
-    struct OutOfProtocol<'s>(Box<dyn Session<GmwMessage> + 's>);
+    /// What the node-1 actors of an [`OutOfProtocol`] session do.
+    #[derive(Clone)]
+    enum Script {
+        /// Run their party, but send `Responses` wherever its `Choices`
+        /// are due.
+        Swap,
+        /// Write these bytes to node 0 through the byte send, then wait.
+        Raw(Vec<u8>),
+    }
+
+    /// A session whose node-1 actors are scripted out of protocol.
+    struct OutOfProtocol<'s>(Box<dyn Session<GmwMessage> + 's>, Script);
 
     struct Swapping<'e>(&'e mut dyn Endpoint<GmwMessage>);
 
@@ -888,35 +904,48 @@ mod tests {
         fn nodes(&self) -> usize {
             self.0.nodes()
         }
-        fn send(&mut self, to: usize, message: GmwMessage) {
-            let message = match message {
-                GmwMessage::Choices {
-                    layer,
-                    pairs,
-                    ot_payload,
-                } => GmwMessage::Responses {
-                    layer,
-                    bits: pairs.iter().map(|&(x, _)| x).collect(),
-                    ot_payload,
-                },
-                other => other,
-            };
+        fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+            let mut bytes = Vec::new();
+            write(&mut bytes);
+            let message =
+                match GmwMessage::decode_exact(&bytes).expect("a party writes one message") {
+                    GmwMessage::Choices {
+                        layer,
+                        pairs,
+                        ot_payload,
+                    } => GmwMessage::Responses {
+                        layer,
+                        bits: pairs.iter().map(|&(x, _)| x).collect(),
+                        ot_payload,
+                    },
+                    other => other,
+                };
             self.0.send(to, message);
         }
-        fn try_recv_from(&mut self, peer: usize) -> Option<GmwMessage> {
-            self.0.try_recv_from(peer)
+        fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
+            self.0.recv_bytes(peer)
         }
     }
 
     /// One actor of an [`OutOfProtocol`] run, scripted or not.
-    struct Member<'a>(&'a mut dyn NodeActor<GmwMessage>, bool);
+    enum Member<'a> {
+        Party(&'a mut dyn NodeActor<GmwMessage>),
+        Swapping(&'a mut dyn NodeActor<GmwMessage>),
+        Raw { bytes: &'a [u8], sent: bool },
+    }
 
     impl NodeActor<GmwMessage> for Member<'_> {
         fn poll(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
-            if self.1 {
-                self.0.poll(&mut Swapping(endpoint))
-            } else {
-                self.0.poll(endpoint)
+            match self {
+                Member::Party(actor) => actor.poll(endpoint),
+                Member::Swapping(actor) => actor.poll(&mut Swapping(endpoint)),
+                Member::Raw { bytes, sent } => {
+                    if !*sent {
+                        endpoint.send_bytes(0, &mut |out| out.extend_from_slice(bytes));
+                        *sent = true;
+                    }
+                    ActorStatus::Idle
+                }
             }
         }
     }
@@ -929,12 +958,17 @@ mod tests {
             &mut self,
             groups: &mut [&mut [&mut dyn NodeActor<GmwMessage>]],
         ) -> Result<Vec<WireTally>, TransportError> {
+            let script = &self.1;
             let mut members: Vec<Vec<Member>> = groups
                 .iter_mut()
                 .map(|group| {
                     let actors = group.iter_mut().enumerate();
                     actors
-                        .map(|(i, actor)| Member(&mut **actor, i == 1))
+                        .map(|(i, actor)| match (i, script) {
+                            (1, Script::Swap) => Member::Swapping(&mut **actor),
+                            (1, Script::Raw(bytes)) => Member::Raw { bytes, sent: false },
+                            _ => Member::Party(&mut **actor),
+                        })
                         .collect()
                 })
                 .collect();
@@ -953,12 +987,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_protocol_peer_ends_the_run_typed_within_a_second() {
-        // Party 1 answers with `Responses` where its layer-0 `Choices` are
-        // due: party 0 rejects them and the run ends with that typed error
-        // at once — on sockets too, long before the 60 s stall timeout —
-        // where it used to panic the worker.
+    /// The two-party job the out-of-protocol tests run, on established
+    /// sessions so that node 1's first message is its layer-0 `Choices`:
+    /// the circuit, the job, and that batch's width and OT payload length.
+    fn out_of_protocol_job() -> (Circuit, GmwJob, usize, usize) {
         let circuit = adder_circuit(8);
         let mut inputs = encode_word(5, 8);
         inputs.extend(encode_word(6, 8));
@@ -968,19 +1000,36 @@ mod tests {
             master_seed: 0xBAD,
         };
         let gates = circuit.layers().and_layers()[0].len();
-        let expected = MpcError::UnexpectedMessage {
+        let payload = gates * OtConfig::extension().wire_receiver_bytes_per_ot();
+        (circuit, job, gates, payload)
+    }
+
+    /// Party 0's rejection of a `found` message from party 1 where its
+    /// layer-0 `Choices` are due.
+    fn choices_expected(found: GmwKind, found_gates: usize, found_payload: usize) -> MpcError {
+        let (_, _, gates, payload) = out_of_protocol_job();
+        MpcError::UnexpectedMessage {
             party: 0,
             peer: 1,
-            expected: "Choices",
+            expected: GmwKind::Choices,
             layer: 0,
             gates,
-            found: "Responses",
+            payload,
+            found,
             found_layer: 0,
-            found_gates: gates,
-        };
+            found_gates,
+            found_payload,
+        }
+    }
+
+    /// Runs [`out_of_protocol_job`] with node 1 scripted, on Sim and on
+    /// Socket, and asserts each run ends with `expected` within a second
+    /// — long before the sockets' 60 s stall timeout.
+    fn assert_script_ends_the_run(script: Script, expected: &MpcError) {
+        let (circuit, job, ..) = out_of_protocol_job();
         let socket = SocketTransport::with_threads(2);
         for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
-            let mut session = OutOfProtocol(transport.open(2).unwrap());
+            let mut session = OutOfProtocol(transport.open(2).unwrap(), script.clone());
             let started = std::time::Instant::now(); // lint:allow-nondeterminism -- test-only deadline
             let error = execute_established(
                 &mut session,
@@ -990,7 +1039,7 @@ mod tests {
                 vec![job.clone()],
             )
             .unwrap_err();
-            assert_eq!(error, expected, "{}", transport.name());
+            assert_eq!(&error, expected, "{}", transport.name());
             assert!(
                 started.elapsed() < std::time::Duration::from_secs(1),
                 "{} took {:?}",
@@ -998,6 +1047,84 @@ mod tests {
                 started.elapsed()
             );
         }
+    }
+
+    /// A layer-0 `Choices` batch from party 1 of `gates` gates and
+    /// `payload` OT payload bytes, encoded.
+    fn choices_bytes(gates: usize, payload: usize) -> Vec<u8> {
+        let message = GmwMessage::Choices {
+            layer: 0,
+            pairs: vec![(true, false); gates],
+            ot_payload: vec![0xA5; payload],
+        };
+        message.encode()
+    }
+
+    #[test]
+    fn out_of_protocol_peer_ends_the_run_typed_within_a_second() {
+        // Party 1 answers with `Responses` where its layer-0 `Choices` are
+        // due, or writes bytes that are no message or the wrong batch in
+        // their place: party 0 rejects them and the run ends with that
+        // typed error at once, on sockets too — never a panic of the
+        // worker.  Bytes that do not parse are the same codec error on
+        // both backends: the socket checks each frame on arrival, and the
+        // in-process party parses with the same parser.
+        let (_, _, gates, payload) = out_of_protocol_job();
+        assert_script_ends_the_run(
+            Script::Swap,
+            &choices_expected(GmwKind::Responses, gates, payload),
+        );
+        let well_formed = choices_bytes(gates, payload);
+        // tag · layer · count, then the x-plane, whose last byte's top bit
+        // is padding.
+        assert_ne!(gates % 8, 0, "layer 0 leaves plane padding");
+        let mut dirty = well_formed.clone();
+        dirty[3 + wire::bits_len(gates) - 1] |= 0x80;
+        let mut trailing = well_formed.clone();
+        trailing.push(0);
+        let truncated = well_formed[..well_formed.len() - 1].to_vec();
+        let codec = |error| MpcError::Transport(TransportError::Codec { peer: 1, error });
+        let cases = [
+            (
+                dirty,
+                codec(WireError::Invalid {
+                    what: "bit-plane padding",
+                }),
+            ),
+            (
+                truncated,
+                codec(WireError::Truncated {
+                    needed: payload,
+                    available: payload - 1,
+                }),
+            ),
+            (trailing, codec(WireError::Trailing { remaining: 1 })),
+            (
+                vec![0x01, 0x00, 0x00],
+                codec(WireError::BadTag {
+                    tag: 0x01,
+                    what: "GmwMessage",
+                }),
+            ),
+            (
+                choices_bytes(gates + 1, payload + 10),
+                choices_expected(GmwKind::Choices, gates + 1, payload + 10),
+            ),
+        ];
+        for (bytes, expected) in cases {
+            assert_script_ends_the_run(Script::Raw(bytes), &expected);
+        }
+    }
+
+    #[test]
+    fn short_ot_payload_ends_the_run_typed() {
+        // Once accepted on layer and width alone: a `Choices` batch one
+        // OT payload byte short of the provider's length for its width.
+        let (_, _, gates, payload) = out_of_protocol_job();
+        assert_script_ends_the_run(
+            Script::Raw(choices_bytes(gates, payload - 1)),
+            &choices_expected(GmwKind::Choices, gates, payload - 1),
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Wire encoding of the GMW protocol messages.
 //!
 //! Every [`GmwMessage`] is encoded by hand on top of the primitives in
-//! [`dstress_net::wire`]; both transport backends route each send through
-//! this codec, so the byte totals in a run's
-//! [`dstress_net::wire::WireTally`] are measured from these layouts.
+//! [`dstress_net::wire`]; both transport backends move these encodings as
+//! bytes, so the byte totals in a run's [`dstress_net::wire::WireTally`]
+//! are measured from these layouts.
 //!
 //! ## Layouts
 //!
@@ -17,17 +17,33 @@
 //! a per-gate run sends one-gate `Choices`/`Responses`.
 //!
 //! `bytes(…)` is a varint length followed by raw bytes; bit planes pack
-//! LSB-first with zero padding (the decoder rejects dirty padding bits).
+//! LSB-first with zero padding (the parser rejects dirty padding bits).
 //! The batched choice and share bits therefore cost **one bit each** on
 //! the wire — `⌈w/8⌉` bytes per plane for a `w`-gate layer — instead of a
 //! header per gate.
 //!
-//! Every encoding is written into a buffer reserved to its exact length
-//! ([`GmwMessage::encoded_len`]), and the batched messages pack and
-//! unpack their planes straight between the wire bytes and the message's
-//! own `pairs` / `bits` vectors, with no intermediate plane copies.
+//! ## One codec, read and written in place
+//!
+//! The layout is decided once, here, by one writer and one parser:
+//!
+//! * every encoding is appended by one writer, reserved to its exact
+//!   length ([`GmwMessage::encoded_len`]); the in-place doors
+//!   `write_choices` and `write_responses` give it a layer's choice
+//!   planes packed once or its response bits, and generate the
+//!   seed-derived OT payload straight into the output — what a
+//!   [`crate::party::GmwParty`] writes into a transport lane;
+//! * every encoding is read by one parser, `GmwView::read`, which checks
+//!   it and borrows its planes and payload from the buffer — what a party
+//!   reads a peer's batch through.
+//!
+//! The owned [`GmwMessage`] codec wraps the two: `encode_into` is the
+//! writer over the message's own vectors, `decode` is the parser plus
+//! one copy, and `check_exact` is the parser alone.  So the bytes a party writes in
+//! place are the bytes `encode` produces, and the view accepts and
+//! rejects exactly what `decode_exact` does, with the same [`WireError`].
 
 use crate::party::{derive_seed, GmwMessage};
+use core::fmt;
 use dstress_math::rng::{DetRng, SplitMix64};
 use dstress_net::wire::{self, Wire, WireError};
 
@@ -57,10 +73,15 @@ pub const PAYLOAD_SENDER: u64 = 0x6F74_3A73_656E_6465; // "ot:sende"
 /// merely size-faithful (the sizes still match the provider's analytic
 /// per-OT costs — see [`crate::party::OtConfig`]).
 pub fn ot_payload(pair_seed: u64, direction: u64, index: u64, len: usize) -> Vec<u8> {
-    let mut stream = SplitMix64::new(derive_seed(pair_seed, direction, index));
     let mut bytes = vec![0u8; len];
-    stream.fill_bytes(&mut bytes);
+    fill_ot_payload(pair_seed, direction, index, &mut bytes);
     bytes
+}
+
+/// [`ot_payload`] generated straight into `out` (its length is the
+/// payload's): one keyed stream per message.
+pub(crate) fn fill_ot_payload(pair_seed: u64, direction: u64, index: u64, out: &mut [u8]) {
+    SplitMix64::new(derive_seed(pair_seed, direction, index)).fill_bytes(out);
 }
 
 /// Upper bound on the header bytes of a batched `Choices`/`Responses`
@@ -70,13 +91,189 @@ pub fn ot_payload(pair_seed: u64, direction: u64, index: u64, len: usize) -> Vec
 /// (one bit per choice bit, two planes) plus this header.
 pub const BATCH_HEADER_MAX: usize = 1 + 5 + 5 + 1;
 
-/// Packs the x- and y-planes of a `Choices` batch (`put_bits(xs)` then
-/// `put_bits(ys)`) straight from the pairs.
-fn put_choice_planes(out: &mut Vec<u8>, pairs: &[(bool, bool)]) {
-    let plane = wire::bits_len(pairs.len());
-    let start = out.len();
-    out.resize(start + 2 * plane, 0);
-    let (xs, ys) = out[start..].split_at_mut(plane);
+/// The kind of a [`GmwMessage`], as its tag byte names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GmwKind {
+    /// [`GmwMessage::OtSetup`].
+    OtSetup,
+    /// [`GmwMessage::Choices`].
+    Choices,
+    /// [`GmwMessage::Responses`].
+    Responses,
+}
+
+impl fmt::Display for GmwKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            GmwKind::OtSetup => "OtSetup",
+            GmwKind::Choices => "Choices",
+            GmwKind::Responses => "Responses",
+        })
+    }
+}
+
+impl GmwKind {
+    /// Bit planes of a batch of this kind: the x- and y-shares of
+    /// `Choices`, the received bits of `Responses`, none for `OtSetup`.
+    pub(crate) fn planes(self) -> usize {
+        match self {
+            GmwKind::OtSetup => 0,
+            GmwKind::Choices => 2,
+            GmwKind::Responses => 1,
+        }
+    }
+
+    fn tag(self) -> u8 {
+        match self {
+            GmwKind::OtSetup => TAG_OT_SETUP,
+            GmwKind::Choices => TAG_CHOICES,
+            GmwKind::Responses => TAG_RESPONSES,
+        }
+    }
+
+    fn of_tag(tag: u8) -> Result<Self, WireError> {
+        match tag {
+            TAG_OT_SETUP => Ok(GmwKind::OtSetup),
+            TAG_CHOICES => Ok(GmwKind::Choices),
+            TAG_RESPONSES => Ok(GmwKind::Responses),
+            tag => Err(WireError::BadTag {
+                tag,
+                what: "GmwMessage",
+            }),
+        }
+    }
+}
+
+/// One encoded [`GmwMessage`], checked and borrowed in place: the parser
+/// every decode goes through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct GmwView<'a> {
+    /// The message kind.
+    pub kind: GmwKind,
+    /// The batch's AND layer (0 for `OtSetup`).
+    pub layer: u32,
+    /// The batch's width in gates (0 for `OtSetup`).
+    pub gates: usize,
+    /// The packed bit planes back to back, `kind.planes()` of
+    /// `⌈gates/8⌉` bytes each, their padding bits checked zero.
+    pub planes: &'a [u8],
+    /// The OT payload.
+    pub ot_payload: &'a [u8],
+}
+
+impl<'a> GmwView<'a> {
+    /// Parses one message off the front of `buf`, advancing it past the
+    /// message.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadTag`] for an unknown or retired tag,
+    /// [`WireError::Invalid`] for a layer past `u32` or dirty plane
+    /// padding, [`WireError::Truncated`] / [`WireError::VarintOverflow`]
+    /// for a buffer that ends inside the message or a broken varint.
+    // Always inlined, like `parse_exact`: see `GmwParty::expect`.
+    #[inline(always)]
+    pub fn read(buf: &mut &'a [u8]) -> Result<Self, WireError> {
+        let kind = GmwKind::of_tag(wire::get_u8(buf)?)?;
+        let (mut layer, mut gates) = (0, 0);
+        if kind != GmwKind::OtSetup {
+            layer = u32::try_from(wire::get_uvarint(buf)?)
+                .map_err(|_| WireError::Invalid { what: "GmwMessage" })?;
+            gates = wire::get_uvarint(buf)? as usize;
+        }
+        let at = *buf;
+        for _ in 0..kind.planes() {
+            wire::get_bit_plane(buf, gates)?;
+        }
+        let planes = &at[..at.len() - buf.len()];
+        let ot_payload = wire::get_byte_slice(buf)?;
+        Ok(GmwView {
+            kind,
+            layer,
+            gates,
+            planes,
+            ot_payload,
+        })
+    }
+
+    /// Parses a buffer that must hold exactly one message.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Trailing`] if bytes remain after the message, or any
+    /// error of [`GmwView::read`].
+    #[inline(always)]
+    pub fn parse_exact(mut buf: &'a [u8]) -> Result<Self, WireError> {
+        let view = GmwView::read(&mut buf)?;
+        if buf.is_empty() {
+            Ok(view)
+        } else {
+            Err(WireError::Trailing {
+                remaining: buf.len(),
+            })
+        }
+    }
+
+    /// Plane `index` of the batch (`0` is the x-plane of `Choices` and
+    /// the bit plane of `Responses`, `1` the y-plane of `Choices`).
+    pub fn plane(&self, index: usize) -> &'a [u8] {
+        let len = wire::bits_len(self.gates);
+        &self.planes[index * len..(index + 1) * len]
+    }
+
+    /// The owned message: the view's planes unpacked and its payload
+    /// copied.
+    pub fn to_message(self) -> GmwMessage {
+        let ot_payload = self.ot_payload.to_vec();
+        let (layer, gates) = (self.layer, self.gates);
+        match self.kind {
+            GmwKind::OtSetup => GmwMessage::OtSetup { ot_payload },
+            GmwKind::Choices => {
+                let mut pairs = Vec::with_capacity(gates);
+                for (&x_byte, &y_byte) in self.plane(0).iter().zip(self.plane(1)) {
+                    let width = (gates - pairs.len()).min(8);
+                    pairs.extend((0..width).map(|i| (x_byte >> i & 1 == 1, y_byte >> i & 1 == 1)));
+                }
+                GmwMessage::Choices {
+                    layer,
+                    pairs,
+                    ot_payload,
+                }
+            }
+            GmwKind::Responses => {
+                let mut bits = Vec::with_capacity(gates);
+                for &byte in self.plane(0) {
+                    let width = (gates - bits.len()).min(8);
+                    bits.extend((0..width).map(|i| byte >> i & 1 == 1));
+                }
+                GmwMessage::Responses {
+                    layer,
+                    bits,
+                    ot_payload,
+                }
+            }
+        }
+    }
+}
+
+/// Bit `index` of a packed plane (LSB-first).
+pub(crate) fn plane_bit(plane: &[u8], index: usize) -> bool {
+    plane[index / 8] >> (index % 8) & 1 == 1
+}
+
+/// Packs `bits` LSB-first into `plane`, whose bytes are zero.
+fn pack_bits(bits: &[bool], plane: &mut [u8]) {
+    for (chunk, byte) in bits.chunks(8).zip(plane) {
+        for (i, &bit) in chunk.iter().enumerate() {
+            *byte |= (bit as u8) << i;
+        }
+    }
+}
+
+/// Packs a `Choices` batch's x- and y-planes from its `(x, y)` pairs into
+/// `planes` (`2·⌈w/8⌉` zero bytes): the x-plane, then the y-plane.
+pub(crate) fn pack_choice_planes(pairs: &[(bool, bool)], planes: &mut [u8]) {
+    let (xs, ys) = planes.split_at_mut(wire::bits_len(pairs.len()));
     for ((chunk, x_byte), y_byte) in pairs.chunks(8).zip(xs).zip(ys) {
         for (i, &(x, y)) in chunk.iter().enumerate() {
             *x_byte |= (x as u8) << i;
@@ -85,106 +282,157 @@ fn put_choice_planes(out: &mut Vec<u8>, pairs: &[(bool, bool)]) {
     }
 }
 
-/// Reads the two planes of a `count`-gate `Choices` batch back into pairs.
-fn get_choice_planes(buf: &mut &[u8], count: usize) -> Result<Vec<(bool, bool)>, WireError> {
-    let xs = wire::get_bit_plane(buf, count)?;
-    let ys = wire::get_bit_plane(buf, count)?;
-    let mut pairs = Vec::with_capacity(count);
-    for (&x_byte, &y_byte) in xs.iter().zip(ys) {
-        let width = (count - pairs.len()).min(8);
-        pairs.extend((0..width).map(|i| (x_byte >> i & 1 == 1, y_byte >> i & 1 == 1)));
+/// The exact length of one encoding.
+fn encoded_len(kind: GmwKind, layer: u32, gates: usize, payload: usize) -> usize {
+    let header = match kind {
+        GmwKind::OtSetup => 0,
+        _ => wire::uvarint_len(u64::from(layer)) + wire::uvarint_len(gates as u64),
+    };
+    1 + header + kind.planes() * wire::bits_len(gates) + wire::uvarint_len(payload as u64) + payload
+}
+
+/// Appends one encoding, reserved to its exact length — the one writer
+/// of the layouts.  `pack` fills the zeroed planes (`kind.planes()` ×
+/// `⌈gates/8⌉` bytes) and `fill` the `payload_len` zeroed payload bytes.
+fn put_message(
+    out: &mut Vec<u8>,
+    kind: GmwKind,
+    layer: u32,
+    gates: usize,
+    pack: impl FnOnce(&mut [u8]),
+    payload_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) {
+    out.reserve(encoded_len(kind, layer, gates, payload_len));
+    wire::put_u8(out, kind.tag());
+    if kind != GmwKind::OtSetup {
+        wire::put_uvarint(out, u64::from(layer));
+        wire::put_uvarint(out, gates as u64);
     }
-    Ok(pairs)
+    let at = out.len();
+    out.resize(at + kind.planes() * wire::bits_len(gates), 0);
+    pack(&mut out[at..]);
+    wire::put_uvarint(out, payload_len as u64);
+    let at = out.len();
+    out.resize(at + payload_len, 0);
+    fill(&mut out[at..]);
+}
+
+/// Writes a `Choices` batch in place: exactly the encoding of
+/// `GmwMessage::Choices { layer, pairs, ot_payload }` where `planes` is
+/// `pairs` packed by [`pack_choice_planes`] (`gates` = `pairs.len()`) and
+/// `ot_payload` is `ot_payload(pair_seed, PAYLOAD_RECEIVER, layer,
+/// payload_len)`.  A party packs a layer's planes once and writes them,
+/// with each owner's payload, into each owner's lane.
+pub(crate) fn write_choices(
+    out: &mut Vec<u8>,
+    layer: u32,
+    gates: usize,
+    planes: &[u8],
+    pair_seed: u64,
+    payload_len: usize,
+) {
+    put_message(
+        out,
+        GmwKind::Choices,
+        layer,
+        gates,
+        |dst| dst.copy_from_slice(planes),
+        payload_len,
+        |dst| fill_ot_payload(pair_seed, PAYLOAD_RECEIVER, u64::from(layer), dst),
+    );
+}
+
+/// Writes a `Responses` batch in place: exactly the encoding of
+/// `GmwMessage::Responses { layer, bits, ot_payload }` with `ot_payload`
+/// = `ot_payload(pair_seed, PAYLOAD_SENDER, layer, payload_len)`.
+pub(crate) fn write_responses(
+    out: &mut Vec<u8>,
+    layer: u32,
+    bits: &[bool],
+    pair_seed: u64,
+    payload_len: usize,
+) {
+    put_message(
+        out,
+        GmwKind::Responses,
+        layer,
+        bits.len(),
+        |plane| pack_bits(bits, plane),
+        payload_len,
+        |dst| fill_ot_payload(pair_seed, PAYLOAD_SENDER, u64::from(layer), dst),
+    );
 }
 
 impl GmwMessage {
     /// The exact length of the message's encoding, from the layouts in
     /// the module docs.
     pub fn encoded_len(&self) -> usize {
-        let bytes_len = |payload: &[u8]| wire::uvarint_len(payload.len() as u64) + payload.len();
-        let batch_len = |layer: u32, count: usize, planes: usize| {
-            wire::uvarint_len(u64::from(layer))
-                + wire::uvarint_len(count as u64)
-                + planes * wire::bits_len(count)
-        };
-        1 + match self {
-            GmwMessage::OtSetup { ot_payload } => bytes_len(ot_payload),
+        match self {
+            GmwMessage::OtSetup { ot_payload } => {
+                encoded_len(GmwKind::OtSetup, 0, 0, ot_payload.len())
+            }
             GmwMessage::Choices {
                 layer,
                 pairs,
                 ot_payload,
-            } => batch_len(*layer, pairs.len(), 2) + bytes_len(ot_payload),
+            } => encoded_len(GmwKind::Choices, *layer, pairs.len(), ot_payload.len()),
             GmwMessage::Responses {
                 layer,
                 bits,
                 ot_payload,
-            } => batch_len(*layer, bits.len(), 1) + bytes_len(ot_payload),
+            } => encoded_len(GmwKind::Responses, *layer, bits.len(), ot_payload.len()),
         }
     }
 }
 
 impl Wire for GmwMessage {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.encoded_len());
         match self {
-            GmwMessage::OtSetup { ot_payload } => {
-                wire::put_u8(out, TAG_OT_SETUP);
-                wire::put_bytes(out, ot_payload);
-            }
+            GmwMessage::OtSetup { ot_payload } => put_message(
+                out,
+                GmwKind::OtSetup,
+                0,
+                0,
+                |_| {},
+                ot_payload.len(),
+                |dst| dst.copy_from_slice(ot_payload),
+            ),
             GmwMessage::Choices {
                 layer,
                 pairs,
                 ot_payload,
-            } => {
-                wire::put_u8(out, TAG_CHOICES);
-                wire::put_uvarint(out, u64::from(*layer));
-                wire::put_uvarint(out, pairs.len() as u64);
-                put_choice_planes(out, pairs);
-                wire::put_bytes(out, ot_payload);
-            }
+            } => put_message(
+                out,
+                GmwKind::Choices,
+                *layer,
+                pairs.len(),
+                |planes| pack_choice_planes(pairs, planes),
+                ot_payload.len(),
+                |dst| dst.copy_from_slice(ot_payload),
+            ),
             GmwMessage::Responses {
                 layer,
                 bits,
                 ot_payload,
-            } => {
-                wire::put_u8(out, TAG_RESPONSES);
-                wire::put_uvarint(out, u64::from(*layer));
-                wire::put_uvarint(out, bits.len() as u64);
-                wire::put_bits(out, bits);
-                wire::put_bytes(out, ot_payload);
-            }
+            } => put_message(
+                out,
+                GmwKind::Responses,
+                *layer,
+                bits.len(),
+                |plane| pack_bits(bits, plane),
+                ot_payload.len(),
+                |dst| dst.copy_from_slice(ot_payload),
+            ),
         }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let what = "GmwMessage";
-        let get_layer = |buf: &mut &[u8]| -> Result<u32, WireError> {
-            u32::try_from(wire::get_uvarint(buf)?).map_err(|_| WireError::Invalid { what })
-        };
-        match wire::get_u8(buf)? {
-            TAG_OT_SETUP => Ok(GmwMessage::OtSetup {
-                ot_payload: wire::get_bytes(buf)?,
-            }),
-            TAG_CHOICES => {
-                let layer = get_layer(buf)?;
-                let count = wire::get_uvarint(buf)? as usize;
-                Ok(GmwMessage::Choices {
-                    layer,
-                    pairs: get_choice_planes(buf, count)?,
-                    ot_payload: wire::get_bytes(buf)?,
-                })
-            }
-            TAG_RESPONSES => {
-                let layer = get_layer(buf)?;
-                let count = wire::get_uvarint(buf)? as usize;
-                Ok(GmwMessage::Responses {
-                    layer,
-                    bits: wire::get_bits(buf, count)?,
-                    ot_payload: wire::get_bytes(buf)?,
-                })
-            }
-            tag => Err(WireError::BadTag { tag, what }),
-        }
+        GmwView::read(buf).map(|view| view.to_message())
+    }
+
+    fn check_exact(buf: &[u8]) -> Result<(), WireError> {
+        GmwView::parse_exact(buf).map(drop)
     }
 }
 
@@ -521,6 +769,77 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-place writers against the owned codec: what a party
+        /// writes into a lane — behind whatever the lane already holds —
+        /// is `GmwMessage::encode`'s bytes, seed-derived payload included.
+        #[test]
+        fn prop_in_place_writers_equal_the_owned_encoding(
+            layer in any::<u32>(),
+            width in 0usize..300,
+            seed in any::<u64>(),
+            per_ot in 0usize..12,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let pairs: Vec<(bool, bool)> =
+                (0..width).map(|_| (rng.next_bool(), rng.next_bool())).collect();
+            let bits: Vec<bool> = pairs.iter().map(|&(x, y)| x ^ y).collect();
+            let len = width * per_ot;
+            let mut planes = vec![0; 2 * wire::bits_len(width)];
+            pack_choice_planes(&pairs, &mut planes);
+            let mut lane = vec![0xEE; 3];
+            write_choices(&mut lane, layer, width, &planes, seed, len);
+            let choices = GmwMessage::Choices {
+                layer,
+                pairs,
+                ot_payload: ot_payload(seed, PAYLOAD_RECEIVER, u64::from(layer), len),
+            };
+            prop_assert_eq!(&lane[3..], &choices.encode()[..]);
+            let mut lane = vec![0xEE; 3];
+            write_responses(&mut lane, layer, &bits, seed, len);
+            let responses = GmwMessage::Responses {
+                layer,
+                bits,
+                ot_payload: ot_payload(seed, PAYLOAD_SENDER, u64::from(layer), len),
+            };
+            prop_assert_eq!(&lane[3..], &responses.encode()[..]);
+        }
+
+        /// The view parser and the owned decoder accept and reject the
+        /// same buffers with the same error: random bytes behind every
+        /// tag, and every variant's encoding with one byte flipped, cut
+        /// short, or one byte longer.
+        #[test]
+        fn prop_view_and_owned_decoder_agree(
+            tag in 0u8..6,
+            noise in proptest::collection::vec(any::<u8>(), 0..40),
+            layer in any::<u32>(),
+            x_bits in proptest::collection::vec(any::<bool>(), 0..40),
+            payload in proptest::collection::vec(any::<u8>(), 0..24),
+            at in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let agree = |buf: &[u8]| {
+                let view = GmwView::parse_exact(buf);
+                prop_assert_eq!(view.map(|v| v.to_message()), GmwMessage::decode_exact(buf));
+                prop_assert_eq!(GmwMessage::check_exact(buf), view.map(drop));
+            };
+            let mut random = vec![tag];
+            random.extend(&noise);
+            agree(&random);
+            let y_bits: Vec<bool> = x_bits.iter().map(|&x| !x).collect();
+            for message in messages_from(layer, &x_bits, &y_bits, &payload) {
+                let encoded = message.encode();
+                agree(&encoded);
+                let mut flipped = encoded.clone();
+                flipped[at % encoded.len()] ^= flip;
+                agree(&flipped);
+                agree(&encoded[..at % encoded.len()]);
+                let mut longer = encoded;
+                longer.push(flip);
+                agree(&longer);
+            }
+        }
 
         #[test]
         fn prop_gmw_messages_round_trip(

@@ -451,30 +451,26 @@ struct RecordingEndpoint<'a> {
     lanes: &'a mut [u64],
 }
 
-impl RecordingEndpoint<'_> {
-    fn record(&mut self, to: usize, message: &GmwMessage) {
-        let bytes = message.encode();
-        let h = fold(self.lanes[to], &(bytes.len() as u64).to_le_bytes());
-        self.lanes[to] = fold(h, &bytes);
-    }
+/// Folds one encoded message into a lane hash.
+fn record(lane: &mut u64, bytes: &[u8]) {
+    let h = fold(*lane, &(bytes.len() as u64).to_le_bytes());
+    *lane = fold(h, bytes);
 }
 
 impl Endpoint<GmwMessage> for RecordingEndpoint<'_> {
     fn nodes(&self) -> usize {
         self.inner.nodes()
     }
-    fn send(&mut self, to: usize, message: GmwMessage) {
-        self.record(to, &message);
-        self.inner.send(to, message);
+    fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+        let lane = &mut self.lanes[to];
+        self.inner.send_bytes(to, &mut |out| {
+            let at = out.len();
+            write(out);
+            record(lane, &out[at..]);
+        });
     }
-    fn send_many(&mut self, batch: Vec<(usize, GmwMessage)>) {
-        for (to, message) in &batch {
-            self.record(*to, message);
-        }
-        self.inner.send_many(batch);
-    }
-    fn try_recv_from(&mut self, peer: usize) -> Option<GmwMessage> {
-        self.inner.try_recv_from(peer)
+    fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
+        self.inner.recv_bytes(peer)
     }
 }
 

@@ -149,6 +149,16 @@ impl FrameDecoder {
     /// in practice — a desynchronised stream has no recovery point — so
     /// callers should drop the connection on the first error.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+        Ok(self.next_frame_slice()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`FrameDecoder::next_frame`] without the copy: the payload is
+    /// borrowed from the decoder's buffer until the next call.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_frame`].
+    pub(crate) fn next_frame_slice(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let pending = &self.buf[self.start..];
         if pending.is_empty() {
             return Ok(None);
@@ -170,9 +180,9 @@ impl FrameDecoder {
         if pending.len() < total {
             return Ok(None);
         }
-        let payload = pending[FRAME_HEADER_LEN..total].to_vec();
+        let start = self.start;
         self.start += total;
-        Ok(Some(payload))
+        Ok(Some(&self.buf[start + FRAME_HEADER_LEN..start + total]))
     }
 
     /// Bytes currently buffered but not yet consumed as complete frames.

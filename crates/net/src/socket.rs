@@ -30,6 +30,19 @@
 //! [`TransportError::UnknownStream`], an undecodable id a
 //! [`TransportError::Codec`].
 //!
+//! ## Byte lanes
+//!
+//! A send writes `uvarint(stream)` and then the caller's encoding straight
+//! into the worker's frame scratch, which is framed onto the link's write
+//! queue — the message is never an object of its own.  On the read side
+//! each frame is checked where it arrives: its stream id, then
+//! [`Wire::check_exact`] on the payload (a typed
+//! [`TransportError::Codec`] if it is not one message), and only then is
+//! the payload copied, borrowed from the frame decoder's buffer, into the
+//! `(stream, peer)` byte lane its actor reads from
+//! ([`Endpoint::recv_bytes`]).  A payload is never decoded into a message
+//! unless an actor asks for one ([`Endpoint::try_recv_from`]).
+//!
 //! ## One driver
 //!
 //! There is no async runtime in this workspace (the shims environment has
@@ -37,8 +50,8 @@
 //! worker runs the same pass over its nodes until they finish —
 //!
 //! 1. poll every unfinished actor of every live group: a send only
-//!    *queues* a frame on its link, a receive is a `pop_front` on the
-//!    `(stream, peer)` buffer, neither is a syscall;
+//!    *queues* a frame on its link, a receive borrows the oldest entry of
+//!    the `(stream, peer)` lane, neither is a syscall;
 //! 2. flush each link once — one `write` carries what all groups queued;
 //! 3. drain each link once — one `read`, then every complete frame is
 //!    routed to its stream's buffer.
@@ -62,7 +75,7 @@
 
 use crate::frame::{encode_frame_into, FrameDecoder};
 use crate::transport::{
-    check_group_sizes, ActorStatus, Endpoint, NodeActor, Session, Transport, TransportError,
+    check_group_sizes, ActorStatus, Endpoint, Lane, NodeActor, Session, Transport, TransportError,
 };
 use crate::wire::{
     get_u32_le, get_u8, get_uvarint, put_u32_le, put_u8, put_uvarint, Wire, WireError, WireTally,
@@ -287,13 +300,14 @@ impl FramedConn {
         }
     }
 
-    /// The next complete frame already read off the socket, if any.
-    /// Frame-layer violations — bad magic (trailing garbage), an
-    /// oversized length prefix — come back as typed errors.
-    fn next_buffered_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
+    /// The next complete frame already read off the socket, if any,
+    /// borrowed from the frame decoder.  Frame-layer violations — bad
+    /// magic (trailing garbage), an oversized length prefix — come back
+    /// as typed errors.
+    fn next_buffered_frame(&mut self) -> Result<Option<&[u8]>, TransportError> {
         let peer = self.peer;
         self.decoder
-            .next_frame()
+            .next_frame_slice()
             .map_err(|error| TransportError::Frame { peer, error })
     }
 
@@ -304,16 +318,15 @@ impl FramedConn {
     /// (trailing garbage), oversized length prefixes, and — on EOF — a
     /// torn frame.  A clean EOF just marks the connection closed.
     pub fn poll_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        if let Some(frame) = self.next_buffered_frame()? {
-            return Ok(Some(frame));
-        }
         let mut scratch = [0u8; 16 * 1024];
-        while !self.closed && self.read_once(&mut scratch)? > 0 {
+        loop {
             if let Some(frame) = self.next_buffered_frame()? {
-                return Ok(Some(frame));
+                return Ok(Some(frame.to_vec()));
+            }
+            if self.closed || self.read_once(&mut scratch)? == 0 {
+                return Ok(None);
             }
         }
-        Ok(None)
     }
 
     /// Blocking receive with a deadline: the next frame payload, a typed
@@ -545,9 +558,19 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Wire payload` — and returns where the `Wire` payload starts in it (the
 /// bytes from there on are what a [`WireTally`] counts).
 pub fn encode_stream_payload<M: Wire>(out: &mut Vec<u8>, stream: u64, message: &M) -> usize {
+    put_stream_payload(out, stream, &mut |out| message.encode_into(out))
+}
+
+/// [`encode_stream_payload`] for an encoding `write` appends in place —
+/// the one place the envelope is laid out.
+fn put_stream_payload(
+    out: &mut Vec<u8>,
+    stream: u64,
+    write: &mut dyn FnMut(&mut Vec<u8>),
+) -> usize {
     put_uvarint(out, stream);
     let envelope = out.len();
-    message.encode_into(out);
+    write(out);
     envelope
 }
 
@@ -775,49 +798,47 @@ impl RunShared {
 }
 
 /// One actor's endpoint for one poll: its node's links to queue frames
-/// on, its `(stream, peer)` buffers to receive from.
-struct StreamEndpoint<'a, M> {
+/// on, its `(stream, peer)` lanes to receive from.
+struct StreamEndpoint<'a> {
     node: usize,
     stream: u64,
     /// The node's end of its connection with every peer.
     links: &'a mut [Option<FramedConn>],
-    /// This actor's per-peer buffers of decoded messages.
-    inbox: &'a mut [VecDeque<M>],
+    /// This actor's byte lane per peer, in arrival order.
+    inbox: &'a mut [Lane],
     tally: &'a mut WireTally,
     counters: &'a QueueCounters,
-    /// Encode buffer, reused from send to send.
+    /// Frame payload buffer, reused from send to send.
     scratch: &'a mut Vec<u8>,
     /// Sends plus successful receives, the worker's progress signal.
     activity: &'a mut u64,
 }
 
-impl<M: Wire> Endpoint<M> for StreamEndpoint<'_, M> {
+impl<M: Wire> Endpoint<M> for StreamEndpoint<'_> {
     fn nodes(&self) -> usize {
         self.inbox.len()
     }
 
-    fn send(&mut self, to: usize, message: M) {
+    fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
         *self.activity += 1;
-        self.scratch.clear();
-        let envelope = encode_stream_payload(self.scratch, self.stream, &message);
-        let payload = &self.scratch[envelope..];
-        self.tally.record(self.node, to, payload.len() as u64);
         if to == self.node {
-            // Self-sends never touch a socket; deliver through the same
-            // encode → decode boundary the in-process backend uses.
-            let decoded = M::decode_exact(payload)
-                .expect("wire round-trip failed: the message type's encoder and decoder disagree");
-            self.inbox[to].push_back(decoded);
+            // Self-sends never touch a socket: straight into the lane.
+            let bytes = self.inbox[to].push_with(write);
+            self.tally.record(self.node, to, bytes as u64);
             return;
         }
+        self.scratch.clear();
+        let envelope = put_stream_payload(self.scratch, self.stream, write);
+        let bytes = self.scratch.len() - envelope;
+        self.tally.record(self.node, to, bytes as u64);
         self.counters.sent[to].fetch_add(1, Ordering::Relaxed);
         if let Some(link) = self.links[to].as_mut() {
             link.queue_frame(self.scratch);
         }
     }
 
-    fn try_recv_from(&mut self, peer: usize) -> Option<M> {
-        let message = self.inbox[peer].pop_front();
+    fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
+        let message = self.inbox[peer].pop();
         if message.is_some() {
             *self.activity += 1;
         }
@@ -850,7 +871,7 @@ fn flush_links(row: &mut [Option<FramedConn>], at_least: usize) -> Result<u64, T
 
 /// One worker's part of a run: a contiguous range of nodes — their link
 /// rows, and their actors in every group.
-struct Shard<'a, 'b, M> {
+struct Shard<'a, 'b, M: Wire> {
     first_node: usize,
     /// `rows[k]` holds node `first_node + k`'s connections.
     rows: &'a mut [Vec<Option<FramedConn>>],
@@ -862,12 +883,12 @@ struct Shard<'a, 'b, M> {
 
 /// What a worker keeps per run besides its shard: which actors are done
 /// and what has arrived for the others.
-struct ShardState<M> {
+struct ShardState {
     /// `done[g * width + k]`: node `k`'s actor in group `g` finished.
     done: Vec<bool>,
-    /// Buffer `(g * width + k) * n + peer`: what `peer` sent to node `k`
-    /// on stream `g`, decoded, in arrival order.
-    inbox: Vec<VecDeque<M>>,
+    /// Lane `(g * width + k) * n + peer`: the checked encodings `peer`
+    /// sent to node `k` on stream `g`, in arrival order.
+    inbox: Vec<Lane>,
 }
 
 impl<M: Wire> Shard<'_, '_, M> {
@@ -880,7 +901,7 @@ impl<M: Wire> Shard<'_, '_, M> {
         let groups = self.actors.len();
         let mut state = ShardState {
             done: vec![false; groups * width],
-            inbox: (0..groups * width * n).map(|_| VecDeque::new()).collect(),
+            inbox: (0..groups * width * n).map(|_| Lane::default()).collect(),
         };
         // Groups in which each node still has an unfinished actor.
         let mut open_groups = vec![groups; width];
@@ -1007,7 +1028,7 @@ impl<M: Wire> Shard<'_, '_, M> {
     /// Returns the bytes moved either way.
     fn move_bytes(
         &mut self,
-        state: &mut ShardState<M>,
+        state: &mut ShardState,
         shared: &RunShared,
         scratch: &mut [u8],
     ) -> Result<u64, TransportError> {
@@ -1022,7 +1043,7 @@ impl<M: Wire> Shard<'_, '_, M> {
     /// stream's buffer; returns the bytes read.
     fn drain_links(
         &mut self,
-        state: &mut ShardState<M>,
+        state: &mut ShardState,
         shared: &RunShared,
         scratch: &mut [u8],
     ) -> Result<u64, TransportError> {
@@ -1048,7 +1069,7 @@ impl<M: Wire> Shard<'_, '_, M> {
                         });
                     }
                     while let Some(frame) = link.next_buffered_frame()? {
-                        let (stream, payload) = split_stream_payload(&frame)
+                        let (stream, payload) = split_stream_payload(frame)
                             .map_err(|error| TransportError::Codec { peer, error })?;
                         let Some(g) = stream.checked_sub(self.first_stream) else {
                             continue; // a late frame of an earlier run: retired
@@ -1061,9 +1082,9 @@ impl<M: Wire> Shard<'_, '_, M> {
                         if state.done[slot] {
                             continue; // its actor finished: retired on this node
                         }
-                        let message = M::decode_exact(payload)
+                        M::check_exact(payload)
                             .map_err(|error| TransportError::Codec { peer, error })?;
-                        state.inbox[slot * n + peer].push_back(message);
+                        state.inbox[slot * n + peer].push(payload);
                     }
                     if got < scratch.len() {
                         break;

@@ -21,22 +21,31 @@
 //!
 //! * [`SimTransport`] (this module) — the deterministic in-process
 //!   backend.  All actors run on the calling thread, round-robin, with
-//!   messages queued in one FIFO per `(recipient, sender)`.  This is the
-//!   reference backend: its schedule is fully deterministic, and a stalled
-//!   protocol (every actor idle with no message in flight) is reported as
-//!   [`TransportError::Stalled`] rather than deadlocking.
+//!   messages queued as encoded bytes in one lane per `(recipient,
+//!   sender)`.  This is the reference backend: its schedule is fully
+//!   deterministic, and a stalled protocol (every actor idle with no
+//!   message in flight) is reported as [`TransportError::Stalled`] rather
+//!   than deadlocking.
 //! * [`crate::socket::SocketTransport`] — real concurrency and real bytes.
 //!   Nodes are sharded across a worker pool (sized by
 //!   [`std::thread::available_parallelism`] by default) and exchange
 //!   framed messages over the loopback TCP connections of the session's
-//!   mesh, every live group multiplexed over the same connections.
+//!   mesh, every live group multiplexed over the same connections; each
+//!   frame is checked on arrival and queued in a byte lane per `(stream,
+//!   peer)`.
+//!
+//! Both backends move bytes, never message objects: an actor writes each
+//! message's encoding straight into a lane ([`Endpoint::send_bytes`]) and
+//! reads a peer's as a borrowed slice ([`Endpoint::recv_bytes`]); the
+//! typed [`Endpoint::send`] / [`Endpoint::try_recv_from`] wrap those with
+//! the message type's [`Wire`] codec.
 //!
 //! Actors must be written so that their *outputs* do not depend on the
-//! schedule: they may only consume messages via
-//! [`Endpoint::try_recv_from`] (per-peer FIFO order, which both backends
-//! guarantee), never on cross-peer arrival order.  Under that discipline
-//! the two backends produce bit-identical results — the property the
-//! workspace's determinism suite asserts for the GMW engine.
+//! schedule: they may only consume messages from one named peer at a time
+//! (per-peer FIFO order, which both backends guarantee), never on
+//! cross-peer arrival order.  Under that discipline the two backends
+//! produce bit-identical results — the property the workspace's
+//! determinism suite asserts for the GMW engine.
 //!
 //! ## Example
 //!
@@ -91,24 +100,84 @@
 use crate::frame::FrameError;
 use crate::wire::{Wire, WireError, WireTally};
 use core::fmt;
-use std::collections::VecDeque;
 
-/// Encodes a message through the wire format, measures the encoding, and
-/// decodes it back — the boundary every in-process send passes through.
-/// The recipient gets the *decoded* copy, so a message type whose codec
-/// cannot round-trip fails loudly in any test that exchanges it.  The
-/// encoding lands in `scratch`, an endpoint-owned buffer reused from send
-/// to send.
+/// One sender → recipient FIFO of encoded messages in one byte buffer,
+/// each entry `u32 LE length ‖ encoding` — the queue both backends put
+/// between a send and the receive that matches it.
 ///
-/// A decode failure here is an encoder/decoder mismatch in the message
-/// type itself (never data-dependent), so it panics rather than poisoning
-/// the run.
-fn through_wire<M: Wire>(message: M, scratch: &mut Vec<u8>) -> (M, u64) {
-    scratch.clear();
-    message.encode_into(scratch);
-    let decoded = M::decode_exact(scratch)
-        .expect("wire round-trip failed: the message type's encoder and decoder disagree");
-    (decoded, scratch.len() as u64)
+/// Writers append in place ([`Lane::push_with`]) and readers borrow
+/// ([`Lane::pop`]), so queueing a message copies it at most once and,
+/// once the buffer has grown to the lane's working size, allocates
+/// nothing.  A lane whose every entry was delivered starts over at the
+/// front of its buffer and gives back a buffer grown past
+/// [`LANE_KEEP_BYTES`] (one large message — an OT set-up — must not pin
+/// its size for the rest of a run); delivered entries in front of
+/// undelivered ones are compacted away once they fill half the buffer.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
+    buf: Vec<u8>,
+    /// Offset of the oldest undelivered entry.
+    head: usize,
+}
+
+/// Capacity a drained lane keeps for its next message.
+const LANE_KEEP_BYTES: usize = 256;
+
+/// Bytes of a lane entry's length prefix.
+const LANE_ENTRY_HEADER: usize = 4;
+
+impl Lane {
+    /// Drops delivered entries.  Every lane method starts here, so the
+    /// slice the last [`Lane::pop`] lent is no longer borrowed.
+    fn compact(&mut self) {
+        if self.head == self.buf.len() {
+            if self.buf.capacity() > LANE_KEEP_BYTES {
+                self.buf = Vec::new();
+            } else {
+                self.buf.clear();
+            }
+            self.head = 0;
+        } else if self.head >= self.buf.len() / 2 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Appends one entry whose encoding `write` appends to the buffer it
+    /// is handed; returns the encoding's length.
+    ///
+    /// # Panics
+    ///
+    /// If `write` shrinks the buffer — a writer appends, never truncates.
+    pub(crate) fn push_with(&mut self, write: &mut dyn FnMut(&mut Vec<u8>)) -> usize {
+        self.compact();
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; LANE_ENTRY_HEADER]);
+        write(&mut self.buf);
+        let len = self
+            .buf
+            .len()
+            .checked_sub(at + LANE_ENTRY_HEADER)
+            .expect("a lane writer appends, never truncates");
+        self.buf[at..at + LANE_ENTRY_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
+        len
+    }
+
+    /// Appends a copy of `bytes` as one entry.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        self.push_with(&mut |out| out.extend_from_slice(bytes));
+    }
+
+    /// Delivers the oldest undelivered entry, borrowed until the lane is
+    /// next used.
+    pub(crate) fn pop(&mut self) -> Option<&[u8]> {
+        self.compact();
+        let start = self.head + LANE_ENTRY_HEADER;
+        let header = self.buf.get(self.head..start)?;
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        self.head = start + len;
+        Some(&self.buf[start..self.head])
+    }
 }
 
 /// What an actor reports after a [`NodeActor::poll`] call.
@@ -130,9 +199,10 @@ pub enum ActorStatus {
 /// `poll` must make as much progress as possible: process every available
 /// message, send everything it can, and return [`ActorStatus::Idle`] only
 /// when genuinely blocked on a missing message.  Implementations must be
-/// schedule-independent: consume messages only through
-/// [`Endpoint::try_recv_from`] in an order fixed by the protocol itself.
-pub trait NodeActor<M>: Send {
+/// schedule-independent: consume messages only from one named peer at a
+/// time ([`Endpoint::try_recv_from`], [`Endpoint::recv_bytes`]) in an
+/// order fixed by the protocol itself.
+pub trait NodeActor<M: Wire>: Send {
     /// Advances the actor as far as it can go.
     fn poll(&mut self, endpoint: &mut dyn Endpoint<M>) -> ActorStatus;
 }
@@ -140,15 +210,43 @@ pub trait NodeActor<M>: Send {
 /// A node's handle onto the transport: send to peers, receive from a
 /// specific peer.
 ///
+/// The transport moves bytes.  [`Endpoint::send_bytes`] hands the caller
+/// the lane toward a peer to write one encoding into, and
+/// [`Endpoint::recv_bytes`] lends it the oldest encoding a peer sent; the
+/// typed [`Endpoint::send`] and [`Endpoint::try_recv_from`] wrap them
+/// with `M`'s [`Wire`] codec.  A protocol with a hot path writes and reads
+/// its messages in place through the byte methods, so a message costs no
+/// allocation of its own.
+///
 /// Nodes are addressed by dense local indices `0..nodes()`; mapping local
 /// indices to global [`crate::traffic::NodeId`]s (for traffic accounting)
 /// is the actor's business, which keeps the transport payload-agnostic.
-pub trait Endpoint<M> {
+pub trait Endpoint<M: Wire> {
     /// Number of nodes attached to this transport run.
     fn nodes(&self) -> usize;
 
-    /// Sends `message` to local node `to`.  Sends never block.
-    fn send(&mut self, to: usize, message: M);
+    /// Sends one message to local node `to` by writing its encoding in
+    /// place: `write` appends exactly one encoding of an `M` to the buffer
+    /// it is handed and leaves what the buffer already holds alone.  The
+    /// appended length is what the run's [`WireTally`] records.  Sends
+    /// never block.
+    fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>));
+
+    /// The encoding of the oldest undelivered message *from `peer`*, if
+    /// any, borrowed from its lane until the endpoint is next used.  On
+    /// sockets it passed [`Wire::check_exact`] on arrival; in process it
+    /// is what the sender wrote.
+    ///
+    /// Messages from one peer are always delivered in the order they were
+    /// sent; ordering across different peers is unspecified (and actors
+    /// must not depend on it).
+    fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]>;
+
+    /// Sends `message` to local node `to`: its encoding, written by
+    /// [`Wire::encode_into`].  Sends never block.
+    fn send(&mut self, to: usize, message: M) {
+        self.send_bytes(to, &mut |out| message.encode_into(out));
+    }
 
     /// Sends a batch of messages in one call (the batch entry point used
     /// by round-structured protocols to queue a whole round at once).
@@ -158,19 +256,26 @@ pub trait Endpoint<M> {
         }
     }
 
-    /// Receives the oldest undelivered message *from `peer`*, if any.
+    /// Receives the oldest undelivered message *from `peer`*, if any,
+    /// decoded from [`Endpoint::recv_bytes`].
     ///
-    /// Messages from one peer are always delivered in the order they were
-    /// sent; ordering across different peers is unspecified (and actors
-    /// must not depend on it).
-    fn try_recv_from(&mut self, peer: usize) -> Option<M>;
+    /// # Panics
+    ///
+    /// If that message is not an encoding of `M`.  Sockets check every
+    /// frame on arrival, so only an in-process actor that wrote a
+    /// malformed encoding through [`Endpoint::send_bytes`] gets here — a
+    /// codec bug of the sender's, not a peer's input.
+    fn try_recv_from(&mut self, peer: usize) -> Option<M> {
+        let bytes = self.recv_bytes(peer)?;
+        Some(M::decode_exact(bytes).expect("an in-process sender wrote a malformed encoding"))
+    }
 }
 
 /// Errors reported by a transport run.
 ///
 /// The in-process backend can only fail with [`TransportError::Stalled`]
-/// (its byte buffers never lie) or, on either backend, an actor's
-/// [`TransportError::Aborted`]; the socket backend adds the failure
+/// (its lanes hold what its own actors wrote) or, on either backend, an
+/// actor's [`TransportError::Aborted`]; the socket backend adds the failure
 /// modes a real network has: I/O errors, framing violations from hostile
 /// or desynchronised peers, payloads that do not decode, and peers that
 /// never complete the connection handshake.
@@ -201,10 +306,11 @@ pub enum TransportError {
         /// The frame-layer violation.
         error: FrameError,
     },
-    /// A complete frame arrived but its payload failed to decode as the
-    /// expected message type.  Unlike the in-process backend — where a
-    /// codec mismatch is a local bug and panics — bytes from a remote
-    /// peer are untrusted input and fail typed.
+    /// A complete frame arrived but its payload failed
+    /// [`Wire::check_exact`] for the expected message type.  Unlike the
+    /// in-process backend — whose lanes hold what its own actors wrote —
+    /// bytes from a remote peer are untrusted input, checked before they
+    /// are queued, and fail typed.
     Codec {
         /// Local index of the offending peer.
         peer: usize,
@@ -280,9 +386,9 @@ impl std::error::Error for TransportError {}
 
 /// A backend that drives sets of node actors to completion.
 ///
-/// Messages must implement [`Wire`]: every send is routed through
-/// `encode → byte buffer → decode`, and a run returns a [`WireTally`]
-/// of the measured encoded bytes per `(from, to)` pair.
+/// Messages must implement [`Wire`]: every send writes an encoding into a
+/// byte lane, and a run returns a [`WireTally`] of the measured encoded
+/// bytes per `(from, to)` pair.
 pub trait Transport<M: Wire + Send> {
     /// Short backend name, for logs and benchmark tables.
     fn name(&self) -> &'static str;
@@ -344,7 +450,7 @@ pub trait Session<M: Wire + Send> {
 }
 
 /// The shape check both backends' sessions start a run with.
-pub(crate) fn check_group_sizes<M>(
+pub(crate) fn check_group_sizes<M: Wire>(
     nodes: usize,
     groups: &[&mut [&mut dyn NodeActor<M>]],
 ) -> Result<(), TransportError> {
@@ -364,38 +470,38 @@ pub(crate) fn check_group_sizes<M>(
 /// The deterministic single-threaded backend.
 ///
 /// Actors are polled round-robin in index order; every `(recipient,
-/// sender)` pair has its own FIFO lane, which is exactly the order
-/// [`Endpoint::try_recv_from`] exposes — a receive is a `pop_front`, never
-/// a search.  The schedule — and therefore every observable of a run — is
-/// fully deterministic.
+/// sender)` pair has its own byte lane, which is exactly the order a
+/// receive from one peer exposes — a receive borrows the lane's oldest
+/// encoding, never searches.  A send writes the encoding into the
+/// recipient's lane and a receive reads it there: nothing is decoded on
+/// the way, and no message is copied.  The schedule — and therefore every
+/// observable of a run — is fully deterministic.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimTransport;
 
-struct SimEndpoint<'a, M> {
+struct SimEndpoint<'a> {
     node: usize,
     nodes: usize,
     /// Lane `to * nodes + from` holds what `from` sent to `to`.
-    lanes: &'a mut [VecDeque<M>],
-    scratch: &'a mut Vec<u8>,
+    lanes: &'a mut [Lane],
     tally: &'a mut WireTally,
     /// Sends plus successful receives, used for stall detection.
     activity: &'a mut u64,
 }
 
-impl<M: Wire> Endpoint<M> for SimEndpoint<'_, M> {
+impl<M: Wire> Endpoint<M> for SimEndpoint<'_> {
     fn nodes(&self) -> usize {
         self.nodes
     }
 
-    fn send(&mut self, to: usize, message: M) {
+    fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
         *self.activity += 1;
-        let (decoded, bytes) = through_wire(message, self.scratch);
-        self.tally.record(self.node, to, bytes);
-        self.lanes[to * self.nodes + self.node].push_back(decoded);
+        let bytes = self.lanes[to * self.nodes + self.node].push_with(write);
+        self.tally.record(self.node, to, bytes as u64);
     }
 
-    fn try_recv_from(&mut self, peer: usize) -> Option<M> {
-        let message = self.lanes[self.node * self.nodes + peer].pop_front();
+    fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
+        let message = self.lanes[self.node * self.nodes + peer].pop();
         if message.is_some() {
             *self.activity += 1;
         }
@@ -442,8 +548,7 @@ fn run_sim_group<M: Wire>(
     actors: &mut [&mut dyn NodeActor<M>],
 ) -> Result<WireTally, TransportError> {
     let n = actors.len();
-    let mut lanes: Vec<VecDeque<M>> = (0..n * n).map(|_| VecDeque::new()).collect();
-    let mut scratch = Vec::new();
+    let mut lanes: Vec<Lane> = (0..n * n).map(|_| Lane::default()).collect();
     let mut tally = WireTally::new(n);
     let mut done = vec![false; n];
     let mut done_count = 0usize;
@@ -457,7 +562,6 @@ fn run_sim_group<M: Wire>(
                 node: i,
                 nodes: n,
                 lanes: &mut lanes,
-                scratch: &mut scratch,
                 tally: &mut tally,
                 activity: &mut activity,
             };
@@ -545,6 +649,43 @@ mod tests {
             transport.run(&mut refs).unwrap();
         }
         actors.iter().map(|a| a.sum).collect()
+    }
+
+    #[test]
+    fn lanes_deliver_in_order_and_give_back_large_buffers() {
+        let mut lane = Lane::default();
+        assert_eq!(lane.pop(), None);
+        lane.push(b"one");
+        assert_eq!(
+            lane.push_with(&mut |out| out.extend_from_slice(b"second")),
+            6
+        );
+        lane.push(b"");
+        assert_eq!(lane.pop(), Some(&b"one"[..]));
+        assert_eq!(lane.pop(), Some(&b"second"[..]));
+        assert_eq!(lane.pop(), Some(&b""[..]));
+        assert_eq!(lane.pop(), None);
+        // A drained lane gives a buffer grown past the keep size back.
+        lane.push(&[7; 1000]);
+        assert_eq!(lane.pop().map(<[u8]>::len), Some(1000));
+        assert_eq!(lane.pop(), None);
+        assert_eq!(lane.buf.capacity(), 0);
+        // A lane read half as fast as it is written keeps its delivered
+        // entries at most as large as its undelivered ones.
+        let mut next = 0u8;
+        for i in 0..200u8 {
+            lane.push(&[i; 10]);
+            if i % 2 == 1 {
+                assert_eq!(lane.pop(), Some(&[next; 10][..]));
+                next += 1;
+            }
+        }
+        assert!(lane.buf.len() <= 2 * 100 * (LANE_ENTRY_HEADER + 10));
+        while let Some(entry) = lane.pop() {
+            assert_eq!(entry, &[next; 10]);
+            next += 1;
+        }
+        assert_eq!(next, 200);
     }
 
     #[test]

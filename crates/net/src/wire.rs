@@ -8,11 +8,12 @@
 //! byte strings and bit-packed boolean planes — that the protocol crates
 //! compose their message layouts from.
 //!
-//! Both transport backends route **every** [`crate::transport::Endpoint`]
-//! send through `encode → byte buffer → decode`, so a message that cannot
-//! round-trip fails loudly in every test that exchanges it, and the byte
-//! counts recorded in a [`WireTally`] are *measured* (the length of the
-//! actual encoding), not modeled.
+//! Both transport backends move **bytes**: every
+//! [`crate::transport::Endpoint`] send writes one encoding into a byte lane
+//! and every receive reads one back, so the byte counts recorded in a
+//! [`WireTally`] are *measured* (the length of the actual encoding), not
+//! modeled, and a message type whose codec cannot round-trip fails loudly
+//! in every test that exchanges it.
 //!
 //! ## Layout conventions
 //!
@@ -143,6 +144,19 @@ pub trait Wire: Sized {
             })
         }
     }
+
+    /// Checks that `buf` is exactly one encoding, with the verdict of
+    /// [`Wire::decode_exact`] — what a transport asks of untrusted bytes
+    /// before it queues them.  The default decodes and drops the value; a
+    /// type with a borrowed parser overrides it with one that builds
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`Wire::decode_exact`].
+    fn check_exact(buf: &[u8]) -> Result<(), WireError> {
+        Self::decode_exact(buf).map(drop)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +277,18 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Returns [`WireError::Truncated`] if the declared length exceeds the
 /// remaining buffer, plus any varint error.
 pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+    Ok(get_byte_slice(buf)?.to_vec())
+}
+
+/// Reads a length-prefixed byte string as a slice of `buf`, copying
+/// nothing — for decoders that read a message in place.
+///
+/// # Errors
+///
+/// See [`get_bytes`].
+pub fn get_byte_slice<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
     let len = get_uvarint(buf)? as usize;
-    Ok(take(buf, len)?.to_vec())
+    take(buf, len)
 }
 
 /// Packs `bits` LSB-first, eight per byte (the length is *not* encoded;
@@ -417,8 +441,8 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// Measured wire traffic of one transport run: encoded bytes and message
 /// counts per ordered `(from, to)` pair of local node indices.
 ///
-/// Both transport backends fill one of these as they encode messages at
-/// the send boundary; [`crate::transport::Transport::run`] returns it so
+/// Both transport backends fill one of these with the length of every
+/// encoding written at the send boundary;[`crate::transport::Transport::run`] returns it so
 /// protocol executors can attribute *measured* bytes to real node
 /// identities next to the cost model's analytical totals.
 #[derive(Clone, Debug, PartialEq, Eq)]

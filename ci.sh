@@ -72,13 +72,22 @@ echo "==> static analysis: golden rejections, guard refinements, interval soundn
 run_tests -q -p dstress-analyze --test golden
 run_tests -q -p dstress-analyze --test refinement
 run_tests -q -p dstress-analyze --test soundness
+# The capped ratio is [0, 2^f] by construction, with no guard around it.
+run_tests -q -p dstress-analyze --test refinement capped_ratio_needs_no_guard
 
-echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables, no wasted AND gate; finance circuit ceilings"
+echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables, no wasted AND gate; finance circuits against native steps and under their ceilings"
 # Every word-level gadget is pinned to a cost, equals native integer
 # arithmetic (exhaustively at widths 1-4, proptest at 5-16) and emits no
-# AND gate that is unread or meets a constant; the Eisenberg-Noe and
-# Elliott-Golub-Jackson update circuits stay under their AND/depth ceilings.
+# AND gate that is unread or meets a constant; the Eisenberg-Noe update and
+# aggregation equal native fixed-point steps on random words, the
+# Elliott-Golub-Jackson discount equals the plaintext clamp where a
+# full-width ratio would wrap, and both update circuits stay under their
+# AND/depth ceilings.
 run_tests -q -p dstress-circuit --test gadget_costs
+run_tests -q -p dstress-circuit --lib builder::tests
+run_tests -q -p dstress-finance update_circuit_equals_a_native_fixed_point_step
+run_tests -q -p dstress-finance aggregation_reads_only_the_low_bits_of_prorate
+run_tests -q -p dstress-finance discount_is_the_native_clamp_where_the_ratio_would_wrap
 run_tests -q -p dstress-bench --lib finance_update_circuits_stay_under_their_ceilings
 
 echo "==> repro -- analyze smoke (release; exits non-zero on any finding; the table carries AND and depth per program)"

@@ -13,7 +13,7 @@
 //! must fit either the unsigned window `[0, 2^w)` or the signed
 //! two's-complement window of its width, otherwise the wires wrap and an
 //! [`Finding::Overflow`] is reported.  Unsigned gadgets (comparators,
-//! dividers, shifts, extensions) additionally require provably
+//! ratios, multipliers, shifts, extensions) additionally require provably
 //! non-negative operands ([`Finding::UnsignedMisuse`]).
 //!
 //! Three refinements make the domain tight enough to certify the shipped
@@ -22,8 +22,8 @@
 //! * **mux guard refinement** — a `mux_word` branch guarded by a
 //!   comparison is analyzed under that comparison: the else branch of
 //!   `mux(lt(a, b), t, e)` knows `a >= b`, which bounds a guarded
-//!   `sub(a, b)` below by zero and a guarded `div_fixed(a, b, f)` above
-//!   by `2^f`;
+//!   `sub(a, b)` below by zero (by one under the strict guard of
+//!   `or(lt, eq)`);
 //! * **guarded-consumer suppression** — a subtraction whose raw interval
 //!   is unrepresentable is *not* an overflow if every consumer is a mux
 //!   whose guard restores representability (the canonical clamp idiom
@@ -348,7 +348,7 @@ impl RangeAnalysis {
     }
 
     /// The interval of a mux branch word, refined under the selector's
-    /// guard when the branch was produced by a guarded sub or divider.
+    /// guard when the branch was produced by a guarded sub.
     #[allow(clippy::too_many_arguments)]
     fn refined_branch(
         &self,
@@ -602,21 +602,12 @@ impl RangeAnalysis {
                 };
                 self.store_checked(idx, ev, &gadget, iv, w_out, cfg, None, findings);
             }
-            GadgetKind::DivFixed(f) => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                check_unsigned_operand(a, findings);
-                check_unsigned_operand(b, findings);
-                let (alo, ahi) = (a.lo.max(0), a.hi.max(0));
-                let bhi = b.hi.max(1);
-                let iv = if b.lo > 0 {
-                    Interval::new((alo << f) / bhi, (ahi << f) / b.lo)
-                } else {
-                    // The divisor may be zero: the restoring divider
-                    // saturates to all ones.
-                    Interval::new((alo << f) / bhi, (1i128 << w_out) - 1)
-                };
-                self.intervals.insert(ev.output.clone(), iv);
+            GadgetKind::RatioCapped(f) => {
+                // Capped by construction, whatever the operands.
+                check_unsigned_operand(self.interval_of(&ev.inputs[0]), findings);
+                check_unsigned_operand(self.interval_of(&ev.inputs[1]), findings);
+                self.intervals
+                    .insert(ev.output.clone(), Interval::new(0, 1i128 << f));
             }
             GadgetKind::Sum => {
                 let mut lo = 0i128;
@@ -738,33 +729,16 @@ impl RangeAnalysis {
 }
 
 /// Refines the interval of `producer`'s output under `guard`, when the
-/// producer is a subtraction or divider the guard constrains.
+/// producer is a subtraction the guard constrains: `sub(big, small)`
+/// under `big > small` (or `>=`) is bounded below.
 fn refine_under_guard(producer: &GadgetEvent, guard: &Guard, base: Interval) -> Option<Interval> {
-    match producer.kind {
-        GadgetKind::Sub => {
-            // sub(big, small) under big > small (or >=) is bounded below.
-            if producer.inputs[0] == guard.big && producer.inputs[1] == guard.small {
-                let floor = if guard.strict { 1 } else { 0 };
-                let lo = base.lo.max(floor).min(base.hi);
-                return Some(Interval::new(lo, base.hi));
-            }
-            None
-        }
-        GadgetKind::DivFixed(f) => {
-            // div_fixed(small, big, f) under small < big stays below 2^f.
-            if producer.inputs[0] == guard.small && producer.inputs[1] == guard.big {
-                let cap = if guard.strict {
-                    (1i128 << f) - 1
-                } else {
-                    1i128 << f
-                };
-                let capped = Interval::new(0, cap);
-                return Some(base.intersect(capped).unwrap_or(capped));
-            }
-            None
-        }
-        _ => None,
-    }
+    let guarded = producer.kind == GadgetKind::Sub
+        && producer.inputs[0] == guard.big
+        && producer.inputs[1] == guard.small;
+    guarded.then(|| {
+        let floor = if guard.strict { 1 } else { 0 };
+        Interval::new(base.lo.max(floor).min(base.hi), base.hi)
+    })
 }
 
 /// Structural validation of one gadget event against the gate list.
@@ -800,10 +774,8 @@ fn validate_event(ev: &GadgetEvent, num_wires: usize) -> Result<(), String> {
         GadgetKind::Truncate => arity == 1 && widths[0] >= out,
         GadgetKind::ShlConst(_) | GadgetKind::ShrConst(_) => arity == 1 && widths[0] == out,
         GadgetKind::MulFull => arity == 2 && widths[0] + widths[1] == out,
-        GadgetKind::Mul => arity == 2 && widths[0] == out,
-        GadgetKind::MulFixed(_) | GadgetKind::DivFixed(_) => {
-            arity == 2 && widths[0] == out && widths[1] == out
-        }
+        GadgetKind::Mul | GadgetKind::MulFixed(_) => arity == 2 && widths[0] == out,
+        GadgetKind::RatioCapped(f) => arity == 2 && widths[0] == widths[1] && out == f as usize + 1,
         GadgetKind::Sum => arity >= 1 && widths.iter().all(|&w| w == out),
     };
     if ok {

@@ -1,37 +1,39 @@
 //! Unit tests for the range domain's refinements: mux guard refinement,
-//! guarded-consumer suppression, declared dominance and the sum cap.
+//! guarded-consumer suppression, declared dominance and the sum cap —
+//! and for the capped ratio, which needs none of them.
 
 use dstress_analyze::{RangeAnalysis, RangeConfig};
 use dstress_circuit::builder::CircuitBuilder;
 use dstress_circuit::Interval;
 
 #[test]
-fn mux_guard_refines_divider_branch() {
-    // prorate = liquid < total ? liquid/total : 1 — the clamp idiom of
-    // the Eisenberg–Noe update.  Unrefined, the divider saturates to
-    // 2^w - 1 because the divisor may be zero; the guard proves the
-    // selected branch stays below one.
+fn capped_ratio_needs_no_guard() {
+    // prorate = min(liquid / total, 1) — the Eisenberg–Noe update.  The
+    // divisor may be zero and the quotient's integer part large, yet the
+    // gadget is capped by construction: [0, 2^f] with no mux around it,
+    // and `1 − prorate` fits the f + 1 bits it is computed on.
     let (w, f) = (16, 5);
     let mut b = CircuitBuilder::new();
     let liquid = b.input_word(w);
     let total = b.input_word(w);
-    let short = b.lt_unsigned(&liquid, &total);
-    let ratio = b.div_fixed(&liquid, &total, f);
-    let one = b.const_word(1 << f, w);
-    let prorate = b.mux_word(short, &ratio, &one);
-    b.output_word(&prorate);
+    let prorate = b.ratio_capped(&liquid, &total, f);
+    let one = b.const_word(1 << f, f + 1);
+    let unpaid = b.sub(&one, &prorate);
+    b.output_word(&unpaid);
     let c = b.build().unwrap();
 
     let cfg = RangeConfig::new(
-        "refine-div",
+        "ratio",
         vec![
-            (liquid.clone(), Interval::new(0, 4000)),
+            (liquid.clone(), Interval::new(0, 60_000)),
             (total.clone(), Interval::new(0, 3000)),
         ],
     );
     let ra = RangeAnalysis::run(&c, &cfg);
     assert!(ra.findings.is_empty(), "{:?}", ra.findings);
+    assert_eq!(prorate.len(), f as usize + 1);
     assert_eq!(ra.interval_of(&prorate), Interval::new(0, 32));
+    assert_eq!(ra.interval_of(&unpaid), Interval::new(0, 32));
 }
 
 #[test]
@@ -153,32 +155,24 @@ fn sum_cap_tightens_message_sums() {
 
 #[test]
 fn or_of_lt_and_eq_yields_strict_guard() {
-    // discount = no_discount ? 0 : one - ratio, where no_discount =
-    // or(one < ratio, one == ratio): the EGJ idiom.  On the taken
-    // branch ratio < one strictly, so the subtraction stays in [1, one].
-    let (w, f) = (16, 5);
+    // out = at_or_above ? one : one - x, where at_or_above =
+    // or(one < x, one == x).  On the else branch x < one strictly, so the
+    // subtraction — which wraps at width 8 when x > 160 — is selected
+    // only in [1, one]; a non-strict guard would only prove [0, one].
+    let (w, f) = (8, 5);
     let mut b = CircuitBuilder::new();
-    let value = b.input_word(w);
-    let orig = b.input_word(w);
+    let x = b.input_word(w);
     let one = b.const_word(1 << f, w);
-    let ratio = b.div_fixed(&value, &orig, f);
-    let healthy = b.lt_unsigned(&one, &ratio);
-    let at_par = b.eq_word(&one, &ratio);
-    let no_discount = b.or(healthy, at_par);
-    let discount_raw = b.sub(&one, &ratio);
-    let zero = b.const_word(0, w);
-    let discount = b.mux_word(no_discount, &zero, &discount_raw);
-    b.output_word(&discount);
+    let above = b.lt_unsigned(&one, &x);
+    let at_par = b.eq_word(&one, &x);
+    let at_or_above = b.or(above, at_par);
+    let raw = b.sub(&one, &x);
+    let out = b.mux_word(at_or_above, &one, &raw);
+    b.output_word(&out);
     let c = b.build().unwrap();
 
-    let cfg = RangeConfig::new(
-        "egj-discount",
-        vec![
-            (value.clone(), Interval::new(0, 5000)),
-            (orig.clone(), Interval::new(0, 5000)),
-        ],
-    );
+    let cfg = RangeConfig::new("strict", vec![(x.clone(), Interval::new(0, 200))]);
     let ra = RangeAnalysis::run(&c, &cfg);
     assert!(ra.findings.is_empty(), "{:?}", ra.findings);
-    assert_eq!(ra.interval_of(&discount), Interval::new(0, 32));
+    assert_eq!(ra.interval_of(&out), Interval::new(1, 32));
 }

@@ -233,15 +233,17 @@ mod tests {
 
     /// `en-fig5` pays for the Eisenberg–Noe update circuit gate by gate
     /// and layer by layer, so a gadget regression should fail here, in
-    /// seconds, not in the next benchmark run.  Measured 3 724 / 273 and
-    /// 6 811 / 284 (13 142 / 499 and 23 527 / 510 with the 2-AND adder,
-    /// the full-width multiplier and the comparing divider).
+    /// seconds, not in the next benchmark run.  Measured at D = 8:
+    /// 1 802 / 106 and 6 473 / 120 with the capped ratio (3 724 / 273 and
+    /// 6 811 / 284 with the full restoring divider, 13 142 / 499 and
+    /// 23 527 / 510 before that with the 2-AND adder and the full-width
+    /// multiplier).
     #[test]
     fn finance_update_circuits_stay_under_their_ceilings() {
         let rows = analyze_suite_rows();
         for (name, and_gates, and_depth) in [
-            ("eisenberg-noe", 4_000, 280),
-            ("elliott-golub-jackson", 7_200, 290),
+            ("eisenberg-noe", 2_000, 110),
+            ("elliott-golub-jackson", 6_600, 125),
         ] {
             let row = rows
                 .iter()

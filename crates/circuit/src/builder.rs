@@ -13,8 +13,8 @@
 //! ripple-carry addition, comparison and multiplexers cost 1 AND/bit, an
 //! equality test W − 1 AND at depth ⌈log₂ W⌉, schoolbook multiplication
 //! ~2·W AND per multiplier bit for the full product and half that for the
-//! low word (only the columns returned are built), the restoring divider
-//! ~2·W AND per quotient bit and less while the remainder is short.  No
+//! low word (only the columns returned are built), the capped ratio
+//! W AND for its compare and ~2·W per fractional bit.  No
 //! gadget emits an AND gate that nothing reads or that meets a constant of
 //! its own making; `tests/gadget_costs.rs` holds the table.
 
@@ -437,70 +437,51 @@ impl CircuitBuilder {
         out
     }
 
-    /// Fixed-point division of non-negative values with `frac_bits`
-    /// fractional bits: computes `(a << frac_bits) / b` by restoring
-    /// division, truncated to the operand width.  Division by zero yields
-    /// the all-ones word (saturates), mirroring the plaintext reference.
+    /// The capped fixed-point ratio `min((a << frac_bits) / b, 2^frac_bits)`
+    /// of non-negative values, as a `frac_bits + 1`-bit word; `b = 0`
+    /// gives `2^frac_bits`.
     ///
-    /// A step shifts the next numerator bit into the remainder and
-    /// subtracts the divisor if it fits.  Three facts keep a step small:
-    /// the carry-out of `rem − b` (built as `rem + ¬b + 1`) is set exactly
-    /// when `rem ≥ b`, so it *is* the quotient bit; after every step
-    /// `rem < b < 2^W`, so the shifted remainder fits W + 1 bits however
-    /// many fractional steps follow; and at step `j < W` it is below
-    /// `2^(j+1)`, so subtractor and restoring mux are `j + 1` bits wide
-    /// and the carry counts only if `b < 2^(j+1)` as well (`fits`).
-    /// `b = 0` needs no case of its own: `rem + ¬0 + 1` carries at every
-    /// width, so every quotient bit is one.
-    pub fn div_fixed(&mut self, a: &Word, b: &Word, frac_bits: u32) -> Word {
-        assert_eq!(a.len(), b.len(), "div width mismatch");
-        assert!(!a.is_empty(), "div of empty words");
+    /// One `a ≥ b` compare runs beside `frac_bits` restoring steps that
+    /// start from `rem = a`.  When `a < b` a full divider's integer steps
+    /// could only produce zeros and leave `rem = a`; when `a ≥ b` the
+    /// answer is `2^frac_bits` whatever the steps say.  So the step bits
+    /// are ANDed with `a < b` and the top bit is `a ≥ b`.  A step shifts
+    /// a zero into the remainder and subtracts the divisor if it fits:
+    /// the carry-out of `2·rem − b` (built as `2·rem + ¬b + 1`) is set
+    /// exactly when `2·rem ≥ b`, so it *is* the quotient bit, and while
+    /// `rem < b < 2^W` the shifted remainder fits W + 1 bits.
+    pub fn ratio_capped(&mut self, a: &Word, b: &Word, frac_bits: u32) -> Word {
+        assert_eq!(a.len(), b.len(), "ratio width mismatch");
+        assert!(!a.is_empty(), "ratio of empty words");
         self.enter_gadget();
         let width = a.len();
-        let steps = width + frac_bits as usize;
         let (zero, one) = (self.const_bit(false), self.const_bit(true));
-        // ¬b zero-extended by one bit; fits[k - 1] says b < 2^k, 1 ≤ k < W.
-        // A chain: it settles before a computed dividend arrives, so a
-        // log-depth tree bought the shipped programs no layer.
+        // ¬b zero-extended by one bit; the compare reads its low W bits.
         let mut not_b = self.not_word(b);
         not_b.push(one);
-        let mut fits = not_b[1..width].to_vec();
-        for k in (1..fits.len()).rev() {
-            fits[k - 1] = self.and(fits[k - 1], fits[k]);
-        }
+        let at_least = self.add_with_carry(a, &not_b[..width], one, true)[width];
+        let below = self.not(at_least);
 
-        let mut rem = Word::with_capacity(width + 1);
-        let mut quotient = Word::with_capacity(steps); // MSB first
-        for j in 0..steps {
-            // rem − b, the carry-out on top.
-            let mut diff = if j < width {
-                rem.insert(0, a[width - 1 - j]);
-                self.add_with_carry(&rem, &not_b[..rem.len()], one, true)
-            } else {
-                // A zero is shifted in: 0 − b₀ is b₀ and carries ¬b₀, so
-                // the subtractor starts at bit 1.
-                let mut diff = self.add_with_carry(&rem, &not_b[1..], not_b[0], true);
+        let mut rem = a.clone();
+        let mut out = Word::with_capacity(frac_bits as usize + 1); // MSB first
+        for j in 0..frac_bits {
+            // A zero is shifted in: 0 − b₀ is b₀ and carries ¬b₀, so the
+            // subtractor starts at bit 1.
+            let mut diff = self.add_with_carry(&rem, &not_b[1..], not_b[0], true);
+            let q = diff[width];
+            out.push(self.and(q, below));
+            if j + 1 < frac_bits {
                 diff.insert(0, b[0]);
+                diff.truncate(width);
                 rem.insert(0, zero);
-                diff
-            };
-            let carry = diff[rem.len()];
-            let q = if rem.len() < width {
-                self.and(carry, fits[rem.len() - 1])
-            } else {
-                carry
-            };
-            quotient.push(q);
-            if j + 1 < steps {
                 rem.truncate(width);
-                diff.truncate(rem.len());
                 rem = self.mux_word(q, &diff, &rem);
             }
         }
-        quotient.reverse(); // LSB first, `steps` wide
-        quotient.truncate(width);
-        self.record_gadget(GadgetKind::DivFixed(frac_bits), &[a, b], &quotient);
-        quotient
+        out.reverse();
+        out.push(at_least);
+        self.record_gadget(GadgetKind::RatioCapped(frac_bits), &[a, b], &out);
+        out
     }
 
     /// Sums a list of equal-width words (wrapping).
@@ -654,17 +635,17 @@ mod tests {
     #[test]
     fn fixed_point_division() {
         // With 8 fractional bits: 3 / 4 = 0.75 => 192/256.
-        let out = run_binop(|bld, x, y| bld.div_fixed(x, y, 8), 3 << 8, 4 << 8);
+        let out = run_binop(|bld, x, y| bld.ratio_capped(x, y, 8), 3 << 8, 4 << 8);
         assert_eq!(out, 192);
-        // 10 / 4 = 2.5 => 640/256.
-        let out = run_binop(|bld, x, y| bld.div_fixed(x, y, 8), 10 << 8, 4 << 8);
-        assert_eq!(out, 640);
+        // 10 / 4 = 2.5 is capped at one => 256/256.
+        let out = run_binop(|bld, x, y| bld.ratio_capped(x, y, 8), 10 << 8, 4 << 8);
+        assert_eq!(out, 256);
     }
 
     #[test]
     fn division_by_zero_saturates() {
-        let out = run_binop(|bld, x, y| bld.div_fixed(x, y, 4), 7 << 4, 0);
-        assert_eq!(out, 0xFFFF);
+        let out = run_binop(|bld, x, y| bld.ratio_capped(x, y, 4), 7 << 4, 0);
+        assert_eq!(out, 1 << 4);
     }
 
     #[test]
@@ -763,7 +744,7 @@ mod tests {
         let mut builder = CircuitBuilder::new();
         let a = builder.input_word(8);
         let b = builder.input_word(8);
-        let q = builder.div_fixed(&a, &b, 4);
+        let q = builder.ratio_capped(&a, &b, 4);
         let s = builder.shl_const(&q, 2);
         let c = builder.const_word(42, 8);
         let p = builder.mul_fixed(&s, &c, 4);
@@ -775,7 +756,7 @@ mod tests {
             vec![
                 GadgetKind::InputWord,
                 GadgetKind::InputWord,
-                GadgetKind::DivFixed(4),
+                GadgetKind::RatioCapped(4),
                 GadgetKind::ShlConst(2),
                 GadgetKind::ConstWord(42),
                 GadgetKind::MulFixed(4),
@@ -839,9 +820,8 @@ mod tests {
 
         #[test]
         fn prop_div_matches_native(a in 0u64..256, b in 1u64..256) {
-            // 8 integer bits + 8 fractional bits stays within the 16-bit word.
-            let out = run_binop(|bld, x, y| bld.div_fixed(x, y, 8), a << 8, b << 8);
-            let expected = ((a << 16) / (b << 8)) & 0xFFFF;
+            let out = run_binop(|bld, x, y| bld.ratio_capped(x, y, 8), a << 8, b << 8);
+            let expected = ((a << 16) / (b << 8)).min(1 << 8);
             prop_assert_eq!(out, expected);
         }
     }

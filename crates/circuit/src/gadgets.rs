@@ -77,9 +77,9 @@ pub enum GadgetKind {
     Mul,
     /// Fixed-point product `(a * b) >> frac_bits`, truncated.
     MulFixed(u32),
-    /// Fixed-point restoring division `(a << frac_bits) / b`, truncated;
-    /// division by zero saturates to all ones.
-    DivFixed(u32),
+    /// Capped fixed-point ratio `min((a << frac_bits) / b, 2^frac_bits)`,
+    /// `frac_bits + 1` bits wide; `b = 0` gives `2^frac_bits`.
+    RatioCapped(u32),
     /// Wrapping sum of a list of equal-width words.
     Sum,
 }

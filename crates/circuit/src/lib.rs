@@ -7,8 +7,8 @@
 //! * [`ir`] — the circuit intermediate representation: a flat list of
 //!   XOR / AND / NOT / constant gates over single-bit wires.
 //! * [`builder`] — a gadget library for constructing circuits: adders,
-//!   subtractors, comparators, multiplexers, multipliers and a restoring
-//!   fixed-point divider, over two's-complement words of configurable
+//!   subtractors, comparators, multiplexers, multipliers and a capped
+//!   fixed-point ratio, over two's-complement words of configurable
 //!   width.  These are the building blocks of the Eisenberg–Noe and
 //!   Elliott–Golub–Jackson update circuits in `dstress-finance`.
 //! * [`eval`] — a plaintext evaluator, used both as the correctness

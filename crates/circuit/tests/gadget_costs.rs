@@ -134,13 +134,13 @@ const GADGETS: &[Gadget] = &[
         native: |a, b, w, f| ((a * b) >> f) & mask(w),
     },
     Gadget {
-        name: "div_fixed",
-        cost: [(157, 93), (445, 249)],
+        name: "ratio_capped",
+        cost: [(85, 45), (165, 85)],
         fixed_point: true,
-        build: |c, a, b, f| c.div_fixed(a, b, f),
-        native: |a, b, w, f| match b {
-            0 => mask(w),
-            _ => ((a << f) / b) & mask(w),
+        build: |c, a, b, f| c.ratio_capped(a, b, f),
+        native: |a, b, _, f| match b {
+            0 => 1 << f,
+            _ => ((a << f) / b).min(1 << f),
         },
     },
     // Eight words: the chain of ripple adders pipelines — bit `i` of every

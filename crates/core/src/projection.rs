@@ -290,7 +290,7 @@ mod tests {
             acc = b.add(&acc, &scaled);
         }
         let divisor = b.input_word(width);
-        let ratio = b.div_fixed(&acc, &divisor, 8);
+        let ratio = b.ratio_capped(&acc, &divisor, 8);
         b.output_word(&ratio);
         let update = b.build().unwrap();
 

@@ -249,13 +249,13 @@ impl SecureVertexProgram for EisenbergNoeSecure<'_> {
             liquid = b.add(&liquid, &received);
         }
 
-        // prorate = liquid < totalDebt ? liquid / totalDebt : 1
-        let short = b.lt_unsigned(&liquid, &total_debt);
-        let ratio = b.div_fixed(&liquid, &total_debt, f);
-        let one = b.const_word(1 << f, w);
-        let prorate = b.mux_word(short, &ratio, &one);
+        // prorate = liquid < totalDebt ? liquid / totalDebt : 1, which
+        // fits f + 1 bits (a zero totalDebt pays in full).
+        let prorate = b.ratio_capped(&liquid, &total_debt, f);
+        let one = b.const_word(1 << f, f + 1);
 
-        // Outgoing shortfalls: debts[d] * (1 - prorate).
+        // Outgoing shortfalls: debts[d] * (1 - prorate), the multiplier
+        // only as wide as the unpaid fraction.
         let unpaid_fraction = b.sub(&one, &prorate);
         let outgoing: Vec<_> = debts
             .iter()
@@ -265,6 +265,7 @@ impl SecureVertexProgram for EisenbergNoeSecure<'_> {
         // New state: cash, totalDebt, prorate, debts, credits.
         b.output_word(&cash);
         b.output_word(&total_debt);
+        let prorate = b.zero_extend(&prorate, w);
         b.output_word(&prorate);
         for debt in &debts {
             b.output_word(debt);
@@ -284,13 +285,15 @@ impl SecureVertexProgram for EisenbergNoeSecure<'_> {
         let d = self.degree_bound();
         let words_per_state = 3 + 2 * d;
         let mut b = CircuitBuilder::new();
-        let one = b.const_word(1 << f, w);
+        let one = b.const_word(1 << f, f + 1);
         let mut total = b.const_word(0, 32);
         for _ in 0..vertices {
             let state: Vec<_> = (0..words_per_state).map(|_| b.input_word(w)).collect();
             let total_debt = &state[1];
-            let prorate = &state[2];
-            let unpaid = b.sub(&one, prorate);
+            // The initial state and every update write prorate ≤ 2^f,
+            // zero-extended, so its bits above f are zero.
+            let prorate = b.truncate(&state[2], f + 1);
+            let unpaid = b.sub(&one, &prorate);
             let shortfall = b.mul_fixed(total_debt, &unpaid, f);
             let wide = b.zero_extend(&shortfall, 32);
             total = b.add(&total, &wide);
@@ -379,9 +382,40 @@ impl SecureVertexProgram for EisenbergNoeSecure<'_> {
 mod tests {
     use super::*;
     use crate::generator::{apply_shock, core_periphery, GeneratorConfig};
+    use crate::native::{random_word, run_words, F, MASK, ONE, W};
+    use dstress_circuit::builder::decode_word;
+    use dstress_circuit::evaluate;
     use dstress_core::execute_plaintext;
     use dstress_graph::execute_reference;
-    use dstress_math::rng::Xoshiro256;
+    use dstress_math::rng::{DetRng, Xoshiro256};
+
+    /// One fixed-point Eisenberg–Noe step on 16-bit words, wrapping where
+    /// the circuit's adders and multipliers wrap: the state
+    /// `[cash, totalDebt, prorate, debts, credits]` and `d` incoming
+    /// shortfalls in, the new state and `d` outgoing shortfalls out.
+    fn native_step(words: &[u64], d: usize) -> Vec<u64> {
+        let (cash, total_debt) = (words[0], words[1]);
+        let debts = &words[3..3 + d];
+        let credits = &words[3 + d..3 + 2 * d];
+        let shortfalls = &words[3 + 2 * d..3 + 3 * d];
+        let liquid = credits
+            .iter()
+            .zip(shortfalls)
+            .fold(cash, |l, (c, s)| (l + (c.wrapping_sub(*s) & MASK)) & MASK);
+        let prorate = if liquid < total_debt {
+            (liquid << F) / total_debt
+        } else {
+            ONE
+        };
+        let mut out = vec![cash, total_debt, prorate];
+        out.extend_from_slice(&words[3..3 + 2 * d]);
+        out.extend(
+            debts
+                .iter()
+                .map(|debt| ((debt * (ONE - prorate)) >> F) & MASK),
+        );
+        out
+    }
 
     fn shocked_network(seed: u64) -> FinancialNetwork {
         let config = GeneratorConfig::small(12, 8);
@@ -487,6 +521,61 @@ mod tests {
         assert_eq!(circuit.num_inputs() as u32, secure.state_bits() + 8 * 16);
         assert_eq!(circuit.outputs().len() as u32, secure.state_bits() + 8 * 16);
         assert!(circuit.and_gates() > 0);
+    }
+
+    #[test]
+    fn update_circuit_equals_a_native_fixed_point_step() {
+        let net = shocked_network(1);
+        let secure = EisenbergNoeSecure {
+            network: &net,
+            params: CircuitParams::default_params(),
+            iterations: 4,
+            leverage_bound: 0.1,
+        };
+        let mut rng = Xoshiro256::new(0xE15E);
+        for d in [1, 5] {
+            let circuit = secure.update_circuit(d);
+            for _ in 0..2_000 {
+                let words: Vec<u64> = (0..3 + 3 * d).map(|_| random_word(&mut rng)).collect();
+                assert_eq!(
+                    run_words(&circuit, &words),
+                    native_step(&words, d),
+                    "{words:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn aggregation_reads_only_the_low_bits_of_prorate() {
+        let net = shocked_network(1);
+        let secure = EisenbergNoeSecure {
+            network: &net,
+            params: CircuitParams::default_params(),
+            iterations: 4,
+            leverage_bound: 0.1,
+        };
+        let words_per_state = 3 + 2 * secure.degree_bound();
+        let vertices = 4;
+        let circuit = secure.aggregation_circuit(vertices);
+        let mut rng = Xoshiro256::new(0xA66);
+        for _ in 0..500 {
+            let mut words = Vec::new();
+            let mut total = 0u64;
+            for _ in 0..vertices {
+                let mut state: Vec<u64> = (0..words_per_state)
+                    .map(|_| random_word(&mut rng))
+                    .collect();
+                state[2] = rng.next_below(ONE + 1);
+                // Total debt times the unpaid fraction, as a full-width
+                // `1 − prorate` computes it.
+                total += ((state[1] * ((ONE - state[2]) & MASK)) >> F) & MASK;
+                words.extend(state);
+            }
+            let inputs: Vec<bool> = words.iter().flat_map(|&v| encode_word(v, W)).collect();
+            let released = decode_word(&evaluate(&circuit, &inputs).unwrap());
+            assert_eq!(released, total & 0xFFFF_FFFF, "{words:?}");
+        }
     }
 
     #[test]

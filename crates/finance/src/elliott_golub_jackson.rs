@@ -268,13 +268,12 @@ impl SecureVertexProgram for ElliottGolubJacksonSecure<'_> {
         let after_penalty = b.mux_word(can_pay, &zero, &after_penalty_raw);
         let new_value = b.mux_word(distressed, &after_penalty, &value);
 
-        // Outgoing discount: clamp(1 − value / origVal, 0, 1).
-        let ratio = b.div_fixed(&new_value, &orig_val, f);
-        let healthy = b.lt_unsigned(&one, &ratio);
-        let at_par = b.eq_word(&one, &ratio);
-        let no_discount = b.or(healthy, at_par);
-        let discount_raw = b.sub(&one, &ratio);
-        let discount = b.mux_word(no_discount, &zero, &discount_raw);
+        // Outgoing discount: clamp(1 − value / origVal, 0, 1) = 1 − the
+        // capped ratio, on f + 1 bits (a zero origVal discounts nothing).
+        let ratio = b.ratio_capped(&new_value, &orig_val, f);
+        let one_narrow = b.const_word(1 << f, f + 1);
+        let discount = b.sub(&one_narrow, &ratio);
+        let discount = b.zero_extend(&discount, w);
 
         // New state: base, origVal, value, threshold, penalty, holdings,
         // neighbour originals.
@@ -397,9 +396,66 @@ impl SecureVertexProgram for ElliottGolubJacksonSecure<'_> {
 mod tests {
     use super::*;
     use crate::generator::{apply_shock, core_periphery, GeneratorConfig};
+    use crate::native::{random_word, run_words, F, MASK, ONE};
     use dstress_core::execute_plaintext;
     use dstress_graph::execute_reference;
     use dstress_math::rng::Xoshiro256;
+
+    /// One fixed-point Elliott–Golub–Jackson step on 16-bit words,
+    /// wrapping where the circuit's adders and multipliers wrap, with the
+    /// outgoing discount the plaintext `clamp(1 − value / origVal, 0, 1)`
+    /// (0 when `origVal = 0`).
+    fn native_step(words: &[u64], d: usize) -> Vec<u64> {
+        let [base, orig_val, _, threshold, penalty] = words[..5] else {
+            unreachable!()
+        };
+        let holdings = &words[5..5 + d];
+        let neighbor_orig = &words[5 + d..5 + 2 * d];
+        let discounts = &words[5 + 2 * d..5 + 3 * d];
+        let mul_fixed = |a: u64, b: u64| ((a * b) >> F) & MASK;
+        let mut value = base;
+        for ((&holding, &orig), &discount) in holdings.iter().zip(neighbor_orig).zip(discounts) {
+            let kept = ONE.wrapping_sub(discount) & MASK;
+            value = (value + mul_fixed(holding, mul_fixed(kept, orig))) & MASK;
+        }
+        if value < threshold {
+            value = value.saturating_sub(penalty);
+        }
+        let discount = match orig_val {
+            0 => 0,
+            _ => ONE - ((value << F) / orig_val).min(ONE),
+        };
+        let mut out = vec![base, orig_val, value, threshold, penalty];
+        out.extend_from_slice(&words[5..5 + 2 * d]);
+        out.extend(std::iter::repeat(discount).take(d));
+        out
+    }
+
+    #[test]
+    fn discount_is_the_native_clamp_where_the_ratio_would_wrap() {
+        let net = shocked_network(1, 0.5);
+        let secure = ElliottGolubJacksonSecure {
+            network: &net,
+            params: CircuitParams::default_params(),
+            iterations: 4,
+            leverage_bound: 0.1,
+        };
+        let d = 3;
+        let circuit = secure.update_circuit(d);
+        let run = |words: &[u64]| run_words(&circuit, words);
+        // value = 2048 against origVal = 1: the ratio 2^16 needs 17 bits,
+        // yet the bank is healthy and discounts nothing.
+        let mut wrap = vec![0u64; 5 + 3 * d];
+        wrap[0] = 2048;
+        wrap[1] = 1;
+        assert_eq!(run(&wrap)[5 + 2 * d], 0);
+        let mut rng = Xoshiro256::new(0xE6);
+        for _ in 0..2_000 {
+            let words: Vec<u64> = (0..5 + 3 * d).map(|_| random_word(&mut rng)).collect();
+            assert_eq!(run(&words), native_step(&words, d), "{words:?}");
+        }
+        assert_eq!(run(&wrap), native_step(&wrap, d));
+    }
 
     fn shocked_network(seed: u64, severity: f64) -> FinancialNetwork {
         let config = GeneratorConfig::small(12, 8);

@@ -61,3 +61,38 @@ pub use generator::{
 pub use metrics::{sensitivity_bound_egj, sensitivity_bound_en, CircuitParams};
 pub use monitor::{MonitorRelease, SystemicRiskMonitor};
 pub use network::{Bank, Exposure, FinancialNetwork};
+
+#[cfg(test)]
+mod native {
+    //! Test support: the finance circuits at their default 16-bit,
+    //! 5-fraction encoding, run on plain words so tests can hold them to
+    //! native fixed-point arithmetic.
+
+    use dstress_circuit::builder::{decode_word, encode_word};
+    use dstress_circuit::{evaluate, Circuit};
+    use dstress_math::rng::{DetRng, Xoshiro256};
+
+    /// Word width of `CircuitParams::default_params()`.
+    pub const W: u32 = 16;
+    /// Fractional bits of `CircuitParams::default_params()`.
+    pub const F: u32 = 5;
+    /// All ones at width `W`.
+    pub const MASK: u64 = (1 << W) - 1;
+    /// One, in fixed point.
+    pub const ONE: u64 = 1 << F;
+
+    /// A random word of random magnitude: zero, tiny and full-width values
+    /// all come up.
+    pub fn random_word(rng: &mut Xoshiro256) -> u64 {
+        let bits = rng.next_below(W as u64 + 1);
+        rng.next_u64() & ((1 << bits) - 1)
+    }
+
+    /// Evaluates `circuit` on `W`-bit input words and returns its output
+    /// words.
+    pub fn run_words(circuit: &Circuit, words: &[u64]) -> Vec<u64> {
+        let inputs: Vec<bool> = words.iter().flat_map(|&v| encode_word(v, W)).collect();
+        let outputs = evaluate(circuit, &inputs).unwrap();
+        outputs.chunks(W as usize).map(decode_word).collect()
+    }
+}

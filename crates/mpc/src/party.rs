@@ -69,7 +69,7 @@
 //!
 //! ## The layered hot path: who owns which buffer
 //!
-//! A deep, narrow circuit (the Eisenberg–Noe step: 273 layers of ≈ 14
+//! A deep, narrow circuit (the Eisenberg–Noe step: 106 layers of ≈ 11
 //! AND gates) makes the per-message overhead, not the gate work, the
 //! cost of an execution, so one pair-layer exchange hashes nothing and,
 //! once the buffers have grown to a layer's size, allocates nothing:

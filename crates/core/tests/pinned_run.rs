@@ -63,6 +63,20 @@
 //! and 4–6 of `counts[1]` and `counts[3]`, both resident peaks, every
 //! `round`, `FINGERPRINT`, every `rng_state`, every segment digest.  Run
 //! (c) still reproduces run (b).
+//!
+//! **Re-captured a third time, 2026-10-17, for a named field set.**  The
+//! analytic byte model (`OperationCounts::bytes_sent` and `NodeTraffic`'s
+//! modeled `bytes_*` / `messages_*` counters) leaves the workspace, so the
+//! pins hold measured bytes only.  What moved, and only in its layout: every
+//! `counts` row drops its entry 7 (`bytes_sent`) and keeps the nine other
+//! values as they were; `traffic_digest` and each `PinnedCheckpoint`'s
+//! `costs_digest` now hash each node's id, `wire_bytes_sent` and
+//! `wire_bytes_received` as explicit little-endian integers instead of the
+//! `NodeTraffic` wire encoding (and `costs_digest` the nine-entry rows).
+//! Checked not to have moved: `noised_bits`, `ideal_bits`, the nine
+//! surviving entries of every `counts` row, both resident peaks, every
+//! `round`, `FINGERPRINT`, every `rng_state`, every segment digest.  Run (c)
+//! still reproduces run (b).
 
 use dstress_core::store::{digest64, load_latest_checkpoint, packed_bytes};
 use dstress_core::{
@@ -74,7 +88,6 @@ use dstress_graph::Graph;
 use dstress_math::rng::Xoshiro256;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::{NodeId, NodeTraffic};
-use dstress_net::wire::Wire;
 use std::path::Path;
 
 /// What a finished run is pinned to.
@@ -83,8 +96,8 @@ struct PinnedRun {
     noised_bits: u64,
     ideal_bits: u64,
     /// Initialization, computation, communication, aggregation; each
-    /// phase's ten counters in declaration order.
-    counts: [[u64; 10]; 4],
+    /// phase's counters in declaration order.
+    counts: [[u64; 9]; 4],
     traffic_digest: u64,
     store_resident_peak_bytes: usize,
 }
@@ -101,38 +114,32 @@ struct PinnedCheckpoint {
     segments: Vec<(u8, u64, u64)>,
 }
 
-/// Destructured without `..`, so a new counter cannot be left unpinned.
-fn counts_array(c: &OperationCounts) -> [u64; 10] {
-    let OperationCounts {
-        exponentiations,
-        fixed_base_exponentiations,
-        group_multiplications,
-        base_ots,
-        extended_ots,
-        and_gates,
-        free_gates,
-        bytes_sent,
-        wire_bytes,
-        rounds,
-    } = *c;
+/// The pinned counters in declaration order: every one but the retired
+/// analytic byte model (`bytes_sent`).
+fn counts_array(c: &OperationCounts) -> [u64; 9] {
     [
-        exponentiations,
-        fixed_base_exponentiations,
-        group_multiplications,
-        base_ots,
-        extended_ots,
-        and_gates,
-        free_gates,
-        bytes_sent,
-        wire_bytes,
-        rounds,
+        c.exponentiations,
+        c.fixed_base_exponentiations,
+        c.group_multiplications,
+        c.base_ots,
+        c.extended_ots,
+        c.and_gates,
+        c.free_gates,
+        c.wire_bytes,
+        c.rounds,
     ]
 }
 
+/// Each node's id and its *measured* byte counters, as explicit integers.
 fn traffic_bytes(entries: &[(NodeId, NodeTraffic)], out: &mut Vec<u8>) {
     for (id, totals) in entries {
-        id.encode_into(out);
-        totals.encode_into(out);
+        for value in [
+            id.0 as u64,
+            totals.wire_bytes_sent,
+            totals.wire_bytes_received,
+        ] {
+            out.extend_from_slice(&value.to_le_bytes());
+        }
     }
 }
 
@@ -282,16 +289,12 @@ fn pinned_real_crypto() -> PinnedRun {
         noised_bits: 0x4060890138d985bb,
         ideal_bits: 0x4061000000000000,
         counts: [
-            [0x960, 0x0, 0x0, 0x320, 0x0, 0x0, 0x0, 0x19030, 0x19090, 0x2],
-            [
-                0x0, 0x0, 0x0, 0x0, 0x46e, 0x17a, 0x654, 0x30ba, 0x40f8, 0x2d,
-            ],
-            [0x5dc, 0x474, 0xbb8, 0x0, 0x0, 0x0, 0x0, 0x6ea0, 0x729c, 0x6],
-            [
-                0x0, 0x0, 0x0, 0x0, 0xbbb, 0x3e9, 0xec2, 0x813f, 0x90b1, 0xbf,
-            ],
+            [0x960, 0x0, 0x0, 0x320, 0x0, 0x0, 0x0, 0x19090, 0x2],
+            [0x0, 0x0, 0x0, 0x0, 0x46e, 0x17a, 0x654, 0x40f8, 0x2d],
+            [0x5dc, 0x474, 0xbb8, 0x0, 0x0, 0x0, 0x0, 0x729c, 0x6],
+            [0x0, 0x0, 0x0, 0x0, 0xbbb, 0x3e9, 0xec2, 0x90b1, 0xbf],
         ],
-        traffic_digest: 0x3e6a8275df6e943e,
+        traffic_digest: 0x2ff07110151158c2,
         store_resident_peak_bytes: 0x270,
     }
 }
@@ -301,20 +304,12 @@ fn pinned_streamed() -> PinnedRun {
         noised_bits: 0x40b8b494de1d1fe5,
         ideal_bits: 0x40b8b20000000000,
         counts: [
-            [
-                0x8430, 0x0, 0x0, 0x2c10, 0x0, 0x0, 0x0, 0x160980, 0x160dee, 0x2,
-            ],
-            [
-                0x0, 0x0, 0x0, 0x0, 0x2f40, 0xfc0, 0x4380, 0x207c0, 0x2b500, 0x3c,
-            ],
-            [
-                0x4c77, 0x3a1d, 0x98ee, 0x0, 0x0, 0x0, 0x0, 0x5a3a8, 0x5d7a7, 0x9,
-            ],
-            [
-                0x0, 0x0, 0x0, 0x0, 0x131d, 0x65f, 0x18ee, 0xd3ef, 0xe925, 0xbf,
-            ],
+            [0x8430, 0x0, 0x0, 0x2c10, 0x0, 0x0, 0x0, 0x160dee, 0x2],
+            [0x0, 0x0, 0x0, 0x0, 0x2f40, 0xfc0, 0x4380, 0x2b500, 0x3c],
+            [0x4c77, 0x3a1d, 0x98ee, 0x0, 0x0, 0x0, 0x0, 0x5d7a7, 0x9],
+            [0x0, 0x0, 0x0, 0x0, 0x131d, 0x65f, 0x18ee, 0xe925, 0xbf],
         ],
-        traffic_digest: 0xdd14ae53a8a05738,
+        traffic_digest: 0x6ca404d0ae4ce237,
         store_resident_peak_bytes: 0x2a8,
     }
 }
@@ -332,7 +327,7 @@ fn pinned_checkpoints() -> Vec<PinnedCheckpoint> {
                 0xdd80f8a1fa485e2e,
                 0xa683540dfa3c3a74,
             ],
-            costs_digest: 0xcbc602df6ffa9b44,
+            costs_digest: 0x1ae2e6d67d3d9366,
             segments: vec![
                 (0, 0, 0x52d3aa4fc1523b5d),
                 (0, 1, 0xbb164f52ae0366bb),
@@ -353,7 +348,7 @@ fn pinned_checkpoints() -> Vec<PinnedCheckpoint> {
                 0x8849ca5cd76bcb68,
                 0x232b2bcc2ac5c055,
             ],
-            costs_digest: 0x7ecf271ff644afac,
+            costs_digest: 0x437bffaccddb50f9,
             segments: vec![
                 (0, 0, 0xde0958e2f6756e56),
                 (0, 1, 0xbd3e4d6f335259e3),
@@ -374,7 +369,7 @@ fn pinned_checkpoints() -> Vec<PinnedCheckpoint> {
                 0x2e5f0bdaa4a2793e,
                 0x4e1740bbfcb95cbf,
             ],
-            costs_digest: 0x6ebe06a53b650f20,
+            costs_digest: 0x45ce73ca107e2a9f,
             segments: vec![
                 (0, 0, 0x1ffbd6b53bc84ae0),
                 (0, 1, 0x6bcfdb71ee0f34cf),

@@ -154,10 +154,25 @@ run_tests -q -p dstress-transfer wire::
 run_tests -q -p dstress-core wire::
 run_tests -q -p dstress-deploy proto::
 
-echo "==> wire bytes: release-mode byte determinism + measured/modeled reconciliation"
+echo "==> wire bytes: release-mode byte determinism + one byte count, equal to its closed form"
+# Measured bytes are the only byte count: a GMW execution's equal the
+# closed form of its layering, party count and OT payloads (Sim and
+# Socket, layered and per-gate, one-shot and established), and so does
+# the counts-only §5.5 baseline's and every transfer variant's; an
+# engine run's traffic report is its counted wire bytes; the pair bytes
+# edge privacy reads are the transport's tally.
 run_tests --release -q -p dstress-mpc --test transport_determinism measured_wire_bytes_bit_identical_across_the_grid
 run_tests --release -q -p dstress-mpc --test transport_determinism batched_choices_payload_is_bit_packed_on_the_wire
 run_tests --release -q -p dstress-bench --test byte_reconciliation
+run_tests --release -q -p dstress-bench --test byte_reconciliation closed_form_wire_bytes_equal_the_measured_bytes
+run_tests -q -p dstress-mpc counts_only_measurement_matches_executed_gate_count
+run_tests -q -p dstress-bench --lib closed_form_wire_bytes_equal_the_measured_transfer
+run_tests -q -p dstress-core traffic_report_is_the_measured_wire_bytes
+run_tests -q -p dstress --test privacy_properties gmw_pair_bytes_are_the_transport_tally
+
+echo "==> format versions: a checkpoint or a worker of the previous layout is refused, typed"
+run_tests -q -p dstress-core resume_rejects_a_checkpoint_in_the_previous_layout
+run_tests -q -p dstress-deploy registration_refuses_a_worker_of_the_previous_protocol_version
 
 echo "==> streaming generators: streaming build == materialised build, degree bounds, determinism"
 run_tests -q -p dstress-graph stream::

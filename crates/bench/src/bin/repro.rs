@@ -208,7 +208,7 @@ fn transfer_ablation(_: &Options) {
             format!("{:?}", row.variant),
             row.counts.exponentiations,
             format_seconds(row.projected_seconds),
-            format_bytes(row.counts.bytes_sent as f64),
+            format_bytes(row.counts.wire_bytes as f64),
         );
     }
 }

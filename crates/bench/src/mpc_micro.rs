@@ -200,7 +200,7 @@ pub fn run_mpc_micro_with(
     let cost = CostModel::paper_reference();
     let projected_seconds = cost.estimate_seconds(&exec.counts) / block_size as f64;
     let traffic_per_node_bytes = (0..block_size)
-        .map(|p| traffic.node(NodeId(p)).bytes_sent as f64)
+        .map(|p| traffic.node(NodeId(p)).wire_bytes_sent as f64)
         .sum::<f64>()
         / block_size as f64;
 
@@ -325,9 +325,10 @@ mod tests {
         assert_eq!(batched.rounds, 2 * batched.and_layers as u64 + 3);
         assert_eq!(per_gate.rounds, 2 * per_gate.and_gates as u64 + 3);
         assert!(batched.rounds < per_gate.rounds);
-        // Same work and traffic; only the round structure differs.
-        assert_eq!(batched.counts.bytes_sent, per_gate.counts.bytes_sent);
+        // Same work; the round structure differs, and so does the framing
+        // (one header per layer instead of one per gate).
         assert_eq!(batched.counts.extended_ots, per_gate.counts.extended_ots);
+        assert!(batched.counts.wire_bytes < per_gate.counts.wire_bytes);
     }
 
     #[test]

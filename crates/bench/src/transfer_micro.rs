@@ -20,6 +20,7 @@ use dstress_net::cost::{CostModel, OperationCounts};
 use dstress_net::traffic::{NodeId, TrafficAccountant};
 use dstress_transfer::protocol::{transfer_message, ProtocolVariant, TransferConfig};
 use dstress_transfer::setup::generate_system;
+use dstress_transfer::wire::{adjusted_wire_len, aggregated_wire_len, subshares_wire_len};
 use std::time::Instant;
 
 /// One measured transfer row.
@@ -99,10 +100,10 @@ pub fn run_transfer_micro(
     // across the block members (so their cost divides by the block size),
     // while the homomorphic aggregation is serialised at vertex `i` — this
     // is exactly why the paper reports a roughly-linear-in-`k` latency with
-    // a small quadratic component (§5.2).  Traffic is scaled to the
-    // prototype's 48-byte secp384r1 elements.
+    // a small quadratic component (§5.2).  Traffic is what the same
+    // messages encode to with the prototype's 48-byte secp384r1 elements.
     let cost = CostModel::paper_reference();
-    let projected_bytes = outcome.counts.bytes_sent as f64 * 48.0 / group.element_bytes() as f64;
+    let projected_bytes = wire_bytes_at(variant, block_size, message_bits as usize, 48) as f64;
     let projected_seconds = outcome.counts.exponentiations as f64 / block_size as f64
         * cost.seconds_per_exponentiation
         + outcome.counts.fixed_base_exponentiations as f64 / block_size as f64
@@ -130,10 +131,43 @@ pub fn run_transfer_micro(
         message_bits,
         measured_seconds,
         projected_seconds,
-        vertex_i_received_bytes: traffic.node(NodeId(0)).bytes_received,
-        sender_member_sent_bytes: traffic.node(sender_member).bytes_sent,
-        receiver_member_received_bytes: traffic.node(receiver_member).bytes_received,
+        vertex_i_received_bytes: traffic.node(NodeId(0)).wire_bytes_received,
+        sender_member_sent_bytes: traffic.node(sender_member).wire_bytes_sent,
+        receiver_member_received_bytes: traffic.node(receiver_member).wire_bytes_received,
         counts: outcome.counts,
+    }
+}
+
+/// The bytes one transfer of `variant` between blocks of `block_size`
+/// members puts on the wire with `elem_bytes`-byte group elements, from
+/// the codec's closed-form encoded lengths.  The whole-share strawmen
+/// send plain ciphertext bundles on every hop (`x → i`, `i → j`,
+/// `j → y`); the bitwise variants send sub-share bundles, one aggregate
+/// and the adjusted bits.
+pub fn wire_bytes_at(
+    variant: ProtocolVariant,
+    block_size: usize,
+    bits: usize,
+    elem_bytes: usize,
+) -> u64 {
+    let members = block_size as u64;
+    match variant {
+        ProtocolVariant::Strawman1 => {
+            2 * members * adjusted_wire_len(1, elem_bytes)
+                + adjusted_wire_len(block_size, elem_bytes)
+        }
+        ProtocolVariant::Strawman2 => {
+            2 * members * adjusted_wire_len(block_size, elem_bytes)
+                + adjusted_wire_len(block_size * block_size, elem_bytes)
+        }
+        ProtocolVariant::Strawman3 | ProtocolVariant::Final { .. } => {
+            let per_sender: u64 = (0..block_size)
+                .map(|y| subshares_wire_len(y, bits, elem_bytes))
+                .sum();
+            members * per_sender
+                + aggregated_wire_len(block_size, bits, elem_bytes)
+                + members * adjusted_wire_len(bits, elem_bytes)
+        }
     }
 }
 
@@ -169,6 +203,22 @@ pub fn variant_sweep(block_size: usize, message_bits: u32) -> Vec<TransferRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn closed_form_wire_bytes_equal_the_measured_transfer() {
+        // At the simulation group's element size the closed form is the
+        // measured byte count of every variant, so at 48 bytes it is what
+        // the prototype's encodings would measure.
+        let elem = Group::sim64().element_bytes();
+        for row in variant_sweep(4, 12) {
+            assert_eq!(
+                wire_bytes_at(row.variant, 4, 12, elem),
+                row.counts.wire_bytes,
+                "{:?}",
+                row.variant
+            );
+        }
+    }
 
     #[test]
     fn transfer_time_grows_with_block_size() {

@@ -154,7 +154,14 @@ impl std::error::Error for RuntimeError {}
 
 impl From<StoreError> for RuntimeError {
     fn from(e: StoreError) -> Self {
-        RuntimeError::Store(e)
+        match e {
+            // A checkpoint of another layout is not a damaged store: it is
+            // one this build must not resume from.
+            StoreError::Version { .. } => RuntimeError::Checkpoint {
+                context: e.to_string(),
+            },
+            e => RuntimeError::Store(e),
+        }
     }
 }
 
@@ -730,21 +737,18 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
     }
 
     /// Carries one engine control message over the simulated wire:
-    /// charges the model's `bytes` and the length of the real encoding to
-    /// the link and to `counts`, and returns the decoded copy — the share
-    /// the receiver actually uses.
+    /// charges the length of its real encoding to the link and to
+    /// `counts`, and returns the decoded copy — the share the receiver
+    /// actually uses.
     fn deliver<M: Wire>(
         &mut self,
         counts: &mut OperationCounts,
         from: NodeId,
         to: NodeId,
-        bytes: u64,
         message: &M,
     ) -> Result<M, WireError> {
-        self.traffic.record(from, to, bytes);
-        counts.bytes_sent += bytes;
         let encoded = message.encode();
-        self.traffic.record_wire(from, to, encoded.len() as u64);
+        self.traffic.record(from, to, encoded.len() as u64);
         counts.wire_bytes += encoded.len() as u64;
         M::decode_exact(&encoded)
     }
@@ -767,19 +771,17 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         // The pair's owner, its lower id, sends the sender-side key
         // material; the peer answers with the receiver side.
         let session = OtConfig::extension().session_setup();
-        let (to_peer, to_owner) = session.bytes;
         for (owner, peer) in session_pairs(setup, update_circuit.layers().rounds() > 0) {
             let pair = (owner.0 * graph.vertex_count() + peer.0) as u64;
             let pair_seed = derive_seed(self.config.seed, SESSION_TAG, pair);
             counts.add(&session.counts);
             let message = session.message(pair_seed, true);
-            self.deliver(&mut counts, owner, peer, to_peer, &message)?;
+            self.deliver(&mut counts, owner, peer, &message)?;
             let message = session.message(pair_seed, false);
-            self.deliver(&mut counts, peer, owner, to_owner, &message)?;
+            self.deliver(&mut counts, peer, owner, &message)?;
         }
 
         let inbox_bits = graph.degree_bound() * self.message_bits;
-        let per_member_bytes = (state_bits as u64 + inbox_bits as u64).div_ceil(8);
         for v in graph.vertices() {
             let initial = self.program.encode_initial_state(graph, v);
             debug_assert_eq!(initial.len(), state_bits, "program state encoding width");
@@ -796,8 +798,7 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
                     state: std::mem::take(&mut shares[m_idx]),
                     inbox: vec![false; inbox_bits],
                 };
-                let received =
-                    self.deliver(&mut counts, owner, member, per_member_bytes, &message)?;
+                let received = self.deliver(&mut counts, owner, member, &message)?;
                 shares[m_idx] = received.state;
                 // The decoded no-op shares are all-zero, which is exactly
                 // what the zero-initialised packed inbox already holds.
@@ -995,7 +996,6 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         // Re-share every vertex's state into the aggregation block: each
         // block member splits its share into |B_A| sub-shares and sends one
         // to each aggregation-block member.
-        let share_bytes = (state_bits as u64).div_ceil(8);
         let mut agg_input_shares: Vec<Vec<bool>> =
             vec![Vec::with_capacity(graph.vertex_count() * state_bits); block_size];
         for v in graph.vertices() {
@@ -1014,8 +1014,7 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
                 for (ba_share, (&ba_member, bits)) in ba_shares.iter_mut().zip(ba_members.zip(sub))
                 {
                     let message = AggShare { bits };
-                    let received =
-                        self.deliver(&mut counts, member, ba_member, share_bytes, &message)?;
+                    let received = self.deliver(&mut counts, member, ba_member, &message)?;
                     for (acc, b) in ba_share.iter_mut().zip(received.bits) {
                         *acc ^= b;
                     }
@@ -1273,9 +1272,8 @@ mod tests {
         assert_eq!(r.fixed_base_exponentiations, a.fixed_base_exponentiations);
         assert!(a.fixed_base_exponentiations > 0);
         assert_eq!(r.group_multiplications, a.group_multiplications);
-        assert_eq!(r.bytes_sent, a.bytes_sent);
-        // The accounted mode reproduces even the *measured* wire bytes of
-        // the real hops, via the closed-form encoded lengths.
+        // The accounted mode reproduces the measured wire bytes of the
+        // real hops, via the closed-form encoded lengths.
         assert_eq!(r.wire_bytes, a.wire_bytes);
         assert!(r.wire_bytes > 0);
         assert_eq!(r.rounds, a.rounds);
@@ -1298,19 +1296,49 @@ mod tests {
         let run = DStressRuntime::new(config)
             .execute(&graph, &program)
             .unwrap();
-        assert!(run.phases.initialization.counts.bytes_sent > 0);
         assert!(run.phases.computation.counts.and_gates > 0);
-        assert!(run.phases.communication.counts.bytes_sent > 0);
         assert!(run.phases.aggregation.counts.and_gates > 0);
-        assert!(run.phases.total_counts().bytes_sent > 0);
         // Every phase moves real encoded bytes through the wire format.
         assert!(run.phases.initialization.counts.wire_bytes > 0);
         assert!(run.phases.computation.counts.wire_bytes > 0);
         assert!(run.phases.communication.counts.wire_bytes > 0);
         assert!(run.phases.aggregation.counts.wire_bytes > 0);
-        assert!(run.traffic.report().total_wire_bytes > 0);
         assert!(run.phases.total_wall_seconds() > 0.0);
         assert!(run.mean_bytes_per_node() > 0.0);
+    }
+
+    #[test]
+    fn traffic_report_is_the_measured_wire_bytes() {
+        // The "traffic per node" columns read the report: its byte total
+        // is the bytes every phase measured on the wire, and the mean is
+        // that total over the nodes that sent anything.
+        let graph = ring_graph(5);
+        let program = CounterProgram {
+            width: 8,
+            rounds: 2,
+        };
+        for transfers in [TransferMode::Accounted, TransferMode::RealCrypto] {
+            let mut config = DStressConfig::benchmark(2);
+            config.message_bits = 8;
+            config.transfer_mode = transfers;
+            let run = DStressRuntime::new(config)
+                .execute(&graph, &program)
+                .unwrap();
+            let report = run.traffic.report();
+            let wire_bytes = run.phases.total_counts().wire_bytes;
+            assert!(wire_bytes > 0, "{transfers:?}");
+            assert_eq!(report.total_bytes, wire_bytes, "{transfers:?}");
+            let senders = run
+                .traffic
+                .nodes()
+                .filter(|(_, t)| t.wire_bytes_sent > 0)
+                .count();
+            assert_eq!(
+                run.mean_bytes_per_node(),
+                wire_bytes as f64 / senders as f64,
+                "{transfers:?}"
+            );
+        }
     }
 
     #[test]
@@ -1431,7 +1459,7 @@ mod tests {
         assert_eq!(small.phases.communication.counts.rounds, 3 * 2);
         // But the graph with twice the vertices moves ~twice the bytes.
         assert!(
-            large.phases.computation.counts.bytes_sent > small.phases.computation.counts.bytes_sent
+            large.phases.computation.counts.wire_bytes > small.phases.computation.counts.wire_bytes
         );
     }
 
@@ -1534,23 +1562,20 @@ mod tests {
             .execute(&graph, &program)
             .unwrap();
 
-        // Same outputs, same byte traffic, same work — batching only
-        // shrinks the number of messages (report.total_messages) and the
-        // round count.
+        // Same outputs, same work, same nodes talking — batching only
+        // shrinks the round count and the bytes (one header per layer
+        // instead of one per gate).
         assert_eq!(layered.noised_output, per_gate.noised_output);
         assert_eq!(layered.ideal_output, per_gate.ideal_output);
         let lr = layered.traffic.report();
         let pr = per_gate.traffic.report();
-        assert_eq!(lr.total_bytes, pr.total_bytes);
-        assert_eq!(lr.max_node_bytes, pr.max_node_bytes);
         assert_eq!(lr.active_nodes, pr.active_nodes);
-        assert!(lr.total_messages < pr.total_messages);
         let mut l = layered.phases.total_counts();
         let mut p = per_gate.phases.total_counts();
         assert!(l.rounds < p.rounds);
-        // Measured wire bytes shrink under batching (one header per
-        // layer instead of one per gate); everything else is identical.
         assert!(l.wire_bytes < p.wire_bytes);
+        assert_eq!(lr.total_bytes, l.wire_bytes);
+        assert_eq!(pr.total_bytes, p.wire_bytes);
         l.rounds = 0;
         p.rounds = 0;
         l.wire_bytes = 0;
@@ -1822,8 +1847,8 @@ mod tests {
             resumed.phases.total_counts().wire_bytes
         );
         assert_eq!(
-            uninterrupted.traffic.report().total_wire_bytes,
-            resumed.traffic.report().total_wire_bytes
+            uninterrupted.traffic.report().total_bytes,
+            resumed.traffic.report().total_bytes
         );
 
         // The same holds when the interrupted run *and* the resume use
@@ -1889,6 +1914,61 @@ mod tests {
             .resume(&other_graph, &program)
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Checkpoint { .. }));
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_in_the_previous_layout() {
+        // The version-1 golden manifest (one more uvarint per phase-cost
+        // block, four more per traffic entry): typed as a checkpoint
+        // error naming both versions, never decoded as version 2.
+        let zero_costs = "00".repeat(10 + 8);
+        let version_1 = [
+            "4d",
+            "01000000",
+            "01",
+            "03",
+            "0df0000000000000",
+            "0100000000000000",
+            "0200000000000000",
+            "0300000000000000",
+            "0400000000000000",
+            &zero_costs,
+            &zero_costs,
+            &zero_costs,
+            "01",
+            "01",
+            "030000000000",
+            "01",
+            "00",
+            "02",
+            "0807060504030201",
+        ]
+        .concat();
+        let bytes: Vec<u8> = (0..version_1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&version_1[i..i + 2], 16).unwrap())
+            .collect();
+        let scratch = test_dir("res-v1");
+        let ckpt_dir = scratch.path().join("ckpt");
+        std::fs::create_dir_all(&ckpt_dir).unwrap();
+        std::fs::write(ckpt_dir.join("checkpoint-00000001.ckpt"), bytes).unwrap();
+        let mut cfg = DStressConfig::benchmark(2)
+            .with_checkpoint(crate::config::CheckpointConfig::every_round(ckpt_dir));
+        cfg.message_bits = 8;
+        let program = CounterProgram {
+            width: 8,
+            rounds: 2,
+        };
+        let err = DStressRuntime::new(cfg)
+            .resume(&ring_graph(5), &program)
+            .unwrap_err();
+        let RuntimeError::Checkpoint { context } = &err else {
+            panic!("expected a checkpoint error, got {err}");
+        };
+        assert_eq!(
+            context,
+            "checkpoint layout version 1, this build reads version 2"
+        );
     }
 
     /// An executor that fails every window — the error-path probe for the

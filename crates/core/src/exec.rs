@@ -485,8 +485,8 @@ fn real_crypto_transfer(
 /// Cost-accounted message transfer: moves the shares in plaintext while
 /// recording exactly the operation counts and traffic that
 /// [`transfer_message`] with [`dstress_transfer::ProtocolVariant::Final`]
-/// would generate — including the *measured* wire bytes, reproduced from
-/// the closed-form encoded lengths in [`dstress_transfer::wire`].  A unit
+/// would generate — its wire bytes reproduced from the closed-form encoded
+/// lengths in [`dstress_transfer::wire`].  A unit
 /// test pins the two modes against each other field by field.
 ///
 /// This is the only transfer path a remote worker can run: it is a pure
@@ -502,7 +502,7 @@ pub fn execute_accounted_transfer_task(
     let receiver_vertex = NodeId(task.to as usize);
     let block_size = task.sender_members.len();
     let bits = message_bits as u64;
-    let elem_bytes = group.element_bytes() as u64;
+    let elem_bytes = group.element_bytes();
     let mut counts = OperationCounts::default();
 
     // Sub-share encryption: every sender member encrypts k+1 sub-shares of
@@ -514,12 +514,8 @@ pub fn execute_accounted_transfer_task(
             counts.fixed_base_exponentiations += 1;
             counts.exponentiations += bits;
             counts.group_multiplications += bits;
-            let bytes = (bits + 1) * elem_bytes;
-            traffic.record(x_node, sender_vertex, bytes);
-            counts.bytes_sent += bytes;
-            let wire =
-                dstress_transfer::wire::subshares_wire_len(y, bits as usize, elem_bytes as usize);
-            traffic.record_wire(x_node, sender_vertex, wire);
+            let wire = dstress_transfer::wire::subshares_wire_len(y, bits as usize, elem_bytes);
+            traffic.record(x_node, sender_vertex, wire);
             counts.wire_bytes += wire;
         }
     }
@@ -531,21 +527,14 @@ pub fn execute_accounted_transfer_task(
     counts.group_multiplications += block_size as u64 * bits;
 
     // i -> j.
-    let forwarded = block_size as u64 * bits * 2 * elem_bytes;
-    traffic.record(sender_vertex, receiver_vertex, forwarded);
-    counts.bytes_sent += forwarded;
-    let wire =
-        dstress_transfer::wire::aggregated_wire_len(block_size, bits as usize, elem_bytes as usize);
-    traffic.record_wire(sender_vertex, receiver_vertex, wire);
+    let wire = dstress_transfer::wire::aggregated_wire_len(block_size, bits as usize, elem_bytes);
+    traffic.record(sender_vertex, receiver_vertex, wire);
     counts.wire_bytes += wire;
 
     // j adjusts, distributes, members decrypt.
     for &y_node in &task.receiver_members {
-        let member_bytes = bits * 2 * elem_bytes;
-        traffic.record(receiver_vertex, y_node, member_bytes);
-        counts.bytes_sent += member_bytes;
-        let wire = dstress_transfer::wire::adjusted_wire_len(bits as usize, elem_bytes as usize);
-        traffic.record_wire(receiver_vertex, y_node, wire);
+        let wire = dstress_transfer::wire::adjusted_wire_len(bits as usize, elem_bytes);
+        traffic.record(receiver_vertex, y_node, wire);
         counts.wire_bytes += wire;
         counts.exponentiations += 1; // adjust of the shared ephemeral
         counts.fixed_base_exponentiations += bits; // fused table decrypts

@@ -31,7 +31,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::wire::{CheckpointManifest, SegmentDigest, SegmentRecord};
+use crate::wire::{
+    checkpoint_version, CheckpointManifest, SegmentDigest, SegmentRecord, CHECKPOINT_VERSION,
+};
 use dstress_net::wire::Wire;
 
 /// Rows per spill/checkpoint segment — fixed across backends so the
@@ -57,6 +59,14 @@ pub enum StoreError {
         /// What failed validation.
         context: String,
     },
+    /// A checkpoint file was written in another layout version than the
+    /// one this build reads; nothing after the version is decoded.
+    Version {
+        /// The file's layout version.
+        found: u32,
+        /// The version this build writes and reads.
+        expected: u32,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -64,6 +74,10 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io { context } => write!(f, "store i/o error: {context}"),
             StoreError::Corrupt { context } => write!(f, "store corruption: {context}"),
+            StoreError::Version { found, expected } => write!(
+                f,
+                "checkpoint layout version {found}, this build reads version {expected}"
+            ),
         }
     }
 }
@@ -748,7 +762,8 @@ pub fn write_checkpoint(
 /// # Errors
 ///
 /// Returns a [`StoreError`] if no checkpoint exists, the file cannot be
-/// read, or validation fails.
+/// read, or validation fails — [`StoreError::Version`] when the file was
+/// written in another layout version.
 pub fn load_latest_checkpoint(
     dir: &Path,
 ) -> Result<(CheckpointManifest, Vec<SegmentRecord>), StoreError> {
@@ -760,6 +775,12 @@ pub fn load_latest_checkpoint(
     let path = dir.join(checkpoint_file_name(round));
     let bytes = std::fs::read(&path)
         .map_err(|e| io_err(format!("read checkpoint {}", path.display()), e))?;
+    if let Some(found) = checkpoint_version(&bytes).filter(|&v| v != CHECKPOINT_VERSION) {
+        return Err(StoreError::Version {
+            found,
+            expected: CHECKPOINT_VERSION,
+        });
+    }
     let mut buf = bytes.as_slice();
     let corrupt = |context: String| StoreError::Corrupt { context };
     let manifest = CheckpointManifest::decode(&mut buf)

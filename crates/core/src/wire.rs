@@ -29,9 +29,7 @@
 //!
 //! Bit planes pack LSB-first with zero padding (see
 //! [`dstress_net::wire`]); an `InitShare` therefore costs
-//! `⌈state/8⌉ + ⌈D·L/8⌉` bytes plus a few header bytes — the analytical
-//! model's `⌈(state + D·L)/8⌉` figure plus at most one byte of padding
-//! per plane and the header.
+//! `⌈state/8⌉ + ⌈D·L/8⌉` bytes plus a few header bytes.
 
 use crate::engine::PhaseCosts;
 use crate::exec::{BlockStepOutcome, BlockStepTask, TransferOutcome, TransferTask};
@@ -46,8 +44,9 @@ const TAG_AGG_SHARE: u8 = 0x01;
 /// Checkpoint record tags (`'M'` and `'S'`).
 const TAG_MANIFEST: u8 = 0x4D;
 const TAG_SEGMENT: u8 = 0x53;
-/// Layout version of the checkpoint manifest.
-const CHECKPOINT_VERSION: u32 = 1;
+/// Layout version of the checkpoint manifest.  Version 2 dropped the
+/// analytic byte model from the phase costs and the traffic snapshot.
+pub(crate) const CHECKPOINT_VERSION: u32 = 2;
 
 /// Takes a record's leading tag byte off `buf`.
 fn expect_tag(buf: &mut &[u8], expected: u8, what: &'static str) -> Result<(), WireError> {
@@ -347,6 +346,14 @@ impl Wire for CheckpointManifest {
     }
 }
 
+/// The layout version a checkpoint file declares: the `u32` after its
+/// manifest tag, or `None` when `bytes` do not start with one.
+pub(crate) fn checkpoint_version(bytes: &[u8]) -> Option<u32> {
+    let mut buf = bytes;
+    expect_tag(&mut buf, TAG_MANIFEST, "CheckpointManifest").ok()?;
+    wire::get_u32_le(&mut buf).ok()
+}
+
 /// One checkpointed store segment: its packed words, tagged with the
 /// store id and segment index and sealed with a digest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -529,15 +536,17 @@ mod tests {
             traffic: vec![(
                 NodeId(1),
                 NodeTraffic {
-                    bytes_sent: 3,
+                    wire_bytes_sent: 3,
                     ..Default::default()
                 },
             )],
         };
-        // states · 1 slot of 2 planes · 10 count uvarints · 1 entry
+        // states · 1 slot of 2 planes · 9 count uvarints · 1 entry.  The
+        // analytic byte model left the layout: the count uvarint before
+        // `wire_bytes`, and the entry's four modeled counters.
         assert_eq!(
             hex(&step.encode()),
-            "0201010100010202030200000000000001000000020101030000000000"
+            "020101010001020203020000000000000100000201010300"
         );
         let transfer = TransferOutcome {
             to: 1,
@@ -546,7 +555,7 @@ mod tests {
             counts: OperationCounts::default(),
             traffic: Vec::new(),
         };
-        assert_eq!(hex(&transfer.encode()), "01000101000000000000000000000000");
+        assert_eq!(hex(&transfer.encode()), "010001010000000000000000000000");
     }
 
     #[test]
@@ -604,7 +613,7 @@ mod tests {
                 counts: OperationCounts { and_gates: vertex, ..Default::default() },
                 traffic: members
                     .iter()
-                    .map(|&m| (NodeId(m), NodeTraffic { bytes_sent: seed, ..Default::default() }))
+                    .map(|&m| (NodeId(m), NodeTraffic { wire_bytes_sent: seed, ..Default::default() }))
                     .collect(),
             };
             prop_assert_eq!(
@@ -637,7 +646,7 @@ mod tests {
             traffic: vec![(
                 NodeId(1),
                 NodeTraffic {
-                    bytes_sent: 3,
+                    wire_bytes_sent: 3,
                     ..Default::default()
                 },
             )],
@@ -651,13 +660,15 @@ mod tests {
 
     #[test]
     fn checkpoint_manifest_golden_encoding() {
-        // tag 4d · version 1 · round 01 · iterations 03 · fingerprint ·
-        // rng [1,2,3,4] · three zero phase-cost blocks (10 uvarints +
-        // f64 bits) · 1 traffic entry · 1 segment digest
-        let zero_costs = "000000000000000000000000000000000000";
+        // tag 4d · version 2 · round 01 · iterations 03 · fingerprint ·
+        // rng [1,2,3,4] · three zero phase-cost blocks (9 uvarints +
+        // f64 bits) · 1 traffic entry · 1 segment digest.  Version 1 had
+        // one more uvarint per phase-cost block (the analytic byte model)
+        // and four more per traffic entry (its modeled counters).
+        let zero_costs = "0000000000000000000000000000000000";
         let expected = [
             "4d",
-            "01000000",
+            "02000000",
             "01",
             "03",
             "0df0000000000000",
@@ -670,7 +681,7 @@ mod tests {
             zero_costs,
             "01",
             "01",
-            "030000000000",
+            "0300",
             "01",
             "00",
             "02",

@@ -13,7 +13,7 @@
 //! performs the same cubic extrapolation the paper uses.
 
 use crate::error::MpcError;
-use crate::gmw::{reconstruct_outputs, share_inputs, GmwConfig, GmwProtocol};
+use crate::gmw::{execution_wire_bytes, reconstruct_outputs, share_inputs, GmwConfig, GmwProtocol};
 use crate::party::OtConfig;
 use dstress_circuit::builder::{decode_word, encode_word, CircuitBuilder};
 use dstress_circuit::{Circuit, CircuitStats};
@@ -132,7 +132,9 @@ pub fn measure_matrix_multiply_counts(
         exponentiations: 3 * kappa * pairs,
         and_gates: stats.and_gates as u64,
         free_gates: (stats.xor_gates + stats.not_gates) as u64,
-        bytes_sent: stats.and_gates as u64 * pairs * 11 + kappa * pairs * 128,
+        // The executed engine's measured bytes, in closed form: the
+        // one-shot door under GmwBatching::Layered.
+        wire_bytes: execution_wire_bytes(&layers, parties, &OtConfig::extension(), false),
         // The layer-batched round model: 2 setup rounds, 2 per AND
         // layer, 1 output round (matches the executed engine's measured
         // rounds under GmwBatching::Layered).
@@ -228,6 +230,7 @@ mod tests {
         .unwrap();
         assert_eq!(counted.and_gates, executed.and_gates);
         assert_eq!(counted.counts.extended_ots, executed.counts.extended_ots);
+        assert_eq!(counted.counts.wire_bytes, executed.counts.wire_bytes);
     }
 
     #[test]

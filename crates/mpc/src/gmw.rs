@@ -49,12 +49,15 @@
 //! A party that rejects a peer's message ends the batch at once with
 //! [`MpcError::UnexpectedMessage`], on every backend.
 //!
-//! The executor measures, for every run: per-party bytes sent/received,
-//! the number of OTs and AND gates, and the number of communication
-//! rounds.  Those measurements feed the harness directly.
+//! The executor measures, for every run: the bytes each party sent and
+//! received (the transport's tally of the encoded messages), the number
+//! of OTs and AND gates, and the number of communication rounds.  Those
+//! measurements feed the harness directly; [`execution_wire_bytes`] is
+//! the closed form the measured bytes equal.
 
 use crate::error::MpcError;
 use crate::party::{GmwBatching, GmwMessage, GmwParty, OtConfig};
+use crate::wire::{encoded_len, GmwKind};
 use dstress_circuit::{Circuit, CircuitLayers, Gate};
 use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
@@ -114,8 +117,6 @@ pub struct GmwExecution {
     /// ([`GmwBatching::Layered`]) or per AND gate
     /// ([`GmwBatching::PerGate`]) — plus the output-reconstruction round.
     pub rounds: u64,
-    /// Per-party bytes sent during this execution (analytical model).
-    pub bytes_sent_per_party: Vec<u64>,
     /// Per-party bytes *measured* on the wire: the summed encoded sizes
     /// of every message the party sent through the transport.
     pub wire_bytes_per_party: Vec<u64>,
@@ -285,8 +286,9 @@ impl GmwJob {
 }
 
 /// Executes `circuit` once per job, all jobs at once as the groups of one
-/// run of `session`, and returns each job's execution with the traffic it
-/// accounted (node totals and pair flows), in job order.
+/// run of `session`, and returns each job's execution with its traffic
+/// (node totals and pair flows, as the transport tallied them), in job
+/// order.
 ///
 /// The jobs are consumed: each party takes its input share by move, and
 /// the parties of the whole batch exist until the run returns — the
@@ -312,8 +314,8 @@ pub fn execute_batch(
 
 /// [`execute_batch`] for parties whose pairs already hold OT-extension
 /// sessions, set up once per run outside the batch: no execution sends an
-/// `OtSetup` message or charges base OTs, their bytes or their two
-/// rounds.  Shares and every other count equal [`execute_batch`]'s.
+/// `OtSetup` message or charges base OTs or their two rounds.  Shares and
+/// every other count equal [`execute_batch`]'s.
 ///
 /// # Errors
 ///
@@ -360,7 +362,7 @@ fn run_batch(
                     GmwParty::new(
                         circuit,
                         p,
-                        job.node_ids.clone(),
+                        job.node_ids.len(),
                         share,
                         ot,
                         job.master_seed,
@@ -421,13 +423,9 @@ fn merge_execution(
     parties: &[GmwParty],
     tally: &WireTally,
 ) -> (GmwExecution, TrafficAccountant) {
-    // Merge the per-party accounting.  Each pair's flows live in
-    // exactly one party's accountant, so the merge is exact; counts
-    // are sums and therefore order-independent.
-    let mut traffic = TrafficAccountant::with_pair_tracking();
+    // Counts are sums and therefore order-independent.
     let mut counts = OperationCounts::default();
     for party in parties {
-        traffic.merge(party.traffic());
         counts.merge(party.counts());
     }
     // Rounds are *measured* from the parties' exchange counters, not
@@ -438,18 +436,13 @@ fn merge_execution(
     counts.and_gates += circuit.layers().and_gates() as u64;
     counts.free_gates += free_gates;
     counts.rounds += rounds;
-    let bytes_sent_per_party: Vec<u64> = node_ids
-        .iter()
-        .map(|&id| traffic.node(id).bytes_sent)
-        .collect();
-    counts.bytes_sent += bytes_sent_per_party.iter().sum::<u64>();
 
-    // Attribute the *measured* encoded bytes (from the transport's
-    // tally, local indices) to the configured node identities, next
-    // to the analytical totals the parties recorded.
+    // The traffic is the transport's tally (local indices) attributed
+    // to the configured node identities.
+    let mut traffic = TrafficAccountant::with_pair_tracking();
     let mut wire_bytes_per_party = vec![0u64; node_ids.len()];
     for (from, to, bytes, _messages) in tally.pairs() {
-        traffic.record_wire(node_ids[from], node_ids[to], bytes);
+        traffic.record(node_ids[from], node_ids[to], bytes);
         wire_bytes_per_party[from] += bytes;
     }
     counts.wire_bytes += tally.total_bytes();
@@ -458,10 +451,45 @@ fn merge_execution(
         output_shares: parties.iter().map(GmwParty::output_share).collect(),
         counts,
         rounds,
-        bytes_sent_per_party,
         wire_bytes_per_party,
     };
     (execution, traffic)
+}
+
+/// The bytes one execution of `parties` parties walking `layers` puts on
+/// the wire, in closed form.  Each unordered party pair sends one
+/// `Choices` and one `Responses` per AND layer, each as long as
+/// [`GmwMessage::encoded_len`] makes a batch of the layer's width carrying
+/// `ot`'s per-OT payloads.  On the one-shot door (`established` false) a
+/// circuit with an AND layer adds the pair's two `OtSetup` messages, when
+/// `ot` has a session setup.  Equal to the measured `counts.wire_bytes` of
+/// every such execution, on every transport.
+pub fn execution_wire_bytes(
+    layers: &CircuitLayers,
+    parties: usize,
+    ot: &OtConfig,
+    established: bool,
+) -> u64 {
+    let (receiver, sender) = (
+        ot.wire_receiver_bytes_per_ot(),
+        ot.wire_sender_bytes_per_ot(),
+    );
+    let mut per_pair: usize = layers
+        .and_layers()
+        .iter()
+        .enumerate()
+        .map(|(layer, gates)| {
+            let (layer, width) = (layer as u32, gates.len());
+            encoded_len(GmwKind::Choices, layer, width, width * receiver)
+                + encoded_len(GmwKind::Responses, layer, width, width * sender)
+        })
+        .sum();
+    let (to_peer, to_owner) = ot.wire_setup_bytes();
+    if !established && layers.rounds() > 0 && (to_peer, to_owner) != (0, 0) {
+        per_pair += encoded_len(GmwKind::OtSetup, 0, 0, to_peer)
+            + encoded_len(GmwKind::OtSetup, 0, 0, to_owner);
+    }
+    (parties * (parties - 1) / 2 * per_pair) as u64
 }
 
 /// Splits plaintext input bits into XOR shares for `parties` parties.
@@ -496,7 +524,7 @@ pub fn reconstruct_outputs(output_shares: &[Vec<bool>]) -> Result<Vec<bool>, Mpc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{GmwKind, GmwView};
+    use crate::wire::GmwView;
     use dstress_circuit::builder::{decode_word, encode_word, CircuitBuilder};
     use dstress_circuit::evaluate;
     use dstress_crypto::group::GroupKind;
@@ -672,7 +700,7 @@ mod tests {
             exec_small.counts.extended_ots * 28 / 6,
             exec_large.counts.extended_ots
         );
-        assert!(exec_large.counts.bytes_sent > exec_small.counts.bytes_sent);
+        assert!(exec_large.counts.wire_bytes > exec_small.counts.wire_bytes);
     }
 
     fn run_gmw_with(
@@ -747,7 +775,6 @@ mod tests {
                 assert_eq!(exec.counts.base_ots, 0, "{batching:?} parties={parties}");
                 assert_eq!(exec.counts.extended_ots, 0);
                 assert_eq!(exec.counts.exponentiations, 0);
-                assert_eq!(exec.counts.bytes_sent, 0, "no modeled setup bytes");
                 assert_eq!(exec.counts.wire_bytes, 0, "no measured setup bytes");
                 assert_eq!(exec.rounds, 1, "only the output round remains");
             }
@@ -804,8 +831,8 @@ mod tests {
         let mut parties: Vec<Counted> = (0..job.node_ids.len())
             .map(|p| {
                 let share = job.input_shares[p].clone();
-                let (ids, seed) = (job.node_ids.clone(), job.master_seed);
-                let party = GmwParty::new(circuit, p, ids, share, &ot, seed, circuit.layers());
+                let (n, seed) = (job.node_ids.len(), job.master_seed);
+                let party = GmwParty::new(circuit, p, n, share, &ot, seed, circuit.layers());
                 Counted(party.with_established_sessions(established), 0)
             })
             .collect();
@@ -851,7 +878,6 @@ mod tests {
         let setup = OperationCounts {
             base_ots: pairs * 80,
             exponentiations: pairs * 3 * 80,
-            bytes_sent: pairs * (to_peer + to_owner) as u64,
             wire_bytes: pairs * (framed(to_peer) + framed(to_owner)),
             rounds: 2,
             ..OperationCounts::default()
@@ -1173,12 +1199,12 @@ mod tests {
     #[test]
     fn batching_modes_are_bit_identical_except_rounds_and_framing() {
         // Layer batching regroups the same OT payloads into fewer
-        // messages: output shares, modeled traffic and every work count
-        // are bit-identical; the round count drops, and the *measured*
-        // wire bytes shrink because one batched message pays one header
-        // where the per-gate path pays one per gate.  A multiplier has
-        // wide layers (a ripple adder has one AND gate per layer, which
-        // leaves nothing to batch).
+        // messages: output shares and every work count are bit-identical;
+        // the round count drops, and the *measured* wire bytes shrink
+        // because one batched message pays one header where the per-gate
+        // path pays one per gate.  A multiplier has wide layers (a ripple
+        // adder has one AND gate per layer, which leaves nothing to
+        // batch).
         let mut builder = CircuitBuilder::new();
         let x = builder.input_word(8);
         let y = builder.input_word(8);
@@ -1191,7 +1217,6 @@ mod tests {
             let batched = run_gmw_with(&circuit, &inputs, parties, 77, GmwBatching::Layered);
             let per_gate = run_gmw_with(&circuit, &inputs, parties, 77, GmwBatching::PerGate);
             assert_eq!(batched.output_shares, per_gate.output_shares);
-            assert_eq!(batched.bytes_sent_per_party, per_gate.bytes_sent_per_party);
             let mut b = batched.counts;
             let mut p = per_gate.counts;
             assert!(b.rounds < p.rounds, "parties = {parties}");
@@ -1204,33 +1229,6 @@ mod tests {
             b.wire_bytes = 0;
             p.wire_bytes = 0;
             assert_eq!(b, p, "parties = {parties}");
-        }
-    }
-
-    #[test]
-    fn measured_wire_bytes_reconcile_with_the_analytic_model() {
-        // The OT payload sizes carried by the wire messages match the
-        // analytic per-OT and per-setup costs, so measured encoded bytes
-        // land close to the modeled `bytes_sent`: the measured side adds
-        // only the packed choice/share bits and per-message headers.
-        // Tolerance: measured within [0.9, 1.2]× of modeled (the adder's
-        // layers are narrow, so headers are the dominant extra).
-        let circuit = adder_circuit(16);
-        let mut inputs = encode_word(9, 16);
-        inputs.extend(encode_word(11, 16));
-        for parties in [2usize, 4] {
-            let exec = run_gmw_with(&circuit, &inputs, parties, 3, GmwBatching::Layered);
-            assert!(exec.counts.wire_bytes > 0);
-            let ratio = exec.counts.wire_bytes as f64 / exec.counts.bytes_sent as f64;
-            assert!(
-                (0.9..1.2).contains(&ratio),
-                "parties = {parties}: measured/modeled = {ratio}"
-            );
-            // Per-party measured bytes sum to the total.
-            assert_eq!(
-                exec.wire_bytes_per_party.iter().sum::<u64>(),
-                exec.counts.wire_bytes
-            );
         }
     }
 
@@ -1254,12 +1252,23 @@ mod tests {
             )
             .unwrap();
         for &id in &ids {
-            assert!(traffic.node(id).bytes_sent > 0, "node {id} sent nothing");
+            assert!(
+                traffic.node(id).wire_bytes_sent > 0,
+                "node {id} sent nothing"
+            );
         }
-        // Per-party bytes in the execution agree with the accountant.
+        // Per-party bytes in the execution agree with the accountant and
+        // sum to the execution's total.
         for (p, &id) in ids.iter().enumerate() {
-            assert_eq!(traffic.node(id).bytes_sent, exec.bytes_sent_per_party[p]);
+            assert_eq!(
+                traffic.node(id).wire_bytes_sent,
+                exec.wire_bytes_per_party[p]
+            );
         }
+        assert_eq!(
+            exec.wire_bytes_per_party.iter().sum::<u64>(),
+            exec.counts.wire_bytes
+        );
     }
 
     #[test]

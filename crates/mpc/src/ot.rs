@@ -18,10 +18,12 @@
 //!   IKNP-style OT extension [41, 46], which is what the prototype's GMW
 //!   implementation uses (§5.3 credits OT extension for the low traffic).
 //!   It delivers the chosen bit directly and *accounts* the amortised
-//!   per-OT cost (symmetric-crypto work and ≈11 bytes of traffic with the
-//!   GMW statistical parameter κ = 80), plus the κ base OTs per party pair
-//!   charged at session setup.  See `DESIGN.md` for the substitution
-//!   argument.
+//!   per-OT work (one extended OT each), plus the κ base OTs per party
+//!   pair charged at session setup.  The bytes the extension would move
+//!   ride on the wire as seed-derived payloads sized by
+//!   [`crate::party::OtConfig`] (≈11 bytes per OT with the GMW statistical
+//!   parameter κ = 80), and are measured there.  See `DESIGN.md` for the
+//!   substitution argument.
 
 use dstress_crypto::elgamal::{self, KeyPair, PublicKey};
 use dstress_crypto::group::Group;
@@ -34,10 +36,6 @@ use dstress_net::cost::OperationCounts;
 pub struct OtOutcome {
     /// The bit the receiver learned.
     pub received: bool,
-    /// Bytes sent by the sender during the transfer.
-    pub sender_bytes: u64,
-    /// Bytes sent by the receiver during the transfer.
-    pub receiver_bytes: u64,
 }
 
 /// The result of a batch of oblivious transfers performed in one message
@@ -46,10 +44,6 @@ pub struct OtOutcome {
 pub struct BatchOtOutcome {
     /// The bit the receiver learned from each transfer, in request order.
     pub received: Vec<bool>,
-    /// Total bytes sent by the sender across the batch.
-    pub sender_bytes: u64,
-    /// Total bytes sent by the receiver across the batch.
-    pub receiver_bytes: u64,
 }
 
 /// One batched-transfer request: the sender's four messages and the
@@ -69,37 +63,22 @@ pub trait OtProvider {
     /// accounted totals are *identical* to per-gate execution.
     fn transfer_many(&mut self, requests: &[OtRequest]) -> BatchOtOutcome {
         let mut received = Vec::with_capacity(requests.len());
-        let (sender_bytes, receiver_bytes) = self.transfer_many_into(requests, &mut received);
-        BatchOtOutcome {
-            received,
-            sender_bytes,
-            receiver_bytes,
-        }
+        self.transfer_many_into(requests, &mut received);
+        BatchOtOutcome { received }
     }
 
     /// [`OtProvider::transfer_many`] into a caller-owned buffer: appends
     /// the bit the receiver learned from each transfer, in request order,
-    /// to `received` and returns the batch's `(sender_bytes,
-    /// receiver_bytes)`.
+    /// to `received`.
     ///
     /// The default implementation loops [`OtProvider::transfer`];
     /// providers with amortisable per-call overhead (OT extension)
     /// override it with a vectorised path charging the same totals in one
     /// pass.
-    fn transfer_many_into(
-        &mut self,
-        requests: &[OtRequest],
-        received: &mut Vec<bool>,
-    ) -> (u64, u64) {
-        let mut sender_bytes = 0;
-        let mut receiver_bytes = 0;
+    fn transfer_many_into(&mut self, requests: &[OtRequest], received: &mut Vec<bool>) {
         for &(messages, choice) in requests {
-            let outcome = self.transfer(messages, choice);
-            received.push(outcome.received);
-            sender_bytes += outcome.sender_bytes;
-            receiver_bytes += outcome.receiver_bytes;
+            received.push(self.transfer(messages, choice).received);
         }
-        (sender_bytes, receiver_bytes)
     }
 
     /// Cumulative operation counts performed by this provider.
@@ -182,18 +161,10 @@ impl OtProvider for ElGamalOt {
             .expect("message is a bit")
             == 1;
 
-        let element_bytes = self.group.element_bytes() as u64;
-        let receiver_bytes = 4 * element_bytes; // four public keys
-        let sender_bytes = 4 * 2 * element_bytes; // four ciphertexts
-        self.counts.bytes_sent += receiver_bytes + sender_bytes;
         self.counts.base_ots += 1;
         self.counts.rounds += 2;
 
-        OtOutcome {
-            received,
-            sender_bytes,
-            receiver_bytes,
-        }
+        OtOutcome { received }
     }
 
     fn counts(&self) -> OperationCounts {
@@ -202,8 +173,8 @@ impl OtProvider for ElGamalOt {
 }
 
 /// Bytes of one group element of base-OT key material (the 256-bit
-/// group): what [`SimulatedOtExtension`] charges per element and what
-/// [`crate::party::OtConfig::wire_setup_bytes`] puts on the wire.
+/// group): what [`crate::party::OtConfig::wire_setup_bytes`] puts on the
+/// wire per element.
 pub const BASE_OT_ELEMENT_BYTES: u64 = 32;
 
 /// Functionally-correct simulation of IKNP OT extension with faithful cost
@@ -234,21 +205,16 @@ impl SimulatedOtExtension {
         self.security_parameter
     }
 
-    /// Charges the per-session setup cost for one party pair: κ base OTs,
-    /// each transferring two group elements of key material in each
-    /// direction (Bellare–Micali style).  Returns the bytes exchanged
-    /// `(sender_bytes, receiver_bytes)`.
-    pub fn session_setup(&mut self) -> (u64, u64) {
-        let per_base_receiver = 2 * BASE_OT_ELEMENT_BYTES;
-        let per_base_sender = 2 * BASE_OT_ELEMENT_BYTES;
+    /// Charges the per-session setup cost for one party pair: κ base OTs
+    /// (Bellare–Micali style, three exponentiations each) over two
+    /// rounds.  Their key material — two group elements per base OT in
+    /// each direction — rides on the wire
+    /// ([`crate::party::OtConfig::wire_setup_bytes`]).
+    pub fn session_setup(&mut self) {
         let kappa = self.security_parameter as u64;
         self.counts.base_ots += kappa;
         self.counts.exponentiations += 3 * kappa;
-        let sender_bytes = kappa * per_base_sender;
-        let receiver_bytes = kappa * per_base_receiver;
-        self.counts.bytes_sent += sender_bytes + receiver_bytes;
         self.counts.rounds += 2;
-        (sender_bytes, receiver_bytes)
     }
 }
 
@@ -260,18 +226,9 @@ impl Default for SimulatedOtExtension {
 
 impl OtProvider for SimulatedOtExtension {
     fn transfer(&mut self, messages: [bool; 4], choice: (bool, bool)) -> OtOutcome {
-        let received = messages[choice_index(choice)];
-        // Amortised IKNP cost per extended OT: the receiver sends one
-        // κ-bit column of the extension matrix, the sender returns the
-        // four masked message bits (padded to a byte).
-        let receiver_bytes = (self.security_parameter as u64).div_ceil(8);
-        let sender_bytes = 1;
         self.counts.extended_ots += 1;
-        self.counts.bytes_sent += receiver_bytes + sender_bytes;
         OtOutcome {
-            received,
-            sender_bytes,
-            receiver_bytes,
+            received: messages[choice_index(choice)],
         }
     }
 
@@ -279,22 +236,13 @@ impl OtProvider for SimulatedOtExtension {
     /// whole layer.  Totals are bit-identical to looping [`Self::transfer`]
     /// (a unit test pins them against each other); what the batch saves is
     /// per-call overhead and, at the protocol level, message rounds.
-    fn transfer_many_into(
-        &mut self,
-        requests: &[OtRequest],
-        received: &mut Vec<bool>,
-    ) -> (u64, u64) {
-        let n = requests.len() as u64;
+    fn transfer_many_into(&mut self, requests: &[OtRequest], received: &mut Vec<bool>) {
         received.extend(
             requests
                 .iter()
                 .map(|&(messages, choice)| messages[choice_index(choice)]),
         );
-        let receiver_bytes = n * (self.security_parameter as u64).div_ceil(8);
-        let sender_bytes = n;
-        self.counts.extended_ots += n;
-        self.counts.bytes_sent += receiver_bytes + sender_bytes;
-        (sender_bytes, receiver_bytes)
+        self.counts.extended_ots += requests.len() as u64;
     }
 
     fn counts(&self) -> OperationCounts {
@@ -338,21 +286,20 @@ mod tests {
         assert!(check_ot_correctness(&mut ot));
         let counts = ot.counts();
         assert_eq!(counts.extended_ots, 64);
-        assert_eq!(counts.bytes_sent, 64 * 11);
+        assert_eq!(counts.wire_bytes, 0, "a provider puts nothing on the wire");
     }
 
     #[test]
     fn simulated_extension_setup_cost() {
         let mut ot = SimulatedOtExtension::new();
         assert_eq!(ot.security_parameter(), 80);
-        let (s, r) = ot.session_setup();
-        assert_eq!(s, 80 * 64);
-        assert_eq!(r, 80 * 64);
+        ot.session_setup();
         assert_eq!(ot.counts().base_ots, 80);
-        assert!(ot.counts().exponentiations > 0);
+        assert_eq!(ot.counts().exponentiations, 3 * 80);
+        assert_eq!(ot.counts().rounds, 2);
 
         let mut small = SimulatedOtExtension::with_security_parameter(8);
-        let _ = small.session_setup();
+        small.session_setup();
         assert_eq!(small.counts().base_ots, 8);
     }
 
@@ -369,8 +316,6 @@ mod tests {
         ] {
             let outcome = ot.transfer(messages, choice);
             assert_eq!(outcome.received, messages[choice_index(choice)]);
-            assert!(outcome.sender_bytes > 0);
-            assert!(outcome.receiver_bytes > 0);
         }
         assert!(ot.counts().exponentiations >= 4 * 10);
     }
@@ -389,18 +334,11 @@ mod tests {
         let mut batched = SimulatedOtExtension::new();
         let mut looped = SimulatedOtExtension::new();
         let outcome = batched.transfer_many(&requests);
-        let mut expected_bits = Vec::new();
-        let mut sender_bytes = 0;
-        let mut receiver_bytes = 0;
-        for &(messages, choice) in &requests {
-            let o = looped.transfer(messages, choice);
-            expected_bits.push(o.received);
-            sender_bytes += o.sender_bytes;
-            receiver_bytes += o.receiver_bytes;
-        }
+        let expected_bits: Vec<bool> = requests
+            .iter()
+            .map(|&(messages, choice)| looped.transfer(messages, choice).received)
+            .collect();
         assert_eq!(outcome.received, expected_bits);
-        assert_eq!(outcome.sender_bytes, sender_bytes);
-        assert_eq!(outcome.receiver_bytes, receiver_bytes);
         assert_eq!(batched.counts(), looped.counts());
 
         // The default (looping) implementation serves providers without a
@@ -411,17 +349,20 @@ mod tests {
         for (bit, &(messages, choice)) in outcome.received.iter().zip(small) {
             assert_eq!(*bit, messages[choice_index(choice)]);
         }
-        assert!(outcome.sender_bytes > 0 && outcome.receiver_bytes > 0);
+        assert_eq!(eg.counts().base_ots, 4);
     }
 
     #[test]
     fn elgamal_ot_accounts_traffic_by_group_size() {
-        let mut small = ElGamalOt::new(Group::sim64(), 1);
-        let mut large = ElGamalOt::new(Group::prod256(), 1);
-        let o_small = small.transfer([true, true, false, false], (false, true));
-        let o_large = large.transfer([true, true, false, false], (false, true));
-        assert!(o_large.sender_bytes > o_small.sender_bytes);
-        assert_eq!(o_small.sender_bytes, 4 * 2 * 8);
-        assert_eq!(o_large.sender_bytes, 4 * 2 * 32);
+        // The payloads a public-key OT puts on the wire: four public keys
+        // from the receiver, four two-element ciphertexts from the sender.
+        use crate::party::OtConfig;
+        use dstress_crypto::group::GroupKind;
+        let small = OtConfig::elgamal(GroupKind::Sim64);
+        let large = OtConfig::elgamal(GroupKind::Prod256);
+        assert_eq!(small.wire_receiver_bytes_per_ot(), 4 * 8);
+        assert_eq!(small.wire_sender_bytes_per_ot(), 4 * 2 * 8);
+        assert_eq!(large.wire_receiver_bytes_per_ot(), 4 * 32);
+        assert_eq!(large.wire_sender_bytes_per_ot(), 4 * 2 * 32);
     }
 }

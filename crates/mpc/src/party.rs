@@ -49,23 +49,24 @@
 //!
 //! Each `Choices` message additionally carries the OT receiver-side
 //! payload (extension-matrix columns or public keys) and each `Responses`
-//! the sender-side payload, so the *measured* encoded bytes of a run
-//! reconcile with the analytic model; see [`crate::wire`] for the exact
-//! layouts.  Payload *content* is derived from the pair's seed
-//! ([`crate::wire::ot_payload`]), so transcripts are replayable and
-//! byte-identical across backends by construction.
+//! the sender-side payload, sized by the [`OtConfig`], so the OT traffic
+//! is on the wire and measured with everything else; see [`crate::wire`]
+//! for the exact layouts and [`crate::gmw::execution_wire_bytes`] for the
+//! closed form of an execution's bytes.  Payload *content* is derived
+//! from the pair's seed ([`crate::wire::ot_payload`]), so transcripts are
+//! replayable and byte-identical across backends by construction.
 //!
 //! Two layerings exchange the same OT payloads in a different grouping:
 //! every AND-gate mask is derived from the pair `(wire, peer)` rather than
-//! drawn from a sequential stream, so output shares, operation counts and
-//! modeled traffic totals are bit-identical across [`GmwBatching`] modes
-//! (and across transport backends); only the measured round count and the
-//! measured per-message framing bytes differ.
+//! drawn from a sequential stream, so output shares and operation counts
+//! are bit-identical across [`GmwBatching`] modes (and across transport
+//! backends); only the measured round count and the measured per-message
+//! framing bytes differ.
 //!
 //! The lower-indexed party owns the pair's OT provider and accounts the
-//! pair's operation counts and traffic (both directions) in its own
-//! [`TrafficAccountant`]; merging every party's accountant therefore
-//! yields each flow exactly once.
+//! pair's operation counts.  A party keeps no byte count of its own: the
+//! transport tallies every message's encoded bytes, and the execution's
+//! traffic is that tally ([`crate::gmw::execute_batch`]).
 //!
 //! ## The layered hot path: who owns which buffer
 //!
@@ -82,10 +83,7 @@
 //!   layer starts) and the same shares as the two packed choice planes
 //!   (packed once per layer, however many pair owners receive them), the
 //!   accumulating output share per gate, the [`OtRequest`]s toward the
-//!   peer being served and the bits the provider returns for them — plus
-//!   one flat `(bytes, messages)` accumulator per peer and direction,
-//!   folded into its [`TrafficAccountant`] exactly once, when it finishes
-//!   ([`TrafficAccountant::record_bulk`]).
+//!   peer being served and the bits the provider returns for them.
 //! * **The transport** owns the bytes: one lane per sender → recipient
 //!   (per stream and peer on sockets).  A party writes each `Choices` /
 //!   `Responses` straight into the lane ([`Endpoint::send_bytes`] with
@@ -165,7 +163,6 @@ use dstress_circuit::{Circuit, CircuitLayers, Gate};
 use dstress_crypto::group::{Group, GroupKind};
 use dstress_math::rng::splitmix64_finalize as mix;
 use dstress_net::cost::OperationCounts;
-use dstress_net::traffic::{NodeId, TrafficAccountant};
 use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, TransportError};
 use dstress_net::wire::bits_len;
 
@@ -176,13 +173,12 @@ use dstress_net::wire::bits_len;
 /// `ot_payload` fields carry the oblivious-transfer
 /// traffic that rides in the same round — base-OT key material at setup,
 /// extension-matrix columns with the choices, masked messages with the
-/// responses.  The payload *sizes* are protocol-faithful (they match the
-/// provider's analytic per-OT costs, so the measured wire bytes reconcile
-/// with the cost model); the payload *content* is derived from the pair's
-/// seed by [`crate::wire::ot_payload`] — the simulated OT providers
-/// deliver their outputs in-process, but the bytes on the wire are a pure
-/// function of the execution seed, so transcripts replay byte-identically
-/// on every backend.
+/// responses.  The payload *sizes* are protocol-faithful (the per-OT and
+/// per-setup figures of [`OtConfig`]); the payload *content* is derived
+/// from the pair's seed by [`crate::wire::ot_payload`] — the simulated OT
+/// providers deliver their outputs in-process, but the bytes on the wire
+/// are a pure function of the execution seed, so transcripts replay
+/// byte-identically on every backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GmwMessage {
     /// Per-pair OT session setup (both directions): the base-OT key
@@ -283,9 +279,6 @@ impl OtConfig {
 
     /// Wire bytes the OT *receiver* contributes per transfer: the κ-bit
     /// extension-matrix column (IKNP) or the four public keys (ElGamal).
-    /// Matches the provider's analytic `receiver_bytes` per transfer, so
-    /// the measured wire traffic reconciles with the cost model (a unit
-    /// test pins the two together).
     pub fn wire_receiver_bytes_per_ot(&self) -> usize {
         match *self {
             OtConfig::Extension { security_parameter } => (security_parameter as usize).div_ceil(8),
@@ -295,7 +288,7 @@ impl OtConfig {
 
     /// Wire bytes the OT *sender* contributes per transfer: the masked
     /// message bits padded to a byte (IKNP) or the four ciphertexts
-    /// (ElGamal).  Matches the provider's analytic `sender_bytes`.
+    /// (ElGamal).
     pub fn wire_sender_bytes_per_ot(&self) -> usize {
         match *self {
             OtConfig::Extension { .. } => 1,
@@ -306,7 +299,6 @@ impl OtConfig {
     /// Wire bytes of the per-pair session setup as
     /// `(owner_to_peer, peer_to_owner)`: κ base OTs worth of key material
     /// each way for extension providers, nothing for public-key OT.
-    /// Matches the provider's analytic `session_setup` byte totals.
     pub fn wire_setup_bytes(&self) -> (usize, usize) {
         match *self {
             OtConfig::Extension { security_parameter } => {
@@ -328,12 +320,11 @@ impl OtConfig {
             return SessionSetup::default();
         };
         let mut provider = SimulatedOtExtension::with_security_parameter(security_parameter);
-        let bytes = provider.session_setup();
+        provider.session_setup();
         let mut counts = OperationCounts::default();
         absorb_provider_counts(&mut counts, &provider.counts());
         SessionSetup {
             counts,
-            bytes,
             rounds: provider.counts().rounds,
             wire: self.wire_setup_bytes(),
         }
@@ -349,8 +340,6 @@ pub struct SessionSetup {
     /// Compute charged: base OTs and their exponentiations (no bytes, no
     /// rounds).
     pub counts: OperationCounts,
-    /// Modeled bytes `(owner → peer, peer → owner)`.
-    pub bytes: (u64, u64),
     /// One-way rounds of the exchange.
     pub rounds: u64,
     /// `OtSetup` payload lengths `(owner → peer, peer → owner)`; both 0
@@ -441,7 +430,6 @@ pub struct GmwParty<'c> {
     layers: &'c CircuitLayers,
     index: usize,
     parties: usize,
-    node_ids: Vec<NodeId>,
     /// This party's AND-mask stream (see [`mask_bit`]).
     mask_stream: u64,
     /// OT provider for every pair this party owns (peers with a larger
@@ -462,10 +450,6 @@ pub struct GmwParty<'c> {
     /// Wire values, indexed by wire id (filled as the schedule runs).
     wires: Vec<bool>,
     counts: OperationCounts,
-    traffic: TrafficAccountant,
-    /// Modeled OT traffic per peer, folded into `traffic` once when the
-    /// party finishes.
-    flows: Vec<PairFlow>,
     /// Scratch reused across layers: this party's `(x, y)` input shares
     /// of the layer in flight, the same shares packed as a `Choices`
     /// batch's two planes, its accumulating output share per gate, and
@@ -497,7 +481,7 @@ pub struct GmwParty<'c> {
 }
 
 impl<'c> GmwParty<'c> {
-    /// Creates party `index` of `node_ids.len()` parties, walking
+    /// Creates party `index` of `parties` parties, walking
     /// `layers` — a layering of `circuit`: its depth layering
     /// ([`Circuit::layers`]) or its serial one ([`CircuitLayers::serial`]),
     /// as [`GmwBatching`] chooses.
@@ -509,13 +493,12 @@ impl<'c> GmwParty<'c> {
     pub fn new(
         circuit: &'c Circuit,
         index: usize,
-        node_ids: Vec<NodeId>,
+        parties: usize,
         input_share: Vec<bool>,
         ot: &OtConfig,
         master_seed: u64,
         layers: &'c CircuitLayers,
     ) -> Self {
-        let parties = node_ids.len();
         let mask_seed = derive_seed(master_seed, TAG_PARTY_RNG, index as u64);
         let ots = (0..parties)
             .map(|peer| {
@@ -538,7 +521,6 @@ impl<'c> GmwParty<'c> {
             layers,
             index,
             parties,
-            node_ids,
             mask_stream: derive_stream(mask_seed, TAG_AND_MASK),
             ots,
             pair_payload_seed,
@@ -548,11 +530,6 @@ impl<'c> GmwParty<'c> {
             input_share,
             wires: vec![false; circuit.len()],
             counts: OperationCounts::default(),
-            // Pair tracking is cheap at block scale and keeps per-pair
-            // byte flows available to callers that merge into a
-            // pair-tracking accountant.
-            traffic: TrafficAccountant::with_pair_tracking(),
-            flows: vec![PairFlow::default(); parties],
             layer_inputs: Vec::new(),
             choice_planes: Vec::new(),
             layer_shares: Vec::new(),
@@ -597,13 +574,6 @@ impl<'c> GmwParty<'c> {
         &self.counts
     }
 
-    /// The traffic this party accounted (each flow of a pair appears in
-    /// exactly one party's accountant).  Complete once the party has
-    /// finished: it folds its per-peer totals in then.
-    pub fn traffic(&self) -> &TrafficAccountant {
-        &self.traffic
-    }
-
     /// Measured sequential message rounds this party took part in (its
     /// pairwise exchanges run in parallel, so this counts exchanges, not
     /// exchanges × pairs): the OT session setup plus two one-way rounds
@@ -634,24 +604,16 @@ impl<'c> GmwParty<'c> {
     }
 
     /// Charges the per-pair OT session setup for every pair this party
-    /// owns (no messages carry values here; the costs are what matters).
-    /// The pairs' setups run in parallel, so the measured rounds are one
-    /// setup exchange's — and none for a party that owns no pair.
+    /// owns (the compute; its key material goes out as `OtSetup`
+    /// messages).  The pairs' setups run in parallel, so the measured
+    /// rounds are one setup exchange's — and none for a party that owns
+    /// no pair.
     fn session_setup(&mut self, session: &SessionSetup) {
-        let me = self.node_ids[self.index];
-        let (sender_bytes, receiver_bytes) = session.bytes;
-        let mut setup_rounds = 0;
-        for &peer_id in &self.node_ids[self.index + 1..] {
-            setup_rounds = session.rounds;
-            self.counts.add(&session.counts);
-            if sender_bytes > 0 {
-                self.traffic.record(me, peer_id, sender_bytes);
-            }
-            if receiver_bytes > 0 {
-                self.traffic.record(peer_id, me, receiver_bytes);
-            }
+        let owned = (self.parties - self.index - 1) as u64;
+        if owned > 0 {
+            self.counts.add(&session.counts.scaled(owned));
+            self.protocol_rounds += session.rounds;
         }
-        self.protocol_rounds += setup_rounds;
     }
 
     /// Evaluates one non-AND gate locally.
@@ -730,14 +692,12 @@ impl<'c> GmwParty<'c> {
             }
             let provider = self.ots[peer].as_mut().expect("pair owner has a provider");
             self.received.clear();
-            let (sender_bytes, receiver_bytes) =
-                provider.transfer_many_into(&self.requests, &mut self.received);
+            provider.transfer_many_into(&self.requests, &mut self.received);
             let (bits, seed) = (&self.received, self.pair_payload_seed[peer]);
             let payload_len = width * self.ot_send_payload;
             endpoint.send_bytes(peer, &mut |out| {
                 wire::write_responses(out, layer_tag, bits, seed, payload_len)
             });
-            self.flows[peer].add(sender_bytes, receiver_bytes);
             st.next_sender_peer += 1;
         }
 
@@ -825,59 +785,20 @@ impl<'c> GmwParty<'c> {
                 next_receiver_peer: 0,
             });
         }
-        self.flush_accounting();
-        self.finished = true;
-        Ok(ActorStatus::Done)
-    }
-
-    /// Folds what the party accumulated per peer into its accounts, once:
-    /// the flows into its accountant — per-node totals, message counts and
-    /// pair flows come out exactly as if every served batch had been
-    /// recorded on its own — and the compute its pairs' providers counted
-    /// (each provider starts at zero and serves only this party).
-    fn flush_accounting(&mut self) {
+        // Fold in the compute each owned pair's provider counted (each
+        // provider starts at zero and serves only this party).
         for provider in self.ots.iter().flatten() {
             absorb_provider_counts(&mut self.counts, &provider.counts());
         }
-        let me = self.node_ids[self.index];
-        for (flow, &peer_id) in self.flows.iter().zip(&self.node_ids) {
-            if flow.sent_messages > 0 {
-                self.traffic
-                    .record_bulk(me, peer_id, flow.sent_bytes, flow.sent_messages);
-            }
-            if flow.received_messages > 0 {
-                self.traffic
-                    .record_bulk(peer_id, me, flow.received_bytes, flow.received_messages);
-            }
-        }
-    }
-}
-
-/// Modeled OT traffic between a pair owner and one peer, accumulated per
-/// served batch.  A direction with zero bytes in a batch carries no
-/// message, as a record per message would count it.
-#[derive(Clone, Copy, Debug, Default)]
-struct PairFlow {
-    sent_bytes: u64,
-    sent_messages: u64,
-    received_bytes: u64,
-    received_messages: u64,
-}
-
-impl PairFlow {
-    fn add(&mut self, sender_bytes: u64, receiver_bytes: u64) {
-        self.sent_bytes += sender_bytes;
-        self.sent_messages += u64::from(sender_bytes > 0);
-        self.received_bytes += receiver_bytes;
-        self.received_messages += u64::from(receiver_bytes > 0);
+        self.finished = true;
+        Ok(ActorStatus::Done)
     }
 }
 
 /// Folds the compute side of an OT provider's counts into a party's
-/// counts.  Bytes and rounds are excluded: bytes are accounted at the
-/// transport boundary via the traffic accountant, and rounds are measured
-/// by the party's own exchange counter (the provider's internal round
-/// notion would double-count the exchanges its messages ride on).
+/// counts.  Rounds are excluded: they are measured by the party's own
+/// exchange counter (the provider's internal round notion would
+/// double-count the exchanges its messages ride on).
 fn absorb_provider_counts(counts: &mut OperationCounts, provider: &OperationCounts) {
     counts.exponentiations += provider.exponentiations;
     counts.group_multiplications += provider.group_multiplications;
@@ -899,8 +820,7 @@ impl GmwParty<'_> {
     /// oblivious transfer.
     ///
     /// Providers with no per-session setup (both payloads empty) skip the
-    /// message exchange, matching their analytic model of zero setup
-    /// messages.
+    /// message exchange.
     ///
     /// # Errors
     ///
@@ -1166,7 +1086,7 @@ mod tests {
         let mut party = GmwParty::new(
             &circuit,
             1,
-            vec![NodeId(0), NodeId(1)],
+            2,
             vec![true, false],
             &ot,
             master,
@@ -1245,15 +1165,7 @@ mod tests {
     fn reject(index: usize, script: Vec<GmwMessage>) -> MpcError {
         let circuit = two_and_circuit();
         let ot = OtConfig::extension();
-        let mut party = GmwParty::new(
-            &circuit,
-            index,
-            vec![NodeId(0), NodeId(1)],
-            vec![true; 4],
-            &ot,
-            3,
-            circuit.layers(),
-        );
+        let mut party = GmwParty::new(&circuit, index, 2, vec![true; 4], &ot, 3, circuit.layers());
         let mut endpoint = ScriptedEndpoint::new(2);
         for message in script {
             endpoint.feed(1 - index, message);
@@ -1407,7 +1319,7 @@ mod tests {
         let mut party = GmwParty::new(
             &circuit,
             0,
-            vec![NodeId(0), NodeId(1)],
+            2,
             vec![true; 4],
             &OtConfig::extension(),
             3,
@@ -1484,7 +1396,7 @@ mod tests {
         let party = GmwParty::new(
             &circuit,
             0,
-            vec![NodeId(0), NodeId(1)],
+            2,
             vec![false, true],
             &OtConfig::extension(),
             7,

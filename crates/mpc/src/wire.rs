@@ -70,8 +70,8 @@ pub const PAYLOAD_SENDER: u64 = 0x6F74_3A73_656E_6465; // "ot:sende"
 /// seed, so every OT payload byte on the wire is a pure function of
 /// `(master seed, pair, direction, index)`: transcripts are replayable
 /// and byte-identical across transport backends *by construction*, not
-/// merely size-faithful (the sizes still match the provider's analytic
-/// per-OT costs — see [`crate::party::OtConfig`]).
+/// merely size-faithful (the sizes are the per-OT payload figures of
+/// [`crate::party::OtConfig`]).
 pub fn ot_payload(pair_seed: u64, direction: u64, index: u64, len: usize) -> Vec<u8> {
     let mut bytes = vec![0u8; len];
     fill_ot_payload(pair_seed, direction, index, &mut bytes);
@@ -282,8 +282,10 @@ pub(crate) fn pack_choice_planes(pairs: &[(bool, bool)], planes: &mut [u8]) {
     }
 }
 
-/// The exact length of one encoding.
-fn encoded_len(kind: GmwKind, layer: u32, gates: usize, payload: usize) -> usize {
+/// The exact length of one encoding: a message of `kind` for AND layer
+/// `layer` with `gates` gates and `payload` OT payload bytes (`layer` and
+/// `gates` are not encoded for `OtSetup`).
+pub(crate) fn encoded_len(kind: GmwKind, layer: u32, gates: usize, payload: usize) -> usize {
     let header = match kind {
         GmwKind::OtSetup => 0,
         _ => wire::uvarint_len(u64::from(layer)) + wire::uvarint_len(gates as u64),

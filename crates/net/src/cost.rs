@@ -2,7 +2,8 @@
 //!
 //! Our reproduction executes the real protocol in process, so it measures
 //! *counts* exactly (exponentiations, oblivious transfers, AND gates,
-//! bytes, rounds) but cannot reproduce the wall-clock time of the paper's
+//! rounds, and the bytes every message's encoding put on the wire) but
+//! cannot reproduce the wall-clock time of the paper's
 //! EC2 deployment directly.  Following the paper's own §5.5 methodology —
 //! which projects the cost of the full U.S. banking system from
 //! microbenchmark measurements — we convert operation counts to projected
@@ -40,13 +41,9 @@ pub struct OperationCounts {
     pub and_gates: u64,
     /// XOR/NOT gates evaluated under GMW (negligible but counted).
     pub free_gates: u64,
-    /// Bytes sent over the network according to the *analytical* model
-    /// (per-primitive wire-cost formulas; what the cost projection uses).
-    pub bytes_sent: u64,
-    /// Bytes *measured* on the simulated wire: the summed lengths of the
-    /// actual message encodings produced by the [`crate::wire`] layer.
-    /// `crates/bench/tests/byte_reconciliation.rs` reconciles this against
-    /// `bytes_sent`.
+    /// Bytes *measured* on the wire: the summed lengths of the actual
+    /// message encodings produced by the [`crate::wire`] layer (what the
+    /// cost projection prices).
     pub wire_bytes: u64,
     /// Protocol communication rounds (sequential message exchanges).
     pub rounds: u64,
@@ -62,7 +59,6 @@ impl OperationCounts {
         self.extended_ots += other.extended_ots;
         self.and_gates += other.and_gates;
         self.free_gates += other.free_gates;
-        self.bytes_sent += other.bytes_sent;
         self.wire_bytes += other.wire_bytes;
         self.rounds += other.rounds;
     }
@@ -95,7 +91,6 @@ impl OperationCounts {
             extended_ots: self.extended_ots * factor,
             and_gates: self.and_gates * factor,
             free_gates: self.free_gates * factor,
-            bytes_sent: self.bytes_sent * factor,
             wire_bytes: self.wire_bytes * factor,
             rounds: self.rounds * factor,
         }
@@ -111,7 +106,6 @@ impl Wire for OperationCounts {
         wire::put_uvarint(out, self.extended_ots);
         wire::put_uvarint(out, self.and_gates);
         wire::put_uvarint(out, self.free_gates);
-        wire::put_uvarint(out, self.bytes_sent);
         wire::put_uvarint(out, self.wire_bytes);
         wire::put_uvarint(out, self.rounds);
     }
@@ -125,7 +119,6 @@ impl Wire for OperationCounts {
             extended_ots: wire::get_uvarint(buf)?,
             and_gates: wire::get_uvarint(buf)?,
             free_gates: wire::get_uvarint(buf)?,
-            bytes_sent: wire::get_uvarint(buf)?,
             wire_bytes: wire::get_uvarint(buf)?,
             rounds: wire::get_uvarint(buf)?,
         })
@@ -195,14 +188,12 @@ impl CostModel {
             + counts.extended_ots as f64 * self.seconds_per_extended_ot
             + counts.and_gates as f64 * self.seconds_per_and_gate
             + counts.free_gates as f64 * self.seconds_per_free_gate;
-        let network = counts.bytes_sent as f64 / self.bandwidth_bytes_per_second
-            + counts.rounds as f64 * self.latency_per_round;
-        compute + network
+        compute + self.estimate_network_seconds(counts)
     }
 
     /// Estimates only the network component of the cost.
     pub fn estimate_network_seconds(&self, counts: &OperationCounts) -> f64 {
-        counts.bytes_sent as f64 / self.bandwidth_bytes_per_second
+        counts.wire_bytes as f64 / self.bandwidth_bytes_per_second
             + counts.rounds as f64 * self.latency_per_round
     }
 }
@@ -222,7 +213,6 @@ mod tests {
         let a = OperationCounts {
             exponentiations: 10,
             fixed_base_exponentiations: 4,
-            bytes_sent: 100,
             wire_bytes: 90,
             rounds: 2,
             ..Default::default()
@@ -236,7 +226,6 @@ mod tests {
         assert_eq!(c.exponentiations, 15);
         assert_eq!(c.fixed_base_exponentiations, 4);
         assert_eq!(c.and_gates, 7);
-        assert_eq!(c.bytes_sent, 100);
         assert_eq!(c.wire_bytes, 90);
         let s = c.scaled(3);
         assert_eq!(s.exponentiations, 45);
@@ -254,13 +243,14 @@ mod tests {
             extended_ots: 4,
             and_gates: 5,
             free_gates: 6,
-            bytes_sent: 7,
             wire_bytes: 8,
             rounds: 9,
         };
         let encoded = counts.encode();
-        // Ten uvarints; 128 costs two bytes.
-        assert_eq!(crate::wire::hex(&encoded), "010a800103040506070809");
+        // Nine uvarints; 128 costs two bytes.  The analytic byte model's
+        // uvarint (07, between the free gates and the wire bytes) left the
+        // layout.
+        assert_eq!(crate::wire::hex(&encoded), "010a8001030405060809");
         assert_eq!(OperationCounts::decode_exact(&encoded).unwrap(), counts);
         for cut in 0..encoded.len() {
             assert!(OperationCounts::decode_exact(&encoded[..cut]).is_err());
@@ -316,7 +306,7 @@ mod tests {
     fn network_component() {
         let model = CostModel::paper_reference();
         let counts = OperationCounts {
-            bytes_sent: 125_000_000,
+            wire_bytes: 125_000_000,
             rounds: 1000,
             ..Default::default()
         };

@@ -5,9 +5,10 @@
 //! and *per-node traffic*.  This crate provides the bookkeeping that lets
 //! our in-process reproduction report the same quantities:
 //!
-//! * [`traffic`] — a per-node (and per-pair) byte/message accountant.
-//!   Every protocol component in the workspace records its sends here, so
-//!   the traffic numbers in Figures 4–6 are measured, not estimated.
+//! * [`traffic`] — a per-node (and per-pair) byte accountant.  Every
+//!   protocol component in the workspace records here the bytes a
+//!   transport tallied or a codec measured for its sends, so the traffic
+//!   numbers in Figures 4–6 are measured, not estimated.
 //! * [`transport`] — the [`transport::Transport`] abstraction: protocol
 //!   code written as per-node actors runs unchanged on the deterministic
 //!   in-process backend ([`transport::SimTransport`]) or on a worker pool
@@ -26,7 +27,7 @@
 //! * [`pool`] — the worker pool used to execute independent simulation
 //!   tasks (blocks, sweep points) concurrently with deterministic results.
 //! * [`cost`] — the calibrated cost model used to convert operation counts
-//!   (exponentiations, oblivious transfers, bytes, rounds) into projected
+//!   (exponentiations, oblivious transfers, measured bytes, rounds) into projected
 //!   wall-clock time on the paper's reference hardware, which is how the
 //!   paper-scale projection of Figure 6 is produced.
 //!

@@ -1,8 +1,8 @@
 //! The hand-rolled wire format every protocol message travels through.
 //!
-//! The simulated network used to hand protocol messages around as Rust
-//! objects and account their sizes from the analytical cost model.  This
-//! module is the real serialisation layer that replaced that: a [`Wire`]
+//! Every protocol message is serialised here, and every byte count the
+//! workspace reports is the length of one of these encodings.  This
+//! module is that serialisation layer: a [`Wire`]
 //! trait (`encode_into` / `decode`) plus the primitive building blocks —
 //! little-endian fixed-width integers, LEB128 varints, length-prefixed
 //! byte strings and bit-packed boolean planes — that the protocol crates
@@ -442,9 +442,9 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// counts per ordered `(from, to)` pair of local node indices.
 ///
 /// Both transport backends fill one of these with the length of every
-/// encoding written at the send boundary;[`crate::transport::Transport::run`] returns it so
-/// protocol executors can attribute *measured* bytes to real node
-/// identities next to the cost model's analytical totals.
+/// encoding written at the send boundary; [`crate::transport::Transport::run`]
+/// returns it so protocol executors can attribute the *measured* bytes to
+/// real node identities.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireTally {
     nodes: usize,

@@ -624,6 +624,35 @@ mod tests {
     }
 
     #[test]
+    fn registration_refuses_a_worker_of_the_previous_protocol_version() {
+        // A worker built before the byte layouts changed speaks version 1;
+        // its Register must be refused, naming both versions, before any
+        // of its frames could be misread.
+        let (sender, receiver) = channel();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || listener.accept().unwrap().0);
+        let mut worker = FramedConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let old = PROTOCOL_VERSION - 1;
+        worker
+            .send_msg(&DeployMsg::Register { version: old })
+            .and_then(|_| worker.flush_blocking(SEND_TIMEOUT))
+            .unwrap();
+        sender.send(server.join().unwrap()).unwrap();
+        let Err(err) = Fleet::register(&receiver, 1) else {
+            panic!("registration accepted a version-{old} worker");
+        };
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "deployment error: worker speaks protocol version {old}, \
+                 master speaks {PROTOCOL_VERSION}"
+            )
+        );
+        assert_eq!((old, PROTOCOL_VERSION), (1, 2));
+    }
+
+    #[test]
     fn registration_rejects_peer_that_never_registers() {
         // A peer that sends the frame magic but hangs up before a full
         // Register frame is dropped (torn frame); with no replacement

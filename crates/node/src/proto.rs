@@ -29,7 +29,9 @@ use dstress_net::traffic::{NodeId, NodeTraffic};
 use dstress_net::wire::{self, Wire, WireError};
 
 /// Protocol version sent in `Register`; the master rejects mismatches.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Version 2 dropped the analytic byte model from the operation counts and
+/// the traffic entries that `BatchResults` and `Report` carry.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Run-wide parameters a worker needs to execute tasks bit-identically
 /// to the master's in-process pool, plus the block assignment it hosts.
@@ -281,24 +283,19 @@ mod tests {
             hex(&DeployMsg::Job(sample_job()).encode()),
             "020103080204010100020002000503020301"
         );
-        // tag · 1 entry · NodeId(1) · the traffic.rs golden NodeTraffic
+        // tag · 1 entry · NodeId(1) · the traffic.rs golden NodeTraffic.
+        // Version 1's entry led with the four modeled counters
+        // (01 c801 03 04) the analytic byte model kept.
         let report = DeployMsg::Report {
             traffic: vec![(
                 NodeId(1),
                 NodeTraffic {
-                    bytes_sent: 1,
-                    bytes_received: 200,
-                    messages_sent: 3,
-                    messages_received: 4,
                     wire_bytes_sent: 70_000,
                     wire_bytes_received: 6,
                 },
             )],
         };
-        assert_eq!(
-            hex(&report.encode()),
-            "080101".to_string() + "01c8010304f0a20406"
-        );
+        assert_eq!(hex(&report.encode()), "080101".to_string() + "f0a20406");
     }
 
     #[test]
@@ -415,9 +412,8 @@ mod tests {
                 .map(|id| (
                     NodeId((id % 251) as usize),
                     NodeTraffic {
-                        bytes_sent: id,
                         wire_bytes_sent: id.rotate_left(17),
-                        ..Default::default()
+                        wire_bytes_received: id,
                     },
                 ))
                 .collect();

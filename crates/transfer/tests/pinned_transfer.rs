@@ -35,28 +35,27 @@ struct Pinned {
     block: usize,
     /// Receiver shares, aligned with the receiving block's members.
     shares: &'static [u64],
-    /// `sorted_node_entries()` as `(node, [bytes_sent, bytes_received,
-    /// messages_sent, messages_received, wire_bytes_sent,
+    /// `sorted_node_entries()` as `(node, [wire_bytes_sent,
     /// wire_bytes_received])`.
-    traffic: &'static [(usize, [u64; 6])],
+    traffic: &'static [(usize, [u64; 2])],
     /// Per variant: `OperationCounts` in declaration order
     /// (exponentiations, fixed_base_exponentiations,
     /// group_multiplications, base_ots, extended_ots, and_gates,
-    /// free_gates, bytes_sent, wire_bytes, rounds), then
+    /// free_gates, wire_bytes, rounds), then
     /// `rng.next_u64()` right after `transfer_message` returns.
-    strawman3: ([u64; 10], u64),
-    final_protocol: ([u64; 10], u64),
+    strawman3: ([u64; 9], u64),
+    final_protocol: ([u64; 9], u64),
 }
 
 #[derive(Debug, PartialEq)]
 struct Observed {
     shares: Vec<u64>,
-    counts: [u64; 10],
-    traffic: Vec<(usize, [u64; 6])>,
+    counts: [u64; 9],
+    traffic: Vec<(usize, [u64; 2])>,
     next_rng: u64,
 }
 
-fn counts_array(c: &OperationCounts) -> [u64; 10] {
+fn counts_array(c: &OperationCounts) -> [u64; 9] {
     [
         c.exponentiations,
         c.fixed_base_exponentiations,
@@ -65,21 +64,13 @@ fn counts_array(c: &OperationCounts) -> [u64; 10] {
         c.extended_ots,
         c.and_gates,
         c.free_gates,
-        c.bytes_sent,
         c.wire_bytes,
         c.rounds,
     ]
 }
 
-fn traffic_array(t: &NodeTraffic) -> [u64; 6] {
-    [
-        t.bytes_sent,
-        t.bytes_received,
-        t.messages_sent,
-        t.messages_received,
-        t.wire_bytes_sent,
-        t.wire_bytes_received,
-    ]
+fn traffic_array(t: &NodeTraffic) -> [u64; 2] {
+    [t.wire_bytes_sent, t.wire_bytes_received]
 }
 
 /// Sets up a 12-node system with blocks of `block` members and moves one
@@ -156,90 +147,66 @@ const PINNED: &[Pinned] = &[
         block: 3,
         shares: &[1836, 2180, 1524],
         traffic: &[
-            (0, [888, 936, 4, 9, 906, 972]),
-            (1, [888, 768, 6, 2, 909, 777]),
-            (2, [312, 192, 3, 1, 324, 195]),
-            (3, [0, 192, 0, 1, 0, 195]),
+            (0, [906, 972]),
+            (1, [909, 777]),
+            (2, [324, 195]),
+            (3, [0, 195]),
         ],
-        strawman3: (
-            [111, 45, 186, 0, 0, 0, 0, 2088, 2139, 3],
-            0x4ff9c2823f7fa113,
-        ),
-        final_protocol: (
-            [111, 81, 222, 0, 0, 0, 0, 2088, 2139, 3],
-            0x39aac7f51e033269,
-        ),
+        strawman3: ([111, 45, 186, 0, 0, 0, 0, 2139, 3], 0x4ff9c2823f7fa113),
+        final_protocol: ([111, 81, 222, 0, 0, 0, 0, 2139, 3], 0x39aac7f51e033269),
     },
     Pinned {
         group: GroupKind::Sim64,
         block: 8,
         shares: &[2676, 2238, 1894, 3495, 919, 3541, 763, 3822],
         traffic: &[
-            (0, [2368, 6656, 9, 64, 2411, 6912]),
-            (1, [2368, 1728, 16, 2, 2424, 1742]),
-            (2, [0, 192, 0, 1, 0, 195]),
-            (3, [0, 192, 0, 1, 0, 195]),
-            (5, [832, 192, 8, 1, 864, 195]),
-            (6, [832, 0, 8, 0, 864, 0]),
-            (7, [832, 192, 8, 1, 864, 195]),
-            (8, [832, 192, 8, 1, 864, 195]),
-            (9, [832, 192, 8, 1, 864, 195]),
-            (10, [832, 192, 8, 1, 864, 195]),
+            (0, [2411, 6912]),
+            (1, [2424, 1742]),
+            (2, [0, 195]),
+            (3, [0, 195]),
+            (5, [864, 195]),
+            (6, [864, 0]),
+            (7, [864, 195]),
+            (8, [864, 195]),
+            (9, [864, 195]),
+            (10, [864, 195]),
         ],
-        strawman3: (
-            [776, 160, 1496, 0, 0, 0, 0, 9728, 10019, 3],
-            0xeb8fff060c88c843,
-        ),
-        final_protocol: (
-            [776, 256, 1592, 0, 0, 0, 0, 9728, 10019, 3],
-            0x398cddce6d367ac7,
-        ),
+        strawman3: ([776, 160, 1496, 0, 0, 0, 0, 10019, 3], 0xeb8fff060c88c843),
+        final_protocol: ([776, 256, 1592, 0, 0, 0, 0, 10019, 3], 0x398cddce6d367ac7),
     },
     Pinned {
         group: GroupKind::Prod256,
         block: 3,
         shares: &[1504, 81, 4077],
         traffic: &[
-            (0, [3552, 3744, 4, 9, 3570, 3780]),
-            (1, [2304, 3072, 3, 2, 2313, 3081]),
-            (4, [0, 768, 0, 1, 0, 771]),
-            (5, [0, 768, 0, 1, 0, 771]),
-            (6, [1248, 0, 3, 0, 1260, 0]),
-            (7, [1248, 0, 3, 0, 1260, 0]),
+            (0, [3570, 3780]),
+            (1, [2313, 3081]),
+            (4, [0, 771]),
+            (5, [0, 771]),
+            (6, [1260, 0]),
+            (7, [1260, 0]),
         ],
-        strawman3: (
-            [111, 45, 186, 0, 0, 0, 0, 8352, 8403, 3],
-            0x6e00c540bd477767,
-        ),
-        final_protocol: (
-            [111, 81, 222, 0, 0, 0, 0, 8352, 8403, 3],
-            0xc8f5ccb5fb39727f,
-        ),
+        strawman3: ([111, 45, 186, 0, 0, 0, 0, 8403, 3], 0x6e00c540bd477767),
+        final_protocol: ([111, 81, 222, 0, 0, 0, 0, 8403, 3], 0xc8f5ccb5fb39727f),
     },
     Pinned {
         group: GroupKind::Prod256,
         block: 8,
         shares: &[1487, 2449, 2528, 1107, 2572, 3647, 3451, 761],
         traffic: &[
-            (0, [9472, 26624, 9, 64, 9515, 26880]),
-            (1, [6144, 6912, 8, 2, 6168, 6926]),
-            (2, [3328, 0, 8, 0, 3360, 0]),
-            (3, [3328, 768, 8, 1, 3360, 771]),
-            (4, [3328, 768, 8, 1, 3360, 771]),
-            (5, [0, 768, 0, 1, 0, 771]),
-            (6, [3328, 768, 8, 1, 3360, 771]),
-            (8, [0, 768, 0, 1, 0, 771]),
-            (9, [3328, 0, 8, 0, 3360, 0]),
-            (10, [3328, 768, 8, 1, 3360, 771]),
-            (11, [3328, 768, 8, 1, 3360, 771]),
+            (0, [9515, 26880]),
+            (1, [6168, 6926]),
+            (2, [3360, 0]),
+            (3, [3360, 771]),
+            (4, [3360, 771]),
+            (5, [0, 771]),
+            (6, [3360, 771]),
+            (8, [0, 771]),
+            (9, [3360, 0]),
+            (10, [3360, 771]),
+            (11, [3360, 771]),
         ],
-        strawman3: (
-            [776, 160, 1496, 0, 0, 0, 0, 38912, 39203, 3],
-            0x6d5d06a02ec73876,
-        ),
-        final_protocol: (
-            [776, 256, 1592, 0, 0, 0, 0, 38912, 39203, 3],
-            0xbb3d3f4579a3153f,
-        ),
+        strawman3: ([776, 160, 1496, 0, 0, 0, 0, 39203, 3], 0x6d5d06a02ec73876),
+        final_protocol: ([776, 256, 1592, 0, 0, 0, 0, 39203, 3], 0xbb3d3f4579a3153f),
     },
 ];

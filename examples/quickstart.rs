@@ -56,7 +56,7 @@ fn main() {
     );
     println!(
         "  message transfers: {} exponentiations, {} bytes",
-        run.phases.communication.counts.exponentiations, run.phases.communication.counts.bytes_sent
+        run.phases.communication.counts.exponentiations, run.phases.communication.counts.wire_bytes
     );
     println!(
         "  aggregation+noise: {} AND gates under GMW",

@@ -85,7 +85,7 @@ fn main() {
             name,
             received == message,
             outcome.counts.exponentiations,
-            outcome.counts.bytes_sent,
+            outcome.counts.wire_bytes,
             outcome.counts.rounds
         );
     }

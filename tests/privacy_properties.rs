@@ -7,6 +7,7 @@
 //! noised bit-sums follow the geometric mechanism, and the released output
 //! follows the Laplace mechanism within the privacy budget.
 
+use dstress::circuit::builder::CircuitBuilder;
 use dstress::crypto::group::Group;
 use dstress::crypto::sharing::{split_xor, xor_reconstruct, BitMessage};
 use dstress::crypto::DlogTable;
@@ -14,7 +15,12 @@ use dstress::dp::budget::PrivacyBudget;
 use dstress::dp::geometric::TwoSidedGeometric;
 use dstress::dp::laplace::LaplaceMechanism;
 use dstress::math::rng::{DetRng, Xoshiro256};
+use dstress::mpc::gmw::{execute_batch, execute_established, share_inputs, GmwJob};
+use dstress::mpc::{GmwBatching, GmwMessage, OtConfig};
 use dstress::net::traffic::{NodeId, TrafficAccountant};
+use dstress::net::transport::{NodeActor, Session, SimTransport, Transport, TransportError};
+use dstress::net::wire::WireTally;
+use dstress::net::SocketTransport;
 use dstress::transfer::protocol::{transfer_message, TransferConfig};
 use dstress::transfer::setup::generate_system;
 
@@ -138,8 +144,89 @@ fn transfer_traffic_is_routed_through_the_edge_endpoints() {
         }
     }
     // The endpoints carry the bulk of the traffic.
-    assert!(traffic.node(NodeId(0)).bytes_received > 0);
-    assert!(traffic.node(NodeId(1)).bytes_sent > 0);
+    assert!(traffic.node(NodeId(0)).wire_bytes_received > 0);
+    assert!(traffic.node(NodeId(1)).wire_bytes_sent > 0);
+}
+
+/// A session that keeps the transport's own tally of every group it runs.
+struct Tallying<'s> {
+    inner: Box<dyn Session<GmwMessage> + 's>,
+    tallies: Vec<WireTally>,
+}
+
+impl Session<GmwMessage> for Tallying<'_> {
+    fn nodes(&self) -> usize {
+        self.inner.nodes()
+    }
+
+    fn run(
+        &mut self,
+        groups: &mut [&mut [&mut dyn NodeActor<GmwMessage>]],
+    ) -> Result<Vec<WireTally>, TransportError> {
+        let tallies = self.inner.run(groups)?;
+        self.tallies.extend(tallies.iter().cloned());
+        Ok(tallies)
+    }
+}
+
+/// The pair bytes the edge-privacy check reads are the bytes that
+/// crossed: for every GMW execution, on both backends and through both
+/// doors, the traffic's bytes from each node to each other node equal the
+/// transport's tally for that pair of parties.
+#[test]
+fn gmw_pair_bytes_are_the_transport_tally() {
+    let mut builder = CircuitBuilder::new();
+    let x = builder.input_word(6);
+    let y = builder.input_word(6);
+    let product = builder.mul_full(&x, &y);
+    builder.output_word(&product);
+    let circuit = builder.build().unwrap();
+    let parties = 4;
+    let jobs: Vec<GmwJob> = (0..3u64)
+        .map(|j| {
+            let mut rng = Xoshiro256::new(0xED6E + j);
+            let inputs: Vec<bool> = (0..circuit.num_inputs()).map(|_| rng.next_bool()).collect();
+            GmwJob {
+                node_ids: (0..parties)
+                    .map(|p| NodeId(7 * j as usize + 2 * p))
+                    .collect(),
+                input_shares: share_inputs(&inputs, parties, &mut rng),
+                master_seed: rng.next_u64(),
+            }
+        })
+        .collect();
+    let socket = SocketTransport::with_threads(2);
+    for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
+        for established in [false, true] {
+            let mut session = Tallying {
+                inner: transport.open(parties).unwrap(),
+                tallies: Vec::new(),
+            };
+            let (circuit, ot, batching) = (&circuit, &OtConfig::extension(), GmwBatching::Layered);
+            let executions = if established {
+                execute_established(&mut session, circuit, batching, ot, jobs.clone())
+            } else {
+                execute_batch(&mut session, circuit, batching, ot, jobs.clone())
+            }
+            .unwrap();
+            assert_eq!(session.tallies.len(), jobs.len());
+            for ((job, (_, traffic)), tally) in jobs.iter().zip(&executions).zip(&session.tallies) {
+                let mut pairs = TrafficAccountant::with_pair_tracking();
+                pairs.merge(traffic);
+                for (from, &from_id) in job.node_ids.iter().enumerate() {
+                    for (to, &to_id) in job.node_ids.iter().enumerate() {
+                        assert_eq!(
+                            pairs.pair_bytes(from_id, to_id),
+                            Some(tally.bytes_between(from, to)),
+                            "{} established={established}: {from_id} -> {to_id}",
+                            transport.name()
+                        );
+                    }
+                }
+                assert!(tally.total_bytes() > 0);
+            }
+        }
+    }
 }
 
 /// The geometric mechanism used on the bit-sums satisfies the defining DP

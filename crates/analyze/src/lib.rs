@@ -35,6 +35,7 @@
 
 pub mod deps;
 pub mod depth;
+mod index;
 pub mod programs;
 pub mod range;
 pub mod relational;

@@ -5,9 +5,12 @@
 //!
 //! * a **bit domain** (`Bit3`: zero / one / unknown) over the raw
 //!   XOR/AND/NOT gates, seeded from the declared input ranges; and
-//! * a **word interval domain** over the builder's gadget trace, keyed by
-//!   the exact output wire vector of each event, tracking *mathematical*
-//!   values in `i128` before any wrapping.
+//! * a **word interval domain** over the builder's gadget trace, tracking
+//!   *mathematical* values in `i128` before any wrapping.  Each event's
+//!   interval is stored by its position in the trace; a word read by a
+//!   later event resolves through the circuit's event index to the last
+//!   event that wrote it, else to the declared input word it is, else to
+//!   the unsigned reading of the bit domain.
 //!
 //! Every gadget's output interval is checked for representability: it
 //! must fit either the unsigned window `[0, 2^w)` or the signed
@@ -33,10 +36,11 @@
 //!   mass-conservation sum cap from the spec, each applied exactly where
 //!   declared and surfaced as assumptions by the caller.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dstress_circuit::{Circuit, GadgetEvent, GadgetKind, Gate, Interval, WireId};
 
+use crate::index::EventIndex;
 use crate::report::Finding;
 
 /// Three-valued abstraction of one wire.
@@ -102,16 +106,20 @@ impl RangeConfig {
 /// The result of a range pass: certified bit values and word intervals.
 pub struct RangeAnalysis {
     bits: Vec<Bit3>,
-    intervals: BTreeMap<Vec<WireId>, Interval>,
+    /// The interval each event certified for its output, by trace index.
+    intervals: Vec<Option<Interval>>,
+    /// The declared input words, seeded before any event.
+    seeds: Vec<(Vec<WireId>, Interval)>,
+    pub(crate) index: EventIndex,
     /// Findings discovered during the pass.
     pub findings: Vec<Finding>,
 }
 
 /// Comparison fact recovered from a mux selector wire.
-#[derive(Clone, Debug)]
-struct Guard {
-    big: Vec<WireId>,
-    small: Vec<WireId>,
+#[derive(Clone, Copy, Debug)]
+struct Guard<'a> {
+    big: &'a [WireId],
+    small: &'a [WireId],
     /// True for strict `big > small`, false for `big >= small`.
     strict: bool,
 }
@@ -119,130 +127,43 @@ struct Guard {
 impl RangeAnalysis {
     /// Runs the range analysis over `circuit` under `cfg`.
     pub fn run(circuit: &Circuit, cfg: &RangeConfig) -> RangeAnalysis {
-        let gates = circuit.gates();
-        let mut findings = Vec::new();
-
-        // Seed the bit domain from the declared input intervals: if the
-        // interval proves a bit constant, record it; a possibly-negative
-        // word pins nothing (two's complement sets high bits).
-        let mut input_bits: BTreeMap<usize, Bit3> = BTreeMap::new();
-        for (word, iv) in &cfg.inputs {
-            for (j, &w) in word.iter().enumerate() {
-                let b = if iv.lo < 0 {
-                    Bit3::Top
-                } else if iv.lo == iv.hi {
-                    Bit3::from_bool((iv.lo >> j) & 1 == 1)
-                } else if iv.hi < (1i128 << j) {
-                    Bit3::Zero
-                } else {
-                    Bit3::Top
-                };
-                if let Gate::Input(n) = gates[w] {
-                    input_bits.insert(n, b);
-                }
-            }
-        }
-
-        // Raw-gate pass.
-        let mut bits = vec![Bit3::Top; gates.len()];
-        for (i, gate) in gates.iter().enumerate() {
-            bits[i] = match *gate {
-                Gate::Input(n) => input_bits.get(&n).copied().unwrap_or(Bit3::Top),
-                Gate::ConstFalse => Bit3::Zero,
-                Gate::ConstTrue => Bit3::One,
-                Gate::Xor(a, b) => match (bits[a].known(), bits[b].known()) {
-                    (Some(x), Some(y)) => Bit3::from_bool(x ^ y),
-                    _ => Bit3::Top,
-                },
-                Gate::And(a, b) => match (bits[a], bits[b]) {
-                    (Bit3::Zero, _) | (_, Bit3::Zero) => Bit3::Zero,
-                    (Bit3::One, Bit3::One) => Bit3::One,
-                    _ => Bit3::Top,
-                },
-                Gate::Not(a) => match bits[a] {
-                    Bit3::Zero => Bit3::One,
-                    Bit3::One => Bit3::Zero,
-                    Bit3::Top => Bit3::Top,
-                },
-            };
-        }
-
-        let mut this = RangeAnalysis {
-            bits,
-            intervals: BTreeMap::new(),
-            findings: Vec::new(),
-        };
-        for (word, iv) in &cfg.inputs {
-            this.intervals.insert(word.clone(), *iv);
-        }
-
-        // Validate every event structurally before trusting any of them.
         let events = circuit.gadgets();
-        let mut valid = vec![true; events.len()];
-        for (i, ev) in events.iter().enumerate() {
-            if let Err(detail) = validate_event(ev, gates.len()) {
-                findings.push(Finding::MalformedGadget {
-                    subject: cfg.subject.clone(),
-                    event: i,
-                    detail,
-                });
-                valid[i] = false;
+        let (index, malformed) = EventIndex::new(circuit);
+        let findings = malformed
+            .into_iter()
+            .map(|(event, detail)| Finding::MalformedGadget {
+                subject: cfg.subject.clone(),
+                event,
+                detail,
+            })
+            .collect();
+        let mut pass = Pass {
+            circuit,
+            cfg,
+            events,
+            out: RangeAnalysis {
+                bits: gate_bits(circuit, cfg),
+                intervals: vec![None; events.len()],
+                seeds: cfg.inputs.clone(),
+                index,
+                findings,
+            },
+        };
+        for i in 0..events.len() {
+            if pass.out.index.is_valid(i) {
+                pass.transfer(i);
             }
         }
-
-        // Indices: single-bit event outputs (guards resolve through
-        // these), word-producing events, and word consumers.
-        let mut event_of_bit: BTreeMap<WireId, usize> = BTreeMap::new();
-        let mut event_of_word: BTreeMap<Vec<WireId>, usize> = BTreeMap::new();
-        let mut consumers: BTreeMap<Vec<WireId>, Vec<usize>> = BTreeMap::new();
-        for (i, ev) in events.iter().enumerate() {
-            if !valid[i] {
-                continue;
-            }
-            if ev.output.len() == 1 {
-                event_of_bit.insert(ev.output[0], i);
-            }
-            event_of_word.insert(ev.output.clone(), i);
-            for input in &ev.inputs {
-                consumers.entry(input.clone()).or_default().push(i);
-            }
-        }
-        let cap_words: Option<(BTreeSet<Vec<WireId>>, i128)> = cfg
-            .sum_cap
-            .as_ref()
-            .map(|(words, cap)| (words.iter().cloned().collect(), *cap));
-
-        // Event pass, in construction order.
-        for (i, ev) in events.iter().enumerate() {
-            if !valid[i] {
-                continue;
-            }
-            this.transfer(
-                i,
-                ev,
-                circuit,
-                cfg,
-                &cap_words,
-                &event_of_bit,
-                &event_of_word,
-                &consumers,
-                events,
-                &mut findings,
-            );
-        }
-
-        this.findings = findings;
-        this
+        pass.out
     }
 
-    /// The certified interval of a word: the event map when the word was
-    /// produced by a gadget or declared as an input, otherwise the
-    /// unsigned reading of the bit domain.
+    /// The certified interval of a word: what the last event producing
+    /// it recorded, else its declared input interval, else the unsigned
+    /// reading of the bit domain.
     pub fn interval_of(&self, word: &[WireId]) -> Interval {
-        if let Some(iv) = self.intervals.get(word) {
-            return *iv;
-        }
-        self.bits_interval(word)
+        self.index
+            .last_written(word, &self.intervals, &self.seeds)
+            .unwrap_or_else(|| self.bits_interval(word))
     }
 
     /// The unsigned interval the bit domain proves for a wire vector.
@@ -261,83 +182,434 @@ impl RangeAnalysis {
         }
         Interval::new(lo, hi)
     }
+}
+
+/// The bit domain over the raw gates, seeded from the declared input
+/// intervals: an interval that proves a bit constant pins it; a
+/// possibly-negative word pins nothing (two's complement sets high bits).
+fn gate_bits(circuit: &Circuit, cfg: &RangeConfig) -> Vec<Bit3> {
+    let gates = circuit.gates();
+    let mut input_bits: BTreeMap<usize, Bit3> = BTreeMap::new();
+    for (word, iv) in &cfg.inputs {
+        for (j, &w) in word.iter().enumerate() {
+            let b = if iv.lo < 0 {
+                Bit3::Top
+            } else if iv.lo == iv.hi {
+                Bit3::from_bool((iv.lo >> j) & 1 == 1)
+            } else if iv.hi < (1i128 << j) {
+                Bit3::Zero
+            } else {
+                Bit3::Top
+            };
+            if let Gate::Input(n) = gates[w] {
+                input_bits.insert(n, b);
+            }
+        }
+    }
+    let mut bits = vec![Bit3::Top; gates.len()];
+    for (i, gate) in gates.iter().enumerate() {
+        bits[i] = match *gate {
+            Gate::Input(n) => input_bits.get(&n).copied().unwrap_or(Bit3::Top),
+            Gate::ConstFalse => Bit3::Zero,
+            Gate::ConstTrue => Bit3::One,
+            Gate::Xor(a, b) => match (bits[a].known(), bits[b].known()) {
+                (Some(x), Some(y)) => Bit3::from_bool(x ^ y),
+                _ => Bit3::Top,
+            },
+            Gate::And(a, b) => match (bits[a], bits[b]) {
+                (Bit3::Zero, _) | (_, Bit3::Zero) => Bit3::Zero,
+                (Bit3::One, Bit3::One) => Bit3::One,
+                _ => Bit3::Top,
+            },
+            Gate::Not(a) => match bits[a] {
+                Bit3::Zero => Bit3::One,
+                Bit3::One => Bit3::Zero,
+                Bit3::Top => Bit3::Top,
+            },
+        };
+    }
+    bits
+}
+
+/// One range pass in progress: the circuit, its configuration and trace,
+/// and the analysis being filled in (which holds the event index and the
+/// findings).  The sum-cap words are read from the configuration.
+struct Pass<'a> {
+    circuit: &'a Circuit,
+    cfg: &'a RangeConfig,
+    events: &'a [GadgetEvent],
+    out: RangeAnalysis,
+}
+
+impl<'a> Pass<'a> {
+    /// Processes one valid event, in trace order.
+    fn transfer(&mut self, i: usize) {
+        match self.events[i].kind {
+            // Declared inputs were seeded; undeclared ones, and the pure
+            // bit operations, read from the bit domain on demand.
+            GadgetKind::InputWord | GadgetKind::XorWord | GadgetKind::NotWord => {}
+            GadgetKind::ConstWord(v) => self.set(i, Interval::point(v as i128)),
+            GadgetKind::Add
+            | GadgetKind::Sub
+            | GadgetKind::Neg
+            | GadgetKind::ShlConst(_)
+            | GadgetKind::MulFull
+            | GadgetKind::Mul
+            | GadgetKind::MulFixed(_)
+            | GadgetKind::Sum => self.arithmetic(i),
+            GadgetKind::LtUnsigned | GadgetKind::LtSigned | GadgetKind::EqWord => {
+                self.comparison(i)
+            }
+            GadgetKind::Or | GadgetKind::MuxBit => self.bit_logic(i),
+            GadgetKind::MuxWord => self.mux_word(i),
+            GadgetKind::Relu
+            | GadgetKind::MinUnsigned
+            | GadgetKind::MaxUnsigned
+            | GadgetKind::ZeroExtend
+            | GadgetKind::Truncate
+            | GadgetKind::ShrConst(_)
+            | GadgetKind::RatioCapped(_) => self.clamp(i),
+        }
+    }
+
+    /// Gadgets whose output can outgrow their width: the interval is
+    /// computed from the operands and stored through the
+    /// representability check.
+    fn arithmetic(&mut self, i: usize) {
+        let ev = &self.events[i];
+        let iv = match ev.kind {
+            GadgetKind::Add => {
+                let (a, b) = (self.operand(i, 0), self.operand(i, 1));
+                Interval::new(a.lo + b.lo, a.hi + b.hi)
+            }
+            GadgetKind::Sub => {
+                let (a, b) = (self.operand(i, 0), self.operand(i, 1));
+                let mut lo = a.lo - b.hi;
+                if self.dominated(ev) {
+                    lo = lo.max(0);
+                }
+                Interval::new(lo.min(a.hi - b.lo), a.hi - b.lo)
+            }
+            GadgetKind::Neg => {
+                let a = self.operand(i, 0);
+                Interval::new(-a.hi, -a.lo)
+            }
+            GadgetKind::ShlConst(k) => {
+                let a = self.operand(i, 0);
+                Interval::new(a.lo << k, a.hi << k)
+            }
+            GadgetKind::Sum => self.capped_sum(ev),
+            // The multipliers: unsigned operands.
+            _ => {
+                let (a, b) = (self.operand(i, 0), self.operand(i, 1));
+                self.check_unsigned(i, a);
+                self.check_unsigned(i, b);
+                let shift = match ev.kind {
+                    GadgetKind::MulFixed(f) => f,
+                    _ => 0,
+                };
+                let (alo, ahi) = (a.lo.max(0), a.hi.max(0));
+                let (blo, bhi) = (b.lo.max(0), b.hi.max(0));
+                Interval::new((alo * blo) >> shift, (ahi * bhi) >> shift)
+            }
+        };
+        self.store_checked(i, iv);
+    }
+
+    /// Comparisons: the operands are checked for the comparison's
+    /// reading, and a decided comparison pins its output bit.
+    fn comparison(&mut self, i: usize) {
+        let ev = &self.events[i];
+        let (a, b) = (self.operand(i, 0), self.operand(i, 1));
+        let decided = if ev.kind == GadgetKind::EqWord {
+            if a.lo == a.hi && a == b {
+                Some(true)
+            } else {
+                a.intersect(b).is_none().then_some(false)
+            }
+        } else {
+            for (operand, iv) in ev.inputs.iter().zip([a, b]) {
+                if ev.kind == GadgetKind::LtUnsigned {
+                    self.check_unsigned(i, iv);
+                } else if !iv.fits_signed(operand.len() as u32) {
+                    self.overflow(i, iv, operand.len() as u32);
+                }
+            }
+            if a.hi < b.lo {
+                Some(true)
+            } else {
+                (a.lo >= b.hi).then_some(false)
+            }
+        };
+        self.decide(i, decided);
+    }
+
+    /// Single-bit gadgets: `or` and the bit mux, decided from the bit
+    /// domain.
+    fn bit_logic(&mut self, i: usize) {
+        let ev = &self.events[i];
+        let bit = |k: usize| self.resolve_bit(ev.inputs[k][0]);
+        let decided = if ev.kind == GadgetKind::Or {
+            let (a, b) = (bit(0), bit(1));
+            if a == Some(true) || b == Some(true) {
+                Some(true)
+            } else {
+                (a == Some(false) && b == Some(false)).then_some(false)
+            }
+        } else {
+            match bit(0) {
+                Some(true) => bit(1),
+                Some(false) => bit(2),
+                None => None,
+            }
+        };
+        self.decide(i, decided);
+    }
+
+    /// The word mux: each branch refined under the selector's guard, the
+    /// selected one when the selector is known, else their hull.
+    fn mux_word(&mut self, i: usize) {
+        let ev = &self.events[i];
+        let sel = ev.inputs[0][0];
+        let then_iv = self.refined_branch(&ev.inputs[1], sel, true);
+        let else_iv = self.refined_branch(&ev.inputs[2], sel, false);
+        let iv = match self.resolve_bit(sel) {
+            Some(true) => then_iv,
+            Some(false) => else_iv,
+            None => then_iv.hull(else_iv),
+        };
+        self.set(i, iv);
+    }
+
+    /// Gadgets whose output is bounded by construction (clamps, width
+    /// changes, right shifts, the capped ratio): stored as computed.
+    fn clamp(&mut self, i: usize) {
+        let ev = &self.events[i];
+        let w_out = ev.output.len() as u32;
+        let a = self.operand(i, 0);
+        let iv = match ev.kind {
+            GadgetKind::Relu => {
+                if !a.fits_signed(w_out) {
+                    self.overflow(i, a, w_out);
+                }
+                Interval::new(a.lo.max(0), a.hi.max(0))
+            }
+            GadgetKind::Truncate if a.fits_unsigned(w_out) => a,
+            GadgetKind::Truncate => {
+                self.overflow(i, a, w_out);
+                Interval::unsigned(w_out)
+            }
+            GadgetKind::ZeroExtend => {
+                self.check_unsigned(i, a);
+                Interval::new(a.lo.max(0), a.hi.max(0))
+            }
+            GadgetKind::ShrConst(k) => {
+                self.check_unsigned(i, a);
+                Interval::new(a.lo.max(0) >> k, a.hi.max(0) >> k)
+            }
+            // Min, max and the capped ratio: two unsigned operands.
+            _ => {
+                let b = self.operand(i, 1);
+                self.check_unsigned(i, a);
+                self.check_unsigned(i, b);
+                match ev.kind {
+                    GadgetKind::MinUnsigned => Interval::new(a.lo.min(b.lo), a.hi.min(b.hi)),
+                    GadgetKind::MaxUnsigned => Interval::new(a.lo.max(b.lo), a.hi.max(b.hi)),
+                    // Capped by construction, whatever the operands.
+                    GadgetKind::RatioCapped(f) => Interval::new(0, 1i128 << f),
+                    _ => unreachable!("{:?} is not a clamp", ev.kind),
+                }
+            }
+        };
+        self.set(i, iv);
+    }
+
+    /// The interval of event `i`'s `k`-th operand.
+    fn operand(&self, i: usize, k: usize) -> Interval {
+        self.out.interval_of(&self.events[i].inputs[k])
+    }
+
+    fn set(&mut self, i: usize, iv: Interval) {
+        self.out.intervals[i] = Some(iv);
+    }
+
+    /// Pins event `i`'s output bit when the comparison is decided.
+    fn decide(&mut self, i: usize, decided: Option<bool>) {
+        if let Some(b) = decided {
+            self.out.bits[self.events[i].output[0]] = Bit3::from_bool(b);
+        }
+    }
+
+    /// True when the config declares `sub`'s first operand to dominate
+    /// its second pointwise.
+    fn dominated(&self, sub: &GadgetEvent) -> bool {
+        let input = |k: usize| self.cfg.inputs.get(k).map(|(w, _)| w.as_slice());
+        self.cfg.dominance.iter().any(|&(a, b)| {
+            input(a) == Some(&sub.inputs[0][..]) && input(b) == Some(&sub.inputs[1][..])
+        })
+    }
+
+    /// The sum of the operand intervals, intersected with the
+    /// mass-conservation cap when every operand is a capped word.
+    fn capped_sum(&self, sum: &GadgetEvent) -> Interval {
+        let mut lo = 0i128;
+        let mut hi = 0i128;
+        for input in &sum.inputs {
+            let iv = self.out.interval_of(input);
+            lo += iv.lo;
+            hi += iv.hi;
+        }
+        let iv = Interval::new(lo, hi);
+        match &self.cfg.sum_cap {
+            Some((words, cap))
+                if !sum.inputs.is_empty() && sum.inputs.iter().all(|w| words.contains(w)) =>
+            {
+                let capped = Interval::new(0, *cap);
+                iv.intersect(capped).unwrap_or(capped)
+            }
+            _ => iv,
+        }
+    }
+
+    /// Reports an operand an unsigned gadget would misread as negative.
+    fn check_unsigned(&mut self, i: usize, iv: Interval) {
+        if iv.lo < 0 && !self.cfg.modular {
+            self.out.findings.push(Finding::UnsignedMisuse {
+                subject: self.cfg.subject.clone(),
+                event: i,
+                gadget: format!("{:?}", self.events[i].kind),
+                interval: iv,
+            });
+        }
+    }
+
+    /// Reports `interval` wrapping `width` bits at event `i`, unless
+    /// wrapping is the intended (modular) arithmetic.
+    fn overflow(&mut self, i: usize, interval: Interval, width: u32) {
+        if !self.cfg.modular {
+            self.out.findings.push(Finding::Overflow {
+                subject: self.cfg.subject.clone(),
+                event: i,
+                gadget: format!("{:?}", self.events[i].kind),
+                interval,
+                width,
+            });
+        }
+    }
+
+    /// Stores an event's interval after the representability check,
+    /// applying modular widening and (for subtractions) the
+    /// guarded-consumer suppression.
+    fn store_checked(&mut self, i: usize, iv: Interval) {
+        let ev = &self.events[i];
+        let w_out = ev.output.len() as u32;
+        if representable(iv, w_out) {
+            self.set(i, iv);
+        } else if self.cfg.modular {
+            // Wrapping is intended: the word holds *some* value of its
+            // width; track the full unsigned range.
+            self.set(i, Interval::unsigned(w_out));
+        } else {
+            // A subtraction whose wrapped value is never selected keeps
+            // its mathematical interval without a finding, so guard
+            // refinement at the consuming mux stays exact.
+            if !(ev.kind == GadgetKind::Sub && self.all_consumers_guard(i, iv)) {
+                self.overflow(i, iv, w_out);
+            }
+            self.set(i, iv);
+        }
+    }
+
+    /// True when every gadget consuming event `i`'s output is a mux whose
+    /// guard refines `iv` back into a representable window — the clamp
+    /// idiom `mux(a < b, 0, a - b)`: the wrapped difference is computed
+    /// but never selected.  Raw-gate reads of the word's wires are not
+    /// tracked, but a raw read cannot re-enter the interval domain, and
+    /// an output word escaping this way is still caught by the caller's
+    /// declared-range checks on outputs.
+    fn all_consumers_guard(&self, i: usize, iv: Interval) -> bool {
+        let ev = &self.events[i];
+        let consumers = self.out.index.consumers(i);
+        !consumers.is_empty()
+            && consumers.iter().all(|&ci| {
+                let c = &self.events[ci];
+                if c.kind != GadgetKind::MuxWord {
+                    return false;
+                }
+                let on = if c.inputs[1] == ev.output {
+                    true
+                } else if c.inputs[2] == ev.output {
+                    false
+                } else {
+                    return false;
+                };
+                self.guard_for(c.inputs[0][0], on)
+                    .and_then(|guard| refine_under_guard(ev, &guard, iv))
+                    .is_some_and(|r| representable(r, ev.output.len() as u32))
+            })
+    }
 
     /// Resolves a single wire to a known boolean, walking raw NOT gates
     /// so guards survive `CircuitBuilder::not`.
-    fn resolve_bit(&self, circuit: &Circuit, w: WireId) -> Option<bool> {
-        if let Some(b) = self.bits[w].known() {
+    fn resolve_bit(&self, w: WireId) -> Option<bool> {
+        if let Some(b) = self.out.bits[w].known() {
             return Some(b);
         }
-        match circuit.gates()[w] {
-            Gate::Not(a) => self.resolve_bit(circuit, a).map(|b| !b),
+        match self.circuit.gates()[w] {
+            Gate::Not(a) => self.resolve_bit(a).map(|b| !b),
             _ => None,
         }
     }
 
     /// Recovers the comparison fact a mux selector encodes when taken
     /// with truth value `on`, walking NOT gates and the or(lt, eq) idiom.
-    fn guard_for(
-        &self,
-        circuit: &Circuit,
-        sel: WireId,
-        on: bool,
-        event_of_bit: &BTreeMap<WireId, usize>,
-        events: &[GadgetEvent],
-    ) -> Option<Guard> {
-        let Some(&ei) = event_of_bit.get(&sel) else {
+    fn guard_for(&self, sel: WireId, on: bool) -> Option<Guard<'a>> {
+        let events: &'a [GadgetEvent] = self.events;
+        let Some(ei) = self.out.index.producer(&[sel]) else {
             // Not an event output itself: walk raw NOT gates so guards
             // survive `CircuitBuilder::not`.
-            if let Gate::Not(a) = circuit.gates()[sel] {
-                return self.guard_for(circuit, a, !on, event_of_bit, events);
+            if let Gate::Not(a) = self.circuit.gates()[sel] {
+                return self.guard_for(a, !on);
             }
             return None;
         };
         let ev = &events[ei];
         match ev.kind {
             GadgetKind::LtUnsigned => {
-                let a = ev.inputs[0].clone();
-                let b = ev.inputs[1].clone();
-                if on {
+                let (a, b) = (&ev.inputs[0][..], &ev.inputs[1][..]);
+                Some(if on {
                     // a < b.
-                    Some(Guard {
+                    Guard {
                         big: b,
                         small: a,
                         strict: true,
-                    })
+                    }
                 } else {
                     // a >= b.
-                    Some(Guard {
+                    Guard {
                         big: a,
                         small: b,
                         strict: false,
-                    })
-                }
+                    }
+                })
             }
             GadgetKind::Or if !on => {
                 // not(x or y) = not(x) and not(y).  The builder idiom
                 // or(lt(a, b), eq(a, b)) therefore yields strict a > b;
                 // otherwise fall back to the negation of whichever
                 // operand is a comparison.
-                let x = self.guard_for(circuit, ev.inputs[0][0], false, event_of_bit, events);
-                let y = self.guard_for(circuit, ev.inputs[1][0], false, event_of_bit, events);
-                let eq_operand = |w: WireId| -> Option<(&[WireId], &[WireId])> {
-                    let e = &events[*event_of_bit.get(&w)?];
-                    if e.kind == GadgetKind::EqWord {
-                        Some((&e.inputs[0], &e.inputs[1]))
-                    } else {
-                        None
-                    }
+                let x = self.guard_for(ev.inputs[0][0], false);
+                let y = self.guard_for(ev.inputs[1][0], false);
+                let eq_operands = |w: WireId| {
+                    let e = &events[self.out.index.producer(&[w])?];
+                    (e.kind == GadgetKind::EqWord).then(|| (&e.inputs[0][..], &e.inputs[1][..]))
                 };
-                for (cmp, other) in [(&x, ev.inputs[1][0]), (&y, ev.inputs[0][0])] {
-                    if let (Some(g), Some((ea, eb))) = (cmp, eq_operand(other)) {
+                for (cmp, other) in [(x, ev.inputs[1][0]), (y, ev.inputs[0][0])] {
+                    if let (Some(g), Some((ea, eb))) = (cmp, eq_operands(other)) {
                         let matches =
                             (g.big == ea && g.small == eb) || (g.big == eb && g.small == ea);
                         if !g.strict && matches {
-                            return Some(Guard {
-                                big: g.big.clone(),
-                                small: g.small.clone(),
-                                strict: true,
-                            });
+                            return Some(Guard { strict: true, ..g });
                         }
                     }
                 }
@@ -349,383 +621,21 @@ impl RangeAnalysis {
 
     /// The interval of a mux branch word, refined under the selector's
     /// guard when the branch was produced by a guarded sub.
-    #[allow(clippy::too_many_arguments)]
-    fn refined_branch(
-        &self,
-        circuit: &Circuit,
-        word: &[WireId],
-        sel: WireId,
-        on: bool,
-        event_of_bit: &BTreeMap<WireId, usize>,
-        event_of_word: &BTreeMap<Vec<WireId>, usize>,
-        events: &[GadgetEvent],
-    ) -> Interval {
-        let base = self.interval_of(word);
-        let Some(guard) = self.guard_for(circuit, sel, on, event_of_bit, events) else {
+    fn refined_branch(&self, word: &[WireId], sel: WireId, on: bool) -> Interval {
+        let base = self.out.interval_of(word);
+        let Some(guard) = self.guard_for(sel, on) else {
             return base;
         };
-        let Some(&pi) = event_of_word.get(word) else {
+        let Some(producer) = self.out.index.producer(word) else {
             return base;
         };
-        refine_under_guard(&events[pi], &guard, base).unwrap_or(base)
+        refine_under_guard(&self.events[producer], &guard, base).unwrap_or(base)
     }
+}
 
-    /// Processes one gadget event: computes the output interval, applies
-    /// refinements and caps, records decided bits and reports findings.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer(
-        &mut self,
-        idx: usize,
-        ev: &GadgetEvent,
-        circuit: &Circuit,
-        cfg: &RangeConfig,
-        cap_words: &Option<(BTreeSet<Vec<WireId>>, i128)>,
-        event_of_bit: &BTreeMap<WireId, usize>,
-        event_of_word: &BTreeMap<Vec<WireId>, usize>,
-        consumers: &BTreeMap<Vec<WireId>, Vec<usize>>,
-        events: &[GadgetEvent],
-        findings: &mut Vec<Finding>,
-    ) {
-        let subject = &cfg.subject;
-        let w_out = ev.output.len() as u32;
-        let gadget = format!("{:?}", ev.kind);
-        let check_unsigned_operand = |iv: Interval, findings: &mut Vec<Finding>| {
-            if iv.lo < 0 && !cfg.modular {
-                findings.push(Finding::UnsignedMisuse {
-                    subject: subject.clone(),
-                    event: idx,
-                    gadget: gadget.clone(),
-                    interval: iv,
-                });
-            }
-        };
-
-        match ev.kind {
-            GadgetKind::InputWord => {
-                // Declared inputs were seeded; undeclared ones read from
-                // the bit domain on demand.
-            }
-            GadgetKind::ConstWord(v) => {
-                self.intervals
-                    .insert(ev.output.clone(), Interval::point(v as i128));
-            }
-            GadgetKind::Add => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                let iv = Interval::new(a.lo + b.lo, a.hi + b.hi);
-                self.store_checked(idx, ev, &gadget, iv, w_out, cfg, None, findings);
-            }
-            GadgetKind::Sub => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                let dominated = cfg.dominance.iter().any(|&(ia, ib)| {
-                    cfg.inputs.get(ia).map(|(w, _)| w.as_slice()) == Some(&ev.inputs[0][..])
-                        && cfg.inputs.get(ib).map(|(w, _)| w.as_slice()) == Some(&ev.inputs[1][..])
-                });
-                let lo = if dominated {
-                    (a.lo - b.hi).max(0)
-                } else {
-                    a.lo - b.hi
-                };
-                let iv = Interval::new(lo.min(a.hi - b.lo), a.hi - b.lo);
-                let suppress = Some((circuit, event_of_bit, consumers, events));
-                self.store_checked(idx, ev, &gadget, iv, w_out, cfg, suppress, findings);
-            }
-            GadgetKind::Neg => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let iv = Interval::new(-a.hi, -a.lo);
-                self.store_checked(idx, ev, &gadget, iv, w_out, cfg, None, findings);
-            }
-            GadgetKind::LtUnsigned => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                check_unsigned_operand(a, findings);
-                check_unsigned_operand(b, findings);
-                if a.hi < b.lo {
-                    self.bits[ev.output[0]] = Bit3::One;
-                } else if a.lo >= b.hi {
-                    self.bits[ev.output[0]] = Bit3::Zero;
-                }
-            }
-            GadgetKind::LtSigned => {
-                for operand in [&ev.inputs[0], &ev.inputs[1]] {
-                    let iv = self.interval_of(operand);
-                    if !iv.fits_signed(operand.len() as u32) && !cfg.modular {
-                        findings.push(Finding::Overflow {
-                            subject: subject.clone(),
-                            event: idx,
-                            gadget: gadget.clone(),
-                            interval: iv,
-                            width: operand.len() as u32,
-                        });
-                    }
-                }
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                if a.hi < b.lo {
-                    self.bits[ev.output[0]] = Bit3::One;
-                } else if a.lo >= b.hi {
-                    self.bits[ev.output[0]] = Bit3::Zero;
-                }
-            }
-            GadgetKind::EqWord => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                if a.lo == a.hi && a == b {
-                    self.bits[ev.output[0]] = Bit3::One;
-                } else if a.intersect(b).is_none() {
-                    self.bits[ev.output[0]] = Bit3::Zero;
-                }
-            }
-            GadgetKind::Or => {
-                let a = self.resolve_bit(circuit, ev.inputs[0][0]);
-                let b = self.resolve_bit(circuit, ev.inputs[1][0]);
-                if a == Some(true) || b == Some(true) {
-                    self.bits[ev.output[0]] = Bit3::One;
-                } else if a == Some(false) && b == Some(false) {
-                    self.bits[ev.output[0]] = Bit3::Zero;
-                }
-            }
-            GadgetKind::MuxBit => {
-                let sel = self.resolve_bit(circuit, ev.inputs[0][0]);
-                let chosen = match sel {
-                    Some(true) => self.resolve_bit(circuit, ev.inputs[1][0]),
-                    Some(false) => self.resolve_bit(circuit, ev.inputs[2][0]),
-                    None => None,
-                };
-                if let Some(b) = chosen {
-                    self.bits[ev.output[0]] = Bit3::from_bool(b);
-                }
-            }
-            GadgetKind::MuxWord => {
-                let sel = ev.inputs[0][0];
-                let then_iv = self.refined_branch(
-                    circuit,
-                    &ev.inputs[1],
-                    sel,
-                    true,
-                    event_of_bit,
-                    event_of_word,
-                    events,
-                );
-                let else_iv = self.refined_branch(
-                    circuit,
-                    &ev.inputs[2],
-                    sel,
-                    false,
-                    event_of_bit,
-                    event_of_word,
-                    events,
-                );
-                let iv = match self.resolve_bit(circuit, sel) {
-                    Some(true) => then_iv,
-                    Some(false) => else_iv,
-                    None => then_iv.hull(else_iv),
-                };
-                self.intervals.insert(ev.output.clone(), iv);
-            }
-            GadgetKind::Relu => {
-                let a = self.interval_of(&ev.inputs[0]);
-                if !a.fits_signed(w_out) && !cfg.modular {
-                    findings.push(Finding::Overflow {
-                        subject: subject.clone(),
-                        event: idx,
-                        gadget: gadget.clone(),
-                        interval: a,
-                        width: w_out,
-                    });
-                }
-                let iv = Interval::new(a.lo.max(0), a.hi.max(0));
-                self.intervals.insert(ev.output.clone(), iv);
-            }
-            GadgetKind::MinUnsigned | GadgetKind::MaxUnsigned => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                check_unsigned_operand(a, findings);
-                check_unsigned_operand(b, findings);
-                let iv = if ev.kind == GadgetKind::MinUnsigned {
-                    Interval::new(a.lo.min(b.lo), a.hi.min(b.hi))
-                } else {
-                    Interval::new(a.lo.max(b.lo), a.hi.max(b.hi))
-                };
-                self.intervals.insert(ev.output.clone(), iv);
-            }
-            GadgetKind::XorWord | GadgetKind::NotWord => {
-                // Pure bit operations: the raw bit pass already covers
-                // them at full precision for this domain.
-            }
-            GadgetKind::ZeroExtend => {
-                let a = self.interval_of(&ev.inputs[0]);
-                check_unsigned_operand(a, findings);
-                self.intervals
-                    .insert(ev.output.clone(), Interval::new(a.lo.max(0), a.hi.max(0)));
-            }
-            GadgetKind::Truncate => {
-                let a = self.interval_of(&ev.inputs[0]);
-                if a.fits_unsigned(w_out) {
-                    self.intervals.insert(ev.output.clone(), a);
-                } else {
-                    if !cfg.modular {
-                        findings.push(Finding::Overflow {
-                            subject: subject.clone(),
-                            event: idx,
-                            gadget: gadget.clone(),
-                            interval: a,
-                            width: w_out,
-                        });
-                    }
-                    self.intervals
-                        .insert(ev.output.clone(), Interval::unsigned(w_out));
-                }
-            }
-            GadgetKind::ShlConst(k) => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let iv = Interval::new(a.lo << k, a.hi << k);
-                self.store_checked(idx, ev, &gadget, iv, w_out, cfg, None, findings);
-            }
-            GadgetKind::ShrConst(k) => {
-                let a = self.interval_of(&ev.inputs[0]);
-                check_unsigned_operand(a, findings);
-                let iv = Interval::new((a.lo.max(0)) >> k, (a.hi.max(0)) >> k);
-                self.intervals.insert(ev.output.clone(), iv);
-            }
-            GadgetKind::MulFull | GadgetKind::Mul | GadgetKind::MulFixed(_) => {
-                let a = self.interval_of(&ev.inputs[0]);
-                let b = self.interval_of(&ev.inputs[1]);
-                check_unsigned_operand(a, findings);
-                check_unsigned_operand(b, findings);
-                let (alo, ahi) = (a.lo.max(0), a.hi.max(0));
-                let (blo, bhi) = (b.lo.max(0), b.hi.max(0));
-                let iv = match ev.kind {
-                    GadgetKind::MulFixed(f) => Interval::new((alo * blo) >> f, (ahi * bhi) >> f),
-                    _ => Interval::new(alo * blo, ahi * bhi),
-                };
-                self.store_checked(idx, ev, &gadget, iv, w_out, cfg, None, findings);
-            }
-            GadgetKind::RatioCapped(f) => {
-                // Capped by construction, whatever the operands.
-                check_unsigned_operand(self.interval_of(&ev.inputs[0]), findings);
-                check_unsigned_operand(self.interval_of(&ev.inputs[1]), findings);
-                self.intervals
-                    .insert(ev.output.clone(), Interval::new(0, 1i128 << f));
-            }
-            GadgetKind::Sum => {
-                let mut lo = 0i128;
-                let mut hi = 0i128;
-                for input in &ev.inputs {
-                    let iv = self.interval_of(input);
-                    lo += iv.lo;
-                    hi += iv.hi;
-                }
-                let mut iv = Interval::new(lo, hi);
-                if let Some((caps, cap)) = cap_words {
-                    let all_capped =
-                        !ev.inputs.is_empty() && ev.inputs.iter().all(|w| caps.contains(w));
-                    if all_capped {
-                        let capped = Interval::new(0, *cap);
-                        iv = iv.intersect(capped).unwrap_or(capped);
-                    }
-                }
-                self.store_checked(idx, ev, &gadget, iv, w_out, cfg, None, findings);
-            }
-        }
-    }
-
-    /// Stores an event's interval after the representability check,
-    /// applying modular widening and (for subtractions) the
-    /// guarded-consumer suppression.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn store_checked(
-        &mut self,
-        idx: usize,
-        ev: &GadgetEvent,
-        gadget: &str,
-        iv: Interval,
-        w_out: u32,
-        cfg: &RangeConfig,
-        suppress: Option<(
-            &Circuit,
-            &BTreeMap<WireId, usize>,
-            &BTreeMap<Vec<WireId>, Vec<usize>>,
-            &[GadgetEvent],
-        )>,
-        findings: &mut Vec<Finding>,
-    ) {
-        let representable = iv.fits_unsigned(w_out) || iv.fits_signed(w_out);
-        if representable {
-            self.intervals.insert(ev.output.clone(), iv);
-            return;
-        }
-        if cfg.modular {
-            // Wrapping is intended: the word holds *some* value of its
-            // width; track the full unsigned range.
-            self.intervals
-                .insert(ev.output.clone(), Interval::unsigned(w_out));
-            return;
-        }
-        if let Some((circuit, event_of_bit, consumers, events)) = suppress {
-            if self.all_consumers_guard(ev, iv, w_out, circuit, event_of_bit, consumers, events) {
-                // The raw value wraps but is never selected: keep the
-                // mathematical interval so guard refinement at the
-                // consuming mux stays exact.
-                self.intervals.insert(ev.output.clone(), iv);
-                return;
-            }
-        }
-        findings.push(Finding::Overflow {
-            subject: cfg.subject.clone(),
-            event: idx,
-            gadget: gadget.to_string(),
-            interval: iv,
-            width: w_out,
-        });
-        self.intervals.insert(ev.output.clone(), iv);
-    }
-
-    /// True when every gadget consuming `ev.output` is a mux whose guard
-    /// refines this event's interval back into a representable window —
-    /// the clamp idiom `mux(a < b, 0, a - b)`: the wrapped difference is
-    /// computed but never selected.  Raw-gate reads of the word's wires
-    /// are not tracked, but a raw read cannot re-enter the interval
-    /// domain, and an output word escaping this way is still caught by
-    /// the caller's declared-range checks on outputs.
-    #[allow(clippy::too_many_arguments)]
-    fn all_consumers_guard(
-        &self,
-        ev: &GadgetEvent,
-        iv: Interval,
-        w_out: u32,
-        circuit: &Circuit,
-        event_of_bit: &BTreeMap<WireId, usize>,
-        consumers: &BTreeMap<Vec<WireId>, Vec<usize>>,
-        events: &[GadgetEvent],
-    ) -> bool {
-        let Some(cs) = consumers.get(&ev.output) else {
-            return false;
-        };
-        !cs.is_empty()
-            && cs.iter().all(|&ci| {
-                let c = &events[ci];
-                if c.kind != GadgetKind::MuxWord {
-                    return false;
-                }
-                let on = if c.inputs[1] == ev.output {
-                    true
-                } else if c.inputs[2] == ev.output {
-                    false
-                } else {
-                    return false;
-                };
-                let sel = c.inputs[0][0];
-                let Some(guard) = self.guard_for(circuit, sel, on, event_of_bit, events) else {
-                    return false;
-                };
-                match refine_under_guard(ev, &guard, iv) {
-                    Some(r) => r.fits_unsigned(w_out) || r.fits_signed(w_out),
-                    None => false,
-                }
-            })
-    }
+/// True when `iv` fits the unsigned or the signed window of `width` bits.
+fn representable(iv: Interval, width: u32) -> bool {
+    iv.fits_unsigned(width) || iv.fits_signed(width)
 }
 
 /// Refines the interval of `producer`'s output under `guard`, when the
@@ -739,51 +649,4 @@ fn refine_under_guard(producer: &GadgetEvent, guard: &Guard, base: Interval) -> 
         let floor = if guard.strict { 1 } else { 0 };
         Interval::new(base.lo.max(floor).min(base.hi), base.hi)
     })
-}
-
-/// Structural validation of one gadget event against the gate list.
-fn validate_event(ev: &GadgetEvent, num_wires: usize) -> Result<(), String> {
-    if ev.output.is_empty() {
-        return Err("empty output word".to_string());
-    }
-    for w in ev.output.iter().chain(ev.inputs.iter().flatten()) {
-        if *w >= num_wires {
-            return Err(format!("wire {w} out of range ({num_wires} wires)"));
-        }
-    }
-    let arity = ev.inputs.len();
-    let out = ev.output.len();
-    let widths: Vec<usize> = ev.inputs.iter().map(|w| w.len()).collect();
-    let ok = match ev.kind {
-        GadgetKind::InputWord | GadgetKind::ConstWord(_) => arity == 0,
-        GadgetKind::Add | GadgetKind::Sub | GadgetKind::XorWord => {
-            arity == 2 && widths[0] == out && widths[1] == out
-        }
-        GadgetKind::Neg | GadgetKind::NotWord => arity == 1 && widths[0] == out,
-        GadgetKind::LtUnsigned | GadgetKind::LtSigned | GadgetKind::EqWord => {
-            arity == 2 && widths[0] == widths[1] && out == 1
-        }
-        GadgetKind::Or => arity == 2 && widths[0] == 1 && widths[1] == 1 && out == 1,
-        GadgetKind::MuxBit => arity == 3 && widths == [1, 1, 1] && out == 1,
-        GadgetKind::MuxWord => arity == 3 && widths[0] == 1 && widths[1] == out && widths[2] == out,
-        GadgetKind::Relu => arity == 1 && widths[0] == out,
-        GadgetKind::MinUnsigned | GadgetKind::MaxUnsigned => {
-            arity == 2 && widths[0] == out && widths[1] == out
-        }
-        GadgetKind::ZeroExtend => arity == 1 && widths[0] <= out,
-        GadgetKind::Truncate => arity == 1 && widths[0] >= out,
-        GadgetKind::ShlConst(_) | GadgetKind::ShrConst(_) => arity == 1 && widths[0] == out,
-        GadgetKind::MulFull => arity == 2 && widths[0] + widths[1] == out,
-        GadgetKind::Mul | GadgetKind::MulFixed(_) => arity == 2 && widths[0] == out,
-        GadgetKind::RatioCapped(f) => arity == 2 && widths[0] == widths[1] && out == f as usize + 1,
-        GadgetKind::Sum => arity >= 1 && widths.iter().all(|&w| w == out),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!(
-            "{:?} with input widths {widths:?} and output width {out}",
-            ev.kind
-        ))
-    }
 }

@@ -5,10 +5,9 @@
 //! on synthetic networks whose structure follows the empirical literature:
 //! a small, densely connected *core* of large institutions surrounded by a
 //! *periphery* of smaller banks each linked to one or two core banks
-//! (Cocco et al. \[18\]), or a scale-free topology where centrality follows
-//! a power law.  This module generates those topologies together with
-//! balance sheets that respect a leverage bound `r`, plus shock scenarios
-//! that reduce selected banks' assets.
+//! (Cocco et al. \[18\]).  This module generates that topology, in memory
+//! or as a stream, together with balance sheets that respect a leverage
+//! bound `r`, plus shock scenarios that reduce selected banks' assets.
 
 use crate::network::{Exposure, FinancialNetwork};
 use dstress_graph::stream::EdgeStream;
@@ -202,117 +201,6 @@ pub fn core_periphery(config: &GeneratorConfig, rng: &mut dyn DetRng) -> Financi
         }
     }
 
-    finish_balance_sheets(&mut net, config);
-    net
-}
-
-/// Generates a scale-free network by preferential attachment: new banks
-/// attach to existing banks with probability proportional to their current
-/// degree, so central banks accumulate exponentially more links.
-pub fn scale_free(config: &GeneratorConfig, rng: &mut dyn DetRng) -> FinancialNetwork {
-    let mut net = FinancialNetwork::new(config.banks, config.degree_bound);
-    for i in 0..config.banks {
-        let assets = jitter(config.periphery_assets * 2.0, rng);
-        let bank = net.bank_mut(VertexId(i));
-        bank.cash = Fixed::from_f64(assets);
-        bank.external_assets = Fixed::from_f64(assets);
-    }
-
-    // Start from a small seed clique.
-    let seed = 3.min(config.banks);
-    let mut degree = vec![0usize; config.banks];
-    for a in 0..seed {
-        for b in 0..seed {
-            if a != b
-                && net
-                    .add_exposure(
-                        VertexId(a),
-                        VertexId(b),
-                        Exposure {
-                            debt: Fixed::from_f64(jitter(config.periphery_exposure, rng)),
-                            holding: Fixed::from_f64(0.05),
-                        },
-                    )
-                    .is_ok()
-            {
-                degree[a] += 1;
-                degree[b] += 1;
-            }
-        }
-    }
-
-    for new in seed..config.banks {
-        let attachments = 2.min(new);
-        for _ in 0..attachments {
-            // Preferential attachment: sample proportionally to degree + 1.
-            let total: usize = degree[..new].iter().map(|d| d + 1).sum();
-            let mut target = rng.next_below(total as u64) as usize;
-            let mut chosen = 0;
-            for (i, &d) in degree[..new].iter().enumerate() {
-                if target < d + 1 {
-                    chosen = i;
-                    break;
-                }
-                target -= d + 1;
-            }
-            let exposure = Exposure {
-                debt: Fixed::from_f64(jitter(config.periphery_exposure, rng)),
-                holding: Fixed::from_f64(0.02 + 0.03 * rng.next_f64()),
-            };
-            if net
-                .add_exposure(VertexId(new), VertexId(chosen), exposure)
-                .is_ok()
-            {
-                degree[new] += 1;
-                degree[chosen] += 1;
-            }
-            let back = Exposure {
-                debt: Fixed::from_f64(jitter(config.periphery_exposure, rng)),
-                holding: Fixed::from_f64(0.02 + 0.03 * rng.next_f64()),
-            };
-            if net
-                .add_exposure(VertexId(chosen), VertexId(new), back)
-                .is_ok()
-            {
-                degree[new] += 1;
-                degree[chosen] += 1;
-            }
-        }
-    }
-
-    finish_balance_sheets(&mut net, config);
-    net
-}
-
-/// Generates an Erdős–Rényi financial network (each ordered pair gets an
-/// exposure with probability `p`), used by the microbenchmarks where only
-/// the degree matters.
-pub fn erdos_renyi_financial(
-    config: &GeneratorConfig,
-    p: f64,
-    rng: &mut dyn DetRng,
-) -> FinancialNetwork {
-    let mut net = FinancialNetwork::new(config.banks, config.degree_bound);
-    for i in 0..config.banks {
-        let assets = jitter(config.periphery_assets * 3.0, rng);
-        let bank = net.bank_mut(VertexId(i));
-        bank.cash = Fixed::from_f64(assets);
-        bank.external_assets = Fixed::from_f64(assets);
-    }
-    for a in 0..config.banks {
-        for b in 0..config.banks {
-            if a != b && rng.next_f64() < p {
-                let _ = net.add_exposure(
-                    VertexId(a),
-                    VertexId(b),
-                    Exposure {
-                        debt: Fixed::from_f64(jitter(config.periphery_exposure, rng)),
-                        holding: Fixed::from_f64(0.02 + 0.02 * rng.next_f64()),
-                    },
-                );
-            }
-        }
-    }
     finish_balance_sheets(&mut net, config);
     net
 }
@@ -670,30 +558,6 @@ mod tests {
             "pre-shock TDS = {}",
             report.total_shortfall
         );
-    }
-
-    #[test]
-    fn scale_free_has_hubs() {
-        let config = GeneratorConfig::small(60, 30);
-        let mut rng = Xoshiro256::new(4);
-        let net = scale_free(&config, &mut rng);
-        let degrees: Vec<usize> = net
-            .graph()
-            .vertices()
-            .map(|v| net.graph().out_degree(v) + net.graph().in_degree(v))
-            .collect();
-        let max = *degrees.iter().max().unwrap();
-        let mean = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
-        assert!(max as f64 > 3.0 * mean, "max {max}, mean {mean}");
-    }
-
-    #[test]
-    fn erdos_renyi_density() {
-        let config = GeneratorConfig::small(30, 30);
-        let mut rng = Xoshiro256::new(5);
-        let sparse = erdos_renyi_financial(&config, 0.02, &mut rng);
-        let dense = erdos_renyi_financial(&config, 0.3, &mut rng);
-        assert!(dense.graph().edge_count() > 3 * sparse.graph().edge_count());
     }
 
     #[test]

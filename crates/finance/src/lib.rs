@@ -10,8 +10,8 @@
 //!   graph edges.
 //! * [`generator`] — synthetic network generators following the empirical
 //!   structure the paper's Appendix C relies on (core–periphery à la
-//!   Cocco et al., scale-free, Erdős–Rényi), balance-sheet synthesis under
-//!   a leverage bound, and shock scenarios.
+//!   Cocco et al.), balance-sheet synthesis under a leverage bound, and
+//!   shock scenarios.
 //! * [`eisenberg_noe`] — the Eisenberg–Noe clearing model (§4.2): a
 //!   classic fixpoint solver, a plaintext vertex program, and the Boolean
 //!   circuit encoding executed by the DStress runtime.
@@ -55,8 +55,8 @@ pub mod network;
 pub use eisenberg_noe::{EisenbergNoeProgram, EisenbergNoeSecure};
 pub use elliott_golub_jackson::{ElliottGolubJacksonProgram, ElliottGolubJacksonSecure};
 pub use generator::{
-    core_periphery, core_periphery_streamed, erdos_renyi_financial, scale_free,
-    CorePeripheryStream, CorePeripheryStreamConfig, GeneratorConfig,
+    core_periphery, core_periphery_streamed, CorePeripheryStream, CorePeripheryStreamConfig,
+    GeneratorConfig,
 };
 pub use metrics::{sensitivity_bound_egj, sensitivity_bound_en, CircuitParams};
 pub use monitor::{MonitorRelease, SystemicRiskMonitor};

@@ -388,7 +388,6 @@ impl FramedConn {
 pub struct SocketTransport {
     threads: usize,
     stall_timeout: Duration,
-    handshake_timeout: Duration,
 }
 
 impl SocketTransport {
@@ -397,7 +396,6 @@ impl SocketTransport {
         SocketTransport {
             threads: crate::pool::default_threads(),
             stall_timeout: STALL_TIMEOUT,
-            handshake_timeout: HANDSHAKE_TIMEOUT,
         }
     }
 
@@ -413,12 +411,6 @@ impl SocketTransport {
     /// quiescence before failing).
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
-        self
-    }
-
-    /// Overrides the mesh handshake deadline.
-    pub fn with_handshake_timeout(mut self, timeout: Duration) -> Self {
-        self.handshake_timeout = timeout;
         self
     }
 
@@ -478,21 +470,18 @@ impl SocketTransport {
                     to: j as u32,
                     nodes: n as u32,
                 })?;
-                dialed.flush_blocking(self.handshake_timeout)?;
+                dialed.flush_blocking(HANDSHAKE_TIMEOUT)?;
                 let (server, _) = listeners[j].accept().map_err(io_err("accept"))?;
                 let mut accepted = FramedConn::with_peer(server, i).map_err(io_err("configure"))?;
-                let hello: Hello =
-                    accepted
-                        .recv_msg(self.handshake_timeout)
-                        .map_err(|e| match e {
-                            TransportError::Io {
-                                kind: ErrorKind::TimedOut | ErrorKind::UnexpectedEof,
-                                ..
-                            } => TransportError::Handshake {
-                                context: "peer never completed the hello handshake",
-                            },
-                            other => other,
-                        })?;
+                let hello: Hello = accepted.recv_msg(HANDSHAKE_TIMEOUT).map_err(|e| match e {
+                    TransportError::Io {
+                        kind: ErrorKind::TimedOut | ErrorKind::UnexpectedEof,
+                        ..
+                    } => TransportError::Handshake {
+                        context: "peer never completed the hello handshake",
+                    },
+                    other => other,
+                })?;
                 if hello.from != i as u32 || hello.to != j as u32 || hello.nodes != n as u32 {
                     return Err(TransportError::Handshake {
                         context: "hello does not match the run topology",

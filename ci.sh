@@ -59,9 +59,12 @@ echo "==> nondeterminism lint (no HashMap/HashSet/Instant::now/SystemTime on the
 echo "==> static analysis: positive certification of every shipped program"
 # Range + sensitivity + information-flow certification (dstress-analyze):
 # the four analytics and the modular counter certify clean, and both
-# finance case studies certify on a live shocked network.
+# finance case studies certify on a live shocked network.  Every
+# certificate `repro -- analyze` issues is pinned to committed reports and
+# per-event interval digests.
 run_tests -q -p dstress-analyze --test certify
 run_tests -q -p dstress-analyze --test finance
+run_tests -q -p dstress-analyze --test pinned_certificates
 
 echo "==> static analysis: golden rejections, guard refinements, interval soundness"
 # Deliberately broken artifacts (width overflow, under-declared

@@ -748,9 +748,15 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         message: &M,
     ) -> Result<M, WireError> {
         let encoded = message.encode();
-        self.traffic.record(from, to, encoded.len() as u64);
-        counts.wire_bytes += encoded.len() as u64;
+        self.charge(counts, from, to, encoded.len());
         M::decode_exact(&encoded)
+    }
+
+    /// Charges `len` wire bytes from `from` to `to` to the link and to
+    /// `counts`.
+    fn charge(&mut self, counts: &mut OperationCounts, from: NodeId, to: NodeId, len: usize) {
+        self.traffic.record(from, to, len as u64);
+        counts.wire_bytes += len as u64;
     }
 
     /// Initialization step: every node pair that shares a block sets up
@@ -769,16 +775,21 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         let mut counts = OperationCounts::default();
 
         // The pair's owner, its lower id, sends the sender-side key
-        // material; the peer answers with the receiver side.
+        // material; the peer answers with the receiver side.  Each
+        // `OtSetup` is written in place into one reused buffer, checked
+        // as one message and charged.
         let session = OtConfig::extension().session_setup();
+        let mut encoded = Vec::new();
         for (owner, peer) in session_pairs(setup, update_circuit.layers().rounds() > 0) {
             let pair = (owner.0 * graph.vertex_count() + peer.0) as u64;
             let pair_seed = derive_seed(self.config.seed, SESSION_TAG, pair);
             counts.add(&session.counts);
-            let message = session.message(pair_seed, true);
-            self.deliver(&mut counts, owner, peer, &message)?;
-            let message = session.message(pair_seed, false);
-            self.deliver(&mut counts, peer, owner, &message)?;
+            for (from, to, from_owner) in [(owner, peer, true), (peer, owner, false)] {
+                encoded.clear();
+                session.write_message(&mut encoded, pair_seed, from_owner);
+                GmwMessage::check_exact(&encoded)?;
+                self.charge(&mut counts, from, to, encoded.len());
+            }
         }
 
         let inbox_bits = graph.degree_bound() * self.message_bits;

@@ -348,17 +348,16 @@ pub struct SessionSetup {
 }
 
 impl SessionSetup {
-    /// The pair's `OtSetup` message from its owner (`from_owner`) or from
-    /// its peer, the key material derived from `pair_seed`.
-    pub fn message(&self, pair_seed: u64, from_owner: bool) -> GmwMessage {
+    /// Appends the encoding of the pair's `OtSetup` message from its owner
+    /// (`from_owner`) or from its peer, the key material derived from
+    /// `pair_seed`, written in place ([`crate::wire::write_ot_setup`]).
+    pub fn write_message(&self, out: &mut Vec<u8>, pair_seed: u64, from_owner: bool) {
         let (len, direction) = if from_owner {
             (self.wire.0, crate::wire::PAYLOAD_SETUP_FROM_OWNER)
         } else {
             (self.wire.1, crate::wire::PAYLOAD_SETUP_FROM_PEER)
         };
-        GmwMessage::OtSetup {
-            ot_payload: crate::wire::ot_payload(pair_seed, direction, 0, len),
-        }
+        crate::wire::write_ot_setup(out, pair_seed, direction, len);
     }
 }
 
@@ -834,15 +833,13 @@ impl GmwParty<'_> {
             if exchanges {
                 // Pair owners (lower index) send the sender-side key
                 // material; the peer answers with the receiver side.
-                let batch: Vec<(usize, GmwMessage)> = (0..self.parties)
-                    .filter(|&peer| peer != self.index)
-                    .map(|peer| {
-                        let from_owner = peer > self.index;
-                        let seed = self.pair_payload_seed[peer];
-                        (peer, session.message(seed, from_owner))
-                    })
-                    .collect();
-                endpoint.send_many(batch);
+                for peer in (0..self.parties).filter(|&peer| peer != self.index) {
+                    let from_owner = peer > self.index;
+                    let seed = self.pair_payload_seed[peer];
+                    endpoint.send_bytes(peer, &mut |out| {
+                        session.write_message(out, seed, from_owner)
+                    });
+                }
             }
             self.setup_sent = true;
         }

@@ -31,7 +31,8 @@
 //!   `write_choices` and `write_responses` give it a layer's choice
 //!   planes packed once or its response bits, and generate the
 //!   seed-derived OT payload straight into the output — what a
-//!   [`crate::party::GmwParty`] writes into a transport lane;
+//!   [`crate::party::GmwParty`] writes into a transport lane — and
+//!   [`write_ot_setup`] does the same for a session's key material;
 //! * every encoding is read by one parser, `GmwView::read`, which checks
 //!   it and borrows its planes and payload from the buffer — what a party
 //!   reads a peer's batch through.
@@ -363,6 +364,25 @@ pub(crate) fn write_responses(
         |plane| pack_bits(bits, plane),
         payload_len,
         |dst| fill_ot_payload(pair_seed, PAYLOAD_SENDER, u64::from(layer), dst),
+    );
+}
+
+/// Writes an `OtSetup` in place: exactly the encoding of
+/// `GmwMessage::OtSetup { ot_payload }` with `ot_payload` =
+/// `ot_payload(pair_seed, direction, 0, payload_len)`, `direction` one of
+/// [`PAYLOAD_SETUP_FROM_OWNER`] and [`PAYLOAD_SETUP_FROM_PEER`].  A
+/// party's lazy setup writes it into a transport lane, and an engine run
+/// writes every node pair's key material through it into one reused
+/// buffer (both via [`crate::party::SessionSetup::write_message`]).
+pub fn write_ot_setup(out: &mut Vec<u8>, pair_seed: u64, direction: u64, payload_len: usize) {
+    put_message(
+        out,
+        GmwKind::OtSetup,
+        0,
+        0,
+        |_| {},
+        payload_len,
+        |dst| fill_ot_payload(pair_seed, direction, 0, dst),
     );
 }
 
@@ -805,6 +825,14 @@ mod tests {
                 ot_payload: ot_payload(seed, PAYLOAD_SENDER, u64::from(layer), len),
             };
             prop_assert_eq!(&lane[3..], &responses.encode()[..]);
+            for direction in [PAYLOAD_SETUP_FROM_OWNER, PAYLOAD_SETUP_FROM_PEER] {
+                let mut lane = vec![0xEE; 3];
+                write_ot_setup(&mut lane, seed, direction, len);
+                let setup = GmwMessage::OtSetup {
+                    ot_payload: ot_payload(seed, direction, 0, len),
+                };
+                prop_assert_eq!(&lane[3..], &setup.encode()[..]);
+            }
         }
 
         /// The view parser and the owned decoder accept and reject the

@@ -78,16 +78,20 @@ run_tests -q -p dstress-analyze --test soundness
 # The capped ratio is [0, 2^f] by construction, with no guard around it.
 run_tests -q -p dstress-analyze --test refinement capped_ratio_needs_no_guard
 
-echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables, no wasted AND gate; finance circuits against native steps and under their ceilings"
+echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables, no wasted AND gate; the noising circuit against native arithmetic; finance circuits against native steps and under their ceilings"
 # Every word-level gadget is pinned to a cost, equals native integer
-# arithmetic (exhaustively at widths 1-4, proptest at 5-16) and emits no
-# AND gate that is unread or meets a constant; the Eisenberg-Noe update and
+# arithmetic (exhaustively at widths 1-4, proptest at 5-16; leading_ones
+# exhaustively at 1-12, proptest at 13-16 and 64) and emits no AND gate
+# that is unread or meets a constant; the noising circuit built on
+# leading_ones equals (a + ((lo(r1) - lo(r2)) << s)) mod 2^A and is
+# pinned to its (AND, depth); the Eisenberg-Noe update and
 # aggregation equal native fixed-point steps on random words, the
 # Elliott-Golub-Jackson discount equals the plaintext clamp where a
 # full-width ratio would wrap, and both update circuits stay under their
 # AND/depth ceilings.
 run_tests -q -p dstress-circuit --test gadget_costs
 run_tests -q -p dstress-circuit --lib builder::tests
+run_tests -q -p dstress-core --lib noise_circuit::tests
 run_tests -q -p dstress-finance update_circuit_equals_a_native_fixed_point_step
 run_tests -q -p dstress-finance aggregation_reads_only_the_low_bits_of_prorate
 run_tests -q -p dstress-finance discount_is_the_native_clamp_where_the_ratio_would_wrap
@@ -115,8 +119,9 @@ run_tests -q -p dstress-net lanes_deliver_in_order_and_give_back_large_buffers
 run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results
 run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
 
-echo "==> round model: batched rounds scale with depth, not AND-gate count"
+echo "==> round model: batched rounds scale with depth, not AND-gate count; aggregation rounds are the re-share plus each MPC's layers"
 run_tests --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
+run_tests --release -q -p dstress --test end_to_end_pipeline aggregation_rounds_follow_the_layer_model
 
 echo "==> crypto kernels pinned to the naive references; the transfer path, the setup and whole engine runs pinned to constants"
 # Fixed-base tables, comb tables (every lane of the lock-step evaluation),

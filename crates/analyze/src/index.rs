@@ -147,6 +147,9 @@ fn validate_event(ev: &GadgetEvent, num_wires: usize) -> Result<(), String> {
         GadgetKind::Mul | GadgetKind::MulFixed(_) => arity == 2 && widths[0] == out,
         GadgetKind::RatioCapped(f) => arity == 2 && widths[0] == widths[1] && out == f as usize + 1,
         GadgetKind::Sum => arity >= 1 && widths.iter().all(|&w| w == out),
+        GadgetKind::LeadingOnes => {
+            arity == 1 && out == (usize::BITS - widths[0].leading_zeros()).max(1) as usize
+        }
     };
     if ok {
         Ok(())

@@ -268,7 +268,8 @@ impl<'a> Pass<'a> {
             | GadgetKind::ZeroExtend
             | GadgetKind::Truncate
             | GadgetKind::ShrConst(_)
-            | GadgetKind::RatioCapped(_) => self.clamp(i),
+            | GadgetKind::RatioCapped(_)
+            | GadgetKind::LeadingOnes => self.clamp(i),
         }
     }
 
@@ -382,7 +383,8 @@ impl<'a> Pass<'a> {
     }
 
     /// Gadgets whose output is bounded by construction (clamps, width
-    /// changes, right shifts, the capped ratio): stored as computed.
+    /// changes, right shifts, the capped ratio, the leading-ones count):
+    /// stored as computed.
     fn clamp(&mut self, i: usize) {
         let ev = &self.events[i];
         let w_out = ev.output.len() as u32;
@@ -407,6 +409,8 @@ impl<'a> Pass<'a> {
                 self.check_unsigned(i, a);
                 Interval::new(a.lo.max(0) >> k, a.hi.max(0) >> k)
             }
+            // A count of the operand's bits, whatever they hold.
+            GadgetKind::LeadingOnes => Interval::new(0, ev.inputs[0].len() as i128),
             // Min, max and the capped ratio: two unsigned operands.
             _ => {
                 let b = self.operand(i, 1);

@@ -26,6 +26,16 @@
 //! Never regenerate these constants to make a change pass: a mismatch
 //! means the change moved a certified interval, a delta, a finding or the
 //! text of a report.
+//!
+//! **Re-captured once, 2026-10-17, for the noising circuit only.**  It now
+//! counts leading ones with `CircuitBuilder::leading_ones`, one
+//! `LeadingOnes` event per random word, instead of a serial AND chain
+//! feeding 64 traced `add`s.  What moved: the "AND / gates, depth" text of
+//! every `noising` line (958 AND / 5 694 gates / depth 95 → 446 / 1 182 /
+//! 37 at 32 aggregate bits; 926 / 5 470 / 79 → 414 / 958 / 21 for SSSP;
+//! 922 / 5 442 / 77 → 410 / 930 / 19 for PageRank) and the noising
+//! `(events, digest)` entries (138 events → 10).  Every `outputs`,
+//! aggregate, model, assumption and finding line is as it was.
 
 use dstress_analyze::programs::NOISE_RANDOM_BITS;
 use dstress_analyze::relational::DeltaAnalysis;
@@ -339,13 +349,13 @@ fn counter_certificate_is_pinned() {
             outputs [0, 65535] [0, 65535] [0, 65535] [0, 65535] [0, 65535]\n\
             aggregation counter/aggregation: 217 AND / 1362 gates, depth 31 (all 31)\n\
             outputs [0, 524280]\n\
-            noising counter/noising: 958 AND / 5694 gates, depth 95 (all 95)\n\
+            noising counter/noising: 446 AND / 1182 gates, depth 37 (all 37)\n\
             outputs [-64, 524344]\n\
         ",
             ranges: [
                 (9, 0xe1be_0706_ab7a_71b5),
                 (17, 0xc931_e263_83c0_d589),
-                (138, 0xb37c_e032_2d93_a8dd),
+                (10, 0xe168_a4ac_547e_d13d),
             ],
             deltas: None,
         },
@@ -373,13 +383,13 @@ fn degree_histogram_certificate_is_pinned() {
             outputs [0, 65535] [0, 0] [0, 0] [0, 0] [0, 0]\n\
             aggregation degree-histogram/aggregation: 481 AND / 3122 gates, depth 48 (all 48)\n\
             outputs [0, 8]\n\
-            noising degree-histogram/noising: 958 AND / 5694 gates, depth 95 (all 95)\n\
+            noising degree-histogram/noising: 446 AND / 1182 gates, depth 37 (all 37)\n\
             outputs [-64, 72]\n\
         ",
             ranges: [
                 (6, 0x9825_2e29_de6d_1d62),
                 (43, 0x7e60_3a87_7e40_dab4),
-                (138, 0xecd1_5709_a955_d246),
+                (10, 0xd68f_6253_0ab7_4072),
             ],
             deltas: None,
         },
@@ -406,13 +416,13 @@ fn wcc_certificate_is_pinned() {
             outputs [0, 65535] [0, 65535] [0, 65535] [0, 65535] [0, 65535]\n\
             aggregation wcc/aggregation: 337 AND / 1986 gates, depth 35 (all 35)\n\
             outputs [0, 8]\n\
-            noising wcc/noising: 958 AND / 5694 gates, depth 95 (all 95)\n\
+            noising wcc/noising: 446 AND / 1182 gates, depth 37 (all 37)\n\
             outputs [-64, 72]\n\
         ",
             ranges: [
                 (18, 0x1329_da98_96d4_97bc),
                 (33, 0x3612_bb49_ae0f_a63e),
-                (138, 0xecd1_5709_a955_d246),
+                (10, 0xd68f_6253_0ab7_4072),
             ],
             deltas: None,
         },
@@ -440,13 +450,13 @@ fn sssp_certificate_is_pinned() {
             outputs [0, 7] [0, 8] [0, 8] [0, 8] [0, 8]\n\
             aggregation sssp/aggregation: 0 AND / 128 gates, depth 0 (all 0)\n\
             outputs [0, 7]\n\
-            noising sssp/noising: 926 AND / 5470 gates, depth 79 (all 79)\n\
+            noising sssp/noising: 414 AND / 958 gates, depth 21 (all 21)\n\
             outputs [-64, 71]\n\
         ",
             ranges: [
                 (24, 0x2267_846a_616b_b904),
                 (8, 0x182f_dd10_0c35_4ee5),
-                (138, 0x37cb_f7a4_6d64_102b),
+                (10, 0x13f0_55fd_92fd_421b),
             ],
             deltas: None,
         },
@@ -475,13 +485,13 @@ fn pagerank_certificate_is_pinned() {
             outputs [96, 356] [0, 1024] [0, 356] [0, 356] [0, 356] [0, 356]\n\
             aggregation pagerank/aggregation: 0 AND / 224 gates, depth 0 (all 0)\n\
             outputs [0, 356]\n\
-            noising pagerank/noising: 922 AND / 5442 gates, depth 77 (all 77)\n\
+            noising pagerank/noising: 410 AND / 930 gates, depth 19 (all 19)\n\
             outputs [-64, 420]\n\
         ",
             ranges: [
                 (11, 0xed5a_f369_70ba_f1f7),
                 (16, 0xb6de_a136_c65d_3d39),
-                (138, 0x68d3_6c19_6787_241d),
+                (10, 0x785a_dabb_fa9a_4d69),
             ],
             deltas: Some((11, 0xbcc9_3ce8_bde0_1d2d)),
         },
@@ -511,13 +521,13 @@ fn eisenberg_noe_certificate_is_pinned() {
             outputs [0, 874] [0, 3815] [0, 32] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519] [0, 519]\n\
             aggregation eisenberg-noe/aggregation: 2520 AND / 12098 gates, depth 37 (all 37)\n\
             outputs [0, 45780]\n\
-            noising eisenberg-noe/noising: 958 AND / 5694 gates, depth 95 (all 95)\n\
+            noising eisenberg-noe/noising: 446 AND / 1182 gates, depth 37 (all 37)\n\
             outputs [-64, 45844]\n\
         ",
             ranges: [
                 (55, 0x1ba4_84a6_94d9_5f4f),
                 (290, 0x3b19_64db_cca2_b728),
-                (138, 0xb810_8b90_9b70_9664),
+                (10, 0x7b76_af4a_d460_4f98),
             ],
             deltas: None,
         },
@@ -547,13 +557,13 @@ fn elliott_golub_jackson_certificate_is_pinned() {
             outputs [0, 874] [0, 3612] [0, 2674] [0, 3251] [0, 722] [0, 2] [0, 2] [0, 2] [0, 2] [0, 2] [0, 2] [0, 2] [0, 2] [0, 3612] [0, 3612] [0, 3612] [0, 3612] [0, 3612] [0, 3612] [0, 3612] [0, 3612] [0, 32] [0, 32] [0, 32] [0, 32] [0, 32] [0, 32] [0, 32] [0, 32]\n\
             aggregation elliott-golub-jackson/aggregation: 936 AND / 9048 gates, depth 48 (all 48)\n\
             outputs [0, 39012]\n\
-            noising elliott-golub-jackson/noising: 958 AND / 5694 gates, depth 95 (all 95)\n\
+            noising elliott-golub-jackson/noising: 446 AND / 1182 gates, depth 37 (all 37)\n\
             outputs [-64, 39076]\n\
         ",
             ranges: [
                 (72, 0x7872_4e0d_96f8_8850),
                 (314, 0x5825_7d49_3fc6_1c49),
-                (138, 0x4d3a_990c_c6a0_f9f8),
+                (10, 0x735d_b071_53cc_2a60),
             ],
             deltas: None,
         },
@@ -582,11 +592,11 @@ fn standalone_noising_certificate_is_pinned() {
     assert_eq!(
         rendered,
         "\
-        circuit noising[32]: 958 AND / 5694 gates, depth 95 (all 95)\n\
+        circuit noising[32]: 446 AND / 1182 gates, depth 37 (all 37)\n\
         outputs [-64, 1048640]\n\
         "
     );
     let cfg = range_config(&noising, &spec, None);
     let (_, digest) = range_digest(&noising, &cfg, &spec.output_words, &report);
-    assert_eq!(digest, (138, 0xf99f_3823_1a4d_be28));
+    assert_eq!(digest, (10, 0x0a84_1a81_1001_b4b8));
 }

@@ -11,12 +11,13 @@
 //!
 //! Gate-cost notes (an AND gate is GMW's OT, AND depth its round count):
 //! ripple-carry addition, comparison and multiplexers cost 1 AND/bit, an
-//! equality test W − 1 AND at depth ⌈log₂ W⌉, schoolbook multiplication
-//! ~2·W AND per multiplier bit for the full product and half that for the
-//! low word (only the columns returned are built), the capped ratio
-//! W AND for its compare and ~2·W per fractional bit.  No
-//! gadget emits an AND gate that nothing reads or that meets a constant of
-//! its own making; `tests/gadget_costs.rs` holds the table.
+//! equality test W − 1 AND at depth ⌈log₂ W⌉, a leading-ones count
+//! (W/2)·log₂ W AND at depth ⌈log₂ W⌉, schoolbook multiplication ~2·W AND
+//! per multiplier bit for the full product and half that for the low word
+//! (only the columns returned are built), the capped ratio W AND for its
+//! compare and ~2·W per fractional bit.  No gadget emits an AND gate that
+//! nothing reads or that meets a constant of its own making;
+//! `tests/gadget_costs.rs` holds the table.
 
 use crate::gadgets::{GadgetEvent, GadgetKind};
 use crate::ir::{Circuit, CircuitError, Gate, WireId};
@@ -288,6 +289,47 @@ impl CircuitBuilder {
         let all_equal = level.pop().unwrap_or_else(|| self.const_bit(true));
         self.record_gadget(GadgetKind::EqWord, &[a, b], &[all_equal]);
         all_equal
+    }
+
+    /// The number of leading ones of `a` counted from its least
+    /// significant bit, `(!a).trailing_zeros().min(n)` for an `n`-bit
+    /// word, as a `⌊log₂ n⌋ + 1`-bit word (one bit for an empty word).
+    ///
+    /// A Sklansky parallel-prefix AND scan builds the thermometer code
+    /// `t_i = a_0 ∧ … ∧ a_i` in ⌈log₂ n⌉ AND layers ((n/2)·log₂ n AND
+    /// gates at a power of two).  Its popcount is the count `c`, and a
+    /// thermometer's popcount needs no AND gate: `t_i` is set exactly for
+    /// `i < c`, so bit k of `c`, the parity of ⌊c / 2^k⌋, is the XOR of
+    /// `t_i` over every `i ≡ 2^k − 1 (mod 2^k)`.
+    pub fn leading_ones(&mut self, a: &Word) -> Word {
+        self.enter_gadget();
+        let n = a.len();
+        let mut prefix = a.clone();
+        let mut half = 1;
+        while half < n {
+            // In each block of 2·half, the upper half takes in the lower
+            // half's last prefix.
+            for block in prefix.chunks_mut(2 * half).filter(|b| b.len() > half) {
+                let (lower, upper) = block.split_at_mut(half);
+                for t in upper {
+                    *t = self.and(lower[half - 1], *t);
+                }
+            }
+            half *= 2;
+        }
+        let width = (usize::BITS - n.leading_zeros()).max(1) as usize;
+        let out: Word = (0..width)
+            .map(|k| {
+                let step = 1 << k;
+                let mut taps = prefix.iter().skip(step - 1).step_by(step).copied();
+                match taps.next() {
+                    Some(first) => taps.fold(first, |acc, t| self.xor(acc, t)),
+                    None => self.const_bit(false),
+                }
+            })
+            .collect();
+        self.record_gadget(GadgetKind::LeadingOnes, &[a], &out);
+        out
     }
 
     /// Returns `max(a, 0)` for a signed word: clamps negative values to

@@ -82,6 +82,10 @@ pub enum GadgetKind {
     RatioCapped(u32),
     /// Wrapping sum of a list of equal-width words.
     Sum,
+    /// The number of leading ones of a word counted from its least
+    /// significant bit, `⌊log₂ n⌋ + 1` bits wide for an `n`-bit input
+    /// (one bit for an empty one).
+    LeadingOnes,
 }
 
 /// One recorded top-level gadget: its kind, input words and output word.

@@ -10,8 +10,9 @@
 //! * **a truth table** — every gadget equals native integer arithmetic,
 //!   exhaustively at widths 1–4 (every operand pair, every `frac_bits`
 //!   in `0..=width`, divisor zero included) and by proptest at 5–16.
-//!   Native arithmetic is the oracle; no earlier gadget body is kept as
-//!   one;
+//!   The one-operand `leading_ones` is also checked on every word of
+//!   widths 1–12 and by proptest at 13–16 and 64.  Native arithmetic is
+//!   the oracle; no earlier gadget body is kept as one;
 //! * **no waste** — GMW evaluates every gate in the list
 //!   (`layers.rs`), so an AND gate no output reads, or one whose operand
 //!   constants alone determine, is an OT bought for nothing.  Gadgets on
@@ -28,12 +29,18 @@ use dstress_math::rng::Xoshiro256;
 use proptest::prelude::*;
 
 fn mask(width: u32) -> u64 {
-    (1u64 << width) - 1
+    u64::MAX >> (64 - width)
 }
 
 /// `value` read as a two's-complement `width`-bit number.
 fn signed(value: u64, width: u32) -> i64 {
     ((value << (64 - width)) as i64) >> (64 - width)
+}
+
+/// The leading ones of a `width`-bit `a`, counted from its least
+/// significant bit.
+fn leading_ones(a: u64, width: u32) -> u64 {
+    u64::from((!a).trailing_zeros().min(width))
 }
 
 /// One gadget: how the builder is asked for it (single-bit results as
@@ -142,6 +149,15 @@ const GADGETS: &[Gadget] = &[
             0 => 1 << f,
             _ => ((a << f) / b).min(1 << f),
         },
+    },
+    // A Sklansky prefix scan, (W/2)·log₂ W AND at depth log₂ W, and an
+    // AND-free thermometer-to-binary conversion.
+    Gadget {
+        name: "leading_ones",
+        cost: [(12, 3), (32, 4)],
+        fixed_point: false,
+        build: |c, a, _, _| c.leading_ones(a),
+        native: |a, _, w, _| leading_ones(a, w),
     },
     // Eight words: the chain of ripple adders pipelines — bit `i` of every
     // adder settles at layer `i` — so the depth is one adder's.
@@ -272,6 +288,34 @@ fn gadgets_waste_no_and_gate() {
     }
 }
 
+/// `leading_ones` alone on one `width`-bit input word.
+fn leading_ones_circuit(width: u32) -> Circuit {
+    let mut c = CircuitBuilder::new();
+    let a = c.input_word(width);
+    let out = c.leading_ones(&a);
+    c.output_word(&out);
+    c.build().unwrap()
+}
+
+fn run_leading_ones(circuit: &Circuit, a: u64, width: u32) -> u64 {
+    decode_word(&evaluate(circuit, &encode_word(a, width)).unwrap())
+}
+
+#[test]
+fn leading_ones_equals_native_exhaustively_at_widths_1_to_12() {
+    for width in 1..=12u32 {
+        let circuit = leading_ones_circuit(width);
+        assert_eq!(circuit.outputs().len(), width.ilog2() as usize + 1);
+        for a in 0..=mask(width) {
+            assert_eq!(
+                run_leading_ones(&circuit, a, width),
+                leading_ones(a, width),
+                "leading_ones({a:#b}) at width {width}"
+            );
+        }
+    }
+}
+
 #[test]
 fn finance_update_circuits_waste_under_one_percent() {
     let net = core_periphery(&GeneratorConfig::small(20, 5), &mut Xoshiro256::new(7));
@@ -332,6 +376,30 @@ proptest! {
                     "{}({}, {}) at width {}, frac_bits {}", g.name, x, y, width, frac_bits
                 );
             }
+        }
+    }
+
+    /// Widths 13–16 and 64 (drawn as 17).  A long run of ones is a rare
+    /// draw, so every draw is also tried as a run of `run` ones alone and
+    /// with its random bits above the run's closing zero.
+    #[test]
+    fn leading_ones_equals_native_at_widths_13_to_16_and_64(
+        pick in 13u32..=17,
+        a in any::<u64>(),
+        run in 0u32..=64,
+    ) {
+        let width = if pick == 17 { 64 } else { pick };
+        let circuit = leading_ones_circuit(width);
+        let run = run.min(width);
+        let ones = u64::MAX.checked_shr(64 - run).unwrap_or(0);
+        let above = a.checked_shl(run + 1).unwrap_or(0);
+        for x in [a, ones, ones | above] {
+            let x = x & mask(width);
+            prop_assert_eq!(
+                run_leading_ones(&circuit, x, width),
+                leading_ones(x, width),
+                "leading_ones({:#b}) at width {}", x, width
+            );
         }
     }
 }

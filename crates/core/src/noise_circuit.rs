@@ -14,9 +14,14 @@
 //! samples at a configurable resolution, scaling the result, and adding it
 //! to the aggregate.  The statistical fine-structure differs slightly from
 //! Dwork et al.'s original construction (documented in `DESIGN.md`), but
-//! the circuit size, depth and input layout — which is what the cost
-//! reproduction needs — have the same shape: linear in the number of
-//! random input bits and in the output width.
+//! the input layout is the same.  Its cost is that of the builder gadgets
+//! it is made of: for `R` random bits per word and an `A`-bit aggregate,
+//! two parallel-prefix leading-ones counts
+//! ([`CircuitBuilder::leading_ones`], (R/2)·log₂ R AND gates at depth
+//! ⌈log₂ R⌉ each, side by side) feed one subtraction and one addition of
+//! `A − 1` AND gates each, which pipeline.  So the circuit has
+//! R·log₂ R + 2·(A − 1) AND gates at depth ⌈log₂ R⌉ + A − 1: 446 AND at
+//! depth 37 for `A = 32`, `R = 64`.
 
 use dstress_circuit::builder::CircuitBuilder;
 use dstress_circuit::Circuit;
@@ -37,30 +42,9 @@ pub fn noising_circuit(aggregate_bits: u32, random_bits: u32, scale_shift: u32) 
     let r1 = b.input_word(random_bits);
     let r2 = b.input_word(random_bits);
 
-    // Count the leading ones of a random word as a geometric sample:
-    // count = sum over positions of (all bits up to this position are 1).
-    let count_leading_ones = |b: &mut CircuitBuilder, word: &[usize]| -> Vec<usize> {
-        let mut prefix = b.const_bit(true);
-        let mut indicators = Vec::with_capacity(word.len());
-        for &bit in word {
-            prefix = b.and(prefix, bit);
-            indicators.push(prefix);
-        }
-        // Sum the indicator bits into a word wide enough to hold the count.
-        let count_width = (usize::BITS - word.len().leading_zeros()).max(1);
-        let mut acc = b.const_word(0, count_width);
-        for ind in indicators {
-            let mut ind_word = vec![ind];
-            while ind_word.len() < count_width as usize {
-                ind_word.push(b.const_bit(false));
-            }
-            acc = b.add(&acc, &ind_word);
-        }
-        acc
-    };
-
-    let g1 = count_leading_ones(&mut b, &r1);
-    let g2 = count_leading_ones(&mut b, &r2);
+    // Each run length of leading ones is a geometric sample.
+    let g1 = b.leading_ones(&r1);
+    let g2 = b.leading_ones(&r2);
 
     // Sign-extend the difference into the aggregate width, scale and add.
     let g1_wide = b.zero_extend(&g1, aggregate_bits);
@@ -115,6 +99,62 @@ mod tests {
         assert_eq!(decode_word_signed(&out), -3);
     }
 
+    /// The circuit's function in native arithmetic:
+    /// `(a + ((lo(r1) − lo(r2)) << s)) mod 2^A`, `lo` the leading-ones
+    /// count from the least significant bit.
+    fn native(aggregate: u64, r1: u64, r2: u64, agg_bits: u32, rand_bits: u32, shift: u32) -> u64 {
+        let lo = |r: u64| i128::from((!r).trailing_zeros().min(rand_bits));
+        let noised = i128::from(aggregate) + ((lo(r1) - lo(r2)) << shift);
+        (noised.rem_euclid(1i128 << agg_bits)) as u64
+    }
+
+    #[test]
+    fn equals_native_exhaustively_at_small_widths() {
+        for agg_bits in 1..=6u32 {
+            // The count must fit the aggregate width.
+            let rand_widths = (0..=4u32).filter(|&r| 32 - r.leading_zeros() <= agg_bits.max(1));
+            for rand_bits in rand_widths {
+                for shift in [0, 3] {
+                    let c = noising_circuit(agg_bits, rand_bits, shift);
+                    for a in 0..1u64 << agg_bits {
+                        for r1 in 0..1u64 << rand_bits {
+                            for r2 in 0..1u64 << rand_bits {
+                                let mut inputs = encode_word(a, agg_bits);
+                                inputs.extend(encode_word(r1, rand_bits));
+                                inputs.extend(encode_word(r2, rand_bits));
+                                assert_eq!(
+                                    decode_word(&evaluate(&c, &inputs).unwrap()),
+                                    native(a, r1, r2, agg_bits, rand_bits, shift),
+                                    "a {a}, r1 {r1:#b}, r2 {r2:#b} at A {agg_bits}, \
+                                     R {rand_bits}, shift {shift}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equals_native_on_every_run_length_of_64_random_bits() {
+        let run_of = |j: u32| u64::MAX.checked_shr(64 - j).unwrap_or(0);
+        for shift in [0, 3] {
+            for j in 0..=64 {
+                for k in [0, 1, 7, 63, 64, j] {
+                    let (r1, r2) = (run_of(j), run_of(k));
+                    for a in [0, 1000, (1 << 32) - 1] {
+                        assert_eq!(
+                            run(a, r1, r2, 32, 64, shift),
+                            native(a, r1, r2, 32, 64, shift),
+                            "a {a}, runs {j} and {k}, shift {shift}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn circuit_size_scales_with_random_bits() {
         let small = CircuitStats::of(&noising_circuit(32, 16, 0));
@@ -123,5 +163,15 @@ mod tests {
         assert!(small.and_gates > 0);
         assert_eq!(small.outputs, 32);
         assert_eq!(small.inputs, 32 + 2 * 16);
+    }
+
+    #[test]
+    fn costs_two_parallel_prefix_counts_and_two_adders() {
+        for (agg_bits, and_gates, depth) in [(16, 414, 21), (24, 430, 29), (32, 446, 37)] {
+            let stats = CircuitStats::of(&noising_circuit(agg_bits, 64, 0));
+            assert_eq!((stats.and_gates, stats.and_depth), (and_gates, depth));
+            assert_eq!(stats.outputs, agg_bits as usize);
+            assert_eq!(stats.inputs, agg_bits as usize + 2 * 64);
+        }
     }
 }

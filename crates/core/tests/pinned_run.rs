@@ -77,6 +77,23 @@
 //! surviving entries of every `counts` row, both resident peaks, every
 //! `round`, `FINGERPRINT`, every `rng_state`, every segment digest.  Run (c)
 //! still reproduces run (b).
+//!
+//! **Re-captured a fourth time, 2026-10-17, for a named field set.**  The
+//! noising circuit counts leading ones with a parallel-prefix gadget
+//! (`CircuitBuilder::leading_ones`) instead of a serial AND chain feeding
+//! 64 ripple-carry adds: same inputs, same function, fewer AND gates and
+//! fewer AND layers.  So the noising MPC's per-gate counts moved and
+//! nothing else.  The moved fields: in each `PinnedRun`, entries 4–8
+//! (`extended_ots`, `and_gates`, `free_gates`, `wire_bytes`, `rounds`) of
+//! `counts[3]` (aggregation), and `traffic_digest`.  Aggregation rounds
+//! fell 191 → 75 in both runs (the noising circuit's 95 AND layers became
+//! 37, two rounds a layer), aggregation AND gates 1 001 → 489 in (a) and
+//! 1 631 → 1 119 in (b) (the 958 → 446 of the counter's noising circuit).
+//! Checked field by field not to have moved: `noised_bits`, `ideal_bits`,
+//! all of `counts[0]`, `counts[1]` and `counts[2]`, entries 0–3 of
+//! `counts[3]`, both resident peaks, and every `PinnedCheckpoint` field
+//! (checkpoints are written before aggregation).  Run (c) still reproduces
+//! run (b).
 
 use dstress_core::store::{digest64, load_latest_checkpoint, packed_bytes};
 use dstress_core::{
@@ -292,9 +309,9 @@ fn pinned_real_crypto() -> PinnedRun {
             [0x960, 0x0, 0x0, 0x320, 0x0, 0x0, 0x0, 0x19090, 0x2],
             [0x0, 0x0, 0x0, 0x0, 0x46e, 0x17a, 0x654, 0x40f8, 0x2d],
             [0x5dc, 0x474, 0xbb8, 0x0, 0x0, 0x0, 0x0, 0x729c, 0x6],
-            [0x0, 0x0, 0x0, 0x0, 0xbbb, 0x3e9, 0xec2, 0x90b1, 0xbf],
+            [0x0, 0x0, 0x0, 0x0, 0x5bb, 0x1e9, 0x2b2, 0x45db, 0x4b],
         ],
-        traffic_digest: 0x2ff07110151158c2,
+        traffic_digest: 0x247fb06ffc5dc50d,
         store_resident_peak_bytes: 0x270,
     }
 }
@@ -307,9 +324,9 @@ fn pinned_streamed() -> PinnedRun {
             [0x8430, 0x0, 0x0, 0x2c10, 0x0, 0x0, 0x0, 0x160dee, 0x2],
             [0x0, 0x0, 0x0, 0x0, 0x2f40, 0xfc0, 0x4380, 0x2b500, 0x3c],
             [0x4c77, 0x3a1d, 0x98ee, 0x0, 0x0, 0x0, 0x0, 0x5d7a7, 0x9],
-            [0x0, 0x0, 0x0, 0x0, 0x131d, 0x65f, 0x18ee, 0xe925, 0xbf],
+            [0x0, 0x0, 0x0, 0x0, 0xd1d, 0x45f, 0xcde, 0x9e4f, 0x4b],
         ],
-        traffic_digest: 0x6ca404d0ae4ce237,
+        traffic_digest: 0x5a71139676aa88bb,
         store_resident_peak_bytes: 0x2a8,
     }
 }

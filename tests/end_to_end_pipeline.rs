@@ -6,7 +6,10 @@
 //! aggregation and noising — and compare the result against the plaintext
 //! reference implementations of the same programs.
 
-use dstress::core::{execute_plaintext, CounterProgram, DStressConfig, DStressRuntime};
+use dstress::core::noise_circuit::noising_circuit;
+use dstress::core::{
+    execute_plaintext, CounterProgram, DStressConfig, DStressRuntime, SecureVertexProgram,
+};
 use dstress::finance::contagion::recommended_iterations;
 use dstress::finance::generator::{apply_shock, core_periphery};
 use dstress::finance::{
@@ -115,6 +118,46 @@ fn elliott_golub_jackson_pipeline_matches_reference() {
         run.ideal_output,
         reference.aggregate
     );
+}
+
+/// The aggregation phase's round model: one round for the re-share into
+/// the aggregation block, then, for each of its two MPCs (the
+/// aggregation circuit and the engine's `noising_circuit(aggregate_bits,
+/// 64, 0)`), two rounds per AND layer and one output round.  A change to
+/// either circuit moves this count by exactly its layers.
+#[test]
+fn aggregation_rounds_follow_the_layer_model() {
+    fn check<P: SecureVertexProgram>(what: &str, graph: &dstress::graph::Graph, program: &P) {
+        let run = DStressRuntime::new(DStressConfig::benchmark(2))
+            .execute(graph, program)
+            .expect("engine run succeeds");
+        let mpcs = [
+            program.aggregation_circuit(graph.vertex_count()),
+            noising_circuit(program.aggregate_bits(), 64, 0),
+        ];
+        let per_mpc = mpcs.iter().map(|c| 2 * c.layers().rounds() as u64 + 1);
+        assert_eq!(
+            run.phases.aggregation.counts.rounds,
+            1 + per_mpc.sum::<u64>(),
+            "{what}"
+        );
+    }
+
+    let graph = ring_with_chords(6, 1, 4, &mut Xoshiro256::new(9));
+    for width in [8, 12] {
+        let counter = CounterProgram { width, rounds: 2 };
+        check(&format!("counter, width {width}"), &graph, &counter);
+    }
+
+    let mut network = core_periphery(&GeneratorConfig::small(10, 6), &mut Xoshiro256::new(42));
+    apply_shock(&mut network, &[VertexId(0), VertexId(1)], 0.95);
+    let en = EisenbergNoeSecure {
+        network: &network,
+        params: CircuitParams::default_params(),
+        iterations: 2,
+        leverage_bound: 0.1,
+    };
+    check("eisenberg-noe", network.graph(), &en);
 }
 
 /// Determinism: identical configuration and seed produce identical runs,

@@ -222,14 +222,12 @@ echo "==> memory shape: budgeted run past the 10,000-vertex RAM wall, streaming 
 # sub-linear in edges and below the materialised schedule.
 run_tests --release -q -p dstress --test streaming_memory -- --ignored
 
-echo "==> DP edge cases: integer budget ledger, geometric clamp, PSA aggregation"
+echo "==> DP edge cases: integer budget ledger, geometric clamp"
 # The micro-ε budget accounting (max_queries == successful charges at FP
-# boundaries, million-charge drift-free totals, typed errors), the
-# for_epsilon underflow clamp, and the PSA encrypt/aggregate/decrypt
-# round-trip with mask cancellation.
+# boundaries and after prior charges, million-charge drift-free totals,
+# typed errors) and the for_epsilon underflow clamp.
 run_tests -q -p dstress-dp budget::
 run_tests -q -p dstress-dp geometric::
-run_tests -q -p dstress-dp psa::
 
 echo "==> analytics suite: plaintext references, circuit programs, engine releases"
 # The four scenario programs (degree histogram, WCC, SSSP, PageRank):
@@ -238,12 +236,11 @@ echo "==> analytics suite: plaintext references, circuit programs, engine releas
 run_tests -q -p dstress-graph analytics::
 run_tests --release -q -p dstress-core analytics::
 
-echo "==> recurring releases: ε composition, exhaustion, full-MPC/PSA cadence"
+echo "==> recurring releases and scenario rows: ε composition, exhaustion, release bounds"
 run_tests --release -q -p dstress-core schedule::
-run_tests --release -q -p dstress-finance monitor::
 run_tests --release -q -p dstress-bench --lib scenarios::
 
-echo "==> repro -- scenarios smoke (per-program releases + recurring A/B)"
+echo "==> repro -- scenarios smoke (per-program releases)"
 cargo run --release -q -p dstress-bench --bin repro -- scenarios --threads 2 > /dev/null
 
 echo "==> kill-and-resume e2e (master halted between rounds, restarted from checkpoint)"

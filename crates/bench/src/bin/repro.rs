@@ -21,7 +21,7 @@
 //! | `fig5` (`fig5-time`, `fig5-traffic`) | Figure 5: end-to-end phase breakdown and traffic |
 //! | `fig6` | Figure 6: the projection at scale, headline and validation run |
 //! | `rounds` | rounds per pair, layer-batched vs per-gate GMW (the A/B `DESIGN.md` cites) |
-//! | `scenarios` | DP graph-analytics suite through the engine, each release asserted inside its analytic bound; K full-MPC vs K PSA releases on one budget |
+//! | `scenarios` | DP graph-analytics suite through the engine, each release asserted inside its analytic bound |
 //! | `analyze` | `dstress-analyze` over every shipped program and circuit; exits non-zero on any finding (`ci.sh`'s certification gate) |
 //! | `naive-baseline` | §5.5 monolithic-MPC baseline vs DStress |
 //! | `utility` | §4.5 dollar-DP utility table |
@@ -53,7 +53,7 @@ use dstress_bench::policy::{edge_privacy_summary, utility_table};
 use dstress_bench::scalability::{
     fig6_node_counts, fig6_sweep, headline_projection, validation_point,
 };
-use dstress_bench::scenarios::{recurring_comparison, scenario_rows};
+use dstress_bench::scenarios::scenario_rows;
 use dstress_bench::transfer_micro::{
     block_size_sweep_with_threads as transfer_sweep, variant_sweep as transfer_variants,
 };
@@ -361,23 +361,6 @@ fn scenarios(opts: &Options) {
     }
     println!(
         "(every release must land inside quantisation + Laplace tail at delta = 1e-9; asserted)"
-    );
-
-    let cmp = recurring_comparison(opts.full);
-    println!(
-        "Recurring releases ({} per arm, eps {} each, one shared budget):",
-        cmp.releases_per_arm, cmp.epsilon_per_release
-    );
-    println!(
-        "  full MPC {} per release, PSA {} per release  =>  PSA {:.0}x cheaper; eps spent {:.2}",
-        format_seconds(cmp.full_seconds_per_release),
-        format_seconds(cmp.psa_seconds_per_release),
-        cmp.speedup(),
-        cmp.epsilon_spent,
-    );
-    assert!(
-        cmp.speedup() > 1.0,
-        "PSA releases must be cheaper per release than full MPC"
     );
 }
 

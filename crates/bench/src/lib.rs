@@ -19,7 +19,7 @@
 //! | [`naive_baseline`] | §5.5 monolithic-MPC comparison |
 //! | [`policy`] | §4.5 utility analysis and Appendix B edge privacy |
 //! | [`contagion_study`] | Appendix C contagion scenarios |
-//! | [`scenarios`] | DP graph-analytics suite + recurring full-MPC-vs-PSA releases (`repro -- scenarios`) |
+//! | [`scenarios`] | DP graph-analytics suite (`repro -- scenarios`) |
 //! | [`analyze_suite`] | static certification of every shipped program (`repro -- analyze`) |
 //!
 //! This crate reproduces figures; it does not measure the engine.  Time,

@@ -8,23 +8,14 @@
 //! the released value against its plaintext reference within the analytic
 //! error bound (fixed-point quantisation plus the Laplace tail at
 //! δ = 10⁻⁹).
-//!
-//! It also measures the recurring-release cadence: the same statistic
-//! published K times through the full MPC pipeline versus K times through
-//! the PSA path (geometric-noised encrypted aggregation, no MPC), both
-//! charging one shared [`BudgetAccountant`] — the A/B behind the claim
-//! that interim PSA releases are measurably cheaper per release.
 
 use std::time::Instant;
 
 use dstress_core::{
-    DStressConfig, DStressRuntime, DegreeHistogramProgram, PageRankProgram, ReleaseSchedule,
-    SecureVertexProgram, SsspProgram, WccProgram,
+    DStressConfig, DStressRuntime, DegreeHistogramProgram, PageRankProgram, SecureVertexProgram,
+    SsspProgram, WccProgram,
 };
-use dstress_crypto::group::Group;
-use dstress_dp::{BudgetAccountant, PsaSystem};
 use dstress_graph::{execute_reference, Graph, PageRankRef, SsspHops, VertexId, WccLabels};
-use dstress_math::rng::Xoshiro256;
 use dstress_net::cost::OperationCounts;
 
 /// The Laplace tail bound used for the per-row error budget:
@@ -186,104 +177,6 @@ pub fn scenario_rows(full: bool) -> Vec<ScenarioRow> {
     ]
 }
 
-/// The recurring-release A/B: K full-MPC releases vs K PSA releases of
-/// the same statistic on one shared budget.
-pub struct RecurringComparison {
-    /// Releases per arm (K).
-    pub releases_per_arm: usize,
-    /// ε charged per release, both arms.
-    pub epsilon_per_release: f64,
-    /// Mean wall seconds per full-MPC release.
-    pub full_seconds_per_release: f64,
-    /// Mean wall seconds per PSA release (encrypt all participants,
-    /// aggregate, decrypt).
-    pub psa_seconds_per_release: f64,
-    /// Exact (noise-free) value of the released statistic.
-    pub reference: f64,
-    /// Mean of the K full-MPC released values.
-    pub full_mean_value: f64,
-    /// Mean of the K PSA released values.
-    pub psa_mean_value: f64,
-    /// Total ε the shared accountant charged across both arms.
-    pub epsilon_spent: f64,
-}
-
-impl RecurringComparison {
-    /// Full-MPC seconds per release over PSA seconds per release.
-    pub fn speedup(&self) -> f64 {
-        self.full_seconds_per_release / self.psa_seconds_per_release
-    }
-}
-
-/// Publishes the in-bin degree count `K` times through the full MPC
-/// pipeline and `K` times through the PSA path, charging one shared
-/// accountant sized for exactly `2K` releases.
-pub fn recurring_comparison(full: bool) -> RecurringComparison {
-    let (g, _) = scenario_graph(full);
-    let config = scenario_config();
-    let releases = if full { 6 } else { 3 };
-    let epsilon_per_release = 0.1;
-    let budget = 2.0 * releases as f64 * epsilon_per_release;
-    let mut schedule = ReleaseSchedule::new(BudgetAccountant::new(budget), epsilon_per_release);
-
-    let program = DegreeHistogramProgram {
-        width: 8,
-        lo: 2,
-        hi: 2,
-    };
-    let flags: Vec<u64> = g
-        .vertices()
-        .map(|v| {
-            let d = g.out_degree(v) as u64;
-            u64::from((2..=2).contains(&d))
-        })
-        .collect();
-    let reference = flags.iter().sum::<u64>() as f64;
-
-    let mut rng = Xoshiro256::new(0x5CE7A210);
-    let psa = PsaSystem::setup(
-        Group::new(config.group),
-        g.vertex_count(),
-        epsilon_per_release,
-        1.0,
-        1,
-        &mut rng,
-    );
-
-    let mut full_seconds = 0.0;
-    let mut full_sum = 0.0;
-    for k in 0..releases {
-        let start = Instant::now();
-        let value = schedule
-            .release_full(&config, &g, &program, &format!("degree bin full #{k}"))
-            .expect("the budget covers all full releases");
-        full_seconds += start.elapsed().as_secs_f64();
-        full_sum += value;
-    }
-
-    let mut psa_seconds = 0.0;
-    let mut psa_sum = 0.0;
-    for k in 0..releases {
-        let start = Instant::now();
-        let value = schedule
-            .release_psa(&psa, &flags, &format!("degree bin psa #{k}"), &mut rng)
-            .expect("the budget covers all PSA releases");
-        psa_seconds += start.elapsed().as_secs_f64();
-        psa_sum += value;
-    }
-
-    RecurringComparison {
-        releases_per_arm: releases,
-        epsilon_per_release,
-        full_seconds_per_release: full_seconds / releases as f64,
-        psa_seconds_per_release: psa_seconds / releases as f64,
-        reference,
-        full_mean_value: full_sum / releases as f64,
-        psa_mean_value: psa_sum / releases as f64,
-        epsilon_spent: schedule.accountant().spent(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,22 +201,5 @@ mod tests {
         assert_eq!(rows[0].reference, 5.0);
         assert_eq!(rows[1].reference, 2.0);
         assert_eq!(rows[2].reference, 3.0);
-    }
-
-    #[test]
-    fn psa_releases_are_cheaper_and_compose_on_one_budget() {
-        let cmp = recurring_comparison(false);
-        assert!(
-            cmp.speedup() > 1.0,
-            "PSA must be cheaper per release: full {}s vs psa {}s",
-            cmp.full_seconds_per_release,
-            cmp.psa_seconds_per_release
-        );
-        let expected = 2.0 * cmp.releases_per_arm as f64 * cmp.epsilon_per_release;
-        assert!((cmp.epsilon_spent - expected).abs() < 1e-9);
-        // Both arms release the same statistic; at ε = 0.1 per release the
-        // per-arm means stay within the (loose) Laplace/geometric spread.
-        assert!((cmp.full_mean_value - cmp.reference).abs() < 80.0);
-        assert!((cmp.psa_mean_value - cmp.reference).abs() < 80.0);
     }
 }

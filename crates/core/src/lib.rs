@@ -17,8 +17,7 @@
 //! * [`config`] — runtime configuration (collusion bound, message width,
 //!   privacy parameters, execution mode).
 //! * [`schedule`] — recurring releases: a budget accountant gating the
-//!   full-MPC and PSA release pipelines with ε composition across
-//!   releases.
+//!   full-MPC release pipeline with ε composition across releases.
 //! * [`program`] — the [`program::SecureVertexProgram`] trait: the
 //!   circuit-level description of a vertex program (initial-state
 //!   encoding, update circuit, aggregation circuit, sensitivity).
@@ -74,5 +73,5 @@ pub use exec::{
 };
 pub use program::{execute_plaintext, CounterProgram, SecureVertexProgram};
 pub use projection::{ProjectionInputs, ProjectionResult, ScalabilityModel};
-pub use schedule::{ReleaseMode, ReleaseRecord, ReleaseSchedule, ScheduleError};
+pub use schedule::{ReleaseRecord, ReleaseSchedule, ScheduleError};
 pub use store::{MemStore, RunDirGuard, SpillStore, StateStore, StoreError, SEGMENT_ROWS};

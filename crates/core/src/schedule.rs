@@ -1,23 +1,17 @@
 //! Recurring releases with budget composition.
 //!
 //! A one-shot DStress run answers a single query under a single ε.  Real
-//! deployments *recur*: the systemic-risk monitor published monthly, a
+//! deployments *recur*: the systemic-risk figure published monthly, a
 //! degree histogram released bin by bin, a metric refreshed every round.
 //! Sequential composition makes the privacy cost additive — `K` releases
 //! at ε_round spend `K · ε_round` — so every release must clear a shared
 //! [`BudgetAccountant`] before it runs.
 //!
-//! [`ReleaseSchedule`] is that gate.  It offers two release paths:
-//!
-//! * [`ReleaseSchedule::release_full`] — the full MPC pipeline (blocks,
-//!   GMW, transfer protocol, Laplace release) via [`DStressRuntime`],
-//!   rerun with the schedule's per-release ε and a per-release seed.
-//! * [`ReleaseSchedule::release_psa`] — the private-stream-aggregation
-//!   path ([`PsaSystem`]): one ciphertext per participant per round with
-//!   geometric noise folded in, no MPC at all.  Orders of magnitude
-//!   cheaper per release (`repro -- scenarios` measures the ratio); the
-//!   trade is that PSA only computes *additive* statistics, so the
-//!   monitor uses it for interim releases between full-MPC runs.
+//! [`ReleaseSchedule`] is that gate.  Each release,
+//! [`ReleaseSchedule::release_full`], reruns the full MPC pipeline
+//! (blocks, GMW, transfer protocol, Laplace release) via
+//! [`DStressRuntime`] with the schedule's per-release ε and a per-release
+//! seed.
 //!
 //! The budget is charged **before** the release executes and is not
 //! refunded on failure: a failed run may still have leaked through
@@ -28,10 +22,9 @@
 use crate::config::DStressConfig;
 use crate::engine::{DStressRuntime, RuntimeError};
 use crate::program::SecureVertexProgram;
-use dstress_dp::psa::{PsaError, PsaSystem};
 use dstress_dp::{BudgetAccountant, BudgetError};
 use dstress_graph::Graph;
-use dstress_math::rng::{splitmix64_finalize, DetRng};
+use dstress_math::rng::splitmix64_finalize;
 use std::fmt;
 
 /// Why a scheduled release did not produce a value.
@@ -41,8 +34,6 @@ pub enum ScheduleError {
     Budget(BudgetError),
     /// The full-MPC pipeline failed.
     Runtime(RuntimeError),
-    /// The PSA pipeline failed.
-    Psa(PsaError),
 }
 
 impl fmt::Display for ScheduleError {
@@ -50,7 +41,6 @@ impl fmt::Display for ScheduleError {
         match self {
             ScheduleError::Budget(e) => write!(f, "release refused: {e}"),
             ScheduleError::Runtime(e) => write!(f, "full-MPC release failed: {e}"),
-            ScheduleError::Psa(e) => write!(f, "PSA release failed: {e}"),
         }
     }
 }
@@ -69,36 +59,19 @@ impl From<RuntimeError> for ScheduleError {
     }
 }
 
-impl From<PsaError> for ScheduleError {
-    fn from(e: PsaError) -> Self {
-        ScheduleError::Psa(e)
-    }
-}
-
-/// How a recorded release was produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReleaseMode {
-    /// Full MPC pipeline with a Laplace release.
-    FullMpc,
-    /// Private stream aggregation with geometric noise.
-    Psa,
-}
-
 /// One completed release.
 #[derive(Clone, Debug)]
 pub struct ReleaseRecord {
     /// The label charged to the audit trail.
     pub label: String,
-    /// Which pipeline produced it.
-    pub mode: ReleaseMode,
     /// The released (noisy) value.
     pub value: f64,
     /// The ε spent on it.
     pub epsilon: f64,
 }
 
-/// A recurring-release schedule: a budget accountant in front of the two
-/// release pipelines, with an audit trail of everything released.
+/// A recurring-release schedule: a budget accountant in front of the
+/// release pipeline, with an audit trail of everything released.
 pub struct ReleaseSchedule {
     accountant: BudgetAccountant,
     epsilon_per_release: f64,
@@ -133,25 +106,15 @@ impl ReleaseSchedule {
 
     /// How many more releases the remaining budget allows.
     pub fn releases_remaining(&self) -> u32 {
-        let spent_releases = self
-            .accountant
+        self.accountant
             .max_queries(self.epsilon_per_release)
-            .map(|total| {
-                let used = (self.accountant.spent() / self.epsilon_per_release).round() as u32;
-                total.saturating_sub(used)
-            });
-        spent_releases.unwrap_or(0)
+            .unwrap_or(0)
     }
 
     /// Resets the accountant (the §4.5 annual replenishment), keeping the
     /// release history.
     pub fn replenish(&mut self) {
         self.accountant.replenish();
-    }
-
-    fn charge(&mut self, label: &str) -> Result<(), ScheduleError> {
-        self.accountant.charge(label, self.epsilon_per_release)?;
-        Ok(())
     }
 
     /// Runs the full MPC pipeline for one scheduled release.
@@ -172,54 +135,17 @@ impl ReleaseSchedule {
         program: &P,
         label: &str,
     ) -> Result<f64, ScheduleError> {
-        self.charge(label)?;
+        self.accountant.charge(label, self.epsilon_per_release)?;
         let mut run_config = config.clone();
         run_config.epsilon = self.epsilon_per_release;
         run_config.seed ^= splitmix64_finalize(self.releases.len() as u64 + 1);
         let run = DStressRuntime::new(run_config).execute(graph, program)?;
         self.releases.push(ReleaseRecord {
             label: label.to_string(),
-            mode: ReleaseMode::FullMpc,
             value: run.noised_output,
             epsilon: self.epsilon_per_release,
         });
         Ok(run.noised_output)
-    }
-
-    /// Runs one PSA round for one scheduled release: every participant
-    /// encrypts its value (noise included) and the aggregator decrypts
-    /// the noisy sum.  No MPC runs.
-    ///
-    /// The round number is the release index, so each release re-masks
-    /// under a fresh `H(t)`.
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError::Budget`] if the accountant refuses the charge,
-    /// [`ScheduleError::Psa`] for pipeline failures (charge not
-    /// refunded).
-    pub fn release_psa(
-        &mut self,
-        psa: &PsaSystem,
-        values: &[u64],
-        label: &str,
-        rng: &mut dyn DetRng,
-    ) -> Result<f64, ScheduleError> {
-        self.charge(label)?;
-        let round = self.releases.len() as u64;
-        let ciphertexts = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| psa.encrypt(i, round, v, rng))
-            .collect::<Result<Vec<_>, _>>()?;
-        let noisy_sum = psa.aggregate(round, &ciphertexts)? as f64;
-        self.releases.push(ReleaseRecord {
-            label: label.to_string(),
-            mode: ReleaseMode::Psa,
-            value: noisy_sum,
-            epsilon: self.epsilon_per_release,
-        });
-        Ok(noisy_sum)
     }
 }
 
@@ -227,7 +153,6 @@ impl ReleaseSchedule {
 mod tests {
     use super::*;
     use crate::program::CounterProgram;
-    use dstress_crypto::group::Group;
     use dstress_graph::generate::ring_with_chords;
     use dstress_math::rng::Xoshiro256;
 
@@ -299,64 +224,30 @@ mod tests {
     }
 
     #[test]
-    fn psa_releases_share_the_same_accountant() {
-        let mut rng = Xoshiro256::new(21);
-        let psa = PsaSystem::setup(Group::sim64(), 4, 0.1, 1.0, 50, &mut rng);
-        let mut schedule = ReleaseSchedule::new(BudgetAccountant::new(0.25), 0.1);
-
-        let values = [10u64, 20, 5, 15];
-        schedule
-            .release_psa(&psa, &values, "psa round 0", &mut rng)
-            .unwrap();
-        schedule
-            .release_psa(&psa, &values, "psa round 1", &mut rng)
-            .unwrap();
-        assert!((schedule.accountant().spent() - 0.2).abs() < 1e-12);
-        assert_eq!(schedule.releases().len(), 2);
-        assert!(schedule
-            .releases()
-            .iter()
-            .all(|r| r.mode == ReleaseMode::Psa));
-
-        // Third PSA round breaks the 0.25 budget.
-        let err = schedule
-            .release_psa(&psa, &values, "psa round 2", &mut rng)
-            .unwrap_err();
-        assert!(matches!(err, ScheduleError::Budget(_)));
-    }
-
-    #[test]
-    fn mixed_full_and_psa_releases_compose_on_one_budget() {
-        let mut rng = Xoshiro256::new(5);
-        let psa = PsaSystem::setup(Group::sim64(), 3, 0.1, 1.0, 50, &mut rng);
-        let mut schedule = ReleaseSchedule::new(BudgetAccountant::new(0.3), 0.1);
-        let graph = tiny_graph();
-        let program = CounterProgram {
-            width: 8,
-            rounds: 1,
-        };
-        let config = DStressConfig::benchmark(2);
-
-        schedule
-            .release_full(&config, &graph, &program, "quarterly full run")
-            .unwrap();
-        schedule
-            .release_psa(&psa, &[1, 2, 3], "interim psa", &mut rng)
-            .unwrap();
-        schedule
-            .release_psa(&psa, &[4, 5, 6], "interim psa", &mut rng)
-            .unwrap();
-        assert!((schedule.accountant().spent() - 0.3).abs() < 1e-12);
-        assert_eq!(
-            schedule
-                .releases()
-                .iter()
-                .filter(|r| r.mode == ReleaseMode::FullMpc)
-                .count(),
-            1
-        );
-        assert!(schedule
-            .release_psa(&psa, &[0, 0, 0], "one too many", &mut rng)
-            .is_err());
+    fn releases_remaining_counts_the_charges_that_will_succeed() {
+        // A schedule may be handed a ledger that already holds charges of
+        // another size; the count must be of what is left, on the same
+        // integer ledger `charge` uses.
+        for (total, prior, epsilon) in [
+            (1.0, 0.04, 0.1),
+            (1.0, 0.05, 0.1),
+            (0.3, 0.0, 0.1),
+            (std::f64::consts::LN_2, 0.1, 0.3),
+        ] {
+            let mut accountant = BudgetAccountant::new(total);
+            if prior > 0.0 {
+                accountant.charge("prior", prior).unwrap();
+            }
+            let schedule = ReleaseSchedule::new(accountant.clone(), epsilon);
+            let mut successes = 0;
+            while accountant.charge("release", epsilon).is_ok() {
+                successes += 1;
+            }
+            assert_eq!(
+                schedule.releases_remaining(),
+                successes,
+                "total {total}, prior {prior}, epsilon {epsilon}"
+            );
+        }
     }
 }

@@ -18,8 +18,9 @@
 //!
 //! * [`PrivacyBudget::charge`] succeeds exactly while
 //!   `spent_units + charge_units ≤ total_units`;
-//! * [`PrivacyBudget::max_queries`] is exactly `total_units / charge_units`
-//!   — the number of identical charges that will succeed
+//! * [`PrivacyBudget::max_queries`] is exactly
+//!   `(total_units − spent_units) / charge_units` — the number of
+//!   identical charges that will succeed from here on
 //!   (`(0.3 / 0.1).floor()` in `f64` yields 2 because `0.3/0.1 ==
 //!   2.999…`, while three sequential charges of 0.1 succeed; the integer
 //!   ledger returns 3 for both);
@@ -186,13 +187,15 @@ impl PrivacyBudget {
         Ok(())
     }
 
-    /// How many identical charges of `epsilon` fit in the *total* budget
-    /// (the paper's "≈3 runs per year" computation).
+    /// How many identical charges of `epsilon` fit in the *remaining*
+    /// budget (on a fresh ledger, the paper's "≈3 runs per year"
+    /// computation).
     ///
     /// Computed on the integer ledger, so the result always equals the
     /// number of [`Self::charge`] calls of the same `epsilon` that would
-    /// succeed on a fresh budget — including at floating-point
-    /// boundaries like `max_queries(0.1)` on a 0.3 budget.
+    /// succeed from the current state — including at floating-point
+    /// boundaries like `max_queries(0.1)` on a 0.3 budget, and after
+    /// earlier charges of other sizes.
     ///
     /// # Errors
     ///
@@ -200,7 +203,8 @@ impl PrivacyBudget {
     /// non-finite or sub-resolution ε.
     pub fn max_queries(&self, epsilon: f64) -> Result<u32, BudgetError> {
         let units = epsilon_units(epsilon)?;
-        Ok(u32::try_from(self.total_units / units).unwrap_or(u32::MAX))
+        let remaining_units = self.total_units - self.spent_units;
+        Ok(u32::try_from(remaining_units / units).unwrap_or(u32::MAX))
     }
 
     /// The audit trail of recorded charges.
@@ -353,15 +357,22 @@ mod tests {
         #[test]
         fn max_queries_always_equals_the_number_of_successful_charges(
             total_steps in 1u64..50_000,
+            prior_percent in 0u64..100,
             eps_steps in 1u64..5_000,
         ) {
-            // ε and the total are arbitrary multiples of 10⁻⁵ — a sweep
-            // over the boundary-heavy region where f64 division and
-            // repeated addition disagree (0.3/0.1 is steps 30_000/10_000).
+            // ε, the total and a prior charge are arbitrary multiples of
+            // 10⁻⁵ — a sweep over the boundary-heavy region where f64
+            // division and repeated addition disagree (0.3/0.1 is steps
+            // 30_000/10_000).  The prior charge lands before predicting,
+            // so the count must be of what remains, not of the total.
             let epsilon = eps_steps as f64 * 1e-5;
             let total = total_steps as f64 * 1e-5;
             prop_assume!(total >= epsilon);
+            let prior_steps = total_steps * prior_percent / 100;
             let mut budget = PrivacyBudget::new(total);
+            if prior_steps > 0 {
+                budget.charge("prior", prior_steps as f64 * 1e-5).unwrap();
+            }
             let predicted = budget.max_queries(epsilon).unwrap();
             let mut successes = 0u32;
             while successes <= predicted + 1 && budget.charge("p", epsilon).is_ok() {

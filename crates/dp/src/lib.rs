@@ -38,14 +38,12 @@ pub mod budget;
 pub mod edge_privacy;
 pub mod geometric;
 pub mod laplace;
-pub mod psa;
 pub mod utility;
 
 pub use budget::{BudgetError, PrivacyBudget};
 pub use edge_privacy::EdgePrivacyAccounting;
 pub use geometric::TwoSidedGeometric;
 pub use laplace::LaplaceMechanism;
-pub use psa::{PsaError, PsaSystem};
 pub use utility::UtilityAnalysis;
 
 /// The budget ledger under the name the recurring-release scheduler and

@@ -19,9 +19,6 @@
 //!   cross-holdings model (§4.3) in the same three forms.
 //! * [`metrics`] — the Total Dollar Shortfall metric and the sensitivity
 //!   bounds of §4.4 (`1/r` for EN, `2/r` for EGJ).
-//! * [`monitor`] — the recurring systemic-risk monitor: monthly releases
-//!   over one annual budget, full MPC on the cadence months and cheap
-//!   PSA distress counts in between.
 //! * [`contagion`] — the Appendix C experiments: a 50-bank two-tier
 //!   network, absorbed-shock and cascade scenarios, and the empirical
 //!   iteration-count analysis behind the `I = log₂ N` rule.
@@ -49,7 +46,6 @@ pub mod eisenberg_noe;
 pub mod elliott_golub_jackson;
 pub mod generator;
 pub mod metrics;
-pub mod monitor;
 pub mod network;
 
 pub use eisenberg_noe::{EisenbergNoeProgram, EisenbergNoeSecure};
@@ -59,7 +55,6 @@ pub use generator::{
     GeneratorConfig,
 };
 pub use metrics::{sensitivity_bound_egj, sensitivity_bound_en, CircuitParams};
-pub use monitor::{MonitorRelease, SystemicRiskMonitor};
 pub use network::{Bank, Exposure, FinancialNetwork};
 
 #[cfg(test)]

@@ -149,6 +149,7 @@ run_tests -q -p dstress-core transfer_modes_account_identically
 echo "==> transfer_message rejects outside input with typed errors, before any RNG draw or traffic record"
 run_tests -q -p dstress-transfer out_of_range_noise_alpha_is_a_typed_error
 run_tests -q -p dstress-transfer missing_node_secrets_are_a_typed_error
+run_tests -q -p dstress-transfer share_width_mismatch_is_a_typed_error
 
 echo "==> repro -- transfer smoke (time/traffic/ablation)"
 cargo run --release -q -p dstress-bench --bin repro -- transfer --threads 2 > /dev/null

@@ -56,7 +56,7 @@ use dstress_net::pool::parallel_map;
 use dstress_net::socket::SocketTransport;
 use dstress_net::traffic::{NodeId, NodeTraffic, TrafficAccountant};
 use dstress_net::transport::{Session, SimTransport, Transport};
-use dstress_transfer::protocol::{transfer_message, TransferConfig};
+use dstress_transfer::protocol::{account_final_transfer, transfer_message, TransferConfig};
 use dstress_transfer::setup::{NodeSecrets, SystemSetup};
 
 /// One vertex's computation step: a GMW evaluation of the program's
@@ -485,9 +485,9 @@ fn real_crypto_transfer(
 /// Cost-accounted message transfer: moves the shares in plaintext while
 /// recording exactly the operation counts and traffic that
 /// [`transfer_message`] with [`dstress_transfer::ProtocolVariant::Final`]
-/// would generate — its wire bytes reproduced from the closed-form encoded
-/// lengths in [`dstress_transfer::wire`].  A unit
-/// test pins the two modes against each other field by field.
+/// would generate — both charged by
+/// [`dstress_transfer::protocol::account_final_transfer`].  A unit test
+/// pins the two modes against each other field by field.
 ///
 /// This is the only transfer path a remote worker can run: it is a pure
 /// function of the task and the group, with no key material.
@@ -498,48 +498,15 @@ pub fn execute_accounted_transfer_task(
 ) -> TransferOutcome {
     let mut rng = Xoshiro256::new(task.seed);
     let mut traffic = TrafficAccountant::new();
-    let sender_vertex = NodeId(task.from as usize);
-    let receiver_vertex = NodeId(task.to as usize);
-    let block_size = task.sender_members.len();
-    let bits = message_bits as u64;
-    let elem_bytes = group.element_bytes();
-    let mut counts = OperationCounts::default();
-
-    // Sub-share encryption: every sender member encrypts k+1 sub-shares of
-    // L bits each with a shared ephemeral key.
-    for &x_node in &task.sender_members {
-        for y in 0..block_size {
-            // Shared `c1` through the generator table plus one
-            // variable-base pow per bit for the key terms.
-            counts.fixed_base_exponentiations += 1;
-            counts.exponentiations += bits;
-            counts.group_multiplications += bits;
-            let wire = dstress_transfer::wire::subshares_wire_len(y, bits as usize, elem_bytes);
-            traffic.record(x_node, sender_vertex, wire);
-            counts.wire_bytes += wire;
-        }
-    }
-    // Homomorphic aggregation and noise folding at vertex i: one shared
-    // `c1` product plus L `c2` products per receiver, then a table-backed
-    // noise encoding per bit.
-    counts.group_multiplications += (block_size as u64) * (bits + 1) * (block_size as u64 - 1);
-    counts.fixed_base_exponentiations += block_size as u64 * bits; // noise encodings
-    counts.group_multiplications += block_size as u64 * bits;
-
-    // i -> j.
-    let wire = dstress_transfer::wire::aggregated_wire_len(block_size, bits as usize, elem_bytes);
-    traffic.record(sender_vertex, receiver_vertex, wire);
-    counts.wire_bytes += wire;
-
-    // j adjusts, distributes, members decrypt.
-    for &y_node in &task.receiver_members {
-        let wire = dstress_transfer::wire::adjusted_wire_len(bits as usize, elem_bytes);
-        traffic.record(receiver_vertex, y_node, wire);
-        counts.wire_bytes += wire;
-        counts.exponentiations += 1; // adjust of the shared ephemeral
-        counts.fixed_base_exponentiations += bits; // fused table decrypts
-    }
-    counts.rounds += 3;
+    let counts = account_final_transfer(
+        group,
+        message_bits,
+        NodeId(task.from as usize),
+        NodeId(task.to as usize),
+        &task.sender_members,
+        &task.receiver_members,
+        &mut traffic,
+    );
 
     // Correct, fresh re-sharing of the message for the receiving block.
     let sender_shares: Vec<BitMessage> = task

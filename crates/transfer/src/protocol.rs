@@ -26,7 +26,7 @@
 
 use crate::error::TransferError;
 use crate::setup::{Block, BlockCertificate, NodeSecrets};
-use crate::wire::TransferWire;
+use crate::wire::{adjusted_wire_len, aggregated_wire_len, subshares_wire_len, TransferWire};
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::elgamal::{adjust_ciphertext, decrypt, encrypt_with_ephemeral, Ciphertext};
 use dstress_crypto::group::Group;
@@ -39,24 +39,6 @@ use dstress_math::U256;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
 use dstress_net::wire::Wire;
-
-/// Routes a ciphertext bundle through the wire format: encode, record
-/// the *measured* bytes of the hop, decode, and hand the decoded copy
-/// back — so every hop's values genuinely pass through the codec and a
-/// broken encoding fails the transfer instead of going unnoticed.
-fn wire_hop_cts(
-    group: &Group,
-    traffic: &mut TrafficAccountant,
-    counts: &mut OperationCounts,
-    from: NodeId,
-    to: NodeId,
-    cts: Vec<Ciphertext>,
-) -> Result<Vec<Ciphertext>, TransferError> {
-    let encoded = TransferWire::adjusted(group, &cts).encode();
-    traffic.record(from, to, encoded.len() as u64);
-    counts.wire_bytes += encoded.len() as u64;
-    TransferWire::decode_exact(&encoded)?.into_adjusted(group)
-}
 
 /// Which revision of the transfer protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -129,10 +111,78 @@ fn edge_noise_parameter(alpha: f64, block_size: usize) -> f64 {
     alpha.powf(2.0 / block_size as f64)
 }
 
+/// What a strawman-#3 (or, `noised`, a final-protocol) transfer costs at
+/// block size `b = k + 1` and `L` message bits, all roles combined: every
+/// [`OperationCounts`] field but `wire_bytes`, which the hops measure.
+/// Both the real transfer and [`account_final_transfer`] charge from here.
+fn bitwise_counts(block_size: usize, bits: u32, noised: bool) -> OperationCounts {
+    let (b, l) = (block_size as u64, u64::from(bits));
+    let noise = if noised { b * l } else { 0 };
+    OperationCounts {
+        // Steps 1+2: a key term per bit of each bundle; step 4: an adjust.
+        exponentiations: b * b * l + b,
+        // Each bundle's `c1`, each noise encoding, each fused decryption.
+        fixed_base_exponentiations: b * b + noise + b * l,
+        // Each bit folded in; per receiver and further sender one `c1` and
+        // `L` `c2` products at `i`; each noise term.
+        group_multiplications: b * b * l + b * (l + 1) * b.saturating_sub(1) + noise,
+        rounds: 3,
+        ..OperationCounts::default()
+    }
+}
+
+/// What strawman #1 or #2 costs per whole-value ciphertext: its encryption
+/// (`g^m` and `c1 = g^y` through the generator table, `h^y` variable-base),
+/// one adjust and a two-pow decryption.
+fn whole_value_counts(ciphertexts: usize) -> OperationCounts {
+    let n = ciphertexts as u64;
+    OperationCounts {
+        exponentiations: 4 * n,
+        fixed_base_exponentiations: 2 * n,
+        rounds: 3,
+        ..OperationCounts::default()
+    }
+}
+
+/// The final protocol's cost without running it: `bitwise_counts` plus
+/// the encoded length of every hop, recorded in `traffic` against the
+/// edge's node ids and summed into `wire_bytes` — byte for byte what the
+/// real transfer measures.  It needs no key material, which is what lets
+/// a remote worker run it.
+pub fn account_final_transfer(
+    group: &Group,
+    message_bits: u32,
+    sender_vertex: NodeId,
+    receiver_vertex: NodeId,
+    sender_members: &[NodeId],
+    receiver_members: &[NodeId],
+    traffic: &mut TrafficAccountant,
+) -> OperationCounts {
+    let (bits, elem) = (message_bits as usize, group.element_bytes());
+    let block_size = sender_members.len();
+    let mut counts = bitwise_counts(block_size, message_bits, true);
+    let mut hop = |from, to, bytes| {
+        traffic.record(from, to, bytes);
+        counts.wire_bytes += bytes;
+    };
+    for &x_node in sender_members {
+        for y in 0..block_size {
+            hop(x_node, sender_vertex, subshares_wire_len(y, bits, elem));
+        }
+    }
+    let aggregated = aggregated_wire_len(block_size, bits, elem);
+    hop(sender_vertex, receiver_vertex, aggregated);
+    for &y_node in receiver_members {
+        hop(receiver_vertex, y_node, adjusted_wire_len(bits, elem));
+    }
+    counts
+}
+
 /// Transfers the shares of one message from block `B_i` to block `B_j`
 /// along the edge `(i, j)`.
 ///
-/// * `sender_shares[x]` is the share held by `sender_block.members[x]`.
+/// * `sender_shares[x]` is the `L`-bit share held by
+///   `sender_block.members[x]`.
 /// * `node_secrets` is indexed by node id and must contain the bit keys of
 ///   every member of the receiving block (the simulation plays all roles).
 /// * `certificate` is `B_j`'s block certificate as held by the members of
@@ -145,8 +195,9 @@ fn edge_noise_parameter(alpha: f64, block_size: usize) -> f64 {
 /// # Errors
 ///
 /// Returns shape-mismatch errors for inconsistent blocks/certificates,
-/// [`TransferError::MissingNodeSecrets`] when `node_secrets` does not
-/// hold `L` bit keys for a receiver member,
+/// [`CryptoError::ShareCountMismatch`] for a sender share that is not `L`
+/// bits wide, [`TransferError::MissingNodeSecrets`] when `node_secrets`
+/// does not hold `L` bit keys for a receiver member,
 /// [`TransferError::InvalidNoiseAlpha`] for a noise parameter outside
 /// `(0, 1)` — all before the first RNG draw or traffic record — and
 /// [`TransferError::DecryptionFailure`] when a noised sum falls outside
@@ -167,241 +218,75 @@ pub fn transfer_message(
     traffic: &mut TrafficAccountant,
     rng: &mut dyn DetRng,
 ) -> Result<TransferOutcome, TransferError> {
-    let block_size = sender_block.size();
-    let bits = config.message_bits as usize;
-    if sender_shares.len() != block_size {
-        return Err(TransferError::BlockSizeMismatch {
-            expected: block_size,
-            actual: sender_shares.len(),
-        });
-    }
-    if receiver_block.size() != block_size {
-        return Err(TransferError::BlockSizeMismatch {
-            expected: block_size,
-            actual: receiver_block.size(),
-        });
-    }
-    if certificate.keys.len() != block_size || certificate.keys.iter().any(|k| k.len() != bits) {
-        return Err(TransferError::CertificateShapeMismatch);
-    }
-    for &member in &receiver_block.members {
-        if node_secrets.get(member.0).map_or(0, |s| s.bit_keys.len()) < bits {
-            return Err(TransferError::MissingNodeSecrets { node: member.0 });
-        }
-    }
-    if let ProtocolVariant::Final { alpha } = config.variant {
-        // The protocol samples from Geo(α^{2/(k+1)}); an α one ulp below 1
-        // can round that to 1, so the derived parameter is checked too.
-        let in_range = |a: f64| a > 0.0 && a < 1.0;
-        if !in_range(alpha) || !in_range(edge_noise_parameter(alpha, block_size)) {
-            return Err(TransferError::InvalidNoiseAlpha);
-        }
-    }
-
-    let run = match config.variant {
-        ProtocolVariant::Strawman1 => strawman1,
-        ProtocolVariant::Strawman2 => strawman2,
-        ProtocolVariant::Strawman3 | ProtocolVariant::Final { .. } => bitwise_protocol,
-    };
-    run(
+    let edge = Edge {
         group,
-        config,
+        bits: config.message_bits as usize,
         sender_vertex,
         receiver_vertex,
         sender_block,
         receiver_block,
-        sender_shares,
-        node_secrets,
         certificate,
         neighbor_key,
+        node_secrets,
         dlog,
-        traffic,
-        rng,
-    )
-}
-
-/// Strawman #1: whole shares, one recipient each.
-#[allow(clippy::too_many_arguments)]
-fn strawman1(
-    group: &Group,
-    config: &TransferConfig,
-    sender_vertex: NodeId,
-    receiver_vertex: NodeId,
-    sender_block: &Block,
-    receiver_block: &Block,
-    sender_shares: &[BitMessage],
-    node_secrets: &[NodeSecrets],
-    certificate: &BlockCertificate,
-    neighbor_key: &U256,
-    dlog: &DlogTable,
-    traffic: &mut TrafficAccountant,
-    rng: &mut dyn DetRng,
-) -> Result<TransferOutcome, TransferError> {
+    };
+    edge.validate(config, sender_shares)?;
     let block_size = sender_block.size();
-    let mut counts = OperationCounts::default();
-
-    // Each sender member x encrypts its whole share under the first bit
-    // key of the x-th receiver member.
-    let mut forwarded = Vec::with_capacity(block_size);
-    for (x_idx, &x_node) in sender_block.members.iter().enumerate() {
-        let pk = certificate.keys[x_idx][0];
-        let ephemeral = group.random_nonzero_exponent(rng);
-        let ct = encrypt_with_ephemeral(
-            group,
-            &pk,
-            group.encode_exponent(sender_shares[x_idx].value()),
-            &ephemeral,
-        );
-        // The message encoding and `c1 = g^y` go through the generator
-        // table; only the key term `h^y` is a variable-base pow.
-        counts.exponentiations += 1;
-        counts.fixed_base_exponentiations += 2;
-        let ct = wire_hop_cts(group, traffic, &mut counts, x_node, sender_vertex, vec![ct])?
-            .pop()
-            .expect("one ciphertext in, one out");
-        forwarded.push(ct);
-    }
-
-    // i forwards everything to j.
-    let forwarded = wire_hop_cts(
-        group,
+    let mut counts = match config.variant {
+        ProtocolVariant::Strawman1 => whole_value_counts(block_size),
+        ProtocolVariant::Strawman2 => whole_value_counts(block_size * block_size),
+        ProtocolVariant::Strawman3 => bitwise_counts(block_size, config.message_bits, false),
+        ProtocolVariant::Final { .. } => bitwise_counts(block_size, config.message_bits, true),
+    };
+    let mut meter = Meter {
         traffic,
-        &mut counts,
-        sender_vertex,
-        receiver_vertex,
-        forwarded,
-    )?;
-
-    // j adjusts and distributes one ciphertext to each member of B_j.
-    let mut receiver_shares = Vec::with_capacity(block_size);
-    for (y_idx, &y_node) in receiver_block.members.iter().enumerate() {
-        let adjusted = adjust_ciphertext(group, &forwarded[y_idx], neighbor_key);
-        counts.exponentiations += 1;
-        let adjusted = wire_hop_cts(
-            group,
-            traffic,
-            &mut counts,
-            receiver_vertex,
-            y_node,
-            vec![adjusted],
-        )?
-        .pop()
-        .expect("one ciphertext in, one out");
-        let secret = &node_secrets[y_node.0].bit_keys[0].secret;
-        let elem = decrypt(group, secret, &adjusted)?;
-        counts.exponentiations += 2;
-        let value = dlog
-            .lookup(group, elem)
-            .map_err(|_| TransferError::DecryptionFailure)?;
-        receiver_shares
-            .push(BitMessage::new(value, config.message_bits).map_err(TransferError::Crypto)?);
-    }
-    counts.rounds += 3;
-
+        wire_bytes: 0,
+    };
+    let receiver_shares = match config.variant {
+        ProtocolVariant::Strawman1 => edge.whole_values(false, sender_shares, &mut meter, rng),
+        ProtocolVariant::Strawman2 => edge.whole_values(true, sender_shares, &mut meter, rng),
+        ProtocolVariant::Strawman3 => edge.bitwise_protocol(sender_shares, None, &mut meter, rng),
+        ProtocolVariant::Final { alpha } => {
+            let noise = TwoSidedGeometric::new(edge_noise_parameter(alpha, block_size));
+            edge.bitwise_protocol(sender_shares, Some(&noise), &mut meter, rng)
+        }
+    }?;
+    counts.wire_bytes = meter.wire_bytes;
     Ok(TransferOutcome {
         receiver_shares,
         counts,
     })
 }
 
-/// Strawman #2: per-recipient sub-shares, still encrypted as whole values.
-#[allow(clippy::too_many_arguments)]
-fn strawman2(
-    group: &Group,
-    config: &TransferConfig,
-    sender_vertex: NodeId,
-    receiver_vertex: NodeId,
-    sender_block: &Block,
-    receiver_block: &Block,
-    sender_shares: &[BitMessage],
-    node_secrets: &[NodeSecrets],
-    certificate: &BlockCertificate,
-    neighbor_key: &U256,
-    dlog: &DlogTable,
-    traffic: &mut TrafficAccountant,
-    rng: &mut dyn DetRng,
-) -> Result<TransferOutcome, TransferError> {
-    let block_size = sender_block.size();
-    let mut counts = OperationCounts::default();
+/// The wire under a transfer.  Every hop's message is encoded, its
+/// *measured* length recorded against the real node ids and summed, and
+/// the bytes decoded again — so the next role works on what crossed the
+/// codec, and a broken encoding fails the transfer instead of going
+/// unnoticed.
+struct Meter<'t> {
+    traffic: &'t mut TrafficAccountant,
+    wire_bytes: u64,
+}
 
-    // subshare_cts[y] collects the ciphertexts destined for receiver y.
-    let mut subshare_cts: Vec<Vec<Ciphertext>> = vec![Vec::with_capacity(block_size); block_size];
-    for (x_idx, &x_node) in sender_block.members.iter().enumerate() {
-        let subshares = split_xor(sender_shares[x_idx], block_size, rng);
-        let mut row = Vec::with_capacity(block_size);
-        for (y_idx, subshare) in subshares.iter().enumerate() {
-            let pk = certificate.keys[y_idx][0];
-            let ephemeral = group.random_nonzero_exponent(rng);
-            let ct = encrypt_with_ephemeral(
-                group,
-                &pk,
-                group.encode_exponent(subshare.value()),
-                &ephemeral,
-            );
-            counts.exponentiations += 1;
-            counts.fixed_base_exponentiations += 2;
-            row.push(ct);
-        }
-        // One wire hop per member: its k+1 encrypted sub-shares to i.
-        let row = wire_hop_cts(group, traffic, &mut counts, x_node, sender_vertex, row)?;
-        for (y_idx, ct) in row.into_iter().enumerate() {
-            subshare_cts[y_idx].push(ct);
-        }
+impl Meter<'_> {
+    fn hop(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        message: TransferWire,
+    ) -> Result<TransferWire, TransferError> {
+        let encoded = message.encode();
+        self.traffic.record(from, to, encoded.len() as u64);
+        self.wire_bytes += encoded.len() as u64;
+        Ok(TransferWire::decode_exact(&encoded)?)
     }
-
-    // i forwards all (k+1)^2 ciphertexts to j.
-    let flat: Vec<Ciphertext> = subshare_cts.iter().flatten().copied().collect();
-    let flat = wire_hop_cts(
-        group,
-        traffic,
-        &mut counts,
-        sender_vertex,
-        receiver_vertex,
-        flat,
-    )?;
-    let mut flat = flat.into_iter();
-    let subshare_cts: Vec<Vec<Ciphertext>> = (0..block_size)
-        .map(|_| flat.by_ref().take(block_size).collect())
-        .collect();
-
-    // j adjusts everything and hands each receiver its k+1 sub-shares.
-    let mut receiver_shares = Vec::with_capacity(block_size);
-    for (y_idx, &y_node) in receiver_block.members.iter().enumerate() {
-        let bundle = wire_hop_cts(
-            group,
-            traffic,
-            &mut counts,
-            receiver_vertex,
-            y_node,
-            subshare_cts[y_idx].clone(),
-        )?;
-        let mut share = BitMessage::zero(config.message_bits);
-        for ct in &bundle {
-            let adjusted = adjust_ciphertext(group, ct, neighbor_key);
-            counts.exponentiations += 1;
-            let secret = &node_secrets[y_node.0].bit_keys[0].secret;
-            let elem = decrypt(group, secret, &adjusted)?;
-            counts.exponentiations += 2;
-            let value = dlog
-                .lookup(group, elem)
-                .map_err(|_| TransferError::DecryptionFailure)?;
-            share = share
-                .xor(&BitMessage::new(value, config.message_bits).map_err(TransferError::Crypto)?);
-        }
-        receiver_shares.push(share);
-    }
-    counts.rounds += 3;
-
-    Ok(TransferOutcome {
-        receiver_shares,
-        counts,
-    })
 }
 
 /// The public-key work of steps 1+2 for all `k + 1` senders of the block:
 /// returns `[y][x]`, the bundle sender member `x` encrypts for receiver
 /// member `y` — exactly what [`encrypt_bits_shared_c1`] yields for `x`'s
-/// sub-share and ephemeral (a unit test pins that).
+/// sub-share and ephemeral (a unit test pins that).  Every share is
+/// `bits` wide ([`transfer_message`] checks that first).
 ///
 /// The simulation plays every sender, and all of them raise the same `L`
 /// certificate keys of member `y` to their own ephemerals.  So the draws
@@ -418,14 +303,8 @@ fn encrypt_subshares(
     sender_shares: &[BitMessage],
     bits: usize,
     rng: &mut dyn DetRng,
-) -> Result<Vec<Vec<Vec<Ciphertext>>>, TransferError> {
+) -> Vec<Vec<Vec<Ciphertext>>> {
     let block_size = sender_shares.len();
-    if let Some(share) = sender_shares.iter().find(|s| s.bits() as usize != bits) {
-        return Err(TransferError::Crypto(CryptoError::ShareCountMismatch {
-            expected: bits,
-            actual: share.bits() as usize,
-        }));
-    }
     // Indexed [y][x], so each key's lanes are one slice: the sub-share
     // with its `c1`, and the recoded ephemeral.
     let mut bundles = vec![Vec::new(); block_size];
@@ -458,170 +337,301 @@ fn encrypt_subshares(
             }
         }
     }
-    Ok(encrypted)
+    encrypted
 }
 
-/// Strawmen #3 and the final protocol: bit decomposition, homomorphic
-/// aggregation at `i`, optional geometric noise.
-///
-/// The ciphertexts flow `B_i → i → j → B_j`; every hop crosses the wire
-/// codec, and what the next role works on is the decoded copy, with the
-/// encoded lengths recorded against the real node ids.
-#[allow(clippy::too_many_arguments)]
-fn bitwise_protocol(
-    group: &Group,
-    config: &TransferConfig,
+/// One edge `(i, j)` as the protocol's four roles see it — every
+/// `x ∈ B_i`, vertex `i`, vertex `j` and every `y ∈ B_j`.
+/// [`transfer_message`] builds it once and validates it before any role
+/// step runs, so the steps index blocks, certificate and bit keys freely.
+struct Edge<'a> {
+    group: &'a Group,
+    /// The message width `L`.
+    bits: usize,
     sender_vertex: NodeId,
     receiver_vertex: NodeId,
-    sender_block: &Block,
-    receiver_block: &Block,
-    sender_shares: &[BitMessage],
-    node_secrets: &[NodeSecrets],
-    certificate: &BlockCertificate,
-    neighbor_key: &U256,
-    dlog: &DlogTable,
-    traffic: &mut TrafficAccountant,
-    rng: &mut dyn DetRng,
-) -> Result<TransferOutcome, TransferError> {
-    let block_size = sender_block.size();
-    let bits = config.message_bits as usize;
-    let mut counts = OperationCounts::default();
+    sender_block: &'a Block,
+    receiver_block: &'a Block,
+    /// `B_j`'s certificate as the members of `B_i` hold it.
+    certificate: &'a BlockCertificate,
+    /// `j`'s neighbor key for `i`.
+    neighbor_key: &'a U256,
+    node_secrets: &'a [NodeSecrets],
+    dlog: &'a DlogTable,
+}
 
-    // Step 1+2: every sender member splits its share into sub-shares (one
-    // per receiver member), bit-decomposes each sub-share, encrypts the
-    // bits with the Kurosawa single-ephemeral optimisation, and sends the
-    // bundles to its vertex `i`, which files them per receiver member.
-    //
-    // encrypted[y][x][l] = ciphertext of bit l of x's sub-share for y.
-    let mut encrypted = encrypt_subshares(group, certificate, sender_shares, bits, rng)?;
-    // The hops, in (x, y) order; what vertex `i` files is the decoded copy.
-    for (x_idx, &x_node) in sender_block.members.iter().enumerate() {
-        for y_idx in 0..block_size {
-            // What member x's bundle for y costs *in the protocol*: `c1`
-            // through the generator table, then per bit one key-term
-            // exponentiation and one multiply folding the bit in.
-            counts.fixed_base_exponentiations += 1;
-            counts.exponentiations += bits as u64;
-            counts.group_multiplications += bits as u64;
-            // The measured hop: the bundle crosses the wire as a
-            // SubShares message (ephemeral encoded once).
-            let encoded = TransferWire::subshares(group, y_idx, &encrypted[y_idx][x_idx]).encode();
-            traffic.record(x_node, sender_vertex, encoded.len() as u64);
-            counts.wire_bytes += encoded.len() as u64;
-            let (receiver, decoded) =
-                TransferWire::decode_exact(&encoded)?.into_subshares(group)?;
-            encrypted[receiver][x_idx] = decoded;
-        }
-    }
-
-    // Step 3: vertex i homomorphically aggregates per receiver member and
-    // bit position, and (final protocol only) folds in even geometric
-    // noise.
-    let noise = match config.variant {
-        ProtocolVariant::Final { alpha } => Some(TwoSidedGeometric::new(edge_noise_parameter(
-            alpha, block_size,
-        ))),
-        _ => None,
-    };
-    let mut aggregated: Vec<Vec<Ciphertext>> = Vec::with_capacity(block_size);
-    for per_receiver in &encrypted {
-        // Every sender's L ciphertexts for this receiver share one
-        // ephemeral component, so the aggregated `c1` is identical at
-        // every bit position: one product per receiver instead of L.
-        let mut c1 = per_receiver[0][0].c1;
-        for sender_cts in per_receiver.iter().skip(1) {
-            c1 = group.mul(c1, sender_cts[0].c1);
-            counts.group_multiplications += 1;
-        }
-        let mut per_bit = Vec::with_capacity(bits);
-        for l in 0..bits {
-            let mut c2 = per_receiver[0][l].c2;
-            for sender_cts in per_receiver.iter().skip(1) {
-                c2 = group.mul(c2, sender_cts[l].c2);
-                counts.group_multiplications += 1;
+impl Edge<'_> {
+    /// Rejects outside input with a typed error before any RNG draw or
+    /// traffic record.
+    fn validate(
+        &self,
+        config: &TransferConfig,
+        sender_shares: &[BitMessage],
+    ) -> Result<(), TransferError> {
+        let block_size = self.sender_block.size();
+        let bits = self.bits;
+        for actual in [sender_shares.len(), self.receiver_block.size()] {
+            if actual != block_size {
+                let expected = block_size;
+                return Err(TransferError::BlockSizeMismatch { expected, actual });
             }
-            let mut acc = Ciphertext { c1, c2 };
-            if let Some(dist) = &noise {
-                let noise_value = dist.sample_even(rng);
-                acc = homomorphic_add_signed(group, &acc, noise_value);
-                counts.fixed_base_exponentiations += 1;
-                counts.group_multiplications += 1;
+        }
+        if let Some(share) = sender_shares.iter().find(|s| s.bits() as usize != bits) {
+            return Err(TransferError::Crypto(CryptoError::ShareCountMismatch {
+                expected: bits,
+                actual: share.bits() as usize,
+            }));
+        }
+        let keys = &self.certificate.keys;
+        if keys.len() != block_size || keys.iter().any(|k| k.len() != bits) {
+            return Err(TransferError::CertificateShapeMismatch);
+        }
+        for &member in &self.receiver_block.members {
+            let keys = self
+                .node_secrets
+                .get(member.0)
+                .map_or(0, |s| s.bit_keys.len());
+            if keys < bits {
+                return Err(TransferError::MissingNodeSecrets { node: member.0 });
             }
-            per_bit.push(acc);
         }
-        aggregated.push(per_bit);
-    }
-
-    // i forwards the aggregated ciphertexts to j.  After aggregation the
-    // ephemeral components differ per bit (they are products of the
-    // senders' ephemerals), so each bit costs a full ciphertext.
-    let encoded = TransferWire::aggregated(group, &aggregated).encode();
-    traffic.record(sender_vertex, receiver_vertex, encoded.len() as u64);
-    counts.wire_bytes += encoded.len() as u64;
-    let aggregated = TransferWire::decode_exact(&encoded)?.into_aggregated(group)?;
-
-    // Step 4: j adjusts the ephemeral keys with its neighbor key for i
-    // and forwards each receiver member its L ciphertexts.
-    let mut adjusted_bundles = Vec::with_capacity(block_size);
-    for (&y_node, per_bit) in receiver_block.members.iter().zip(aggregated) {
-        // The aggregated ciphertexts share their ephemeral component, so
-        // the expensive `c1^r` happens once per receiver.
-        counts.exponentiations += 1;
-        let shared_c1 = group.pow(per_bit[0].c1, neighbor_key);
-        let adjusted: Vec<Ciphertext> = per_bit
-            .iter()
-            .map(|ct| Ciphertext {
-                c1: shared_c1,
-                c2: ct.c2,
-            })
-            .collect();
-        adjusted_bundles.push(wire_hop_cts(
-            group,
-            traffic,
-            &mut counts,
-            receiver_vertex,
-            y_node,
-            adjusted,
-        )?);
-    }
-
-    // Step 5: every receiver member decrypts its bits and assembles its
-    // fresh share.
-    let mut receiver_shares = Vec::with_capacity(block_size);
-    for (&y_node, cts) in receiver_block.members.iter().zip(&adjusted_bundles) {
-        // All L adjusted ciphertexts share one ephemeral component, so one
-        // comb table on it serves every fused decryption
-        // `c2 · c1^(q − x_l)`, the L secrets in lock-step.
-        let negated: Vec<CombDigits> = node_secrets[y_node.0].bit_keys[..bits]
-            .iter()
-            .map(|kp| {
-                let neg = group
-                    .q()
-                    .wrapping_sub(&kp.secret.exponent().rem(&group.q()));
-                CombPow::recode(group, &neg)
-            })
-            .collect();
-        let mut masks = vec![group.identity(); bits];
-        CombPow::new(group, cts[0].c1).pow_many(&negated, &mut masks);
-        let mut bit_shares = Vec::with_capacity(bits);
-        for (ct, &mask) in cts.iter().zip(&masks) {
-            counts.fixed_base_exponentiations += 1;
-            let elem = group.mul(ct.c2, mask);
-            let sum = dlog
-                .lookup_signed(group, elem)
-                .map_err(|_| TransferError::DecryptionFailure)?;
-            // Even sum (noise is always even) means the XOR of the sub-share
-            // bits was zero.
-            bit_shares.push(sum.rem_euclid(2) == 1);
+        if let ProtocolVariant::Final { alpha } = config.variant {
+            // The protocol samples from Geo(α^{2/(k+1)}); an α one ulp below 1
+            // can round that to 1, so the derived parameter is checked too.
+            let in_range = |a: f64| a > 0.0 && a < 1.0;
+            if !in_range(alpha) || !in_range(edge_noise_parameter(alpha, block_size)) {
+                return Err(TransferError::InvalidNoiseAlpha);
+            }
         }
-        receiver_shares.push(BitMessage::from_bits(&bit_shares));
+        Ok(())
     }
-    counts.rounds += 3;
 
-    Ok(TransferOutcome {
-        receiver_shares,
-        counts,
-    })
+    /// Strawmen #1 and #2 (`split`): whole values, each encrypted under the
+    /// first bit key of its receiver member, that `i` forwards to `j`
+    /// unopened.  In #1 member `x` encrypts its whole share for receiver
+    /// member `x`; in #2 it splits the share into one XOR sub-share per
+    /// receiver member.
+    fn whole_values(
+        &self,
+        split: bool,
+        sender_shares: &[BitMessage],
+        meter: &mut Meter,
+        rng: &mut dyn DetRng,
+    ) -> Result<Vec<BitMessage>, TransferError> {
+        let (group, block_size) = (self.group, self.sender_block.size());
+        // filed[y]: the ciphertexts `i` holds for receiver member y.
+        let mut filed: Vec<Vec<Ciphertext>> = vec![Vec::new(); block_size];
+        let senders = self.sender_block.members.iter().zip(sender_shares);
+        for (x_idx, (&x_node, &share)) in senders.enumerate() {
+            // The parts x encrypts, for receiver members `first_y..`.
+            let (first_y, parts) = if split {
+                (0, split_xor(share, block_size, rng))
+            } else {
+                (x_idx, vec![share])
+            };
+            let cts: Vec<Ciphertext> = (first_y..)
+                .zip(&parts)
+                .map(|(y_idx, part)| {
+                    let pk = self.certificate.keys[y_idx][0];
+                    let ephemeral = group.random_nonzero_exponent(rng);
+                    let message = group.encode_exponent(part.value());
+                    encrypt_with_ephemeral(group, &pk, message, &ephemeral)
+                })
+                .collect();
+            // One hop per member: its ciphertexts to `i`.
+            let message = TransferWire::adjusted(group, &cts);
+            let sent = meter.hop(x_node, self.sender_vertex, message)?;
+            for (y_idx, ct) in (first_y..).zip(sent.into_adjusted(group)?) {
+                filed[y_idx].push(ct);
+            }
+        }
+        // `i` forwards them all to `j` unopened.
+        let forwarded = TransferWire::adjusted(group, &filed.concat());
+        let forwarded = meter
+            .hop(self.sender_vertex, self.receiver_vertex, forwarded)?
+            .into_adjusted(group)?;
+        let per_member = if split { block_size } else { 1 };
+        let members = self.receiver_block.members.iter();
+        members
+            .zip(forwarded.chunks(per_member))
+            .map(|(&y_node, cts)| self.open_whole_values(y_node, cts, meter))
+            .collect()
+    }
+
+    /// Steps 4 and 5 of strawmen #1 and #2: `j` adjusts each of member `y`'s
+    /// ciphertexts with its neighbor key and hands them over; `y` decrypts
+    /// each whole value, looks it up and XORs the values into its share.
+    fn open_whole_values(
+        &self,
+        y_node: NodeId,
+        cts: &[Ciphertext],
+        meter: &mut Meter,
+    ) -> Result<BitMessage, TransferError> {
+        let group = self.group;
+        let adjusted: Vec<Ciphertext> = cts
+            .iter()
+            .map(|ct| adjust_ciphertext(group, ct, self.neighbor_key))
+            .collect();
+        let message = TransferWire::adjusted(group, &adjusted);
+        let adjusted = meter.hop(self.receiver_vertex, y_node, message)?;
+        let adjusted = adjusted.into_adjusted(group)?;
+        let secret = &self.node_secrets[y_node.0].bit_keys[0].secret;
+        let width = self.bits as u32;
+        adjusted
+            .iter()
+            .try_fold(BitMessage::zero(width), |share, ct| {
+                let value = self
+                    .dlog
+                    .lookup(group, decrypt(group, secret, ct)?)
+                    .map_err(|_| TransferError::DecryptionFailure)?;
+                Ok(share.xor(&BitMessage::new(value, width)?))
+            })
+    }
+
+    /// Strawman #3 and the final protocol (`noise` set): the driver over
+    /// one function per role step.  The ciphertexts flow
+    /// `B_i → i → j → B_j`, every hop through the [`Meter`].
+    fn bitwise_protocol(
+        &self,
+        sender_shares: &[BitMessage],
+        noise: Option<&TwoSidedGeometric>,
+        meter: &mut Meter,
+        rng: &mut dyn DetRng,
+    ) -> Result<Vec<BitMessage>, TransferError> {
+        let encrypted = self.send_subshares(sender_shares, meter, rng)?;
+        let aggregated = self.aggregate_and_noise(&encrypted, noise, meter, rng)?;
+        let adjusted = self.adjust(aggregated, meter)?;
+        self.decrypt_bits(&adjusted)
+    }
+
+    /// Steps 1+2, at every `x ∈ B_i`: split the share into one sub-share
+    /// per receiver member, bit-decompose and encrypt each with the
+    /// Kurosawa single-ephemeral optimisation ([`encrypt_subshares`]), and
+    /// send the bundles to `i`, which files what it decodes per receiver
+    /// member: `[y][x][l]`, bit `l` of `x`'s sub-share for `y`.
+    fn send_subshares(
+        &self,
+        sender_shares: &[BitMessage],
+        meter: &mut Meter,
+        rng: &mut dyn DetRng,
+    ) -> Result<Vec<Vec<Vec<Ciphertext>>>, TransferError> {
+        let group = self.group;
+        let mut encrypted =
+            encrypt_subshares(group, self.certificate, sender_shares, self.bits, rng);
+        // The hops, in (x, y) order: each bundle crosses as a SubShares
+        // message, its ephemeral encoded once.
+        for (x_idx, &x_node) in self.sender_block.members.iter().enumerate() {
+            for y_idx in 0..encrypted.len() {
+                let bundle = TransferWire::subshares(group, y_idx, &encrypted[y_idx][x_idx]);
+                let (receiver, decoded) = meter
+                    .hop(x_node, self.sender_vertex, bundle)?
+                    .into_subshares(group)?;
+                encrypted[receiver][x_idx] = decoded;
+            }
+        }
+        Ok(encrypted)
+    }
+
+    /// Step 3, at `i`: homomorphically sum every receiver member's bundles
+    /// per bit position, fold even geometric noise into each sum (final
+    /// protocol only), and forward the sums to `j`.
+    fn aggregate_and_noise(
+        &self,
+        encrypted: &[Vec<Vec<Ciphertext>>],
+        noise: Option<&TwoSidedGeometric>,
+        meter: &mut Meter,
+        rng: &mut dyn DetRng,
+    ) -> Result<Vec<Vec<Ciphertext>>, TransferError> {
+        let group = self.group;
+        let mut aggregated = Vec::with_capacity(encrypted.len());
+        for per_receiver in encrypted {
+            let (first, rest) = (&per_receiver[0], &per_receiver[1..]);
+            // Every sender's L ciphertexts for this receiver share one
+            // ephemeral component, so the aggregated `c1` is identical at
+            // every bit position: one product per receiver instead of L.
+            let c1 = rest
+                .iter()
+                .fold(first[0].c1, |c1, cts| group.mul(c1, cts[0].c1));
+            let mut per_bit = Vec::with_capacity(self.bits);
+            for l in 0..self.bits {
+                let c2 = rest
+                    .iter()
+                    .fold(first[l].c2, |c2, cts| group.mul(c2, cts[l].c2));
+                let sum = Ciphertext { c1, c2 };
+                per_bit.push(match noise {
+                    Some(dist) => homomorphic_add_signed(group, &sum, dist.sample_even(rng)),
+                    None => sum,
+                });
+            }
+            aggregated.push(per_bit);
+        }
+        // The hop carries a full `(c1, c2)` pair per bit.
+        let message = TransferWire::aggregated(group, &aggregated);
+        meter
+            .hop(self.sender_vertex, self.receiver_vertex, message)?
+            .into_aggregated(group)
+    }
+
+    /// Step 4, at `j`: adjust the ephemeral keys with the neighbor key for
+    /// `i` and forward each receiver member its `L` ciphertexts.
+    fn adjust(
+        &self,
+        aggregated: Vec<Vec<Ciphertext>>,
+        meter: &mut Meter,
+    ) -> Result<Vec<Vec<Ciphertext>>, TransferError> {
+        let group = self.group;
+        let members = self.receiver_block.members.iter();
+        members
+            .zip(aggregated)
+            .map(|(&y_node, per_bit)| {
+                // The aggregated ciphertexts share their ephemeral
+                // component, so the expensive `c1^r` happens once per
+                // receiver member.
+                let c1 = group.pow(per_bit[0].c1, self.neighbor_key);
+                let adjusted: Vec<Ciphertext> = per_bit
+                    .iter()
+                    .map(|ct| Ciphertext { c1, c2: ct.c2 })
+                    .collect();
+                let message = TransferWire::adjusted(group, &adjusted);
+                let adjusted = meter.hop(self.receiver_vertex, y_node, message)?;
+                adjusted.into_adjusted(group)
+            })
+            .collect()
+    }
+
+    /// Step 5, at every `y ∈ B_j`: decrypt each bit-sum and keep its
+    /// parity — the noise is always even, so an odd sum means the XOR of
+    /// the sub-share bits is 1 — as the member's fresh share.
+    fn decrypt_bits(&self, bundles: &[Vec<Ciphertext>]) -> Result<Vec<BitMessage>, TransferError> {
+        let group = self.group;
+        let members = self.receiver_block.members.iter();
+        members
+            .zip(bundles)
+            .map(|(&y_node, cts)| {
+                // All L ciphertexts share one ephemeral component, so one
+                // comb table on it serves every fused decryption
+                // `c2 · c1^(q − x_l)`, the L secrets in lock-step.
+                let negated: Vec<CombDigits> = self.node_secrets[y_node.0].bit_keys[..self.bits]
+                    .iter()
+                    .map(|kp| {
+                        let neg = group
+                            .q()
+                            .wrapping_sub(&kp.secret.exponent().rem(&group.q()));
+                        CombPow::recode(group, &neg)
+                    })
+                    .collect();
+                let mut masks = vec![group.identity(); self.bits];
+                CombPow::new(group, cts[0].c1).pow_many(&negated, &mut masks);
+                let parities = cts.iter().zip(&masks).map(|(ct, &mask)| {
+                    let sum = self.dlog.lookup_signed(group, group.mul(ct.c2, mask));
+                    sum.map(|s| s.rem_euclid(2) == 1)
+                        .map_err(|_| TransferError::DecryptionFailure)
+                });
+                let parities: Vec<bool> = parities.collect::<Result<_, _>>()?;
+                Ok(BitMessage::from_bits(&parities))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -634,6 +644,7 @@ mod tests {
     use proptest::prelude::*;
 
     const BITS: u32 = 8;
+    const FINAL: ProtocolVariant = ProtocolVariant::Final { alpha: 0.5 };
 
     struct Fixture {
         group: Group,
@@ -657,6 +668,55 @@ mod tests {
         }
     }
 
+    /// A transfer over the edge (0, 1) from `rng`'s position, with the
+    /// inputs one test may bend: returns the result, the traffic it
+    /// recorded and the RNG.  The module's one `transfer_message` call.
+    fn transfer(
+        fx: &Fixture,
+        variant: ProtocolVariant,
+        sender_shares: &[BitMessage],
+        secrets: &[NodeSecrets],
+        dlog: &DlogTable,
+        mut rng: Xoshiro256,
+    ) -> (
+        Result<TransferOutcome, TransferError>,
+        TrafficAccountant,
+        Xoshiro256,
+    ) {
+        let config = TransferConfig {
+            variant,
+            message_bits: BITS,
+        };
+        let mut traffic = TrafficAccountant::new();
+        // Receiver vertex 1 treats vertex 0 as its first neighbour, so the
+        // certificate is blocks[1]'s certificate 0 and the matching
+        // neighbor key is secrets[1].neighbor_keys[0].
+        let result = transfer_message(
+            &fx.group,
+            &config,
+            NodeId(0),
+            NodeId(1),
+            &fx.setup.blocks[0],
+            &fx.setup.blocks[1],
+            sender_shares,
+            secrets,
+            &fx.setup.certificates[1][0],
+            &fx.secrets[1].neighbor_keys[0],
+            dlog,
+            &mut traffic,
+            &mut rng,
+        );
+        (result, traffic, rng)
+    }
+
+    /// The sender shares of `value` drawn from a fresh RNG seeded by
+    /// `seed`, and that RNG.
+    fn shares_of(fx: &Fixture, value: u64, seed: u64) -> (Vec<BitMessage>, Xoshiro256) {
+        let mut rng = Xoshiro256::new(seed);
+        let message = BitMessage::new(value, BITS).unwrap();
+        (split_xor(message, fx.setup.blocks[0].size(), &mut rng), rng)
+    }
+
     /// Runs a transfer of `value` over the edge (0, 1) and returns the
     /// outcome plus the reconstructed received value.
     fn run_transfer(
@@ -665,39 +725,10 @@ mod tests {
         value: u64,
         seed: u64,
     ) -> (TransferOutcome, u64) {
-        let config = TransferConfig {
-            variant,
-            message_bits: BITS,
-        };
-        let mut rng = Xoshiro256::new(seed);
-        let sender_vertex = NodeId(0);
-        let receiver_vertex = NodeId(1);
-        let sender_block = &fx.setup.blocks[0];
-        let receiver_block = &fx.setup.blocks[1];
-        let message = BitMessage::new(value, BITS).unwrap();
-        let sender_shares = split_xor(message, sender_block.size(), &mut rng);
-        // Receiver vertex 1 treats vertex 0 as its first neighbour, so the
-        // certificate is blocks[1]'s certificate 0 and the matching
-        // neighbor key is secrets[1].neighbor_keys[0].
-        let certificate = &fx.setup.certificates[1][0];
-        let neighbor_key = &fx.secrets[1].neighbor_keys[0];
-        let mut traffic = TrafficAccountant::new();
-        let outcome = transfer_message(
-            &fx.group,
-            &config,
-            sender_vertex,
-            receiver_vertex,
-            sender_block,
-            receiver_block,
-            &sender_shares,
-            &fx.secrets,
-            certificate,
-            neighbor_key,
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap();
+        let (sender_shares, rng) = shares_of(fx, value, seed);
+        let outcome = transfer(fx, variant, &sender_shares, &fx.secrets, &fx.dlog, rng)
+            .0
+            .unwrap();
         let received = xor_reconstruct(&outcome.receiver_shares).unwrap().value();
         (outcome, received)
     }
@@ -724,27 +755,9 @@ mod tests {
         // the sender's shares) — this is what defeats the strawman-2
         // recognition attack.
         let fx = fixture(3);
-        let mut rng = Xoshiro256::new(5);
         let message = BitMessage::new(0x5A, BITS).unwrap();
-        let sender_shares = split_xor(message, 4, &mut rng);
-        let config = TransferConfig::final_protocol(BITS, 0.5);
-        let mut traffic = TrafficAccountant::new();
-        let outcome = transfer_message(
-            &fx.group,
-            &config,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &sender_shares,
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap();
+        let (sender_shares, _) = shares_of(&fx, 0x5A, 5);
+        let (outcome, _) = run_transfer(&fx, FINAL, 0x5A, 5);
         assert_ne!(outcome.receiver_shares, sender_shares);
         assert_eq!(xor_reconstruct(&outcome.receiver_shares).unwrap(), message);
     }
@@ -755,27 +768,9 @@ mod tests {
         // B_i each send k+1; members of B_j receive a constant amount.
         let fx = fixture(3);
         let block_size = 4u64;
-        let config = TransferConfig::final_protocol(BITS, 0.5);
-        let mut rng = Xoshiro256::new(21);
-        let message = BitMessage::new(0x3C, BITS).unwrap();
-        let sender_shares = split_xor(message, block_size as usize, &mut rng);
-        let mut traffic = TrafficAccountant::new();
-        transfer_message(
-            &fx.group,
-            &config,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &sender_shares,
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap();
+        let (sender_shares, rng) = shares_of(&fx, 0x3C, 21);
+        let (result, traffic, _) = transfer(&fx, FINAL, &sender_shares, &fx.secrets, &fx.dlog, rng);
+        result.unwrap();
 
         let elem = fx.group.element_bytes();
         // Vertex i (node 0) receives the (k+1)^2 encrypted sub-shares, each
@@ -805,92 +800,40 @@ mod tests {
     #[test]
     fn undersized_table_reports_p_fail() {
         let fx = fixture(3);
-        let group = &fx.group;
         // A lookup window of 1 cannot hold bit sums up to k+1 = 4.
-        let tiny = DlogTable::new_signed(group, 1);
-        let config = TransferConfig::final_protocol(BITS, 0.9);
-        let mut rng = Xoshiro256::new(2);
-        let message = BitMessage::new(0xFF, BITS).unwrap();
-        let sender_shares = split_xor(message, 4, &mut rng);
-        let mut traffic = TrafficAccountant::new();
-        let err = transfer_message(
-            group,
-            &config,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &sender_shares,
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &tiny,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap_err();
+        let tiny = DlogTable::new_signed(&fx.group, 1);
+        let (sender_shares, rng) = shares_of(&fx, 0xFF, 2);
+        let variant = ProtocolVariant::Final { alpha: 0.9 };
+        let err = transfer(&fx, variant, &sender_shares, &fx.secrets, &tiny, rng)
+            .0
+            .unwrap_err();
         assert_eq!(err, TransferError::DecryptionFailure);
     }
 
     #[test]
     fn shape_mismatches_are_rejected() {
         let fx = fixture(3);
-        let config = TransferConfig::final_protocol(BITS, 0.5);
-        let mut rng = Xoshiro256::new(3);
-        let mut traffic = TrafficAccountant::new();
         // Wrong number of sender shares.
-        let err = transfer_message(
-            &fx.group,
-            &config,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &[BitMessage::zero(BITS); 2],
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap_err();
+        let err = try_transfer(&fx, FINAL, &[BitMessage::zero(BITS); 2], &fx.secrets)
+            .0
+            .unwrap_err();
         assert!(matches!(err, TransferError::BlockSizeMismatch { .. }));
     }
 
-    /// A fixed-seed transfer over the edge (0, 1) whose arguments one test
-    /// can bend: returns the result, the traffic it recorded and the RNG.
+    /// A transfer of `sender_shares` over the edge (0, 1) from the fixed
+    /// seed [`assert_untouched`] compares against.
     fn try_transfer(
         fx: &Fixture,
         variant: ProtocolVariant,
+        sender_shares: &[BitMessage],
         secrets: &[NodeSecrets],
     ) -> (
         Result<TransferOutcome, TransferError>,
         TrafficAccountant,
         Xoshiro256,
     ) {
-        let config = TransferConfig {
-            variant,
-            message_bits: BITS,
-        };
-        let mut rng = Xoshiro256::new(31);
-        let mut traffic = TrafficAccountant::new();
-        let result = transfer_message(
-            &fx.group,
-            &config,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &[BitMessage::zero(BITS); 4],
-            secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        );
-        (result, traffic, rng)
+        let rng = Xoshiro256::new(31);
+        transfer(fx, variant, sender_shares, secrets, &fx.dlog, rng)
     }
 
     /// A rejected transfer drew nothing and recorded nothing.
@@ -904,8 +847,12 @@ mod tests {
         let fx = fixture(3);
         // The last one is inside (0, 1) but α^{2/(k+1)} rounds to 1.
         for alpha in [1.0, 0.0, -0.5, 4.0, f64::NAN, 1.0 - f64::EPSILON / 2.0] {
-            let (result, traffic, rng) =
-                try_transfer(&fx, ProtocolVariant::Final { alpha }, &fx.secrets);
+            let (result, traffic, rng) = try_transfer(
+                &fx,
+                ProtocolVariant::Final { alpha },
+                &[BitMessage::zero(BITS); 4],
+                &fx.secrets,
+            );
             assert_eq!(
                 result.unwrap_err(),
                 TransferError::InvalidNoiseAlpha,
@@ -916,7 +863,11 @@ mod tests {
         let smallest = ProtocolVariant::Final {
             alpha: f64::MIN_POSITIVE,
         };
-        assert!(try_transfer(&fx, smallest, &fx.secrets).0.is_ok());
+        assert!(
+            try_transfer(&fx, smallest, &[BitMessage::zero(BITS); 4], &fx.secrets)
+                .0
+                .is_ok()
+        );
     }
 
     #[test]
@@ -935,11 +886,13 @@ mod tests {
         short_keys[last_member].bit_keys.truncate(BITS as usize - 1);
         for variant in [
             ProtocolVariant::Strawman1,
+            ProtocolVariant::Strawman2,
             ProtocolVariant::Strawman3,
             ProtocolVariant::Final { alpha: 0.5 },
         ] {
             for secrets in [truncated, &short_keys[..]] {
-                let (result, traffic, rng) = try_transfer(&fx, variant, secrets);
+                let (result, traffic, rng) =
+                    try_transfer(&fx, variant, &[BitMessage::zero(BITS); 4], secrets);
                 assert_eq!(
                     result.unwrap_err(),
                     TransferError::MissingNodeSecrets { node: last_member }
@@ -965,8 +918,7 @@ mod tests {
 
             let mut reference_rng = rng.clone();
             let encrypted =
-                encrypt_subshares(&group, certificate, &sender_shares, BITS as usize, &mut rng)
-                    .unwrap();
+                encrypt_subshares(&group, certificate, &sender_shares, BITS as usize, &mut rng);
             assert_eq!(encrypted.len(), block_size);
             for (x_idx, share) in sender_shares.iter().enumerate() {
                 let subshares = split_xor(*share, block_size, &mut reference_rng);
@@ -988,49 +940,37 @@ mod tests {
 
     #[test]
     fn share_width_mismatch_is_a_typed_error() {
-        // A share narrower than L used to surface from the per-bundle
-        // encryption; the key-outer path checks it before any draw.
+        // One check in `transfer_message` serves all four variants: a share
+        // one bit too narrow or too wide is rejected before any draw.
         let fx = fixture(3);
-        let mut rng = Xoshiro256::new(1);
-        let err = encrypt_subshares(
-            &fx.group,
-            &fx.setup.certificates[1][0],
-            &[BitMessage::zero(BITS - 1); 4],
-            BITS as usize,
-            &mut rng,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            TransferError::Crypto(CryptoError::ShareCountMismatch { .. })
-        ));
-        assert_eq!(rng.next_u64(), Xoshiro256::new(1).next_u64());
+        for variant in [
+            ProtocolVariant::Strawman1,
+            ProtocolVariant::Strawman2,
+            ProtocolVariant::Strawman3,
+            FINAL,
+        ] {
+            for width in [BITS - 1, BITS + 1] {
+                let shares = [BitMessage::zero(width); 4];
+                let (result, traffic, rng) = try_transfer(&fx, variant, &shares, &fx.secrets);
+                assert_eq!(
+                    result.unwrap_err(),
+                    TransferError::Crypto(CryptoError::ShareCountMismatch {
+                        expected: BITS as usize,
+                        actual: width as usize,
+                    }),
+                    "{variant:?} width {width}"
+                );
+                assert_untouched(&traffic, rng);
+            }
+        }
     }
 
     #[test]
     fn wire_traffic_is_recorded_per_node() {
         let fx = fixture(3);
-        let config = TransferConfig::final_protocol(BITS, 0.5);
-        let mut rng = Xoshiro256::new(8);
-        let message = BitMessage::new(0x4D, BITS).unwrap();
-        let sender_shares = split_xor(message, 4, &mut rng);
-        let mut traffic = TrafficAccountant::new();
-        transfer_message(
-            &fx.group,
-            &config,
-            NodeId(0),
-            NodeId(1),
-            &fx.setup.blocks[0],
-            &fx.setup.blocks[1],
-            &sender_shares,
-            &fx.secrets,
-            &fx.setup.certificates[1][0],
-            &fx.secrets[1].neighbor_keys[0],
-            &fx.dlog,
-            &mut traffic,
-            &mut rng,
-        )
-        .unwrap();
+        let (sender_shares, rng) = shares_of(&fx, 0x4D, 8);
+        let (result, traffic, _) = transfer(&fx, FINAL, &sender_shares, &fx.secrets, &fx.dlog, rng);
+        result.unwrap();
         // Vertex i (node 0) received the measured sub-share bundles and
         // forwarded the measured aggregate to j.
         assert!(traffic.node(NodeId(0)).wire_bytes_received > 0);
@@ -1071,8 +1011,8 @@ mod tests {
 
     #[test]
     fn kernel_counts_match_the_analytic_model() {
-        // Cross-check with `dstress-core`'s accounted execution model: for
-        // block size b and L message bits the final protocol does
+        // Cross-check `bitwise_counts`, which both transfer modes charge:
+        // for block size b and L message bits the final protocol does
         // b²L + b variable-base and b² + 2bL fixed-base exponentiations.
         let fx = fixture(3);
         let (b, l) = (4u64, BITS as u64);

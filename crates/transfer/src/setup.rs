@@ -195,21 +195,42 @@ impl TrustedParty {
         let (blocks, aggregation_block, assignment_signature) =
             self.assign_blocks(n, block_size, rng);
 
-        // Build the D certificates for every node's block: certificate
-        // (i, j) holds the bit keys of B_i's members raised to i's j-th
-        // neighbor key (`rerandomize_public_key`, entry by entry).  A
-        // registered key is raised to the neighbor keys of *every* block
-        // its node sits in, so the work goes key-outer: each neighbor key
-        // is recoded once, and one comb table per registered bit key
-        // serves all of those exponents in lock-step.
-        let mut certificates: Vec<Vec<BlockCertificate>> = (0..n)
+        let certificates =
+            self.issue_certificates(group, registrations, &blocks, degree_bound, message_bits);
+        Ok(SystemSetup {
+            collusion_bound,
+            degree_bound,
+            message_bits,
+            blocks,
+            aggregation_block,
+            certificates,
+            assignment_signature,
+        })
+    }
+
+    /// Builds and tags the `D` certificates of every node's block:
+    /// certificate `(i, j)` holds the bit keys of `B_i`'s members raised to
+    /// `i`'s `j`-th neighbor key (`rerandomize_public_key`, entry by
+    /// entry).  A registered key is raised to the neighbor keys of *every*
+    /// block its node sits in, so the work goes key-outer: each neighbor
+    /// key is recoded once, and one comb table per registered bit key
+    /// serves all of those exponents in lock-step.
+    fn issue_certificates(
+        &self,
+        group: &Group,
+        registrations: &[(Vec<PublicKey>, Vec<U256>)],
+        blocks: &[Block],
+        degree_bound: usize,
+        message_bits: u32,
+    ) -> Vec<Vec<BlockCertificate>> {
+        let mut certificates: Vec<Vec<BlockCertificate>> = (0..blocks.len())
             .map(|i| {
                 (0..degree_bound)
                     .map(|j| BlockCertificate {
                         block_owner: NodeId(i),
                         neighbor_index: j,
                         // (`vec![v; n]` would clone away the capacity.)
-                        keys: (0..block_size)
+                        keys: (0..blocks[i].size())
                             .map(|_| Vec::with_capacity(message_bits as usize))
                             .collect(),
                         signature: 0,
@@ -247,16 +268,7 @@ impl TrustedParty {
         for cert in certificates.iter_mut().flatten() {
             cert.signature = self.certificate_tag(group, cert);
         }
-
-        Ok(SystemSetup {
-            collusion_bound,
-            degree_bound,
-            message_bits,
-            blocks,
-            aggregation_block,
-            certificates,
-            assignment_signature,
-        })
+        certificates
     }
 
     /// Verifies a block certificate's integrity tag.

@@ -10,7 +10,8 @@
 # not when it is reformatted into denser expressions.  The in-tree
 # dependency shims (`shims/*/src`, same cut rule) get one line of their
 # own after the total: they are not the system, but they are code kept.
-# The report ends with the five longest non-test functions.
+# Then the number of `too_many_arguments` allowances in non-test source,
+# and the five longest non-test functions.
 #
 # Usage: scripts/loc.sh [ROOT]   (ROOT defaults to the repository root, so
 # the same script can count a checkout of another commit)
@@ -34,6 +35,15 @@ for src in crates/*/src src; do
 done
 printf '%-18s %6d\n' total "$total"
 printf '%-18s %6d\n' shims "$(count shims/*/src)"
+
+# `#[allow(clippy::too_many_arguments)]` in non-test source (same cut
+# rule), so "fewer long argument lists" is a number too.
+allows=$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+    !skip && /#\[allow\(clippy::too_many_arguments\)\]/ { n++ }
+    END { print n + 0 }')
+printf '%-18s %6d\n' too_many_arguments "$allows"
 
 # The five longest non-test functions, `lines file:line name`, so "no
 # 500-line function" is a number.  A function runs from its `fn` line to

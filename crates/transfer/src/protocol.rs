@@ -488,9 +488,9 @@ impl Edge<'_> {
             })
     }
 
-    /// Strawman #3 and the final protocol (`noise` set): the driver over
-    /// one function per role step.  The ciphertexts flow
-    /// `B_i → i → j → B_j`, every hop through the [`Meter`].
+    /// Strawman #3 and the final protocol (`noise` set): one call per role
+    /// step.  The ciphertexts flow `B_i → i → j → B_j`, every hop through
+    /// the [`Meter`].
     fn bitwise_protocol(
         &self,
         sender_shares: &[BitMessage],

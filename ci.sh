@@ -119,8 +119,16 @@ run_tests -q -p dstress-net lanes_deliver_in_order_and_give_back_large_buffers
 run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results
 run_tests --release -q -p dstress-core gmw_batching_modes_agree_end_to_end
 
-echo "==> round model: batched rounds scale with depth, not AND-gate count; aggregation rounds are the re-share plus each MPC's layers"
+echo "==> round model: batched rounds scale with depth, not AND-gate count; aggregation rounds are the re-share plus the release MPC's layers"
+# The release MPC is the aggregation circuit with the noising circuit
+# composed onto it (Circuit::then): the composition equals the two
+# circuits evaluated apart, exhaustively at small widths and by proptest,
+# its gadget trace names only its own wires, and too few inputs
+# downstream is a typed error; inside the engine the noised word is the
+# noising circuit on the real aggregate.
 run_tests --release -q -p dstress-mpc batched_rounds_scale_with_depth_not_gate_count
+run_tests -q -p dstress-circuit --test composition
+run_tests -q -p dstress-core release_mpc_noises_the_aggregate_it_computes
 run_tests --release -q -p dstress --test end_to_end_pipeline aggregation_rounds_follow_the_layer_model
 
 echo "==> crypto kernels pinned to the naive references; the transfer path, the setup and whole engine runs pinned to constants"

@@ -34,9 +34,10 @@ use crate::relational::DeltaAnalysis;
 use crate::report::{CircuitReport, Finding};
 use crate::{analyze_with, dedup_findings, input_words};
 
-/// Width of each of the two geometric-noise randomness words, matching
-/// the engine's `noising_circuit(aggregate_bits, 64, 0)` call.
-pub const NOISE_RANDOM_BITS: u32 = 64;
+/// Width of each of the two geometric-noise randomness words: the
+/// engine's own constant, so the certified noising circuit is the one it
+/// runs.
+pub use dstress_core::noise_circuit::NOISE_RANDOM_BITS;
 
 /// The certified result of analyzing one program end to end.
 #[derive(Clone, Debug)]

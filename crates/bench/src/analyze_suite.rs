@@ -15,7 +15,7 @@
 use dstress_analyze::{analyze, analyze_program, ProgramReport};
 use dstress_circuit::spec::{CircuitSpec, FlowPolicy, Interval, ReleaseSpec, WordSpec};
 use dstress_core::analytics::{DegreeHistogramProgram, PageRankProgram, SsspProgram, WccProgram};
-use dstress_core::noise_circuit::noising_circuit;
+use dstress_core::noise_circuit::{noising_circuit, NOISE_RANDOM_BITS};
 use dstress_core::program::CounterProgram;
 use dstress_crypto::{DlogTable, Group};
 use dstress_finance::generator::apply_shock;
@@ -191,13 +191,13 @@ pub fn analyze_suite_rows() -> Vec<AnalyzeRow> {
 
     // The standalone noising circuit the microbenchmarks cost
     // (`MpcCircuitKind::Noising` builds the same shape).
-    let noising = noising_circuit(32, 64, 0);
+    let noising = noising_circuit(32, NOISE_RANDOM_BITS, 0);
     let spec = CircuitSpec {
         name: "noising[32]".to_string(),
         inputs: vec![
             WordSpec::private("aggregate", 32, Interval::new(0, 1 << 20)),
-            WordSpec::noise("geom_r1", 64),
-            WordSpec::noise("geom_r2", 64),
+            WordSpec::noise("geom_r1", NOISE_RANDOM_BITS),
+            WordSpec::noise("geom_r2", NOISE_RANDOM_BITS),
         ],
         output_words: vec![32],
         policy: FlowPolicy::NoisedRelease,

@@ -12,7 +12,7 @@
 //! cost model), and the measured per-node traffic.
 
 use dstress_circuit::{Circuit, CircuitBuilder, CircuitLayers, CircuitStats};
-use dstress_core::noise_circuit::noising_circuit;
+use dstress_core::noise_circuit::{noising_circuit, NOISE_RANDOM_BITS};
 use dstress_core::SecureVertexProgram;
 use dstress_finance::{
     CircuitParams, EisenbergNoeSecure, ElliottGolubJacksonSecure, FinancialNetwork,
@@ -140,7 +140,7 @@ pub fn build_circuit(
             leverage_bound: 0.1,
         }
         .aggregation_circuit(vertices),
-        MpcCircuitKind::Noising => noising_circuit(32, 64, 0),
+        MpcCircuitKind::Noising => noising_circuit(32, NOISE_RANDOM_BITS, 0),
     }
 }
 

@@ -11,7 +11,7 @@
 //! validation points measured with the runtime.
 
 use crate::end_to_end::{fig5_network, run_end_to_end, Algorithm};
-use dstress_core::noise_circuit::noising_circuit;
+use dstress_core::noise_circuit::{noising_circuit, NOISE_RANDOM_BITS};
 use dstress_core::{ProjectionInputs, ProjectionResult, ScalabilityModel, SecureVertexProgram};
 use dstress_finance::{CircuitParams, EisenbergNoeSecure, FinancialNetwork};
 
@@ -63,7 +63,7 @@ pub fn en_projection_inputs(degree_bound: usize) -> ProjectionInputs {
     };
     let update = program.update_circuit(degree_bound);
     let aggregation = program.aggregation_circuit(100);
-    let noising = noising_circuit(program.aggregate_bits(), 64, 0);
+    let noising = noising_circuit(program.aggregate_bits(), NOISE_RANDOM_BITS, 0);
     ProjectionInputs::from_circuits(
         &update,
         &aggregation,

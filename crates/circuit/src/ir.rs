@@ -1,15 +1,16 @@
 //! Circuit intermediate representation.
 //!
 //! A [`Circuit`] is a flat, topologically ordered list of gates.  Wire `i`
-//! is the output of gate `i`; the first `num_inputs` gates are
-//! [`Gate::Input`] placeholders.  This representation is deliberately
-//! simple: the GMW engine walks the gate list once per evaluation, and the
-//! statistics module only needs gate counts and fan-in information.
+//! is the output of gate `i`; [`Gate::Input`] gates read the circuit's
+//! inputs by index.  This representation is deliberately simple: the GMW
+//! engine walks the gate list once per evaluation, and the statistics
+//! module only needs gate counts and fan-in information.
+//! [`Circuit::then`] composes two circuits in sequence.
 
 use core::fmt;
 use std::sync::OnceLock;
 
-use crate::gadgets::GadgetEvent;
+use crate::gadgets::{GadgetEvent, GadgetKind};
 use crate::layers::CircuitLayers;
 
 /// Identifier of a wire (the index of the gate that drives it).
@@ -66,6 +67,14 @@ pub enum CircuitError {
         /// The circuit's declared input count.
         num_inputs: usize,
     },
+    /// [`Circuit::then`] was asked to feed a circuit's outputs into a
+    /// circuit with fewer inputs than that.
+    CompositionArity {
+        /// Outputs of the first circuit.
+        outputs: usize,
+        /// Inputs of the circuit they were to feed.
+        inputs: usize,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -86,6 +95,12 @@ impl fmt::Display for CircuitError {
                 write!(
                     f,
                     "gate {gate} reads input {index} but the circuit declares {num_inputs} inputs"
+                )
+            }
+            CircuitError::CompositionArity { outputs, inputs } => {
+                write!(
+                    f,
+                    "cannot feed {outputs} outputs into a circuit of {inputs} inputs"
                 )
             }
         }
@@ -228,6 +243,64 @@ impl Circuit {
     /// the GMW engine never consult it.
     pub fn gadgets(&self) -> &[GadgetEvent] {
         &self.gadgets
+    }
+
+    /// Sequential composition: `next` evaluated on this circuit's
+    /// outputs.  `next`'s first `self.outputs().len()` inputs are bound
+    /// to this circuit's outputs, in order; its remaining inputs become
+    /// new inputs, numbered after this circuit's.  The outputs are this
+    /// circuit's followed by `next`'s.  The gadget trace is both traces,
+    /// `next`'s with its wires remapped, less any `InputWord` event of
+    /// `next` over a bound input (those wires are no longer inputs).
+    ///
+    /// Consumes `self` and appends `next`'s gates to its gate list in
+    /// place, so composing onto a large circuit does not copy it.  Both
+    /// circuits being valid, the composition is valid by construction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::CompositionArity`] if `next` has fewer
+    /// inputs than this circuit has outputs.
+    pub fn then(mut self, next: &Circuit) -> Result<Circuit, CircuitError> {
+        let bound = self.outputs.len();
+        if next.num_inputs < bound {
+            return Err(CircuitError::CompositionArity {
+                outputs: bound,
+                inputs: next.num_inputs,
+            });
+        }
+        let bound_input = |w: WireId| matches!(next.gates[w], Gate::Input(k) if k < bound);
+        // remap[w]: the wire carrying `next`'s wire `w` in the composition.
+        let mut remap: Vec<WireId> = Vec::with_capacity(next.len());
+        self.gates.reserve_exact(next.len().saturating_sub(bound));
+        for &gate in &next.gates {
+            let gate = match gate {
+                Gate::Input(k) if k < bound => {
+                    remap.push(self.outputs[k]);
+                    continue;
+                }
+                Gate::Input(k) => Gate::Input(self.num_inputs + (k - bound)),
+                Gate::ConstFalse | Gate::ConstTrue => gate,
+                Gate::Xor(a, b) => Gate::Xor(remap[a], remap[b]),
+                Gate::And(a, b) => Gate::And(remap[a], remap[b]),
+                Gate::Not(a) => Gate::Not(remap[a]),
+            };
+            remap.push(self.gates.len());
+            self.gates.push(gate);
+        }
+        let word = |w: &[WireId]| w.iter().map(|&w| remap[w]).collect();
+        let kept = next.gadgets.iter().filter(|e| {
+            !(e.kind == GadgetKind::InputWord && e.output.iter().any(|&w| bound_input(w)))
+        });
+        self.gadgets.extend(kept.map(|e| GadgetEvent {
+            kind: e.kind.clone(),
+            inputs: e.inputs.iter().map(|w| word(w)).collect(),
+            output: word(&e.output),
+        }));
+        self.outputs.extend(next.outputs.iter().map(|&o| remap[o]));
+        self.num_inputs += next.num_inputs - bound;
+        self.layers = OnceLock::new();
+        Ok(self)
     }
 }
 

@@ -66,7 +66,8 @@ pub struct CircuitLayers {
     /// `free_schedule[r]` holds the non-AND gates that become computable
     /// once AND round `r` has completed (`r = 0` means "before any
     /// round"), in ascending wire order.  Has `rounds() + 1` entries.
-    free_schedule: Vec<Vec<WireId>>,
+    /// Stored as `u32`, like `and_operands`.
+    free_schedule: Vec<Vec<u32>>,
 }
 
 /// An operand wire id at the width the layering stores it.
@@ -112,13 +113,13 @@ impl CircuitLayers {
         }
         let mut and_layers: Vec<Vec<WireId>> = sized(&and_widths);
         let mut and_operands: Vec<Vec<(u32, u32)>> = sized(&and_widths);
-        let mut free_schedule: Vec<Vec<WireId>> = sized(&free_widths);
+        let mut free_schedule: Vec<Vec<u32>> = sized(&free_widths);
         for (i, gate) in gates.iter().enumerate() {
             if let Gate::And(a, b) = *gate {
                 and_layers[layer[i] - 1].push(i);
                 and_operands[layer[i] - 1].push((narrow(a), narrow(b)));
             } else {
-                free_schedule[layer[i]].push(i);
+                free_schedule[layer[i]].push(narrow(i));
             }
         }
         CircuitLayers {
@@ -147,7 +148,7 @@ impl CircuitLayers {
                 layers.and_operands.push(vec![(narrow(a), narrow(b))]);
                 layers.free_schedule.push(std::mem::take(&mut gap));
             } else {
-                gap.push(i);
+                gap.push(narrow(i));
             }
         }
         layers.free_schedule.push(gap);
@@ -173,9 +174,9 @@ impl CircuitLayers {
     }
 
     /// The free-gate schedule: entry `r` lists the gates computable after
-    /// AND round `r` (entry 0 before any round).  Always `rounds() + 1`
-    /// entries.
-    pub fn free_schedule(&self) -> &[Vec<WireId>] {
+    /// AND round `r` (entry 0 before any round), as `u32` wire ids.
+    /// Always `rounds() + 1` entries.
+    pub fn free_schedule(&self) -> &[Vec<u32>] {
         &self.free_schedule
     }
 
@@ -228,7 +229,7 @@ pub fn evaluate_layered(
     };
     for round in 0..=layers.rounds() {
         for &w in &layers.free_schedule()[round] {
-            eval_free(&mut values, w);
+            eval_free(&mut values, w as WireId);
         }
         if round < layers.rounds() {
             let layer = layers.and_layers()[round].iter();
@@ -296,8 +297,8 @@ mod tests {
         let circuit = b.build().unwrap();
         let layers = CircuitLayers::of(&circuit);
         assert_eq!(layers.rounds(), 1);
-        assert!(layers.free_schedule()[0].contains(&x));
-        assert!(layers.free_schedule()[1].contains(&xor));
+        assert!(layers.free_schedule()[0].contains(&narrow(x)));
+        assert!(layers.free_schedule()[1].contains(&narrow(xor)));
     }
 
     #[test]
@@ -410,7 +411,7 @@ mod tests {
             prop_assert_eq!(serial.free_schedule().len(), serial.rounds() + 1);
             let mut walk = Vec::new();
             for round in 0..=serial.rounds() {
-                walk.extend(&serial.free_schedule()[round]);
+                walk.extend(serial.free_schedule()[round].iter().map(|&w| w as WireId));
                 if round < serial.rounds() {
                     let w = serial.and_layers()[round][0];
                     let (a, b) = serial.and_operands(round).next().unwrap();

@@ -15,9 +15,13 @@
 //!    protocol moves the outgoing-message shares from the sender's block
 //!    to the receiver's block.
 //! 5. **Aggregation + noising** — the blocks re-share their final states
-//!    into the aggregation block, which evaluates the aggregation circuit
-//!    and the noising circuit under GMW and releases only the noised
-//!    aggregate (Laplace mechanism, sensitivity supplied by the program).
+//!    into the aggregation block, which evaluates one release circuit
+//!    under GMW: the aggregation circuit with the noising circuit wired to
+//!    its output shares ([`release_circuit`]), so the noise sampling's
+//!    layers overlap the aggregation's.  The run releases only a noised
+//!    aggregate (Laplace mechanism, sensitivity supplied by the program;
+//!    see `DESIGN.md` row 2 for what the noising circuit's output is not
+//!    yet used for).
 //!
 //! The engine measures, per phase, the operation counts, bytes on the
 //! simulated wire and wall-clock time, which is exactly the breakdown
@@ -58,7 +62,7 @@ use crate::config::{DStressConfig, TransferMode};
 use crate::exec::{
     mpc_transport, BlockStepTask, LocalExecutor, StepContext, StepExecutor, TransferTask,
 };
-use crate::noise_circuit::noising_circuit;
+use crate::noise_circuit::{noising_circuit, NOISE_RANDOM_BITS};
 use crate::program::SecureVertexProgram;
 use crate::store::{
     collect_segments, digest64, load_latest_checkpoint, packed_bytes, restore_store,
@@ -80,7 +84,6 @@ use dstress_mpc::{GmwMessage, MpcError};
 use dstress_net::cost::OperationCounts;
 use dstress_net::pool::windowed;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
-use dstress_net::transport::Session;
 use dstress_net::wire::{Wire, WireError};
 use dstress_transfer::setup::{
     generate_block_assignment, generate_system, NodeSecrets, SystemSetup,
@@ -207,7 +210,8 @@ pub struct PhaseBreakdown {
     pub computation: PhaseCosts,
     /// All message transfers.
     pub communication: PhaseCosts,
-    /// Re-sharing into the aggregation block, aggregation MPC, noising.
+    /// Re-sharing into the aggregation block and the release MPC
+    /// (aggregation and noising in one circuit).
     pub aggregation: PhaseCosts,
 }
 
@@ -459,6 +463,22 @@ impl DStressRuntime {
         executor: &dyn StepExecutor,
         checkpoint: Option<Checkpoint>,
     ) -> Result<DStressRun, RuntimeError> {
+        self.run_until(graph, program, window, executor, checkpoint, |run| {
+            run.aggregate()
+        })
+    }
+
+    /// [`Self::run_windowed`] up to its last step, which `finish` takes
+    /// instead of [`RunState::aggregate`].
+    fn run_until<P: SecureVertexProgram, T>(
+        &self,
+        graph: &Graph,
+        program: &P,
+        window: usize,
+        executor: &dyn StepExecutor,
+        checkpoint: Option<Checkpoint>,
+        finish: impl FnOnce(RunState<'_, P>) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
         let config = &self.config;
         let iterations = program.iterations();
         let group = Group::new(config.group);
@@ -470,7 +490,7 @@ impl DStressRuntime {
         let mut run = RunState::open(config, graph, program, &setup, executor, rng, resuming)?;
         {
             // Scoped to the iterations: the update circuit — and the
-            // layering memoised on it — is released before the aggregation
+            // layering memoised on it — is released before the release
             // MPC allocates its own, typically larger, circuit.
             let update_circuit = program.update_circuit(graph.degree_bound());
             match checkpoint {
@@ -504,7 +524,7 @@ impl DStressRuntime {
                 run.end_round(comm_seed.is_none())?;
             }
         }
-        run.aggregate()
+        finish(run)
     }
 }
 
@@ -995,80 +1015,30 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
     }
 
     /// Aggregation + noising: the blocks re-share their final states into
-    /// the aggregation block, which evaluates the aggregation circuit and
-    /// the noising circuit under GMW; the run releases only the noised
-    /// aggregate.
+    /// the aggregation block, which evaluates the release circuit — the
+    /// aggregation circuit with the noising circuit wired to its outputs
+    /// ([`release_circuit`]) — in one MPC; the run releases only the
+    /// noised aggregate.
     fn aggregate(mut self) -> Result<DStressRun, RuntimeError> {
         let seconds = stopwatch();
-        let (config, graph, program, setup) = (self.config, self.graph, self.program, self.setup);
-        let (block_size, state_bits) = (self.block_size, self.state_bits);
+        let (config, program) = (self.config, self.program);
         let mut counts = OperationCounts::default();
-
-        // Re-share every vertex's state into the aggregation block: each
-        // block member splits its share into |B_A| sub-shares and sends one
-        // to each aggregation-block member.
-        let mut agg_input_shares: Vec<Vec<bool>> =
-            vec![Vec::with_capacity(graph.vertex_count() * state_bits); block_size];
-        for v in graph.vertices() {
-            // Accumulated share of this vertex's state per BA member.
-            let mut ba_shares = vec![vec![false; state_bits]; block_size];
-            for (m_idx, &member) in setup.block_of(NodeId(v.0)).members.iter().enumerate() {
-                let mut member_state = Vec::with_capacity(state_bits);
-                let row = v.0 * block_size + m_idx;
-                self.stores.state.read_into(row, &mut member_state)?;
-                // sub[ba_idx][bit]: this member's sub-share toward each
-                // aggregation-block member.
-                let sub = share_bits(&member_state, block_size, &mut self.rng);
-                // One bit-packed wire message per aggregation-block
-                // member; the decoded copy is what gets folded in.
-                let ba_members = setup.aggregation_block.members.iter();
-                for (ba_share, (&ba_member, bits)) in ba_shares.iter_mut().zip(ba_members.zip(sub))
-                {
-                    let message = AggShare { bits };
-                    let received = self.deliver(&mut counts, member, ba_member, &message)?;
-                    for (acc, b) in ba_share.iter_mut().zip(received.bits) {
-                        *acc ^= b;
-                    }
-                }
-            }
-            for (input, share) in agg_input_shares.iter_mut().zip(ba_shares) {
-                input.extend(share);
-            }
+        let (input_shares, master_seed) = self.release_inputs(&mut counts)?;
+        let circuit = release_circuit(program, self.graph.vertex_count())?;
+        let mut execution = self.release_mpc(&circuit, input_shares, master_seed)?;
+        counts.add(&execution.counts);
+        // Open the aggregate only: the noised word after it stays shared.
+        for shares in &mut execution.output_shares {
+            shares.truncate(program.aggregate_bits() as usize);
         }
-        counts.rounds += 1;
-
-        // Aggregation MPC.  It and the noising MPC run on one session of
-        // the configured transport backend, like every block MPC: the
-        // backend is bit-invisible.
-        let agg_circuit = program.aggregation_circuit(graph.vertex_count());
-        // Its memoised layering is the largest transient of the run's
-        // largest circuit: built before the session and the parties exist.
-        agg_circuit.layers();
-        let transport = mpc_transport(config.transport);
-        let mut session = transport.open(block_size).map_err(MpcError::Transport)?;
-        let agg_exec = self.aggregation_mpc(&mut *session, &agg_circuit, agg_input_shares)?;
-        counts.add(&agg_exec.counts);
-        let aggregate_bits = reconstruct_outputs(&agg_exec.output_shares)?;
+        let aggregate_bits = reconstruct_outputs(&execution.output_shares)?;
         let ideal_output = program.decode_aggregate(&aggregate_bits);
 
-        // Noising MPC: the aggregation block evaluates the distributed
-        // noise-generation circuit on jointly-contributed random bits.  Its
-        // cost is charged here; the released value itself uses the Laplace
-        // mechanism seeded from the members' joint randomness (see
-        // `DESIGN.md` for the substitution note).
-        let noise_circ = noising_circuit(program.aggregate_bits(), 64, 0);
-        let noise_inputs: Vec<Vec<bool>> = (0..block_size)
-            .map(|_| {
-                (0..noise_circ.num_inputs())
-                    .map(|_| self.rng.next_bool())
-                    .collect()
-            })
-            .collect();
-        let noise_exec = self.aggregation_mpc(&mut *session, &noise_circ, noise_inputs)?;
-        counts.add(&noise_exec.counts);
-
-        // Joint seed: one contribution per aggregation-block member.
-        let joint_seed = (0..block_size).fold(0u64, |acc, _| acc ^ self.rng.next_u64());
+        // The released value itself uses the Laplace mechanism seeded from
+        // the members' joint randomness, not the noised word (see
+        // `DESIGN.md` for the substitution note).  Joint seed: one
+        // contribution per aggregation-block member.
+        let joint_seed = (0..self.block_size).fold(0u64, |acc, _| acc ^ self.rng.next_u64());
         let mechanism = LaplaceMechanism::new(program.sensitivity(), config.epsilon);
         let noised_output = mechanism.release(ideal_output, &mut SplitMix64::new(joint_seed));
 
@@ -1088,40 +1058,133 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
                 + stores.inbox_next.spill_file_bytes(),
             traffic: self.traffic,
             iterations: program.iterations(),
-            block_size,
+            block_size: self.block_size,
         })
     }
 
-    /// One MPC of the aggregation block on `session`, its parties on the
-    /// sessions [`RunState::initialize`] set up: draws the execution's
-    /// master seed and charges its traffic to the run.
-    fn aggregation_mpc(
+    /// The release MPC's input shares, one vector per aggregation-block
+    /// member, and its master seed.  Every vertex's block re-shares its
+    /// final state into the aggregation block (one round, charged to
+    /// `counts`); each member then appends its share of the noising
+    /// circuit's `2 · NOISE_RANDOM_BITS` random bits.
+    fn release_inputs(
         &mut self,
-        session: &mut dyn Session<GmwMessage>,
+        counts: &mut OperationCounts,
+    ) -> Result<(Vec<Vec<bool>>, u64), RuntimeError> {
+        let (graph, setup) = (self.graph, self.setup);
+        let (block_size, state_bits) = (self.block_size, self.state_bits);
+        let aggregate_bits = self.program.aggregate_bits() as usize;
+        let random_bits = 2 * NOISE_RANDOM_BITS as usize;
+        let len = graph.vertex_count() * state_bits + random_bits;
+        let mut input_shares: Vec<Vec<bool>> =
+            (0..block_size).map(|_| Vec::with_capacity(len)).collect();
+        // Re-share every vertex's state into the aggregation block: each
+        // block member splits its share into |B_A| sub-shares and sends one
+        // to each aggregation-block member.
+        for v in graph.vertices() {
+            // Accumulated share of this vertex's state per BA member.
+            let mut ba_shares = vec![vec![false; state_bits]; block_size];
+            for (m_idx, &member) in setup.block_of(NodeId(v.0)).members.iter().enumerate() {
+                let mut member_state = Vec::with_capacity(state_bits);
+                let row = v.0 * block_size + m_idx;
+                self.stores.state.read_into(row, &mut member_state)?;
+                // sub[ba_idx][bit]: this member's sub-share toward each
+                // aggregation-block member.
+                let sub = share_bits(&member_state, block_size, &mut self.rng);
+                // One bit-packed wire message per aggregation-block
+                // member; the decoded copy is what gets folded in.
+                let ba_members = setup.aggregation_block.members.iter();
+                for (ba_share, (&ba_member, bits)) in ba_shares.iter_mut().zip(ba_members.zip(sub))
+                {
+                    let message = AggShare { bits };
+                    let received = self.deliver(counts, member, ba_member, &message)?;
+                    for (acc, b) in ba_share.iter_mut().zip(received.bits) {
+                        *acc ^= b;
+                    }
+                }
+            }
+            for (input, share) in input_shares.iter_mut().zip(ba_shares) {
+                input.extend(share);
+            }
+        }
+        counts.rounds += 1;
+
+        // The master seed, then per member one bit for every input of the
+        // noising circuit and a second master seed.  The first
+        // `aggregate_bits` bits of each member and the second seed are
+        // drawn only to keep the releases bit-identical to runs that
+        // executed the noising circuit as an MPC of its own, on random
+        // aggregate inputs; ROADMAP item 1 (ii) drops them when it
+        // re-captures the releases.
+        let master_seed = self.rng.next_u64();
+        for input in &mut input_shares {
+            for _ in 0..aggregate_bits {
+                self.rng.next_bool();
+            }
+            input.extend((0..random_bits).map(|_| self.rng.next_bool()));
+        }
+        self.rng.next_u64();
+        Ok((input_shares, master_seed))
+    }
+
+    /// The release MPC: `circuit` on a fresh session of the configured
+    /// transport backend, its parties on the OT sessions
+    /// [`RunState::initialize`] set up; charges its traffic to the run.
+    fn release_mpc(
+        &mut self,
         circuit: &Circuit,
         input_shares: Vec<Vec<bool>>,
+        master_seed: u64,
     ) -> Result<GmwExecution, RuntimeError> {
+        // The circuit's memoised layering is the largest transient of the
+        // run's largest circuit: built before the session and the parties
+        // exist.
+        circuit.layers();
+        let transport = mpc_transport(self.config.transport);
+        let mut session = transport
+            .open(self.block_size)
+            .map_err(MpcError::Transport)?;
         let job = GmwJob {
             node_ids: self.setup.aggregation_block.members.clone(),
             input_shares,
-            master_seed: self.rng.next_u64(),
+            master_seed,
         };
         let batching = self.config.gmw_batching;
         let ot = OtConfig::extension();
-        let (execution, flows) = execute_established(session, circuit, batching, &ot, vec![job])?
-            .pop()
-            .expect("one job yields one execution");
+        let (execution, flows) =
+            execute_established(&mut *session, circuit, batching, &ot, vec![job])?
+                .pop()
+                .expect("one job yields one execution");
         self.traffic.merge(&flows);
         Ok(execution)
     }
+}
+
+/// The circuit of the aggregation block's one MPC over `vertices` final
+/// states: the program's aggregation circuit, then the noising circuit
+/// with its aggregate inputs bound to the aggregation's outputs
+/// ([`Circuit::then`]).  Its outputs are the aggregate followed by the
+/// noised aggregate; its inputs are the states followed by the noising
+/// circuit's `2 · NOISE_RANDOM_BITS` random bits.
+///
+/// # Errors
+///
+/// Returns [`CircuitError::CompositionArity`] if the aggregation circuit
+/// has more outputs than the noising circuit has inputs.
+pub fn release_circuit<P: SecureVertexProgram>(
+    program: &P,
+    vertices: usize,
+) -> Result<Circuit, CircuitError> {
+    let noising = noising_circuit(program.aggregate_bits(), NOISE_RANDOM_BITS, 0);
+    program.aggregation_circuit(vertices).then(&noising)
 }
 
 /// Every unordered node pair that shares the aggregation block or — when
 /// the update circuit has AND gates at all — a vertex block, once, as
 /// `(lower id, higher id)` in ascending order: the pairs whose
 /// OT-extension sessions the Initialization step sets up.  The
-/// aggregation block's pairs are always set up, because its noising MPC
-/// always has AND gates.
+/// aggregation block's pairs are always set up, because its release MPC
+/// always has AND gates (those of the noising circuit).
 fn session_pairs(setup: &SystemSetup, vertex_blocks: bool) -> Vec<(NodeId, NodeId)> {
     let vertex_blocks = setup.blocks.iter().filter(|_| vertex_blocks);
     let mut pairs = Vec::new();
@@ -1240,6 +1303,54 @@ mod tests {
         assert!((run.noised_output - run.ideal_output).abs() < 200.0);
         assert_eq!(run.iterations, 2);
         assert_eq!(run.block_size, 3);
+    }
+
+    /// The noise half of the release MPC reads the real aggregate: the
+    /// opened noised word equals the noising circuit evaluated in the
+    /// clear on the plaintext aggregate and the members' joint random
+    /// bits.
+    #[test]
+    fn release_mpc_noises_the_aggregate_it_computes() {
+        use crate::program::execute_plaintext;
+        use dstress_circuit::builder::encode_word;
+        use dstress_circuit::evaluate;
+
+        let graph = ring_graph(5);
+        let program = CounterProgram {
+            width: 8,
+            rounds: 2,
+        };
+        let runtime = DStressRuntime::new(DStressConfig::benchmark(2));
+        let (shares, execution) = runtime
+            .run_until(
+                &graph,
+                &program,
+                usize::MAX,
+                &LocalExecutor,
+                None,
+                |mut run| {
+                    let mut counts = OperationCounts::default();
+                    let (shares, master_seed) = run.release_inputs(&mut counts)?;
+                    let circuit = release_circuit(&program, graph.vertex_count())?;
+                    let execution = run.release_mpc(&circuit, shares.clone(), master_seed)?;
+                    Ok((shares, execution))
+                },
+            )
+            .unwrap();
+
+        let a = program.aggregate_bits() as usize;
+        let states = graph.vertex_count() * program.state_bits() as usize;
+        let random: Vec<bool> = (states..shares[0].len())
+            .map(|i| shares.iter().fold(false, |acc, s| acc ^ s[i]))
+            .collect();
+        assert_eq!(random.len(), 2 * NOISE_RANDOM_BITS as usize);
+        let aggregate = execute_plaintext(&graph, &program) as u64;
+        let mut inputs = encode_word(aggregate, a as u32);
+        inputs.extend(random);
+        let noising = noising_circuit(a as u32, NOISE_RANDOM_BITS, 0);
+        let opened = reconstruct_outputs(&execution.output_shares).unwrap();
+        assert_eq!(opened[..a], encode_word(aggregate, a as u32)[..]);
+        assert_eq!(opened[a..], evaluate(&noising, &inputs).unwrap()[..]);
     }
 
     #[test]
@@ -1694,8 +1805,8 @@ mod tests {
 
     #[test]
     fn transport_kind_does_not_change_results() {
-        // The GMW transport backend is bit-invisible: a run whose block,
-        // aggregation and noising MPCs exchange their messages over real
+        // The GMW transport backend is bit-invisible: a run whose block
+        // and release MPCs exchange their messages over real
         // loopback TCP matches the in-process run in outputs, counts —
         // including measured wire bytes — and traffic.
         use crate::config::TransportKind;

@@ -5,7 +5,11 @@
 //! single node ever learns the noise value.  Our runtime accounts for that
 //! circuit's cost (it is one of the five MPC microbenchmarks in Figures 3
 //! and 4) by building a concrete noising circuit and, in the engine,
-//! executing it under GMW alongside the aggregation circuit.
+//! executing it under GMW in the same MPC as the aggregation circuit, its
+//! aggregate inputs wired to the aggregation's outputs
+//! ([`crate::engine::release_circuit`]).  The noised word stays shared:
+//! the released value is still a host-side Laplace draw (`DESIGN.md`
+//! row 2).
 //!
 //! The construction used here converts jointly-contributed uniform random
 //! bits into a *discrete two-sided geometric* sample — the discretised
@@ -25,6 +29,10 @@
 
 use dstress_circuit::builder::CircuitBuilder;
 use dstress_circuit::Circuit;
+
+/// Uniform random bits per leading-ones count of the noising circuit the
+/// engine runs: `noising_circuit(aggregate_bits, NOISE_RANDOM_BITS, 0)`.
+pub const NOISE_RANDOM_BITS: u32 = 64;
 
 /// Builds a noising circuit.
 ///

@@ -274,6 +274,7 @@ pub fn project_degree_buckets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise_circuit::{noising_circuit, NOISE_RANDOM_BITS};
     use dstress_circuit::builder::CircuitBuilder;
 
     /// A stand-in update circuit with a gate count comparable to the
@@ -303,7 +304,7 @@ mod tests {
         b.output_word(&total);
         let agg = b.build().unwrap();
 
-        let noise = crate::noise_circuit::noising_circuit(32, 64, 0);
+        let noise = noising_circuit(32, NOISE_RANDOM_BITS, 0);
         ProjectionInputs::from_circuits(&update, &agg, 100, &noise, (3 + 2 * d as u64) * 16, 12)
     }
 

@@ -94,6 +94,22 @@
 //! `counts[3]`, both resident peaks, and every `PinnedCheckpoint` field
 //! (checkpoints are written before aggregation).  Run (c) still reproduces
 //! run (b).
+//!
+//! **Re-captured a fifth time, 2026-10-17, for a named field set.**  The
+//! aggregation and the noising circuit run as one release MPC, the
+//! noising circuit's aggregate inputs wired to the aggregation's outputs
+//! (`Circuit::then`), instead of as two MPCs back to back.  The gates are
+//! the same, so only the rounds and the bytes of the second MPC's layer
+//! messages moved.  The moved fields: in each `PinnedRun`, entries 7 and 8
+//! (`wire_bytes`, `rounds`) of `counts[3]` (aggregation), and
+//! `traffic_digest`.  Aggregation rounds fell 75 → 44 in both runs (the
+//! noising circuit's layers overlap the aggregation's, and one output
+//! round is gone); aggregation wire bytes 17 883 → 17 442 in (a) and
+//! 40 527 → 40 149 in (b).  Checked field by field not to have moved:
+//! `noised_bits`, `ideal_bits` (the engine keeps the RNG draws of the
+//! retired second MPC), all of `counts[0]`, `counts[1]` and `counts[2]`,
+//! entries 0–6 of `counts[3]`, both resident peaks, and every
+//! `PinnedCheckpoint` field.  Run (c) still reproduces run (b).
 
 use dstress_core::store::{digest64, load_latest_checkpoint, packed_bytes};
 use dstress_core::{
@@ -309,9 +325,9 @@ fn pinned_real_crypto() -> PinnedRun {
             [0x960, 0x0, 0x0, 0x320, 0x0, 0x0, 0x0, 0x19090, 0x2],
             [0x0, 0x0, 0x0, 0x0, 0x46e, 0x17a, 0x654, 0x40f8, 0x2d],
             [0x5dc, 0x474, 0xbb8, 0x0, 0x0, 0x0, 0x0, 0x729c, 0x6],
-            [0x0, 0x0, 0x0, 0x0, 0x5bb, 0x1e9, 0x2b2, 0x45db, 0x4b],
+            [0x0, 0x0, 0x0, 0x0, 0x5bb, 0x1e9, 0x2b2, 0x4422, 0x2c],
         ],
-        traffic_digest: 0x247fb06ffc5dc50d,
+        traffic_digest: 0xdb9978db219c10d3,
         store_resident_peak_bytes: 0x270,
     }
 }
@@ -324,9 +340,9 @@ fn pinned_streamed() -> PinnedRun {
             [0x8430, 0x0, 0x0, 0x2c10, 0x0, 0x0, 0x0, 0x160dee, 0x2],
             [0x0, 0x0, 0x0, 0x0, 0x2f40, 0xfc0, 0x4380, 0x2b500, 0x3c],
             [0x4c77, 0x3a1d, 0x98ee, 0x0, 0x0, 0x0, 0x0, 0x5d7a7, 0x9],
-            [0x0, 0x0, 0x0, 0x0, 0xd1d, 0x45f, 0xcde, 0x9e4f, 0x4b],
+            [0x0, 0x0, 0x0, 0x0, 0xd1d, 0x45f, 0xcde, 0x9cd5, 0x2c],
         ],
-        traffic_digest: 0x5a71139676aa88bb,
+        traffic_digest: 0xd4fec3337e9c45a1,
         store_resident_peak_bytes: 0x2a8,
     }
 }

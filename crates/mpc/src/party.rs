@@ -747,7 +747,7 @@ impl<'c> GmwParty<'c> {
             if !self.free_done {
                 let layers = self.layers;
                 for &w in &layers.free_schedule()[self.round] {
-                    self.eval_free_gate(w);
+                    self.eval_free_gate(w as usize);
                 }
                 self.free_done = true;
             }

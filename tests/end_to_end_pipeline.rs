@@ -6,7 +6,8 @@
 //! aggregation and noising — and compare the result against the plaintext
 //! reference implementations of the same programs.
 
-use dstress::core::noise_circuit::noising_circuit;
+use dstress::core::engine::release_circuit;
+use dstress::core::noise_circuit::{noising_circuit, NOISE_RANDOM_BITS};
 use dstress::core::{
     execute_plaintext, CounterProgram, DStressConfig, DStressRuntime, SecureVertexProgram,
 };
@@ -121,26 +122,31 @@ fn elliott_golub_jackson_pipeline_matches_reference() {
 }
 
 /// The aggregation phase's round model: one round for the re-share into
-/// the aggregation block, then, for each of its two MPCs (the
-/// aggregation circuit and the engine's `noising_circuit(aggregate_bits,
-/// 64, 0)`), two rounds per AND layer and one output round.  A change to
-/// either circuit moves this count by exactly its layers.
+/// the aggregation block, then, for its one MPC — the aggregation circuit
+/// with the noising circuit wired to its outputs, as the engine builds it
+/// (`release_circuit`) — two rounds per AND layer and one output round.
+/// A change to either circuit moves this count by twice the change in
+/// the composition's layers.
 #[test]
 fn aggregation_rounds_follow_the_layer_model() {
     fn check<P: SecureVertexProgram>(what: &str, graph: &dstress::graph::Graph, program: &P) {
         let run = DStressRuntime::new(DStressConfig::benchmark(2))
             .execute(graph, program)
             .expect("engine run succeeds");
-        let mpcs = [
-            program.aggregation_circuit(graph.vertex_count()),
-            noising_circuit(program.aggregate_bits(), 64, 0),
-        ];
-        let per_mpc = mpcs.iter().map(|c| 2 * c.layers().rounds() as u64 + 1);
+        let release = release_circuit(program, graph.vertex_count()).expect("circuits compose");
         assert_eq!(
             run.phases.aggregation.counts.rounds,
-            1 + per_mpc.sum::<u64>(),
+            1 + (2 * release.layers().rounds() as u64 + 1),
             "{what}"
         );
+        // The composition is shallower than the two circuits one after
+        // the other: the noise sampling overlaps the aggregation.
+        let apart = [
+            program.aggregation_circuit(graph.vertex_count()),
+            noising_circuit(program.aggregate_bits(), NOISE_RANDOM_BITS, 0),
+        ];
+        let apart: usize = apart.iter().map(|c| c.layers().rounds()).sum();
+        assert!(release.layers().rounds() < apart, "{what}");
     }
 
     let graph = ring_with_chords(6, 1, 4, &mut Xoshiro256::new(9));

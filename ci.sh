@@ -91,6 +91,13 @@ echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables,
 # AND/depth ceilings.
 run_tests -q -p dstress-circuit --test gadget_costs
 run_tests -q -p dstress-circuit --lib builder::tests
+# The IR: 12-byte gates over u32 wire ids, lists at their exact lengths, a
+# gadget trace naming an undefined wire refused at construction (and so
+# never reaching composition); the layering counts the XOR and NOT gates
+# that every GMW execution is charged, once per execution.
+run_tests -q -p dstress-circuit --lib ir::tests
+run_tests -q -p dstress-circuit --lib layers::tests
+run_tests -q -p dstress-mpc --lib gmw::tests::every_execution_charges_the_circuits_gate_counts_once
 run_tests -q -p dstress-core --lib noise_circuit::tests
 run_tests -q -p dstress-finance update_circuit_equals_a_native_fixed_point_step
 run_tests -q -p dstress-finance aggregation_reads_only_the_low_bits_of_prorate
@@ -225,10 +232,11 @@ run_tests -q -p dstress-core checkpoint
 run_tests -q -p dstress-core kill_and_resume_is_bit_identical
 run_tests -q -p dstress-core resume_rejects_missing_and_foreign_checkpoints
 
-echo "==> memory shape: budgeted run past the 10,000-vertex RAM wall, streaming peak heap"
+echo "==> memory shape: budgeted run past the 10,000-vertex RAM wall, streaming peak heap, release-circuit bytes per gate"
 # N = 12,000 with the budget at 1/4 of the store bytes: real spill-file
 # bytes and a resident peak under budget (+ segment slack); peak heap
-# sub-linear in edges and below the materialised schedule.
+# sub-linear in edges and below the materialised schedule; the N = 4,000
+# release circuit built and layered in at most 32 B per gate.
 run_tests --release -q -p dstress --test streaming_memory -- --ignored
 
 echo "==> DP edge cases: integer budget ledger, geometric clamp"

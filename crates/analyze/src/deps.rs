@@ -28,17 +28,19 @@ impl GroupDeps {
         for (i, gate) in gates.iter().enumerate() {
             match *gate {
                 Gate::Input(_) => {
-                    if let Some(&g) = wire_group.get(&i) {
+                    if let Some(&g) = wire_group.get(&(i as WireId)) {
                         bits[i * blocks + g / 64] |= 1u64 << (g % 64);
                     }
                 }
                 Gate::ConstFalse | Gate::ConstTrue => {}
                 Gate::Not(a) => {
+                    let a = a as usize;
                     for k in 0..blocks {
                         bits[i * blocks + k] = bits[a * blocks + k];
                     }
                 }
                 Gate::Xor(a, b) | Gate::And(a, b) => {
+                    let (a, b) = (a as usize, b as usize);
                     for k in 0..blocks {
                         bits[i * blocks + k] = bits[a * blocks + k] | bits[b * blocks + k];
                     }
@@ -53,7 +55,7 @@ impl GroupDeps {
         let mut acc = vec![0u64; self.blocks];
         for &w in word {
             for (k, slot) in acc.iter_mut().enumerate() {
-                *slot |= self.bits[w * self.blocks + k];
+                *slot |= self.bits[w as usize * self.blocks + k];
             }
         }
         let mut out = Vec::new();

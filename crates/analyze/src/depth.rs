@@ -28,7 +28,7 @@ pub fn all_wires_and_depth(circuit: &Circuit) -> usize {
     let mut memo: Vec<Option<usize>> = vec![None; gates.len()];
     let mut best = 0;
     for w in 0..gates.len() {
-        best = best.max(depth_of(gates, &mut memo, w));
+        best = best.max(depth_of(gates, &mut memo, w as WireId));
     }
     best
 }
@@ -36,29 +36,37 @@ pub fn all_wires_and_depth(circuit: &Circuit) -> usize {
 /// Iterative post-order DFS (an explicit stack: update circuits reach
 /// tens of thousands of gates, too deep for recursion).
 fn depth_of(gates: &[Gate], memo: &mut [Option<usize>], root: WireId) -> usize {
-    if let Some(d) = memo[root] {
+    if let Some(d) = memo[root as usize] {
         return d;
     }
     let mut stack = vec![root];
     while let Some(&w) = stack.last() {
-        if memo[w].is_some() {
+        if memo[w as usize].is_some() {
             stack.pop();
             continue;
         }
-        let (ops, and_here): (Vec<WireId>, bool) = match gates[w] {
+        let (ops, and_here): (Vec<WireId>, bool) = match gates[w as usize] {
             Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => (Vec::new(), false),
             Gate::Not(a) => (vec![a], false),
             Gate::Xor(a, b) => (vec![a, b], false),
             Gate::And(a, b) => (vec![a, b], true),
         };
-        let pending: Vec<WireId> = ops.iter().copied().filter(|&o| memo[o].is_none()).collect();
+        let pending: Vec<WireId> = ops
+            .iter()
+            .copied()
+            .filter(|&o| memo[o as usize].is_none())
+            .collect();
         if pending.is_empty() {
-            let base = ops.iter().map(|&o| memo[o].unwrap()).max().unwrap_or(0);
-            memo[w] = Some(base + usize::from(and_here));
+            let base = ops
+                .iter()
+                .map(|&o| memo[o as usize].unwrap())
+                .max()
+                .unwrap_or(0);
+            memo[w as usize] = Some(base + usize::from(and_here));
             stack.pop();
         } else {
             stack.extend(pending);
         }
     }
-    memo[root].unwrap()
+    memo[root as usize].unwrap()
 }

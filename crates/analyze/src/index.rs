@@ -117,7 +117,7 @@ fn validate_event(ev: &GadgetEvent, num_wires: usize) -> Result<(), String> {
         return Err("empty output word".to_string());
     }
     for w in ev.output.iter().chain(ev.inputs.iter().flatten()) {
-        if *w >= num_wires {
+        if *w as usize >= num_wires {
             return Err(format!("wire {w} out of range ({num_wires} wires)"));
         }
     }

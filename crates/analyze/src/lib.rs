@@ -153,10 +153,10 @@ pub(crate) fn analyze_with(
 /// input-index order.
 pub(crate) fn input_words(circuit: &Circuit, widths: &[u32]) -> Result<Vec<Vec<WireId>>, String> {
     let mut wire_of: Vec<Option<WireId>> = vec![None; circuit.num_inputs()];
-    for (i, gate) in circuit.gates().iter().enumerate() {
+    for (i, gate) in (0..).zip(circuit.gates()) {
         if let Gate::Input(n) = *gate {
-            if wire_of[n].is_none() {
-                wire_of[n] = Some(i);
+            if wire_of[n as usize].is_none() {
+                wire_of[n as usize] = Some(i);
             }
         }
     }

@@ -171,7 +171,7 @@ impl RangeAnalysis {
         let mut lo = 0i128;
         let mut hi = 0i128;
         for (j, &w) in word.iter().enumerate() {
-            match self.bits[w] {
+            match self.bits[w as usize] {
                 Bit3::One => {
                     lo += 1i128 << j;
                     hi += 1i128 << j;
@@ -189,7 +189,7 @@ impl RangeAnalysis {
 /// possibly-negative word pins nothing (two's complement sets high bits).
 fn gate_bits(circuit: &Circuit, cfg: &RangeConfig) -> Vec<Bit3> {
     let gates = circuit.gates();
-    let mut input_bits: BTreeMap<usize, Bit3> = BTreeMap::new();
+    let mut input_bits: BTreeMap<u32, Bit3> = BTreeMap::new();
     for (word, iv) in &cfg.inputs {
         for (j, &w) in word.iter().enumerate() {
             let b = if iv.lo < 0 {
@@ -201,27 +201,28 @@ fn gate_bits(circuit: &Circuit, cfg: &RangeConfig) -> Vec<Bit3> {
             } else {
                 Bit3::Top
             };
-            if let Gate::Input(n) = gates[w] {
+            if let Gate::Input(n) = gates[w as usize] {
                 input_bits.insert(n, b);
             }
         }
     }
     let mut bits = vec![Bit3::Top; gates.len()];
     for (i, gate) in gates.iter().enumerate() {
+        let bit = |w: WireId| bits[w as usize];
         bits[i] = match *gate {
             Gate::Input(n) => input_bits.get(&n).copied().unwrap_or(Bit3::Top),
             Gate::ConstFalse => Bit3::Zero,
             Gate::ConstTrue => Bit3::One,
-            Gate::Xor(a, b) => match (bits[a].known(), bits[b].known()) {
+            Gate::Xor(a, b) => match (bit(a).known(), bit(b).known()) {
                 (Some(x), Some(y)) => Bit3::from_bool(x ^ y),
                 _ => Bit3::Top,
             },
-            Gate::And(a, b) => match (bits[a], bits[b]) {
+            Gate::And(a, b) => match (bit(a), bit(b)) {
                 (Bit3::Zero, _) | (_, Bit3::Zero) => Bit3::Zero,
                 (Bit3::One, Bit3::One) => Bit3::One,
                 _ => Bit3::Top,
             },
-            Gate::Not(a) => match bits[a] {
+            Gate::Not(a) => match bit(a) {
                 Bit3::Zero => Bit3::One,
                 Bit3::One => Bit3::Zero,
                 Bit3::Top => Bit3::Top,
@@ -440,7 +441,7 @@ impl<'a> Pass<'a> {
     /// Pins event `i`'s output bit when the comparison is decided.
     fn decide(&mut self, i: usize, decided: Option<bool>) {
         if let Some(b) = decided {
-            self.out.bits[self.events[i].output[0]] = Bit3::from_bool(b);
+            self.out.bits[self.events[i].output[0] as usize] = Bit3::from_bool(b);
         }
     }
 
@@ -556,10 +557,10 @@ impl<'a> Pass<'a> {
     /// Resolves a single wire to a known boolean, walking raw NOT gates
     /// so guards survive `CircuitBuilder::not`.
     fn resolve_bit(&self, w: WireId) -> Option<bool> {
-        if let Some(b) = self.out.bits[w].known() {
+        if let Some(b) = self.out.bits[w as usize].known() {
             return Some(b);
         }
-        match self.circuit.gates()[w] {
+        match self.circuit.gates()[w as usize] {
             Gate::Not(a) => self.resolve_bit(a).map(|b| !b),
             _ => None,
         }
@@ -572,7 +573,7 @@ impl<'a> Pass<'a> {
         let Some(ei) = self.out.index.producer(&[sel]) else {
             // Not an event output itself: walk raw NOT gates so guards
             // survive `CircuitBuilder::not`.
-            if let Gate::Not(a) = self.circuit.gates()[sel] {
+            if let Gate::Not(a) = self.circuit.gates()[sel as usize] {
                 return self.guard_for(a, !on);
             }
             return None;

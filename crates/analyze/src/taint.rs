@@ -42,8 +42,8 @@ pub fn analyze_taint(
     let gates = circuit.gates();
 
     // Label per input *index* (input wires are `Gate::Input(n)` gates).
-    let mut input_labels: BTreeMap<usize, u8> = BTreeMap::new();
-    let mut input_words: BTreeMap<usize, String> = BTreeMap::new();
+    let mut input_labels: BTreeMap<u32, u8> = BTreeMap::new();
+    let mut input_words: BTreeMap<u32, String> = BTreeMap::new();
     for (word, name, taint) in inputs {
         let label = match taint {
             Taint::Public => 0,
@@ -51,7 +51,7 @@ pub fn analyze_taint(
             Taint::Noise => NOISE,
         };
         for &w in word {
-            if let Gate::Input(n) = gates[w] {
+            if let Gate::Input(n) = gates[w as usize] {
                 input_labels.insert(n, label);
                 input_words.insert(n, name.clone());
             }
@@ -65,19 +65,19 @@ pub fn analyze_taint(
             // spec forgot to mention must not silently launder data.
             Gate::Input(n) => input_labels.get(&n).copied().unwrap_or(PRIVATE),
             Gate::ConstFalse | Gate::ConstTrue => 0,
-            Gate::Xor(a, b) | Gate::And(a, b) => labels[a] | labels[b],
-            Gate::Not(a) => labels[a],
+            Gate::Xor(a, b) | Gate::And(a, b) => labels[a as usize] | labels[b as usize],
+            Gate::Not(a) => labels[a as usize],
         };
     }
 
     let mut findings = Vec::new();
     if policy == FlowPolicy::NoisedRelease {
         for (oi, &out) in circuit.outputs().iter().enumerate() {
-            let l = labels[out];
+            let l = labels[out as usize];
             if l & PRIVATE != 0 && l & NOISE == 0 {
                 let witness = witness_path(circuit, &labels, out);
                 let source_wire = *witness.last().unwrap_or(&out);
-                let source_word = match gates[source_wire] {
+                let source_word = match gates[source_wire as usize] {
                     Gate::Input(n) => input_words
                         .get(&n)
                         .cloned()
@@ -106,11 +106,11 @@ pub fn analyze_taint(
 /// paths are truncated in the middle; the source end is always kept.
 fn witness_path(circuit: &Circuit, labels: &[u8], from: WireId) -> Vec<WireId> {
     let gates = circuit.gates();
-    let tainted = |w: WireId| labels[w] & PRIVATE != 0 && labels[w] & NOISE == 0;
+    let tainted = |w: WireId| labels[w as usize] & PRIVATE != 0 && labels[w as usize] & NOISE == 0;
     let mut path = vec![from];
     let mut w = from;
     loop {
-        let next = match gates[w] {
+        let next = match gates[w as usize] {
             Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => None,
             Gate::Not(a) => Some(a).filter(|&a| tainted(a)),
             Gate::Xor(a, b) | Gate::And(a, b) => {

@@ -128,7 +128,7 @@ fn input_words(circuit: &Circuit, widths: &[u32]) -> Vec<Vec<WireId>> {
     let mut wire_of = vec![None; circuit.num_inputs()];
     for (i, gate) in circuit.gates().iter().enumerate() {
         if let Gate::Input(n) = *gate {
-            wire_of[n].get_or_insert(i);
+            wire_of[n as usize].get_or_insert(i as WireId);
         }
     }
     let mut next = 0;

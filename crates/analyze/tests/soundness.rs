@@ -4,7 +4,7 @@
 
 use dstress_analyze::{RangeAnalysis, RangeConfig};
 use dstress_circuit::builder::{decode_word, decode_word_signed, encode_word, CircuitBuilder};
-use dstress_circuit::{evaluate, Interval};
+use dstress_circuit::{evaluate, Interval, WireId};
 use proptest::prelude::*;
 
 const WIDTH: u32 = 16;
@@ -14,10 +14,10 @@ const WIDTH: u32 = 16;
 /// Ops are drawn from the non-wrapping repertoire the shipped circuits
 /// use (including the clamp idiom, whose inner subtraction *does* wrap
 /// on the unselected branch).
-fn build(ops: &[u64], input_his: &[u64]) -> (dstress_circuit::Circuit, Vec<Vec<usize>>) {
+fn build(ops: &[u64], input_his: &[u64]) -> (dstress_circuit::Circuit, Vec<Vec<WireId>>) {
     let mut b = CircuitBuilder::new();
-    let mut words: Vec<Vec<usize>> = input_his.iter().map(|_| b.input_word(WIDTH)).collect();
-    let mut exported: Vec<Vec<usize>> = Vec::new();
+    let mut words: Vec<Vec<WireId>> = input_his.iter().map(|_| b.input_word(WIDTH)).collect();
+    let mut exported: Vec<Vec<WireId>> = Vec::new();
     for &op in ops {
         let i = (op >> 8) as usize % words.len();
         let j = (op >> 24) as usize % words.len();
@@ -61,11 +61,15 @@ proptest! {
         vals in proptest::collection::vec(any::<u64>(), 2..4),
         ) {
         let (circuit, exported) = build(&ops, &his);
-        let input_words: Vec<Vec<usize>> = {
+        let input_words: Vec<Vec<WireId>> = {
             // Recover the input words from the builder layout: inputs are
             // the first `his.len() * WIDTH` wires in order.
             (0..his.len())
-                .map(|k| ((k * WIDTH as usize)..((k + 1) * WIDTH as usize)).collect())
+                .map(|k| {
+                    ((k * WIDTH as usize)..((k + 1) * WIDTH as usize))
+                        .map(|w| w as WireId)
+                        .collect()
+                })
                 .collect()
         };
         let cfg = RangeConfig::new(

@@ -20,7 +20,7 @@
 //! `tests/gadget_costs.rs` holds the table.
 
 use crate::gadgets::{GadgetEvent, GadgetKind};
-use crate::ir::{Circuit, CircuitError, Gate, WireId};
+use crate::ir::{wire_id, Circuit, CircuitError, Gate, WireId};
 
 /// A fixed-width little-endian word of wires.
 pub type Word = Vec<WireId>;
@@ -59,10 +59,16 @@ impl CircuitBuilder {
         }
     }
 
+    /// Appends a gate and returns the wire it drives.
+    fn push(&mut self, gate: Gate) -> WireId {
+        let id = wire_id(self.gates.len());
+        self.gates.push(gate);
+        id
+    }
+
     /// Adds a single input wire.
     pub fn input(&mut self) -> WireId {
-        let id = self.gates.len();
-        self.gates.push(Gate::Input(self.num_inputs));
+        let id = self.push(Gate::Input(wire_id(self.num_inputs)));
         self.num_inputs += 1;
         id
     }
@@ -77,13 +83,11 @@ impl CircuitBuilder {
 
     /// A constant bit.
     pub fn const_bit(&mut self, value: bool) -> WireId {
-        let id = self.gates.len();
-        self.gates.push(if value {
+        self.push(if value {
             Gate::ConstTrue
         } else {
             Gate::ConstFalse
-        });
-        id
+        })
     }
 
     /// A constant word (LSB first).
@@ -98,23 +102,17 @@ impl CircuitBuilder {
 
     /// XOR of two bits.
     pub fn xor(&mut self, a: WireId, b: WireId) -> WireId {
-        let id = self.gates.len();
-        self.gates.push(Gate::Xor(a, b));
-        id
+        self.push(Gate::Xor(a, b))
     }
 
     /// AND of two bits.
     pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
-        let id = self.gates.len();
-        self.gates.push(Gate::And(a, b));
-        id
+        self.push(Gate::And(a, b))
     }
 
     /// NOT of a bit.
     pub fn not(&mut self, a: WireId) -> WireId {
-        let id = self.gates.len();
-        self.gates.push(Gate::Not(a));
-        id
+        self.push(Gate::Not(a))
     }
 
     /// OR of two bits (`a | b = ¬(¬a ∧ ¬b)`, one AND gate).

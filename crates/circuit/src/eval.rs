@@ -6,7 +6,7 @@
 //! "ideal functionality" used by the fast simulation mode of the MPC
 //! engine when only costs — not cryptography — are being measured.
 
-use crate::ir::{Circuit, CircuitError, Gate};
+use crate::ir::{Circuit, CircuitError, Gate, WireId};
 
 /// Evaluates a circuit on plaintext inputs, returning the output bits in
 /// the order they were declared.
@@ -17,7 +17,11 @@ use crate::ir::{Circuit, CircuitError, Gate};
 /// wrong.
 pub fn evaluate(circuit: &Circuit, inputs: &[bool]) -> Result<Vec<bool>, CircuitError> {
     let values = evaluate_wires(circuit, inputs)?;
-    Ok(circuit.outputs().iter().map(|&o| values[o]).collect())
+    Ok(circuit
+        .outputs()
+        .iter()
+        .map(|&o| values[o as usize])
+        .collect())
 }
 
 /// Evaluates a circuit and returns the value on *every* wire.
@@ -35,15 +39,16 @@ pub fn evaluate_wires(circuit: &Circuit, inputs: &[bool]) -> Result<Vec<bool>, C
             actual: inputs.len(),
         });
     }
-    let mut values = Vec::with_capacity(circuit.len());
+    let mut values: Vec<bool> = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
+        let value = |w: WireId| values[w as usize];
         let v = match *gate {
-            Gate::Input(n) => inputs[n],
+            Gate::Input(n) => inputs[n as usize],
             Gate::ConstFalse => false,
             Gate::ConstTrue => true,
-            Gate::Xor(a, b) => values[a] ^ values[b],
-            Gate::And(a, b) => values[a] && values[b],
-            Gate::Not(a) => !values[a],
+            Gate::Xor(a, b) => value(a) ^ value(b),
+            Gate::And(a, b) => value(a) && value(b),
+            Gate::Not(a) => !value(a),
         };
         values.push(v);
     }

@@ -6,6 +6,12 @@
 //! engine walks the gate list once per evaluation, and the statistics
 //! module only needs gate counts and fan-in information.
 //! [`Circuit::then`] composes two circuits in sequence.
+//!
+//! The layout is sized for circuits that grow with the graph (the
+//! aggregation circuit reads every vertex's state): a wire id is a `u32`
+//! from the builder through the layering to the GMW parties, so a
+//! [`Gate`] is 12 bytes, and a constructed circuit holds its gate list,
+//! outputs and gadget trace at their exact lengths.
 
 use core::fmt;
 use std::sync::OnceLock;
@@ -14,13 +20,28 @@ use crate::gadgets::{GadgetEvent, GadgetKind};
 use crate::layers::CircuitLayers;
 
 /// Identifier of a wire (the index of the gate that drives it).
-pub type WireId = usize;
+///
+/// A `u32`, which halves every gate and word against `usize`, so a
+/// circuit has fewer than 2³² gates: the builder, [`Circuit::then`] and
+/// the constructor go through one checked conversion, which panics at
+/// that limit.  Index with `w as usize`.
+pub type WireId = u32;
+
+/// The id of the gate at position `index` of a gate list: the one
+/// conversion every new wire id goes through.
+///
+/// # Panics
+///
+/// Panics if `index` does not fit a [`WireId`] (2³² gates or more).
+pub(crate) fn wire_id(index: usize) -> WireId {
+    WireId::try_from(index).expect("a circuit has fewer than 2^32 gates")
+}
 
 /// A single gate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Gate {
-    /// The `n`-th circuit input.
-    Input(usize),
+    /// The `n`-th circuit input (below the gate count, so a `u32` too).
+    Input(u32),
     /// Constant false.
     ConstFalse,
     /// Constant true.
@@ -32,6 +53,11 @@ pub enum Gate {
     /// Negation of a wire (free in GMW: only one party flips its share).
     Not(WireId),
 }
+
+// Two `u32` operands and the tag, half the `usize` layout: the release
+// circuit grows with N, and its gate list is the largest part of a
+// streamed release's heap.
+const _: () = assert!(std::mem::size_of::<Gate>() == 12);
 
 /// Errors raised when constructing or validating circuits.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,6 +93,15 @@ pub enum CircuitError {
         /// The circuit's declared input count.
         num_inputs: usize,
     },
+    /// A gadget event names a wire past the gate list.  The trace is
+    /// advisory for evaluation, but [`Circuit::then`] remaps every word
+    /// it names, and the analyzer reads the wires it names.
+    InvalidGadgetWire {
+        /// The position of the event in the trace.
+        event: usize,
+        /// The wire it names.
+        wire: WireId,
+    },
     /// [`Circuit::then`] was asked to feed a circuit's outputs into a
     /// circuit with fewer inputs than that.
     CompositionArity {
@@ -96,6 +131,9 @@ impl fmt::Display for CircuitError {
                     f,
                     "gate {gate} reads input {index} but the circuit declares {num_inputs} inputs"
                 )
+            }
+            CircuitError::InvalidGadgetWire { event, wire } => {
+                write!(f, "gadget event {event} names undefined wire {wire}")
             }
             CircuitError::CompositionArity { outputs, inputs } => {
                 write!(
@@ -128,6 +166,10 @@ impl Circuit {
     /// Returns [`CircuitError`] if any gate references a wire at or after
     /// its own position, reads a non-existent input index, or if an
     /// output references a non-existent wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate list has 2³² gates or more (see [`WireId`]).
     pub fn new(
         gates: Vec<Gate>,
         num_inputs: usize,
@@ -138,20 +180,31 @@ impl Circuit {
 
     /// Creates a circuit carrying a word-level gadget trace (recorded by
     /// [`crate::CircuitBuilder`]), with the same validation as
-    /// [`Circuit::new`].
+    /// [`Circuit::new`] plus the trace's: every wire an event names must
+    /// exist.  The one door behind [`Circuit::new`] and
+    /// [`crate::CircuitBuilder::build`]: it drops the parts' growth slack,
+    /// so a circuit holds its lists at their exact lengths for life.
     ///
     /// # Errors
     ///
-    /// See [`Circuit::new`].
+    /// See [`Circuit::new`]; [`CircuitError::InvalidGadgetWire`] for an
+    /// event naming a wire past the gate list.
+    ///
+    /// # Panics
+    ///
+    /// As [`Circuit::new`].
     pub fn with_gadgets(
-        gates: Vec<Gate>,
+        mut gates: Vec<Gate>,
         num_inputs: usize,
-        outputs: Vec<WireId>,
-        gadgets: Vec<GadgetEvent>,
+        mut outputs: Vec<WireId>,
+        mut gadgets: Vec<GadgetEvent>,
     ) -> Result<Self, CircuitError> {
+        // Fewer than 2^32 gates, so every wire and the gate count fit a
+        // `WireId`: the conversion panics otherwise.
+        wire_id(gates.len());
         for (idx, gate) in gates.iter().enumerate() {
             let check = |wire: WireId| -> Result<(), CircuitError> {
-                if wire >= idx {
+                if wire as usize >= idx {
                     Err(CircuitError::ForwardReference { gate: idx, wire })
                 } else {
                     Ok(())
@@ -159,10 +212,10 @@ impl Circuit {
             };
             match gate {
                 Gate::Input(n) => {
-                    if *n >= num_inputs {
+                    if *n as usize >= num_inputs {
                         return Err(CircuitError::InputIndexOutOfRange {
                             gate: idx,
-                            index: *n,
+                            index: *n as usize,
                             num_inputs,
                         });
                     }
@@ -175,11 +228,19 @@ impl Circuit {
                 Gate::Not(a) => check(*a)?,
             }
         }
-        for &o in &outputs {
-            if o >= gates.len() {
-                return Err(CircuitError::InvalidOutput { wire: o });
+        let defined = |wire: WireId| (wire as usize) < gates.len();
+        if let Some(&wire) = outputs.iter().find(|&&o| !defined(o)) {
+            return Err(CircuitError::InvalidOutput { wire });
+        }
+        for (event, e) in gadgets.iter().enumerate() {
+            let mut named = e.inputs.iter().flatten().chain(&e.output);
+            if let Some(&wire) = named.find(|&&w| !defined(w)) {
+                return Err(CircuitError::InvalidGadgetWire { event, wire });
             }
         }
+        gates.shrink_to_fit();
+        outputs.shrink_to_fit();
+        gadgets.shrink_to_fit();
         Ok(Circuit {
             gates,
             num_inputs,
@@ -254,8 +315,9 @@ impl Circuit {
     /// `next` over a bound input (those wires are no longer inputs).
     ///
     /// Consumes `self` and appends `next`'s gates to its gate list in
-    /// place, so composing onto a large circuit does not copy it.  Both
-    /// circuits being valid, the composition is valid by construction.
+    /// place, so composing onto a large circuit does not copy it; every
+    /// list grows by exactly what it gains.  Both circuits being valid
+    /// (their traces included), the composition is valid by construction.
     ///
     /// # Errors
     ///
@@ -269,35 +331,41 @@ impl Circuit {
                 inputs: next.num_inputs,
             });
         }
-        let bound_input = |w: WireId| matches!(next.gates[w], Gate::Input(k) if k < bound);
+        let bound_input =
+            |w: WireId| matches!(next.gates[w as usize], Gate::Input(k) if (k as usize) < bound);
         // remap[w]: the wire carrying `next`'s wire `w` in the composition.
         let mut remap: Vec<WireId> = Vec::with_capacity(next.len());
         self.gates.reserve_exact(next.len().saturating_sub(bound));
         for &gate in &next.gates {
             let gate = match gate {
-                Gate::Input(k) if k < bound => {
-                    remap.push(self.outputs[k]);
+                Gate::Input(k) if (k as usize) < bound => {
+                    remap.push(self.outputs[k as usize]);
                     continue;
                 }
-                Gate::Input(k) => Gate::Input(self.num_inputs + (k - bound)),
+                Gate::Input(k) => Gate::Input(wire_id(self.num_inputs + (k as usize - bound))),
                 Gate::ConstFalse | Gate::ConstTrue => gate,
-                Gate::Xor(a, b) => Gate::Xor(remap[a], remap[b]),
-                Gate::And(a, b) => Gate::And(remap[a], remap[b]),
-                Gate::Not(a) => Gate::Not(remap[a]),
+                Gate::Xor(a, b) => Gate::Xor(remap[a as usize], remap[b as usize]),
+                Gate::And(a, b) => Gate::And(remap[a as usize], remap[b as usize]),
+                Gate::Not(a) => Gate::Not(remap[a as usize]),
             };
-            remap.push(self.gates.len());
+            remap.push(wire_id(self.gates.len()));
             self.gates.push(gate);
         }
-        let word = |w: &[WireId]| w.iter().map(|&w| remap[w]).collect();
-        let kept = next.gadgets.iter().filter(|e| {
+        let word = |w: &[WireId]| w.iter().map(|&w| remap[w as usize]).collect();
+        let kept = |e: &&GadgetEvent| {
             !(e.kind == GadgetKind::InputWord && e.output.iter().any(|&w| bound_input(w)))
-        });
-        self.gadgets.extend(kept.map(|e| GadgetEvent {
-            kind: e.kind.clone(),
-            inputs: e.inputs.iter().map(|w| word(w)).collect(),
-            output: word(&e.output),
-        }));
-        self.outputs.extend(next.outputs.iter().map(|&o| remap[o]));
+        };
+        self.gadgets
+            .reserve_exact(next.gadgets.iter().filter(kept).count());
+        self.gadgets
+            .extend(next.gadgets.iter().filter(kept).map(|e| GadgetEvent {
+                kind: e.kind.clone(),
+                inputs: e.inputs.iter().map(|w| word(w)).collect(),
+                output: word(&e.output),
+            }));
+        self.outputs.reserve_exact(next.outputs.len());
+        self.outputs
+            .extend(next.outputs.iter().map(|&o| remap[o as usize]));
         self.num_inputs += next.num_inputs - bound;
         self.layers = OnceLock::new();
         Ok(self)
@@ -365,6 +433,82 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("input 3"));
+    }
+
+    /// Two inputs and their XOR, with a trace naming `wire` as the
+    /// output of one `Add` event.
+    fn with_add_event(wire: WireId) -> Result<Circuit, CircuitError> {
+        let gates = vec![Gate::Input(0), Gate::Input(1), Gate::Xor(0, 1)];
+        let event = GadgetEvent {
+            kind: GadgetKind::Add,
+            inputs: vec![vec![0], vec![1]],
+            output: vec![wire],
+        };
+        Circuit::with_gadgets(gates, 2, vec![2], vec![event])
+    }
+
+    #[test]
+    fn gadget_event_naming_an_undefined_wire_is_rejected() {
+        let err = with_add_event(7).unwrap_err();
+        assert_eq!(err, CircuitError::InvalidGadgetWire { event: 0, wire: 7 });
+        assert!(err.to_string().contains("gadget event 0"));
+        // The first wire past the gate list is already undefined, and an
+        // event's input words are checked like its output.
+        assert!(with_add_event(3).is_err());
+        assert!(with_add_event(2).is_ok());
+        let gates = vec![Gate::Input(0), Gate::Not(0)];
+        let event = GadgetEvent {
+            kind: GadgetKind::NotWord,
+            inputs: vec![vec![5]],
+            output: vec![1],
+        };
+        assert_eq!(
+            Circuit::with_gadgets(gates, 1, vec![1], vec![event]).unwrap_err(),
+            CircuitError::InvalidGadgetWire { event: 0, wire: 5 }
+        );
+    }
+
+    #[test]
+    fn composition_remaps_a_trace_up_to_its_last_wire() {
+        // A trace naming wire 7 of a 3-gate circuit once made `then`
+        // index its remap table out of bounds; the constructor refuses it
+        // now, and a trace naming the last gate composes.
+        let mut a = crate::CircuitBuilder::new();
+        let x = a.input();
+        let nx = a.not(x);
+        a.output(nx);
+        let a = a.build().unwrap();
+        let b = with_add_event(2).unwrap();
+        let composed = a.then(&b).unwrap();
+        // b's XOR is gate 3 of the composition, its first input a's NOT
+        // (wire 1), its second the composition's new input (gate 2).
+        assert_eq!(composed.gates()[3], Gate::Xor(1, 2));
+        let carried = composed.gadgets().last().unwrap();
+        assert_eq!(carried.inputs, vec![vec![1], vec![2]]);
+        assert_eq!(carried.output, vec![3]);
+        assert!(with_add_event(7).is_err());
+    }
+
+    #[test]
+    fn constructed_and_composed_lists_have_no_slack() {
+        let word = |b: &mut crate::CircuitBuilder| b.input_word(13);
+        let mut b = crate::CircuitBuilder::new();
+        let (x, y) = (word(&mut b), word(&mut b));
+        let sum = b.add(&x, &y);
+        b.output_word(&sum);
+        let a = b.build().unwrap();
+        let exact = |c: &Circuit| {
+            c.gates.capacity() == c.gates.len()
+                && c.outputs.capacity() == c.outputs.len()
+                && c.gadgets.capacity() == c.gadgets.len()
+        };
+        assert!(exact(&a));
+        let mut b = crate::CircuitBuilder::new();
+        let (x, y) = (word(&mut b), word(&mut b));
+        let lt = b.lt_unsigned(&x, &y);
+        b.output(lt);
+        let composed = a.then(&b.build().unwrap()).unwrap();
+        assert!(exact(&composed));
     }
 
     #[test]

@@ -60,24 +60,24 @@ pub struct CircuitLayers {
     and_layers: Vec<Vec<WireId>>,
     /// `and_operands[r][slot]` holds the two input wires of the gate
     /// `and_layers[r][slot]`, so a layer-at-a-time evaluator reads its
-    /// operands without going back to the gate list.  Stored as `u32`
-    /// to halve the footprint a circuit carries for life.
-    and_operands: Vec<Vec<(u32, u32)>>,
+    /// operands without going back to the gate list.
+    and_operands: Vec<Vec<(WireId, WireId)>>,
     /// `free_schedule[r]` holds the non-AND gates that become computable
     /// once AND round `r` has completed (`r = 0` means "before any
     /// round"), in ascending wire order.  Has `rounds() + 1` entries.
-    /// Stored as `u32`, like `and_operands`.
-    free_schedule: Vec<Vec<u32>>,
-}
-
-/// An operand wire id at the width the layering stores it.
-fn narrow(wire: WireId) -> u32 {
-    u32::try_from(wire).expect("circuits have fewer than 2^32 wires")
+    free_schedule: Vec<Vec<WireId>>,
+    /// The XOR and NOT gates among them, counted in the same pass.
+    xor_not_gates: usize,
 }
 
 /// One empty vector per layer, each with room for exactly its width.
 fn sized<T>(widths: &[usize]) -> Vec<Vec<T>> {
     widths.iter().map(|&w| Vec::with_capacity(w)).collect()
+}
+
+/// Whether a gate is an XOR or a NOT: the free gates that do work.
+fn is_xor_or_not(gate: &Gate) -> bool {
+    matches!(gate, Gate::Xor(..) | Gate::Not(_))
 }
 
 impl CircuitLayers {
@@ -89,17 +89,20 @@ impl CircuitLayers {
         // every layer, so the vectors below are allocated exactly once at
         // their final length — a circuit keeps its layering for life
         // ([`Circuit::layers`]), and growth slack would stay with it.
-        let mut layer = vec![0usize; gates.len()];
+        let mut layer = vec![0u32; gates.len()];
         let mut and_widths: Vec<usize> = Vec::new();
         let mut free_widths: Vec<usize> = vec![0];
+        let mut xor_not_gates = 0;
         for (i, gate) in gates.iter().enumerate() {
+            let depth = |w: WireId| layer[w as usize];
             let l = match *gate {
                 Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => 0,
-                Gate::Xor(a, b) => layer[a].max(layer[b]),
-                Gate::Not(a) => layer[a],
-                Gate::And(a, b) => layer[a].max(layer[b]) + 1,
+                Gate::Xor(a, b) => depth(a).max(depth(b)),
+                Gate::Not(a) => depth(a),
+                Gate::And(a, b) => depth(a).max(depth(b)) + 1,
             };
             layer[i] = l;
+            let l = l as usize;
             if matches!(gate, Gate::And(_, _)) {
                 if and_widths.len() < l {
                     and_widths.resize(l, 0);
@@ -109,23 +112,26 @@ impl CircuitLayers {
             } else {
                 // A free gate's layer never exceeds the deepest AND layer.
                 free_widths[l] += 1;
+                xor_not_gates += usize::from(is_xor_or_not(gate));
             }
         }
         let mut and_layers: Vec<Vec<WireId>> = sized(&and_widths);
-        let mut and_operands: Vec<Vec<(u32, u32)>> = sized(&and_widths);
-        let mut free_schedule: Vec<Vec<u32>> = sized(&free_widths);
-        for (i, gate) in gates.iter().enumerate() {
+        let mut and_operands: Vec<Vec<(WireId, WireId)>> = sized(&and_widths);
+        let mut free_schedule: Vec<Vec<WireId>> = sized(&free_widths);
+        for (w, (gate, &l)) in (0..).zip(gates.iter().zip(&layer)) {
+            let l = l as usize;
             if let Gate::And(a, b) = *gate {
-                and_layers[layer[i] - 1].push(i);
-                and_operands[layer[i] - 1].push((narrow(a), narrow(b)));
+                and_layers[l - 1].push(w);
+                and_operands[l - 1].push((a, b));
             } else {
-                free_schedule[layer[i]].push(narrow(i));
+                free_schedule[l].push(w);
             }
         }
         CircuitLayers {
             and_layers,
             and_operands,
             free_schedule,
+            xor_not_gates,
         }
     }
 
@@ -139,16 +145,18 @@ impl CircuitLayers {
             and_layers: Vec::new(),
             and_operands: Vec::new(),
             free_schedule: Vec::new(),
+            xor_not_gates: 0,
         };
         // The free gates since the last AND gate.
         let mut gap = Vec::new();
-        for (i, gate) in circuit.gates().iter().enumerate() {
+        for (w, gate) in (0..).zip(circuit.gates()) {
             if let Gate::And(a, b) = *gate {
-                layers.and_layers.push(vec![i]);
-                layers.and_operands.push(vec![(narrow(a), narrow(b))]);
+                layers.and_layers.push(vec![w]);
+                layers.and_operands.push(vec![(a, b)]);
                 layers.free_schedule.push(std::mem::take(&mut gap));
             } else {
-                gap.push(narrow(i));
+                gap.push(w);
+                layers.xor_not_gates += usize::from(is_xor_or_not(gate));
             }
         }
         layers.free_schedule.push(gap);
@@ -168,21 +176,27 @@ impl CircuitLayers {
     /// The input wires `(a, b)` of the AND gates of round `round + 1`,
     /// slot for slot with `and_layers()[round]`.
     pub fn and_operands(&self, round: usize) -> impl Iterator<Item = (WireId, WireId)> + '_ {
-        self.and_operands[round]
-            .iter()
-            .map(|&(a, b)| (a as WireId, b as WireId))
+        self.and_operands[round].iter().copied()
     }
 
     /// The free-gate schedule: entry `r` lists the gates computable after
-    /// AND round `r` (entry 0 before any round), as `u32` wire ids.
-    /// Always `rounds() + 1` entries.
-    pub fn free_schedule(&self) -> &[Vec<u32>] {
+    /// AND round `r` (entry 0 before any round).  Always `rounds() + 1`
+    /// entries.
+    pub fn free_schedule(&self) -> &[Vec<WireId>] {
         &self.free_schedule
     }
 
     /// Total AND gates across all layers.
     pub fn and_gates(&self) -> usize {
         self.and_layers.iter().map(Vec::len).sum()
+    }
+
+    /// The XOR and NOT gates of the circuit (inputs and constants are
+    /// free gates too, but they compute nothing), counted while the
+    /// layering was made: a GMW execution charges them without walking
+    /// the gate list.
+    pub fn xor_not_gates(&self) -> usize {
+        self.xor_not_gates
     }
 
     /// Size of the widest AND layer (the per-round batching factor).
@@ -218,23 +232,24 @@ pub fn evaluate_layered(
     let gates = circuit.gates();
     let mut values = vec![false; gates.len()];
     let eval_free = |values: &mut Vec<bool>, w: WireId| {
-        values[w] = match gates[w] {
-            Gate::Input(n) => inputs[n],
+        let value = |w: WireId| values[w as usize];
+        values[w as usize] = match gates[w as usize] {
+            Gate::Input(n) => inputs[n as usize],
             Gate::ConstFalse => false,
             Gate::ConstTrue => true,
-            Gate::Xor(a, b) => values[a] ^ values[b],
-            Gate::Not(a) => !values[a],
+            Gate::Xor(a, b) => value(a) ^ value(b),
+            Gate::Not(a) => !value(a),
             Gate::And(_, _) => unreachable!("AND gates are not in the free schedule"),
         };
     };
     for round in 0..=layers.rounds() {
         for &w in &layers.free_schedule()[round] {
-            eval_free(&mut values, w as WireId);
+            eval_free(&mut values, w);
         }
         if round < layers.rounds() {
             let layer = layers.and_layers()[round].iter();
             for (&w, (a, b)) in layer.zip(layers.and_operands(round)) {
-                values[w] = values[a] && values[b];
+                values[w as usize] = values[a as usize] && values[b as usize];
             }
         }
     }
@@ -246,6 +261,7 @@ mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
     use crate::eval::evaluate_wires;
+    use crate::stats::CircuitStats;
     use proptest::prelude::*;
 
     #[test]
@@ -297,8 +313,8 @@ mod tests {
         let circuit = b.build().unwrap();
         let layers = CircuitLayers::of(&circuit);
         assert_eq!(layers.rounds(), 1);
-        assert!(layers.free_schedule()[0].contains(&narrow(x)));
-        assert!(layers.free_schedule()[1].contains(&narrow(xor)));
+        assert!(layers.free_schedule()[0].contains(&x));
+        assert!(layers.free_schedule()[1].contains(&xor));
     }
 
     #[test]
@@ -331,6 +347,27 @@ mod tests {
         assert_eq!(layers.free_schedule().len(), 1);
         let wires = evaluate_layered(&circuit, &layers, &[true, false]).unwrap();
         assert_eq!(wires, evaluate_wires(&circuit, &[true, false]).unwrap());
+    }
+
+    #[test]
+    fn free_gates_that_compute_are_counted_with_the_layering() {
+        // Inputs and constants are free gates too, but only XOR and NOT
+        // compute: both layerings count exactly those, as the statistics
+        // pass does.
+        let mut b = CircuitBuilder::new();
+        let (x, y) = (b.input(), b.input());
+        let t = b.const_bit(true);
+        let p = b.and(x, y);
+        let q = b.xor(p, t);
+        let r = b.not(q);
+        let s = b.and(r, x);
+        let u = b.xor(s, y);
+        b.output(u);
+        let circuit = b.build().unwrap();
+        assert_eq!(CircuitLayers::of(&circuit).xor_not_gates(), 3);
+        assert_eq!(CircuitLayers::serial(&circuit).xor_not_gates(), 3);
+        let stats = CircuitStats::of(&circuit);
+        assert_eq!(stats.xor_gates + stats.not_gates, 3);
     }
 
     #[test]
@@ -391,9 +428,11 @@ mod tests {
                 prop_assert_eq!(wires.len(), layers.and_operands(round).count());
                 prop_assert_eq!(wires.len(), wires.capacity());
                 for (&w, (a, b)) in wires.iter().zip(layers.and_operands(round)) {
-                    prop_assert_eq!(circuit.gates()[w], Gate::And(a, b));
+                    prop_assert_eq!(circuit.gates()[w as usize], Gate::And(a, b));
                 }
             }
+            let stats = CircuitStats::of(&circuit);
+            prop_assert_eq!(layers.xor_not_gates(), stats.xor_gates + stats.not_gates);
             // The circuit's memoised layering is the same value.
             prop_assert_eq!(circuit.layers(), &layers);
             let scheduled: usize =
@@ -409,17 +448,18 @@ mod tests {
             prop_assert_eq!(serial.rounds(), circuit.and_gates());
             prop_assert_eq!(serial.widest_layer(), usize::from(circuit.and_gates() > 0));
             prop_assert_eq!(serial.free_schedule().len(), serial.rounds() + 1);
+            prop_assert_eq!(serial.xor_not_gates(), layers.xor_not_gates());
             let mut walk = Vec::new();
             for round in 0..=serial.rounds() {
-                walk.extend(serial.free_schedule()[round].iter().map(|&w| w as WireId));
+                walk.extend(&serial.free_schedule()[round]);
                 if round < serial.rounds() {
                     let w = serial.and_layers()[round][0];
                     let (a, b) = serial.and_operands(round).next().unwrap();
-                    prop_assert_eq!(circuit.gates()[w], Gate::And(a, b));
+                    prop_assert_eq!(circuit.gates()[w as usize], Gate::And(a, b));
                     walk.push(w);
                 }
             }
-            prop_assert_eq!(walk, (0..circuit.len()).collect::<Vec<_>>());
+            prop_assert_eq!(walk, (0..circuit.len() as WireId).collect::<Vec<_>>());
             prop_assert_eq!(evaluate_layered(&circuit, &serial, &input_bits).unwrap(), flat);
         }
     }

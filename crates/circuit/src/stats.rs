@@ -7,7 +7,7 @@
 //! the cost model in `dstress-core` turns them into the time and traffic
 //! projections of Figures 3, 4 and 6.
 
-use crate::ir::{Circuit, Gate};
+use crate::ir::{Circuit, Gate, WireId};
 
 /// Summary statistics of a circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,28 +36,29 @@ impl CircuitStats {
         let mut xor_gates = 0;
         let mut not_gates = 0;
         // depth[w] = number of AND gates on the longest path ending at w.
-        let mut depth = vec![0usize; circuit.len()];
+        let mut depth = vec![0u32; circuit.len()];
         for (i, gate) in circuit.gates().iter().enumerate() {
-            match *gate {
-                Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => {}
+            let at = |w: WireId| depth[w as usize];
+            depth[i] = match *gate {
+                Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => 0,
                 Gate::Xor(a, b) => {
                     xor_gates += 1;
-                    depth[i] = depth[a].max(depth[b]);
+                    at(a).max(at(b))
                 }
                 Gate::And(a, b) => {
                     and_gates += 1;
-                    depth[i] = depth[a].max(depth[b]) + 1;
+                    at(a).max(at(b)) + 1
                 }
                 Gate::Not(a) => {
                     not_gates += 1;
-                    depth[i] = depth[a];
+                    at(a)
                 }
-            }
+            };
         }
         let and_depth = circuit
             .outputs()
             .iter()
-            .map(|&o| depth[o])
+            .map(|&o| depth[o as usize] as usize)
             .max()
             .unwrap_or(0);
         CircuitStats {

@@ -64,7 +64,11 @@ fn assert_composes(a: &Circuit, b: &Circuit, composed: &Circuit, inputs: &[bool]
     expected.extend(evaluate(b, &b_inputs).unwrap());
     assert_eq!(evaluate(composed, inputs).unwrap(), expected);
     let wires = evaluate_layered(composed, composed.layers(), inputs).unwrap();
-    let outputs: Vec<bool> = composed.outputs().iter().map(|&o| wires[o]).collect();
+    let outputs: Vec<bool> = composed
+        .outputs()
+        .iter()
+        .map(|&o| wires[o as usize])
+        .collect();
     assert_eq!(outputs, expected);
 }
 
@@ -74,13 +78,13 @@ fn assert_trace_carried_over(a: &Circuit, b: &Circuit, composed: &Circuit, input
     let len = composed.len();
     for event in events {
         let named = event.inputs.iter().flatten().chain(&event.output);
-        assert!(named.into_iter().all(|&w| w < len), "{event:?}");
+        assert!(named.into_iter().all(|&w| (w as usize) < len), "{event:?}");
         if event.kind == GadgetKind::InputWord {
             let gates = composed.gates();
             assert!(event
                 .output
                 .iter()
-                .all(|&w| matches!(gates[w], Gate::Input(_))));
+                .all(|&w| matches!(gates[w as usize], Gate::Input(_))));
         }
     }
     assert_eq!(&events[..a.gadgets().len()], a.gadgets());
@@ -90,7 +94,7 @@ fn assert_trace_carried_over(a: &Circuit, b: &Circuit, composed: &Circuit, input
     b_inputs.extend_from_slice(extra);
     let b_wires = evaluate_wires(b, &b_inputs).unwrap();
     let wires = evaluate_wires(composed, inputs).unwrap();
-    let bound_input = |w: WireId| matches!(b.gates()[w], Gate::Input(k) if k < a.outputs().len());
+    let bound_input = |w: WireId| matches!(b.gates()[w as usize], Gate::Input(k) if (k as usize) < a.outputs().len());
     let kept = b
         .gadgets()
         .iter()
@@ -98,7 +102,7 @@ fn assert_trace_carried_over(a: &Circuit, b: &Circuit, composed: &Circuit, input
     let carried = &events[a.gadgets().len()..];
     assert_eq!(carried.len(), kept.clone().count());
     let values = |values: &[bool], word: &[WireId]| -> Vec<bool> {
-        word.iter().map(|&w| values[w]).collect()
+        word.iter().map(|&w| values[w as usize]).collect()
     };
     for (old, new) in kept.zip(carried) {
         assert_eq!(old.kind, new.kind);

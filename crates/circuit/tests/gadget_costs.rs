@@ -207,13 +207,13 @@ fn wasted_ands(circuit: &Circuit) -> (usize, usize) {
             Gate::Input(_) => None,
             Gate::ConstFalse => Some(false),
             Gate::ConstTrue => Some(true),
-            Gate::Not(a) => known[a].map(|v| !v),
-            Gate::Xor(a, b) => known[a].zip(known[b]).map(|(x, y)| x ^ y),
+            Gate::Not(a) => known[a as usize].map(|v| !v),
+            Gate::Xor(a, b) => known[a as usize].zip(known[b as usize]).map(|(x, y)| x ^ y),
             Gate::And(a, b) => {
-                if known[a].is_some() || known[b].is_some() {
+                if known[a as usize].is_some() || known[b as usize].is_some() {
                     constant_operand += 1;
                 }
-                match (known[a], known[b]) {
+                match (known[a as usize], known[b as usize]) {
                     (Some(false), _) | (_, Some(false)) => Some(false),
                     (x, y) => x.zip(y).map(|(x, y)| x & y),
                 }
@@ -222,17 +222,17 @@ fn wasted_ands(circuit: &Circuit) -> (usize, usize) {
     }
     let mut read = vec![false; gates.len()];
     for &o in circuit.outputs() {
-        read[o] = true;
+        read[o as usize] = true;
     }
     let mut unread = 0;
     for (i, gate) in gates.iter().enumerate().rev() {
         match *gate {
             Gate::And(..) if !read[i] => unread += 1,
             Gate::And(a, b) | Gate::Xor(a, b) if read[i] => {
-                read[a] = true;
-                read[b] = true;
+                read[a as usize] = true;
+                read[b as usize] = true;
             }
-            Gate::Not(a) if read[i] => read[a] = true,
+            Gate::Not(a) if read[i] => read[a as usize] = true,
             _ => {}
         }
     }

@@ -58,7 +58,7 @@
 use crate::error::MpcError;
 use crate::party::{GmwBatching, GmwMessage, GmwParty, OtConfig};
 use crate::wire::{encoded_len, GmwKind};
-use dstress_circuit::{Circuit, CircuitLayers, Gate};
+use dstress_circuit::{Circuit, CircuitLayers};
 use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::OperationCounts;
@@ -397,28 +397,20 @@ fn run_batch(
             .unwrap_or(MpcError::Transport(error)),
         error => MpcError::Transport(error),
     })?;
-    // One allocation-free pass: the gate counts are all the merge needs
-    // of the circuit's statistics.
-    let free_gates = circuit
-        .gates()
-        .iter()
-        .filter(|gate| matches!(gate, Gate::Xor(..) | Gate::Not(_)))
-        .count() as u64;
     Ok(members
         .iter()
         .zip(&parties)
         .zip(&tallies)
-        .map(|((node_ids, parties), tally)| {
-            merge_execution(circuit, free_gates, node_ids, parties, tally)
-        })
+        .map(|((node_ids, parties), tally)| merge_execution(layers, node_ids, parties, tally))
         .collect())
 }
 
 /// Folds the finished parties of one execution and the transport's tally
-/// of it into the execution's result and its traffic.
+/// of it into the execution's result and its traffic.  The gate counts
+/// are the layering's, made in the pass that built it: a batch reads no
+/// gate.
 fn merge_execution(
-    circuit: &Circuit,
-    free_gates: u64,
+    layers: &CircuitLayers,
     node_ids: &[NodeId],
     parties: &[GmwParty],
     tally: &WireTally,
@@ -433,8 +425,8 @@ fn merge_execution(
     // parallel, so the critical path is the per-pair maximum plus the
     // final output-reconstruction round.
     let rounds = parties.iter().map(GmwParty::rounds).max().unwrap_or(0) + 1;
-    counts.and_gates += circuit.layers().and_gates() as u64;
-    counts.free_gates += free_gates;
+    counts.and_gates += layers.and_gates() as u64;
+    counts.free_gates += layers.xor_not_gates() as u64;
     counts.rounds += rounds;
 
     // The traffic is the transport's tally (local indices) attributed
@@ -1151,6 +1143,47 @@ mod tests {
             Script::Raw(choices_bytes(gates, payload - 1)),
             &choices_expected(GmwKind::Choices, gates, payload - 1),
         );
+    }
+
+    #[test]
+    fn every_execution_charges_the_circuits_gate_counts_once() {
+        // The free-gate count comes from the layering, not from a walk of
+        // the gate list: under either batching, each execution of a batch
+        // is charged the circuit's XOR and NOT gates (inputs and
+        // constants compute nothing) and its AND gates, once.
+        let mut b = CircuitBuilder::new();
+        let x = b.input_word(8);
+        let y = b.input_word(8);
+        let lt = b.lt_unsigned(&x, &y);
+        let mn = b.mux_word(lt, &x, &y);
+        let t = b.const_bit(true);
+        let flipped = b.not(lt);
+        let both = b.and(t, flipped);
+        b.output_word(&mn);
+        b.output(both);
+        let circuit = b.build().unwrap();
+        let stats = dstress_circuit::CircuitStats::of(&circuit);
+        assert!(stats.xor_gates > 0 && stats.not_gates > 0);
+        let parties = 3;
+        let mut rng = Xoshiro256::new(21);
+        let jobs: Vec<GmwJob> = (0..3u64)
+            .map(|seed| GmwJob {
+                node_ids: (0..parties).map(NodeId).collect(),
+                input_shares: share_inputs(&encode_word(seed * 77, 16), parties, &mut rng),
+                master_seed: seed,
+            })
+            .collect();
+        for batching in [GmwBatching::Layered, GmwBatching::PerGate] {
+            let mut session = SimTransport.open(parties).unwrap();
+            let ot = OtConfig::extension();
+            let batch = execute_batch(&mut *session, &circuit, batching, &ot, jobs.clone());
+            for (execution, _) in batch.unwrap() {
+                let counts = execution.counts;
+                let free = (stats.xor_gates + stats.not_gates) as u64;
+                assert_eq!(counts.free_gates, free, "{batching:?}");
+                assert_eq!(counts.and_gates, stats.and_gates as u64, "{batching:?}");
+            }
+        }
     }
 
     #[test]

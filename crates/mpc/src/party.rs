@@ -159,7 +159,7 @@
 use crate::error::MpcError;
 use crate::ot::{ElGamalOt, OtProvider, OtRequest, SimulatedOtExtension, BASE_OT_ELEMENT_BYTES};
 use crate::wire::{self, GmwKind, GmwView};
-use dstress_circuit::{Circuit, CircuitLayers, Gate};
+use dstress_circuit::{Circuit, CircuitLayers, Gate, WireId};
 use dstress_crypto::group::{Group, GroupKind};
 use dstress_math::rng::splitmix64_finalize as mix;
 use dstress_net::cost::OperationCounts;
@@ -598,7 +598,7 @@ impl<'c> GmwParty<'c> {
         self.circuit
             .outputs()
             .iter()
-            .map(|&wire| self.wires[wire])
+            .map(|&wire| self.wires[wire as usize])
             .collect()
     }
 
@@ -616,15 +616,16 @@ impl<'c> GmwParty<'c> {
     }
 
     /// Evaluates one non-AND gate locally.
-    fn eval_free_gate(&mut self, w: usize) {
-        self.wires[w] = match self.circuit.gates()[w] {
-            Gate::Input(i) => self.input_share[i],
+    fn eval_free_gate(&mut self, w: WireId) {
+        let wire = |w: WireId| self.wires[w as usize];
+        self.wires[w as usize] = match self.circuit.gates()[w as usize] {
+            Gate::Input(i) => self.input_share[i as usize],
             Gate::ConstFalse => false,
             // Party 0 holds constants and NOT flips; all other parties'
             // shares are zero.
             Gate::ConstTrue => self.index == 0,
-            Gate::Xor(a, b) => self.wires[a] ^ self.wires[b],
-            Gate::Not(a) => self.wires[a] ^ (self.index == 0),
+            Gate::Xor(a, b) => wire(a) ^ wire(b),
+            Gate::Not(a) => wire(a) ^ (self.index == 0),
             Gate::And(_, _) => unreachable!("AND gates go through the OT path"),
         };
     }
@@ -685,7 +686,7 @@ impl<'c> GmwParty<'c> {
             let own = self.layer_inputs.iter().zip(&mut self.layer_shares);
             for (i, (&w, (&(x, y), share))) in gates.iter().zip(own).enumerate() {
                 let choice = (wire::plane_bit(xs, i), wire::plane_bit(ys, i));
-                let r = mask_bit(self.mask_stream, self.parties, w, peer);
+                let r = mask_bit(self.mask_stream, self.parties, w as usize, peer);
                 self.requests.push(([r, r ^ x, r ^ y, r ^ x ^ y], choice));
                 *share ^= r;
             }
@@ -723,7 +724,7 @@ impl<'c> GmwParty<'c> {
 
         // Commit the layer's output shares and advance the schedule.
         for (&w, &share) in gates.iter().zip(&self.layer_shares) {
-            self.wires[w] = share;
+            self.wires[w as usize] = share;
         }
         // One layer = one choices/responses exchange = two one-way
         // rounds, regardless of how many gates it carried.
@@ -747,7 +748,7 @@ impl<'c> GmwParty<'c> {
             if !self.free_done {
                 let layers = self.layers;
                 for &w in &layers.free_schedule()[self.round] {
-                    self.eval_free_gate(w as usize);
+                    self.eval_free_gate(w);
                 }
                 self.free_done = true;
             }
@@ -772,7 +773,7 @@ impl<'c> GmwParty<'c> {
             self.layer_inputs.extend(
                 self.layers
                     .and_operands(self.round)
-                    .map(|(a, b)| (wires[a], wires[b])),
+                    .map(|(a, b)| (wires[a as usize], wires[b as usize])),
             );
             self.layer_shares.clear();
             self.layer_shares

@@ -1,12 +1,16 @@
-//! Release-mode gate for the memory shape of the streaming schedule and
-//! the state budget — the three claims no other test makes:
+//! Release-mode gate for the memory shape of the streaming schedule, the
+//! state budget and the release circuit — the four claims no other test makes:
 //!
 //! * with the budget at a quarter of the store bytes, the stores' resident
 //!   peak stays under the budget plus one segment per store, and the run
 //!   really spills;
 //! * peak heap is sub-linear in the edge count;
 //! * once per-block state dominates, the bounded-window schedule needs
-//!   well under the materialised schedule's heap.
+//!   well under the materialised schedule's heap;
+//! * the release circuit, which grows with N, peaks at no more than
+//!   32 B per gate while it is built and layered.  At N = 4 000 it has
+//!   376 864 gates and peaks at 9 497 344 B (25.2 B per gate), against
+//!   20 088 556 B (53.3) with `usize` wire ids and builder slack kept.
 //!
 //! The workload is the benchmark's `stream-spill` shape (scale-free
 //! stream, counter program, block size 3, accounted transfers); the
@@ -14,6 +18,7 @@
 //! thresholds.  One `#[ignore]`d test, so the process-wide heap counters
 //! below see one run at a time; ci.sh runs it with `--release -- --ignored`.
 
+use dstress::core::engine::release_circuit;
 use dstress::core::store::packed_bytes;
 use dstress::core::{
     ConcurrencyMode, CounterProgram, DStressConfig, DStressRuntime, SecureVertexProgram,
@@ -168,5 +173,19 @@ fn streaming_memory_is_bounded_by_the_budget_and_sublinear_in_edges() {
     assert!(
         (streaming as f64) * 1.5 < materialised as f64,
         "streaming peak {streaming} vs materialised peak {materialised}"
+    );
+    drop(graph);
+
+    // (d) The release circuit reads every vertex's final state, so its IR
+    // grows with N: built and layered at the benchmark's `stream-spill`
+    // size (376 864 gates), it must peak at no more than 32 B per gate.
+    let (gates, ir_peak) = peak_during(|| {
+        let circuit = release_circuit(&PROGRAM, 4_000).expect("the release circuit composes");
+        circuit.layers();
+        circuit.len()
+    });
+    assert!(
+        ir_peak <= 32 * gates,
+        "release circuit of {gates} gates peaked at {ir_peak} B while built and layered"
     );
 }

@@ -198,10 +198,9 @@ echo "==> format versions: a checkpoint or a worker of the previous layout is re
 run_tests -q -p dstress-core resume_rejects_a_checkpoint_in_the_previous_layout
 run_tests -q -p dstress-deploy registration_refuses_a_worker_of_the_previous_protocol_version
 
-echo "==> streaming generators: streaming build == materialised build, degree bounds, determinism"
+echo "==> streaming generation: streaming build == materialised build, degree bounds, determinism"
 run_tests -q -p dstress-graph stream::
 run_tests -q -p dstress-graph csr_
-run_tests -q -p dstress-finance streaming_core_periphery
 
 echo "==> block-streaming execution: streaming == materialised, Sequential == Threaded"
 run_tests --release -q -p dstress-core streaming_execution_matches_materialised

@@ -198,11 +198,6 @@ impl CircuitLayers {
     pub fn xor_not_gates(&self) -> usize {
         self.xor_not_gates
     }
-
-    /// Size of the widest AND layer (the per-round batching factor).
-    pub fn widest_layer(&self) -> usize {
-        self.and_layers.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 /// Evaluates a circuit by the layered schedule and returns the value on
@@ -280,7 +275,7 @@ mod tests {
         let circuit = b.build().unwrap();
         let layers = CircuitLayers::of(&circuit);
         assert_eq!(layers.rounds(), 1);
-        assert_eq!(layers.widest_layer(), 32);
+        assert_eq!(layers.and_layers()[0].len(), 32);
         assert_eq!(layers.and_gates(), 32);
         assert_eq!(layers.free_schedule().len(), 2);
     }
@@ -297,7 +292,7 @@ mod tests {
         let circuit = b.build().unwrap();
         let layers = CircuitLayers::of(&circuit);
         assert_eq!(layers.rounds(), 5);
-        assert_eq!(layers.widest_layer(), 1);
+        assert!(layers.and_layers().iter().all(|layer| layer.len() == 1));
     }
 
     #[test]
@@ -446,7 +441,7 @@ mod tests {
             // its schedule is the flat walk cut at every AND gate.
             let serial = CircuitLayers::serial(&circuit);
             prop_assert_eq!(serial.rounds(), circuit.and_gates());
-            prop_assert_eq!(serial.widest_layer(), usize::from(circuit.and_gates() > 0));
+            prop_assert!(serial.and_layers().iter().all(|layer| layer.len() == 1));
             prop_assert_eq!(serial.free_schedule().len(), serial.rounds() + 1);
             prop_assert_eq!(serial.xor_not_gates(), layers.xor_not_gates());
             let mut walk = Vec::new();

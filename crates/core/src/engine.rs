@@ -74,11 +74,12 @@ use core::ops::Range;
 use dstress_circuit::{Circuit, CircuitError};
 use dstress_crypto::dlog::DlogTable;
 use dstress_crypto::group::Group;
-use dstress_crypto::sharing::split_xor_bit;
 use dstress_dp::laplace::LaplaceMechanism;
 use dstress_graph::{Graph, VertexId};
 use dstress_math::rng::{DetRng, SplitMix64, Xoshiro256};
-use dstress_mpc::gmw::{execute_established, reconstruct_outputs, GmwExecution, GmwJob};
+use dstress_mpc::gmw::{
+    execute_established, reconstruct_outputs, share_inputs, GmwExecution, GmwJob,
+};
 use dstress_mpc::party::{derive_seed, OtConfig};
 use dstress_mpc::{GmwMessage, MpcError};
 use dstress_net::cost::OperationCounts;
@@ -223,14 +224,6 @@ impl PhaseBreakdown {
         total.add(&self.communication.counts);
         total.add(&self.aggregation.counts);
         total
-    }
-
-    /// Sum of the per-phase wall-clock seconds.
-    pub fn total_wall_seconds(&self) -> f64 {
-        self.initialization.wall_seconds
-            + self.computation.wall_seconds
-            + self.communication.wall_seconds
-            + self.aggregation.wall_seconds
     }
 }
 
@@ -816,7 +809,7 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         for v in graph.vertices() {
             let initial = self.program.encode_initial_state(graph, v);
             debug_assert_eq!(initial.len(), state_bits, "program state encoding width");
-            let mut shares = share_bits(&initial, block_size, &mut self.rng);
+            let mut shares = share_inputs(&initial, block_size, &mut self.rng);
             // Each member other than the owner receives its state share and
             // D no-op message shares — as a real bit-packed wire message,
             // whose decoded copy is the share the member actually uses.
@@ -1090,7 +1083,7 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
                 self.stores.state.read_into(row, &mut member_state)?;
                 // sub[ba_idx][bit]: this member's sub-share toward each
                 // aggregation-block member.
-                let sub = share_bits(&member_state, block_size, &mut self.rng);
+                let sub = share_inputs(&member_state, block_size, &mut self.rng);
                 // One bit-packed wire message per aggregation-block
                 // member; the decoded copy is what gets folded in.
                 let ba_members = setup.aggregation_block.members.iter();
@@ -1215,7 +1208,7 @@ impl PhaseCosts {
     fn absorb(&mut self, deepest: &mut u64, mut counts: OperationCounts) {
         *deepest = (*deepest).max(counts.rounds);
         counts.rounds = 0;
-        self.counts.merge(&counts);
+        self.counts.add(&counts);
     }
 }
 
@@ -1230,17 +1223,6 @@ fn task_seed(phase_seed: u64, index: u64) -> u64 {
 /// Domain tag separating engine task streams from the party/pair streams
 /// that [`derive_seed`] also serves.
 const ENGINE_TASK_TAG: u64 = 0x656e_6769_6e65_3a74; // "engine:t"
-
-/// Splits a bit vector into `n` XOR shares (per-bit sharing).
-fn share_bits(bits: &[bool], n: usize, rng: &mut dyn DetRng) -> Vec<Vec<bool>> {
-    let mut shares = vec![Vec::with_capacity(bits.len()); n];
-    for &bit in bits {
-        for (p, s) in split_xor_bit(bit, n, rng).into_iter().enumerate() {
-            shares[p].push(s);
-        }
-    }
-    shares
-}
 
 #[cfg(test)]
 mod tests {
@@ -1425,7 +1407,7 @@ mod tests {
         assert!(run.phases.computation.counts.wire_bytes > 0);
         assert!(run.phases.communication.counts.wire_bytes > 0);
         assert!(run.phases.aggregation.counts.wire_bytes > 0);
-        assert!(run.phases.total_wall_seconds() > 0.0);
+        assert!(run.phases.computation.wall_seconds > 0.0);
         assert!(run.mean_bytes_per_node() > 0.0);
     }
 

@@ -237,40 +237,6 @@ impl ScalabilityModel {
     }
 }
 
-/// The §3.7 degree-bucketing optimisation, evaluated on the projection
-/// model.
-///
-/// DStress normally uses one conservative degree bound `D` for every
-/// vertex, which makes the MPC block computations of low-degree banks as
-/// expensive as those of the most connected ones.  §3.7 suggests dividing
-/// the vertices into buckets by approximate degree (revealing only the
-/// bucket), so most banks run much smaller circuits.  This function
-/// projects both deployments — single bound vs two buckets — and returns
-/// the per-node times `(single_bound_seconds, bucketed_seconds)`.
-#[allow(clippy::too_many_arguments)]
-pub fn project_degree_buckets(
-    model: &ScalabilityModel,
-    small_inputs: &ProjectionInputs,
-    large_inputs: &ProjectionInputs,
-    small_degree: usize,
-    large_degree: usize,
-    fraction_large: f64,
-    n: usize,
-    k: usize,
-    iterations: u32,
-) -> (f64, f64) {
-    assert!((0.0..=1.0).contains(&fraction_large));
-    let single = model.project(large_inputs, n, large_degree, k, iterations);
-    let small = model.project(small_inputs, n, small_degree, k, iterations);
-    let large = model.project(large_inputs, n, large_degree, k, iterations);
-    // A node's expected cost under bucketing: with probability
-    // `fraction_large` it sits in (and serves blocks of) the high-degree
-    // bucket, otherwise the low-degree one.
-    let bucketed =
-        fraction_large * large.total_seconds + (1.0 - fraction_large) * small.total_seconds;
-    (single.total_seconds, bucketed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,44 +338,6 @@ mod tests {
         );
         assert!(large.total_seconds > small.total_seconds);
         assert!(large.total_seconds < 3.0 * small.total_seconds);
-    }
-
-    #[test]
-    fn degree_bucketing_saves_most_of_the_cost() {
-        // §3.7: if only the core (say 10% of banks) actually needs D = 100
-        // and the rest fit in D = 10, bucketing cuts the projected per-node
-        // cost dramatically compared to a single conservative bound.
-        let model = ScalabilityModel::paper_reference();
-        let small_inputs = synthetic_inputs(10);
-        let large_inputs = synthetic_inputs(100);
-        let (single, bucketed) = project_degree_buckets(
-            &model,
-            &small_inputs,
-            &large_inputs,
-            10,
-            100,
-            0.1,
-            1750,
-            19,
-            11,
-        );
-        assert!(
-            bucketed < 0.4 * single,
-            "bucketed {bucketed} vs single {single}"
-        );
-        // Degenerate fractions recover the single-bucket cases.
-        let (single_again, all_large) = project_degree_buckets(
-            &model,
-            &small_inputs,
-            &large_inputs,
-            10,
-            100,
-            1.0,
-            1750,
-            19,
-            11,
-        );
-        assert!((all_large - single_again).abs() < 1e-6);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! degree histogram released bin by bin, a metric refreshed every round.
 //! Sequential composition makes the privacy cost additive — `K` releases
 //! at ε_round spend `K · ε_round` — so every release must clear a shared
-//! [`BudgetAccountant`] before it runs.
+//! [`PrivacyBudget`] before it runs.
 //!
 //! [`ReleaseSchedule`] is that gate.  Each release,
 //! [`ReleaseSchedule::release_full`], reruns the full MPC pipeline
@@ -22,7 +22,7 @@
 use crate::config::DStressConfig;
 use crate::engine::{DStressRuntime, RuntimeError};
 use crate::program::SecureVertexProgram;
-use dstress_dp::{BudgetAccountant, BudgetError};
+use dstress_dp::{BudgetError, PrivacyBudget};
 use dstress_graph::Graph;
 use dstress_math::rng::splitmix64_finalize;
 use std::fmt;
@@ -73,7 +73,7 @@ pub struct ReleaseRecord {
 /// A recurring-release schedule: a budget accountant in front of the
 /// release pipeline, with an audit trail of everything released.
 pub struct ReleaseSchedule {
-    accountant: BudgetAccountant,
+    accountant: PrivacyBudget,
     epsilon_per_release: f64,
     releases: Vec<ReleaseRecord>,
 }
@@ -81,7 +81,7 @@ pub struct ReleaseSchedule {
 impl ReleaseSchedule {
     /// Creates a schedule spending `epsilon_per_release` from `accountant`
     /// on every release.
-    pub fn new(accountant: BudgetAccountant, epsilon_per_release: f64) -> Self {
+    pub fn new(accountant: PrivacyBudget, epsilon_per_release: f64) -> Self {
         ReleaseSchedule {
             accountant,
             epsilon_per_release,
@@ -95,7 +95,7 @@ impl ReleaseSchedule {
     }
 
     /// The underlying accountant (total, spent, audit trail).
-    pub fn accountant(&self) -> &BudgetAccountant {
+    pub fn accountant(&self) -> &PrivacyBudget {
         &self.accountant
     }
 
@@ -165,7 +165,7 @@ mod tests {
     fn k_full_releases_compose_k_epsilon_and_exhaust_on_k_plus_one() {
         // Budget 0.3, ε_round 0.1: exactly 3 releases fit (the budget
         // bugfix makes this boundary exact — see dstress-dp).
-        let mut schedule = ReleaseSchedule::new(BudgetAccountant::new(0.3), 0.1);
+        let mut schedule = ReleaseSchedule::new(PrivacyBudget::new(0.3), 0.1);
         let graph = tiny_graph();
         let program = CounterProgram {
             width: 8,
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn independent_releases_draw_independent_noise() {
-        let mut schedule = ReleaseSchedule::new(BudgetAccountant::new(2.0), 0.1);
+        let mut schedule = ReleaseSchedule::new(PrivacyBudget::new(2.0), 0.1);
         let graph = tiny_graph();
         let program = CounterProgram {
             width: 8,
@@ -234,7 +234,7 @@ mod tests {
             (0.3, 0.0, 0.1),
             (std::f64::consts::LN_2, 0.1, 0.3),
         ] {
-            let mut accountant = BudgetAccountant::new(total);
+            let mut accountant = PrivacyBudget::new(total);
             if prior > 0.0 {
                 accountant.charge("prior", prior).unwrap();
             }

@@ -117,16 +117,6 @@ impl DlogTable {
         self
     }
 
-    /// The largest exponent magnitude the table can recover.
-    pub fn max_exponent(&self) -> u64 {
-        self.max
-    }
-
-    /// Returns `true` if the table covers negative exponents.
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
     /// Number of entries in the table (the paper's `N_l`).
     pub fn entries(&self) -> usize {
         self.table.len() + self.overflow.len()
@@ -325,7 +315,6 @@ mod tests {
         let group = Group::sim64();
         let table = DlogTable::new(&group, 200);
         assert_eq!(table.entries(), 201);
-        assert_eq!(table.max_exponent(), 200);
         for m in [0u64, 1, 2, 50, 199, 200] {
             assert_eq!(table.lookup(&group, group.encode_exponent(m)).unwrap(), m);
         }
@@ -343,7 +332,6 @@ mod tests {
     fn signed_table_recovers_negative_exponents() {
         let group = Group::sim64();
         let table = DlogTable::new_signed(&group, 50);
-        assert!(table.is_signed());
         assert_eq!(table.entries(), 101);
         for m in [-50i64, -7, -1, 0, 1, 13, 50] {
             let elem = if m >= 0 {

@@ -127,19 +127,6 @@ pub fn decrypt(group: &Group, sk: &SecretKey, ct: &Ciphertext) -> Result<GroupEl
     Ok(group.mul(ct.c2, shared_inv))
 }
 
-/// Fused decryption: computes `c2 · c1^(q − x)` in a single exponentiation
-/// instead of an exponentiation followed by a Fermat inversion (itself a
-/// full exponentiation).
-///
-/// Valid whenever `c1` lies in the order-`q` subgroup — true for every
-/// ciphertext the protocol produces — because there `c1^(q−x)` *is* the
-/// inverse of `c1^x`, making this bit-identical to [`decrypt`] at roughly
-/// half the cost.
-pub fn decrypt_fused(group: &Group, sk: &SecretKey, ct: &Ciphertext) -> GroupElem {
-    let neg = group.q().wrapping_sub(&sk.0.rem(&group.q()));
-    group.mul(ct.c2, group.pow(ct.c1, &neg))
-}
-
 /// Encrypts the small non-negative integer `m` as `g^m` (exponential
 /// ElGamal).  The result supports [`homomorphic_add`].
 pub fn encrypt_exponent(group: &Group, pk: &PublicKey, m: u64, rng: &mut dyn DetRng) -> Ciphertext {
@@ -152,16 +139,6 @@ pub fn homomorphic_add(group: &Group, a: &Ciphertext, b: &Ciphertext) -> Ciphert
     Ciphertext {
         c1: group.mul(a.c1, b.c1),
         c2: group.mul(a.c2, b.c2),
-    }
-}
-
-/// Homomorphically adds the *plaintext* constant `m` (encoded as `g^m`)
-/// into a ciphertext without re-encrypting.  Used by the transfer protocol
-/// when vertex `i` folds geometric noise into the forwarded sums.
-pub fn homomorphic_add_plaintext(group: &Group, ct: &Ciphertext, m: u64) -> Ciphertext {
-    Ciphertext {
-        c1: ct.c1,
-        c2: group.mul(ct.c2, group.encode_exponent(m)),
     }
 }
 
@@ -306,16 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_addition() {
-        let (group, kp, mut rng) = setup();
-        let table = DlogTable::new(&group, 100);
-        let ct = encrypt_exponent(&group, &kp.public, 30, &mut rng);
-        let ct = homomorphic_add_plaintext(&group, &ct, 12);
-        let decrypted = decrypt(&group, &kp.secret, &ct).unwrap();
-        assert_eq!(table.lookup(&group, decrypted).unwrap(), 42);
-    }
-
-    #[test]
     fn key_rerandomisation_roundtrip() {
         let (group, kp, mut rng) = setup();
         let r = group.random_nonzero_exponent(&mut rng);
@@ -374,21 +341,6 @@ mod tests {
         for ((ct, key), &bit) in cts.iter().zip(keys.iter()).zip(bits.iter()) {
             let m = decrypt(&group, &key.secret, ct).unwrap();
             assert_eq!(table.lookup(&group, m).unwrap(), bit as u64);
-        }
-    }
-
-    #[test]
-    fn fused_decrypt_matches_plain_decrypt() {
-        for group in [Group::sim64(), Group::prod256()] {
-            let mut rng = Xoshiro256::new(0xF0);
-            let kp = KeyPair::generate(&group, &mut rng);
-            for m in [0u64, 1, 99, 5000] {
-                let ct = encrypt_exponent(&group, &kp.public, m, &mut rng);
-                assert_eq!(
-                    decrypt_fused(&group, &kp.secret, &ct),
-                    decrypt(&group, &kp.secret, &ct).unwrap()
-                );
-            }
         }
     }
 

@@ -249,11 +249,6 @@ impl Group {
         Ok(GroupElem(self.p_ctx.to_elem(v)?))
     }
 
-    /// Exponent-ring context (`Z_q`), used for arithmetic on exponents.
-    pub fn exponent_ctx(&self) -> &FpCtx {
-        &self.q_ctx
-    }
-
     /// Group-arithmetic context (`Z_p`), used by the exponentiation kernels.
     pub(crate) fn p_ctx(&self) -> &FpCtx {
         &self.p_ctx
@@ -269,13 +264,6 @@ impl Group {
         let ea = self.q_ctx.to_elem_reduced(*a);
         let eb = self.q_ctx.to_elem_reduced(*b);
         self.q_ctx.to_int(self.q_ctx.add(ea, eb))
-    }
-
-    /// Multiplies two exponents modulo `q` (used for key re-randomisation).
-    pub fn mul_exponents(&self, a: &U256, b: &U256) -> U256 {
-        let ea = self.q_ctx.to_elem_reduced(*a);
-        let eb = self.q_ctx.to_elem_reduced(*b);
-        self.q_ctx.to_int(self.q_ctx.mul(ea, eb))
     }
 }
 
@@ -329,7 +317,7 @@ mod tests {
         let a = g.random_exponent(&mut rng);
         let b = g.random_exponent(&mut rng);
         let lhs = g.pow(g.generator_pow(&a), &b);
-        let rhs = g.generator_pow(&g.mul_exponents(&a, &b));
+        let rhs = g.pow(g.generator_pow(&b), &a);
         assert_eq!(lhs, rhs);
     }
 

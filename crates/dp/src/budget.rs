@@ -108,9 +108,6 @@ pub struct BudgetCharge {
 }
 
 /// An ε-differential-privacy budget ledger.
-///
-/// Also exported as `BudgetAccountant` — the name the recurring-release
-/// scheduler uses for it.
 #[derive(Debug, Clone)]
 pub struct PrivacyBudget {
     /// The total as given (reported verbatim by [`Self::total`]).

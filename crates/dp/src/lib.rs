@@ -45,7 +45,3 @@ pub use edge_privacy::EdgePrivacyAccounting;
 pub use geometric::TwoSidedGeometric;
 pub use laplace::LaplaceMechanism;
 pub use utility::UtilityAnalysis;
-
-/// The budget ledger under the name the recurring-release scheduler and
-/// the paper's accounting discussion use for it.
-pub use budget::PrivacyBudget as BudgetAccountant;

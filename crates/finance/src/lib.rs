@@ -50,10 +50,7 @@ pub mod network;
 
 pub use eisenberg_noe::{EisenbergNoeProgram, EisenbergNoeSecure};
 pub use elliott_golub_jackson::{ElliottGolubJacksonProgram, ElliottGolubJacksonSecure};
-pub use generator::{
-    core_periphery, core_periphery_streamed, CorePeripheryStream, CorePeripheryStreamConfig,
-    GeneratorConfig,
-};
+pub use generator::{core_periphery, GeneratorConfig};
 pub use metrics::{sensitivity_bound_egj, sensitivity_bound_en, CircuitParams};
 pub use network::{Bank, Exposure, FinancialNetwork};
 

@@ -1,10 +1,9 @@
 //! Generic random-graph generators.
 //!
-//! The financial-network generators (core–periphery, scale-free) that the
-//! paper's Appendix C uses live in `dstress-finance`, because they also
-//! synthesise balance sheets.  This module provides the topology-only
-//! generators used by unit tests and by the microbenchmarks, all of which
-//! respect a degree bound `D`.
+//! The core–periphery generator that the paper's Appendix C uses lives in
+//! `dstress-finance`, because it also synthesises balance sheets.  This
+//! module provides the topology-only generators used by tests and
+//! examples, both of which respect a degree bound `D`.
 
 use crate::graph::{Graph, VertexId};
 use dstress_math::rng::DetRng;
@@ -51,32 +50,6 @@ pub fn ring_with_chords(
     g
 }
 
-/// Generates a graph where every vertex has exactly `degree` out-edges to
-/// uniformly chosen distinct targets (a simple regular-ish topology used
-/// by the MPC microbenchmarks to pin `D`).
-pub fn fixed_out_degree(n: usize, degree: usize, rng: &mut dyn DetRng) -> Graph {
-    assert!(degree < n, "degree must be smaller than the vertex count");
-    // In-degree is not strictly bounded by `degree` in this construction,
-    // so allow head-room while keeping the declared bound tight enough for
-    // benchmarks (2·degree is ample for uniform targets).
-    let mut g = Graph::new(
-        n,
-        (2 * degree).max(degree + 1).min(n.saturating_sub(1)).max(1),
-    );
-    for i in 0..n {
-        let mut added = 0;
-        let mut guard = 0;
-        while added < degree && guard < 100 * degree {
-            guard += 1;
-            let j = rng.next_below(n as u64) as usize;
-            if j != i && g.add_edge(VertexId(i), VertexId(j)).is_ok() {
-                added += 1;
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,15 +82,6 @@ mod tests {
         }
         let g2 = ring_with_chords(10, 2, 6, &mut rng);
         assert!(g2.edge_count() > 10);
-    }
-
-    #[test]
-    fn fixed_out_degree_is_exact() {
-        let mut rng = Xoshiro256::new(4);
-        let g = fixed_out_degree(30, 5, &mut rng);
-        for v in g.vertices() {
-            assert_eq!(g.out_degree(v), 5, "vertex {v}");
-        }
     }
 
     #[test]

@@ -24,12 +24,11 @@
 //! * [`generate`] — generic random-graph generators used to build test
 //!   topologies (the financial core–periphery generator lives in
 //!   `dstress-finance`).
-//! * [`stream`] — streaming, bounded-memory generators: an
+//! * [`stream`] — streaming, bounded-memory generation: an
 //!   [`stream::EdgeStream`] emits edges one at a time from a seeded RNG
-//!   with `O(V)` state (scale-free Barabási–Albert and a clamped
-//!   configuration model), and [`Graph::from_edge_stream`] stores the
-//!   result in compact CSR form — the path past the dense
-//!   materialisation wall.
+//!   with `O(V)` state (scale-free Barabási–Albert), and
+//!   [`Graph::from_edge_stream`] stores the result in compact CSR form —
+//!   the path past the dense materialisation wall.
 //!
 //! ## Example
 //!
@@ -58,4 +57,4 @@ pub use analytics::{DegreeBin, PageRankRef, SsspHops, WccLabels};
 pub use graph::{Graph, GraphError, VertexId};
 pub use program::VertexProgram;
 pub use reference::{execute_reference, ReferenceTrace};
-pub use stream::{BarabasiAlbertStream, ConfigurationModelStream, EdgeStream, GraphEdgeStream};
+pub use stream::{BarabasiAlbertStream, EdgeStream, GraphEdgeStream};

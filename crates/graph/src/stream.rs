@@ -7,20 +7,14 @@
 //! dense-materialisation wall can be generated, measured and (through
 //! [`crate::Graph::from_edge_stream`]) stored in compact CSR form.
 //!
-//! Two generator families are provided, both respecting the public
-//! degree bound `D` *by construction* (attachment to a saturated vertex
-//! is clamped — redirected or dropped — never emitted):
-//!
-//! * [`BarabasiAlbertStream`] — scale-free preferential attachment.  Each
-//!   new vertex attaches `m` out-edges to earlier vertices with
-//!   probability proportional to their degree (plus one), implemented
-//!   with `O(1)`-expected rejection sampling against the degree array —
-//!   no stub list, no repeated-endpoint table.
-//! * [`ConfigurationModelStream`] — a clamped configuration model.  Every
-//!   vertex draws an out-stub count and an in-stub capacity from the
-//!   seed; out-stubs are paired with in-stubs sampled proportionally to
-//!   *remaining* in-capacity.  Stubs that cannot be matched under the
-//!   bound are dropped, which is exactly what degree clamping means.
+//! The generator, [`BarabasiAlbertStream`], is scale-free preferential
+//! attachment that respects the public degree bound `D` *by
+//! construction* (attachment to a saturated vertex is clamped —
+//! redirected or dropped — never emitted).  Each new vertex attaches `m`
+//! out-edges to earlier vertices with probability proportional to their
+//! degree (plus one), implemented with `O(1)`-expected rejection sampling
+//! against the degree array — no stub list, no repeated-endpoint table.
+//! [`GraphEdgeStream`] replays an existing [`Graph`] as a stream.
 //!
 //! Streams are **restartable**: [`EdgeStream::restart`] rewinds the
 //! generator to its initial state, and the same seed replays the same
@@ -118,7 +112,7 @@ impl EdgeStream for GraphEdgeStream<'_> {
     }
 }
 
-/// Where a growth-style stream currently is in its emission schedule.
+/// Where [`BarabasiAlbertStream`] currently is in its emission schedule.
 #[derive(Clone, Copy, Debug)]
 enum Cursor {
     /// Emitting the seed ring: next edge starts at this seed vertex.
@@ -297,167 +291,6 @@ impl EdgeStream for BarabasiAlbertStream {
     }
 }
 
-/// A degree-clamped configuration model emitted as a stream.
-///
-/// Each vertex draws an out-stub count in `1..=max_out_degree` and an
-/// in-stub capacity in `1..=D` from the seed.  Vertices emit their
-/// out-stubs in order; each stub picks a target with probability
-/// proportional to the target's *remaining* in-capacity (rejection
-/// sampling against the capacity array — the streaming equivalent of
-/// drawing from the in-stub multiset).  Stubs that cannot be matched
-/// (everything saturated or duplicate) are dropped, which is the clamp.
-pub struct ConfigurationModelStream {
-    n: usize,
-    degree_bound: usize,
-    max_out_degree: usize,
-    seed: u64,
-    rng: Xoshiro256,
-    /// Remaining in-stub capacity per vertex.
-    remaining_in: Vec<u32>,
-    /// Out-stub quota of the in-progress vertex.
-    quota: usize,
-    /// Targets already chosen by the in-progress vertex.
-    chosen: Vec<usize>,
-    cursor: Cursor,
-}
-
-impl ConfigurationModelStream {
-    /// Creates a stream over `n` vertices with degree bound
-    /// `degree_bound`, per-vertex out-degrees drawn in
-    /// `1..=max_out_degree`, and a deterministic `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_out_degree` is zero or exceeds the degree bound.
-    pub fn new(n: usize, degree_bound: usize, max_out_degree: usize, seed: u64) -> Self {
-        assert!(max_out_degree >= 1, "max_out_degree must be at least 1");
-        assert!(
-            max_out_degree <= degree_bound,
-            "max_out_degree = {max_out_degree} exceeds degree bound D = {degree_bound}"
-        );
-        let mut stream = ConfigurationModelStream {
-            n,
-            degree_bound,
-            max_out_degree,
-            seed,
-            rng: Xoshiro256::new(seed),
-            remaining_in: vec![0; n],
-            quota: 0,
-            chosen: Vec::with_capacity(max_out_degree),
-            cursor: Cursor::Grow { vertex: 0, edge: 0 },
-        };
-        stream.restart();
-        stream
-    }
-
-    /// Draws a stub count in `1..=limit` (clamped to the vertex count).
-    fn draw_stubs(rng: &mut Xoshiro256, limit: usize, n: usize) -> u32 {
-        let cap = limit.min(n.saturating_sub(1)).max(1) as u64;
-        (1 + rng.next_below(cap)) as u32
-    }
-
-    /// Picks an in-stub for `vertex`'s next out-stub, or `None`.
-    fn pick_target(&mut self, vertex: usize) -> Option<usize> {
-        let envelope = self.degree_bound as u64;
-        for _ in 0..64 * (self.degree_bound + 1) {
-            let u = self.rng.next_below(self.n as u64) as usize;
-            if u == vertex {
-                continue;
-            }
-            // Accept proportionally to the remaining in-capacity: the
-            // streaming equivalent of drawing a stub from the multiset.
-            if self.rng.next_below(envelope) >= self.remaining_in[u] as u64 {
-                continue;
-            }
-            if self.chosen.contains(&u) {
-                continue;
-            }
-            return Some(u);
-        }
-        let start = self.rng.next_below(self.n as u64) as usize;
-        for off in 0..self.n {
-            let u = (start + off) % self.n;
-            if u != vertex && self.remaining_in[u] > 0 && !self.chosen.contains(&u) {
-                return Some(u);
-            }
-        }
-        None
-    }
-}
-
-impl EdgeStream for ConfigurationModelStream {
-    fn vertex_count(&self) -> usize {
-        self.n
-    }
-
-    fn degree_bound(&self) -> usize {
-        self.degree_bound
-    }
-
-    fn next_edge(&mut self) -> Option<(VertexId, VertexId)> {
-        if self.n < 2 {
-            return None;
-        }
-        loop {
-            match self.cursor {
-                Cursor::Grow { vertex, edge } => {
-                    if vertex >= self.n {
-                        self.cursor = Cursor::Done;
-                        return None;
-                    }
-                    if edge == 0 && self.chosen.is_empty() && self.quota == 0 {
-                        self.quota =
-                            Self::draw_stubs(&mut self.rng, self.max_out_degree, self.n) as usize;
-                    }
-                    if edge >= self.quota {
-                        self.cursor = Cursor::Grow {
-                            vertex: vertex + 1,
-                            edge: 0,
-                        };
-                        self.chosen.clear();
-                        self.quota = 0;
-                        continue;
-                    }
-                    match self.pick_target(vertex) {
-                        Some(u) => {
-                            self.chosen.push(u);
-                            self.remaining_in[u] -= 1;
-                            self.cursor = Cursor::Grow {
-                                vertex,
-                                edge: edge + 1,
-                            };
-                            return Some((VertexId(vertex), VertexId(u)));
-                        }
-                        None => {
-                            // Drop the unmatchable stubs: the clamp.
-                            self.cursor = Cursor::Grow {
-                                vertex: vertex + 1,
-                                edge: 0,
-                            };
-                            self.chosen.clear();
-                            self.quota = 0;
-                        }
-                    }
-                }
-                Cursor::Seed(_) => unreachable!("configuration model has no seed stage"),
-                Cursor::Done => return None,
-            }
-        }
-    }
-
-    fn restart(&mut self) {
-        self.rng = Xoshiro256::new(self.seed);
-        // The in-capacities are part of the seeded state: redraw them in
-        // a fixed order so the replay is exact.
-        for slot in self.remaining_in.iter_mut() {
-            *slot = Self::draw_stubs(&mut self.rng, self.degree_bound, self.n);
-        }
-        self.quota = 0;
-        self.chosen.clear();
-        self.cursor = Cursor::Grow { vertex: 0, edge: 0 };
-    }
-}
-
 /// Collects a stream into a list-backed [`Graph`] through the incremental
 /// [`Graph::add_edge`] path — the *materialised* build the proptests pin
 /// the streaming CSR build against.
@@ -533,23 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn config_model_is_deterministic_and_bounded() {
-        let mut a = ConfigurationModelStream::new(150, 6, 3, 11);
-        let mut b = ConfigurationModelStream::new(150, 6, 3, 11);
-        let ea = collect(&mut a);
-        assert_eq!(ea, collect(&mut b));
-        a.restart();
-        assert_eq!(ea, collect(&mut a));
-        let graph =
-            Graph::from_edge_stream(&mut ConfigurationModelStream::new(150, 6, 3, 11)).unwrap();
-        assert!(graph.max_degree() <= 6);
-        assert!(graph.edge_count() >= 150, "every vertex has >= 1 out-stub");
-        for v in graph.vertices() {
-            assert!(graph.out_degree(v) <= 3);
-        }
-    }
-
-    #[test]
     fn graph_edge_stream_replays_vertex_major() {
         let mut g = Graph::new(4, 3);
         g.add_edge(VertexId(2), VertexId(0)).unwrap();
@@ -563,9 +379,10 @@ mod tests {
         assert_eq!(stream.degree_bound(), 3);
     }
 
-    /// The satellite pin: the streaming CSR build and the materialised
-    /// incremental build agree edge-for-edge at small `n`, for both
-    /// generators, across seeds.
+    /// The streaming CSR build and the materialised incremental build
+    /// agree edge-for-edge at small `n`, across seeds, for the
+    /// growth-ordered Barabási–Albert stream and for a replayed
+    /// Erdős–Rényi graph, whose edges arrive in no growth order.
     fn assert_stream_matches_materialised<S: EdgeStream>(mut make: impl FnMut() -> S) {
         let csr = Graph::from_edge_stream(&mut make()).unwrap();
         let lists = materialise(&mut make());
@@ -592,19 +409,9 @@ mod tests {
         ) {
             let d = m + 1 + extra_bound;
             assert_stream_matches_materialised(|| BarabasiAlbertStream::new(n, m, d, seed));
-        }
-
-        #[test]
-        fn prop_config_model_streaming_matches_materialised(
-            n in 2usize..120,
-            max_out in 1usize..4,
-            extra_bound in 0usize..6,
-            seed in any::<u64>(),
-        ) {
-            let d = max_out + extra_bound;
-            assert_stream_matches_materialised(
-                || ConfigurationModelStream::new(n, d, max_out, seed),
-            );
+            let p = m as f64 / n as f64;
+            let er = crate::generate::erdos_renyi(n, p, d, &mut Xoshiro256::new(seed));
+            assert_stream_matches_materialised(|| GraphEdgeStream::new(&er));
         }
 
         #[test]

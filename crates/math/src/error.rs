@@ -21,8 +21,6 @@ pub enum MathError {
         /// The operation that overflowed.
         op: &'static str,
     },
-    /// Division by zero in fixed-point arithmetic.
-    DivisionByZero,
 }
 
 impl fmt::Display for MathError {
@@ -35,7 +33,6 @@ impl fmt::Display for MathError {
             MathError::NotInvertible => write!(f, "element is not invertible"),
             MathError::InvalidHex => write!(f, "invalid hexadecimal string"),
             MathError::FixedOverflow { op } => write!(f, "fixed-point overflow in {op}"),
-            MathError::DivisionByZero => write!(f, "fixed-point division by zero"),
         }
     }
 }
@@ -56,7 +53,6 @@ mod tests {
         assert!(MathError::FixedOverflow { op: "mul" }
             .to_string()
             .contains("mul"));
-        assert!(MathError::DivisionByZero.to_string().contains("division"));
     }
 
     #[test]

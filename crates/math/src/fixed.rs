@@ -144,22 +144,6 @@ impl Fixed {
             .map_err(|_| MathError::FixedOverflow { op: "mul" })
     }
 
-    /// Checked division (full-precision intermediate, truncated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DivisionByZero`] when `rhs` is zero and
-    /// [`MathError::FixedOverflow`] if the result does not fit.
-    pub fn checked_div(self, rhs: Fixed) -> Result<Fixed, MathError> {
-        if rhs.raw == 0 {
-            return Err(MathError::DivisionByZero);
-        }
-        let wide = ((self.raw as i128) << FRAC_BITS) / (rhs.raw as i128);
-        i64::try_from(wide)
-            .map(Fixed::from_raw)
-            .map_err(|_| MathError::FixedOverflow { op: "div" })
-    }
-
     /// Saturating addition.
     pub fn saturating_add(self, rhs: Fixed) -> Fixed {
         Fixed {
@@ -312,11 +296,6 @@ mod tests {
         assert!(Fixed::MAX.checked_add(Fixed::ONE).is_err());
         assert!(Fixed::MIN.checked_sub(Fixed::ONE).is_err());
         assert!(Fixed::MAX.checked_mul(Fixed::from_int(2)).is_err());
-        assert_eq!(
-            Fixed::ONE.checked_div(Fixed::ZERO).unwrap_err(),
-            MathError::DivisionByZero
-        );
-        assert!(Fixed::from_int(10).checked_div(Fixed::from_int(4)).is_ok());
     }
 
     #[test]

@@ -130,15 +130,6 @@ impl Xoshiro256 {
     pub fn from_state(state: [u64; 4]) -> Self {
         Xoshiro256 { state }
     }
-
-    /// Derives an independent child generator, useful for giving each
-    /// simulated node its own stream.
-    pub fn fork(&mut self, stream: u64) -> Xoshiro256 {
-        let mut sm = SplitMix64::new(self.next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Xoshiro256 {
-            state: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
-        }
-    }
 }
 
 impl DetRng for Xoshiro256 {
@@ -204,16 +195,6 @@ mod tests {
         let mut restored = Xoshiro256::from_state(snapshot);
         let resumed: Vec<u64> = (0..64).map(|_| restored.next_u64()).collect();
         assert_eq!(expected, resumed);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Xoshiro256::new(9);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let s1: Vec<u64> = (0..16).map(|_| c1.next_u64()).collect();
-        let s2: Vec<u64> = (0..16).map(|_| c2.next_u64()).collect();
-        assert_ne!(s1, s2);
     }
 
     #[test]

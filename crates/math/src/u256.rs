@@ -74,11 +74,6 @@ impl U256 {
         self.limbs[1] == 0 && self.limbs[2] == 0 && self.limbs[3] == 0
     }
 
-    /// Returns `true` if the value fits in 128 bits.
-    pub const fn fits_u128(&self) -> bool {
-        self.limbs[2] == 0 && self.limbs[3] == 0
-    }
-
     /// Returns `true` if the value is zero.
     pub const fn is_zero(&self) -> bool {
         self.limbs[0] == 0 && self.limbs[1] == 0 && self.limbs[2] == 0 && self.limbs[3] == 0
@@ -300,32 +295,6 @@ impl U256 {
         remainder
     }
 
-    /// Computes `(self / rhs, self mod rhs)` by binary long division.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    pub fn div_rem(&self, rhs: &U256) -> (U256, U256) {
-        assert!(!rhs.is_zero(), "division by zero");
-        if self < rhs {
-            return (U256::ZERO, *self);
-        }
-        let mut quotient = U256::ZERO;
-        let mut remainder = U256::ZERO;
-        let bits = self.bits();
-        for i in (0..bits).rev() {
-            remainder = remainder.shl(1);
-            if self.bit(i) {
-                remainder = remainder.wrapping_add(&U256::ONE);
-            }
-            if &remainder >= rhs {
-                remainder = remainder.wrapping_sub(rhs);
-                quotient = quotient.bitor(&U256::ONE.shl(i));
-            }
-        }
-        (quotient, remainder)
-    }
-
     /// Parses a big-endian hexadecimal string (with or without `0x` prefix).
     ///
     /// # Errors
@@ -508,16 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn rem_and_div_rem() {
-        let a = U256::from_u64(1_000_000_007);
-        let b = U256::from_u64(97);
-        let (q, r) = a.div_rem(&b);
-        assert_eq!(q.as_u64(), 1_000_000_007 / 97);
-        assert_eq!(r.as_u64(), 1_000_000_007 % 97);
-        assert_eq!(a.rem(&b), r);
-    }
-
-    #[test]
     fn rem_large_values() {
         let a = U256::MAX;
         let b = U256::from_u64(0xffff_ffff);
@@ -602,14 +561,10 @@ mod tests {
         }
 
         #[test]
-        fn prop_div_rem_identity(a in arb_u256(), b in arb_u256()) {
-            prop_assume!(!b.is_zero());
-            let (q, r) = a.div_rem(&b);
-            prop_assert!(r < b);
-            // a == q*b + r (checked without overflow by widening).
-            let (lo, hi) = q.mul_wide(&b);
-            prop_assert!(hi.is_zero());
-            prop_assert_eq!(lo.wrapping_add(&r), a);
+        fn prop_rem_matches_u128(a in any::<u128>(), b in any::<u64>()) {
+            prop_assume!(b != 0);
+            let r = U256::from_u128(a).rem(&U256::from_u64(b));
+            prop_assert_eq!(r.as_u128(), a % u128::from(b));
         }
 
         #[test]

@@ -418,7 +418,7 @@ fn merge_execution(
     // Counts are sums and therefore order-independent.
     let mut counts = OperationCounts::default();
     for party in parties {
-        counts.merge(party.counts());
+        counts.add(party.counts());
     }
     // Rounds are *measured* from the parties' exchange counters, not
     // derived from circuit statistics: every pair exchanges in

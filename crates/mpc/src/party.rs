@@ -560,11 +560,6 @@ impl<'c> GmwParty<'c> {
         self.index
     }
 
-    /// Whether the party has completed its protocol role.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// The operation counts this party accounted (pair owners account
     /// their pairs' OT work; gate and round counts are added once at the
     /// execution level).  Complete once the party has finished: it folds
@@ -1170,7 +1165,7 @@ mod tests {
         }
         assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
         assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
-        assert!(!party.is_finished());
+        assert!(!party.finished);
         party.failure().cloned().expect("a failed party says why")
     }
 

@@ -51,6 +51,11 @@ pub struct OperationCounts {
 
 impl OperationCounts {
     /// Adds another set of counts to this one.
+    ///
+    /// Counts are pure sums, so adding is order-independent — the
+    /// property the concurrent runtime relies on when each worker thread
+    /// accounts its own operations and the totals are added at phase end
+    /// without a global lock.
     pub fn add(&mut self, other: &OperationCounts) {
         self.exponentiations += other.exponentiations;
         self.fixed_base_exponentiations += other.fixed_base_exponentiations;
@@ -61,16 +66,6 @@ impl OperationCounts {
         self.free_gates += other.free_gates;
         self.wire_bytes += other.wire_bytes;
         self.rounds += other.rounds;
-    }
-
-    /// Merges another set of counts into this one.
-    ///
-    /// Counts are pure sums, so merging is order-independent — the
-    /// property the concurrent runtime relies on when each worker thread
-    /// accounts its own operations and the totals are merged at phase
-    /// end without a global lock.
-    pub fn merge(&mut self, other: &OperationCounts) {
-        self.add(other);
     }
 
     /// Returns the sum of two sets of counts.

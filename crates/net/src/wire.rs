@@ -485,11 +485,6 @@ impl WireTally {
         self.bytes[from * self.nodes + to]
     }
 
-    /// Measured messages sent from `from` to `to`.
-    pub fn messages_between(&self, from: usize, to: usize) -> u64 {
-        self.messages[from * self.nodes + to]
-    }
-
     /// Measured bytes sent by one node (all peers).
     pub fn sent_bytes(&self, node: usize) -> u64 {
         (0..self.nodes).map(|to| self.bytes_between(node, to)).sum()
@@ -680,7 +675,6 @@ mod tests {
         tally.record(2, 0, 7);
         assert_eq!(tally.nodes(), 3);
         assert_eq!(tally.bytes_between(0, 1), 15);
-        assert_eq!(tally.messages_between(0, 1), 2);
         assert_eq!(tally.sent_bytes(0), 15);
         assert_eq!(tally.received_bytes(0), 7);
         assert_eq!(tally.total_bytes(), 22);

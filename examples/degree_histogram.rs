@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example degree_histogram`.
 
 use dstress::core::{DStressConfig, DStressRuntime, DegreeHistogramProgram, ReleaseSchedule};
-use dstress::dp::BudgetAccountant;
+use dstress::dp::PrivacyBudget;
 use dstress::graph::generate::ring_with_chords;
 use dstress::math::rng::Xoshiro256;
 
@@ -21,7 +21,7 @@ fn main() {
     config.epsilon = 0.3; // Overridden per release by the schedule's ε.
 
     // The paper's annual budget ln 2 covers two 0.3-bins... and no more.
-    let mut schedule = ReleaseSchedule::new(BudgetAccountant::new(2f64.ln()), 0.3);
+    let mut schedule = ReleaseSchedule::new(PrivacyBudget::new(2f64.ln()), 0.3);
     println!(
         "budget ln 2 = {:.4}, epsilon per bin 0.3, bins affordable: {}",
         2f64.ln(),

@@ -11,7 +11,8 @@
 # dependency shims (`shims/*/src`, same cut rule) get one line of their
 # own after the total: they are not the system, but they are code kept.
 # Then the number of `too_many_arguments` allowances in non-test source,
-# and the five longest non-test functions.
+# the number of panic sites in it, and the five longest non-test
+# functions.
 #
 # Usage: scripts/loc.sh [ROOT]   (ROOT defaults to the repository root, so
 # the same script can count a checkout of another commit)
@@ -36,14 +37,23 @@ done
 printf '%-18s %6d\n' total "$total"
 printf '%-18s %6d\n' shims "$(count shims/*/src)"
 
-# `#[allow(clippy::too_many_arguments)]` in non-test source (same cut
-# rule), so "fewer long argument lists" is a number too.
-allows=$(find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
-    FNR == 1 { skip = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
-    !skip && /#\[allow\(clippy::too_many_arguments\)\]/ { n++ }
-    END { print n + 0 }')
-printf '%-18s %6d\n' too_many_arguments "$allows"
+# Occurrences of the extended regex $1 in non-test source (same cut
+# rule), outside `//` comment lines.  The regex travels through the
+# environment, which awk does not unescape.
+sites() {
+    find crates/*/src src -name '*.rs' -print0 | sort -z | RE="$1" xargs -0 awk '
+        FNR == 1 { skip = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+        !skip && !/^[[:space:]]*\/\// { n += gsub(ENVIRON["RE"], "&") }
+        END { print n + 0 }'
+}
+
+# `#[allow(clippy::too_many_arguments)]` allowances, so "fewer long
+# argument lists" is a number too, and panic sites (`panic!`,
+# `unreachable!`, `.expect(`, `.unwrap()`), so "fewer ways to panic" is.
+printf '%-18s %6d\n' too_many_arguments \
+    "$(sites '#\[allow\(clippy::too_many_arguments\)\]')"
+printf '%-18s %6d\n' panics "$(sites 'panic!|unreachable!|\.expect\(|\.unwrap\(\)')"
 
 # The five longest non-test functions, `lines file:line name`, so "no
 # 500-line function" is a number.  A function runs from its `fn` line to

@@ -119,8 +119,14 @@ echo "==> determinism suite under --release (Sim == Socket)"
 # and reads it back with the view parser, which must accept and reject what
 # the owned decoder does; lanes keep per-sender order and give large
 # buffers back once drained.
+# A party's layer planes are u64 words, 64 gates each: both OT providers'
+# packed door is held to one `transfer` per gate (bits, padding, counts),
+# and the word-fed writers clear whatever a scratch word holds above the
+# layer's width.
 run_tests --release -q -p dstress-mpc --test transport_determinism
 run_tests --release -q -p dstress-mpc prop_in_place_writers_equal_the_owned_encoding
+run_tests --release -q -p dstress-mpc packed_door_equals_per_gate_transfer
+run_tests --release -q -p dstress-mpc word_plane_writers_mask_garbage_above_the_width
 run_tests --release -q -p dstress-mpc prop_view_and_owned_decoder_agree
 run_tests -q -p dstress-net lanes_deliver_in_order_and_give_back_large_buffers
 run_tests --release -q -p dstress-core concurrency_mode_does_not_change_results

@@ -180,13 +180,17 @@ pub trait StepExecutor {
 
 /// Pairwise AND evaluations (AND gates × member pairs) a batch of block
 /// steps must hold per worker before [`LocalExecutor`] gives it that
-/// worker.  At the measured ≈ 29 ns per AND-pair of a deep block MPC
-/// (`en-fig5`'s `mpc.ns_per_and_pair` on a 2-vCPU Xeon; 120–270 ns
-/// on the counter workloads' small circuits, where the per-execution
-/// fixed cost dominates) this is half a millisecond of GMW work or more,
-/// several times what starting and joining a helper thread costs; below it the helper's start-up would be the
-/// batch's critical path, and a wait whose length is the host's
-/// scheduling latency rather than anything the run computes.
+/// worker.  A deep block MPC costs ≈ 49 ns per AND-pair with word-packed
+/// GMW parties (`en-fig5`'s traced `mpc.ns_per_and_pair`, median of 5
+/// passes on a shared 2-vCPU Xeon, 28–52 ns with the host's load; the
+/// counter workloads' small circuits cost more per AND-pair, since the
+/// per-execution fixed cost dominates there), so 16 384 of them are
+/// ≈ 0.8 ms of GMW work at the median figure: at least the half
+/// millisecond the constant was sized for (0.46 ms at the fastest pass),
+/// several times what starting and joining a helper thread costs.
+/// Below it the helper's start-up would be the batch's critical path,
+/// and a wait whose length is the host's scheduling latency rather than
+/// anything the run computes.
 pub(crate) const MIN_AND_PAIRS_PER_WORKER: usize = 16_384;
 
 /// The in-process executor: shards tasks across the worker pool

@@ -268,10 +268,17 @@ impl U256 {
         U256 { limbs: out }
     }
 
-    /// Computes `self mod rhs` by binary long division.
+    /// Computes `self mod rhs` by binary long division, one shift and
+    /// conditional subtraction per bit of `self`.
     ///
-    /// This is only used in parameter generation and tests; the hot paths
-    /// use Montgomery arithmetic instead.
+    /// Besides parameter generation and field conversion
+    /// (`FpCtx::to_elem_reduced`), it runs on every exponent of the hot
+    /// paths: `FixedBasePow::pow` and `CombPow::recode` in
+    /// `dstress-crypto`, and the transfer protocol's
+    /// `homomorphic_add_signed` and `decrypt_bits`.  It is cheap there
+    /// only because those exponents already lie below the group order
+    /// and take the `self < rhs` early return; an unreduced 256-bit value
+    /// pays up to 256 division steps.
     ///
     /// # Panics
     ///
@@ -483,6 +490,21 @@ mod tests {
         let r = a.rem(&b);
         // 2^256 - 1 mod (2^32 - 1) == 0 because 2^32 ≡ 1 (mod 2^32-1).
         assert!(r.is_zero());
+    }
+
+    #[test]
+    fn rem_returns_reduced_values_early_and_divides_the_rest() {
+        // q = 2^255 - 19.
+        let q = U256::MAX.shr(1).wrapping_sub(&U256::from_u64(18));
+        assert_eq!(q.bits(), 255);
+        // Below the modulus: the early return, the value unchanged.
+        let below = q.wrapping_sub(&U256::ONE);
+        assert_eq!(below.rem(&q), below);
+        assert_eq!(U256::from_u64(5).rem(&q), U256::from_u64(5));
+        // The modulus itself: zero.
+        assert_eq!(q.rem(&q), U256::ZERO);
+        // Full width: 2^256 - 1 = 2·q + 37.
+        assert_eq!(U256::MAX.rem(&q), U256::from_u64(37));
     }
 
     #[test]

@@ -50,6 +50,44 @@ pub struct BatchOtOutcome {
 /// receiver's two-bit choice.
 pub type OtRequest = ([bool; 4], (bool, bool));
 
+/// Words of a `gates`-bit plane as [`OtProvider::transfer_planes`] reads
+/// and writes it: gate `i` is bit `i % 64` of word `i / 64` (LSB-first,
+/// the bit order of the GMW wire planes).
+pub fn plane_words(gates: usize) -> usize {
+    gates.div_ceil(64)
+}
+
+/// The live bits of a `gates`-bit plane's last word: the bits of the
+/// gates it holds, none of the padding above them.
+pub(crate) fn last_word_mask(gates: usize) -> u64 {
+    match gates % 64 {
+        0 => u64::MAX,
+        live => (1 << live) - 1,
+    }
+}
+
+/// Bit `i` of a word plane (bit `i % 64` of word `i / 64`), as 0 or 1.
+///
+/// Bits stay `u64`s from the plane to the plane they are written into:
+/// converting each to `bool` and back made a GMW party's free-gate walk
+/// about a fifth slower.
+pub(crate) fn plane_bit(plane: &[u64], i: usize) -> u64 {
+    plane[i / 64] >> (i % 64) & 1
+}
+
+/// Sets bit `i` of a word plane, which is still clear, to `bit` (0 or 1).
+pub(crate) fn set_plane_bit(plane: &mut [u64], i: usize, bit: u64) {
+    plane[i / 64] |= bit << (i % 64);
+}
+
+/// `bits` packed into a word plane, bit `i` at bit `i % 64` of word
+/// `i / 64`.
+pub(crate) fn pack_plane(bits: &[bool]) -> Vec<u64> {
+    bits.chunks(64)
+        .map(|chunk| chunk.iter().rev().fold(0, |word, &b| word << 1 | b as u64))
+        .collect()
+}
+
 /// A provider of 1-out-of-4 oblivious transfers.
 pub trait OtProvider {
     /// Performs one 1-out-of-4 OT.  `messages[m]` is indexed by
@@ -57,27 +95,68 @@ pub trait OtProvider {
     fn transfer(&mut self, messages: [bool; 4], choice: (bool, bool)) -> OtOutcome;
 
     /// Performs a batch of OTs that share one message exchange, as when a
-    /// whole circuit layer's transfers ride in a single round.
+    /// whole circuit layer's transfers ride in a single round: the
+    /// requests packed into planes and served by
+    /// [`OtProvider::transfer_planes`].
     ///
     /// Batching changes the round structure, never the work: the
     /// accounted totals are *identical* to per-gate execution.
     fn transfer_many(&mut self, requests: &[OtRequest]) -> BatchOtOutcome {
-        let mut received = Vec::with_capacity(requests.len());
-        self.transfer_many_into(requests, &mut received);
+        let (gates, words) = (requests.len(), plane_words(requests.len()));
+        // Six planes back to back: the four messages, then the two choices.
+        let mut planes = vec![0u64; 6 * words];
+        for (k, chunk) in requests.chunks(64).enumerate() {
+            let mut word = [0u64; 6];
+            for &([m0, m1, m2, m3], (c0, c1)) in chunk.iter().rev() {
+                let bits = [m0, m1, m2, m3, c0, c1];
+                word = std::array::from_fn(|p| word[p] << 1 | bits[p] as u64);
+            }
+            for (p, plane) in word.into_iter().enumerate() {
+                planes[p * words + k] = plane;
+            }
+        }
+        let plane = |p: usize| &planes[p * words..(p + 1) * words];
+        let mut selected = Vec::with_capacity(words);
+        self.transfer_planes(
+            [plane(0), plane(1), plane(2), plane(3)],
+            [plane(4), plane(5)],
+            gates,
+            &mut selected,
+        );
+        let mut received = Vec::with_capacity(gates);
+        for (k, word) in selected.into_iter().enumerate() {
+            let live = (gates - 64 * k).min(64);
+            received.extend((0..live).map(|shift| word >> shift & 1 == 1));
+        }
         BatchOtOutcome { received }
     }
 
-    /// [`OtProvider::transfer_many`] into a caller-owned buffer: appends
-    /// the bit the receiver learned from each transfer, in request order,
-    /// to `received`.
+    /// Performs `gates` OTs given as bit planes of [`plane_words`]`(gates)`
+    /// words each: gate `i` is bit `i % 64` of word `i / 64` of every
+    /// plane, `messages[m]` holds message `m` of every gate and `choices`
+    /// the receiver's two choice bits, so gate `i` receives message
+    /// `2·choices[0] + choices[1]` (as [`OtProvider::transfer`] indexes
+    /// them).  Replaces `selected` by the received plane, whose bits
+    /// above `gates` are zero whatever the input planes hold there.
     ///
-    /// The default implementation loops [`OtProvider::transfer`];
-    /// providers with amortisable per-call overhead (OT extension)
-    /// override it with a vectorised path charging the same totals in one
-    /// pass.
-    fn transfer_many_into(&mut self, requests: &[OtRequest], received: &mut Vec<bool>) {
-        for &(messages, choice) in requests {
-            received.push(self.transfer(messages, choice).received);
+    /// The default implementation runs [`OtProvider::transfer`] once per
+    /// gate, in gate order, so it draws and charges exactly what the
+    /// per-gate loop does; providers whose transfer is a selection (OT
+    /// extension) override it with word-wise selection charging the same
+    /// totals.
+    fn transfer_planes(
+        &mut self,
+        messages: [&[u64]; 4],
+        choices: [&[u64]; 2],
+        gates: usize,
+        selected: &mut Vec<u64>,
+    ) {
+        selected.clear();
+        selected.resize(plane_words(gates), 0);
+        for i in 0..gates {
+            let bit = |plane: &[u64]| plane_bit(plane, i) == 1;
+            let outcome = self.transfer(messages.map(bit), (bit(choices[0]), bit(choices[1])));
+            set_plane_bit(selected, i, u64::from(outcome.received));
         }
     }
 
@@ -233,16 +312,28 @@ impl OtProvider for SimulatedOtExtension {
     }
 
     /// The amortised batch path: one extension-matrix exchange serves the
-    /// whole layer.  Totals are bit-identical to looping [`Self::transfer`]
-    /// (a unit test pins them against each other); what the batch saves is
-    /// per-call overhead and, at the protocol level, message rounds.
-    fn transfer_many_into(&mut self, requests: &[OtRequest], received: &mut Vec<bool>) {
-        received.extend(
-            requests
-                .iter()
-                .map(|&(messages, choice)| messages[choice_index(choice)]),
-        );
-        self.counts.extended_ots += requests.len() as u64;
+    /// whole layer, 64 selections per word.  Totals are bit-identical to
+    /// looping [`Self::transfer`] (a unit test pins them against each
+    /// other); what the batch saves is per-call overhead and, at the
+    /// protocol level, message rounds.
+    fn transfer_planes(
+        &mut self,
+        messages: [&[u64]; 4],
+        choices: [&[u64]; 2],
+        gates: usize,
+        selected: &mut Vec<u64>,
+    ) {
+        let [m0, m1, m2, m3] = messages;
+        let [c0, c1] = choices;
+        selected.clear();
+        selected.extend((0..plane_words(gates)).map(|k| {
+            let (a, b) = (c0[k], c1[k]);
+            (!a & !b & m0[k]) | (!a & b & m1[k]) | (a & !b & m2[k]) | (a & b & m3[k])
+        }));
+        if let Some(last) = selected.last_mut() {
+            *last &= last_word_mask(gates);
+        }
+        self.counts.extended_ots += gates as u64;
     }
 
     fn counts(&self) -> OperationCounts {
@@ -271,6 +362,7 @@ pub fn check_ot_correctness(provider: &mut dyn OtProvider) -> bool {
 mod tests {
     use super::*;
     use dstress_crypto::group::Group;
+    use dstress_math::rng::DetRng;
 
     #[test]
     fn choice_indexing() {
@@ -350,6 +442,58 @@ mod tests {
             assert_eq!(*bit, messages[choice_index(choice)]);
         }
         assert_eq!(eg.counts().base_ots, 4);
+    }
+
+    /// Holds `packed`'s [`OtProvider::transfer_planes`] to `looped`'s
+    /// [`OtProvider::transfer`] per gate on random planes (garbage above
+    /// the width included): the same selected bits, zero above `gates`,
+    /// and the same counts.
+    fn check_packed_door(packed: &mut dyn OtProvider, looped: &mut dyn OtProvider) {
+        let mut rng = Xoshiro256::new(0x0D00);
+        for gates in [1usize, 8, 63, 64, 65, 130] {
+            let words = plane_words(gates);
+            let mut random_plane = || (0..words).map(|_| rng.next_u64()).collect::<Vec<_>>();
+            let messages: [Vec<u64>; 4] = std::array::from_fn(|_| random_plane());
+            let choices: [Vec<u64>; 2] = std::array::from_fn(|_| random_plane());
+            let mut selected = vec![u64::MAX; 7];
+            packed.transfer_planes(
+                messages.each_ref().map(Vec::as_slice),
+                choices.each_ref().map(Vec::as_slice),
+                gates,
+                &mut selected,
+            );
+            assert_eq!(selected.len(), words, "gates {gates}");
+            for i in 0..gates {
+                let bit = |plane: &Vec<u64>| plane_bit(plane, i) == 1;
+                let outcome = looped.transfer(
+                    messages.each_ref().map(bit),
+                    (bit(&choices[0]), bit(&choices[1])),
+                );
+                assert_eq!(bit(&selected), outcome.received, "gates {gates}, gate {i}");
+            }
+            let last = selected[words - 1];
+            assert_eq!(
+                last & !last_word_mask(gates),
+                0,
+                "padding above {gates} gates"
+            );
+            assert_eq!(packed.counts(), looped.counts(), "gates {gates}");
+        }
+    }
+
+    #[test]
+    fn packed_door_equals_per_gate_transfer() {
+        // OT extension: word-wise selection, `gates` extended OTs.
+        let (mut packed, mut looped) = (SimulatedOtExtension::new(), SimulatedOtExtension::new());
+        check_packed_door(&mut packed, &mut looped);
+        assert_eq!(packed.counts().extended_ots, 1 + 8 + 63 + 64 + 65 + 130);
+        // ElGamal: the default door, one real OT per gate drawing from the
+        // provider's stream in gate order — exponentiations and base OTs.
+        let mut packed = ElGamalOt::new(Group::sim64(), 5);
+        let mut looped = ElGamalOt::new(Group::sim64(), 5);
+        check_packed_door(&mut packed, &mut looped);
+        assert_eq!(packed.counts().base_ots, 1 + 8 + 63 + 64 + 65 + 130);
+        assert!(packed.counts().exponentiations > 0);
     }
 
     #[test]

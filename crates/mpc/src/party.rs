@@ -20,9 +20,12 @@
 //!
 //! 1. `j` sends [`GmwMessage::Choices`] (its shares of every gate input in
 //!    the layer).
-//! 2. `i` serves the whole layer through the pair's
-//!    [`OtProvider::transfer_many`] and answers with one
-//!    [`GmwMessage::Responses`].
+//! 2. `i` forms the layer's four message planes `r, r⊕x, r⊕y, r⊕x⊕y`
+//!    (`r` its masks, `x, y` its own input shares), serves the whole
+//!    layer through the pair's packed door
+//!    [`OtProvider::transfer_planes`] with `j`'s choice planes, and
+//!    answers with one [`GmwMessage::Responses`] carrying the selected
+//!    plane.
 //!
 //! There is one state machine; the [`GmwBatching`] knob only chooses the
 //! layering it walks.  [`GmwBatching::Layered`] (the default) lends the
@@ -78,27 +81,35 @@
 //! * **The circuit** owns its layering ([`Circuit::layers`], computed
 //!   once per circuit): each layer's wire ids with its operand indices
 //!   beside them.  Parties borrow it; nothing re-matches `Gate::And`.
-//! * **The party** owns its scratch, reused from layer to layer: its
-//!   `(x, y)` input shares for the layer in flight (read once when the
-//!   layer starts) and the same shares as the two packed choice planes
-//!   (packed once per layer, however many pair owners receive them), the
-//!   accumulating output share per gate, the [`OtRequest`]s toward the
-//!   peer being served and the bits the provider returns for them.
+//! * **The party** holds its wire shares as a bitset, one bit per wire,
+//!   and its scratch as word planes reused from layer to layer: gate `i`
+//!   of the layer in flight is bit `i % 64` of word `i / 64`, the
+//!   LSB-first order of the wire's bit planes, so a plane is copied to
+//!   or from a message as little-endian words.  Its x- and y-input
+//!   shares are gathered from the bitset once when the layer starts (and
+//!   written to every pair owner from there); its accumulating output
+//!   shares start as the local cross term `x & y` and fold in masks and
+//!   responses a word — 64 gates — at a time; toward the peer being
+//!   served it holds that peer's two choice planes, the four message
+//!   planes and the plane the provider selects from them.  A finished
+//!   layer's shares are scattered back into the bitset.
 //! * **The transport** owns the bytes: one lane per sender → recipient
 //!   (per stream and peer on sockets).  A party writes each `Choices` /
 //!   `Responses` straight into the lane ([`Endpoint::send_bytes`] with
 //!   the in-place writers of [`crate::wire`]): header, planes, and the
 //!   seed-derived OT payload generated in place.
 //!   It reads a peer's batch as a view borrowed from the lane
-//!   ([`Endpoint::recv_bytes`]), whose planes feed the OT requests and
-//!   the share XORs directly; the payload's length is checked and its
-//!   bytes are never copied.
+//!   ([`Endpoint::recv_bytes`]), whose planes are read as words into
+//!   the provider's choice planes or straight into the share XORs; the
+//!   payload's length is checked and its bytes are never copied.
 //!
 //! None of this is visible from outside: the bytes a party writes are
 //! `GmwMessage::encode`'s by construction (one writer, [`crate::wire`]),
 //! every AND mask is still the seed-keyed
 //! `derive_seed(mask_seed, "and_mask", wire · parties + peer)` (its two
-//! index-independent mixing rounds are hoisted out of the per-gate loop),
+//! index-independent mixing rounds are hoisted out of the per-gate loop;
+//! the bits are packed 64 to a word), every provider's packed door
+//! selects and charges what one [`OtProvider::transfer`] per gate would,
 //! and the bytes, counts, rounds and shares of an execution are pinned
 //! absolutely by `tests/transport_determinism.rs`.
 //!
@@ -157,14 +168,16 @@
 //! ```
 
 use crate::error::MpcError;
-use crate::ot::{ElGamalOt, OtProvider, OtRequest, SimulatedOtExtension, BASE_OT_ELEMENT_BYTES};
+use crate::ot::{
+    pack_plane, plane_bit, plane_words, set_plane_bit, ElGamalOt, OtProvider, SimulatedOtExtension,
+    BASE_OT_ELEMENT_BYTES,
+};
 use crate::wire::{self, GmwKind, GmwView};
 use dstress_circuit::{Circuit, CircuitLayers, Gate, WireId};
 use dstress_crypto::group::{Group, GroupKind};
 use dstress_math::rng::splitmix64_finalize as mix;
 use dstress_net::cost::OperationCounts;
 use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, TransportError};
-use dstress_net::wire::bits_len;
 
 /// A GMW protocol message, routed between parties by a transport.
 ///
@@ -445,20 +458,26 @@ pub struct GmwParty<'c> {
     /// The provider configuration, whose session setup the lazy path
     /// charges ([`OtConfig::session_setup`]).
     ot: OtConfig,
-    input_share: Vec<bool>,
-    /// Wire values, indexed by wire id (filled as the schedule runs).
-    wires: Vec<bool>,
+    /// This party's share of every circuit input, bit `i` for input `i`
+    /// (bit `i % 64` of word `i / 64`).
+    input_share: Vec<u64>,
+    /// This party's share of every wire, bit `w` for wire id `w` in the
+    /// same layout (filled as the schedule runs).
+    wires: Vec<u64>,
     counts: OperationCounts,
-    /// Scratch reused across layers: this party's `(x, y)` input shares
-    /// of the layer in flight, the same shares packed as a `Choices`
-    /// batch's two planes, its accumulating output share per gate, and
-    /// the OT requests toward the peer being served with the bits the
-    /// provider returns for them.
-    layer_inputs: Vec<(bool, bool)>,
-    choice_planes: Vec<u8>,
-    layer_shares: Vec<bool>,
-    requests: Vec<OtRequest>,
-    received: Vec<bool>,
+    /// Scratch reused across layers, each a word plane over the gates of
+    /// the layer in flight (gate `i` is bit `i % 64` of word `i / 64`):
+    /// this party's x- and y-input shares and its accumulating output
+    /// shares; toward the peer being served, that peer's x- and y-choice
+    /// planes, the four OT message planes `r, r⊕x, r⊕y, r⊕x⊕y` back to
+    /// back, and the plane the provider selects from them.
+    xs: Vec<u64>,
+    ys: Vec<u64>,
+    shares: Vec<u64>,
+    peer_xs: Vec<u64>,
+    peer_ys: Vec<u64>,
+    messages: Vec<u64>,
+    selected: Vec<u64>,
     /// Measured one-way message rounds this party participated in per
     /// pair: session setup, then 2 per exchange (choices out, responses
     /// back).  All pairs run in parallel, so this is the sequential
@@ -485,7 +504,8 @@ impl<'c> GmwParty<'c> {
     /// ([`Circuit::layers`]) or its serial one ([`CircuitLayers::serial`]),
     /// as [`GmwBatching`] chooses.
     ///
-    /// `input_share` is this party's XOR share of every circuit input.
+    /// `input_share` is this party's XOR share of every circuit input; the
+    /// party keeps it packed, one bit per input.
     /// All party and pair randomness derives from `master_seed`, so a
     /// fixed seed yields bit-identical executions on every backend — and,
     /// because AND masks are keyed by `(wire, peer)`, over every layering.
@@ -526,14 +546,16 @@ impl<'c> GmwParty<'c> {
             ot_recv_payload: ot.wire_receiver_bytes_per_ot(),
             ot_send_payload: ot.wire_sender_bytes_per_ot(),
             ot: *ot,
-            input_share,
-            wires: vec![false; circuit.len()],
+            input_share: pack_plane(&input_share),
+            wires: vec![0; plane_words(circuit.len())],
             counts: OperationCounts::default(),
-            layer_inputs: Vec::new(),
-            choice_planes: Vec::new(),
-            layer_shares: Vec::new(),
-            requests: Vec::new(),
-            received: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            shares: Vec::new(),
+            peer_xs: Vec::new(),
+            peer_ys: Vec::new(),
+            messages: Vec::new(),
+            selected: Vec::new(),
             protocol_rounds: 0,
             round: 0,
             free_done: false,
@@ -593,7 +615,7 @@ impl<'c> GmwParty<'c> {
         self.circuit
             .outputs()
             .iter()
-            .map(|&wire| self.wires[wire as usize])
+            .map(|&wire| plane_bit(&self.wires, wire as usize) == 1)
             .collect()
     }
 
@@ -612,17 +634,19 @@ impl<'c> GmwParty<'c> {
 
     /// Evaluates one non-AND gate locally.
     fn eval_free_gate(&mut self, w: WireId) {
-        let wire = |w: WireId| self.wires[w as usize];
-        self.wires[w as usize] = match self.circuit.gates()[w as usize] {
-            Gate::Input(i) => self.input_share[i as usize],
-            Gate::ConstFalse => false,
-            // Party 0 holds constants and NOT flips; all other parties'
-            // shares are zero.
-            Gate::ConstTrue => self.index == 0,
+        let wire = |w: WireId| plane_bit(&self.wires, w as usize);
+        // Party 0 holds constants and NOT flips; all other parties'
+        // shares are zero.
+        let flip = u64::from(self.index == 0);
+        let value = match self.circuit.gates()[w as usize] {
+            Gate::Input(i) => plane_bit(&self.input_share, i as usize),
+            Gate::ConstFalse => 0,
+            Gate::ConstTrue => flip,
             Gate::Xor(a, b) => wire(a) ^ wire(b),
-            Gate::Not(a) => wire(a) ^ (self.index == 0),
+            Gate::Not(a) => wire(a) ^ flip,
             Gate::And(_, _) => unreachable!("AND gates go through the OT path"),
         };
+        set_plane_bit(&mut self.wires, w as usize, value);
     }
 
     /// Drives the in-flight AND layer as far as possible; returns `true`
@@ -643,13 +667,10 @@ impl<'c> GmwParty<'c> {
         let layer_tag = st.layer as u32;
 
         // As OT receiver: announce the whole layer's choices to every
-        // pair owner in one message each — the planes packed once, each
-        // owner's payload generated into its lane.
+        // pair owner in one message each — the share words written as
+        // they are, each owner's payload generated into its lane.
         if !st.choices_sent {
-            self.choice_planes.clear();
-            self.choice_planes.resize(2 * bits_len(width), 0);
-            wire::pack_choice_planes(&self.layer_inputs, &mut self.choice_planes);
-            let planes = &self.choice_planes;
+            let planes = [&self.xs[..], &self.ys[..]];
             let payload_len = width * self.ot_recv_payload;
             for owner in 0..self.index {
                 let seed = self.pair_payload_seed[owner];
@@ -674,24 +695,36 @@ impl<'c> GmwParty<'c> {
             // shares.
             let choices =
                 self.expect(peer, bytes, GmwKind::Choices, width * self.ot_recv_payload)?;
-            let (xs, ys) = (choices.plane(0), choices.plane(1));
-            // The sender's masks; each pair's cross terms x_i·y_j ⊕ x_j·y_i
-            // are encoded in the table, indexed by the receiver's choice.
-            self.requests.clear();
-            let own = self.layer_inputs.iter().zip(&mut self.layer_shares);
-            for (i, (&w, (&(x, y), share))) in gates.iter().zip(own).enumerate() {
-                let choice = (wire::plane_bit(xs, i), wire::plane_bit(ys, i));
-                let r = mask_bit(self.mask_stream, self.parties, w as usize, peer);
-                self.requests.push(([r, r ^ x, r ^ y, r ^ x ^ y], choice));
-                *share ^= r;
+            self.peer_xs.clear();
+            self.peer_xs.extend(wire::word_plane(choices.plane(0)));
+            self.peer_ys.clear();
+            self.peer_ys.extend(wire::word_plane(choices.plane(1)));
+            // The sender's masks, 64 to a word; each pair's cross terms
+            // x_i·y_j ⊕ x_j·y_i are encoded in the message planes, indexed
+            // by the receiver's choice.
+            let words = plane_words(width);
+            self.messages.clear();
+            self.messages.resize(4 * words, 0);
+            let (r, rest) = self.messages.split_at_mut(words);
+            let (r_x, rest) = rest.split_at_mut(words);
+            let (r_y, r_xy) = rest.split_at_mut(words);
+            for (k, chunk) in gates.chunks(64).enumerate() {
+                let masks = chunk.iter().enumerate().fold(0, |word, (shift, &w)| {
+                    let r = mask_bit(self.mask_stream, self.parties, w as usize, peer);
+                    word | u64::from(r) << shift
+                });
+                let (x, y) = (self.xs[k], self.ys[k]);
+                (r[k], r_x[k], r_y[k], r_xy[k]) = (masks, masks ^ x, masks ^ y, masks ^ x ^ y);
+                self.shares[k] ^= masks;
             }
             let provider = self.ots[peer].as_mut().expect("pair owner has a provider");
-            self.received.clear();
-            provider.transfer_many_into(&self.requests, &mut self.received);
-            let (bits, seed) = (&self.received, self.pair_payload_seed[peer]);
+            let choice_planes = [&self.peer_xs[..], &self.peer_ys[..]];
+            let message_planes = [&*r, &*r_x, &*r_y, &*r_xy];
+            provider.transfer_planes(message_planes, choice_planes, width, &mut self.selected);
+            let (plane, seed) = (&self.selected, self.pair_payload_seed[peer]);
             let payload_len = width * self.ot_send_payload;
             endpoint.send_bytes(peer, &mut |out| {
-                wire::write_responses(out, layer_tag, bits, seed, payload_len)
+                wire::write_responses(out, layer_tag, width, plane, seed, payload_len)
             });
             st.next_sender_peer += 1;
         }
@@ -710,16 +743,19 @@ impl<'c> GmwParty<'c> {
                 GmwKind::Responses,
                 width * self.ot_send_payload,
             )?;
-            let plane = responses.plane(0);
-            for (i, share) in self.layer_shares.iter_mut().enumerate() {
-                *share ^= wire::plane_bit(plane, i);
+            for (share, word) in self
+                .shares
+                .iter_mut()
+                .zip(wire::word_plane(responses.plane(0)))
+            {
+                *share ^= word;
             }
             st.next_receiver_peer += 1;
         }
 
         // Commit the layer's output shares and advance the schedule.
-        for (&w, &share) in gates.iter().zip(&self.layer_shares) {
-            self.wires[w as usize] = share;
+        for (i, &w) in gates.iter().enumerate() {
+            set_plane_bit(&mut self.wires, w as usize, plane_bit(&self.shares, i));
         }
         // One layer = one choices/responses exchange = two one-way
         // rounds, regardless of how many gates it carried.
@@ -760,19 +796,30 @@ impl<'c> GmwParty<'c> {
                 }
                 self.setup_done = true;
             }
-            // Start the next layer: read the party's input shares once
-            // and seed each gate's share with the local cross term
-            // x_i · y_i.
-            let wires = &self.wires;
-            self.layer_inputs.clear();
-            self.layer_inputs.extend(
-                self.layers
-                    .and_operands(self.round)
-                    .map(|(a, b)| (wires[a as usize], wires[b as usize])),
-            );
-            self.layer_shares.clear();
-            self.layer_shares
-                .extend(self.layer_inputs.iter().map(|&(x, y)| x && y));
+            // Start the next layer: gather the party's input shares into
+            // word planes once and seed each gate's share with the local
+            // cross term x_i · y_i, 64 gates per word.
+            // (Each word is built in a register: or-ing bit by bit into
+            // the plane would make every gate wait on the previous store.)
+            self.xs.clear();
+            self.ys.clear();
+            let (mut x, mut y) = (0, 0);
+            for (i, (a, b)) in self.layers.and_operands(self.round).enumerate() {
+                x |= plane_bit(&self.wires, a as usize) << (i % 64);
+                y |= plane_bit(&self.wires, b as usize) << (i % 64);
+                if i % 64 == 63 {
+                    self.xs.push(x);
+                    self.ys.push(y);
+                    (x, y) = (0, 0);
+                }
+            }
+            if self.layers.and_layers()[self.round].len() % 64 != 0 {
+                self.xs.push(x);
+                self.ys.push(y);
+            }
+            self.shares.clear();
+            self.shares
+                .extend(self.xs.iter().zip(&self.ys).map(|(x, y)| x & y));
             self.layer_state = Some(LayerState {
                 layer: self.round,
                 choices_sent: false,

@@ -28,8 +28,9 @@
 //!
 //! * every encoding is appended by one writer, reserved to its exact
 //!   length ([`GmwMessage::encoded_len`]); the in-place doors
-//!   `write_choices` and `write_responses` give it a layer's choice
-//!   planes packed once or its response bits, and generate the
+//!   `write_choices` and `write_responses` give it a layer's choice or
+//!   response planes as the `u64` words a party computes them in (bits
+//!   above the layer's width cleared on the way), and generate the
 //!   seed-derived OT payload straight into the output — what a
 //!   [`crate::party::GmwParty`] writes into a transport lane — and
 //!   [`write_ot_setup`] does the same for a session's key material;
@@ -257,9 +258,36 @@ impl<'a> GmwView<'a> {
     }
 }
 
-/// Bit `index` of a packed plane (LSB-first).
-pub(crate) fn plane_bit(plane: &[u8], index: usize) -> bool {
-    plane[index / 8] >> (index % 8) & 1 == 1
+/// The words of a packed plane read as little-endian `u64`s, the last
+/// one zero-extended: gate `i` is bit `i % 64` of word `i / 64`, the
+/// plane layout of [`crate::ot::OtProvider::transfer_planes`].
+pub(crate) fn word_plane(plane: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    // Whole words load as one; the short tail folds byte by byte (a
+    // variable-length copy would be a `memcpy` call per message).
+    plane
+        .chunks(8)
+        .map(|chunk| match <[u8; 8]>::try_from(chunk) {
+            Ok(bytes) => u64::from_le_bytes(bytes),
+            Err(_) => chunk
+                .iter()
+                .rev()
+                .fold(0, |word, &byte| word << 8 | u64::from(byte)),
+        })
+}
+
+/// Writes the first `gates` bits of the word plane `words` into the packed
+/// plane `plane` (`⌈gates/8⌉` bytes): the words' little-endian bytes,
+/// every bit above `gates` cleared, so garbage in a scratch word's unused
+/// bits never reaches the wire as dirty padding.
+fn put_word_plane(words: &[u64], gates: usize, plane: &mut [u8]) {
+    for (chunk, word) in plane.chunks_mut(8).zip(words) {
+        for (byte, &value) in chunk.iter_mut().zip(&word.to_le_bytes()) {
+            *byte = value;
+        }
+    }
+    if let (Some(last), live @ 1..) = (plane.last_mut(), gates % 8) {
+        *last &= (1 << live) - 1;
+    }
 }
 
 /// Packs `bits` LSB-first into `plane`, whose bytes are zero.
@@ -273,7 +301,7 @@ fn pack_bits(bits: &[bool], plane: &mut [u8]) {
 
 /// Packs a `Choices` batch's x- and y-planes from its `(x, y)` pairs into
 /// `planes` (`2·⌈w/8⌉` zero bytes): the x-plane, then the y-plane.
-pub(crate) fn pack_choice_planes(pairs: &[(bool, bool)], planes: &mut [u8]) {
+fn pack_choice_planes(pairs: &[(bool, bool)], planes: &mut [u8]) {
     let (xs, ys) = planes.split_at_mut(wire::bits_len(pairs.len()));
     for ((chunk, x_byte), y_byte) in pairs.chunks(8).zip(xs).zip(ys) {
         for (i, &(x, y)) in chunk.iter().enumerate() {
@@ -322,16 +350,17 @@ fn put_message(
 }
 
 /// Writes a `Choices` batch in place: exactly the encoding of
-/// `GmwMessage::Choices { layer, pairs, ot_payload }` where `planes` is
-/// `pairs` packed by [`pack_choice_planes`] (`gates` = `pairs.len()`) and
-/// `ot_payload` is `ot_payload(pair_seed, PAYLOAD_RECEIVER, layer,
-/// payload_len)`.  A party packs a layer's planes once and writes them,
-/// with each owner's payload, into each owner's lane.
+/// `GmwMessage::Choices { layer, pairs, ot_payload }` where `planes` are
+/// the x- and y-shares of `pairs` as word planes (gate `i` is bit
+/// `i % 64` of word `i / 64`, `gates` = `pairs.len()`, bits above it
+/// ignored) and `ot_payload` is `ot_payload(pair_seed, PAYLOAD_RECEIVER,
+/// layer, payload_len)`.  A party holds a layer's shares as words and
+/// writes them, with each owner's payload, into each owner's lane.
 pub(crate) fn write_choices(
     out: &mut Vec<u8>,
     layer: u32,
     gates: usize,
-    planes: &[u8],
+    planes: [&[u64]; 2],
     pair_seed: u64,
     payload_len: usize,
 ) {
@@ -340,19 +369,26 @@ pub(crate) fn write_choices(
         GmwKind::Choices,
         layer,
         gates,
-        |dst| dst.copy_from_slice(planes),
+        |dst| {
+            let (xs, ys) = dst.split_at_mut(wire::bits_len(gates));
+            put_word_plane(planes[0], gates, xs);
+            put_word_plane(planes[1], gates, ys);
+        },
         payload_len,
         |dst| fill_ot_payload(pair_seed, PAYLOAD_RECEIVER, u64::from(layer), dst),
     );
 }
 
 /// Writes a `Responses` batch in place: exactly the encoding of
-/// `GmwMessage::Responses { layer, bits, ot_payload }` with `ot_payload`
-/// = `ot_payload(pair_seed, PAYLOAD_SENDER, layer, payload_len)`.
+/// `GmwMessage::Responses { layer, bits, ot_payload }` where `plane` is
+/// `bits` as a word plane (`gates` = `bits.len()`, bits above it
+/// ignored) and `ot_payload` = `ot_payload(pair_seed, PAYLOAD_SENDER,
+/// layer, payload_len)`.
 pub(crate) fn write_responses(
     out: &mut Vec<u8>,
     layer: u32,
-    bits: &[bool],
+    gates: usize,
+    plane: &[u64],
     pair_seed: u64,
     payload_len: usize,
 ) {
@@ -360,8 +396,8 @@ pub(crate) fn write_responses(
         out,
         GmwKind::Responses,
         layer,
-        bits.len(),
-        |plane| pack_bits(bits, plane),
+        gates,
+        |dst| put_word_plane(plane, gates, dst),
         payload_len,
         |dst| fill_ot_payload(pair_seed, PAYLOAD_SENDER, u64::from(layer), dst),
     );
@@ -789,28 +825,89 @@ mod tests {
         }
     }
 
+    /// `bits` as a word plane (bit `i % 64` of word `i / 64`) whose last
+    /// word holds `garbage` above the plane's width, as a party's scratch
+    /// may.
+    fn word_plane_of(bits: &[bool], garbage: u64) -> Vec<u64> {
+        let mut words = crate::ot::pack_plane(bits);
+        if let Some(last) = words.last_mut() {
+            *last |= garbage & !crate::ot::last_word_mask(bits.len());
+        }
+        words
+    }
+
+    #[test]
+    fn word_plane_writers_mask_garbage_above_the_width() {
+        // Every bit of the last scratch word above the width set: the
+        // writers must clear them, or the peer's parser would reject the
+        // batch as dirty bit-plane padding.
+        for width in [1usize, 7, 9, 63, 65, 130] {
+            let xs: Vec<bool> = (0..width).map(|i| i % 3 == 0).collect();
+            let ys: Vec<bool> = (0..width).map(|i| i % 5 == 1).collect();
+            let (x_words, y_words) = (word_plane_of(&xs, u64::MAX), word_plane_of(&ys, u64::MAX));
+            assert_ne!(x_words.last().unwrap() >> (width % 64), 0, "width {width}");
+            let mut choices = Vec::new();
+            write_choices(&mut choices, 5, width, [&x_words, &y_words], 11, 2);
+            let expected = GmwMessage::Choices {
+                layer: 5,
+                pairs: xs.iter().copied().zip(ys.iter().copied()).collect(),
+                ot_payload: ot_payload(11, PAYLOAD_RECEIVER, 5, 2),
+            };
+            assert_eq!(
+                GmwMessage::decode_exact(&choices),
+                Ok(expected),
+                "width {width}"
+            );
+            let mut responses = Vec::new();
+            write_responses(&mut responses, 5, width, &x_words, 11, 2);
+            let expected = GmwMessage::Responses {
+                layer: 5,
+                bits: xs,
+                ot_payload: ot_payload(11, PAYLOAD_SENDER, 5, 2),
+            };
+            assert_eq!(
+                GmwMessage::decode_exact(&responses),
+                Ok(expected),
+                "width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_plane_reads_back_what_the_writer_wrote() {
+        // The reader is the writer's inverse on the live bits, zero above.
+        let bits: Vec<bool> = (0..130).map(|i| i % 7 < 3).collect();
+        let mut plane = vec![0; wire::bits_len(bits.len())];
+        put_word_plane(&word_plane_of(&bits, u64::MAX), bits.len(), &mut plane);
+        let words: Vec<u64> = word_plane(&plane).collect();
+        assert_eq!(words, word_plane_of(&bits, 0));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The in-place writers against the owned codec: what a party
-        /// writes into a lane — behind whatever the lane already holds —
-        /// is `GmwMessage::encode`'s bytes, seed-derived payload included.
+        /// writes into a lane — behind whatever the lane already holds,
+        /// from word planes whose last word carries garbage above the
+        /// width — is `GmwMessage::encode`'s bytes, seed-derived payload
+        /// included.
         #[test]
         fn prop_in_place_writers_equal_the_owned_encoding(
             layer in any::<u32>(),
             width in 0usize..300,
             seed in any::<u64>(),
             per_ot in 0usize..12,
+            garbage in any::<u64>(),
         ) {
             let mut rng = SplitMix64::new(seed);
             let pairs: Vec<(bool, bool)> =
                 (0..width).map(|_| (rng.next_bool(), rng.next_bool())).collect();
             let bits: Vec<bool> = pairs.iter().map(|&(x, y)| x ^ y).collect();
+            let (xs, ys): (Vec<bool>, Vec<bool>) = pairs.iter().copied().unzip();
             let len = width * per_ot;
-            let mut planes = vec![0; 2 * wire::bits_len(width)];
-            pack_choice_planes(&pairs, &mut planes);
             let mut lane = vec![0xEE; 3];
-            write_choices(&mut lane, layer, width, &planes, seed, len);
+            let planes = [&word_plane_of(&xs, garbage)[..], &word_plane_of(&ys, !garbage)[..]];
+            write_choices(&mut lane, layer, width, planes, seed, len);
             let choices = GmwMessage::Choices {
                 layer,
                 pairs,
@@ -818,7 +915,7 @@ mod tests {
             };
             prop_assert_eq!(&lane[3..], &choices.encode()[..]);
             let mut lane = vec![0xEE; 3];
-            write_responses(&mut lane, layer, &bits, seed, len);
+            write_responses(&mut lane, layer, width, &word_plane_of(&bits, garbage), seed, len);
             let responses = GmwMessage::Responses {
                 layer,
                 bits,

@@ -111,10 +111,11 @@ echo "==> determinism suite under --release (Sim == Socket)"
 # One party state machine walks either layering a GmwBatching mode lends it:
 # the depth layering (backends_agree_batched_mode) or the serial one, one AND
 # gate per layer (backends_agree_per_gate_mode); mode-crossing proptests hold
-# both to each other and to the plaintext evaluator. The multi-threaded
-# real-TCP SocketTransport is held to bit-identity with the deterministic
-# in-process backend, and the layered path pinned to committed fingerprints
-# on both. Both backends move bytes: a party writes each batch into a byte
+# both to each other and to the plaintext evaluator. The real-TCP
+# SocketTransport — one driver loop per session, on the calling thread —
+# is held to bit-identity with the deterministic in-process backend (its
+# own stall and fault suite runs here too), and the layered path pinned to
+# committed fingerprints on both. Both backends move bytes: a party writes each batch into a byte
 # lane with the in-place writer, which must produce the owned codec's bytes,
 # and reads it back with the view parser, which must accept and reject what
 # the owned decoder does; lanes keep per-sender order and give large
@@ -124,6 +125,7 @@ echo "==> determinism suite under --release (Sim == Socket)"
 # and the word-fed writers clear whatever a scratch word holds above the
 # layer's width.
 run_tests --release -q -p dstress-mpc --test transport_determinism
+run_tests -q -p dstress-net --test socket_faults
 run_tests --release -q -p dstress-mpc prop_in_place_writers_equal_the_owned_encoding
 run_tests --release -q -p dstress-mpc packed_door_equals_per_gate_transfer
 run_tests --release -q -p dstress-mpc word_plane_writers_mask_garbage_above_the_width

@@ -89,7 +89,7 @@ fn closed_form_wire_bytes_equal_the_measured_bytes() {
         CircuitParams::default_params(),
     );
     let random: Vec<Circuit> = (0..3).map(|seed| random_circuit(0xB17E + seed)).collect();
-    let socket = SocketTransport::with_threads(2);
+    let socket = SocketTransport::new();
     let backends: [&dyn Transport<GmwMessage>; 2] = [&SimTransport, &socket];
     let extension = OtConfig::extension();
     let elgamal = OtConfig::elgamal(GroupKind::Sim64);

@@ -262,14 +262,14 @@ impl StepExecutor for LocalExecutor {
 
 /// The transport a lane, or the aggregation block, opens its session on.
 ///
-/// `Socket` uses a single transport worker because lanes already run
-/// side by side in the executor's pool; each session is one real loopback
-/// TCP mesh between `k + 1` parties, and the block MPCs of the lane run on
-/// it as streams.
+/// A `Socket` session is one real loopback TCP mesh between `k + 1`
+/// parties, driven on the lane's own thread — lanes already run side by
+/// side in the executor's pool — and the block MPCs of the lane run on it
+/// as streams.
 pub fn mpc_transport(kind: TransportKind) -> Box<dyn Transport<GmwMessage>> {
     match kind {
         TransportKind::Sim => Box::new(SimTransport),
-        TransportKind::Socket => Box::new(SocketTransport::with_threads(1)),
+        TransportKind::Socket => Box::new(SocketTransport::new()),
     }
 }
 
@@ -314,43 +314,30 @@ pub fn execute_block_steps(
     tasks: Vec<BlockStepTask>,
     threads: usize,
 ) -> Result<Vec<BlockStepOutcome>, RuntimeError> {
-    match transport {
-        TransportKind::Sim => parallel_map(tasks, threads, |_off, task| {
-            execute_block_step_task(
-                update_circuit,
-                batching,
-                transport,
-                state_bits,
-                message_bits,
-                task,
-            )
-        })
-        .into_iter()
-        .collect(),
-        TransportKind::Socket => {
-            let total = tasks.len();
-            let lane_len = total.div_ceil(threads.max(1)).max(1);
-            let mut tasks = tasks.into_iter();
-            let lanes: Vec<Vec<BlockStepTask>> = (0..total.div_ceil(lane_len))
-                .map(|_| tasks.by_ref().take(lane_len).collect())
-                .collect();
-            let lanes = parallel_map(lanes, threads, |_off, lane| {
-                run_lane(
-                    update_circuit,
-                    batching,
-                    transport,
-                    state_bits,
-                    message_bits,
-                    lane,
-                )
-            });
-            let mut outcomes = Vec::with_capacity(total);
-            for lane in lanes {
-                outcomes.extend(lane?);
-            }
-            Ok(outcomes)
-        }
+    let total = tasks.len();
+    let lane_len = match transport {
+        TransportKind::Sim => 1,
+        TransportKind::Socket => total.div_ceil(threads.max(1)).max(1),
+    };
+    let mut tasks = tasks.into_iter();
+    let lanes: Vec<Vec<BlockStepTask>> = (0..total.div_ceil(lane_len))
+        .map(|_| tasks.by_ref().take(lane_len).collect())
+        .collect();
+    let lanes = parallel_map(lanes, threads, |_off, lane| {
+        run_lane(
+            update_circuit,
+            batching,
+            transport,
+            state_bits,
+            message_bits,
+            lane,
+        )
+    });
+    let mut outcomes = Vec::with_capacity(total);
+    for lane in lanes {
+        outcomes.extend(lane?);
     }
+    Ok(outcomes)
 }
 
 /// Executes one computation-step task: a pure function of the task and

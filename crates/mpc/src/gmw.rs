@@ -24,9 +24,8 @@
 //! The protocol is implemented as per-party state machines
 //! ([`crate::party::GmwParty`]) driven by a
 //! [`dstress_net::transport::Transport`]: the same parties run
-//! deterministically in process ([`SimTransport`]) or genuinely
-//! concurrently across a worker pool over TCP
-//! ([`dstress_net::SocketTransport`]), with bit-identical results.
+//! deterministically in process ([`SimTransport`]) or over real loopback
+//! TCP ([`dstress_net::SocketTransport`]), with bit-identical results.
 //! [`GmwProtocol::execute`] is the convenience entry point over the
 //! deterministic backend.
 //!
@@ -874,7 +873,7 @@ mod tests {
             rounds: 2,
             ..OperationCounts::default()
         };
-        let socket = SocketTransport::with_threads(2);
+        let socket = SocketTransport::new();
         for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
             let run = |door: Door| {
                 let mut session = transport.open(parties).unwrap();
@@ -1045,7 +1044,7 @@ mod tests {
     /// — long before the sockets' 60 s stall timeout.
     fn assert_script_ends_the_run(script: Script, expected: &MpcError) {
         let (circuit, job, ..) = out_of_protocol_job();
-        let socket = SocketTransport::with_threads(2);
+        let socket = SocketTransport::new();
         for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
             let mut session = OutOfProtocol(transport.open(2).unwrap(), script.clone());
             let started = std::time::Instant::now(); // lint:allow-nondeterminism -- test-only deadline

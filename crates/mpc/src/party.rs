@@ -145,7 +145,7 @@
 //! let shares = share_inputs(&inputs, 3, &mut rng);
 //! let protocol = GmwProtocol::new(GmwConfig::with_default_ids(3)).unwrap();
 //!
-//! // The same parties run on the deterministic backend or a worker pool.
+//! // The same parties run on the deterministic backend or over TCP.
 //! let mut traffic = TrafficAccountant::new();
 //! let sim = protocol
 //!     .execute_seeded(&SimTransport, &circuit, &shares, &OtConfig::extension(), &mut traffic, 99)
@@ -153,7 +153,7 @@
 //! let mut traffic = TrafficAccountant::new();
 //! let socket = protocol
 //!     .execute_seeded(
-//!         &SocketTransport::with_threads(2),
+//!         &SocketTransport::new(),
 //!         &circuit,
 //!         &shares,
 //!         &OtConfig::extension(),

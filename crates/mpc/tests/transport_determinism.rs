@@ -94,13 +94,7 @@ fn scenario(seed: u64, parties: usize) -> (Circuit, Vec<bool>, Vec<Vec<bool>>, u
     (circuit, inputs, shares, master_seed)
 }
 
-fn assert_backends_agree(
-    seed: u64,
-    parties: usize,
-    ot: &OtConfig,
-    threads: usize,
-    batching: GmwBatching,
-) {
+fn assert_backends_agree(seed: u64, parties: usize, ot: &OtConfig, batching: GmwBatching) {
     let (circuit, inputs, shares, master_seed) = scenario(seed, parties);
 
     let (sim, sim_traffic) = run_on(
@@ -113,7 +107,7 @@ fn assert_backends_agree(
         batching,
     );
     let (sock, sock_traffic) = run_on(
-        &SocketTransport::with_threads(threads),
+        &SocketTransport::new(),
         &circuit,
         &shares,
         parties,
@@ -209,11 +203,10 @@ proptest! {
     fn prop_backends_are_bit_identical(
         seed in any::<u64>(),
         parties in 2usize..6,
-        threads in 1usize..5,
         batched in any::<bool>(),
     ) {
         let batching = if batched { GmwBatching::Layered } else { GmwBatching::PerGate };
-        assert_backends_agree(seed, parties, &OtConfig::extension(), threads, batching);
+        assert_backends_agree(seed, parties, &OtConfig::extension(), batching);
     }
 
     #[test]
@@ -223,7 +216,7 @@ proptest! {
         on_sockets in any::<bool>(),
     ) {
         if on_sockets {
-            assert_batching_modes_agree(seed, parties, &SocketTransport::with_threads(2));
+            assert_batching_modes_agree(seed, parties, &SocketTransport::new());
         } else {
             assert_batching_modes_agree(seed, parties, &SimTransport);
         }
@@ -232,12 +225,12 @@ proptest! {
 
 #[test]
 fn backends_agree_batched_mode() {
-    assert_backends_agree(0xBA7C, 4, &OtConfig::extension(), 3, GmwBatching::Layered);
+    assert_backends_agree(0xBA7C, 4, &OtConfig::extension(), GmwBatching::Layered);
 }
 
 #[test]
 fn backends_agree_per_gate_mode() {
-    assert_backends_agree(0xBA7C, 4, &OtConfig::extension(), 3, GmwBatching::PerGate);
+    assert_backends_agree(0xBA7C, 4, &OtConfig::extension(), GmwBatching::PerGate);
 }
 
 #[test]
@@ -246,7 +239,6 @@ fn backends_agree_with_real_elgamal_ot() {
         0xE16A,
         3,
         &OtConfig::elgamal(dstress_crypto::group::GroupKind::Sim64),
-        2,
         GmwBatching::Layered,
     );
 }
@@ -257,7 +249,6 @@ fn backends_agree_per_gate_with_real_elgamal_ot() {
         0xE16B,
         3,
         &OtConfig::elgamal(dstress_crypto::group::GroupKind::Sim64),
-        2,
         GmwBatching::PerGate,
     );
 }
@@ -283,7 +274,7 @@ fn measured_wire_bytes_bit_identical_across_the_grid() {
             batching,
         );
         let (sock, sock_traffic) = run_on(
-            &SocketTransport::with_threads(3),
+            &SocketTransport::new(),
             &circuit,
             &shares,
             parties,
@@ -370,6 +361,7 @@ fn batched_choices_payload_is_bit_packed_on_the_wire() {
     assert!(batched.wire_bytes_per_party[1] * 4 < per_gate.wire_bytes_per_party[1]);
 }
 
+/// Two socket runs of one seed, each on a mesh of its own, agree.
 #[test]
 fn same_seed_reproduces_across_repeated_threaded_runs() {
     let circuit = random_circuit(42, 6, 24);
@@ -381,7 +373,7 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
     let shares = share_inputs(&inputs, 4, &mut share_rng);
     let ot = OtConfig::extension();
     let (a, _) = run_on(
-        &SocketTransport::with_threads(4),
+        &SocketTransport::new(),
         &circuit,
         &shares,
         4,
@@ -390,7 +382,7 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
         GmwBatching::Layered,
     );
     let (b, _) = run_on(
-        &SocketTransport::with_threads(2),
+        &SocketTransport::new(),
         &circuit,
         &shares,
         4,
@@ -808,7 +800,7 @@ fn layered_execution_matches_the_pinned_fingerprints() {
     assert_eq!(dstress_circuit::CircuitLayers::of(&deep).rounds(), 500);
     let backends: [(&str, Box<dyn Transport<GmwMessage>>); 2] = [
         ("sim", Box::new(SimTransport)),
-        ("socket", Box::new(SocketTransport::with_threads(2))),
+        ("socket", Box::new(SocketTransport::new())),
     ];
     for (circuit_name, ot_name, parties, expected) in &PINNED {
         let circuit = pinned_circuit(circuit_name, &deep, &wide);
@@ -828,16 +820,9 @@ fn layered_execution_matches_the_pinned_fingerprints() {
 #[test]
 fn layered_execution_matches_the_pinned_fingerprints_multiplexed() {
     let (deep, wide) = (deep_narrow_circuit(), wide_shallow_circuit());
-    let backends: [(&str, Box<dyn Transport<GmwMessage>>); 3] = [
+    let backends: [(&str, Box<dyn Transport<GmwMessage>>); 2] = [
         ("sim session", Box::new(SimTransport)),
-        (
-            "socket session, 1 thread",
-            Box::new(SocketTransport::with_threads(1)),
-        ),
-        (
-            "socket session, 3 threads",
-            Box::new(SocketTransport::with_threads(3)),
-        ),
+        ("socket session", Box::new(SocketTransport::new())),
     ];
     for parties in [3usize, 5, 8] {
         // Both providers at 3 parties; the public-key one, whose cost
@@ -943,7 +928,6 @@ proptest! {
         seed in any::<u64>(),
         parties in 2usize..6,
         groups in 1usize..7,
-        threads in 1usize..5,
         batched in any::<bool>(),
     ) {
         let batching = if batched { GmwBatching::Layered } else { GmwBatching::PerGate };
@@ -977,7 +961,7 @@ proptest! {
             .collect();
         let sim = observe_batch(&SimTransport, &circuit, batching, &jobs);
         let socket = observe_batch(
-            &SocketTransport::with_threads(threads),
+            &SocketTransport::new(),
             &circuit,
             batching,
             &jobs,

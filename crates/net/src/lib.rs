@@ -11,8 +11,9 @@
 //!   numbers in Figures 4–6 are measured, not estimated.
 //! * [`transport`] — the [`transport::Transport`] abstraction: protocol
 //!   code written as per-node actors runs unchanged on the deterministic
-//!   in-process backend ([`transport::SimTransport`]) or on a worker pool
-//!   over real TCP connections ([`socket::SocketTransport`]).  A
+//!   in-process backend ([`transport::SimTransport`]) or over real TCP
+//!   connections, driven on the calling thread
+//!   ([`socket::SocketTransport`]).  A
 //!   [`transport::Session`] keeps what connects the nodes across runs and
 //!   drives several independent actor groups over it at once.
 //! * [`frame`] — length-prefixed framing that restores message boundaries

@@ -1,9 +1,8 @@
-//! [`SocketTransport`]: the concurrent [`Transport`] backend — real TCP.
+//! [`SocketTransport`]: the real-TCP [`Transport`] backend.
 //!
-//! Where [`crate::transport::SimTransport`] queues messages in memory on
-//! one thread, this backend shards the nodes across a worker pool and
-//! moves every message through an actual kernel socket: each pair of
-//! nodes shares one loopback TCP connection, messages travel as
+//! Where [`crate::transport::SimTransport`] queues messages in memory,
+//! this backend moves every message through an actual kernel socket: each
+//! pair of nodes shares one loopback TCP connection, messages travel as
 //! length-prefixed frames ([`crate::frame`]) carrying the exact
 //! [`Wire`]-encoded payload the in-process backend accounts, and the
 //! returned [`WireTally`] records the *payload* bytes only — so measured
@@ -33,7 +32,7 @@
 //! ## Byte lanes
 //!
 //! A send writes `uvarint(stream)` and then the caller's encoding straight
-//! into the worker's frame scratch, which is framed onto the link's write
+//! into the driver's frame scratch, which is framed onto the link's write
 //! queue — the message is never an object of its own.  On the read side
 //! each frame is checked where it arrives: its stream id, then
 //! [`Wire::check_exact`] on the payload (a typed
@@ -46,8 +45,9 @@
 //! ## One driver
 //!
 //! There is no async runtime in this workspace (the shims environment has
-//! no tokio), and none is needed: streams are non-blocking and every
-//! worker runs the same pass over its nodes until they finish —
+//! no tokio), and none is needed: streams are non-blocking and a run is
+//! one loop on the calling thread, which owns every node of the session
+//! and repeats the same pass until every actor finishes —
 //!
 //! 1. poll every unfinished actor of every live group: a send only
 //!    *queues* a frame on its link, a receive borrows the oldest entry of
@@ -58,9 +58,11 @@
 //!
 //! So a pass costs two syscalls per link whatever the number of groups in
 //! flight, which is what makes many small block MPCs on one session cheap.
-//! The quiescence check (per-node sent/drained counters plus
-//! parked-worker accounting) turns a genuine protocol stall into a typed
-//! [`TransportError::Stalled`] instead of a hang.  Socket-specific
+//! Concurrency comes from running several sessions at once, never from
+//! inside one.  Because one thread owns every node, a pass that sends,
+//! receives, finishes and moves nothing means the whole run is idle; once
+//! that has lasted the stall timeout the run fails with a typed
+//! [`TransportError::Stalled`] instead of hanging.  Socket-specific
 //! failures — torn frames, trailing garbage, oversized length prefixes,
 //! undecodable payloads, a connection that closes under a live session,
 //! I/O errors — surface as the typed [`TransportError`] variants rather
@@ -83,8 +85,6 @@ use crate::wire::{
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How long [`SocketTransport`] waits for mesh peers to complete the
@@ -376,47 +376,39 @@ impl FramedConn {
 // SocketTransport
 // ---------------------------------------------------------------------------
 
-/// The TCP loopback backend: nodes sharded across a worker pool, one real
-/// socket per node pair, frames on the wire.
+/// The TCP loopback backend: one real socket per node pair, frames on the
+/// wire, every node of a session driven on the calling thread.
 ///
-/// Workers poll their shard of nodes in a loop; an actor whose messages
-/// have not arrived yet simply yields until they do.  With actors that
+/// The driver polls every node in a loop; an actor whose messages have
+/// not arrived yet simply yields until they do.  With actors that
 /// follow the [`NodeActor`] schedule-independence discipline, the results
 /// are bit-identical to [`crate::transport::SimTransport`] — only the
 /// wall-clock differs.
 #[derive(Clone, Copy, Debug)]
 pub struct SocketTransport {
-    threads: usize,
     stall_timeout: Duration,
 }
 
 impl SocketTransport {
-    /// A pool with one worker per available core.
+    /// A transport with the default stall timeout.
     pub fn new() -> Self {
         SocketTransport {
-            threads: crate::pool::default_threads(),
             stall_timeout: STALL_TIMEOUT,
         }
     }
 
-    /// A pool with an explicit worker count (at least one is used).
-    pub fn with_threads(threads: usize) -> Self {
-        SocketTransport {
-            threads: threads.max(1),
-            ..SocketTransport::new()
-        }
+    /// The same as [`SocketTransport::new`]; the argument is ignored.
+    /// Only the benchmark still calls it, and it goes with the benchmark
+    /// edits of ROADMAP item 16 (f).
+    pub fn with_threads(_threads: usize) -> Self {
+        SocketTransport::new()
     }
 
-    /// Overrides the stall timeout (how long the run tolerates global
-    /// quiescence before failing).
+    /// Overrides the stall timeout (how long a run may go without any
+    /// progress before failing).
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
         self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Builds the loopback mesh of `nodes` nodes and returns the session
@@ -430,7 +422,6 @@ impl SocketTransport {
     pub fn connect(&self, nodes: usize) -> Result<SocketSession, TransportError> {
         Ok(SocketSession {
             links: self.connect_mesh(nodes)?,
-            threads: self.threads,
             stall_timeout: self.stall_timeout,
             next_stream: 0,
         })
@@ -511,16 +502,17 @@ impl<M: Wire + Send> Transport<M> for SocketTransport {
     }
 }
 
-/// How long a run tolerates global quiescence before declaring a stall.
-/// Generous: it only matters for protocol bugs, which the deterministic
+/// How long a run may go without sending, receiving, finishing or moving
+/// a byte before it is declared stalled.  Generous: it only matters for
+/// protocol bugs, which the deterministic
 /// [`crate::transport::SimTransport`] surfaces first in any well-tested
 /// code path.
 const STALL_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Consecutive no-progress passes a worker tolerates before it backs off
-/// from `yield_now` spinning to millisecond sleeps (so a peer worker
-/// stuck in a long computation — or a stall running out the timeout —
-/// does not burn a core).
+/// Consecutive no-progress passes a loop tolerates before it backs off
+/// from `yield_now` spinning to millisecond sleeps (so a peer still
+/// computing — or a stall running out the timeout — does not burn a
+/// core).
 const SPIN_PASSES_BEFORE_SLEEP: u32 = 256;
 
 /// Queued bytes at which a link is flushed in the middle of a pass, right
@@ -536,7 +528,7 @@ const EARLY_FLUSH_BYTES: usize = 8 * 1024;
 /// Bytes one drain `read` asks a link for.  A pass's worth of small GMW
 /// frames from every group in flight fits, so a pass reads each link
 /// once; only a read that fills the buffer is followed by another.  The
-/// buffer lives on the worker's stack.
+/// buffer lives on the driver's stack.
 const READ_CHUNK: usize = 16 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -581,7 +573,6 @@ pub fn split_stream_payload(mut payload: &[u8]) -> Result<(u64, &[u8]), WireErro
 pub struct SocketSession {
     /// `links[i][j]` is node `i`'s end of its connection with node `j`.
     links: Vec<Vec<Option<FramedConn>>>,
-    threads: usize,
     stall_timeout: Duration,
     /// The stream id of the next run's first group; every id below it
     /// has retired.
@@ -622,167 +613,13 @@ impl<M: Wire + Send> Session<M> for SocketSession {
         let first_stream = self.next_stream;
         self.next_stream += groups.len() as u64;
         let actors = n * groups.len();
-        if actors == 0 {
-            return Ok(groups.iter().map(|_| WireTally::new(n)).collect());
-        }
-        // Nodes are sharded over the workers; a worker serves its nodes
-        // in every group.
-        let shard_size = n.div_ceil(self.threads.clamp(1, n));
-        let mut shards: Vec<Shard<'_, '_, M>> = self
-            .links
-            .chunks_mut(shard_size)
-            .enumerate()
-            .map(|(worker, rows)| Shard {
-                first_node: worker * shard_size,
-                rows,
-                actors: Vec::with_capacity(groups.len()),
-                first_stream,
-            })
-            .collect();
-        for group in groups.iter_mut() {
-            let mut rest: &mut [&mut dyn NodeActor<M>] = group;
-            for shard in &mut shards {
-                let (mine, tail) = rest.split_at_mut(shard.rows.len());
-                shard.actors.push(mine);
-                rest = tail;
-            }
-        }
-        let shared = RunShared::new(n, shards.len(), self.stall_timeout);
-        let outcomes: Vec<(usize, Vec<WireTally>)> = if shards.len() == 1 {
-            // One worker: the calling thread is it.
-            shards.into_iter().map(|s| s.drive(&shared)).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let shared = &shared;
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| scope.spawn(move || shard.drive(shared)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("socket transport worker panicked"))
-                    .collect()
-            })
+        let driver = Driver {
+            links: &mut self.links,
+            first_stream,
+            done: vec![false; actors],
+            inbox: (0..actors * n).map(|_| Lane::default()).collect(),
         };
-        if shared.failed.load(Ordering::Relaxed) {
-            return Err(shared.take_failure().unwrap_or(TransportError::Stalled {
-                done: outcomes.iter().map(|(done, _)| done).sum(),
-                actors,
-            }));
-        }
-        // A pair's sends are tallied by the sender's worker, so the
-        // per-worker tallies of a group add up without overlap.
-        let mut outcomes = outcomes.into_iter();
-        let (_, mut tallies) = outcomes.next().expect("a run has at least one worker");
-        for (_, partial) in outcomes {
-            for (tally, part) in tallies.iter_mut().zip(&partial) {
-                for (from, to, bytes, messages) in part.pairs() {
-                    tally.add(from, to, bytes, messages);
-                }
-            }
-        }
-        Ok(tallies)
-    }
-}
-
-/// Per-node queue counters shared by a run's workers: how many messages
-/// were sent to each node and how many its worker has drained out of its
-/// sockets.  `drained >= sent` for every node means no message is in
-/// flight anywhere — the quiescence half of stall detection.  (Counting
-/// per node rather than globally keeps the counters useful for
-/// diagnostics and avoids a single hot cacheline under fan-in.)
-struct QueueCounters {
-    sent: Vec<AtomicU64>,
-    drained: Vec<AtomicU64>,
-    /// Set once a node's actor is [`ActorStatus::Done`] in every group.
-    /// A finished node's sockets may not be drained again in this run
-    /// (its worker may already have returned), so messages addressed to
-    /// it are protocol garbage and must not count as traffic in flight —
-    /// otherwise one late send to a finished node would disable stall
-    /// detection and turn every genuine stall into an unbounded hang.
-    finished: Vec<AtomicBool>,
-}
-
-impl QueueCounters {
-    fn new(nodes: usize) -> Self {
-        QueueCounters {
-            sent: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            drained: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            finished: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Whether every message ever sent to a still-running node has been
-    /// drained by its recipient.  Racy reads are fine: a message sent
-    /// concurrently with this check implies progress, which independently
-    /// resets the stall clock.  "At least as many drained as sent", not
-    /// "equal": a frame that reached a live stream without a send of this
-    /// run behind it (a duplicate, a forgery) must not leave the counters
-    /// unequal forever and turn a genuine stall into a hang.
-    fn quiescent(&self) -> bool {
-        self.sent
-            .iter()
-            .zip(&self.drained)
-            .zip(&self.finished)
-            .all(|((s, d), f)| {
-                f.load(Ordering::Relaxed) || d.load(Ordering::Relaxed) >= s.load(Ordering::Relaxed)
-            })
-    }
-}
-
-/// State shared by the workers of one run, used for *global* stall
-/// detection.  A run is declared stalled only when the system is provably
-/// quiescent: every worker is parked idle (or has finished its shard), no
-/// message is in flight in any node's queue ([`QueueCounters`]), and no
-/// progress event has happened anywhere for the stall timeout.  A single
-/// busy worker — e.g. one actor deep in a long computation between
-/// batched rounds — keeps the whole run alive, because workers unpark
-/// *before* each pass, not after it.
-struct RunShared {
-    /// Progress events (sends, receives, completions) across all workers.
-    progress: AtomicU64,
-    /// Workers currently parked idle, plus workers that finished.
-    idle_workers: AtomicUsize,
-    /// Total workers in the run.
-    workers: usize,
-    /// Per-node sent/drained message counters for the quiescence check.
-    counters: QueueCounters,
-    /// How long global quiescence is tolerated before failing the run.
-    stall_timeout: Duration,
-    /// Set when the run failed (stall or socket error); all workers
-    /// bail out.
-    failed: AtomicBool,
-    /// The first non-stall failure any worker hit (a bare `failed` flag
-    /// with an empty slot means a stall).
-    failure: Mutex<Option<TransportError>>,
-}
-
-impl RunShared {
-    fn new(nodes: usize, workers: usize, stall_timeout: Duration) -> Self {
-        RunShared {
-            progress: AtomicU64::new(0),
-            idle_workers: AtomicUsize::new(0),
-            workers,
-            counters: QueueCounters::new(nodes),
-            stall_timeout,
-            failed: AtomicBool::new(false),
-            failure: Mutex::new(None),
-        }
-    }
-
-    /// Records the first failure and tells every worker to bail out.
-    fn fail(&self, error: TransportError) {
-        let mut slot = self.failure.lock().expect("failure slot poisoned");
-        if slot.is_none() {
-            *slot = Some(error);
-        }
-        drop(slot);
-        self.failed.store(true, Ordering::Relaxed);
-    }
-
-    /// Takes the recorded failure, if any (after all workers joined).
-    fn take_failure(&self) -> Option<TransportError> {
-        self.failure.lock().expect("failure slot poisoned").take()
+        driver.drive(groups, self.stall_timeout)
     }
 }
 
@@ -796,10 +633,9 @@ struct StreamEndpoint<'a> {
     /// This actor's byte lane per peer, in arrival order.
     inbox: &'a mut [Lane],
     tally: &'a mut WireTally,
-    counters: &'a QueueCounters,
     /// Frame payload buffer, reused from send to send.
     scratch: &'a mut Vec<u8>,
-    /// Sends plus successful receives, the worker's progress signal.
+    /// Sends plus successful receives, the driver's progress signal.
     activity: &'a mut u64,
 }
 
@@ -820,7 +656,6 @@ impl<M: Wire> Endpoint<M> for StreamEndpoint<'_> {
         let envelope = put_stream_payload(self.scratch, self.stream, write);
         let bytes = self.scratch.len() - envelope;
         self.tally.record(self.node, to, bytes as u64);
-        self.counters.sent[to].fetch_add(1, Ordering::Relaxed);
         if let Some(link) = self.links[to].as_mut() {
             link.queue_frame(self.scratch);
         }
@@ -842,7 +677,8 @@ impl<M: Wire> Endpoint<M> for StreamEndpoint<'_> {
 /// A write that finds the peer gone is not the run's error to report: the
 /// read side of the same connection sees the close too, and knows whether
 /// it tore a frame.  Reporting from both sides would make the run's error
-/// a race; the unsendable bytes are dropped instead.
+/// depend on which side the pass reached first; the unsendable bytes are
+/// dropped instead.
 fn flush_links(row: &mut [Option<FramedConn>], at_least: usize) -> Result<u64, TransportError> {
     let mut written = 0u64;
     for link in row.iter_mut().flatten() {
@@ -858,127 +694,84 @@ fn flush_links(row: &mut [Option<FramedConn>], at_least: usize) -> Result<u64, T
     Ok(written)
 }
 
-/// One worker's part of a run: a contiguous range of nodes — their link
-/// rows, and their actors in every group.
-struct Shard<'a, 'b, M: Wire> {
-    first_node: usize,
-    /// `rows[k]` holds node `first_node + k`'s connections.
-    rows: &'a mut [Vec<Option<FramedConn>>],
-    /// `actors[g][k]` is node `first_node + k`'s actor in group `g`.
-    actors: Vec<&'a mut [&'b mut dyn NodeActor<M>]>,
+/// One run of a session, driven on the calling thread: every node's
+/// links, which actors are done, and what has arrived for the others.
+struct Driver<'a> {
+    /// `links[k][peer]` is node `k`'s end of its connection with `peer`.
+    links: &'a mut [Vec<Option<FramedConn>>],
     /// Stream id of group 0; group `g` is stream `first_stream + g`.
     first_stream: u64,
-}
-
-/// What a worker keeps per run besides its shard: which actors are done
-/// and what has arrived for the others.
-struct ShardState {
-    /// `done[g * width + k]`: node `k`'s actor in group `g` finished.
+    /// `done[g * n + k]`: node `k`'s actor in group `g` finished.
     done: Vec<bool>,
-    /// Lane `(g * width + k) * n + peer`: the checked encodings `peer`
-    /// sent to node `k` on stream `g`, in arrival order.
+    /// Lane `(g * n + k) * n + peer`: the checked encodings `peer` sent
+    /// to node `k` on stream `g`, in arrival order.
     inbox: Vec<Lane>,
 }
 
-impl<M: Wire> Shard<'_, '_, M> {
-    /// The worker loop: poll, flush, drain, park — until every actor of
-    /// the shard is done or the run has failed.  Returns how many actors
-    /// finished and the shard's senders' part of every group's tally.
-    fn drive(mut self, shared: &RunShared) -> (usize, Vec<WireTally>) {
-        let width = self.rows.len();
-        let n = shared.counters.sent.len();
-        let groups = self.actors.len();
-        let mut state = ShardState {
-            done: vec![false; groups * width],
-            inbox: (0..groups * width * n).map(|_| Lane::default()).collect(),
-        };
-        // Groups in which each node still has an unfinished actor.
-        let mut open_groups = vec![groups; width];
-        let mut tallies: Vec<WireTally> = (0..groups).map(|_| WireTally::new(n)).collect();
+impl Driver<'_> {
+    /// Poll, flush, drain — until every actor is done.  The first actor
+    /// that fails or link that errs ends the run with its error; a run
+    /// in which nothing is sent, received, finished or moved for
+    /// `stall_timeout` ends [`TransportError::Stalled`].  One thread owns
+    /// every node, so a pass without activity is the whole run idle.
+    fn drive<M: Wire>(
+        mut self,
+        groups: &mut [&mut [&mut dyn NodeActor<M>]],
+        stall_timeout: Duration,
+    ) -> Result<Vec<WireTally>, TransportError> {
+        let n = self.links.len();
+        let mut tallies: Vec<WireTally> = groups.iter().map(|_| WireTally::new(n)).collect();
         let mut encode_scratch = Vec::new();
         let mut read_scratch = [0u8; READ_CHUNK];
-        let mut remaining = groups * width;
-        let mut parked_idle = false;
+        let mut remaining = self.done.len();
         let mut idle_passes = 0u32;
-        let mut seen_progress = shared.progress.load(Ordering::Relaxed);
-        let mut last_global_change = Instant::now();
-        while remaining > 0 && !shared.failed.load(Ordering::Relaxed) {
-            // Unpark *before* polling: while this worker is inside a pass
-            // (possibly a long batched-layer computation), the run must not
-            // look globally idle to the other workers.
-            if parked_idle {
-                shared.idle_workers.fetch_sub(1, Ordering::Relaxed);
-                parked_idle = false;
-            }
+        let mut last_progress = Instant::now();
+        while remaining > 0 {
             let mut activity = 0u64;
-            for (g, actors) in self.actors.iter_mut().enumerate() {
+            for (g, actors) in groups.iter_mut().enumerate() {
                 for (k, actor) in actors.iter_mut().enumerate() {
-                    let slot = g * width + k;
-                    if state.done[slot] {
+                    let slot = g * n + k;
+                    if self.done[slot] {
                         continue;
                     }
                     let mut endpoint = StreamEndpoint {
-                        node: self.first_node + k,
+                        node: k,
                         stream: self.first_stream + g as u64,
-                        links: &mut self.rows[k],
-                        inbox: &mut state.inbox[slot * n..(slot + 1) * n],
+                        links: &mut self.links[k],
+                        inbox: &mut self.inbox[slot * n..(slot + 1) * n],
                         tally: &mut tallies[g],
-                        counters: &shared.counters,
                         scratch: &mut encode_scratch,
                         activity: &mut activity,
                     };
-                    let status = actor.poll(&mut endpoint);
-                    if status == ActorStatus::Failed {
-                        shared.fail(TransportError::Aborted {
-                            node: self.first_node + k,
-                        });
-                    }
-                    if let Err(error) = flush_links(&mut self.rows[k], EARLY_FLUSH_BYTES) {
-                        shared.fail(error);
-                    }
-                    if status == ActorStatus::Done {
-                        state.done[slot] = true;
-                        remaining -= 1;
-                        activity += 1;
-                        open_groups[k] -= 1;
-                        if open_groups[k] == 0 {
-                            // Nobody may drain this node again in this run
-                            // (once the whole shard finishes, the worker
-                            // returns), so exclude it from the quiescence
-                            // check instead of letting late messages to it
-                            // block stall detection forever.
-                            shared.counters.finished[self.first_node + k]
-                                .store(true, Ordering::Relaxed);
+                    match actor.poll(&mut endpoint) {
+                        ActorStatus::Idle => {}
+                        ActorStatus::Done => {
+                            self.done[slot] = true;
+                            remaining -= 1;
+                            activity += 1;
                         }
+                        ActorStatus::Failed => return Err(TransportError::Aborted { node: k }),
                     }
+                    flush_links(&mut self.links[k], EARLY_FLUSH_BYTES)?;
                 }
             }
             // One write and one read per link carry the whole pass, for
             // every group at once.
-            let moved = match self.move_bytes(&mut state, shared, &mut read_scratch) {
-                Ok(moved) => moved,
-                Err(error) => {
-                    shared.fail(error);
-                    break;
-                }
-            };
+            let mut moved = 0;
+            for row in self.links.iter_mut() {
+                moved += flush_links(row, 1)?;
+            }
+            moved += self.drain_links::<M>(groups.len() as u64, &mut read_scratch)?;
             if activity > 0 || moved > 0 {
-                shared.progress.fetch_add(1, Ordering::Relaxed);
+                last_progress = Instant::now();
                 idle_passes = 0;
                 continue;
             }
-            shared.idle_workers.fetch_add(1, Ordering::Relaxed);
-            parked_idle = true;
-            let now_progress = shared.progress.load(Ordering::Relaxed);
-            if now_progress != seen_progress {
-                seen_progress = now_progress;
-                last_global_change = Instant::now();
-            } else if shared.idle_workers.load(Ordering::Relaxed) == shared.workers
-                && shared.counters.quiescent()
-                && last_global_change.elapsed() > shared.stall_timeout
-            {
-                shared.failed.store(true, Ordering::Relaxed);
-                break;
+            if last_progress.elapsed() > stall_timeout {
+                return Err(TransportError::Stalled {
+                    done: self.done.len() - remaining,
+                    actors: self.done.len(),
+                });
             }
             idle_passes = idle_passes.saturating_add(1);
             if idle_passes > SPIN_PASSES_BEFORE_SLEEP {
@@ -987,61 +780,21 @@ impl<M: Wire> Shard<'_, '_, M> {
                 std::thread::yield_now();
             }
         }
-        // A finished worker counts as idle so that peers blocked on a true
-        // deadlock can still see "everyone idle" and time out.
-        if !parked_idle {
-            shared.idle_workers.fetch_add(1, Ordering::Relaxed);
-        }
-        // Before returning, push out bytes that running peers still need.
-        // Bytes addressed to finished nodes may stay queued: the next
-        // run's first flush sends them and their reader drops them as
-        // retired.  Bounded by the stall timeout so a wedged peer cannot
-        // pin this worker forever.
-        let deadline = Instant::now() + shared.stall_timeout;
-        while !shared.failed.load(Ordering::Relaxed)
-            && self.pending_to_unfinished(&shared.counters) > 0
-            && Instant::now() < deadline
-        {
-            // Keep draining too: a peer blocked writing to us frees its own
-            // write buffer only if we read.
-            match self.move_bytes(&mut state, shared, &mut read_scratch) {
-                Ok(0) => std::thread::sleep(Duration::from_millis(1)),
-                Ok(_) => {}
-                Err(error) => shared.fail(error),
-            }
-        }
-        (groups * width - remaining, tallies)
+        // Bytes still queued go out with the next run's first flush, and
+        // their reader drops them as retired.
+        Ok(tallies)
     }
 
-    /// The I/O half of a pass: flush every link, then drain every link.
-    /// Returns the bytes moved either way.
-    fn move_bytes(
+    /// Reads every link once and routes each complete frame of the run's
+    /// `live` streams to its lane; returns the bytes read.
+    fn drain_links<M: Wire>(
         &mut self,
-        state: &mut ShardState,
-        shared: &RunShared,
+        live: u64,
         scratch: &mut [u8],
     ) -> Result<u64, TransportError> {
-        let mut flushed = 0;
-        for row in self.rows.iter_mut() {
-            flushed += flush_links(row, 1)?;
-        }
-        Ok(flushed + self.drain_links(state, shared, scratch)?)
-    }
-
-    /// Reads every link once and routes each complete frame to its
-    /// stream's buffer; returns the bytes read.
-    fn drain_links(
-        &mut self,
-        state: &mut ShardState,
-        shared: &RunShared,
-        scratch: &mut [u8],
-    ) -> Result<u64, TransportError> {
-        let width = self.rows.len();
-        let n = shared.counters.sent.len();
-        let live = self.actors.len() as u64;
+        let n = self.links.len();
         let mut read = 0u64;
-        for (k, row) in self.rows.iter_mut().enumerate() {
-            let mut drained = 0u64;
+        for (k, row) in self.links.iter_mut().enumerate() {
             for (peer, link) in row.iter_mut().enumerate() {
                 let Some(link) = link else { continue };
                 // Frames are routed after every read, so the decoder never
@@ -1066,37 +819,21 @@ impl<M: Wire> Shard<'_, '_, M> {
                         if g >= live {
                             return Err(TransportError::UnknownStream { peer, stream });
                         }
-                        drained += 1;
-                        let slot = g as usize * width + k;
-                        if state.done[slot] {
+                        let slot = g as usize * n + k;
+                        if self.done[slot] {
                             continue; // its actor finished: retired on this node
                         }
                         M::check_exact(payload)
                             .map_err(|error| TransportError::Codec { peer, error })?;
-                        state.inbox[slot * n + peer].push(payload);
+                        self.inbox[slot * n + peer].push(payload);
                     }
                     if got < scratch.len() {
                         break;
                     }
                 }
             }
-            if drained > 0 {
-                shared.counters.drained[self.first_node + k].fetch_add(drained, Ordering::Relaxed);
-            }
         }
         Ok(read)
-    }
-
-    /// Bytes still queued for peers that have an unfinished actor (the
-    /// only bytes worth waiting on once this shard's actors are done).
-    fn pending_to_unfinished(&self, counters: &QueueCounters) -> usize {
-        self.rows
-            .iter()
-            .flat_map(|row| row.iter().enumerate())
-            .filter(|(peer, _)| !counters.finished[*peer].load(Ordering::Relaxed))
-            .filter_map(|(_, link)| link.as_ref())
-            .map(FramedConn::pending_out)
-            .sum()
     }
 }
 
@@ -1136,9 +873,8 @@ mod tests {
     }
 
     #[test]
-    fn default_transport_has_workers() {
+    fn default_transport_is_named_socket() {
         let transport = SocketTransport::default();
-        assert!(transport.threads() >= 1);
         assert_eq!(
             <SocketTransport as Transport<u64>>::name(&transport),
             "socket"

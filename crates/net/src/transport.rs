@@ -26,12 +26,11 @@
 //!   deterministic, and a stalled protocol (every actor idle with no
 //!   message in flight) is reported as [`TransportError::Stalled`] rather
 //!   than deadlocking.
-//! * [`crate::socket::SocketTransport`] — real concurrency and real bytes.
-//!   Nodes are sharded across a worker pool (sized by
-//!   [`std::thread::available_parallelism`] by default) and exchange
-//!   framed messages over the loopback TCP connections of the session's
-//!   mesh, every live group multiplexed over the same connections; each
-//!   frame is checked on arrival and queued in a byte lane per `(stream,
+//! * [`crate::socket::SocketTransport`] — real bytes.  One driver loop on
+//!   the calling thread polls every node, and the nodes exchange framed
+//!   messages over the loopback TCP connections of the session's mesh,
+//!   every live group multiplexed over the same connections; each frame
+//!   is checked on arrival and queued in a byte lane per `(stream,
 //!   peer)`.
 //!
 //! Both backends move bytes, never message objects: an actor writes each
@@ -85,7 +84,7 @@
 //!
 //! for transport in [
 //!     Box::new(SimTransport) as Box<dyn Transport<u64>>,
-//!     Box::new(SocketTransport::with_threads(2)),
+//!     Box::new(SocketTransport::new()),
 //! ] {
 //!     let mut pinger = Pinger(None);
 //!     let mut echoer = Echoer(false);
@@ -743,7 +742,7 @@ mod tests {
             transport.run(&mut refs).unwrap()
         };
         let sim = run_tally(&SimTransport);
-        let socket = run_tally(&SocketTransport::with_threads(3));
+        let socket = run_tally(&SocketTransport::new());
         assert_eq!(sim, socket);
         assert_eq!(sim.total_messages(), 5 * 4);
         assert_eq!(sim.total_bytes(), 5 * 4 * 8);
@@ -786,7 +785,7 @@ mod tests {
         }
         for transport in [
             Box::new(SimTransport) as Box<dyn Transport<u64>>,
-            Box::new(SocketTransport::with_threads(2)),
+            Box::new(SocketTransport::new()),
         ] {
             let (mut waiting, mut quitter) = (Starved, Quitter);
             let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut waiting, &mut quitter];

@@ -4,8 +4,8 @@
 //! Every hostile input — torn frames, trailing garbage, oversized length
 //! prefixes, mid-message disconnects, a peer that never completes
 //! registration — must surface as a *typed* [`TransportError`] within the
-//! configured timeout: never a hang, never a panic.  The worker pool's
-//! quiescence-based stall detection is exercised on real sockets as well:
+//! configured timeout: never a hang, never a panic.  The driver's
+//! timeout-based stall detection is exercised on real sockets as well:
 //! genuine stalls time out, long computations and late or unconsumed
 //! messages do not confuse it.
 //!
@@ -249,14 +249,12 @@ fn run_summers(transport: &dyn Transport<u64>, n: usize) -> (Vec<u64>, dstress_n
 fn socket_backend_matches_sim_including_measured_bytes() {
     for n in [2, 3, 5, 6] {
         let (sim_sums, sim_tally) = run_summers(&SimTransport, n);
-        for threads in [1, 2, 4] {
-            let (sock_sums, sock_tally) = run_summers(&SocketTransport::with_threads(threads), n);
-            assert_eq!(sock_sums, sim_sums, "n = {n}, threads = {threads}");
-            // The tally records Wire payload bytes only — frame headers
-            // are transport overhead — so both backends measure the same
-            // wire_bytes, message for message.
-            assert_eq!(sock_tally, sim_tally, "n = {n}, threads = {threads}");
-        }
+        let (sock_sums, sock_tally) = run_summers(&SocketTransport::new(), n);
+        assert_eq!(sock_sums, sim_sums, "n = {n}");
+        // The tally records Wire payload bytes only — frame headers are
+        // transport overhead — so both backends measure the same
+        // wire_bytes, message for message.
+        assert_eq!(sock_tally, sim_tally, "n = {n}");
     }
 }
 
@@ -277,7 +275,7 @@ fn socket_backend_detects_genuine_stall_within_timeout() {
     let mut a = Starved;
     let mut b = Starved;
     let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut a, &mut b];
-    let transport = SocketTransport::with_threads(2).with_stall_timeout(Duration::from_millis(100));
+    let transport = SocketTransport::new().with_stall_timeout(Duration::from_millis(100));
     let err = within_deadline(|| transport.run(&mut refs).unwrap_err());
     assert_eq!(err, TransportError::Stalled { done: 0, actors: 2 });
 }
@@ -311,7 +309,7 @@ fn messages_to_finished_socket_actors_do_not_hang_stall_detection() {
     let mut starver = SendThenStarve { sent: false };
     let mut instant = InstantDone;
     let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut starver, &mut instant];
-    let transport = SocketTransport::with_threads(2).with_stall_timeout(Duration::from_millis(100));
+    let transport = SocketTransport::new().with_stall_timeout(Duration::from_millis(100));
     let err = within_deadline(|| transport.run(&mut refs).unwrap_err());
     assert_eq!(err, TransportError::Stalled { done: 1, actors: 2 });
 }
@@ -343,9 +341,9 @@ impl NodeActor<Vec<u64>> for Batcher {
                 if ep.try_recv_from(2).is_none() {
                     return ActorStatus::Idle;
                 }
-                // A long computation between rounds: the run must not be
-                // declared stalled while this worker is busy, even though
-                // every *other* worker is parked idle.
+                // A long computation between rounds, three times the
+                // stall timeout: the run must not be declared stalled
+                // while this actor is busy, though every other is idle.
                 std::thread::sleep(Duration::from_millis(300));
                 let messages: Vec<(usize, Vec<u64>)> = (0..*batch)
                     .map(|i| (1usize, vec![i as u64; *payload]))
@@ -373,40 +371,35 @@ impl NodeActor<Vec<u64>> for Batcher {
     }
 }
 
-/// Regression test for spurious stalls: with idle accounting that unparks
-/// a worker only *after* a pass with progress, a worker stuck in a long
-/// computation still counts as idle, so the timeout can fire with batched
-/// messages still to come.  The quiescence check plus unpark-before-pass
-/// must ride out a computation much longer than the stall timeout, and
-/// the 2 MiB batch must then cross the sockets intact.
+/// Regression test for spurious stalls: a poll that computes for longer
+/// than the stall timeout is not idleness — the clock restarts when its
+/// pass sends — and the 2 MiB batch it then emits must cross the sockets
+/// intact.
 #[test]
 fn large_batched_payloads_do_not_trip_stall_detection() {
     let (batch, payload) = (64usize, 4096usize);
-    for threads in [1, 2, 4] {
-        let transport =
-            SocketTransport::with_threads(threads).with_stall_timeout(Duration::from_millis(100));
-        let mut session = transport.connect(3).unwrap();
-        // Twice on one session: the mesh outlives a run and its buffers
-        // carry nothing over.
-        for run in 0..2 {
-            let mut producer = Batcher::SlowProducer { batch, payload };
-            let mut consumer = Batcher::Consumer {
-                received: 0,
-                expected: batch,
-                sum: 0,
-            };
-            let mut kicker = Batcher::Kicker;
-            let mut refs: Vec<&mut dyn NodeActor<Vec<u64>>> =
-                vec![&mut producer, &mut consumer, &mut kicker];
-            within_deadline(|| session.run(&mut [&mut refs[..]]).unwrap());
-            let Batcher::Consumer { received, sum, .. } = consumer else {
-                unreachable!();
-            };
-            assert_eq!(received, batch, "threads = {threads}, run {run}");
-            // sum of i * payload for i in 0..batch
-            let expected: u64 = (0..batch as u64).map(|i| i * payload as u64).sum();
-            assert_eq!(sum, expected, "threads = {threads}, run {run}");
-        }
+    let transport = SocketTransport::new().with_stall_timeout(Duration::from_millis(100));
+    let mut session = transport.connect(3).unwrap();
+    // Twice on one session: the mesh outlives a run and its buffers carry
+    // nothing over.
+    for run in 0..2 {
+        let mut producer = Batcher::SlowProducer { batch, payload };
+        let mut consumer = Batcher::Consumer {
+            received: 0,
+            expected: batch,
+            sum: 0,
+        };
+        let mut kicker = Batcher::Kicker;
+        let mut refs: Vec<&mut dyn NodeActor<Vec<u64>>> =
+            vec![&mut producer, &mut consumer, &mut kicker];
+        within_deadline(|| session.run(&mut [&mut refs[..]]).unwrap());
+        let Batcher::Consumer { received, sum, .. } = consumer else {
+            unreachable!();
+        };
+        assert_eq!(received, batch, "run {run}");
+        // sum of i * payload for i in 0..batch
+        let expected: u64 = (0..batch as u64).map(|i| i * payload as u64).sum();
+        assert_eq!(sum, expected, "run {run}");
     }
 }
 
@@ -424,20 +417,13 @@ fn unconsumed_messages_do_not_mask_a_stall() {
     }
     // Node 0 only ever waits on a message from itself, so node 1's
     // message sits in node 0's buffers unconsumed.
-    for threads in [1, 2, 4] {
-        let mut starved = Starved;
-        let mut sender = FireAndForget;
-        let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut starved, &mut sender];
-        let transport =
-            SocketTransport::with_threads(threads).with_stall_timeout(Duration::from_millis(100));
-        let mut session = transport.connect(2).unwrap();
-        let err = within_deadline(|| session.run(&mut [&mut refs[..]]).unwrap_err());
-        assert_eq!(
-            err,
-            TransportError::Stalled { done: 1, actors: 2 },
-            "threads = {threads}"
-        );
-    }
+    let mut starved = Starved;
+    let mut sender = FireAndForget;
+    let mut refs: Vec<&mut dyn NodeActor<u64>> = vec![&mut starved, &mut sender];
+    let transport = SocketTransport::new().with_stall_timeout(Duration::from_millis(100));
+    let mut session = transport.connect(2).unwrap();
+    let err = within_deadline(|| session.run(&mut [&mut refs[..]]).unwrap_err());
+    assert_eq!(err, TransportError::Stalled { done: 1, actors: 2 });
 }
 
 // ---------------------------------------------------------------------------
@@ -572,8 +558,8 @@ fn stream_frame(stream: u64, value: u64) -> Vec<u8> {
     encode_frame(&payload)
 }
 
-fn fault_session(threads: usize) -> SocketSession {
-    SocketTransport::with_threads(threads)
+fn fault_session() -> SocketSession {
+    SocketTransport::new()
         .with_stall_timeout(Duration::from_millis(200))
         .connect(CHAT_NODES)
         .unwrap()
@@ -581,8 +567,8 @@ fn fault_session(threads: usize) -> SocketSession {
 
 /// Four groups share the session; node 0 of group 2 fires `fault` on its
 /// link to node 1 as it enters round 3.  Returns how the run ended.
-fn run_with_fault(threads: usize, fault: impl FnOnce(TcpStream) -> Fault) -> TransportError {
-    let mut session = fault_session(threads);
+fn run_with_fault(fault: impl FnOnce(TcpStream) -> Fault) -> TransportError {
+    let mut session = fault_session();
     let mut groups = chat_groups(4);
     groups[2][0].trigger = 3;
     groups[2][0].fault = fault(session.raw_link(0, 1).unwrap());
@@ -606,110 +592,104 @@ fn shared_connection_faults_end_the_run_with_their_typed_error() {
     let mut oversized = vec![FRAME_MAGIC];
     oversized.extend_from_slice(&u32::MAX.to_le_bytes());
 
-    for threads in [1, 3] {
-        let err = run_with_fault(threads, |raw| Fault::InjectAndClose(raw, torn.clone()));
-        assert_eq!(
+    let err = run_with_fault(|raw| Fault::InjectAndClose(raw, torn.clone()));
+    assert_eq!(
+        err,
+        TransportError::Frame {
+            peer: 0,
+            error: FrameError::Torn { buffered: 15 }
+        },
+        "torn frame"
+    );
+
+    let err = run_with_fault(|raw| Fault::InjectAndClose(raw, mid_message.clone()));
+    assert_eq!(
+        err,
+        TransportError::Frame {
+            peer: 0,
+            error: FrameError::Torn { buffered: 10 }
+        },
+        "mid-message disconnect"
+    );
+
+    let err = run_with_fault(|raw| Fault::Inject(raw, b"GET /healthz HTTP/1.0\r\n\r\n".to_vec()));
+    assert_eq!(
+        err,
+        TransportError::Frame {
+            peer: 0,
+            error: FrameError::BadMagic { found: b'G' }
+        },
+        "trailing garbage"
+    );
+
+    let err = run_with_fault(|raw| Fault::Inject(raw, oversized.clone()));
+    assert!(
+        matches!(
             err,
             TransportError::Frame {
                 peer: 0,
-                error: FrameError::Torn { buffered: 15 }
-            },
-            "torn frame, threads = {threads}"
-        );
-
-        let err = run_with_fault(threads, |raw| {
-            Fault::InjectAndClose(raw, mid_message.clone())
-        });
-        assert_eq!(
-            err,
-            TransportError::Frame {
-                peer: 0,
-                error: FrameError::Torn { buffered: 10 }
-            },
-            "mid-message disconnect, threads = {threads}"
-        );
-
-        let err = run_with_fault(threads, |raw| {
-            Fault::Inject(raw, b"GET /healthz HTTP/1.0\r\n\r\n".to_vec())
-        });
-        assert_eq!(
-            err,
-            TransportError::Frame {
-                peer: 0,
-                error: FrameError::BadMagic { found: b'G' }
-            },
-            "trailing garbage, threads = {threads}"
-        );
-
-        let err = run_with_fault(threads, |raw| Fault::Inject(raw, oversized.clone()));
-        assert!(
-            matches!(
-                err,
-                TransportError::Frame {
-                    peer: 0,
-                    error: FrameError::Oversized {
-                        length: u32::MAX,
-                        ..
-                    }
+                error: FrameError::Oversized {
+                    length: u32::MAX,
+                    ..
                 }
-            ),
-            "oversized prefix, threads = {threads}: {err:?}"
-        );
+            }
+        ),
+        "oversized prefix: {err:?}"
+    );
 
-        // A frame whose payload ends inside the stream id.
-        let err = run_with_fault(threads, |raw| Fault::Inject(raw, encode_frame(&[0x80])));
-        assert_eq!(
-            err,
-            TransportError::Codec {
-                peer: 0,
-                error: WireError::Truncated {
-                    needed: 1,
-                    available: 0
-                }
-            },
-            "truncated stream id, threads = {threads}"
-        );
+    // A frame whose payload ends inside the stream id.
+    let err = run_with_fault(|raw| Fault::Inject(raw, encode_frame(&[0x80])));
+    assert_eq!(
+        err,
+        TransportError::Codec {
+            peer: 0,
+            error: WireError::Truncated {
+                needed: 1,
+                available: 0
+            }
+        },
+        "truncated stream id"
+    );
 
-        // A stream id that runs past 64 bits.
-        let err = run_with_fault(threads, |raw| Fault::Inject(raw, encode_frame(&[0xFF; 11])));
-        assert_eq!(
-            err,
-            TransportError::Codec {
-                peer: 0,
-                error: WireError::VarintOverflow
-            },
-            "overflowing stream id, threads = {threads}"
-        );
+    // A stream id that runs past 64 bits.
+    let err = run_with_fault(|raw| Fault::Inject(raw, encode_frame(&[0xFF; 11])));
+    assert_eq!(
+        err,
+        TransportError::Codec {
+            peer: 0,
+            error: WireError::VarintOverflow
+        },
+        "overflowing stream id"
+    );
 
-        // A well-formed frame of a live stream whose payload is not a u64.
-        let mut short = vec![0x01];
-        short.extend_from_slice(&[1, 2, 3]);
-        let err = run_with_fault(threads, |raw| Fault::Inject(raw, encode_frame(&short)));
-        assert!(
-            matches!(err, TransportError::Codec { peer: 0, .. }),
-            "undecodable payload, threads = {threads}: {err:?}"
-        );
+    // A well-formed frame of a live stream whose payload is not a u64.
+    let mut short = vec![0x01];
+    short.extend_from_slice(&[1, 2, 3]);
+    let err = run_with_fault(|raw| Fault::Inject(raw, encode_frame(&short)));
+    assert!(
+        matches!(err, TransportError::Codec { peer: 0, .. }),
+        "undecodable payload: {err:?}"
+    );
 
-        // The session has opened streams 0..4 and nothing else.
-        let err = run_with_fault(threads, |raw| Fault::Inject(raw, stream_frame(4, 7)));
-        assert_eq!(
-            err,
-            TransportError::UnknownStream { peer: 0, stream: 4 },
-            "stream never opened, threads = {threads}"
-        );
+    // The session has opened streams 0..4 and nothing else.
+    let err = run_with_fault(|raw| Fault::Inject(raw, stream_frame(4, 7)));
+    assert_eq!(
+        err,
+        TransportError::UnknownStream { peer: 0, stream: 4 },
+        "stream never opened"
+    );
 
-        // A peer that goes silent starves its own group; the other three
-        // finish, and the stall is diagnosed inside the timeout.
-        let err = run_with_fault(threads, |_raw| Fault::Silence);
-        assert_eq!(
-            err,
-            TransportError::Stalled {
-                done: 3 * CHAT_NODES,
-                actors: 4 * CHAT_NODES
-            },
-            "silent peer, threads = {threads}"
-        );
-    }
+    // A peer that goes silent starves its own group; the other three
+    // finish, and the stall is diagnosed inside the timeout.
+    let err = run_with_fault(|_raw| Fault::Silence);
+    assert_eq!(
+        err,
+        TransportError::Stalled {
+            done: 3 * CHAT_NODES,
+            actors: 4 * CHAT_NODES
+        },
+        "silent peer"
+    );
 }
 
 #[test]
@@ -722,39 +702,36 @@ fn late_frames_for_retired_streams_are_dropped() {
         (result.unwrap(), sums)
     };
 
-    for threads in [1, 3] {
-        let mut session = fault_session(threads);
-        let mut raw = session.raw_link(0, 1).unwrap();
+    let mut session = fault_session();
+    let mut raw = session.raw_link(0, 1).unwrap();
 
-        // Run 1 opens and retires streams 0..3.
-        let mut first = chat_groups(3);
-        let (result, sums) = within_deadline(|| run_chat(&mut session, &mut first));
-        assert_eq!(result.unwrap(), expected_tallies, "threads = {threads}");
-        assert_eq!(sums, expected_sums, "threads = {threads}");
+    // Run 1 opens and retires streams 0..3.
+    let mut first = chat_groups(3);
+    let (result, sums) = within_deadline(|| run_chat(&mut session, &mut first));
+    assert_eq!(result.unwrap(), expected_tallies);
+    assert_eq!(sums, expected_sums);
 
-        // A straggler of stream 1 arrives between the runs, and another
-        // in the middle of run 2 — which is streams 3..6.
-        raw.write_all(&stream_frame(1, 999)).unwrap();
-        let mut second = chat_groups(3);
-        second[1][0].trigger = 2;
-        second[1][0].fault = Fault::Inject(raw.try_clone().unwrap(), stream_frame(2, 999));
-        let (result, sums) = within_deadline(|| run_chat(&mut session, &mut second));
-        assert_eq!(result.unwrap(), expected_tallies, "threads = {threads}");
-        assert_eq!(sums, expected_sums, "threads = {threads}");
+    // A straggler of stream 1 arrives between the runs, and another
+    // in the middle of run 2 — which is streams 3..6.
+    raw.write_all(&stream_frame(1, 999)).unwrap();
+    let mut second = chat_groups(3);
+    second[1][0].trigger = 2;
+    second[1][0].fault = Fault::Inject(raw.try_clone().unwrap(), stream_frame(2, 999));
+    let (result, sums) = within_deadline(|| run_chat(&mut session, &mut second));
+    assert_eq!(result.unwrap(), expected_tallies);
+    assert_eq!(sums, expected_sums);
 
-        // The same bytes on a stream of run 2 would have been delivered:
-        // a frame for stream 6, which the *next* run would open, is not
-        // late but unknown.
-        let mut third = chat_groups(3);
-        third[0][0].trigger = 1;
-        third[0][0].fault = Fault::Inject(raw.try_clone().unwrap(), stream_frame(9, 999));
-        let (result, _) = within_deadline(|| run_chat(&mut session, &mut third));
-        assert_eq!(
-            result.unwrap_err(),
-            TransportError::UnknownStream { peer: 0, stream: 9 },
-            "threads = {threads}"
-        );
-    }
+    // The same bytes on a stream of run 2 would have been delivered:
+    // a frame for stream 6, which the *next* run would open, is not
+    // late but unknown.
+    let mut third = chat_groups(3);
+    third[0][0].trigger = 1;
+    third[0][0].fault = Fault::Inject(raw.try_clone().unwrap(), stream_frame(9, 999));
+    let (result, _) = within_deadline(|| run_chat(&mut session, &mut third));
+    assert_eq!(
+        result.unwrap_err(),
+        TransportError::UnknownStream { peer: 0, stream: 9 }
+    );
 }
 
 #[test]
@@ -787,7 +764,7 @@ fn golden_stream_frame_is_delivered_to_its_stream() {
         }
     }
 
-    let mut session = fault_session(1);
+    let mut session = fault_session();
     session.raw_link(0, 1).unwrap().write_all(&golden).unwrap();
     let mut waiting: Vec<Expect> = (0..3).map(|_| Expect(None)).collect();
     let (mut q0, mut q1, mut q2, mut q3, mut q4, mut q5) =
@@ -826,7 +803,7 @@ fn a_group_of_the_wrong_size_is_refused_before_it_runs() {
     };
     let mut sim = Transport::<u64>::open(&SimTransport, CHAT_NODES).unwrap();
     assert_eq!(sim.run(&mut [&mut refs[..]]).unwrap_err(), expected);
-    let mut socket = fault_session(2);
+    let mut socket = fault_session();
     assert_eq!(
         Session::<u64>::run(&mut socket, &mut [&mut refs[..]]).unwrap_err(),
         expected

@@ -488,12 +488,15 @@ pub fn build_jobs(config: &MasterConfig, graph: &Graph) -> Result<Vec<JobSpec>, 
 ///
 /// # Errors
 ///
-/// Returns a [`RuntimeError`] if registration times out, a worker
-/// connection fails mid-run, or the engine itself errors.
+/// Returns a [`RuntimeError`] if the fleet is empty, registration times
+/// out, a worker connection fails mid-run, or the engine itself errors.
 pub fn run_master(
     config: &MasterConfig,
     listener: TcpListener,
 ) -> Result<MasterReport, RuntimeError> {
+    if config.fleet == 0 {
+        return Err(deploy_err("a deployment needs at least one worker"));
+    }
     let status = StatusHandle::new(config.fleet);
     let running = Arc::new(AtomicBool::new(true));
     let (sender, receiver) = channel();
@@ -582,6 +585,16 @@ mod tests {
         probe.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.0 404"), "{response}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn an_empty_fleet_is_refused_before_the_run() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        match run_master(&MasterConfig::loopback(0), listener) {
+            Err(RuntimeError::Deploy(context)) => assert!(context.contains("at least one worker")),
+            Err(other) => panic!("expected a deploy error, got {other:?}"),
+            Ok(_) => panic!("an empty fleet ran"),
+        }
     }
 
     #[test]

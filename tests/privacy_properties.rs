@@ -195,7 +195,7 @@ fn gmw_pair_bytes_are_the_transport_tally() {
             }
         })
         .collect();
-    let socket = SocketTransport::with_threads(2);
+    let socket = SocketTransport::new();
     for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
         for established in [false, true] {
             let mut session = Tallying {

@@ -228,11 +228,16 @@ run_tests -q -p dstress-mpc wire_payload_content_is_derived_from_the_pair_seed
 
 echo "==> state store: backends, spill lifecycle, checkpoint formats and recovery"
 # The MemStore/SpillStore contract (bit-identical, segment geometry
-# backend-invariant), spill-log compaction, run-dir cleanup on error
-# paths, golden checkpoint/segment byte layouts with truncation /
-# trailing-garbage / bad-digest rejection, and in-process
-# kill-and-resume bit-identity (plain and spilling).
+# backend-invariant), one fixed slot per spilled segment (rewritten in
+# place, never past the packed bytes; a spill file cut short is a typed
+# i/o error), run-dir cleanup on error paths, golden checkpoint/segment
+# byte layouts with truncation / trailing-garbage / bad-digest rejection,
+# in-process kill-and-resume bit-identity (plain and spilling), and a halt
+# without a checkpoint directory refused before any setup work.
 run_tests -q -p dstress-core store::
+run_tests -q -p dstress-core spill_store_rewrites_segments_in_place
+run_tests -q -p dstress-core a_spill_file_cut_short_is_an_io_error
+run_tests -q -p dstress-core halting_without_a_checkpoint_directory_is_refused
 run_tests -q -p dstress-core spilling_backend_is_bit_identical_to_memory
 run_tests -q -p dstress-core spill_directory_is_removed_even_when_a_round_errors
 run_tests -q -p dstress-core checkpoint

@@ -9,30 +9,19 @@ use std::path::PathBuf;
 ///
 /// When set on [`DStressConfig::checkpoint`], the engine writes a
 /// `Wire`-encoded checkpoint (manifest + packed store segments) into
-/// `dir` at every `every_rounds`-th round swap, pruning superseded
-/// checkpoints; [`crate::engine::DStressRuntime::resume`] rehydrates
-/// from the newest one and continues to a bit-identical final release.
+/// `dir` at every round swap, pruning superseded checkpoints;
+/// [`crate::engine::DStressRuntime::resume`] rehydrates from the newest
+/// one and continues to a bit-identical final release.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Directory the checkpoint files live in (created on first write).
     pub dir: PathBuf,
-    /// Checkpoint cadence in rounds (values below one are treated as
-    /// one: every round).
-    pub every_rounds: u64,
 }
 
 impl CheckpointConfig {
     /// Checkpoints into `dir` at every round swap.
     pub fn every_round(dir: PathBuf) -> Self {
-        CheckpointConfig {
-            dir,
-            every_rounds: 1,
-        }
-    }
-
-    /// The effective cadence (at least one round).
-    pub fn cadence(&self) -> u64 {
-        self.every_rounds.max(1)
+        CheckpointConfig { dir }
     }
 }
 
@@ -171,6 +160,8 @@ pub struct DStressConfig {
     /// Abort the run right after checkpointing the given round swap with
     /// [`crate::engine::RuntimeError::Halted`] — the crash-injection
     /// hook the kill-and-resume tests (and the deployment drill) use.
+    /// Needs [`Self::checkpoint`]: a run that sets this without it is
+    /// refused before any setup work.
     pub halt_after_round: Option<u64>,
 }
 
@@ -295,15 +286,6 @@ mod tests {
         assert_eq!(cfg.state_budget_bytes, Some(4096));
         let checkpoint = cfg.checkpoint.expect("set above");
         assert_eq!(checkpoint.dir, dir);
-        assert_eq!(checkpoint.cadence(), 1);
-        assert_eq!(
-            CheckpointConfig {
-                dir,
-                every_rounds: 0
-            }
-            .cadence(),
-            1
-        );
         assert_eq!(cfg.halt_after_round, Some(1));
     }
 

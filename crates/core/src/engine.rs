@@ -473,6 +473,13 @@ impl DStressRuntime {
         finish: impl FnOnce(RunState<'_, P>) -> Result<T, RuntimeError>,
     ) -> Result<T, RuntimeError> {
         let config = &self.config;
+        // A halt promises a resumable checkpoint on disk; without a
+        // checkpoint directory there would be none to resume from.
+        if config.halt_after_round.is_some() && config.checkpoint.is_none() {
+            return Err(RuntimeError::Checkpoint {
+                context: "halt_after_round needs a checkpoint directory to halt into".to_string(),
+            });
+        }
         let iterations = program.iterations();
         let group = Group::new(config.group);
         let mut rng = Xoshiro256::new(config.seed);
@@ -585,9 +592,9 @@ impl Stores {
             })
         };
         Ok(Stores {
-            state: open("state.log", state_rows, state_bits)?,
-            inbox: open("inbox-a.log", inbox_rows, message_bits)?,
-            inbox_next: open("inbox-b.log", inbox_rows, message_bits)?,
+            state: open("state.spill", state_rows, state_bits)?,
+            inbox: open("inbox-a.spill", inbox_rows, message_bits)?,
+            inbox_next: open("inbox-b.spill", inbox_rows, message_bits)?,
             _spill_dir: spill.map(|(dir, _)| dir),
         })
     }
@@ -982,26 +989,23 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         // stores, the RNG position, and the accumulated costs —
         // `inbox_next` is fully overwritten before it is read again, so it
         // is never checkpointed.
-        let halt_here = self.config.halt_after_round == Some(round);
         if let Some(checkpoint) = &self.config.checkpoint {
-            if (round + 1) % checkpoint.cadence() == 0 || halt_here {
-                let (state, inbox) = (self.stores.state.as_ref(), self.stores.inbox.as_ref());
-                let (segments, records) = collect_segments(&[(0, state), (1, inbox)])?;
-                let manifest = CheckpointManifest {
-                    round: round + 1,
-                    iterations: u64::from(self.program.iterations()),
-                    fingerprint: self.fingerprint,
-                    rng_state: self.rng.state(),
-                    initialization: self.phases.initialization,
-                    computation: self.phases.computation,
-                    communication: self.phases.communication,
-                    traffic: self.traffic.sorted_node_entries(),
-                    segments,
-                };
-                write_checkpoint(&checkpoint.dir, &manifest, &records)?;
-            }
+            let (state, inbox) = (self.stores.state.as_ref(), self.stores.inbox.as_ref());
+            let (segments, records) = collect_segments(&[(0, state), (1, inbox)])?;
+            let manifest = CheckpointManifest {
+                round: round + 1,
+                iterations: u64::from(self.program.iterations()),
+                fingerprint: self.fingerprint,
+                rng_state: self.rng.state(),
+                initialization: self.phases.initialization,
+                computation: self.phases.computation,
+                communication: self.phases.communication,
+                traffic: self.traffic.sorted_node_entries(),
+                segments,
+            };
+            write_checkpoint(&checkpoint.dir, &manifest, &records)?;
         }
-        if halt_here {
+        if self.config.halt_after_round == Some(round) {
             return Err(RuntimeError::Halted { round });
         }
         Ok(())
@@ -1841,7 +1845,7 @@ mod tests {
     fn spilling_backend_is_bit_identical_to_memory() {
         // 32 vertices × block 3 = 96 state rows and ~290 inbox rows —
         // several segments per store, so a 1-byte budget forces real
-        // paging through the spill log.
+        // paging through the spill files.
         let graph = ring_graph(32);
         let program = CounterProgram {
             width: 8,
@@ -2021,6 +2025,32 @@ mod tests {
     }
 
     #[test]
+    fn halting_without_a_checkpoint_directory_is_refused() {
+        // A halt promises a resumable checkpoint; with nowhere to write
+        // one the run is refused before it opens a spill directory.
+        let scratch = test_dir("halt-noc");
+        let base = scratch.path().join("spill-base");
+        std::fs::create_dir_all(&base).unwrap();
+        let mut cfg = DStressConfig::benchmark(2)
+            .with_state_budget(1)
+            .with_spill_dir(base.clone())
+            .with_halt_after_round(1);
+        cfg.message_bits = 8;
+        let program = CounterProgram {
+            width: 8,
+            rounds: 3,
+        };
+        let err = DStressRuntime::new(cfg)
+            .execute(&ring_graph(7), &program)
+            .unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Checkpoint { .. }),
+            "expected a checkpoint error, got {err}"
+        );
+        assert_eq!(std::fs::read_dir(&base).unwrap().count(), 0);
+    }
+
+    #[test]
     fn resume_rejects_a_checkpoint_in_the_previous_layout() {
         // The version-1 golden manifest (one more uvarint per phase-cost
         // block, four more per traffic entry): typed as a checkpoint
@@ -2115,7 +2145,7 @@ mod tests {
             .execute_with(&graph, &program, &FailingExecutor)
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Deploy(_)));
-        // The run-scoped directory — spill logs included — is gone.
+        // The run-scoped directory — spill files included — is gone.
         let leftovers: Vec<_> = std::fs::read_dir(&base)
             .unwrap()
             .map(|e| e.unwrap().file_name())

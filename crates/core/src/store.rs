@@ -8,10 +8,10 @@
 //!   share bit, `⌈width/64⌉` words per row) that every prior PR used.
 //! * [`SpillStore`] — the same packed rows, paged to disk in fixed-size
 //!   segments of [`SEGMENT_ROWS`] rows.  A bounded set of segments stays
-//!   resident (LRU, dirty-tracked); evicted dirty segments append to a
-//!   log-structured file that is compacted in place once dead bytes
-//!   outgrow live bytes.  Hand-rolled files, like the [`Wire`] codec —
-//!   no registry crates.
+//!   resident (LRU, dirty-tracked); an evicted dirty segment is written
+//!   over its own fixed slot in the spill file — one fixed slot per
+//!   segment, so the file never outgrows the store's packed bytes.
+//!   Hand-rolled files, like the [`Wire`] codec — no registry crates.
 //!
 //! Both backends expose the same segment view (`segment_words` /
 //! `load_segment`), so round-boundary checkpoints are backend-invariant:
@@ -41,7 +41,7 @@ use dstress_net::wire::Wire;
 ///
 /// 64 rows keeps segments small enough that modest test graphs span
 /// several of them (so the paging machinery is exercised end to end)
-/// while staying large enough that a big run's log appends are batched
+/// while staying large enough that a big run's slot writes are batched
 /// I/O, not per-row writes.
 pub const SEGMENT_ROWS: usize = 64;
 
@@ -319,38 +319,28 @@ struct SpillInner {
     resident: BTreeMap<usize, Segment>,
     /// Monotonic access counter feeding `Segment::last_used`.
     tick: u64,
-    /// Per-segment location in the log: `(offset, byte length)`.
-    index: Vec<Option<(u64, u64)>>,
+    /// Whether each segment's slot in the file has ever been written.
+    spilled: Vec<bool>,
     file: File,
-    path: PathBuf,
-    file_len: u64,
-    /// Bytes referenced by the current index.
-    live_bytes: u64,
-    /// Bytes superseded by re-appends, reclaimed by compaction.
-    dead_bytes: u64,
-    /// High-water mark of `file_len`.
+    /// High-water mark of the written slot extents.
     max_file_len: u64,
 }
 
 /// The spilling backend: packed rows paged between a bounded resident
-/// set and a log-structured segment file.
+/// set and a file holding one fixed slot per segment.
 #[derive(Debug)]
 pub struct SpillStore {
     inner: RefCell<SpillInner>,
 }
 
-/// Compaction triggers when dead bytes exceed live bytes *and* this
-/// floor, so tiny stores do not churn the file on every eviction.
-const COMPACT_MIN_DEAD: u64 = 1 << 12;
-
 impl SpillStore {
     /// Creates a zeroed spilling store whose resident set is bounded by
     /// `budget_bytes` (at least one segment stays resident), backed by a
-    /// fresh log file at `path`.
+    /// fresh spill file at `path`.
     ///
     /// # Errors
     ///
-    /// Returns a [`StoreError`] if the log file cannot be created.
+    /// Returns a [`StoreError`] if the spill file cannot be created.
     pub fn create(
         rows: usize,
         width: usize,
@@ -365,7 +355,7 @@ impl SpillStore {
             .write(true)
             .create_new(true)
             .open(&path)
-            .map_err(|e| io_err(format!("create spill log {}", path.display()), e))?;
+            .map_err(|e| io_err(format!("create spill file {}", path.display()), e))?;
         Ok(SpillStore {
             inner: RefCell::new(SpillInner {
                 rows,
@@ -374,12 +364,8 @@ impl SpillStore {
                 max_resident,
                 resident: BTreeMap::new(),
                 tick: 0,
-                index: vec![None; segment_count(rows)],
+                spilled: vec![false; segment_count(rows)],
                 file,
-                path,
-                file_len: 0,
-                live_bytes: 0,
-                dead_bytes: 0,
                 max_file_len: 0,
             }),
         })
@@ -387,82 +373,26 @@ impl SpillStore {
 }
 
 impl SpillInner {
-    /// Appends a segment's packed words to the log and points the index
-    /// at the fresh copy.
-    fn append_segment(&mut self, seg: usize, words: &[u64]) -> Result<(), StoreError> {
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for &w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
+    /// Byte offset of segment `seg`'s slot: every slot but the last
+    /// holds a full segment, so slots tile the file without gaps.
+    fn slot_offset(&self, seg: usize) -> u64 {
+        (seg * SEGMENT_ROWS * self.words_per_row * 8) as u64
+    }
+
+    /// Writes a segment's packed words over its own slot.
+    fn write_segment(&mut self, seg: usize, words: &[u64]) -> Result<(), StoreError> {
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let offset = self.slot_offset(seg);
         self.file
-            .seek(SeekFrom::Start(self.file_len))
+            .seek(SeekFrom::Start(offset))
             .and_then(|_| self.file.write_all(&bytes))
-            .map_err(|e| io_err(format!("append spill segment {seg}"), e))?;
-        if let Some((_, old_len)) = self.index[seg].take() {
-            self.live_bytes -= old_len;
-            self.dead_bytes += old_len;
-        }
-        self.index[seg] = Some((self.file_len, bytes.len() as u64));
-        self.file_len += bytes.len() as u64;
-        self.live_bytes += bytes.len() as u64;
-        self.max_file_len = self.max_file_len.max(self.file_len);
-        if self.dead_bytes > self.live_bytes && self.dead_bytes >= COMPACT_MIN_DEAD {
-            self.compact()?;
-        }
+            .map_err(|e| io_err(format!("write spill segment {seg}"), e))?;
+        self.spilled[seg] = true;
+        self.max_file_len = self.max_file_len.max(offset + bytes.len() as u64);
         Ok(())
     }
 
-    /// Rewrites the log with only the live copy of every spilled
-    /// segment and atomically replaces the file.
-    fn compact(&mut self) -> Result<(), StoreError> {
-        let compact_path = self.path.with_extension("compact");
-        let mut new_file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&compact_path)
-            .map_err(|e| {
-                io_err(
-                    format!("create compaction file {}", compact_path.display()),
-                    e,
-                )
-            })?;
-        let mut new_index = vec![None; self.index.len()];
-        let mut offset = 0u64;
-        for (seg, entry) in self.index.clone().into_iter().enumerate() {
-            let Some((old_offset, len)) = entry else {
-                continue;
-            };
-            let mut bytes = vec![0u8; len as usize];
-            self.file
-                .seek(SeekFrom::Start(old_offset))
-                .and_then(|_| self.file.read_exact(&mut bytes))
-                .map_err(|e| io_err(format!("compaction read of segment {seg}"), e))?;
-            new_file
-                .write_all(&bytes)
-                .map_err(|e| io_err(format!("compaction write of segment {seg}"), e))?;
-            new_index[seg] = Some((offset, len));
-            offset += len;
-        }
-        new_file
-            .flush()
-            .map_err(|e| io_err("flush compaction file", e))?;
-        std::fs::rename(&compact_path, &self.path).map_err(|e| {
-            io_err(
-                format!("swap compacted log into {}", self.path.display()),
-                e,
-            )
-        })?;
-        self.file = new_file;
-        self.index = new_index;
-        self.file_len = offset;
-        self.live_bytes = offset;
-        self.dead_bytes = 0;
-        Ok(())
-    }
-
-    /// Makes `seg` resident (paging in from the log, or materialising
+    /// Makes `seg` resident (reading its slot back, or materialising
     /// zeros for never-spilled segments), evicting LRU segments past the
     /// budget, and returns a mutable handle to it.
     fn fetch(&mut self, seg: usize) -> Result<&mut Segment, StoreError> {
@@ -476,32 +406,23 @@ impl SpillInner {
                     .expect("resident set is non-empty past the cap");
                 let evicted = self.resident.remove(&victim).expect("victim is resident");
                 if evicted.dirty {
-                    self.append_segment(victim, &evicted.words)?;
+                    self.write_segment(victim, &evicted.words)?;
                 }
             }
             let len = rows_in_segment(self.rows, seg) * self.words_per_row;
-            let words = match self.index[seg] {
-                Some((offset, byte_len)) => {
-                    if byte_len as usize != len * 8 {
-                        return Err(StoreError::Corrupt {
-                            context: format!(
-                                "spill log entry for segment {seg} holds {byte_len} bytes, \
-                                 geometry needs {}",
-                                len * 8
-                            ),
-                        });
-                    }
-                    let mut bytes = vec![0u8; byte_len as usize];
-                    self.file
-                        .seek(SeekFrom::Start(offset))
-                        .and_then(|_| self.file.read_exact(&mut bytes))
-                        .map_err(|e| io_err(format!("page in spill segment {seg}"), e))?;
-                    bytes
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect()
-                }
-                None => vec![0u64; len],
+            let words = if self.spilled[seg] {
+                let mut bytes = vec![0u8; len * 8];
+                let offset = self.slot_offset(seg);
+                self.file
+                    .seek(SeekFrom::Start(offset))
+                    .and_then(|_| self.file.read_exact(&mut bytes))
+                    .map_err(|e| io_err(format!("page in spill segment {seg}"), e))?;
+                bytes
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                    .collect()
+            } else {
+                vec![0u64; len]
             };
             self.resident.insert(
                 seg,
@@ -881,13 +802,14 @@ mod tests {
 
     #[test]
     fn spill_store_matches_mem_store_under_a_tiny_budget() {
-        // More than 4 segments of 1024 rows with room for only one
-        // resident: every access pattern pages through the log.
+        // More than 4 segments with room for only one resident: every
+        // access pattern pages through the spill file.
         let guard = RunDirGuard::create(None, 0xA).unwrap();
         let rows = 4 * SEGMENT_ROWS + 100;
         let width = 12;
         let mut mem = MemStore::new(rows, width);
-        let mut spill = SpillStore::create(rows, width, 1, guard.path().join("store.log")).unwrap();
+        let mut spill =
+            SpillStore::create(rows, width, 1, guard.path().join("store.spill")).unwrap();
         let data = random_rows(200, width, 2);
         let mut rng = Xoshiro256::new(3);
         // Scattered writes across all segments, then full verification.
@@ -907,36 +829,51 @@ mod tests {
     }
 
     #[test]
-    fn spill_store_compacts_dead_bytes() {
+    fn spill_store_rewrites_segments_in_place() {
         let guard = RunDirGuard::create(None, 0xB).unwrap();
-        let rows = 2 * SEGMENT_ROWS;
-        let mut spill = SpillStore::create(rows, 64, 1, guard.path().join("store.log")).unwrap();
-        let ones = vec![true; 64];
+        let (rows, width) = (2 * SEGMENT_ROWS, 64);
+        let mut spill =
+            SpillStore::create(rows, width, 1, guard.path().join("store.spill")).unwrap();
+        let ones = vec![true; width];
         // Alternate between the two segments so each write evicts (and
-        // re-appends) the other; dead bytes pile up until compaction.
+        // rewrites) the other: 40 evictions land on the same two slots.
         for pass in 0..20 {
             for seg in 0..2 {
-                let row = seg * SEGMENT_ROWS + pass;
-                spill.write(row, &ones).unwrap();
+                spill.write(seg * SEGMENT_ROWS + pass, &ones).unwrap();
             }
         }
-        let inner = spill.inner.borrow();
-        // Without compaction the log would hold ~40 segment copies
-        // (~20 KiB); compaction keeps it at the two live segments plus
-        // at most the dead-byte floor of uncompacted churn.
-        assert!(
-            inner.file_len
-                <= 2 * (SEGMENT_ROWS as u64) * 8 + COMPACT_MIN_DEAD + (SEGMENT_ROWS as u64) * 8,
-            "log was not compacted: {} bytes",
-            inner.file_len
-        );
-        assert!(inner.max_file_len > inner.file_len);
-        drop(inner);
-        for pass in 0..20 {
-            for seg in 0..2 {
-                assert_eq!(read_row(&spill, seg * SEGMENT_ROWS + pass), ones);
-            }
+        assert_eq!(spill.spill_file_bytes(), packed_bytes(rows, width) as u64);
+        for row in 0..rows {
+            let expected = vec![row % SEGMENT_ROWS < 20; width];
+            assert_eq!(read_row(&spill, row), expected, "row {row}");
         }
+        assert_eq!(spill.spill_file_bytes(), packed_bytes(rows, width) as u64);
+    }
+
+    #[test]
+    fn a_spill_file_cut_short_is_an_io_error() {
+        let guard = RunDirGuard::create(None, 0xF).unwrap();
+        let path = guard.path().join("store.spill");
+        let (rows, width) = (2 * SEGMENT_ROWS, 64);
+        let mut spill = SpillStore::create(rows, width, 1, path.clone()).unwrap();
+        let ones = vec![true; width];
+        // Both segments reach their slots; segment 0 ends up resident
+        // and clean, so paging segment 1 back in writes nothing first.
+        spill.write(0, &ones).unwrap();
+        spill.write(SEGMENT_ROWS, &ones).unwrap();
+        assert_eq!(read_row(&spill, 0), ones);
+        let full = packed_bytes(rows, width) as u64;
+        assert_eq!(spill.spill_file_bytes(), full);
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(full - 8)
+            .unwrap();
+        let mut out = Vec::new();
+        let err = spill.read_into(SEGMENT_ROWS, &mut out).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "got {err}");
+        assert!(out.is_empty(), "no row is produced from a short slot");
     }
 
     #[test]
@@ -949,7 +886,8 @@ mod tests {
         for (i, bits) in data.iter().enumerate() {
             mem.write(i, bits).unwrap();
         }
-        let mut spill = SpillStore::create(rows, width, 1, guard.path().join("store.log")).unwrap();
+        let mut spill =
+            SpillStore::create(rows, width, 1, guard.path().join("store.spill")).unwrap();
         for seg in 0..segment_count(rows) {
             let words = mem.segment_words(seg).unwrap();
             spill.load_segment(seg, &words).unwrap();
@@ -969,7 +907,7 @@ mod tests {
     fn run_dir_guard_removes_directory_with_contents() {
         let guard = RunDirGuard::create(None, 0xD).unwrap();
         let path = guard.path().to_path_buf();
-        std::fs::write(path.join("orphan.log"), b"segments").unwrap();
+        std::fs::write(path.join("orphan.spill"), b"segments").unwrap();
         assert!(path.exists());
         drop(guard);
         assert!(!path.exists(), "guard must remove the run directory");

@@ -21,7 +21,7 @@
 //! | `CheckpointManifest` | `0x4D` · u32 version · uvarint(round) · uvarint(iterations) · u64 fingerprint · 4×u64 RNG state · 3×phase costs · traffic entries · segment digests |
 //! | `SegmentRecord` | `0x53` · u8 store · uvarint(index) · uvarint(words) · words as u64 LE · u64 FNV-1a digest |
 //!
-//! Phase costs are the ten [`OperationCounts`] uvarints followed by the
+//! Phase costs are the nine [`OperationCounts`] uvarints followed by the
 //! wall seconds as an `f64` bit pattern (u64 LE); segment digests are
 //! `u8 store · uvarint(index) · u64 digest` each, uvarint-counted.  A
 //! `SegmentRecord` whose digest does not match its words is rejected at

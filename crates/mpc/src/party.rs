@@ -4,11 +4,11 @@
 //! resumable [`NodeActor`]: it evaluates free gates locally and performs
 //! the AND-gate oblivious transfers with each peer through the transport.
 //! Because each party is a self-contained actor, a block's parties can run
-//! round-robin on one thread ([`dstress_net::SimTransport`]) or genuinely
-//! concurrently over TCP, one node per worker
-//! ([`dstress_net::SocketTransport`]) — with bit-identical results, since parties consume messages in a
-//! protocol-fixed per-peer order and derive all randomness from their own
-//! seeded streams.
+//! round-robin through in-process queues ([`dstress_net::SimTransport`])
+//! or over real loopback TCP, every node driven from one loop on the
+//! calling thread ([`dstress_net::SocketTransport`]) — with bit-identical
+//! results, since parties consume messages in a protocol-fixed per-peer
+//! order and derive all randomness from their own seeded streams.
 //!
 //! ## Wire protocol
 //!
@@ -281,7 +281,7 @@ impl OtConfig {
     }
 
     /// Instantiates a provider for one party pair.
-    pub fn provider(&self, seed: u64) -> Box<dyn OtProvider + Send> {
+    pub fn provider(&self, seed: u64) -> Box<dyn OtProvider> {
         match *self {
             OtConfig::Extension { security_parameter } => Box::new(
                 SimulatedOtExtension::with_security_parameter(security_parameter),
@@ -446,7 +446,7 @@ pub struct GmwParty<'c> {
     mask_stream: u64,
     /// OT provider for every pair this party owns (peers with a larger
     /// index); `None` for peers whose pair the peer owns.
-    ots: Vec<Option<Box<dyn OtProvider + Send>>>,
+    ots: Vec<Option<Box<dyn OtProvider>>>,
     /// Per-peer payload-stream seed, identical at both ends of a pair, so
     /// the simulated OT payload *content* on the wire is replayable by
     /// construction (see [`crate::wire::ot_payload`]).

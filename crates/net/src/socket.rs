@@ -492,7 +492,7 @@ impl Default for SocketTransport {
     }
 }
 
-impl<M: Wire + Send> Transport<M> for SocketTransport {
+impl<M: Wire> Transport<M> for SocketTransport {
     fn name(&self) -> &'static str {
         "socket"
     }
@@ -599,7 +599,7 @@ impl SocketSession {
     }
 }
 
-impl<M: Wire + Send> Session<M> for SocketSession {
+impl<M: Wire> Session<M> for SocketSession {
     fn nodes(&self) -> usize {
         self.links.len()
     }

@@ -201,7 +201,7 @@ pub enum ActorStatus {
 /// schedule-independent: consume messages only from one named peer at a
 /// time ([`Endpoint::try_recv_from`], [`Endpoint::recv_bytes`]) in an
 /// order fixed by the protocol itself.
-pub trait NodeActor<M: Wire>: Send {
+pub trait NodeActor<M: Wire> {
     /// Advances the actor as far as it can go.
     fn poll(&mut self, endpoint: &mut dyn Endpoint<M>) -> ActorStatus;
 }
@@ -388,7 +388,7 @@ impl std::error::Error for TransportError {}
 /// Messages must implement [`Wire`]: every send writes an encoding into a
 /// byte lane, and a run returns a [`WireTally`] of the measured encoded
 /// bytes per `(from, to)` pair.
-pub trait Transport<M: Wire + Send> {
+pub trait Transport<M: Wire> {
     /// Short backend name, for logs and benchmark tables.
     fn name(&self) -> &'static str;
 
@@ -427,7 +427,7 @@ pub trait Transport<M: Wire + Send> {
 /// group's actors sent.  Stream ids rise over the session's life, so a
 /// message that arrives after its group finished (or after its run
 /// ended) is recognised as late and dropped.
-pub trait Session<M: Wire + Send> {
+pub trait Session<M: Wire> {
     /// Number of nodes the session connects.
     fn nodes(&self) -> usize;
 
@@ -508,7 +508,7 @@ impl<M: Wire> Endpoint<M> for SimEndpoint<'_> {
     }
 }
 
-impl<M: Wire + Send> Transport<M> for SimTransport {
+impl<M: Wire> Transport<M> for SimTransport {
     fn name(&self) -> &'static str {
         "sim"
     }
@@ -526,7 +526,7 @@ struct SimSession {
     nodes: usize,
 }
 
-impl<M: Wire + Send> Session<M> for SimSession {
+impl<M: Wire> Session<M> for SimSession {
     fn nodes(&self) -> usize {
         self.nodes
     }

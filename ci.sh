@@ -94,9 +94,13 @@ run_tests -q -p dstress-circuit --lib builder::tests
 # The IR: 12-byte gates over u32 wire ids, lists at their exact lengths, a
 # gadget trace naming an undefined wire refused at construction (and so
 # never reaching composition); the layering counts the XOR and NOT gates
-# that every GMW execution is charged, once per execution.
+# that every GMW execution is charged, once per execution, layers a
+# 65,535-deep AND chain and refuses a 65,536-deep one (its u16 depth
+# bound), and another circuit's layering is a typed error, in the
+# plaintext layered evaluator and in a GMW party alike.
 run_tests -q -p dstress-circuit --lib ir::tests
 run_tests -q -p dstress-circuit --lib layers::tests
+run_tests -q -p dstress-mpc --lib another_circuits_layering_ends_the_party_typed
 run_tests -q -p dstress-mpc --lib gmw::tests::every_execution_charges_the_circuits_gate_counts_once
 run_tests -q -p dstress-core --lib noise_circuit::tests
 run_tests -q -p dstress-finance update_circuit_equals_a_native_fixed_point_step
@@ -248,7 +252,10 @@ echo "==> memory shape: budgeted run past the 10,000-vertex RAM wall, streaming 
 # N = 12,000 with the budget at 1/4 of the store bytes: real spill-file
 # bytes and a resident peak under budget (+ segment slack); peak heap
 # sub-linear in edges and below the materialised schedule; the N = 4,000
-# release circuit built and layered in at most 32 B per gate.
+# release circuit built and layered in at most 19 B per gate (32 B until
+# the release circuit dropped its gadget trace, its layering's operand
+# copy and the builder's doubling slack; 18.5 measured), with no gadget
+# trace.
 run_tests --release -q -p dstress --test streaming_memory -- --ignored
 
 echo "==> DP edge cases: integer budget ledger, geometric clamp"
@@ -312,8 +319,11 @@ run_tests -q -p dstress-core exec::tests
 run_tests -q -p dstress-deploy a_batch_that_rolls_sessions_over_equals_the_per_task_door
 
 echo "==> deployment: engine-level transport invariance + master/worker units"
+# A master told to halt without a checkpoint directory is refused with the
+# engine's typed error before it waits for a single worker.
 run_tests --release -q -p dstress-core transport_kind_does_not_change_results
 run_tests -q -p dstress-deploy --lib
+run_tests -q -p dstress-deploy a_halt_without_a_checkpoint_directory_is_refused_before_the_fleet
 
 echo "==> loopback deployment e2e (master + 3 workers, release mode)"
 # Spawns the built dstress-master and dstress-node binaries on 127.0.0.1

@@ -60,8 +60,17 @@ impl CircuitBuilder {
     }
 
     /// Appends a gate and returns the wire it drives.
+    ///
+    /// A full gate list grows by a quarter (and 64 gates, so a small
+    /// circuit does not regrow every few gates), not by the doubling
+    /// `Vec` would pick: the list is the largest part of the circuits
+    /// that grow with N, and its slack stays a quarter of it at most until
+    /// [`CircuitBuilder::build`] trims it.
     fn push(&mut self, gate: Gate) -> WireId {
         let id = wire_id(self.gates.len());
+        if self.gates.len() == self.gates.capacity() {
+            self.gates.reserve_exact(self.gates.len() / 4 + 64);
+        }
         self.gates.push(gate);
         id
     }

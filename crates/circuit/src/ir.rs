@@ -102,6 +102,14 @@ pub enum CircuitError {
         /// The wire it names.
         wire: WireId,
     },
+    /// A layering scheduled `wire` as the other kind of gate than the
+    /// circuit holds there — an AND gate among the free gates, or a free
+    /// gate (or no gate at all) in an AND layer: the layering is not this
+    /// circuit's.
+    LayeringMismatch {
+        /// The wire the layering misplaced.
+        wire: WireId,
+    },
     /// [`Circuit::then`] was asked to feed a circuit's outputs into a
     /// circuit with fewer inputs than that.
     CompositionArity {
@@ -134,6 +142,12 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::InvalidGadgetWire { event, wire } => {
                 write!(f, "gadget event {event} names undefined wire {wire}")
+            }
+            CircuitError::LayeringMismatch { wire } => {
+                write!(
+                    f,
+                    "the layering misplaces wire {wire}: not this circuit's layering"
+                )
             }
             CircuitError::CompositionArity { outputs, inputs } => {
                 write!(
@@ -291,19 +305,49 @@ impl Circuit {
             .count()
     }
 
+    /// The two input wires of the AND gate driving `wire`: how a
+    /// layer-at-a-time evaluator reads an AND layer's operands from the
+    /// gate list.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::LayeringMismatch`] if `wire` is not an AND gate of
+    /// this circuit — the layering naming it is another circuit's.
+    #[inline]
+    pub fn and_inputs(&self, wire: WireId) -> Result<(WireId, WireId), CircuitError> {
+        match self.gates.get(wire as usize) {
+            Some(&Gate::And(a, b)) => Ok((a, b)),
+            _ => Err(CircuitError::LayeringMismatch { wire }),
+        }
+    }
+
     /// The circuit's depth layering ([`CircuitLayers::of`]), computed once
     /// and shared by every execution of this circuit — a release runs the
     /// same update circuit once per vertex step, and the layering depends
     /// on nothing but the gate list.
+    ///
+    /// # Panics
+    ///
+    /// As [`CircuitLayers::of`]: at 2¹⁶ AND layers or more.
     pub fn layers(&self) -> &CircuitLayers {
         self.layers.get_or_init(|| CircuitLayers::of(self))
     }
 
-    /// The word-level gadget trace recorded by the builder (empty for
-    /// circuits assembled gate by gate).  Advisory only: evaluation and
-    /// the GMW engine never consult it.
+    /// The word-level gadget trace the builder recorded: one event per
+    /// top-level word gadget, for the analyzer.  Empty for circuits
+    /// assembled gate by gate and for those that dropped it
+    /// ([`Circuit::without_gadgets`]).  Evaluation and the GMW engine
+    /// never consult it.
     pub fn gadgets(&self) -> &[GadgetEvent] {
         &self.gadgets
+    }
+
+    /// This circuit without its gadget trace: the gate list, inputs and
+    /// outputs alone, for a circuit that is only ever run, never
+    /// analysed.
+    pub fn without_gadgets(mut self) -> Circuit {
+        self.gadgets = Vec::new();
+        self
     }
 
     /// Sequential composition: `next` evaluated on this circuit's

@@ -53,21 +53,37 @@ use crate::ir::{Circuit, CircuitError, Gate, WireId};
 
 /// The depth layering of a circuit: AND gates grouped into rounds, free
 /// gates scheduled into the gaps.
+///
+/// It holds wire ids only — the AND layers and the free-gate schedule,
+/// one `u32` per gate of the circuit — and an evaluator reads every
+/// operand from the circuit's gate list ([`Circuit::and_inputs`]), so a
+/// layering costs 4 B per gate beside the 12 B gates it schedules.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CircuitLayers {
     /// `and_layers[r]` holds the AND-gate wires of round `r + 1`, in
     /// ascending (topological) wire order.  Every layer is non-empty.
     and_layers: Vec<Vec<WireId>>,
-    /// `and_operands[r][slot]` holds the two input wires of the gate
-    /// `and_layers[r][slot]`, so a layer-at-a-time evaluator reads its
-    /// operands without going back to the gate list.
-    and_operands: Vec<Vec<(WireId, WireId)>>,
     /// `free_schedule[r]` holds the non-AND gates that become computable
     /// once AND round `r` has completed (`r = 0` means "before any
     /// round"), in ascending wire order.  Has `rounds() + 1` entries.
     free_schedule: Vec<Vec<WireId>>,
     /// The XOR and NOT gates among them, counted in the same pass.
     xor_not_gates: usize,
+}
+
+/// The depth of an AND gate whose deeper operand sits at `below`: the one
+/// place a layer number grows.  Depths are `u16`, which halves the
+/// layering pass's one per-gate scratch against `u32`, so a layered
+/// circuit has fewer than 2¹⁶ AND layers (every shipped circuit has
+/// fewer than 600).
+///
+/// # Panics
+///
+/// Panics if the gate would open AND layer 2¹⁶.
+fn and_depth(below: u16) -> u16 {
+    below
+        .checked_add(1)
+        .expect("a layered circuit has fewer than 2^16 AND layers")
 }
 
 /// One empty vector per layer, each with room for exactly its width.
@@ -82,6 +98,11 @@ fn is_xor_or_not(gate: &Gate) -> bool {
 
 impl CircuitLayers {
     /// Computes the layering of a circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit's AND depth is 2¹⁶ or more: a layering keeps
+    /// each gate's depth in a `u16` while it is made.
     pub fn of(circuit: &Circuit) -> Self {
         let gates = circuit.gates();
         // layer[w] = number of AND gates on the longest path ending at w,
@@ -89,7 +110,7 @@ impl CircuitLayers {
         // every layer, so the vectors below are allocated exactly once at
         // their final length — a circuit keeps its layering for life
         // ([`Circuit::layers`]), and growth slack would stay with it.
-        let mut layer = vec![0u32; gates.len()];
+        let mut layer: Vec<u16> = vec![0; gates.len()];
         let mut and_widths: Vec<usize> = Vec::new();
         let mut free_widths: Vec<usize> = vec![0];
         let mut xor_not_gates = 0;
@@ -99,10 +120,10 @@ impl CircuitLayers {
                 Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => 0,
                 Gate::Xor(a, b) => depth(a).max(depth(b)),
                 Gate::Not(a) => depth(a),
-                Gate::And(a, b) => depth(a).max(depth(b)) + 1,
+                Gate::And(a, b) => and_depth(depth(a).max(depth(b))),
             };
             layer[i] = l;
-            let l = l as usize;
+            let l = usize::from(l);
             if matches!(gate, Gate::And(_, _)) {
                 if and_widths.len() < l {
                     and_widths.resize(l, 0);
@@ -116,20 +137,17 @@ impl CircuitLayers {
             }
         }
         let mut and_layers: Vec<Vec<WireId>> = sized(&and_widths);
-        let mut and_operands: Vec<Vec<(WireId, WireId)>> = sized(&and_widths);
         let mut free_schedule: Vec<Vec<WireId>> = sized(&free_widths);
         for (w, (gate, &l)) in (0..).zip(gates.iter().zip(&layer)) {
-            let l = l as usize;
-            if let Gate::And(a, b) = *gate {
+            let l = usize::from(l);
+            if matches!(gate, Gate::And(_, _)) {
                 and_layers[l - 1].push(w);
-                and_operands[l - 1].push((a, b));
             } else {
                 free_schedule[l].push(w);
             }
         }
         CircuitLayers {
             and_layers,
-            and_operands,
             free_schedule,
             xor_not_gates,
         }
@@ -143,16 +161,14 @@ impl CircuitLayers {
     pub fn serial(circuit: &Circuit) -> Self {
         let mut layers = CircuitLayers {
             and_layers: Vec::new(),
-            and_operands: Vec::new(),
             free_schedule: Vec::new(),
             xor_not_gates: 0,
         };
         // The free gates since the last AND gate.
         let mut gap = Vec::new();
         for (w, gate) in (0..).zip(circuit.gates()) {
-            if let Gate::And(a, b) = *gate {
+            if matches!(gate, Gate::And(_, _)) {
                 layers.and_layers.push(vec![w]);
-                layers.and_operands.push(vec![(a, b)]);
                 layers.free_schedule.push(std::mem::take(&mut gap));
             } else {
                 gap.push(w);
@@ -171,12 +187,6 @@ impl CircuitLayers {
     /// The AND gates of each round, ascending wire order within a round.
     pub fn and_layers(&self) -> &[Vec<WireId>] {
         &self.and_layers
-    }
-
-    /// The input wires `(a, b)` of the AND gates of round `round + 1`,
-    /// slot for slot with `and_layers()[round]`.
-    pub fn and_operands(&self, round: usize) -> impl Iterator<Item = (WireId, WireId)> + '_ {
-        self.and_operands[round].iter().copied()
     }
 
     /// The free-gate schedule: entry `r` lists the gates computable after
@@ -212,7 +222,9 @@ impl CircuitLayers {
 /// # Errors
 ///
 /// Returns [`CircuitError::InputCountMismatch`] if the number of inputs is
-/// wrong.
+/// wrong, and [`CircuitError::LayeringMismatch`] if `layers` is not a
+/// layering of `circuit` (it schedules an AND gate among the free gates,
+/// or a wire that is not an AND gate in an AND layer).
 pub fn evaluate_layered(
     circuit: &Circuit,
     layers: &CircuitLayers,
@@ -226,24 +238,21 @@ pub fn evaluate_layered(
     }
     let gates = circuit.gates();
     let mut values = vec![false; gates.len()];
-    let eval_free = |values: &mut Vec<bool>, w: WireId| {
-        let value = |w: WireId| values[w as usize];
-        values[w as usize] = match gates[w as usize] {
-            Gate::Input(n) => inputs[n as usize],
-            Gate::ConstFalse => false,
-            Gate::ConstTrue => true,
-            Gate::Xor(a, b) => value(a) ^ value(b),
-            Gate::Not(a) => !value(a),
-            Gate::And(_, _) => unreachable!("AND gates are not in the free schedule"),
-        };
-    };
     for round in 0..=layers.rounds() {
         for &w in &layers.free_schedule()[round] {
-            eval_free(&mut values, w);
+            let value = |w: WireId| values[w as usize];
+            values[w as usize] = match gates[w as usize] {
+                Gate::Input(n) => inputs[n as usize],
+                Gate::ConstFalse => false,
+                Gate::ConstTrue => true,
+                Gate::Xor(a, b) => value(a) ^ value(b),
+                Gate::Not(a) => !value(a),
+                Gate::And(_, _) => return Err(CircuitError::LayeringMismatch { wire: w }),
+            };
         }
         if round < layers.rounds() {
-            let layer = layers.and_layers()[round].iter();
-            for (&w, (a, b)) in layer.zip(layers.and_operands(round)) {
+            for &w in &layers.and_layers()[round] {
+                let (a, b) = circuit.and_inputs(w)?;
                 values[w as usize] = values[a as usize] && values[b as usize];
             }
         }
@@ -375,6 +384,56 @@ mod tests {
         assert!(evaluate_layered(&circuit, &layers, &[]).is_err());
     }
 
+    /// An input and a chain of `depth` AND gates, each over the previous
+    /// one and the input.
+    fn and_chain(depth: usize) -> Circuit {
+        let mut b = CircuitBuilder::new();
+        let x = b.input();
+        let mut acc = x;
+        for _ in 0..depth {
+            acc = b.and(acc, x);
+        }
+        b.output(acc);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn the_deepest_layerable_chain_has_2_16_minus_1_layers() {
+        let layers = CircuitLayers::of(&and_chain(65_535));
+        assert_eq!(layers.rounds(), 65_535);
+        assert_eq!(layers.and_gates(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "a layered circuit has fewer than 2^16 AND layers")]
+    fn a_chain_of_2_16_and_layers_is_refused() {
+        CircuitLayers::of(&and_chain(65_536));
+    }
+
+    #[test]
+    fn another_circuits_layering_is_a_typed_error() {
+        // Two circuits of one gate count: an AND gate where the other
+        // has a free gate, and the other way round.
+        let mut b = CircuitBuilder::new();
+        let (x, y) = (b.input(), b.input());
+        let p = b.and(x, y);
+        b.output(p);
+        let and = b.build().unwrap();
+        let mut b = CircuitBuilder::new();
+        let (x, y) = (b.input(), b.input());
+        let q = b.xor(x, y);
+        b.output(q);
+        let xor = b.build().unwrap();
+        let misplaced = |wire| CircuitError::LayeringMismatch { wire };
+        let inputs = [true, true];
+        let run = |c, l| evaluate_layered(c, l, &inputs).unwrap_err();
+        assert_eq!(run(&xor, and.layers()), misplaced(2));
+        assert_eq!(run(&and, xor.layers()), misplaced(2));
+        assert_eq!(xor.and_inputs(2), Err(misplaced(2)));
+        assert_eq!(and.and_inputs(3), Err(misplaced(3)));
+        assert_eq!(and.and_inputs(2), Ok((0, 1)));
+    }
+
     /// A deterministic gate-soup circuit driven by proptest-chosen words:
     /// each word encodes one AND / XOR / NOT / MUX op over earlier wires.
     fn soup_circuit(inputs: usize, ops: &[u64]) -> Circuit {
@@ -416,14 +475,13 @@ mod tests {
             let input_bits: Vec<bool> =
                 (0..circuit.num_inputs()).map(|n| bits >> (n % 64) & 1 == 1).collect();
             let layers = CircuitLayers::of(&circuit);
-            // Every AND gate appears in exactly one layer, beside its
-            // own operands.
+            // Every AND gate appears in exactly one layer, and only AND
+            // gates do.
             prop_assert_eq!(layers.and_gates(), circuit.and_gates());
-            for (round, wires) in layers.and_layers().iter().enumerate() {
-                prop_assert_eq!(wires.len(), layers.and_operands(round).count());
+            for wires in layers.and_layers() {
                 prop_assert_eq!(wires.len(), wires.capacity());
-                for (&w, (a, b)) in wires.iter().zip(layers.and_operands(round)) {
-                    prop_assert_eq!(circuit.gates()[w as usize], Gate::And(a, b));
+                for &w in wires {
+                    prop_assert!(circuit.and_inputs(w).is_ok());
                 }
             }
             let stats = CircuitStats::of(&circuit);
@@ -449,8 +507,7 @@ mod tests {
                 walk.extend(&serial.free_schedule()[round]);
                 if round < serial.rounds() {
                     let w = serial.and_layers()[round][0];
-                    let (a, b) = serial.and_operands(round).next().unwrap();
-                    prop_assert_eq!(circuit.gates()[w as usize], Gate::And(a, b));
+                    prop_assert!(circuit.and_inputs(w).is_ok());
                     walk.push(w);
                 }
             }

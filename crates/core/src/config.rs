@@ -1,5 +1,6 @@
 //! Runtime configuration.
 
+use crate::engine::RuntimeError;
 use dstress_crypto::group::GroupKind;
 use dstress_mpc::GmwBatching;
 use dstress_net::pool::default_threads;
@@ -161,7 +162,7 @@ pub struct DStressConfig {
     /// [`crate::engine::RuntimeError::Halted`] — the crash-injection
     /// hook the kill-and-resume tests (and the deployment drill) use.
     /// Needs [`Self::checkpoint`]: a run that sets this without it is
-    /// refused before any setup work.
+    /// refused before any setup work ([`Self::check_halt`]).
     pub halt_after_round: Option<u64>,
 }
 
@@ -244,6 +245,25 @@ impl DStressConfig {
     pub fn with_halt_after_round(mut self, round: u64) -> Self {
         self.halt_after_round = Some(round);
         self
+    }
+
+    /// Checks that a halt has somewhere to halt into: a halt promises a
+    /// resumable checkpoint on disk, and without a checkpoint directory
+    /// there would be none to resume from.  The engine runs this before
+    /// any setup work, and a deployment master before it waits for its
+    /// fleet.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Checkpoint`] when [`Self::halt_after_round`] is set
+    /// and [`Self::checkpoint`] is not.
+    pub fn check_halt(&self) -> Result<(), RuntimeError> {
+        if self.halt_after_round.is_some() && self.checkpoint.is_none() {
+            return Err(RuntimeError::Checkpoint {
+                context: "halt_after_round needs a checkpoint directory to halt into".to_string(),
+            });
+        }
+        Ok(())
     }
 }
 

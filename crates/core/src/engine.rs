@@ -473,13 +473,7 @@ impl DStressRuntime {
         finish: impl FnOnce(RunState<'_, P>) -> Result<T, RuntimeError>,
     ) -> Result<T, RuntimeError> {
         let config = &self.config;
-        // A halt promises a resumable checkpoint on disk; without a
-        // checkpoint directory there would be none to resume from.
-        if config.halt_after_round.is_some() && config.checkpoint.is_none() {
-            return Err(RuntimeError::Checkpoint {
-                context: "halt_after_round needs a checkpoint directory to halt into".to_string(),
-            });
-        }
+        config.check_halt()?;
         let iterations = program.iterations();
         let group = Group::new(config.group);
         let mut rng = Xoshiro256::new(config.seed);
@@ -601,6 +595,12 @@ impl Stores {
 
     fn resident_bytes(&self) -> usize {
         self.state.resident_bytes() + self.inbox.resident_bytes() + self.inbox_next.resident_bytes()
+    }
+
+    fn spill_file_bytes(&self) -> u64 {
+        self.state.spill_file_bytes()
+            + self.inbox.spill_file_bytes()
+            + self.inbox_next.spill_file_bytes()
     }
 }
 
@@ -1021,8 +1021,23 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         let (config, program) = (self.config, self.program);
         let mut counts = OperationCounts::default();
         let (input_shares, master_seed) = self.release_inputs(&mut counts)?;
+        // The release reads no store or edge table again: take the
+        // stores' figures, then free them — the spill directory with
+        // them — before the N-sized release circuit is built.
+        self.sample_resident();
+        let spill_file_bytes = self.stores.spill_file_bytes();
+        drop(self.stores);
+        drop(self.in_offset);
+        drop(self.edge_in_slots);
         let circuit = release_circuit(program, self.graph.vertex_count())?;
-        let mut execution = self.release_mpc(&circuit, input_shares, master_seed)?;
+        let mut execution = release_mpc(
+            config,
+            self.setup,
+            &circuit,
+            input_shares,
+            master_seed,
+            &mut self.traffic,
+        )?;
         counts.add(&execution.counts);
         // Open the aggregate only: the noised word after it stays shared.
         for shares in &mut execution.output_shares {
@@ -1043,16 +1058,12 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
             counts,
             wall_seconds: seconds(),
         };
-        self.sample_resident();
-        let stores = &self.stores;
         Ok(DStressRun {
             noised_output,
             ideal_output,
             phases: self.phases,
             store_resident_peak_bytes: self.resident_peak,
-            spill_file_bytes: stores.state.spill_file_bytes()
-                + stores.inbox.spill_file_bytes()
-                + stores.inbox_next.spill_file_bytes(),
+            spill_file_bytes,
             traffic: self.traffic,
             iterations: program.iterations(),
             block_size: self.block_size,
@@ -1123,38 +1134,39 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
         self.rng.next_u64();
         Ok((input_shares, master_seed))
     }
+}
 
-    /// The release MPC: `circuit` on a fresh session of the configured
-    /// transport backend, its parties on the OT sessions
-    /// [`RunState::initialize`] set up; charges its traffic to the run.
-    fn release_mpc(
-        &mut self,
-        circuit: &Circuit,
-        input_shares: Vec<Vec<bool>>,
-        master_seed: u64,
-    ) -> Result<GmwExecution, RuntimeError> {
-        // The circuit's memoised layering is the largest transient of the
-        // run's largest circuit: built before the session and the parties
-        // exist.
-        circuit.layers();
-        let transport = mpc_transport(self.config.transport);
-        let mut session = transport
-            .open(self.block_size)
-            .map_err(MpcError::Transport)?;
-        let job = GmwJob {
-            node_ids: self.setup.aggregation_block.members.clone(),
-            input_shares,
-            master_seed,
-        };
-        let batching = self.config.gmw_batching;
-        let ot = OtConfig::extension();
-        let (execution, flows) =
-            execute_established(&mut *session, circuit, batching, &ot, vec![job])?
-                .pop()
-                .expect("one job yields one execution");
-        self.traffic.merge(&flows);
-        Ok(execution)
-    }
+/// The release MPC: `circuit` on a fresh session of the configured
+/// transport backend, the aggregation block's parties on the OT sessions
+/// [`RunState::initialize`] set up; charges its traffic to `traffic`.
+fn release_mpc(
+    config: &DStressConfig,
+    setup: &SystemSetup,
+    circuit: &Circuit,
+    input_shares: Vec<Vec<bool>>,
+    master_seed: u64,
+    traffic: &mut TrafficAccountant,
+) -> Result<GmwExecution, RuntimeError> {
+    // The circuit's memoised layering is the largest transient of the
+    // run's largest circuit: built before the session and the parties
+    // exist.
+    circuit.layers();
+    let transport = mpc_transport(config.transport);
+    let mut session = transport
+        .open(config.block_size())
+        .map_err(MpcError::Transport)?;
+    let job = GmwJob {
+        node_ids: setup.aggregation_block.members.clone(),
+        input_shares,
+        master_seed,
+    };
+    let ot = OtConfig::extension();
+    let (execution, flows) =
+        execute_established(&mut *session, circuit, config.gmw_batching, &ot, vec![job])?
+            .pop()
+            .expect("one job yields one execution");
+    traffic.merge(&flows);
+    Ok(execution)
 }
 
 /// The circuit of the aggregation block's one MPC over `vertices` final
@@ -1163,6 +1175,11 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
 /// ([`Circuit::then`]).  Its outputs are the aggregate followed by the
 /// noised aggregate; its inputs are the states followed by the noising
 /// circuit's `2 · NOISE_RANDOM_BITS` random bits.
+///
+/// It holds the gate list, the inputs and the outputs, and no gadget
+/// trace ([`Circuit::without_gadgets`]): it is the one circuit that grows
+/// with N, the engine only runs it, and the analyzer certifies the
+/// aggregation and the noising circuits apart, each on its own trace.
 ///
 /// # Errors
 ///
@@ -1173,7 +1190,8 @@ pub fn release_circuit<P: SecureVertexProgram>(
     vertices: usize,
 ) -> Result<Circuit, CircuitError> {
     let noising = noising_circuit(program.aggregate_bits(), NOISE_RANDOM_BITS, 0);
-    program.aggregation_circuit(vertices).then(&noising)
+    let aggregation = program.aggregation_circuit(vertices).without_gadgets();
+    aggregation.then(&noising.without_gadgets())
 }
 
 /// Every unordered node pair that shares the aggregation block or — when
@@ -1318,7 +1336,14 @@ mod tests {
                     let mut counts = OperationCounts::default();
                     let (shares, master_seed) = run.release_inputs(&mut counts)?;
                     let circuit = release_circuit(&program, graph.vertex_count())?;
-                    let execution = run.release_mpc(&circuit, shares.clone(), master_seed)?;
+                    let execution = release_mpc(
+                        run.config,
+                        run.setup,
+                        &circuit,
+                        shares.clone(),
+                        master_seed,
+                        &mut run.traffic,
+                    )?;
                     Ok((shares, execution))
                 },
             )

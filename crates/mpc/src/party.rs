@@ -79,8 +79,9 @@
 //! once the buffers have grown to a layer's size, allocates nothing:
 //!
 //! * **The circuit** owns its layering ([`Circuit::layers`], computed
-//!   once per circuit): each layer's wire ids with its operand indices
-//!   beside them.  Parties borrow it; nothing re-matches `Gate::And`.
+//!   once per circuit): each layer's wire ids, nothing else.  Parties
+//!   borrow it and read each AND gate's operands from the gate list
+//!   ([`Circuit::and_inputs`]) as a layer starts.
 //! * **The party** holds its wire shares as a bitset, one bit per wire,
 //!   and its scratch as word planes reused from layer to layer: gate `i`
 //!   of the layer in flight is bit `i % 64` of word `i / 64`, the
@@ -173,7 +174,7 @@ use crate::ot::{
     BASE_OT_ELEMENT_BYTES,
 };
 use crate::wire::{self, GmwKind, GmwView};
-use dstress_circuit::{Circuit, CircuitLayers, Gate, WireId};
+use dstress_circuit::{Circuit, CircuitError, CircuitLayers, Gate, WireId};
 use dstress_crypto::group::{Group, GroupKind};
 use dstress_math::rng::splitmix64_finalize as mix;
 use dstress_net::cost::OperationCounts;
@@ -633,7 +634,13 @@ impl<'c> GmwParty<'c> {
     }
 
     /// Evaluates one non-AND gate locally.
-    fn eval_free_gate(&mut self, w: WireId) {
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::LayeringMismatch`] if `w` is an AND gate: the
+    /// layering is not this circuit's.
+    #[inline(always)]
+    fn eval_free_gate(&mut self, w: WireId) -> Result<(), MpcError> {
         let wire = |w: WireId| plane_bit(&self.wires, w as usize);
         // Party 0 holds constants and NOT flips; all other parties'
         // shares are zero.
@@ -644,9 +651,10 @@ impl<'c> GmwParty<'c> {
             Gate::ConstTrue => flip,
             Gate::Xor(a, b) => wire(a) ^ wire(b),
             Gate::Not(a) => wire(a) ^ flip,
-            Gate::And(_, _) => unreachable!("AND gates go through the OT path"),
+            Gate::And(_, _) => return Err(CircuitError::LayeringMismatch { wire: w }.into()),
         };
         set_plane_bit(&mut self.wires, w as usize, value);
+        Ok(())
     }
 
     /// Drives the in-flight AND layer as far as possible; returns `true`
@@ -779,7 +787,7 @@ impl<'c> GmwParty<'c> {
             if !self.free_done {
                 let layers = self.layers;
                 for &w in &layers.free_schedule()[self.round] {
-                    self.eval_free_gate(w);
+                    self.eval_free_gate(w)?;
                 }
                 self.free_done = true;
             }
@@ -797,14 +805,17 @@ impl<'c> GmwParty<'c> {
                 self.setup_done = true;
             }
             // Start the next layer: gather the party's input shares into
-            // word planes once and seed each gate's share with the local
-            // cross term x_i · y_i, 64 gates per word.
+            // word planes once, each gate's operands read from the gate
+            // list, and seed each gate's share with the local cross term
+            // x_i · y_i, 64 gates per word.
             // (Each word is built in a register: or-ing bit by bit into
             // the plane would make every gate wait on the previous store.)
             self.xs.clear();
             self.ys.clear();
+            let (circuit, gates) = (self.circuit, &self.layers.and_layers()[self.round]);
             let (mut x, mut y) = (0, 0);
-            for (i, (a, b)) in self.layers.and_operands(self.round).enumerate() {
+            for (i, &w) in gates.iter().enumerate() {
+                let (a, b) = circuit.and_inputs(w)?;
                 x |= plane_bit(&self.wires, a as usize) << (i % 64);
                 y |= plane_bit(&self.wires, b as usize) << (i % 64);
                 if i % 64 == 63 {
@@ -813,7 +824,7 @@ impl<'c> GmwParty<'c> {
                     (x, y) = (0, 0);
                 }
             }
-            if self.layers.and_layers()[self.round].len() % 64 != 0 {
+            if gates.len() % 64 != 0 {
                 self.xs.push(x);
                 self.ys.push(y);
             }
@@ -1214,6 +1225,30 @@ mod tests {
         assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
         assert!(!party.finished);
         party.failure().cloned().expect("a failed party says why")
+    }
+
+    #[test]
+    fn another_circuits_layering_ends_the_party_typed() {
+        // [`two_and_circuit`] with XOR gates where it has AND gates: its
+        // layering puts wire 4 among the free gates, and the AND
+        // circuit's puts it in an AND layer.
+        let and = two_and_circuit();
+        let mut b = CircuitBuilder::new();
+        let (w, x, y, z) = (b.input(), b.input(), b.input(), b.input());
+        let p = b.xor(w, x);
+        let q = b.xor(y, z);
+        b.output(p);
+        b.output(q);
+        let xor = b.build().unwrap();
+        let ot = OtConfig::extension();
+        for (circuit, layers) in [(&and, xor.layers()), (&xor, and.layers())] {
+            let mut party = GmwParty::new(circuit, 0, 2, vec![true; 4], &ot, 3, layers)
+                .with_established_sessions(true);
+            let mut endpoint = ScriptedEndpoint::new(2);
+            assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
+            let misplaced = MpcError::Circuit(CircuitError::LayeringMismatch { wire: 4 });
+            assert_eq!(party.failure(), Some(&misplaced));
+        }
     }
 
     /// The owner's `OtSetup`, then `batch` as the layer-0 message.

@@ -499,6 +499,8 @@ pub fn run_master(
     if config.fleet == 0 {
         return Err(deploy_err("a deployment needs at least one worker"));
     }
+    // Refused here, before any worker is waited for.
+    config.engine_config().check_halt()?;
     let status = StatusHandle::new(config.fleet);
     let running = Arc::new(AtomicBool::new(true));
     let (sender, receiver) = channel();
@@ -597,6 +599,27 @@ mod tests {
             Err(other) => panic!("expected a deploy error, got {other:?}"),
             Ok(_) => panic!("an empty fleet ran"),
         }
+    }
+
+    #[test]
+    fn a_halt_without_a_checkpoint_directory_is_refused_before_the_fleet() {
+        // No worker ever connects: the refusal cannot wait for one.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut config = MasterConfig::loopback(2);
+        config.halt_after_round = Some(0);
+        let started = std::time::Instant::now();
+        match run_master(&config, listener) {
+            Err(RuntimeError::Checkpoint { context }) => {
+                assert!(context.contains("checkpoint directory"), "{context}")
+            }
+            Err(other) => panic!("expected a checkpoint error, got {other:?}"),
+            Ok(_) => panic!("a halt without a checkpoint directory ran"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "refused after {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::Duration;
 use dstress_core::exec::{execute_accounted_transfer_task, execute_block_steps};
 use dstress_core::{CounterProgram, SecureVertexProgram, TransferTask};
 use dstress_crypto::group::Group;
-use dstress_net::pool::{default_threads, parallel_map};
+use dstress_net::pool::default_threads;
 use dstress_net::socket::FramedConn;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
 
@@ -165,10 +165,14 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                     }
                     check_transfer_shape(task, job.width)?;
                 }
-                let (group, width) = (&group, job.width);
-                let outcomes: Vec<_> = parallel_map(tasks, threads, move |_off, task| {
-                    execute_accounted_transfer_task(group, width, &task)
-                });
+                // An accounted transfer is bookkeeping — about a
+                // microsecond, against tens of microseconds to start a
+                // helper thread — so the batch runs on this thread, as
+                // `LocalExecutor::run_transfers` runs it.
+                let outcomes: Vec<_> = tasks
+                    .iter()
+                    .map(|task| execute_accounted_transfer_task(&group, job.width, task))
+                    .collect();
                 for outcome in &outcomes {
                     report.add_entries(&outcome.traffic);
                 }

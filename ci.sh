@@ -189,14 +189,17 @@ run_tests -q -p dstress-mpc wire::
 run_tests -q -p dstress-transfer wire::
 run_tests -q -p dstress-core wire::
 run_tests -q -p dstress-deploy proto::
+run_tests -q -p dstress-deploy proto::tests::golden_encodings
 
 echo "==> wire bytes: release-mode byte determinism + one byte count, equal to its closed form"
 # Measured bytes are the only byte count: a GMW execution's equal the
 # closed form of its layering, party count and OT payloads (Sim and
 # Socket, layered and per-gate, one-shot and established), and so does
-# the counts-only §5.5 baseline's and every transfer variant's; an
+# every transfer variant's; the counts-only §5.5 baseline equals the
+# executed one in every operation count (bytes, setup and rounds); an
 # engine run's traffic report is its counted wire bytes; the pair bytes
-# edge privacy reads are the transport's tally.
+# edge privacy reads are the transport's tally, plus on the one-shot door
+# the OtSetup encoding charged to that directed pair.
 run_tests --release -q -p dstress-mpc --test transport_determinism measured_wire_bytes_bit_identical_across_the_grid
 run_tests --release -q -p dstress-mpc --test transport_determinism batched_choices_payload_is_bit_packed_on_the_wire
 run_tests --release -q -p dstress-bench --test byte_reconciliation
@@ -219,13 +222,17 @@ run_tests --release -q -p dstress-core streaming_execution_matches_materialised
 run_tests --release -q -p dstress-core streaming_sequential_and_threaded_agree
 run_tests --release -q -p dstress-core streaming_runs_csr_graphs_from_edge_streams
 
-echo "==> OT setup: lazy in one-shot executions, once per node pair per engine run"
-# A zero-AND circuit charges no setup on the one-shot door; established
-# sessions differ from it by exactly one setup per pair and put no
-# OtSetup on the wire; an engine run's base OTs are kappa x its distinct
-# node pairs, all in the Initialization step.
+echo "==> OT setup: one path, charged per pair in one-shot executions and once per node pair per engine run"
+# A party starts on set-up sessions and puts no OtSetup on the wire (Sim
+# or Socket); the one-shot door charges each execution with an AND gate
+# exactly session_setup() per pair, through the encoder the Initialization
+# step uses, and a zero-AND circuit nothing; the two doors differ by
+# exactly one setup per pair; an engine run's base OTs are kappa x its
+# distinct node pairs, all in the Initialization step.
+run_tests -q -p dstress-mpc one_shot_door_charges_each_pair_its_setup_and_sends_no_ot_setup
 run_tests -q -p dstress-mpc zero_and_circuit_pays_no_ot_setup
 run_tests -q -p dstress-mpc established_sessions_save_exactly_one_setup_per_pair
+run_tests -q -p dstress-mpc encode_exchange_writes_the_seed_derived_key_material_each_way
 run_tests -q -p dstress-core runs_set_up_each_node_pair_once_in_initialization
 run_tests -q -p dstress-mpc ot_payload_content_is_seed_derived_and_replayable
 run_tests -q -p dstress-mpc wire_payload_content_is_derived_from_the_pair_seed
@@ -298,6 +305,7 @@ run_tests -q -p dstress-net a_failed_actor_aborts_the_run_at_once
 run_tests -q -p dstress-mpc out_of_protocol_peer_ends_the_run_typed_within_a_second
 run_tests -q -p dstress-mpc short_ot_payload_ends_the_run_typed
 run_tests -q -p dstress-mpc short_ot_payloads_are_rejected_in_every_build
+run_tests -q -p dstress-mpc a_message_of_the_wrong_kind_is_rejected_wherever_it_arrives
 run_tests -q -p dstress-mpc bytes_that_are_not_one_message_end_the_party_with_the_codec_error
 
 echo "==> sessions: faults on a shared connection, the stream envelope, multiplexed determinism, lane shapes"

@@ -23,6 +23,7 @@ use dstress_mpc::party::{GmwBatching, OtConfig};
 use dstress_net::cost::{CostModel, OperationCounts};
 use dstress_net::pool::parallel_map;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
+use dstress_net::transport::SimTransport;
 use std::time::Instant;
 
 /// The five MPC circuits the paper benchmarks.
@@ -187,7 +188,8 @@ pub fn run_mpc_micro_with(
 
     let start = Instant::now();
     let exec = protocol
-        .execute(
+        .execute_on(
+            &SimTransport,
             &circuit,
             &shares,
             &OtConfig::extension(),

@@ -16,7 +16,6 @@ use dstress_math::rng::Xoshiro256;
 use dstress_mpc::baseline::{
     extrapolate_full_scale, measure_matrix_multiply_counts, run_matrix_multiply,
 };
-use dstress_net::cost::CostModel;
 use std::time::Instant;
 
 /// One baseline measurement.
@@ -61,7 +60,6 @@ const PARTIES: usize = 3;
 /// Runs the baseline at one dimension, executing under GMW when
 /// `execute` is true (recommended only for `N ≲ 12` in debug builds).
 pub fn run_baseline_point(n: usize, execute: bool, seed: u64) -> BaselineRow {
-    let cost = CostModel::paper_reference();
     if execute {
         let mut rng = Xoshiro256::new(seed);
         // Multiply two random-ish small matrices (identity-scaled values);
@@ -70,7 +68,7 @@ pub fn run_baseline_point(n: usize, execute: bool, seed: u64) -> BaselineRow {
         let a: Vec<u64> = (0..n * n).map(|i| ((i % 7) as u64 + 1) << FRAC).collect();
         let b: Vec<u64> = (0..n * n).map(|i| ((i % 5) as u64 + 1) << FRAC).collect();
         let start = Instant::now();
-        let m = run_matrix_multiply(n, WIDTH, FRAC, PARTIES, &a, &b, &cost, &mut rng)
+        let m = run_matrix_multiply(n, WIDTH, FRAC, PARTIES, &a, &b, &mut rng)
             .expect("baseline execution succeeds");
         BaselineRow {
             n,
@@ -80,7 +78,7 @@ pub fn run_baseline_point(n: usize, execute: bool, seed: u64) -> BaselineRow {
             projected_seconds: m.projected_seconds,
         }
     } else {
-        let m = measure_matrix_multiply_counts(n, WIDTH, FRAC, PARTIES, &cost);
+        let m = measure_matrix_multiply_counts(n, WIDTH, FRAC, PARTIES);
         BaselineRow {
             n,
             executed: false,

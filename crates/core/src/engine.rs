@@ -81,7 +81,7 @@ use dstress_mpc::gmw::{
     execute_established, reconstruct_outputs, share_inputs, GmwExecution, GmwJob,
 };
 use dstress_mpc::party::{derive_seed, OtConfig};
-use dstress_mpc::{GmwMessage, MpcError};
+use dstress_mpc::MpcError;
 use dstress_net::cost::OperationCounts;
 use dstress_net::pool::windowed;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
@@ -804,12 +804,9 @@ impl<'a, P: SecureVertexProgram> RunState<'a, P> {
             let pair = (owner.0 * graph.vertex_count() + peer.0) as u64;
             let pair_seed = derive_seed(self.config.seed, SESSION_TAG, pair);
             counts.add(&session.counts);
-            for (from, to, from_owner) in [(owner, peer, true), (peer, owner, false)] {
-                encoded.clear();
-                session.write_message(&mut encoded, pair_seed, from_owner);
-                GmwMessage::check_exact(&encoded)?;
-                self.charge(&mut counts, from, to, encoded.len());
-            }
+            let (to_peer, to_owner) = session.encode_exchange(pair_seed, &mut encoded)?;
+            self.charge(&mut counts, owner, peer, to_peer);
+            self.charge(&mut counts, peer, owner, to_owner);
         }
 
         let inbox_bits = graph.degree_bound() * self.message_bits;

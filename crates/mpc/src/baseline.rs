@@ -20,6 +20,7 @@ use dstress_circuit::{Circuit, CircuitStats};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::{CostModel, OperationCounts};
 use dstress_net::traffic::TrafficAccountant;
+use dstress_net::transport::SimTransport;
 
 /// Builds a circuit computing the product of two `n × n` matrices of
 /// unsigned fixed-point words.
@@ -67,12 +68,12 @@ pub struct BaselineMeasurement {
 
 /// Runs one `n × n` matrix multiplication under GMW with `parties`
 /// parties and returns the measurement (including the reconstructed
-/// product for correctness checks).
+/// product for correctness checks), its time projected under
+/// [`CostModel::paper_reference`].
 ///
 /// # Errors
 ///
 /// Propagates GMW configuration/sharing errors.
-#[allow(clippy::too_many_arguments)]
 pub fn run_matrix_multiply(
     n: usize,
     width: u32,
@@ -80,7 +81,6 @@ pub fn run_matrix_multiply(
     parties: usize,
     a: &[u64],
     b: &[u64],
-    cost_model: &CostModel,
     rng: &mut dyn DetRng,
 ) -> Result<BaselineMeasurement, MpcError> {
     assert_eq!(a.len(), n * n, "matrix A has wrong size");
@@ -95,7 +95,8 @@ pub fn run_matrix_multiply(
     let shares = share_inputs(&inputs, parties, rng);
     let protocol = GmwProtocol::new(GmwConfig::with_default_ids(parties))?;
     let mut traffic = TrafficAccountant::new();
-    let exec = protocol.execute(&circuit, &shares, &OtConfig::extension(), &mut traffic, rng)?;
+    let ot = OtConfig::extension();
+    let exec = protocol.execute_on(&SimTransport, &circuit, &shares, &ot, &mut traffic, rng)?;
     let output_bits = reconstruct_outputs(&exec.output_shares)?;
     let product: Vec<u64> = output_bits
         .chunks(width as usize)
@@ -106,46 +107,47 @@ pub fn run_matrix_multiply(
         n,
         and_gates: stats.and_gates as u64,
         counts: exec.counts,
-        projected_seconds: cost_model.estimate_seconds(&exec.counts),
+        projected_seconds: CostModel::paper_reference().estimate_seconds(&exec.counts),
         product: Some(product),
     })
 }
 
 /// Computes the circuit-level measurement for an `n × n` multiplication
 /// *without* executing it (counts only), which is how the larger points of
-/// the §5.5 comparison are obtained.
+/// the §5.5 comparison are obtained; its time is projected under
+/// [`CostModel::paper_reference`].
 pub fn measure_matrix_multiply_counts(
     n: usize,
     width: u32,
     frac_bits: u32,
     parties: usize,
-    cost_model: &CostModel,
 ) -> BaselineMeasurement {
     let circuit = matrix_multiply_circuit(n, width, frac_bits);
     let stats = CircuitStats::of(&circuit);
     let layers = dstress_circuit::CircuitLayers::of(&circuit);
     let pairs = (parties * (parties - 1) / 2) as u64;
-    let kappa = 80u64;
+    let ot = OtConfig::extension();
+    // The one-shot door charges each pair one session setup: its base
+    // OTs and their exponentiations, and its rounds once.
+    let setup = ot.session_setup();
     let counts = OperationCounts {
         extended_ots: stats.and_gates as u64 * pairs,
-        base_ots: kappa * pairs,
-        exponentiations: 3 * kappa * pairs,
         and_gates: stats.and_gates as u64,
         free_gates: (stats.xor_gates + stats.not_gates) as u64,
-        // The executed engine's measured bytes, in closed form: the
-        // one-shot door under GmwBatching::Layered.
-        wire_bytes: execution_wire_bytes(&layers, parties, &OtConfig::extension(), false),
-        // The layer-batched round model: 2 setup rounds, 2 per AND
-        // layer, 1 output round (matches the executed engine's measured
-        // rounds under GmwBatching::Layered).
-        rounds: 2 * layers.rounds() as u64 + 3,
-        ..OperationCounts::default()
+        // The executed engine's bytes, in closed form: the one-shot door
+        // under GmwBatching::Layered.
+        wire_bytes: execution_wire_bytes(&layers, parties, &ot, false),
+        // The layer-batched round model: the setup's rounds, 2 per AND
+        // layer, 1 output round (matches the executed engine's rounds
+        // under GmwBatching::Layered).
+        rounds: setup.rounds + 2 * layers.rounds() as u64 + 1,
+        ..setup.counts.scaled(pairs)
     };
     BaselineMeasurement {
         n,
         and_gates: stats.and_gates as u64,
         counts,
-        projected_seconds: cost_model.estimate_seconds(&counts),
+        projected_seconds: CostModel::paper_reference().estimate_seconds(&counts),
         product: None,
     }
 }
@@ -193,17 +195,7 @@ mod tests {
         let a = vec![16u64, 32, 0, 16]; // [[1, 2], [0, 1]]
         let b = vec![16u64, 0, 16, 16]; // [[1, 0], [1, 1]]
         let mut rng = Xoshiro256::new(1);
-        let m = run_matrix_multiply(
-            n,
-            width,
-            frac,
-            3,
-            &a,
-            &b,
-            &CostModel::paper_reference(),
-            &mut rng,
-        )
-        .unwrap();
+        let m = run_matrix_multiply(n, width, frac, 3, &a, &b, &mut rng).unwrap();
         let expected = plaintext_matrix_multiply(n, frac, &a, &b);
         assert_eq!(m.product.as_deref().unwrap(), expected.as_slice());
         // [[1,2],[0,1]] * [[1,0],[1,1]] = [[3,2],[1,1]]
@@ -214,31 +206,21 @@ mod tests {
 
     #[test]
     fn counts_only_measurement_matches_executed_gate_count() {
-        let cost = CostModel::paper_reference();
-        let counted = measure_matrix_multiply_counts(2, 16, 4, 3, &cost);
+        // Every count, not only the gates: the session setup's base OTs,
+        // exponentiations and rounds, the bytes and the layer rounds.
+        let counted = measure_matrix_multiply_counts(2, 16, 4, 3);
         let mut rng = Xoshiro256::new(2);
-        let executed = run_matrix_multiply(
-            2,
-            16,
-            4,
-            3,
-            &[16, 0, 0, 16],
-            &[16, 0, 0, 16],
-            &cost,
-            &mut rng,
-        )
-        .unwrap();
+        let identity = [16, 0, 0, 16];
+        let executed = run_matrix_multiply(2, 16, 4, 3, &identity, &identity, &mut rng).unwrap();
         assert_eq!(counted.and_gates, executed.and_gates);
-        assert_eq!(counted.counts.extended_ots, executed.counts.extended_ots);
-        assert_eq!(counted.counts.wire_bytes, executed.counts.wire_bytes);
+        assert_eq!(counted.counts, executed.counts);
     }
 
     #[test]
     fn cost_grows_cubically_with_n() {
-        let cost = CostModel::paper_reference();
-        let m4 = measure_matrix_multiply_counts(4, 12, 4, 3, &cost);
-        let m8 = measure_matrix_multiply_counts(8, 12, 4, 3, &cost);
-        let m16 = measure_matrix_multiply_counts(16, 12, 4, 3, &cost);
+        let m4 = measure_matrix_multiply_counts(4, 12, 4, 3);
+        let m8 = measure_matrix_multiply_counts(8, 12, 4, 3);
+        let m16 = measure_matrix_multiply_counts(16, 12, 4, 3);
         // Doubling n multiplies the AND-gate count (the dominant cost at
         // scale) by roughly 8; the small additive terms (row sums) pull the
         // ratio slightly below the asymptote.

@@ -24,10 +24,10 @@
 //! The protocol is implemented as per-party state machines
 //! ([`crate::party::GmwParty`]) driven by a
 //! [`dstress_net::transport::Transport`]: the same parties run
-//! deterministically in process ([`SimTransport`]) or over real loopback
-//! TCP ([`dstress_net::SocketTransport`]), with bit-identical results.
-//! [`GmwProtocol::execute`] is the convenience entry point over the
-//! deterministic backend.
+//! deterministically in process ([`dstress_net::SimTransport`]) or over
+//! real loopback TCP ([`dstress_net::SocketTransport`]), with
+//! bit-identical results.  [`GmwProtocol::execute_on`] is the convenience
+//! entry point on one transport.
 //!
 //! Two doors run batches, both over one body: each runs several
 //! executions of one circuit — each a [`GmwJob`] with its own members,
@@ -41,9 +41,13 @@
 //!   aggregation and noising MPC of a run goes through it, on the pairs'
 //!   OT-extension sessions the run set up once, in its Initialization
 //!   step.
-//! * [`execute_batch`] is the one-shot door: each execution sets its
-//!   pairs' sessions up itself.  [`GmwProtocol::execute_seeded`] is its
-//!   batch of one on a session of its own.
+//! * [`execute_batch`] is the one-shot door: [`execute_established`],
+//!   then each execution with an AND layer is charged one session setup
+//!   per pair of its parties, the way a run's Initialization step charges
+//!   a node pair's ([`SessionSetup::encode_exchange`]).  No `OtSetup`
+//!   crosses the transport on either door.
+//!   [`GmwProtocol::execute_seeded`] is its batch of one on a session of
+//!   its own.
 //!
 //! A party that rejects a peer's message ends the batch at once with
 //! [`MpcError::UnexpectedMessage`], on every backend.
@@ -55,14 +59,14 @@
 //! the closed form the measured bytes equal.
 
 use crate::error::MpcError;
-use crate::party::{GmwBatching, GmwMessage, GmwParty, OtConfig};
+use crate::party::{pair_payload_seed, GmwBatching, GmwMessage, GmwParty, OtConfig, SessionSetup};
 use crate::wire::{encoded_len, GmwKind};
 use dstress_circuit::{Circuit, CircuitLayers};
 use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::OperationCounts;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
-use dstress_net::transport::{NodeActor, Session, SimTransport, Transport, TransportError};
+use dstress_net::transport::{NodeActor, Session, Transport, TransportError};
 use dstress_net::wire::WireTally;
 
 /// Configuration of a GMW execution: one party (the DStress block has
@@ -108,13 +112,14 @@ pub struct GmwExecution {
     /// Operation counts accumulated during the execution (including the
     /// OT provider's counts for this run).
     pub counts: OperationCounts,
-    /// Measured sequential one-way communication rounds per party pair
-    /// (pairs exchange in parallel, so this is the critical path, not a
-    /// sum over pairs): the OT session setup (not on established
-    /// sessions, [`execute_established`]), two rounds per layer of the
-    /// layering the parties walked — per AND layer
-    /// ([`GmwBatching::Layered`]) or per AND gate
-    /// ([`GmwBatching::PerGate`]) — plus the output-reconstruction round.
+    /// Sequential one-way communication rounds per party pair (pairs
+    /// exchange in parallel, so this is the critical path, not a sum over
+    /// pairs): two measured rounds per layer of the layering the parties
+    /// walked — per AND layer ([`GmwBatching::Layered`]) or per AND gate
+    /// ([`GmwBatching::PerGate`]) — plus the output-reconstruction round,
+    /// plus the session setup's rounds where the one-shot door
+    /// ([`execute_batch`]) charges them, as a run's Initialization step
+    /// charges them to its own phase.
     pub rounds: u64,
     /// Per-party bytes *measured* on the wire: the summed encoded sizes
     /// of every message the party sent through the transport.
@@ -146,8 +151,8 @@ impl GmwProtocol {
         self.config.node_ids.len()
     }
 
-    /// Executes `circuit` on XOR-shared inputs with the deterministic
-    /// in-process transport ([`SimTransport`]).
+    /// Executes `circuit` on XOR-shared inputs on the given transport
+    /// backend, drawing the master seed from `rng`.
     ///
     /// `input_shares[p]` holds party `p`'s share of every input bit (so
     /// each inner vector has length `circuit.num_inputs()`, and XORing the
@@ -155,24 +160,6 @@ impl GmwProtocol {
     /// [`OtConfig`] selects the provider each party pair instantiates for
     /// its AND-gate transfers; traffic is recorded against the configured
     /// node ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::InputShareMismatch`] if the share vectors have
-    /// the wrong shape.
-    pub fn execute(
-        &self,
-        circuit: &Circuit,
-        input_shares: &[Vec<bool>],
-        ot: &OtConfig,
-        traffic: &mut TrafficAccountant,
-        rng: &mut dyn DetRng,
-    ) -> Result<GmwExecution, MpcError> {
-        self.execute_on(&SimTransport, circuit, input_shares, ot, traffic, rng)
-    }
-
-    /// Executes `circuit` on the given transport backend, drawing the
-    /// master seed from `rng`.
     ///
     /// # Errors
     ///
@@ -198,7 +185,7 @@ impl GmwProtocol {
     /// deterministically from `master_seed`, so the same seed produces
     /// bit-identical output shares and identical [`OperationCounts`] on
     /// every backend — the invariant the workspace's determinism suite
-    /// asserts across [`SimTransport`] and
+    /// asserts across [`dstress_net::SimTransport`] and
     /// [`dstress_net::SocketTransport`].
     ///
     /// # Errors
@@ -284,10 +271,76 @@ impl GmwJob {
     }
 }
 
+/// Executes `circuit` once per job through the one-shot door:
+/// [`execute_established`], then each execution whose circuit has an AND
+/// layer is charged the OT-extension session setup of every pair of its
+/// parties, as a run's Initialization step charges a node pair's — the
+/// setup's compute, its rounds, and the lengths of the two `OtSetup`
+/// encodings of [`SessionSetup::encode_exchange`] in `counts.wire_bytes`,
+/// `wire_bytes_per_party` and the returned pair flows.  No `OtSetup`
+/// crosses the transport.  A circuit with no AND gates performs no
+/// oblivious transfer and is charged no setup.
+///
+/// # Errors
+///
+/// As [`execute_established`].
+pub fn execute_batch(
+    session: &mut dyn Session<GmwMessage>,
+    circuit: &Circuit,
+    batching: GmwBatching,
+    ot: &OtConfig,
+    jobs: Vec<GmwJob>,
+) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
+    let members: Vec<(Vec<NodeId>, u64)> = jobs
+        .iter()
+        .map(|job| (job.node_ids.clone(), job.master_seed))
+        .collect();
+    let mut executions = execute_established(session, circuit, batching, ot, jobs)?;
+    let setup = ot.session_setup();
+    for ((execution, flows), (node_ids, master_seed)) in executions.iter_mut().zip(&members) {
+        if execution.counts.and_gates > 0 {
+            charge_session_setups(execution, flows, node_ids, *master_seed, &setup)?;
+        }
+    }
+    Ok(executions)
+}
+
+/// Charges one execution the session setup of every pair of its parties,
+/// owner (the lower index) to peer and back; the pairs set up in
+/// parallel, so the rounds are one setup's.
+fn charge_session_setups(
+    execution: &mut GmwExecution,
+    flows: &mut TrafficAccountant,
+    node_ids: &[NodeId],
+    master_seed: u64,
+    setup: &SessionSetup,
+) -> Result<(), MpcError> {
+    let parties = node_ids.len();
+    let mut encoded = Vec::new();
+    for owner in 0..parties {
+        for peer in owner + 1..parties {
+            let pair_seed = pair_payload_seed(master_seed, parties, owner, peer);
+            let (to_peer, to_owner) = setup
+                .encode_exchange(pair_seed, &mut encoded)
+                .map_err(|error| MpcError::Transport(TransportError::Codec { peer, error }))?;
+            execution.counts.add(&setup.counts);
+            for (from, to, len) in [(owner, peer, to_peer), (peer, owner, to_owner)] {
+                flows.record(node_ids[from], node_ids[to], len as u64);
+                execution.wire_bytes_per_party[from] += len as u64;
+                execution.counts.wire_bytes += len as u64;
+            }
+        }
+    }
+    execution.rounds += setup.rounds;
+    execution.counts.rounds += setup.rounds;
+    Ok(())
+}
+
 /// Executes `circuit` once per job, all jobs at once as the groups of one
-/// run of `session`, and returns each job's execution with its traffic
-/// (node totals and pair flows, as the transport tallied them), in job
-/// order.
+/// run of `session`, on parties whose pairs already hold OT-extension
+/// sessions — a run sets them up once, in its Initialization step — and
+/// returns each job's execution with its traffic (node totals and pair
+/// flows, as the transport tallied them), in job order.
 ///
 /// The jobs are consumed: each party takes its input share by move, and
 /// the parties of the whole batch exist until the run returns — the
@@ -301,43 +354,12 @@ impl GmwJob {
 /// rejects a peer's message, and [`MpcError::Transport`] if the run fails
 /// otherwise — a job whose party count is not the session's node count
 /// included.
-pub fn execute_batch(
-    session: &mut dyn Session<GmwMessage>,
-    circuit: &Circuit,
-    batching: GmwBatching,
-    ot: &OtConfig,
-    jobs: Vec<GmwJob>,
-) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
-    run_batch(session, circuit, batching, ot, jobs, false)
-}
-
-/// [`execute_batch`] for parties whose pairs already hold OT-extension
-/// sessions, set up once per run outside the batch: no execution sends an
-/// `OtSetup` message or charges base OTs or their two rounds.  Shares and
-/// every other count equal [`execute_batch`]'s.
-///
-/// # Errors
-///
-/// As [`execute_batch`].
 pub fn execute_established(
     session: &mut dyn Session<GmwMessage>,
     circuit: &Circuit,
     batching: GmwBatching,
     ot: &OtConfig,
     jobs: Vec<GmwJob>,
-) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
-    run_batch(session, circuit, batching, ot, jobs, true)
-}
-
-/// The one body of [`execute_batch`] and [`execute_established`]; only
-/// `established` tells them apart.
-fn run_batch(
-    session: &mut dyn Session<GmwMessage>,
-    circuit: &Circuit,
-    batching: GmwBatching,
-    ot: &OtConfig,
-    jobs: Vec<GmwJob>,
-    established: bool,
 ) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
     for job in &jobs {
         job.check(circuit)?;
@@ -367,7 +389,6 @@ fn run_batch(
                         job.master_seed,
                         layers,
                     )
-                    .with_established_sessions(established)
                 })
                 .collect(),
         );
@@ -452,9 +473,9 @@ fn merge_execution(
 /// `Choices` and one `Responses` per AND layer, each as long as
 /// [`GmwMessage::encoded_len`] makes a batch of the layer's width carrying
 /// `ot`'s per-OT payloads.  On the one-shot door (`established` false) a
-/// circuit with an AND layer adds the pair's two `OtSetup` messages, when
-/// `ot` has a session setup.  Equal to the measured `counts.wire_bytes` of
-/// every such execution, on every transport.
+/// circuit with an AND layer adds the two `OtSetup` encodings it charges
+/// per pair, when `ot` has a session setup.  Equal to the `counts.wire_bytes`
+/// of every such execution, on every transport.
 pub fn execution_wire_bytes(
     layers: &CircuitLayers,
     parties: usize,
@@ -520,7 +541,7 @@ mod tests {
     use dstress_circuit::evaluate;
     use dstress_crypto::group::GroupKind;
     use dstress_math::rng::Xoshiro256;
-    use dstress_net::transport::{ActorStatus, Endpoint};
+    use dstress_net::transport::{ActorStatus, Endpoint, SimTransport};
     use dstress_net::wire::{self, Wire, WireError};
     use dstress_net::SocketTransport;
     use proptest::prelude::*;
@@ -545,7 +566,8 @@ mod tests {
         let protocol = GmwProtocol::new(GmwConfig::with_default_ids(parties)).unwrap();
         let mut traffic = TrafficAccountant::new();
         let exec = protocol
-            .execute(
+            .execute_on(
+                &SimTransport,
                 circuit,
                 &shares,
                 &OtConfig::extension(),
@@ -633,7 +655,8 @@ mod tests {
         let protocol = GmwProtocol::new(GmwConfig::with_default_ids(3)).unwrap();
         let mut traffic = TrafficAccountant::new();
         let exec = protocol
-            .execute(
+            .execute_on(
+                &SimTransport,
                 &circuit,
                 &shares,
                 &OtConfig::elgamal(GroupKind::Sim64),
@@ -655,7 +678,8 @@ mod tests {
         let mut rng = Xoshiro256::new(1);
         // Wrong number of parties.
         let err = protocol
-            .execute(
+            .execute_on(
+                &SimTransport,
                 &circuit,
                 &vec![vec![false; 8]; 2],
                 &ot,
@@ -666,7 +690,8 @@ mod tests {
         assert!(matches!(err, MpcError::InputShareMismatch { .. }));
         // Wrong number of bits.
         let err = protocol
-            .execute(
+            .execute_on(
+                &SimTransport,
                 &circuit,
                 &vec![vec![false; 7]; 3],
                 &ot,
@@ -707,7 +732,8 @@ mod tests {
             GmwProtocol::new(GmwConfig::with_default_ids(parties).with_batching(batching)).unwrap();
         let mut traffic = TrafficAccountant::new();
         protocol
-            .execute(
+            .execute_on(
+                &SimTransport,
                 circuit,
                 &shares,
                 &OtConfig::extension(),
@@ -746,11 +772,10 @@ mod tests {
 
     #[test]
     fn zero_and_circuit_pays_no_ot_setup() {
-        // The lazy-setup regression: a session that never reaches an AND
-        // gate performs no oblivious transfers, so it must not be charged
-        // OT-extension setup — no OtSetup exchange, no wire bytes, no
-        // base OTs, no setup rounds.  Only the output-reconstruction
-        // round remains.
+        // A one-shot execution that never reaches an AND gate performs no
+        // oblivious transfers, so it must not be charged OT-extension
+        // setup — no OtSetup bytes, no base OTs, no setup rounds.  Only
+        // the output-reconstruction round remains.
         let circuit = xor_only_circuit(8);
         let mut inputs = encode_word(0xA5, 8);
         inputs.extend(encode_word(0x3C, 8));
@@ -771,7 +796,7 @@ mod tests {
             }
         }
 
-        // Sanity: the moment one AND gate appears, the lazy setup fires
+        // Sanity: the moment one AND gate appears, the setup is charged
         // exactly once per pair with the full κ = 80 base-OT charge.
         let mut b = CircuitBuilder::new();
         let x = b.input();
@@ -785,72 +810,77 @@ mod tests {
         assert_eq!(exec.rounds, 2 + 2 + 1, "setup + one layer + output");
     }
 
-    /// Runs `job`'s parties, on established sessions or not, as one group
-    /// of `transport` and returns how many `OtSetup` messages they sent.
-    fn setups_on_the_wire(
-        transport: &dyn Transport<GmwMessage>,
-        circuit: &Circuit,
-        job: &GmwJob,
-        established: bool,
-    ) -> usize {
-        /// A party whose every send is checked for `OtSetup` on its way out.
-        struct Counted<'c>(GmwParty<'c>, usize);
-        struct Counting<'e>(&'e mut dyn Endpoint<GmwMessage>, &'e mut usize);
-        impl Endpoint<GmwMessage> for Counting<'_> {
-            fn nodes(&self) -> usize {
-                self.0.nodes()
-            }
-            fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
-                let setups = &mut *self.1;
-                self.0.send_bytes(to, &mut |out| {
-                    let at = out.len();
-                    write(out);
-                    let kind = GmwView::parse_exact(&out[at..]).map(|view| view.kind);
-                    *setups += usize::from(kind == Ok(GmwKind::OtSetup));
-                });
-            }
-            fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
-                self.0.recv_bytes(peer)
-            }
-        }
-        impl NodeActor<GmwMessage> for Counted<'_> {
-            fn poll(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
-                self.0.poll(&mut Counting(endpoint, &mut self.1))
-            }
-        }
-        let ot = OtConfig::extension();
-        let mut parties: Vec<Counted> = (0..job.node_ids.len())
-            .map(|p| {
-                let share = job.input_shares[p].clone();
-                let (n, seed) = (job.node_ids.len(), job.master_seed);
-                let party = GmwParty::new(circuit, p, n, share, &ot, seed, circuit.layers());
-                Counted(party.with_established_sessions(established), 0)
-            })
-            .collect();
-        let mut actors: Vec<&mut dyn NodeActor<GmwMessage>> = parties
-            .iter_mut()
-            .map(|p| p as &mut dyn NodeActor<GmwMessage>)
-            .collect();
-        transport.run(&mut actors).unwrap();
-        parties.iter().map(|p| p.1).sum()
+    /// A session that counts the `OtSetup` messages its actors send.
+    struct SetupCounting<'s> {
+        inner: Box<dyn Session<GmwMessage> + 's>,
+        setups: usize,
     }
 
-    #[test]
-    fn established_sessions_save_exactly_one_setup_per_pair() {
-        // The same job through both doors, on both backends: identical
-        // shares, and counts that differ by one session setup per pair —
-        // κ base OTs, 3κ exponentiations, the key material each way (plus
-        // its framing on the wire) — and by the setup's two rounds.
-        type Door = fn(
-            &mut dyn Session<GmwMessage>,
-            &Circuit,
-            GmwBatching,
-            &OtConfig,
-            Vec<GmwJob>,
-        ) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError>;
+    /// An actor whose every send is checked for `OtSetup` on its way out.
+    struct Counted<'a>(&'a mut dyn NodeActor<GmwMessage>, usize);
+
+    struct Counting<'e>(&'e mut dyn Endpoint<GmwMessage>, &'e mut usize);
+
+    impl Endpoint<GmwMessage> for Counting<'_> {
+        fn nodes(&self) -> usize {
+            self.0.nodes()
+        }
+        fn send_bytes(&mut self, to: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+            let setups = &mut *self.1;
+            self.0.send_bytes(to, &mut |out| {
+                let at = out.len();
+                write(out);
+                let kind = GmwView::parse_exact(&out[at..]).map(|view| view.kind);
+                *setups += usize::from(kind == Ok(GmwKind::OtSetup));
+            });
+        }
+        fn recv_bytes(&mut self, peer: usize) -> Option<&[u8]> {
+            self.0.recv_bytes(peer)
+        }
+    }
+
+    impl NodeActor<GmwMessage> for Counted<'_> {
+        fn poll(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> ActorStatus {
+            self.0.poll(&mut Counting(endpoint, &mut self.1))
+        }
+    }
+
+    impl Session<GmwMessage> for SetupCounting<'_> {
+        fn nodes(&self) -> usize {
+            self.inner.nodes()
+        }
+        fn run(
+            &mut self,
+            groups: &mut [&mut [&mut dyn NodeActor<GmwMessage>]],
+        ) -> Result<Vec<WireTally>, TransportError> {
+            let mut counted: Vec<Vec<Counted>> = groups
+                .iter_mut()
+                .map(|group| group.iter_mut().map(|a| Counted(&mut **a, 0)).collect())
+                .collect();
+            let result = {
+                let mut actors: Vec<Vec<&mut dyn NodeActor<GmwMessage>>> = counted
+                    .iter_mut()
+                    .map(|group| {
+                        let counted = group.iter_mut();
+                        counted
+                            .map(|c| c as &mut dyn NodeActor<GmwMessage>)
+                            .collect()
+                    })
+                    .collect();
+                let mut groups: Vec<&mut [&mut dyn NodeActor<GmwMessage>]> =
+                    actors.iter_mut().map(Vec::as_mut_slice).collect();
+                self.inner.run(&mut groups)
+            };
+            self.setups += counted.iter().flatten().map(|c| c.1).sum::<usize>();
+            result
+        }
+    }
+
+    /// A four-party job over an 8-bit adder, on node ids other than the
+    /// party indices.
+    fn four_party_job() -> (Circuit, GmwJob) {
         let circuit = adder_circuit(8);
         let parties = 4;
-        let pairs = (parties * (parties - 1) / 2) as u64;
         let mut inputs = encode_word(77, 8);
         inputs.extend(encode_word(99, 8));
         let job = GmwJob {
@@ -858,6 +888,51 @@ mod tests {
             input_shares: share_inputs(&inputs, parties, &mut Xoshiro256::new(0x5E55)),
             master_seed: 0x5E55,
         };
+        (circuit, job)
+    }
+
+    type Door = fn(
+        &mut dyn Session<GmwMessage>,
+        &Circuit,
+        GmwBatching,
+        &OtConfig,
+        Vec<GmwJob>,
+    ) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError>;
+
+    /// Runs `job` alone through `door` on a session of `transport` and
+    /// returns its execution, its flows and the `OtSetup` messages its
+    /// parties sent.
+    fn through(
+        door: Door,
+        transport: &dyn Transport<GmwMessage>,
+        circuit: &Circuit,
+        job: &GmwJob,
+    ) -> (GmwExecution, TrafficAccountant, usize) {
+        let mut session = SetupCounting {
+            inner: transport.open(job.node_ids.len()).unwrap(),
+            setups: 0,
+        };
+        let ot = OtConfig::extension();
+        let batch = door(
+            &mut session,
+            circuit,
+            GmwBatching::Layered,
+            &ot,
+            vec![job.clone()],
+        );
+        let (execution, flows) = batch.unwrap().pop().unwrap();
+        (execution, flows, session.setups)
+    }
+
+    #[test]
+    fn established_sessions_save_exactly_one_setup_per_pair() {
+        // The same job through both doors, on both backends: identical
+        // shares, and counts that differ by one session setup per pair —
+        // κ base OTs, 3κ exponentiations, the key material each way (plus
+        // its framing) — and by the setup's two rounds.
+        let (circuit, job) = four_party_job();
+        let parties = job.node_ids.len();
+        let pairs = (parties * (parties - 1) / 2) as u64;
         let ot = OtConfig::extension();
         let (to_peer, to_owner) = ot.wire_setup_bytes();
         let framed = |len| {
@@ -875,30 +950,77 @@ mod tests {
         };
         let socket = SocketTransport::new();
         for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
-            let run = |door: Door| {
-                let mut session = transport.open(parties).unwrap();
-                let batch = door(
-                    &mut *session,
-                    &circuit,
-                    GmwBatching::Layered,
-                    &ot,
-                    vec![job.clone()],
-                );
-                batch.unwrap().pop().unwrap().0
-            };
-            let lazy = run(execute_batch);
-            let established = run(execute_established);
+            let (one_shot, ..) = through(execute_batch, transport, &circuit, &job);
+            let (established, ..) = through(execute_established, transport, &circuit, &job);
             let name = transport.name();
-            assert_eq!(lazy.output_shares, established.output_shares, "{name}");
-            assert_eq!(lazy.counts, established.counts.combined(&setup), "{name}");
-            assert_eq!(lazy.rounds, established.rounds + 2, "{name}");
-            let lazy_setups = setups_on_the_wire(transport, &circuit, &job, false);
-            assert_eq!(lazy_setups, parties * (parties - 1), "{name}");
+            assert_eq!(one_shot.output_shares, established.output_shares, "{name}");
             assert_eq!(
-                setups_on_the_wire(transport, &circuit, &job, true),
-                0,
+                one_shot.counts,
+                established.counts.combined(&setup),
                 "{name}"
             );
+            assert_eq!(one_shot.rounds, established.rounds + 2, "{name}");
+        }
+    }
+
+    #[test]
+    fn one_shot_door_charges_each_pair_its_setup_and_sends_no_ot_setup() {
+        // Neither door puts an `OtSetup` on the wire, on either backend;
+        // the one-shot door charges exactly `session_setup()` per pair:
+        // its compute and rounds, and its two encodings in the counts, in
+        // each sending party's bytes and in each directed pair's flow.
+        let (circuit, job) = four_party_job();
+        let parties = job.node_ids.len();
+        let pairs = (parties * (parties - 1) / 2) as u64;
+        let session = OtConfig::extension().session_setup();
+        let encoded = |len| encoded_len(GmwKind::OtSetup, 0, 0, len) as u64;
+        let (to_peer, to_owner) = (encoded(session.wire.0), encoded(session.wire.1));
+        let socket = SocketTransport::new();
+        for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
+            let name = transport.name();
+            let (one_shot, one_shot_flows, sent) =
+                through(execute_batch, transport, &circuit, &job);
+            let (established, established_flows, established_sent) =
+                through(execute_established, transport, &circuit, &job);
+            assert_eq!((sent, established_sent), (0, 0), "{name}");
+            let mut charged = established.counts.combined(&session.counts.scaled(pairs));
+            charged.wire_bytes += pairs * (to_peer + to_owner);
+            charged.rounds += session.rounds;
+            assert_eq!(one_shot.counts, charged, "{name}");
+            assert_eq!(one_shot.rounds, established.rounds + session.rounds);
+            for p in 0..parties {
+                // Party p owns its pairs with the higher indices.
+                let owned = (parties - 1 - p) as u64;
+                let sent = owned * to_peer + p as u64 * to_owner;
+                assert_eq!(
+                    one_shot.wire_bytes_per_party[p],
+                    established.wire_bytes_per_party[p] + sent,
+                    "{name}: party {p}"
+                );
+            }
+            let (mut one_shot_pairs, mut established_pairs) = (
+                TrafficAccountant::with_pair_tracking(),
+                TrafficAccountant::with_pair_tracking(),
+            );
+            one_shot_pairs.merge(&one_shot_flows);
+            established_pairs.merge(&established_flows);
+            for (from, &from_id) in job.node_ids.iter().enumerate() {
+                for (to, &to_id) in job
+                    .node_ids
+                    .iter()
+                    .enumerate()
+                    .filter(|&(to, _)| to != from)
+                {
+                    let setup = if from < to { to_peer } else { to_owner };
+                    assert_eq!(
+                        one_shot_pairs.pair_bytes(from_id, to_id),
+                        established_pairs
+                            .pair_bytes(from_id, to_id)
+                            .map(|b| b + setup),
+                        "{name}: {from} -> {to}"
+                    );
+                }
+            }
         }
     }
 
@@ -1275,7 +1397,8 @@ mod tests {
         let protocol = GmwProtocol::new(GmwConfig::with_node_ids(ids.clone())).unwrap();
         let mut traffic = TrafficAccountant::new();
         let exec = protocol
-            .execute(
+            .execute_on(
+                &SimTransport,
                 &circuit,
                 &shares,
                 &OtConfig::extension(),

@@ -38,17 +38,14 @@
 //!
 //! A pair's OTs extend from an OT-extension *session*: κ base OTs whose
 //! key material one [`GmwMessage::OtSetup`] message carries in each
-//! direction (sized by [`OtConfig::session_setup`]; no message for
-//! providers with no setup).  The door that built the parties decides
-//! who pays for it.  Parties of a one-shot execution
-//! ([`crate::gmw::GmwProtocol::execute_seeded`],
-//! [`crate::gmw::execute_batch`]) set their sessions up *lazily*, at the
-//! first AND layer and only then: a
-//! circuit with no AND gates performs no oblivious transfers and
-//! therefore pays no setup rounds, bytes or base OTs.  Parties built by
-//! [`crate::gmw::execute_established`] start on sessions the engine set up
-//! once per node pair per run, in its Initialization step, and send no
-//! `OtSetup` at all.
+//! direction (sized by [`OtConfig::session_setup`]).  A party starts on
+//! its pairs' sessions already set up, sends no `OtSetup` and charges no
+//! setup: whoever built the parties paid for the sessions, through one
+//! function ([`SessionSetup::encode_exchange`]).  An engine run pays once
+//! per node pair, in its Initialization step; the one-shot door
+//! ([`crate::gmw::execute_batch`]) charges each execution with an AND
+//! layer one setup per pair, so a circuit with no AND gates pays no setup
+//! rounds, bytes or base OTs.
 //!
 //! Each `Choices` message additionally carries the OT receiver-side
 //! payload (extension-matrix columns or public keys) and each `Responses`
@@ -69,7 +66,7 @@
 //! The lower-indexed party owns the pair's OT provider and accounts the
 //! pair's operation counts.  A party keeps no byte count of its own: the
 //! transport tallies every message's encoded bytes, and the execution's
-//! traffic is that tally ([`crate::gmw::execute_batch`]).
+//! traffic is that tally ([`crate::gmw::execute_established`]).
 //!
 //! ## The layered hot path: who owns which buffer
 //!
@@ -179,6 +176,7 @@ use dstress_crypto::group::{Group, GroupKind};
 use dstress_math::rng::splitmix64_finalize as mix;
 use dstress_net::cost::OperationCounts;
 use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, TransportError};
+use dstress_net::wire::{Wire, WireError};
 
 /// A GMW protocol message, routed between parties by a transport.
 ///
@@ -196,11 +194,13 @@ use dstress_net::transport::{ActorStatus, Endpoint, NodeActor, TransportError};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GmwMessage {
     /// Per-pair OT session setup (both directions): the base-OT key
-    /// material of the pair's extension session.  A one-shot execution
-    /// exchanges it lazily, at the pair's first AND layer; parties on
-    /// established sessions never send it, nor does any party for a
-    /// circuit without AND gates or a provider with no per-session setup
-    /// (public-key OT).
+    /// material of the pair's extension session.  No party sends it: a
+    /// party starts on set-up sessions, and whoever set them up — a run's
+    /// Initialization step, or the one-shot door for an execution with an
+    /// AND layer — encodes each pair's two `OtSetup` messages and charges
+    /// their bytes ([`SessionSetup::encode_exchange`]).  A provider with no
+    /// per-session setup (public-key OT) has none.  A party that receives
+    /// one rejects it.
     OtSetup {
         /// Seed-derived key material sized by the provider's setup cost.
         ot_payload: Vec<u8>,
@@ -326,8 +326,9 @@ impl OtConfig {
     }
 
     /// What setting up one pair's session costs: the one source of the
-    /// setup charge, for a one-shot execution's lazy setup and for a
-    /// run's Initialization step alike.
+    /// setup charge, for a run's Initialization step and for each
+    /// one-shot execution with an AND layer alike — both charge it through
+    /// [`SessionSetup::encode_exchange`].
     pub fn session_setup(&self) -> SessionSetup {
         let OtConfig::Extension { security_parameter } = *self else {
             // Public-key OT needs no per-session setup.
@@ -362,16 +363,34 @@ pub struct SessionSetup {
 }
 
 impl SessionSetup {
-    /// Appends the encoding of the pair's `OtSetup` message from its owner
-    /// (`from_owner`) or from its peer, the key material derived from
-    /// `pair_seed`, written in place ([`crate::wire::write_ot_setup`]).
-    pub fn write_message(&self, out: &mut Vec<u8>, pair_seed: u64, from_owner: bool) {
-        let (len, direction) = if from_owner {
-            (self.wire.0, crate::wire::PAYLOAD_SETUP_FROM_OWNER)
-        } else {
-            (self.wire.1, crate::wire::PAYLOAD_SETUP_FROM_PEER)
+    /// Writes the pair's two `OtSetup` encodings into `scratch` in turn —
+    /// the owner's, then the peer's answer, each with key material
+    /// derived from `pair_seed`
+    /// ([`crate::wire::write_ot_setup`]) — checks each as one message and
+    /// returns their lengths `(owner → peer, peer → owner)`: the bytes a
+    /// session's setup charges.  `(0, 0)` when the provider exchanges no
+    /// setup messages.  The one place an `OtSetup` is encoded.
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] of an encoding that is not one message.
+    pub fn encode_exchange(
+        &self,
+        pair_seed: u64,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(usize, usize), WireError> {
+        if self.wire == (0, 0) {
+            return Ok((0, 0));
+        }
+        let mut encode = |len, direction| {
+            scratch.clear();
+            wire::write_ot_setup(scratch, pair_seed, direction, len);
+            GmwMessage::check_exact(scratch).map(|()| scratch.len())
         };
-        crate::wire::write_ot_setup(out, pair_seed, direction, len);
+        Ok((
+            encode(self.wire.0, wire::PAYLOAD_SETUP_FROM_OWNER)?,
+            encode(self.wire.1, wire::PAYLOAD_SETUP_FROM_PEER)?,
+        ))
     }
 }
 
@@ -422,6 +441,14 @@ fn mask_bit(mask_stream: u64, parties: usize, wire: usize, peer: usize) -> bool 
     mix(mask_stream ^ (wire * parties + peer) as u64) & 1 == 1
 }
 
+/// The payload-stream seed of the pair of parties `a` and `b`, keyed by
+/// the unordered pair (lower index first) so both ends derive the same
+/// stream (see [`crate::wire::ot_payload`]).
+pub(crate) fn pair_payload_seed(master_seed: u64, parties: usize, a: usize, b: usize) -> u64 {
+    let (lo, hi) = (a.min(b), a.max(b));
+    derive_seed(master_seed, TAG_PAIR_PAYLOAD, (lo * parties + hi) as u64)
+}
+
 /// In-flight state of the AND layer a party is evaluating; the layer's
 /// share accumulators live in the party's scratch buffers.
 #[derive(Clone, Copy, Debug)]
@@ -456,9 +483,6 @@ pub struct GmwParty<'c> {
     ot_recv_payload: usize,
     /// Sender-side wire payload per OT.
     ot_send_payload: usize,
-    /// The provider configuration, whose session setup the lazy path
-    /// charges ([`OtConfig::session_setup`]).
-    ot: OtConfig,
     /// This party's share of every circuit input, bit `i` for input `i`
     /// (bit `i % 64` of word `i / 64`).
     input_share: Vec<u64>,
@@ -480,20 +504,14 @@ pub struct GmwParty<'c> {
     messages: Vec<u64>,
     selected: Vec<u64>,
     /// Measured one-way message rounds this party participated in per
-    /// pair: session setup, then 2 per exchange (choices out, responses
-    /// back).  All pairs run in parallel, so this is the sequential
-    /// critical path, not a sum over pairs.
+    /// pair: 2 per exchange (choices out, responses back).  All pairs run
+    /// in parallel, so this is the sequential critical path, not a sum
+    /// over pairs.
     protocol_rounds: u64,
     // Schedule cursor.
     round: usize,
     free_done: bool,
     layer_state: Option<LayerState>,
-    /// Whether this party's setup costs were charged and its OtSetup
-    /// messages went out.
-    setup_sent: bool,
-    /// Next peer whose OtSetup message this party still awaits.
-    setup_recv_peer: usize,
-    setup_done: bool,
     finished: bool,
     /// Why the party stopped, once a peer's message broke the schedule.
     failure: Option<MpcError>,
@@ -503,7 +521,8 @@ impl<'c> GmwParty<'c> {
     /// Creates party `index` of `parties` parties, walking
     /// `layers` — a layering of `circuit`: its depth layering
     /// ([`Circuit::layers`]) or its serial one ([`CircuitLayers::serial`]),
-    /// as [`GmwBatching`] chooses.
+    /// as [`GmwBatching`] chooses.  Its pairs' OT-extension sessions are
+    /// already set up: the party sends no `OtSetup` and charges no setup.
     ///
     /// `input_share` is this party's XOR share of every circuit input; the
     /// party keeps it packed, one bit per input.
@@ -528,13 +547,8 @@ impl<'c> GmwParty<'c> {
                 })
             })
             .collect();
-        // Keyed by the unordered pair (lower index first), so both ends
-        // derive the same payload stream.
         let pair_payload_seed = (0..parties)
-            .map(|peer| {
-                let (lo, hi) = (index.min(peer), index.max(peer));
-                derive_seed(master_seed, TAG_PAIR_PAYLOAD, (lo * parties + hi) as u64)
-            })
+            .map(|peer| pair_payload_seed(master_seed, parties, index, peer))
             .collect();
         GmwParty {
             circuit,
@@ -546,7 +560,6 @@ impl<'c> GmwParty<'c> {
             pair_payload_seed,
             ot_recv_payload: ot.wire_receiver_bytes_per_ot(),
             ot_send_payload: ot.wire_sender_bytes_per_ot(),
-            ot: *ot,
             input_share: pack_plane(&input_share),
             wires: vec![0; plane_words(circuit.len())],
             counts: OperationCounts::default(),
@@ -561,21 +574,9 @@ impl<'c> GmwParty<'c> {
             round: 0,
             free_done: false,
             layer_state: None,
-            setup_sent: false,
-            setup_recv_peer: 0,
-            setup_done: false,
             finished: false,
             failure: None,
         }
-    }
-
-    /// With `established`, starts every pair of this party on an
-    /// OT-extension session set up before the execution — once per node
-    /// pair per run, in the engine's Initialization step — so the party
-    /// sends no `OtSetup` and charges no setup.
-    pub(crate) fn with_established_sessions(mut self, established: bool) -> Self {
-        self.setup_done = established;
-        self
     }
 
     /// This party's index.
@@ -593,9 +594,8 @@ impl<'c> GmwParty<'c> {
 
     /// Measured sequential message rounds this party took part in (its
     /// pairwise exchanges run in parallel, so this counts exchanges, not
-    /// exchanges × pairs): the OT session setup plus two one-way rounds
-    /// per layer of its layering — per AND layer, or per AND gate on the
-    /// serial one.
+    /// exchanges × pairs): two one-way rounds per layer of its layering —
+    /// per AND layer, or per AND gate on the serial one.
     pub fn rounds(&self) -> u64 {
         self.protocol_rounds
     }
@@ -618,19 +618,6 @@ impl<'c> GmwParty<'c> {
             .iter()
             .map(|&wire| plane_bit(&self.wires, wire as usize) == 1)
             .collect()
-    }
-
-    /// Charges the per-pair OT session setup for every pair this party
-    /// owns (the compute; its key material goes out as `OtSetup`
-    /// messages).  The pairs' setups run in parallel, so the measured
-    /// rounds are one setup exchange's — and none for a party that owns
-    /// no pair.
-    fn session_setup(&mut self, session: &SessionSetup) {
-        let owned = (self.parties - self.index - 1) as u64;
-        if owned > 0 {
-            self.counts.add(&session.counts.scaled(owned));
-            self.protocol_rounds += session.rounds;
-        }
     }
 
     /// Evaluates one non-AND gate locally.
@@ -774,8 +761,7 @@ impl<'c> GmwParty<'c> {
     }
 
     /// Walks the schedule as far as the peers' messages allow: each gap's
-    /// free gates, then the next AND layer, the OT sessions set up before
-    /// the first one unless they are established.
+    /// free gates, then the next AND layer.
     fn run_schedule(
         &mut self,
         endpoint: &mut dyn Endpoint<GmwMessage>,
@@ -793,16 +779,6 @@ impl<'c> GmwParty<'c> {
             }
             if self.round == self.layers.rounds() {
                 break;
-            }
-            // Lazy OT setup: the first AND layer is each pair's first
-            // transfer, so the session setup (and its key-material
-            // exchange) is charged here — a circuit with no AND layers
-            // never pays it.
-            if !self.setup_done {
-                if !self.advance_setup(endpoint)? {
-                    return Ok(ActorStatus::Idle);
-                }
-                self.setup_done = true;
             }
             // Start the next layer: gather the party's input shares into
             // word planes once, each gate's operands read from the gate
@@ -860,70 +836,9 @@ fn absorb_provider_counts(counts: &mut OperationCounts, provider: &OperationCoun
 }
 
 impl GmwParty<'_> {
-    /// Drives the session-setup message exchange: charge the setup costs,
-    /// send the base-OT key material to every peer, and wait until every
-    /// peer's material arrived.  Returns `false` while still waiting.
-    ///
-    /// Parties on established sessions never get here.  For the others
-    /// the exchange is *lazy*: it runs at a pair's first AND layer, never
-    /// up front — and since every pair serves every AND layer in GMW,
-    /// that is the circuit's first AND work.  A circuit with no AND gates
-    /// therefore never reaches this path and pays **zero** setup rounds,
-    /// bytes and base OTs, matching a session that never needs an
-    /// oblivious transfer.
-    ///
-    /// Providers with no per-session setup (both payloads empty) skip the
-    /// message exchange.
-    ///
-    /// # Errors
-    ///
-    /// As [`GmwParty::expect`], when a peer opens with anything but its
-    /// `OtSetup` of the session's key material.
-    fn advance_setup(&mut self, endpoint: &mut dyn Endpoint<GmwMessage>) -> Result<bool, MpcError> {
-        let session = self.ot.session_setup();
-        let exchanges = session.wire != (0, 0);
-        if !self.setup_sent {
-            self.session_setup(&session);
-            if exchanges {
-                // Pair owners (lower index) send the sender-side key
-                // material; the peer answers with the receiver side.
-                for peer in (0..self.parties).filter(|&peer| peer != self.index) {
-                    let from_owner = peer > self.index;
-                    let seed = self.pair_payload_seed[peer];
-                    endpoint.send_bytes(peer, &mut |out| {
-                        session.write_message(out, seed, from_owner)
-                    });
-                }
-            }
-            self.setup_sent = true;
-        }
-        if exchanges {
-            while self.setup_recv_peer < self.parties {
-                let peer = self.setup_recv_peer;
-                if peer == self.index {
-                    self.setup_recv_peer += 1;
-                    continue;
-                }
-                let Some(bytes) = endpoint.recv_bytes(peer) else {
-                    return Ok(false);
-                };
-                // A lower-indexed peer owns the pair and sends its side.
-                let payload = if peer < self.index {
-                    session.wire.0
-                } else {
-                    session.wire.1
-                };
-                self.expect(peer, bytes, GmwKind::OtSetup, payload)?;
-                self.setup_recv_peer += 1;
-            }
-        }
-        Ok(true)
-    }
-
     /// Parses `bytes` from `peer` as the message the schedule expects
-    /// now: of kind `expected` with `payload` OT payload bytes and, for a
-    /// batch, the layer in flight's tag and width (the next layer's,
-    /// during setup).
+    /// now: of kind `expected` with `payload` OT payload bytes and the
+    /// layer in flight's tag and width.
     ///
     /// # Errors
     ///
@@ -946,9 +861,10 @@ impl GmwParty<'_> {
             .map_err(|error| MpcError::Transport(TransportError::Codec { peer, error }))?;
         let layer = self.round as u32;
         let gates = self.layers.and_layers()[self.round].len();
-        let batch_matches =
-            expected == GmwKind::OtSetup || (view.layer, view.gates) == (layer, gates);
-        if view.kind == expected && batch_matches && view.ot_payload.len() == payload {
+        if view.kind == expected
+            && (view.layer, view.gates) == (layer, gates)
+            && view.ot_payload.len() == payload
+        {
             return Ok(view);
         }
         Err(MpcError::UnexpectedMessage {
@@ -1146,47 +1062,17 @@ mod tests {
         let pair_seed = derive_seed(master, TAG_PAIR_PAYLOAD, 1);
         let mut endpoint = ScriptedEndpoint::new(2);
 
-        // First poll: party 1 sends its OtSetup (peer side) and waits for
-        // the owner's.
+        // First poll: party 1 sends its layer-0 Choices with the
+        // receiver-side payload from the pair's stream.
         assert_eq!(party.poll(&mut endpoint), ActorStatus::Idle);
-        let (to, setup) = &endpoint.sent[0];
-        assert_eq!(*to, 0);
-        let GmwMessage::OtSetup { ot_payload } = setup else {
-            panic!("first message must be the lazy OtSetup");
-        };
-        let (_, peer_to_owner) = ot.wire_setup_bytes();
-        assert_eq!(
-            ot_payload,
-            &crate::wire::ot_payload(
-                pair_seed,
-                crate::wire::PAYLOAD_SETUP_FROM_PEER,
-                0,
-                peer_to_owner
-            )
-        );
-
-        // Feed the owner's OtSetup; the party then sends its layer-0
-        // Choices with the receiver-side payload from the same stream.
-        let (owner_to_peer, _) = ot.wire_setup_bytes();
-        endpoint.feed(
-            0,
-            GmwMessage::OtSetup {
-                ot_payload: crate::wire::ot_payload(
-                    pair_seed,
-                    crate::wire::PAYLOAD_SETUP_FROM_OWNER,
-                    0,
-                    owner_to_peer,
-                ),
-            },
-        );
-        assert_eq!(party.poll(&mut endpoint), ActorStatus::Idle);
+        assert_eq!(endpoint.sent.len(), 1, "no OtSetup goes out first");
         let (to, choices) = endpoint.sent.last().unwrap();
         assert_eq!(*to, 0);
         let GmwMessage::Choices {
             layer, ot_payload, ..
         } = choices
         else {
-            panic!("after setup the party batches its layer-0 choices");
+            panic!("the party opens with its layer-0 choices");
         };
         assert_eq!(*layer, 0);
         let expected = crate::wire::ot_payload(
@@ -1197,6 +1083,26 @@ mod tests {
         );
         assert_eq!(ot_payload, &expected);
         assert!(expected.iter().any(|&b| b != 0), "payload is key material");
+    }
+
+    #[test]
+    fn encode_exchange_writes_the_seed_derived_key_material_each_way() {
+        // The owner's `OtSetup`, then the peer's, each carrying the key
+        // material of its direction from the pair's stream; the scratch
+        // buffer holds the last one.
+        let session = OtConfig::extension().session_setup();
+        let mut scratch = Vec::new();
+        let lengths = session.encode_exchange(0xFEED, &mut scratch).unwrap();
+        let message = |direction, len| GmwMessage::OtSetup {
+            ot_payload: crate::wire::ot_payload(0xFEED, direction, 0, len),
+        };
+        let to_peer = message(crate::wire::PAYLOAD_SETUP_FROM_OWNER, session.wire.0);
+        let to_owner = message(crate::wire::PAYLOAD_SETUP_FROM_PEER, session.wire.1);
+        assert_eq!(lengths, (to_peer.encoded_len(), to_owner.encoded_len()));
+        assert_eq!(scratch, to_owner.encode());
+        // Public-key OT exchanges nothing.
+        let none = OtConfig::elgamal(GroupKind::Sim64).session_setup();
+        assert_eq!(none.encode_exchange(0xFEED, &mut scratch), Ok((0, 0)));
     }
 
     /// One layer of two independent AND gates.
@@ -1242,8 +1148,7 @@ mod tests {
         let xor = b.build().unwrap();
         let ot = OtConfig::extension();
         for (circuit, layers) in [(&and, xor.layers()), (&xor, and.layers())] {
-            let mut party = GmwParty::new(circuit, 0, 2, vec![true; 4], &ot, 3, layers)
-                .with_established_sessions(true);
+            let mut party = GmwParty::new(circuit, 0, 2, vec![true; 4], &ot, 3, layers);
             let mut endpoint = ScriptedEndpoint::new(2);
             assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
             let misplaced = MpcError::Circuit(CircuitError::LayeringMismatch { wire: 4 });
@@ -1251,29 +1156,16 @@ mod tests {
         }
     }
 
-    /// The owner's `OtSetup`, then `batch` as the layer-0 message.
-    fn setup_then(batch: GmwMessage) -> Vec<GmwMessage> {
-        let setup = GmwMessage::OtSetup {
-            ot_payload: vec![0; OtConfig::extension().wire_setup_bytes().0],
-        };
-        vec![setup, batch]
-    }
-
     /// [`MpcError::UnexpectedMessage`] for layer 0 of [`two_and_circuit`]
     /// under the extension provider: `expected` carries its payload
-    /// (10 bytes per gate with `Choices`, 1 with `Responses`, the key
-    /// material with `OtSetup`), `found` the message's kind, layer, width
-    /// and payload.
+    /// (10 bytes per gate with `Choices`, 1 with `Responses`), `found` the
+    /// message's kind, layer, width and payload.
     fn unexpected(
         party: usize,
         expected: GmwKind,
         (found, found_layer, found_gates, found_payload): (GmwKind, u32, usize, usize),
     ) -> MpcError {
-        let payload = match expected {
-            GmwKind::Choices => 20,
-            GmwKind::Responses => 2,
-            GmwKind::OtSetup => OtConfig::extension().wire_setup_bytes().0,
-        };
+        let payload = if expected == GmwKind::Choices { 20 } else { 2 };
         MpcError::UnexpectedMessage {
             party,
             peer: 1 - party,
@@ -1294,11 +1186,11 @@ mod tests {
         // the short batch.
         let error = reject(
             0,
-            setup_then(GmwMessage::Choices {
+            vec![GmwMessage::Choices {
                 layer: 0,
                 pairs: vec![(true, false)],
                 ot_payload: vec![0; 10],
-            }),
+            }],
         );
         assert_eq!(
             error,
@@ -1317,11 +1209,11 @@ mod tests {
         // into its shares and finished with a wrong output.
         let error = reject(
             1,
-            setup_then(GmwMessage::Responses {
+            vec![GmwMessage::Responses {
                 layer: 0,
                 bits: vec![true],
                 ot_payload: vec![0],
-            }),
+            }],
         );
         assert_eq!(
             error,
@@ -1338,11 +1230,11 @@ mod tests {
     fn out_of_order_layer_tag_is_rejected_in_every_build() {
         let error = reject(
             1,
-            setup_then(GmwMessage::Responses {
+            vec![GmwMessage::Responses {
                 layer: 7,
                 bits: vec![true, false],
                 ot_payload: vec![0; 2],
-            }),
+            }],
         );
         assert_eq!(
             error,
@@ -1352,16 +1244,16 @@ mod tests {
 
     #[test]
     fn short_ot_payloads_are_rejected_in_every_build() {
-        // Once accepted on layer and width alone: a batch or a set-up
-        // whose OT payload is not the provider's length for it is out of
-        // protocol, one byte short as much as empty.
+        // Once accepted on layer and width alone: a batch whose OT payload
+        // is not the provider's length for it is out of protocol, one byte
+        // short as much as empty.
         let choices = GmwMessage::Choices {
             layer: 0,
             pairs: vec![(true, false); 2],
             ot_payload: vec![0; 19],
         };
         assert_eq!(
-            reject(0, setup_then(choices)),
+            reject(0, vec![choices]),
             unexpected(0, GmwKind::Choices, (GmwKind::Choices, 0, 2, 19))
         );
         let responses = GmwMessage::Responses {
@@ -1370,20 +1262,8 @@ mod tests {
             ot_payload: vec![0; 1],
         };
         assert_eq!(
-            reject(1, setup_then(responses)),
+            reject(1, vec![responses]),
             unexpected(1, GmwKind::Responses, (GmwKind::Responses, 0, 2, 1))
-        );
-        let (from_owner, _) = OtConfig::extension().wire_setup_bytes();
-        let setup = GmwMessage::OtSetup {
-            ot_payload: vec![0; from_owner - 1],
-        };
-        assert_eq!(
-            reject(1, vec![setup]),
-            unexpected(
-                1,
-                GmwKind::OtSetup,
-                (GmwKind::OtSetup, 0, 0, from_owner - 1)
-            )
         );
     }
 
@@ -1399,8 +1279,7 @@ mod tests {
             &OtConfig::extension(),
             3,
             circuit.layers(),
-        )
-        .with_established_sessions(true);
+        );
         let mut endpoint = ScriptedEndpoint::new(2);
         endpoint.inbox[1].push(vec![0x01, 0x00, 0x00]);
         assert_eq!(party.poll(&mut endpoint), ActorStatus::Failed);
@@ -1429,25 +1308,29 @@ mod tests {
             pairs: vec![(true, false); 2],
             ot_payload: vec![0; 20],
         };
-        // Where the peer's OtSetup is due.
+        // A party starts on set-up sessions, so an `OtSetup` is out of
+        // protocol wherever it arrives.
+        let (from_owner, from_peer) = OtConfig::extension().wire_setup_bytes();
+        let setup = |len| GmwMessage::OtSetup {
+            ot_payload: vec![0; len],
+        };
+        // Where Choices are due: Responses, or the peer's OtSetup.
         assert_eq!(
-            reject(1, vec![responses()]),
-            unexpected(1, GmwKind::OtSetup, (GmwKind::Responses, 0, 2, 2))
-        );
-        // Where Choices are due: Responses, or a second OtSetup.
-        assert_eq!(
-            reject(0, setup_then(responses())),
+            reject(0, vec![responses()]),
             unexpected(0, GmwKind::Choices, (GmwKind::Responses, 0, 2, 2))
         );
-        let second_setup = setup_then(GmwMessage::OtSetup { ot_payload: vec![] });
         assert_eq!(
-            reject(0, second_setup),
-            unexpected(0, GmwKind::Choices, (GmwKind::OtSetup, 0, 0, 0))
+            reject(0, vec![setup(from_peer)]),
+            unexpected(0, GmwKind::Choices, (GmwKind::OtSetup, 0, 0, from_peer))
         );
-        // Where Responses are due.
+        // Where Responses are due: Choices, or the owner's OtSetup.
         assert_eq!(
-            reject(1, setup_then(choices)),
+            reject(1, vec![choices]),
             unexpected(1, GmwKind::Responses, (GmwKind::Choices, 0, 2, 20))
+        );
+        assert_eq!(
+            reject(1, vec![setup(from_owner)]),
+            unexpected(1, GmwKind::Responses, (GmwKind::OtSetup, 0, 0, from_owner))
         );
     }
 

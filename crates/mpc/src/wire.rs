@@ -406,10 +406,10 @@ pub(crate) fn write_responses(
 /// Writes an `OtSetup` in place: exactly the encoding of
 /// `GmwMessage::OtSetup { ot_payload }` with `ot_payload` =
 /// `ot_payload(pair_seed, direction, 0, payload_len)`, `direction` one of
-/// [`PAYLOAD_SETUP_FROM_OWNER`] and [`PAYLOAD_SETUP_FROM_PEER`].  A
-/// party's lazy setup writes it into a transport lane, and an engine run
-/// writes every node pair's key material through it into one reused
-/// buffer (both via [`crate::party::SessionSetup::write_message`]).
+/// [`PAYLOAD_SETUP_FROM_OWNER`] and [`PAYLOAD_SETUP_FROM_PEER`].  Its one
+/// caller is [`crate::party::SessionSetup::encode_exchange`], through which
+/// an engine run's Initialization step and the one-shot door charge every
+/// pair's key material.
 pub fn write_ot_setup(out: &mut Vec<u8>, pair_seed: u64, direction: u64, payload_len: usize) {
     put_message(
         out,

@@ -761,17 +761,41 @@ fn multiplexed_fingerprints(
 /// measured pair bytes are what `tally` folds).  Checked not to have moved:
 /// every `shares`, `rounds`, `tally` and `messages`, and the nine surviving
 /// entries of every `counts` array.
+///
+/// **Re-captured a second time, 2026-10-19, for a named field set.**  A
+/// party starts on set-up OT-extension sessions, so the one-shot door
+/// charges each pair's two `OtSetup` encodings (their length in
+/// `counts.wire_bytes`, the parties' bytes and the pair flows) instead of
+/// sending them over the transport.  What moved: `tally` and `messages` of
+/// the six `extension` rows, whose lanes no longer carry the `OtSetup`
+/// messages:
+/// * `deep` / `extension` / 3: `tally` 17503285370796608251 → 8474811611503250079, `messages`
+///   14997814937247267381 → 9431749928553953402.
+/// * `deep` / `extension` / 5: `tally` 16033738224191658465 → 10695830862977669209, `messages`
+///   1147820364187734940 → 13635463065594701586.
+/// * `deep` / `extension` / 8: `tally` 14797853441262008245 → 17912817930428695317, `messages`
+///   3793855001994877100 → 6264988458429384020.
+/// * `wide` / `extension` / 3: `tally` 9969474062762851432 → 8242908096311541414, `messages`
+///   12289296861088390307 → 7219349605706018414.
+/// * `wide` / `extension` / 5: `tally` 921918314326206805 → 18294866749854402725, `messages`
+///   17019116995583694260 → 696129122198206168.
+/// * `wide` / `extension` / 8: `tally` 9801018694936820445 → 16879101589057536557, `messages`
+///   10169534055813686848 → 1320608682739237376.
+///
+/// Checked not to have moved: `shares`, `counts`, `rounds` and `traffic` of
+/// every row, and every field of the six `elgamal` rows (public-key OT has
+/// no session setup) — so the charge equals what was sent.
 #[rustfmt::skip]
 const PINNED: [(&str, &str, usize, Fingerprint); 12] = [
-    ("deep", "extension", 3, Fingerprint { shares: 5123522497241910172, counts: [720, 0, 0, 240, 4500, 1500, 2000, 98970, 1003], rounds: 1003, tally: 17503285370796608251, messages: 14997814937247267381, traffic: 2007239899318507136 }),
-    ("deep", "extension", 5, Fingerprint { shares: 7631902638434219146, counts: [2400, 0, 0, 800, 15000, 1500, 2000, 329900, 1003], rounds: 1003, tally: 16033738224191658465, messages: 1147820364187734940, traffic: 4498935978259914481 }),
-    ("deep", "extension", 8, Fingerprint { shares: 16428961054209189680, counts: [6720, 0, 0, 2240, 42000, 1500, 2000, 923720, 1003], rounds: 1003, tally: 14797853441262008245, messages: 3793855001994877100, traffic: 12062708151925411961 }),
+    ("deep", "extension", 3, Fingerprint { shares: 5123522497241910172, counts: [720, 0, 0, 240, 4500, 1500, 2000, 98970, 1003], rounds: 1003, tally: 8474811611503250079, messages: 9431749928553953402, traffic: 2007239899318507136 }),
+    ("deep", "extension", 5, Fingerprint { shares: 7631902638434219146, counts: [2400, 0, 0, 800, 15000, 1500, 2000, 329900, 1003], rounds: 1003, tally: 10695830862977669209, messages: 13635463065594701586, traffic: 4498935978259914481 }),
+    ("deep", "extension", 8, Fingerprint { shares: 16428961054209189680, counts: [6720, 0, 0, 2240, 42000, 1500, 2000, 923720, 1003], rounds: 1003, tally: 17912817930428695317, messages: 6264988458429384020, traffic: 12062708151925411961 }),
     ("deep", "elgamal", 3, Fingerprint { shares: 5123522497241910172, counts: [72000, 0, 0, 4500, 0, 1500, 2000, 452232, 1001], rounds: 1001, tally: 12272581752034311900, messages: 15507424422150957847, traffic: 6766117502739781128 }),
     ("deep", "elgamal", 5, Fingerprint { shares: 7631902638434219146, counts: [240000, 0, 0, 15000, 0, 1500, 2000, 1507440, 1001], rounds: 1001, tally: 5559117139399330305, messages: 7220901252255997288, traffic: 12938298148733452889 }),
     ("deep", "elgamal", 8, Fingerprint { shares: 16428961054209189680, counts: [672000, 0, 0, 42000, 0, 1500, 2000, 4220832, 1001], rounds: 1001, tally: 5737559769125257045, messages: 1622164794988598037, traffic: 18427200231210025593 }),
-    ("wide", "extension", 3, Fingerprint { shares: 18301796936191437206, counts: [720, 0, 0, 240, 3153, 1051, 0, 66681, 7], rounds: 7, tally: 9969474062762851432, messages: 12289296861088390307, traffic: 10624199351743005712 }),
-    ("wide", "extension", 5, Fingerprint { shares: 9260127984839528710, counts: [2400, 0, 0, 800, 10510, 1051, 0, 222270, 7], rounds: 7, tally: 921918314326206805, messages: 17019116995583694260, traffic: 2107345151003063249 }),
-    ("wide", "extension", 8, Fingerprint { shares: 11010598065292202474, counts: [6720, 0, 0, 2240, 29428, 1051, 0, 622356, 7], rounds: 7, tally: 9801018694936820445, messages: 10169534055813686848, traffic: 6511711784476484873 }),
+    ("wide", "extension", 3, Fingerprint { shares: 18301796936191437206, counts: [720, 0, 0, 240, 3153, 1051, 0, 66681, 7], rounds: 7, tally: 8242908096311541414, messages: 7219349605706018414, traffic: 10624199351743005712 }),
+    ("wide", "extension", 5, Fingerprint { shares: 9260127984839528710, counts: [2400, 0, 0, 800, 10510, 1051, 0, 222270, 7], rounds: 7, tally: 18294866749854402725, messages: 696129122198206168, traffic: 2107345151003063249 }),
+    ("wide", "extension", 8, Fingerprint { shares: 11010598065292202474, counts: [6720, 0, 0, 2240, 29428, 1051, 0, 622356, 7], rounds: 7, tally: 16879101589057536557, messages: 1320608682739237376, traffic: 6511711784476484873 }),
     ("wide", "elgamal", 3, Fingerprint { shares: 18301796936191437206, counts: [50448, 0, 0, 3153, 0, 1051, 0, 303957, 5], rounds: 5, tally: 3297569108055309822, messages: 12473165375077455620, traffic: 5422436204272775872 }),
     ("wide", "elgamal", 5, Fingerprint { shares: 9260127984839528710, counts: [168160, 0, 0, 10510, 0, 1051, 0, 1013190, 5], rounds: 5, tally: 5298078028870286773, messages: 623907360314115871, traffic: 5243472062545353489 }),
     ("wide", "elgamal", 8, Fingerprint { shares: 11010598065292202474, counts: [470848, 0, 0, 29428, 0, 1051, 0, 2836932, 5], rounds: 5, tally: 274950429683024685, messages: 8986842107210137925, traffic: 3341594041729593521 }),

@@ -473,7 +473,6 @@ pub fn build_jobs(config: &MasterConfig, graph: &Graph) -> Result<Vec<JobSpec>, 
             width: config.width,
             rounds: config.rounds,
             degree_bound: graph.degree_bound() as u32,
-            batching: engine.gmw_batching,
             transport: config.worker_transport,
             group: engine.group,
             blocks: (0..graph.vertex_count())
@@ -662,8 +661,8 @@ mod tests {
 
     #[test]
     fn registration_refuses_a_worker_of_the_previous_protocol_version() {
-        // A worker built before the byte layouts changed speaks version 1;
-        // its Register must be refused, naming both versions, before any
+        // A worker built before the byte layouts changed speaks the
+        // previous version; its Register must be refused, naming both versions, before any
         // of its frames could be misread.
         let (sender, receiver) = channel();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -686,7 +685,7 @@ mod tests {
                  master speaks {PROTOCOL_VERSION}"
             )
         );
-        assert_eq!((old, PROTOCOL_VERSION), (1, 2));
+        assert_eq!((old, PROTOCOL_VERSION), (2, 3));
     }
 
     #[test]

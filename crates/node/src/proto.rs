@@ -24,14 +24,15 @@
 
 use dstress_core::{BlockStepOutcome, BlockStepTask, TransferOutcome, TransferTask, TransportKind};
 use dstress_crypto::group::GroupKind;
-use dstress_mpc::GmwBatching;
 use dstress_net::traffic::{NodeId, NodeTraffic};
 use dstress_net::wire::{self, Wire, WireError};
 
 /// Protocol version sent in `Register`; the master rejects mismatches.
 /// Version 2 dropped the analytic byte model from the operation counts and
-/// the traffic entries that `BatchResults` and `Report` carry.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// the traffic entries that `BatchResults` and `Report` carry; version 3
+/// dropped the batching byte from `Job`: every deployed block MPC walks
+/// the depth layering (`GmwBatching::Layered`).
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Run-wide parameters a worker needs to execute tasks bit-identically
 /// to the master's in-process pool, plus the block assignment it hosts.
@@ -47,8 +48,6 @@ pub struct JobSpec {
     pub rounds: u32,
     /// Public degree bound `D` of the run's graph.
     pub degree_bound: u32,
-    /// GMW AND-gate batching mode of every block MPC.
-    pub batching: GmwBatching,
     /// Transport backend the worker's block MPCs run on.
     pub transport: TransportKind,
     /// ElGamal group of the run (sizes the accounted transfer costs).
@@ -73,13 +72,6 @@ impl Wire for JobSpec {
         wire::put_uvarint(out, self.width as u64);
         wire::put_uvarint(out, self.rounds as u64);
         wire::put_uvarint(out, self.degree_bound as u64);
-        wire::put_u8(
-            out,
-            match self.batching {
-                GmwBatching::PerGate => 0,
-                GmwBatching::Layered => 1,
-            },
-        );
         wire::put_u8(
             out,
             match self.transport {
@@ -107,16 +99,6 @@ impl Wire for JobSpec {
         let width = get_u32(buf)?;
         let rounds = get_u32(buf)?;
         let degree_bound = get_u32(buf)?;
-        let batching = match wire::get_u8(buf)? {
-            0 => GmwBatching::PerGate,
-            1 => GmwBatching::Layered,
-            tag => {
-                return Err(WireError::BadTag {
-                    tag,
-                    what: "JobSpec batching",
-                })
-            }
-        };
         let transport = match wire::get_u8(buf)? {
             0 => TransportKind::Sim,
             1 => TransportKind::Socket,
@@ -148,7 +130,6 @@ impl Wire for JobSpec {
             width,
             rounds,
             degree_bound,
-            batching,
             transport,
             group,
             blocks,
@@ -262,7 +243,6 @@ mod tests {
             width: 8,
             rounds: 2,
             degree_bound: 4,
-            batching: GmwBatching::Layered,
             transport: TransportKind::Socket,
             group: GroupKind::Sim64,
             blocks: vec![
@@ -277,11 +257,12 @@ mod tests {
         assert_eq!(hex(&DeployMsg::Register { version: 1 }.encode()), "0101");
         assert_eq!(hex(&DeployMsg::Finish.encode()), "07");
         // tag · worker 01 · fleet 03 · width 08 · rounds 02 · degree 04 ·
-        // batching 01 · transport 01 · group 00 · 2 blocks of
-        // (vertex · id list)
+        // transport 01 · group 00 · 2 blocks of (vertex · id list).
+        // Version 2 carried a batching byte (01) before the transport:
+        // "020103080204010100020002000503020301".
         assert_eq!(
             hex(&DeployMsg::Job(sample_job()).encode()),
-            "020103080204010100020002000503020301"
+            "0201030802040100020002000503020301"
         );
         // tag · 1 entry · NodeId(1) · the traffic.rs golden NodeTraffic.
         // Version 1's entry led with the four modeled counters
@@ -383,8 +364,8 @@ mod tests {
         ));
         // Unknown enum byte inside a JobSpec.
         let mut bad_group = DeployMsg::Job(sample_job()).encode();
-        // tag(1) + 5 uvarints + batching + transport, then the group byte.
-        bad_group[8] = 9;
+        // tag(1) + 5 uvarints + transport, then the group byte.
+        bad_group[7] = 9;
         assert!(DeployMsg::decode_exact(&bad_group).is_err());
         // A parameter past `u32` is rejected, not truncated: worker = 2³² + 1
         // would otherwise decode as worker 1.
@@ -442,7 +423,6 @@ mod tests {
                 width,
                 rounds,
                 degree_bound: degree,
-                batching: if worker % 2 == 0 { GmwBatching::Layered } else { GmwBatching::PerGate },
                 transport: if fleet % 2 == 0 { TransportKind::Sim } else { TransportKind::Socket },
                 group: if width % 2 == 0 { GroupKind::Sim64 } else { GroupKind::Prod256 },
                 blocks: blocks

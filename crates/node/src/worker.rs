@@ -22,6 +22,7 @@ use std::time::Duration;
 use dstress_core::exec::{execute_accounted_transfer_task, execute_block_steps};
 use dstress_core::{CounterProgram, SecureVertexProgram, TransferTask};
 use dstress_crypto::group::Group;
+use dstress_mpc::GmwBatching;
 use dstress_net::pool::default_threads;
 use dstress_net::socket::FramedConn;
 use dstress_net::traffic::{NodeId, TrafficAccountant};
@@ -142,7 +143,7 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                 }
                 let outcomes = execute_block_steps(
                     &update_circuit,
-                    job.batching,
+                    GmwBatching::Layered,
                     job.transport,
                     state_bits,
                     message_bits,
@@ -201,7 +202,6 @@ mod tests {
     use dstress_core::{BlockStepTask, TransportKind};
     use dstress_crypto::group::GroupKind;
     use dstress_math::rng::{DetRng, Xoshiro256};
-    use dstress_mpc::GmwBatching;
     use std::net::TcpListener;
 
     fn block() -> Vec<NodeId> {
@@ -215,7 +215,6 @@ mod tests {
             width: 8,
             rounds: 1,
             degree_bound: 2,
-            batching: GmwBatching::Layered,
             transport: TransportKind::Sim,
             group: GroupKind::Sim64,
             blocks: vec![(0, block())],
@@ -355,7 +354,7 @@ mod tests {
             .map(|task| {
                 execute_block_step_task(
                     &circuit,
-                    job.batching,
+                    GmwBatching::Layered,
                     TransportKind::Sim,
                     program.state_bits() as usize,
                     program.message_bits() as usize,

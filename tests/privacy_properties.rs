@@ -170,9 +170,11 @@ impl Session<GmwMessage> for Tallying<'_> {
 }
 
 /// The pair bytes the edge-privacy check reads are the bytes that
-/// crossed: for every GMW execution, on both backends and through both
-/// doors, the traffic's bytes from each node to each other node equal the
-/// transport's tally for that pair of parties.
+/// crossed: for every GMW execution, on both backends, the traffic's bytes
+/// from each node to each other node equal the transport's tally for that
+/// pair of parties — plus, on the one-shot door, the `OtSetup` encoding it
+/// charges that directed pair (the owner's to the peer, the peer's back),
+/// since no setup crosses the transport.
 #[test]
 fn gmw_pair_bytes_are_the_transport_tally() {
     let mut builder = CircuitBuilder::new();
@@ -210,6 +212,22 @@ fn gmw_pair_bytes_are_the_transport_tally() {
             }
             .unwrap();
             assert_eq!(session.tallies.len(), jobs.len());
+            let setup = ot.session_setup();
+            let charged = |from: usize, to: usize| {
+                let len = if from < to {
+                    setup.wire.0
+                } else {
+                    setup.wire.1
+                };
+                let message = GmwMessage::OtSetup {
+                    ot_payload: vec![0; len],
+                };
+                if established || from == to {
+                    0
+                } else {
+                    message.encoded_len() as u64
+                }
+            };
             for ((job, (_, traffic)), tally) in jobs.iter().zip(&executions).zip(&session.tallies) {
                 let mut pairs = TrafficAccountant::with_pair_tracking();
                 pairs.merge(traffic);
@@ -217,7 +235,7 @@ fn gmw_pair_bytes_are_the_transport_tally() {
                     for (to, &to_id) in job.node_ids.iter().enumerate() {
                         assert_eq!(
                             pairs.pair_bytes(from_id, to_id),
-                            Some(tally.bytes_between(from, to)),
+                            Some(tally.bytes_between(from, to) + charged(from, to)),
                             "{} established={established}: {from_id} -> {to_id}",
                             transport.name()
                         );

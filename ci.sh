@@ -91,7 +91,9 @@ echo "==> gadgets: committed (AND, depth) table, native-arithmetic truth tables,
 # AND/depth ceilings.
 run_tests -q -p dstress-circuit --test gadget_costs
 run_tests -q -p dstress-circuit --lib builder::tests
-# The IR: 12-byte gates over u32 wire ids, lists at their exact lengths, a
+# The IR: gates stored in 8 bytes (two u32 words, a tag bit on top of
+# each) and read back unchanged for every variant at operands 0 and
+# 2^31 - 1, wire ids refused at 2^31, lists at their exact lengths, a
 # gadget trace naming an undefined wire refused at construction (and so
 # never reaching composition); the layering counts the XOR and NOT gates
 # that every GMW execution is charged, once per execution, layers a
@@ -99,6 +101,8 @@ run_tests -q -p dstress-circuit --lib builder::tests
 # bound), and another circuit's layering is a typed error, in the
 # plaintext layered evaluator and in a GMW party alike.
 run_tests -q -p dstress-circuit --lib ir::tests
+run_tests -q -p dstress-circuit --lib ir::tests::every_gate_is_stored_and_read_back_unchanged
+run_tests -q -p dstress-circuit --lib ir::tests::wire_id_refuses_the_tag_bit
 run_tests -q -p dstress-circuit --lib layers::tests
 run_tests -q -p dstress-mpc --lib another_circuits_layering_ends_the_party_typed
 run_tests -q -p dstress-mpc --lib gmw::tests::every_execution_charges_the_circuits_gate_counts_once
@@ -259,10 +263,10 @@ echo "==> memory shape: budgeted run past the 10,000-vertex RAM wall, streaming 
 # N = 12,000 with the budget at 1/4 of the store bytes: real spill-file
 # bytes and a resident peak under budget (+ segment slack); peak heap
 # sub-linear in edges and below the materialised schedule; the N = 4,000
-# release circuit built and layered in at most 19 B per gate (32 B until
-# the release circuit dropped its gadget trace, its layering's operand
-# copy and the builder's doubling slack; 18.5 measured), with no gadget
-# trace.
+# release circuit built and layered in at most 15 B per gate (19 B
+# while a gate took 12 B, 18.5 measured then; 32 B until the release
+# circuit dropped its gadget trace, its layering's operand copy and the
+# builder's doubling slack; 14.2 measured), with no gadget trace.
 run_tests --release -q -p dstress --test streaming_memory -- --ignored
 
 echo "==> DP edge cases: integer budget ledger, geometric clamp"

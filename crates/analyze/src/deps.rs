@@ -22,11 +22,10 @@ impl GroupDeps {
     /// input *wires* to their group id in `0..num_groups`; input wires
     /// missing from the map (and constants) depend on nothing.
     pub fn of(circuit: &Circuit, wire_group: &BTreeMap<WireId, usize>, num_groups: usize) -> Self {
-        let gates = circuit.gates();
         let blocks = num_groups.div_ceil(64).max(1);
-        let mut bits = vec![0u64; gates.len() * blocks];
-        for (i, gate) in gates.iter().enumerate() {
-            match *gate {
+        let mut bits = vec![0u64; circuit.len() * blocks];
+        for (i, gate) in circuit.gates().enumerate() {
+            match gate {
                 Gate::Input(_) => {
                     if let Some(&g) = wire_group.get(&(i as WireId)) {
                         bits[i * blocks + g / 64] |= 1u64 << (g % 64);

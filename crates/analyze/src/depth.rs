@@ -12,11 +12,10 @@ use dstress_circuit::{Circuit, Gate, WireId};
 
 /// AND depth of the cone feeding the circuit's outputs, computed by DFS.
 pub fn output_and_depth(circuit: &Circuit) -> usize {
-    let gates = circuit.gates();
-    let mut memo: Vec<Option<usize>> = vec![None; gates.len()];
+    let mut memo: Vec<Option<usize>> = vec![None; circuit.len()];
     let mut best = 0;
     for &out in circuit.outputs() {
-        best = best.max(depth_of(gates, &mut memo, out));
+        best = best.max(depth_of(circuit, &mut memo, out));
     }
     best
 }
@@ -24,18 +23,17 @@ pub fn output_and_depth(circuit: &Circuit) -> usize {
 /// AND depth over every wire in the circuit (dead gates included): the
 /// number of AND rounds a layered execution schedules.
 pub fn all_wires_and_depth(circuit: &Circuit) -> usize {
-    let gates = circuit.gates();
-    let mut memo: Vec<Option<usize>> = vec![None; gates.len()];
+    let mut memo: Vec<Option<usize>> = vec![None; circuit.len()];
     let mut best = 0;
-    for w in 0..gates.len() {
-        best = best.max(depth_of(gates, &mut memo, w as WireId));
+    for w in 0..circuit.len() {
+        best = best.max(depth_of(circuit, &mut memo, w as WireId));
     }
     best
 }
 
 /// Iterative post-order DFS (an explicit stack: update circuits reach
 /// tens of thousands of gates, too deep for recursion).
-fn depth_of(gates: &[Gate], memo: &mut [Option<usize>], root: WireId) -> usize {
+fn depth_of(circuit: &Circuit, memo: &mut [Option<usize>], root: WireId) -> usize {
     if let Some(d) = memo[root as usize] {
         return d;
     }
@@ -45,7 +43,7 @@ fn depth_of(gates: &[Gate], memo: &mut [Option<usize>], root: WireId) -> usize {
             stack.pop();
             continue;
         }
-        let (ops, and_here): (Vec<WireId>, bool) = match gates[w as usize] {
+        let (ops, and_here): (Vec<WireId>, bool) = match circuit.gate(w) {
             Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => (Vec::new(), false),
             Gate::Not(a) => (vec![a], false),
             Gate::Xor(a, b) => (vec![a, b], false),

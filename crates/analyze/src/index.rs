@@ -39,7 +39,7 @@ impl EventIndex {
             consumers: vec![Vec::new(); events.len()],
         };
         for (i, ev) in events.iter().enumerate() {
-            match validate_event(ev, circuit.gates().len()) {
+            match validate_event(ev, circuit.len()) {
                 Ok(()) => {
                     index.by_first_wire.entry(ev.output[0]).or_default().push(i);
                     index.outputs.push(ev.output.clone());

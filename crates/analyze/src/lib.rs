@@ -140,7 +140,7 @@ pub(crate) fn analyze_with(
     let report = CircuitReport {
         subject: spec.name.clone(),
         and_gates: stats.and_gates,
-        total_gates: circuit.gates().len(),
+        total_gates: circuit.len(),
         and_depth: out_depth,
         and_depth_all: all_depth,
         output_intervals,
@@ -154,7 +154,7 @@ pub(crate) fn analyze_with(
 pub(crate) fn input_words(circuit: &Circuit, widths: &[u32]) -> Result<Vec<Vec<WireId>>, String> {
     let mut wire_of: Vec<Option<WireId>> = vec![None; circuit.num_inputs()];
     for (i, gate) in (0..).zip(circuit.gates()) {
-        if let Gate::Input(n) = *gate {
+        if let Gate::Input(n) = gate {
             if wire_of[n as usize].is_none() {
                 wire_of[n as usize] = Some(i);
             }

@@ -188,7 +188,6 @@ impl RangeAnalysis {
 /// intervals: an interval that proves a bit constant pins it; a
 /// possibly-negative word pins nothing (two's complement sets high bits).
 fn gate_bits(circuit: &Circuit, cfg: &RangeConfig) -> Vec<Bit3> {
-    let gates = circuit.gates();
     let mut input_bits: BTreeMap<u32, Bit3> = BTreeMap::new();
     for (word, iv) in &cfg.inputs {
         for (j, &w) in word.iter().enumerate() {
@@ -201,15 +200,15 @@ fn gate_bits(circuit: &Circuit, cfg: &RangeConfig) -> Vec<Bit3> {
             } else {
                 Bit3::Top
             };
-            if let Gate::Input(n) = gates[w as usize] {
+            if let Gate::Input(n) = circuit.gate(w) {
                 input_bits.insert(n, b);
             }
         }
     }
-    let mut bits = vec![Bit3::Top; gates.len()];
-    for (i, gate) in gates.iter().enumerate() {
+    let mut bits = vec![Bit3::Top; circuit.len()];
+    for (i, gate) in circuit.gates().enumerate() {
         let bit = |w: WireId| bits[w as usize];
-        bits[i] = match *gate {
+        bits[i] = match gate {
             Gate::Input(n) => input_bits.get(&n).copied().unwrap_or(Bit3::Top),
             Gate::ConstFalse => Bit3::Zero,
             Gate::ConstTrue => Bit3::One,
@@ -560,7 +559,7 @@ impl<'a> Pass<'a> {
         if let Some(b) = self.out.bits[w as usize].known() {
             return Some(b);
         }
-        match self.circuit.gates()[w as usize] {
+        match self.circuit.gate(w) {
             Gate::Not(a) => self.resolve_bit(a).map(|b| !b),
             _ => None,
         }
@@ -573,7 +572,7 @@ impl<'a> Pass<'a> {
         let Some(ei) = self.out.index.producer(&[sel]) else {
             // Not an event output itself: walk raw NOT gates so guards
             // survive `CircuitBuilder::not`.
-            if let Gate::Not(a) = self.circuit.gates()[sel as usize] {
+            if let Gate::Not(a) = self.circuit.gate(sel) {
                 return self.guard_for(a, !on);
             }
             return None;

@@ -39,8 +39,6 @@ pub fn analyze_taint(
     inputs: &[(Vec<WireId>, String, Taint)],
     policy: FlowPolicy,
 ) -> TaintAnalysis {
-    let gates = circuit.gates();
-
     // Label per input *index* (input wires are `Gate::Input(n)` gates).
     let mut input_labels: BTreeMap<u32, u8> = BTreeMap::new();
     let mut input_words: BTreeMap<u32, String> = BTreeMap::new();
@@ -51,16 +49,16 @@ pub fn analyze_taint(
             Taint::Noise => NOISE,
         };
         for &w in word {
-            if let Gate::Input(n) = gates[w as usize] {
+            if let Gate::Input(n) = circuit.gate(w) {
                 input_labels.insert(n, label);
                 input_words.insert(n, name.clone());
             }
         }
     }
 
-    let mut labels = vec![0u8; gates.len()];
-    for (i, gate) in gates.iter().enumerate() {
-        labels[i] = match *gate {
+    let mut labels = vec![0u8; circuit.len()];
+    for (i, gate) in circuit.gates().enumerate() {
+        labels[i] = match gate {
             // Unlabelled inputs are conservatively private: an input the
             // spec forgot to mention must not silently launder data.
             Gate::Input(n) => input_labels.get(&n).copied().unwrap_or(PRIVATE),
@@ -77,7 +75,7 @@ pub fn analyze_taint(
             if l & PRIVATE != 0 && l & NOISE == 0 {
                 let witness = witness_path(circuit, &labels, out);
                 let source_wire = *witness.last().unwrap_or(&out);
-                let source_word = match gates[source_wire as usize] {
+                let source_word = match circuit.gate(source_wire) {
                     Gate::Input(n) => input_words
                         .get(&n)
                         .cloned()
@@ -105,12 +103,11 @@ pub fn analyze_taint(
 /// itself is the proof that the leak bypasses the noise gadget.  Long
 /// paths are truncated in the middle; the source end is always kept.
 fn witness_path(circuit: &Circuit, labels: &[u8], from: WireId) -> Vec<WireId> {
-    let gates = circuit.gates();
     let tainted = |w: WireId| labels[w as usize] & PRIVATE != 0 && labels[w as usize] & NOISE == 0;
     let mut path = vec![from];
     let mut w = from;
     loop {
-        let next = match gates[w as usize] {
+        let next = match circuit.gate(w) {
             Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => None,
             Gate::Not(a) => Some(a).filter(|&a| tainted(a)),
             Gate::Xor(a, b) | Gate::And(a, b) => {

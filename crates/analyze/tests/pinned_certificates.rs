@@ -126,8 +126,8 @@ fn render_program(r: &ProgramReport) -> String {
 /// is the first wire reading `Gate::Input(n)`.
 fn input_words(circuit: &Circuit, widths: &[u32]) -> Vec<Vec<WireId>> {
     let mut wire_of = vec![None; circuit.num_inputs()];
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        if let Gate::Input(n) = *gate {
+    for (i, gate) in circuit.gates().enumerate() {
+        if let Gate::Input(n) = gate {
             wire_of[n as usize].get_or_insert(i as WireId);
         }
     }

@@ -20,7 +20,7 @@
 //! `tests/gadget_costs.rs` holds the table.
 
 use crate::gadgets::{GadgetEvent, GadgetKind};
-use crate::ir::{wire_id, Circuit, CircuitError, Gate, WireId};
+use crate::ir::{wire_id, Circuit, CircuitError, Gate, PackedGate, WireId};
 
 /// A fixed-width little-endian word of wires.
 pub type Word = Vec<WireId>;
@@ -28,7 +28,7 @@ pub type Word = Vec<WireId>;
 /// Incremental circuit builder.
 #[derive(Clone, Debug, Default)]
 pub struct CircuitBuilder {
-    gates: Vec<Gate>,
+    gates: Vec<PackedGate>,
     num_inputs: usize,
     outputs: Vec<WireId>,
     gadgets: Vec<GadgetEvent>,
@@ -71,7 +71,7 @@ impl CircuitBuilder {
         if self.gates.len() == self.gates.capacity() {
             self.gates.reserve_exact(self.gates.len() / 4 + 64);
         }
-        self.gates.push(gate);
+        self.gates.push(PackedGate::new(gate));
         id
     }
 
@@ -573,7 +573,7 @@ impl CircuitBuilder {
     /// Returns [`CircuitError`] if the gate list is inconsistent (cannot
     /// happen when only builder methods were used).
     pub fn build(self) -> Result<Circuit, CircuitError> {
-        Circuit::with_gadgets(self.gates, self.num_inputs, self.outputs, self.gadgets)
+        Circuit::from_packed(self.gates, self.num_inputs, self.outputs, self.gadgets)
     }
 }
 

@@ -42,7 +42,7 @@ pub fn evaluate_wires(circuit: &Circuit, inputs: &[bool]) -> Result<Vec<bool>, C
     let mut values: Vec<bool> = Vec::with_capacity(circuit.len());
     for gate in circuit.gates() {
         let value = |w: WireId| values[w as usize];
-        let v = match *gate {
+        let v = match gate {
             Gate::Input(n) => inputs[n as usize],
             Gate::ConstFalse => false,
             Gate::ConstTrue => true,

@@ -9,9 +9,11 @@
 //!
 //! The layout is sized for circuits that grow with the graph (the
 //! aggregation circuit reads every vertex's state): a wire id is a `u32`
-//! from the builder through the layering to the GMW parties, so a
-//! [`Gate`] is 12 bytes, and a constructed circuit holds its gate list,
-//! outputs and gadget trace at their exact lengths.
+//! from the builder through the layering to the GMW parties, the builder
+//! and the circuit store each gate in 8 bytes (two `u32` words, one tag
+//! bit on top of each) and hand out [`Gate`] values read from them, and a
+//! constructed circuit holds its gate list, outputs and gadget trace at
+//! their exact lengths.
 
 use core::fmt;
 use std::sync::OnceLock;
@@ -21,26 +23,36 @@ use crate::layers::CircuitLayers;
 
 /// Identifier of a wire (the index of the gate that drives it).
 ///
-/// A `u32`, which halves every gate and word against `usize`, so a
-/// circuit has fewer than 2³² gates: the builder, [`Circuit::then`] and
-/// the constructor go through one checked conversion, which panics at
-/// that limit.  Index with `w as usize`.
+/// A `u32`, which halves every gate and word against `usize`; a stored
+/// gate keeps one tag bit on top of each operand word, so a circuit has
+/// fewer than 2³¹ gates: the builder, [`Circuit::then`] and the
+/// constructor go through one checked conversion, which panics at that
+/// limit.  Index with `w as usize`.
 pub type WireId = u32;
+
+/// The top bit of a stored gate's words: set on the first word of an AND
+/// gate, and on the second word of every gate with fewer than two
+/// operands.  Wire ids stay below it.
+const TAG: u32 = 1 << 31;
 
 /// The id of the gate at position `index` of a gate list: the one
 /// conversion every new wire id goes through.
 ///
 /// # Panics
 ///
-/// Panics if `index` does not fit a [`WireId`] (2³² gates or more).
+/// Panics if `index` is 2³¹ or more: it would not fit beside a stored
+/// gate's tag bit.
 pub(crate) fn wire_id(index: usize) -> WireId {
-    WireId::try_from(index).expect("a circuit has fewer than 2^32 gates")
+    WireId::try_from(index)
+        .ok()
+        .filter(|&w| w & TAG == 0)
+        .expect("a circuit has fewer than 2^31 gates")
 }
 
 /// A single gate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Gate {
-    /// The `n`-th circuit input (below the gate count, so a `u32` too).
+    /// The `n`-th circuit input (below the input count).
     Input(u32),
     /// Constant false.
     ConstFalse,
@@ -54,10 +66,68 @@ pub enum Gate {
     Not(WireId),
 }
 
-// Two `u32` operands and the tag, half the `usize` layout: the release
-// circuit grows with N, and its gate list is the largest part of a
-// streamed release's heap.
-const _: () = assert!(std::mem::size_of::<Gate>() == 12);
+/// A gate as the builder and the circuit store it: two `u32` words.
+///
+/// * `Xor(a, b)` is `[a, b]` and `And(a, b)` is `[a | TAG, b]`: both
+///   words' top bits are free, since operands are wire ids.
+/// * Every other gate sets the second word's tag; its low bits say which
+///   gate it is, and the first word holds the input index or the
+///   negated wire (0 for a constant).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedGate([u32; 2]);
+
+// The second word's kinds for gates with fewer than two operands.
+const INPUT: u32 = TAG;
+const NOT: u32 = TAG | 1;
+const CONST_FALSE: u32 = TAG | 2;
+const CONST_TRUE: u32 = TAG | 3;
+
+// The release circuit grows with N and its gate list is the largest part
+// of a streamed release's heap: two words, where `Gate` needs three.
+const _: () = assert!(std::mem::size_of::<PackedGate>() == 8);
+
+impl PackedGate {
+    /// Stores `gate`.  An XOR or AND operand at or past 2³¹ is stored as
+    /// 2³¹ − 1: no gate can read that wire (its own id would be larger),
+    /// so construction still refuses it, as a forward reference.
+    #[inline]
+    pub(crate) fn new(gate: Gate) -> PackedGate {
+        let operand = |w: WireId| w.min(TAG - 1);
+        PackedGate(match gate {
+            Gate::Xor(a, b) => [operand(a), operand(b)],
+            Gate::And(a, b) => [operand(a) | TAG, operand(b)],
+            Gate::Input(n) => [n, INPUT],
+            Gate::Not(a) => [a, NOT],
+            Gate::ConstFalse => [0, CONST_FALSE],
+            Gate::ConstTrue => [0, CONST_TRUE],
+        })
+    }
+
+    /// The gate stored.
+    #[inline]
+    pub(crate) fn get(self) -> Gate {
+        let [a, b] = self.0;
+        if b & TAG == 0 {
+            return if a & TAG == 0 {
+                Gate::Xor(a, b)
+            } else {
+                Gate::And(a & !TAG, b)
+            };
+        }
+        match b {
+            INPUT => Gate::Input(a),
+            NOT => Gate::Not(a),
+            CONST_FALSE => Gate::ConstFalse,
+            _ => Gate::ConstTrue,
+        }
+    }
+}
+
+impl fmt::Debug for PackedGate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
 
 /// Errors raised when constructing or validating circuits.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,7 +136,8 @@ pub enum CircuitError {
     ForwardReference {
         /// The gate index containing the bad reference.
         gate: usize,
-        /// The referenced wire.
+        /// The referenced wire (2³¹ − 1 for an XOR or AND operand at or
+        /// past 2³¹, which no gate can read).
         wire: WireId,
     },
     /// The number of provided input values does not match the circuit.
@@ -164,7 +235,7 @@ impl std::error::Error for CircuitError {}
 /// A Boolean circuit.
 #[derive(Clone, Debug)]
 pub struct Circuit {
-    gates: Vec<Gate>,
+    gates: Vec<PackedGate>,
     num_inputs: usize,
     outputs: Vec<WireId>,
     gadgets: Vec<GadgetEvent>,
@@ -183,7 +254,7 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if the gate list has 2³² gates or more (see [`WireId`]).
+    /// Panics if the gate list has 2³¹ gates or more (see [`WireId`]).
     pub fn new(
         gates: Vec<Gate>,
         num_inputs: usize,
@@ -195,9 +266,8 @@ impl Circuit {
     /// Creates a circuit carrying a word-level gadget trace (recorded by
     /// [`crate::CircuitBuilder`]), with the same validation as
     /// [`Circuit::new`] plus the trace's: every wire an event names must
-    /// exist.  The one door behind [`Circuit::new`] and
-    /// [`crate::CircuitBuilder::build`]: it drops the parts' growth slack,
-    /// so a circuit holds its lists at their exact lengths for life.
+    /// exist.  The gates are stored in 8 bytes each, and the lists kept
+    /// at their exact lengths for life.
     ///
     /// # Errors
     ///
@@ -208,15 +278,31 @@ impl Circuit {
     ///
     /// As [`Circuit::new`].
     pub fn with_gadgets(
-        mut gates: Vec<Gate>,
+        gates: Vec<Gate>,
+        num_inputs: usize,
+        outputs: Vec<WireId>,
+        gadgets: Vec<GadgetEvent>,
+    ) -> Result<Self, CircuitError> {
+        let gates = gates.into_iter().map(PackedGate::new).collect();
+        Circuit::from_packed(gates, num_inputs, outputs, gadgets)
+    }
+
+    /// The one door behind [`Circuit::with_gadgets`] and
+    /// [`crate::CircuitBuilder::build`], on a stored gate list (the
+    /// builder's, so a built circuit is never a `Vec<Gate>`): validates
+    /// as [`Circuit::with_gadgets`] documents and drops the parts' growth
+    /// slack, so a circuit holds its lists at their exact lengths for
+    /// life.
+    pub(crate) fn from_packed(
+        mut gates: Vec<PackedGate>,
         num_inputs: usize,
         mut outputs: Vec<WireId>,
         mut gadgets: Vec<GadgetEvent>,
     ) -> Result<Self, CircuitError> {
-        // Fewer than 2^32 gates, so every wire and the gate count fit a
+        // Fewer than 2^31 gates, so every wire and the gate count fit a
         // `WireId`: the conversion panics otherwise.
         wire_id(gates.len());
-        for (idx, gate) in gates.iter().enumerate() {
+        for (idx, gate) in gates.iter().map(|g| g.get()).enumerate() {
             let check = |wire: WireId| -> Result<(), CircuitError> {
                 if wire as usize >= idx {
                     Err(CircuitError::ForwardReference { gate: idx, wire })
@@ -226,20 +312,20 @@ impl Circuit {
             };
             match gate {
                 Gate::Input(n) => {
-                    if *n as usize >= num_inputs {
+                    if n as usize >= num_inputs {
                         return Err(CircuitError::InputIndexOutOfRange {
                             gate: idx,
-                            index: *n as usize,
+                            index: n as usize,
                             num_inputs,
                         });
                     }
                 }
                 Gate::ConstFalse | Gate::ConstTrue => {}
                 Gate::Xor(a, b) | Gate::And(a, b) => {
-                    check(*a)?;
-                    check(*b)?;
+                    check(a)?;
+                    check(b)?;
                 }
-                Gate::Not(a) => check(*a)?,
+                Gate::Not(a) => check(a)?,
             }
         }
         let defined = |wire: WireId| (wire as usize) < gates.len();
@@ -264,9 +350,19 @@ impl Circuit {
         })
     }
 
-    /// The gate list, in topological order.
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
+    /// The gate driving `wire`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wire` is not a wire of this circuit.
+    #[inline]
+    pub fn gate(&self, wire: WireId) -> Gate {
+        self.gates[wire as usize].get()
+    }
+
+    /// The gates in topological order: gate `i` drives wire `i`.
+    pub fn gates(&self) -> impl ExactSizeIterator<Item = Gate> + DoubleEndedIterator + Clone + '_ {
+        self.gates.iter().map(|g| g.get())
     }
 
     /// Number of input wires.
@@ -291,16 +387,14 @@ impl Circuit {
 
     /// Number of AND gates — the only gates that cost communication in GMW.
     pub fn and_gates(&self) -> usize {
-        self.gates
-            .iter()
+        self.gates()
             .filter(|g| matches!(g, Gate::And(_, _)))
             .count()
     }
 
     /// Number of XOR gates.
     pub fn xor_gates(&self) -> usize {
-        self.gates
-            .iter()
+        self.gates()
             .filter(|g| matches!(g, Gate::Xor(_, _)))
             .count()
     }
@@ -315,8 +409,8 @@ impl Circuit {
     /// this circuit — the layering naming it is another circuit's.
     #[inline]
     pub fn and_inputs(&self, wire: WireId) -> Result<(WireId, WireId), CircuitError> {
-        match self.gates.get(wire as usize) {
-            Some(&Gate::And(a, b)) => Ok((a, b)),
+        match self.gates.get(wire as usize).map(|g| g.get()) {
+            Some(Gate::And(a, b)) => Ok((a, b)),
             _ => Err(CircuitError::LayeringMismatch { wire }),
         }
     }
@@ -376,11 +470,11 @@ impl Circuit {
             });
         }
         let bound_input =
-            |w: WireId| matches!(next.gates[w as usize], Gate::Input(k) if (k as usize) < bound);
+            |w: WireId| matches!(next.gate(w), Gate::Input(k) if (k as usize) < bound);
         // remap[w]: the wire carrying `next`'s wire `w` in the composition.
         let mut remap: Vec<WireId> = Vec::with_capacity(next.len());
         self.gates.reserve_exact(next.len().saturating_sub(bound));
-        for &gate in &next.gates {
+        for gate in next.gates() {
             let gate = match gate {
                 Gate::Input(k) if (k as usize) < bound => {
                     remap.push(self.outputs[k as usize]);
@@ -393,7 +487,7 @@ impl Circuit {
                 Gate::Not(a) => Gate::Not(remap[a as usize]),
             };
             remap.push(wire_id(self.gates.len()));
-            self.gates.push(gate);
+            self.gates.push(PackedGate::new(gate));
         }
         let word = |w: &[WireId]| w.iter().map(|&w| remap[w as usize]).collect();
         let kept = |e: &&GadgetEvent| {
@@ -419,6 +513,7 @@ impl Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn valid_circuit_constructs() {
@@ -526,7 +621,7 @@ mod tests {
         let composed = a.then(&b).unwrap();
         // b's XOR is gate 3 of the composition, its first input a's NOT
         // (wire 1), its second the composition's new input (gate 2).
-        assert_eq!(composed.gates()[3], Gate::Xor(1, 2));
+        assert_eq!(composed.gate(3), Gate::Xor(1, 2));
         let carried = composed.gadgets().last().unwrap();
         assert_eq!(carried.inputs, vec![vec![1], vec![2]]);
         assert_eq!(carried.output, vec![3]);
@@ -553,6 +648,46 @@ mod tests {
         b.output(lt);
         let composed = a.then(&b.build().unwrap()).unwrap();
         assert!(exact(&composed));
+    }
+
+    proptest! {
+        #[test]
+        fn every_gate_is_stored_and_read_back_unchanged(a in 0..TAG, b in 0..TAG) {
+            // The drawn operands, then each pair of 0 and the largest id.
+            let edges = [(0, 0), (0, TAG - 1), (TAG - 1, 0), (TAG - 1, TAG - 1)];
+            for (a, b) in std::iter::once((a, b)).chain(edges) {
+                for gate in [
+                    Gate::Input(a),
+                    Gate::ConstFalse,
+                    Gate::ConstTrue,
+                    Gate::Xor(a, b),
+                    Gate::And(a, b),
+                    Gate::Not(a),
+                ] {
+                    prop_assert_eq!(PackedGate::new(gate).get(), gate);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_operand_on_the_tag_bit_is_a_forward_reference() {
+        for gate in [Gate::Xor(0, TAG), Gate::And(u32::MAX, 0)] {
+            let err = Circuit::new(vec![Gate::Input(0), gate], 1, vec![1]).unwrap_err();
+            assert_eq!(
+                err,
+                CircuitError::ForwardReference {
+                    gate: 1,
+                    wire: TAG - 1
+                }
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^31 gates")]
+    fn wire_id_refuses_the_tag_bit() {
+        wire_id(1 << 31);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::ir::{Circuit, CircuitError, Gate, WireId};
 /// It holds wire ids only — the AND layers and the free-gate schedule,
 /// one `u32` per gate of the circuit — and an evaluator reads every
 /// operand from the circuit's gate list ([`Circuit::and_inputs`]), so a
-/// layering costs 4 B per gate beside the 12 B gates it schedules.
+/// layering costs 4 B per gate beside the 8 B gates it schedules.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CircuitLayers {
     /// `and_layers[r]` holds the AND-gate wires of round `r + 1`, in
@@ -92,7 +92,7 @@ fn sized<T>(widths: &[usize]) -> Vec<Vec<T>> {
 }
 
 /// Whether a gate is an XOR or a NOT: the free gates that do work.
-fn is_xor_or_not(gate: &Gate) -> bool {
+fn is_xor_or_not(gate: Gate) -> bool {
     matches!(gate, Gate::Xor(..) | Gate::Not(_))
 }
 
@@ -104,19 +104,18 @@ impl CircuitLayers {
     /// Panics if the circuit's AND depth is 2¹⁶ or more: a layering keeps
     /// each gate's depth in a `u16` while it is made.
     pub fn of(circuit: &Circuit) -> Self {
-        let gates = circuit.gates();
         // layer[w] = number of AND gates on the longest path ending at w,
         // counting w itself if it is an AND gate.  A first pass sizes
         // every layer, so the vectors below are allocated exactly once at
         // their final length — a circuit keeps its layering for life
         // ([`Circuit::layers`]), and growth slack would stay with it.
-        let mut layer: Vec<u16> = vec![0; gates.len()];
+        let mut layer: Vec<u16> = vec![0; circuit.len()];
         let mut and_widths: Vec<usize> = Vec::new();
         let mut free_widths: Vec<usize> = vec![0];
         let mut xor_not_gates = 0;
-        for (i, gate) in gates.iter().enumerate() {
+        for (i, gate) in circuit.gates().enumerate() {
             let depth = |w: WireId| layer[w as usize];
-            let l = match *gate {
+            let l = match gate {
                 Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => 0,
                 Gate::Xor(a, b) => depth(a).max(depth(b)),
                 Gate::Not(a) => depth(a),
@@ -138,7 +137,7 @@ impl CircuitLayers {
         }
         let mut and_layers: Vec<Vec<WireId>> = sized(&and_widths);
         let mut free_schedule: Vec<Vec<WireId>> = sized(&free_widths);
-        for (w, (gate, &l)) in (0..).zip(gates.iter().zip(&layer)) {
+        for (w, (gate, &l)) in (0..).zip(circuit.gates().zip(&layer)) {
             let l = usize::from(l);
             if matches!(gate, Gate::And(_, _)) {
                 and_layers[l - 1].push(w);
@@ -236,12 +235,11 @@ pub fn evaluate_layered(
             actual: inputs.len(),
         });
     }
-    let gates = circuit.gates();
-    let mut values = vec![false; gates.len()];
+    let mut values = vec![false; circuit.len()];
     for round in 0..=layers.rounds() {
         for &w in &layers.free_schedule()[round] {
             let value = |w: WireId| values[w as usize];
-            values[w as usize] = match gates[w as usize] {
+            values[w as usize] = match circuit.gate(w) {
                 Gate::Input(n) => inputs[n as usize],
                 Gate::ConstFalse => false,
                 Gate::ConstTrue => true,

@@ -6,7 +6,8 @@
 //!
 //! * [`ir`] — the circuit intermediate representation: a flat list of
 //!   XOR / AND / NOT / constant gates over single-bit wires, each gate
-//!   12 bytes (`u32` wire ids from the builder to the GMW parties).
+//!   stored in 8 bytes (`u32` wire ids from the builder to the GMW
+//!   parties, below 2³¹).
 //! * [`builder`] — a gadget library for constructing circuits: adders,
 //!   subtractors, comparators, multiplexers, multipliers and a capped
 //!   fixed-point ratio, over two's-complement words of configurable

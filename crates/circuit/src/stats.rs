@@ -37,9 +37,9 @@ impl CircuitStats {
         let mut not_gates = 0;
         // depth[w] = number of AND gates on the longest path ending at w.
         let mut depth = vec![0u32; circuit.len()];
-        for (i, gate) in circuit.gates().iter().enumerate() {
+        for (i, gate) in circuit.gates().enumerate() {
             let at = |w: WireId| depth[w as usize];
-            depth[i] = match *gate {
+            depth[i] = match gate {
                 Gate::Input(_) | Gate::ConstFalse | Gate::ConstTrue => 0,
                 Gate::Xor(a, b) => {
                     xor_gates += 1;

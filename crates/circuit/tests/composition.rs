@@ -80,11 +80,10 @@ fn assert_trace_carried_over(a: &Circuit, b: &Circuit, composed: &Circuit, input
         let named = event.inputs.iter().flatten().chain(&event.output);
         assert!(named.into_iter().all(|&w| (w as usize) < len), "{event:?}");
         if event.kind == GadgetKind::InputWord {
-            let gates = composed.gates();
             assert!(event
                 .output
                 .iter()
-                .all(|&w| matches!(gates[w as usize], Gate::Input(_))));
+                .all(|&w| matches!(composed.gate(w), Gate::Input(_))));
         }
     }
     assert_eq!(&events[..a.gadgets().len()], a.gadgets());
@@ -94,7 +93,8 @@ fn assert_trace_carried_over(a: &Circuit, b: &Circuit, composed: &Circuit, input
     b_inputs.extend_from_slice(extra);
     let b_wires = evaluate_wires(b, &b_inputs).unwrap();
     let wires = evaluate_wires(composed, inputs).unwrap();
-    let bound_input = |w: WireId| matches!(b.gates()[w as usize], Gate::Input(k) if (k as usize) < a.outputs().len());
+    let bound_input =
+        |w: WireId| matches!(b.gate(w), Gate::Input(k) if (k as usize) < a.outputs().len());
     let kept = b
         .gadgets()
         .iter()
@@ -250,7 +250,7 @@ proptest! {
         prop_assert_eq!(composed.and_gates(), a.and_gates() + b.and_gates());
         // Valid by construction: the checked constructor accepts the parts.
         let rebuilt = Circuit::with_gadgets(
-            composed.gates().to_vec(),
+            composed.gates().collect(),
             composed.num_inputs(),
             composed.outputs().to_vec(),
             composed.gadgets().to_vec(),

@@ -199,11 +199,10 @@ fn cost(circuit: &Circuit) -> (usize, usize) {
 /// operand whose value constants alone determine, and a gate outside the
 /// cone of every output.
 fn wasted_ands(circuit: &Circuit) -> (usize, usize) {
-    let gates = circuit.gates();
-    let mut known: Vec<Option<bool>> = vec![None; gates.len()];
+    let mut known: Vec<Option<bool>> = vec![None; circuit.len()];
     let mut constant_operand = 0;
-    for (i, gate) in gates.iter().enumerate() {
-        known[i] = match *gate {
+    for (i, gate) in circuit.gates().enumerate() {
+        known[i] = match gate {
             Gate::Input(_) => None,
             Gate::ConstFalse => Some(false),
             Gate::ConstTrue => Some(true),
@@ -220,13 +219,13 @@ fn wasted_ands(circuit: &Circuit) -> (usize, usize) {
             }
         };
     }
-    let mut read = vec![false; gates.len()];
+    let mut read = vec![false; circuit.len()];
     for &o in circuit.outputs() {
         read[o as usize] = true;
     }
     let mut unread = 0;
-    for (i, gate) in gates.iter().enumerate().rev() {
-        match *gate {
+    for (i, gate) in circuit.gates().enumerate().rev() {
+        match gate {
             Gate::And(..) if !read[i] => unread += 1,
             Gate::And(a, b) | Gate::Xor(a, b) if read[i] => {
                 read[a as usize] = true;

@@ -632,7 +632,7 @@ impl<'c> GmwParty<'c> {
         // Party 0 holds constants and NOT flips; all other parties'
         // shares are zero.
         let flip = u64::from(self.index == 0);
-        let value = match self.circuit.gates()[w as usize] {
+        let value = match self.circuit.gate(w) {
             Gate::Input(i) => plane_bit(&self.input_share, i as usize),
             Gate::ConstFalse => 0,
             Gate::ConstTrue => flip,

@@ -129,17 +129,14 @@ fn validate_event(ev: &GadgetEvent, num_wires: usize) -> Result<(), String> {
         GadgetKind::Add | GadgetKind::Sub | GadgetKind::XorWord => {
             arity == 2 && widths[0] == out && widths[1] == out
         }
-        GadgetKind::Neg | GadgetKind::NotWord => arity == 1 && widths[0] == out,
-        GadgetKind::LtUnsigned | GadgetKind::LtSigned | GadgetKind::EqWord => {
+        GadgetKind::NotWord => arity == 1 && widths[0] == out,
+        GadgetKind::LtUnsigned | GadgetKind::EqWord => {
             arity == 2 && widths[0] == widths[1] && out == 1
         }
         GadgetKind::Or => arity == 2 && widths[0] == 1 && widths[1] == 1 && out == 1,
         GadgetKind::MuxBit => arity == 3 && widths == [1, 1, 1] && out == 1,
         GadgetKind::MuxWord => arity == 3 && widths[0] == 1 && widths[1] == out && widths[2] == out,
-        GadgetKind::Relu => arity == 1 && widths[0] == out,
-        GadgetKind::MinUnsigned | GadgetKind::MaxUnsigned => {
-            arity == 2 && widths[0] == out && widths[1] == out
-        }
+        GadgetKind::MinUnsigned => arity == 2 && widths[0] == out && widths[1] == out,
         GadgetKind::ZeroExtend => arity == 1 && widths[0] <= out,
         GadgetKind::Truncate => arity == 1 && widths[0] >= out,
         GadgetKind::ShlConst(_) | GadgetKind::ShrConst(_) => arity == 1 && widths[0] == out,

@@ -251,20 +251,15 @@ impl<'a> Pass<'a> {
             GadgetKind::ConstWord(v) => self.set(i, Interval::point(v as i128)),
             GadgetKind::Add
             | GadgetKind::Sub
-            | GadgetKind::Neg
             | GadgetKind::ShlConst(_)
             | GadgetKind::MulFull
             | GadgetKind::Mul
             | GadgetKind::MulFixed(_)
             | GadgetKind::Sum => self.arithmetic(i),
-            GadgetKind::LtUnsigned | GadgetKind::LtSigned | GadgetKind::EqWord => {
-                self.comparison(i)
-            }
+            GadgetKind::LtUnsigned | GadgetKind::EqWord => self.comparison(i),
             GadgetKind::Or | GadgetKind::MuxBit => self.bit_logic(i),
             GadgetKind::MuxWord => self.mux_word(i),
-            GadgetKind::Relu
-            | GadgetKind::MinUnsigned
-            | GadgetKind::MaxUnsigned
+            GadgetKind::MinUnsigned
             | GadgetKind::ZeroExtend
             | GadgetKind::Truncate
             | GadgetKind::ShrConst(_)
@@ -290,10 +285,6 @@ impl<'a> Pass<'a> {
                     lo = lo.max(0);
                 }
                 Interval::new(lo.min(a.hi - b.lo), a.hi - b.lo)
-            }
-            GadgetKind::Neg => {
-                let a = self.operand(i, 0);
-                Interval::new(-a.hi, -a.lo)
             }
             GadgetKind::ShlConst(k) => {
                 let a = self.operand(i, 0);
@@ -329,13 +320,9 @@ impl<'a> Pass<'a> {
                 a.intersect(b).is_none().then_some(false)
             }
         } else {
-            for (operand, iv) in ev.inputs.iter().zip([a, b]) {
-                if ev.kind == GadgetKind::LtUnsigned {
-                    self.check_unsigned(i, iv);
-                } else if !iv.fits_signed(operand.len() as u32) {
-                    self.overflow(i, iv, operand.len() as u32);
-                }
-            }
+            // `lt_unsigned` reads both operands unsigned.
+            self.check_unsigned(i, a);
+            self.check_unsigned(i, b);
             if a.hi < b.lo {
                 Some(true)
             } else {
@@ -390,12 +377,6 @@ impl<'a> Pass<'a> {
         let w_out = ev.output.len() as u32;
         let a = self.operand(i, 0);
         let iv = match ev.kind {
-            GadgetKind::Relu => {
-                if !a.fits_signed(w_out) {
-                    self.overflow(i, a, w_out);
-                }
-                Interval::new(a.lo.max(0), a.hi.max(0))
-            }
             GadgetKind::Truncate if a.fits_unsigned(w_out) => a,
             GadgetKind::Truncate => {
                 self.overflow(i, a, w_out);
@@ -411,14 +392,13 @@ impl<'a> Pass<'a> {
             }
             // A count of the operand's bits, whatever they hold.
             GadgetKind::LeadingOnes => Interval::new(0, ev.inputs[0].len() as i128),
-            // Min, max and the capped ratio: two unsigned operands.
+            // Min and the capped ratio: two unsigned operands.
             _ => {
                 let b = self.operand(i, 1);
                 self.check_unsigned(i, a);
                 self.check_unsigned(i, b);
                 match ev.kind {
                     GadgetKind::MinUnsigned => Interval::new(a.lo.min(b.lo), a.hi.min(b.hi)),
-                    GadgetKind::MaxUnsigned => Interval::new(a.lo.max(b.lo), a.hi.max(b.hi)),
                     // Capped by construction, whatever the operands.
                     GadgetKind::RatioCapped(f) => Interval::new(0, 1i128 << f),
                     _ => unreachable!("{:?} is not a clamp", ev.kind),

@@ -22,7 +22,7 @@ fn build(ops: &[u64], input_his: &[u64]) -> (dstress_circuit::Circuit, Vec<Vec<W
         let i = (op >> 8) as usize % words.len();
         let j = (op >> 24) as usize % words.len();
         let (x, y) = (words[i].clone(), words[j].clone());
-        let out = match op % 8 {
+        let out = match op % 7 {
             0 => b.add(&x, &y),
             1 => {
                 // clamp: max(x - y, 0) via the guarded mux idiom.
@@ -32,10 +32,9 @@ fn build(ops: &[u64], input_his: &[u64]) -> (dstress_circuit::Circuit, Vec<Vec<W
                 b.mux_word(lt, &zero, &diff)
             }
             2 => b.min_unsigned(&x, &y),
-            3 => b.max_unsigned(&x, &y),
-            4 => b.shr_const(&x, 1 + (op >> 40) as u32 % 3),
-            5 => b.mul_fixed(&x, &y, 8),
-            6 => {
+            3 => b.shr_const(&x, 1 + (op >> 40) as u32 % 3),
+            4 => b.mul_fixed(&x, &y, 8),
+            5 => {
                 let ratio = b.ratio_capped(&x, &y, (op >> 40) as u32 % 9);
                 b.zero_extend(&ratio, WIDTH)
             }

@@ -17,13 +17,14 @@ use dstress_core::SecureVertexProgram;
 use dstress_finance::{
     CircuitParams, EisenbergNoeSecure, ElliottGolubJacksonSecure, FinancialNetwork,
 };
-use dstress_math::rng::Xoshiro256;
-use dstress_mpc::gmw::{share_inputs, GmwConfig, GmwProtocol};
+use dstress_math::rng::{DetRng, Xoshiro256};
+use dstress_mpc::gmw::{execute_batch, share_inputs, GmwJob};
 use dstress_mpc::party::{GmwBatching, OtConfig};
+use dstress_mpc::MpcError;
 use dstress_net::cost::{CostModel, OperationCounts};
 use dstress_net::pool::parallel_map;
-use dstress_net::traffic::{NodeId, TrafficAccountant};
-use dstress_net::transport::SimTransport;
+use dstress_net::traffic::NodeId;
+use dstress_net::transport::{SimTransport, Transport};
 use std::time::Instant;
 
 /// The five MPC circuits the paper benchmarks.
@@ -180,31 +181,25 @@ pub fn run_mpc_micro_with(
     let layers = CircuitLayers::of(&circuit);
     let mut rng = Xoshiro256::new(seed);
     let inputs = vec![false; circuit.num_inputs()];
-    let shares = share_inputs(&inputs, block_size, &mut rng);
-    let protocol =
-        GmwProtocol::new(GmwConfig::with_default_ids(block_size).with_batching(batching))
-            .expect("block size is at least 2");
-    let mut traffic = TrafficAccountant::new();
+    let job = GmwJob {
+        node_ids: (0..block_size).map(NodeId).collect(),
+        input_shares: share_inputs(&inputs, block_size, &mut rng),
+        master_seed: rng.next_u64(),
+    };
+    let ot = OtConfig::extension();
 
     let start = Instant::now();
-    let exec = protocol
-        .execute_on(
-            &SimTransport,
-            &circuit,
-            &shares,
-            &OtConfig::extension(),
-            &mut traffic,
-            &mut rng,
-        )
+    let mut executions = SimTransport
+        .open(block_size)
+        .map_err(MpcError::Transport)
+        .and_then(|mut session| execute_batch(&mut *session, &circuit, batching, &ot, vec![job]))
         .expect("microbenchmark circuits execute");
     let measured_seconds = start.elapsed().as_secs_f64();
+    let exec = executions.pop().expect("one job yields one execution");
 
     let cost = CostModel::paper_reference();
     let projected_seconds = cost.estimate_seconds(&exec.counts) / block_size as f64;
-    let traffic_per_node_bytes = (0..block_size)
-        .map(|p| traffic.node(NodeId(p)).wire_bytes_sent as f64)
-        .sum::<f64>()
-        / block_size as f64;
+    let traffic_per_node_bytes = exec.traffic.tally().total_bytes() as f64 / block_size as f64;
 
     MpcMicroRow {
         kind,
@@ -213,7 +208,7 @@ pub fn run_mpc_micro_with(
         vertices,
         and_gates: stats.and_gates,
         and_layers: layers.rounds(),
-        rounds: exec.rounds,
+        rounds: exec.counts.rounds,
         measured_seconds,
         projected_seconds,
         traffic_per_node_bytes,

@@ -75,8 +75,10 @@ fn measured(
     };
     let mut executions =
         door(&mut *session, circuit, batching, ot, vec![job]).expect("execution succeeds");
-    let (execution, traffic) = executions.pop().expect("one job, one execution");
-    assert_eq!(traffic.report().total_bytes, execution.counts.wire_bytes);
+    let execution = executions.pop().expect("one job, one execution");
+    let entries = execution.traffic.node_entries();
+    let sent: u64 = entries.iter().map(|(_, t)| t.wire_bytes_sent).sum();
+    assert_eq!(sent, execution.counts.wire_bytes);
     execution.counts.wire_bytes
 }
 

@@ -232,25 +232,6 @@ impl CircuitBuilder {
         out
     }
 
-    /// Two's-complement negation, the incrementer `¬a + 1`: the carry
-    /// into a bit is "every lower bit of `¬a` is set".
-    pub fn neg(&mut self, a: &Word) -> Word {
-        self.enter_gadget();
-        let not_a = self.not_word(a);
-        let mut carry = self.const_bit(true);
-        let mut out = Vec::with_capacity(a.len());
-        for (i, &x) in not_a.iter().enumerate() {
-            out.push(self.xor(x, carry));
-            if i == 0 {
-                carry = x;
-            } else if i + 1 < a.len() {
-                carry = self.and(x, carry);
-            }
-        }
-        self.record_gadget(GadgetKind::Neg, &[a], &out);
-        out
-    }
-
     /// Unsigned comparison `a < b` (single output bit).
     pub fn lt_unsigned(&mut self, a: &Word, b: &Word) -> WireId {
         self.enter_gadget();
@@ -261,20 +242,6 @@ impl CircuitBuilder {
         let widened = self.add_with_carry(a, &not_b, one, true);
         let out = self.not(widened[a.len()]);
         self.record_gadget(GadgetKind::LtUnsigned, &[a, b], &[out]);
-        out
-    }
-
-    /// Signed (two's complement) comparison `a < b`.
-    pub fn lt_signed(&mut self, a: &Word, b: &Word) -> WireId {
-        self.enter_gadget();
-        let sign_a = *a.last().expect("non-empty word");
-        let sign_b = *b.last().expect("non-empty word");
-        let lt_u = self.lt_unsigned(a, b);
-        // If signs are equal, unsigned comparison gives the right answer;
-        // otherwise a < b exactly when a is negative.
-        let signs_differ = self.xor(sign_a, sign_b);
-        let out = self.mux(signs_differ, sign_a, lt_u);
-        self.record_gadget(GadgetKind::LtSigned, &[a, b], &[out]);
         out
     }
 
@@ -339,32 +306,12 @@ impl CircuitBuilder {
         out
     }
 
-    /// Returns `max(a, 0)` for a signed word: clamps negative values to
-    /// zero (used to clamp pro-rata fractions and shortfalls).
-    pub fn relu(&mut self, a: &Word) -> Word {
-        self.enter_gadget();
-        let sign = *a.last().expect("non-empty word");
-        let zero = self.const_word(0, a.len() as u32);
-        let out = self.mux_word(sign, &zero, a);
-        self.record_gadget(GadgetKind::Relu, &[a], &out);
-        out
-    }
-
     /// Unsigned minimum of two words.
     pub fn min_unsigned(&mut self, a: &Word, b: &Word) -> Word {
         self.enter_gadget();
         let a_lt_b = self.lt_unsigned(a, b);
         let out = self.mux_word(a_lt_b, a, b);
         self.record_gadget(GadgetKind::MinUnsigned, &[a, b], &out);
-        out
-    }
-
-    /// Unsigned maximum of two words.
-    pub fn max_unsigned(&mut self, a: &Word, b: &Word) -> Word {
-        self.enter_gadget();
-        let a_lt_b = self.lt_unsigned(a, b);
-        let out = self.mux_word(a_lt_b, b, a);
-        self.record_gadget(GadgetKind::MaxUnsigned, &[a, b], &out);
         out
     }
 
@@ -707,23 +654,9 @@ mod tests {
     }
 
     #[test]
-    fn signed_comparison() {
-        let minus_one = 0xFFFFu64; // -1 at 16 bits
-        let minus_five = 0xFFFBu64;
-        assert!(run_cmp(|b, x, y| b.lt_signed(x, y), minus_one, 3));
-        assert!(!run_cmp(|b, x, y| b.lt_signed(x, y), 3, minus_one));
-        assert!(run_cmp(|b, x, y| b.lt_signed(x, y), minus_five, minus_one));
-        assert!(run_cmp(|b, x, y| b.lt_signed(x, y), 2, 7));
-    }
-
-    #[test]
-    fn min_max_relu() {
+    fn unsigned_minimum() {
         assert_eq!(run_binop(|b, x, y| b.min_unsigned(x, y), 9, 4), 4);
-        assert_eq!(run_binop(|b, x, y| b.max_unsigned(x, y), 9, 4), 9);
-        // relu of a negative two's-complement value is zero.
-        let neg = 0xFFF0u64;
-        assert_eq!(run_binop(|b, x, _| b.relu(x), neg, 0), 0);
-        assert_eq!(run_binop(|b, x, _| b.relu(x), 17, 0), 17);
+        assert_eq!(run_binop(|b, x, y| b.min_unsigned(x, y), 4, 9), 4);
     }
 
     #[test]

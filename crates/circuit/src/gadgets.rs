@@ -38,12 +38,8 @@ pub enum GadgetKind {
     Add,
     /// Wrapping two's-complement subtraction `a - b`.
     Sub,
-    /// Two's-complement negation.
-    Neg,
     /// Unsigned comparison `a < b` (single output bit).
     LtUnsigned,
-    /// Signed comparison `a < b` (single output bit).
-    LtSigned,
     /// Word equality test (single output bit).
     EqWord,
     /// Bit OR (single output bit).
@@ -53,12 +49,8 @@ pub enum GadgetKind {
     MuxBit,
     /// Word multiplexer; the selector is the single wire of `inputs[0]`.
     MuxWord,
-    /// Signed clamp to zero, `max(a, 0)`.
-    Relu,
     /// Unsigned minimum.
     MinUnsigned,
-    /// Unsigned maximum.
-    MaxUnsigned,
     /// Bitwise XOR of words.
     XorWord,
     /// Bitwise NOT of a word.

@@ -32,11 +32,6 @@ fn mask(width: u32) -> u64 {
     u64::MAX >> (64 - width)
 }
 
-/// `value` read as a two's-complement `width`-bit number.
-fn signed(value: u64, width: u32) -> i64 {
-    ((value << (64 - width)) as i64) >> (64 - width)
-}
-
 /// The leading ones of a `width`-bit `a`, counted from its least
 /// significant bit.
 fn leading_ones(a: u64, width: u32) -> u64 {
@@ -71,25 +66,11 @@ const GADGETS: &[Gadget] = &[
         native: |a, b, w, _| a.wrapping_sub(b) & mask(w),
     },
     Gadget {
-        name: "neg",
-        cost: [(6, 6), (14, 14)],
-        fixed_point: false,
-        build: |c, a, _, _| c.neg(a),
-        native: |a, _, w, _| a.wrapping_neg() & mask(w),
-    },
-    Gadget {
         name: "lt_unsigned",
         cost: [(8, 8), (16, 16)],
         fixed_point: false,
         build: |c, a, b, _| vec![c.lt_unsigned(a, b)],
         native: |a, b, _, _| (a < b) as u64,
-    },
-    Gadget {
-        name: "lt_signed",
-        cost: [(9, 9), (17, 17)],
-        fixed_point: false,
-        build: |c, a, b, _| vec![c.lt_signed(a, b)],
-        native: |a, b, w, _| (signed(a, w) < signed(b, w)) as u64,
     },
     Gadget {
         name: "min_unsigned",
@@ -99,25 +80,11 @@ const GADGETS: &[Gadget] = &[
         native: |a, b, _, _| a.min(b),
     },
     Gadget {
-        name: "max_unsigned",
-        cost: [(16, 9), (32, 17)],
-        fixed_point: false,
-        build: |c, a, b, _| c.max_unsigned(a, b),
-        native: |a, b, _, _| a.max(b),
-    },
-    Gadget {
         name: "eq_word",
         cost: [(7, 3), (15, 4)],
         fixed_point: false,
         build: |c, a, b, _| vec![c.eq_word(a, b)],
         native: |a, b, _, _| (a == b) as u64,
-    },
-    Gadget {
-        name: "relu",
-        cost: [(8, 1), (16, 1)],
-        fixed_point: false,
-        build: |c, a, _, _| c.relu(a),
-        native: |a, _, w, _| signed(a, w).max(0) as u64,
     },
     Gadget {
         name: "mul_full",

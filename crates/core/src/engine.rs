@@ -497,7 +497,6 @@ impl DStressRuntime {
                 update_circuit: &update_circuit,
                 state_bits: run.state_bits,
                 message_bits: run.message_bits,
-                message_width: program.message_bits(),
                 group: &group,
                 setup: &setup,
                 secrets: &secrets,
@@ -1158,11 +1157,11 @@ fn release_mpc(
         master_seed,
     };
     let ot = OtConfig::extension();
-    let (execution, flows) =
+    let execution =
         execute_established(&mut *session, circuit, config.gmw_batching, &ot, vec![job])?
             .pop()
             .expect("one job yields one execution");
-    traffic.merge(&flows);
+    execution.traffic.merge_into(traffic);
     Ok(execution)
 }
 
@@ -1460,7 +1459,8 @@ mod tests {
             assert_eq!(report.total_bytes, wire_bytes, "{transfers:?}");
             let senders = run
                 .traffic
-                .nodes()
+                .sorted_node_entries()
+                .iter()
                 .filter(|(_, t)| t.wire_bytes_sent > 0)
                 .count();
             assert_eq!(

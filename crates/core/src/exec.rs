@@ -145,8 +145,6 @@ pub struct StepContext<'a> {
     pub state_bits: usize,
     /// Message width in bits.
     pub message_bits: usize,
-    /// Message width as the transfer protocol's `u32` parameter.
-    pub message_width: u32,
     /// The ElGamal group of the run.
     pub group: &'a Group,
     /// System setup (blocks; certificates in real-crypto mode).
@@ -252,10 +250,14 @@ impl StepExecutor for LocalExecutor {
             // An accounted transfer is bookkeeping — about a microsecond,
             // against tens of microseconds to start a helper thread — so
             // the batch runs on the calling thread in every mode.
-            TransferMode::Accounted => Ok(tasks
-                .iter()
-                .map(|task| execute_accounted_transfer_task(ctx.group, ctx.message_width, task))
-                .collect()),
+            TransferMode::Accounted => {
+                // The program's `u32` width, widened when the run opened.
+                let bits = ctx.message_bits as u32;
+                Ok(tasks
+                    .iter()
+                    .map(|task| execute_accounted_transfer_task(ctx.group, bits, task))
+                    .collect())
+            }
         }
     }
 }
@@ -406,7 +408,7 @@ fn run_lane(
             stale => stale.insert(transport.open(block_size).map_err(MpcError::Transport)?),
         };
         let executions = execute_established(&mut **session, update_circuit, batching, &ot, jobs)?;
-        for ((execution, traffic), out_slots) in executions.into_iter().zip(out_slots) {
+        for (execution, out_slots) in executions.into_iter().zip(out_slots) {
             let mut new_state = Vec::with_capacity(block_size);
             let mut outgoing = vec![vec![Vec::new(); block_size]; out_slots];
             for (m_idx, member_outputs) in execution.output_shares.iter().enumerate() {
@@ -420,7 +422,7 @@ fn run_lane(
                 new_state,
                 outgoing,
                 counts: execution.counts,
-                traffic: traffic.sorted_node_entries(),
+                traffic: execution.traffic.node_entries(),
             });
         }
     }
@@ -444,7 +446,8 @@ fn real_crypto_transfer(
         .iter()
         .map(|bits| BitMessage::from_bits(bits))
         .collect();
-    let config = TransferConfig::final_protocol(ctx.message_width, ctx.config.edge_noise_alpha);
+    let bits = ctx.message_bits as u32;
+    let config = TransferConfig::final_protocol(bits, ctx.config.edge_noise_alpha);
     let outcome = transfer_message(
         ctx.group,
         &config,

@@ -5,10 +5,11 @@
 //! share); each AND gate requires one 1-out-of-4 oblivious transfer per
 //! unordered party pair.  All OTs of one circuit *layer* are independent,
 //! so the engine batches them into a single message exchange per pair per
-//! layer ([`GmwBatching::Layered`], the default): the number of
-//! sequential communication rounds scales with the circuit's AND depth,
-//! not its AND-gate count — the amortisation that makes the paper's
-//! wide-area deployment viable (§5.1).  There is one party state machine;
+//! layer ([`GmwBatching::Layered`]): the number of sequential
+//! communication rounds scales with the circuit's AND depth, not its
+//! AND-gate count — the amortisation that makes the paper's wide-area
+//! deployment viable (§5.1).  There is one party state machine; the
+//! batch doors take the [`GmwBatching`] that selects its layering, and
 //! [`GmwBatching::PerGate`] runs it over the serial layering
 //! ([`CircuitLayers::serial`], one AND gate per layer) for A/B round
 //! measurements, bit-identical in everything but rounds and framing.
@@ -27,7 +28,8 @@
 //! deterministically in process ([`dstress_net::SimTransport`]) or over
 //! real loopback TCP ([`dstress_net::SocketTransport`]), with
 //! bit-identical results.  [`GmwProtocol::execute_on`] is the convenience
-//! entry point on one transport.
+//! entry point on one transport: [`execute_batch`] of one job, on the
+//! depth layering, on a session of its own.
 //!
 //! Two doors run batches, both over one body: each runs several
 //! executions of one circuit — each a [`GmwJob`] with its own members,
@@ -46,17 +48,16 @@
 //!   per pair of its parties, the way a run's Initialization step charges
 //!   a node pair's ([`SessionSetup::encode_exchange`]).  No `OtSetup`
 //!   crosses the transport on either door.
-//!   [`GmwProtocol::execute_seeded`] is its batch of one on a session of
-//!   its own.
 //!
 //! A party that rejects a peer's message ends the batch at once with
 //! [`MpcError::UnexpectedMessage`], on every backend.
 //!
-//! The executor measures, for every run: the bytes each party sent and
-//! received (the transport's tally of the encoded messages), the number
-//! of OTs and AND gates, and the number of communication rounds.  Those
-//! measurements feed the harness directly; [`execution_wire_bytes`] is
-//! the closed form the measured bytes equal.
+//! The executor measures, for every run: the bytes each party pair sent
+//! (the transport's tally of the encoded messages, kept once in the
+//! execution's [`GmwTraffic`]), the number of OTs and AND gates, and the
+//! number of communication rounds.  Those measurements feed the harness
+//! directly; [`execution_wire_bytes`] is the closed form the measured
+//! bytes equal.
 
 use crate::error::MpcError;
 use crate::party::{pair_payload_seed, GmwBatching, GmwMessage, GmwParty, OtConfig, SessionSetup};
@@ -65,7 +66,7 @@ use dstress_circuit::{Circuit, CircuitLayers};
 use dstress_crypto::sharing::{split_xor_bit, xor_reconstruct_bit};
 use dstress_math::rng::DetRng;
 use dstress_net::cost::OperationCounts;
-use dstress_net::traffic::{NodeId, TrafficAccountant};
+use dstress_net::traffic::{NodeId, NodeTraffic, TrafficAccountant};
 use dstress_net::transport::{NodeActor, Session, Transport, TransportError};
 use dstress_net::wire::WireTally;
 
@@ -75,10 +76,6 @@ use dstress_net::wire::WireTally;
 pub struct GmwConfig {
     /// Node identities used for traffic accounting, one per party.
     pub node_ids: Vec<NodeId>,
-    /// Which layering the parties walk: the depth layering by default
-    /// (one exchange per AND layer), the serial one (one exchange per
-    /// AND gate) for A/B round measurements.
-    pub batching: GmwBatching,
 }
 
 impl GmwConfig {
@@ -90,16 +87,7 @@ impl GmwConfig {
 
     /// Creates a configuration with explicit node identities.
     pub fn with_node_ids(node_ids: Vec<NodeId>) -> Self {
-        GmwConfig {
-            node_ids,
-            batching: GmwBatching::default(),
-        }
-    }
-
-    /// Selects the AND-gate batching mode.
-    pub fn with_batching(mut self, batching: GmwBatching) -> Self {
-        self.batching = batching;
-        self
+        GmwConfig { node_ids }
     }
 }
 
@@ -109,21 +97,73 @@ pub struct GmwExecution {
     /// Output shares, indexed `[party][output bit]`; XORing across parties
     /// reconstructs each output bit.
     pub output_shares: Vec<Vec<bool>>,
-    /// Operation counts accumulated during the execution (including the
-    /// OT provider's counts for this run).
+    /// Operation counts, the OT providers' included.  `rounds` is the
+    /// critical path per party pair (pairs exchange in parallel): two
+    /// measured rounds per layer the parties walked, plus the output
+    /// round, plus the setup's rounds where [`execute_batch`] charges
+    /// them.  `wire_bytes` is the traffic's byte total.
     pub counts: OperationCounts,
-    /// Sequential one-way communication rounds per party pair (pairs
-    /// exchange in parallel, so this is the critical path, not a sum over
-    /// pairs): two measured rounds per layer of the layering the parties
-    /// walked — per AND layer ([`GmwBatching::Layered`]) or per AND gate
-    /// ([`GmwBatching::PerGate`]) — plus the output-reconstruction round,
-    /// plus the session setup's rounds where the one-shot door
-    /// ([`execute_batch`]) charges them, as a run's Initialization step
-    /// charges them to its own phase.
-    pub rounds: u64,
-    /// Per-party bytes *measured* on the wire: the summed encoded sizes
-    /// of every message the party sent through the transport.
-    pub wire_bytes_per_party: Vec<u64>,
+    /// The bytes the execution put on the wire, per party pair: its one
+    /// traffic record, from which every per-node view is derived.
+    pub traffic: GmwTraffic,
+}
+
+/// The traffic of one execution: the transport's per-pair tally of the
+/// encoded messages, in the parties' local indices, with the node
+/// identity of each party.  On the one-shot door ([`execute_batch`]) the
+/// tally also holds the two `OtSetup` encodings charged per pair, each
+/// entered as the message it stands for.
+#[derive(Clone, Debug)]
+pub struct GmwTraffic {
+    /// Node identity of each party: party `p` is `node_ids[p]`.
+    node_ids: Vec<NodeId>,
+    /// Covers exactly the parties of `node_ids`.
+    tally: WireTally,
+}
+
+impl GmwTraffic {
+    /// Bytes and messages per ordered `(from, to)` pair of parties, in
+    /// the job's party order.
+    pub fn tally(&self) -> &WireTally {
+        &self.tally
+    }
+
+    /// Per-node counters in ascending node order, each node that a
+    /// message or a setup charge touched: what
+    /// [`TrafficAccountant::sorted_node_entries`] reports after
+    /// [`Self::merge_into`] an empty accountant.
+    pub fn node_entries(&self) -> Vec<(NodeId, NodeTraffic)> {
+        let mut entries = Vec::new();
+        for (from, to, bytes, _messages) in self.tally.pairs() {
+            let sent = NodeTraffic {
+                wire_bytes_sent: bytes,
+                wire_bytes_received: 0,
+            };
+            let received = NodeTraffic {
+                wire_bytes_sent: 0,
+                wire_bytes_received: bytes,
+            };
+            entries.extend([(self.node_ids[from], sent), (self.node_ids[to], received)]);
+        }
+        entries.sort_by_key(|&(id, _)| id);
+        entries.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1.wire_bytes_sent += next.1.wire_bytes_sent;
+                kept.1.wire_bytes_received += next.1.wire_bytes_received;
+            }
+            same
+        });
+        entries
+    }
+
+    /// Records every pair's bytes in `traffic`, attributed to the node
+    /// identities.
+    pub fn merge_into(&self, traffic: &mut TrafficAccountant) {
+        for (from, to, bytes, _messages) in self.tally.pairs() {
+            traffic.record(self.node_ids[from], self.node_ids[to], bytes);
+        }
+    }
 }
 
 /// The GMW protocol executor.
@@ -152,14 +192,17 @@ impl GmwProtocol {
     }
 
     /// Executes `circuit` on XOR-shared inputs on the given transport
-    /// backend, drawing the master seed from `rng`.
+    /// backend, drawing the master seed from `rng`: [`execute_batch`] of
+    /// one job on the depth layering, on a session of its own.
     ///
     /// `input_shares[p]` holds party `p`'s share of every input bit (so
     /// each inner vector has length `circuit.num_inputs()`, and XORing the
     /// vectors across parties yields the plaintext inputs).  The
     /// [`OtConfig`] selects the provider each party pair instantiates for
-    /// its AND-gate transfers; traffic is recorded against the configured
-    /// node ids.
+    /// its AND-gate transfers.  The execution's traffic, charged setups
+    /// included, is also merged into `traffic` against the configured
+    /// node ids.  The same seed gives bit-identical shares, counts and
+    /// traffic on every backend.
     ///
     /// # Errors
     ///
@@ -174,33 +217,6 @@ impl GmwProtocol {
         traffic: &mut TrafficAccountant,
         rng: &mut dyn DetRng,
     ) -> Result<GmwExecution, MpcError> {
-        let master_seed = rng.next_u64();
-        self.execute_seeded(transport, circuit, input_shares, ot, traffic, master_seed)
-    }
-
-    /// Executes `circuit` on the given transport backend with an explicit
-    /// master seed.
-    ///
-    /// Every party's randomness and every pair's OT provider derive
-    /// deterministically from `master_seed`, so the same seed produces
-    /// bit-identical output shares and identical [`OperationCounts`] on
-    /// every backend — the invariant the workspace's determinism suite
-    /// asserts across [`dstress_net::SimTransport`] and
-    /// [`dstress_net::SocketTransport`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MpcError::InputShareMismatch`] for malformed share
-    /// vectors and [`MpcError::Transport`] if the transport stalls.
-    pub fn execute_seeded(
-        &self,
-        transport: &dyn Transport<GmwMessage>,
-        circuit: &Circuit,
-        input_shares: &[Vec<bool>],
-        ot: &OtConfig,
-        traffic: &mut TrafficAccountant,
-        master_seed: u64,
-    ) -> Result<GmwExecution, MpcError> {
         // The memoised layering is built on first use and is the largest
         // transient of a big circuit's run: build it before the shares
         // are copied, not while every copy exists.
@@ -208,18 +224,17 @@ impl GmwProtocol {
         let job = GmwJob {
             node_ids: self.config.node_ids.clone(),
             input_shares: input_shares.to_vec(),
-            master_seed,
+            master_seed: rng.next_u64(),
         };
         // Shapes first: a malformed job must not cost a mesh.
         job.check(circuit)?;
         let mut session = transport
             .open(self.parties())
             .map_err(MpcError::Transport)?;
-        let (execution, flows) =
-            execute_batch(&mut *session, circuit, self.config.batching, ot, vec![job])?
-                .pop()
-                .expect("one job yields one execution");
-        traffic.merge(&flows);
+        let execution = execute_batch(&mut *session, circuit, GmwBatching::Layered, ot, vec![job])?
+            .pop()
+            .expect("one job yields one execution");
+        execution.traffic.merge_into(traffic);
         Ok(execution)
     }
 }
@@ -276,10 +291,10 @@ impl GmwJob {
 /// layer is charged the OT-extension session setup of every pair of its
 /// parties, as a run's Initialization step charges a node pair's — the
 /// setup's compute, its rounds, and the lengths of the two `OtSetup`
-/// encodings of [`SessionSetup::encode_exchange`] in `counts.wire_bytes`,
-/// `wire_bytes_per_party` and the returned pair flows.  No `OtSetup`
-/// crosses the transport.  A circuit with no AND gates performs no
-/// oblivious transfer and is charged no setup.
+/// encodings of [`SessionSetup::encode_exchange`] in `counts.wire_bytes`
+/// and in the execution's traffic.  No `OtSetup` crosses the transport.
+/// A circuit with no AND gates performs no oblivious transfer and is
+/// charged no setup.
 ///
 /// # Errors
 ///
@@ -290,16 +305,13 @@ pub fn execute_batch(
     batching: GmwBatching,
     ot: &OtConfig,
     jobs: Vec<GmwJob>,
-) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
-    let members: Vec<(Vec<NodeId>, u64)> = jobs
-        .iter()
-        .map(|job| (job.node_ids.clone(), job.master_seed))
-        .collect();
+) -> Result<Vec<GmwExecution>, MpcError> {
+    let seeds: Vec<u64> = jobs.iter().map(|job| job.master_seed).collect();
     let mut executions = execute_established(session, circuit, batching, ot, jobs)?;
     let setup = ot.session_setup();
-    for ((execution, flows), (node_ids, master_seed)) in executions.iter_mut().zip(&members) {
+    for (execution, master_seed) in executions.iter_mut().zip(seeds) {
         if execution.counts.and_gates > 0 {
-            charge_session_setups(execution, flows, node_ids, *master_seed, &setup)?;
+            charge_session_setups(execution, master_seed, &setup)?;
         }
     }
     Ok(executions)
@@ -310,12 +322,10 @@ pub fn execute_batch(
 /// parallel, so the rounds are one setup's.
 fn charge_session_setups(
     execution: &mut GmwExecution,
-    flows: &mut TrafficAccountant,
-    node_ids: &[NodeId],
     master_seed: u64,
     setup: &SessionSetup,
 ) -> Result<(), MpcError> {
-    let parties = node_ids.len();
+    let parties = execution.traffic.node_ids.len();
     let mut encoded = Vec::new();
     for owner in 0..parties {
         for peer in owner + 1..parties {
@@ -325,13 +335,11 @@ fn charge_session_setups(
                 .map_err(|error| MpcError::Transport(TransportError::Codec { peer, error }))?;
             execution.counts.add(&setup.counts);
             for (from, to, len) in [(owner, peer, to_peer), (peer, owner, to_owner)] {
-                flows.record(node_ids[from], node_ids[to], len as u64);
-                execution.wire_bytes_per_party[from] += len as u64;
+                execution.traffic.tally.record(from, to, len as u64);
                 execution.counts.wire_bytes += len as u64;
             }
         }
     }
-    execution.rounds += setup.rounds;
     execution.counts.rounds += setup.rounds;
     Ok(())
 }
@@ -339,8 +347,8 @@ fn charge_session_setups(
 /// Executes `circuit` once per job, all jobs at once as the groups of one
 /// run of `session`, on parties whose pairs already hold OT-extension
 /// sessions — a run sets them up once, in its Initialization step — and
-/// returns each job's execution with its traffic (node totals and pair
-/// flows, as the transport tallied them), in job order.
+/// returns each job's execution in job order, its traffic the transport's
+/// tally of it.
 ///
 /// The jobs are consumed: each party takes its input share by move, and
 /// the parties of the whole batch exist until the run returns — the
@@ -360,7 +368,7 @@ pub fn execute_established(
     batching: GmwBatching,
     ot: &OtConfig,
     jobs: Vec<GmwJob>,
-) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError> {
+) -> Result<Vec<GmwExecution>, MpcError> {
     for job in &jobs {
         job.check(circuit)?;
     }
@@ -418,23 +426,23 @@ pub fn execute_established(
         error => MpcError::Transport(error),
     })?;
     Ok(members
-        .iter()
+        .into_iter()
         .zip(&parties)
-        .zip(&tallies)
+        .zip(tallies)
         .map(|((node_ids, parties), tally)| merge_execution(layers, node_ids, parties, tally))
         .collect())
 }
 
 /// Folds the finished parties of one execution and the transport's tally
-/// of it into the execution's result and its traffic.  The gate counts
-/// are the layering's, made in the pass that built it: a batch reads no
-/// gate.
+/// of it into the execution's result.  The gate counts are the
+/// layering's, made in the pass that built it: a batch reads no gate.
+/// The tally becomes the execution's traffic as it is.
 fn merge_execution(
     layers: &CircuitLayers,
-    node_ids: &[NodeId],
+    node_ids: Vec<NodeId>,
     parties: &[GmwParty],
-    tally: &WireTally,
-) -> (GmwExecution, TrafficAccountant) {
+    tally: WireTally,
+) -> GmwExecution {
     // Counts are sums and therefore order-independent.
     let mut counts = OperationCounts::default();
     for party in parties {
@@ -444,28 +452,15 @@ fn merge_execution(
     // derived from circuit statistics: every pair exchanges in
     // parallel, so the critical path is the per-pair maximum plus the
     // final output-reconstruction round.
-    let rounds = parties.iter().map(GmwParty::rounds).max().unwrap_or(0) + 1;
+    counts.rounds += parties.iter().map(GmwParty::rounds).max().unwrap_or(0) + 1;
     counts.and_gates += layers.and_gates() as u64;
     counts.free_gates += layers.xor_not_gates() as u64;
-    counts.rounds += rounds;
-
-    // The traffic is the transport's tally (local indices) attributed
-    // to the configured node identities.
-    let mut traffic = TrafficAccountant::with_pair_tracking();
-    let mut wire_bytes_per_party = vec![0u64; node_ids.len()];
-    for (from, to, bytes, _messages) in tally.pairs() {
-        traffic.record(node_ids[from], node_ids[to], bytes);
-        wire_bytes_per_party[from] += bytes;
-    }
     counts.wire_bytes += tally.total_bytes();
-
-    let execution = GmwExecution {
+    GmwExecution {
         output_shares: parties.iter().map(GmwParty::output_share).collect(),
         counts,
-        rounds,
-        wire_bytes_per_party,
-    };
-    (execution, traffic)
+        traffic: GmwTraffic { node_ids, tally },
+    }
 }
 
 /// The bytes one execution of `parties` parties walking `layers` puts on
@@ -727,20 +722,15 @@ mod tests {
         batching: GmwBatching,
     ) -> GmwExecution {
         let mut rng = Xoshiro256::new(seed);
-        let shares = share_inputs(inputs, parties, &mut rng);
-        let protocol =
-            GmwProtocol::new(GmwConfig::with_default_ids(parties).with_batching(batching)).unwrap();
-        let mut traffic = TrafficAccountant::new();
-        protocol
-            .execute_on(
-                &SimTransport,
-                circuit,
-                &shares,
-                &OtConfig::extension(),
-                &mut traffic,
-                &mut rng,
-            )
-            .unwrap()
+        let job = GmwJob {
+            node_ids: (0..parties).map(NodeId).collect(),
+            input_shares: share_inputs(inputs, parties, &mut rng),
+            master_seed: rng.next_u64(),
+        };
+        let mut session = SimTransport.open(parties).unwrap();
+        let ot = OtConfig::extension();
+        let batch = execute_batch(&mut *session, circuit, batching, &ot, vec![job]);
+        batch.unwrap().pop().unwrap()
     }
 
     /// A wide, shallow circuit: `width` independent AND gates, depth 1.
@@ -792,7 +782,7 @@ mod tests {
                 assert_eq!(exec.counts.extended_ots, 0);
                 assert_eq!(exec.counts.exponentiations, 0);
                 assert_eq!(exec.counts.wire_bytes, 0, "no measured setup bytes");
-                assert_eq!(exec.rounds, 1, "only the output round remains");
+                assert_eq!(exec.counts.rounds, 1, "only the output round remains");
             }
         }
 
@@ -807,7 +797,7 @@ mod tests {
         let exec = run_gmw_with(&with_and, &[true, true], 3, 21, GmwBatching::Layered);
         assert_eq!(exec.counts.base_ots, 80 * 3, "3 pairs x kappa base OTs");
         assert!(exec.counts.wire_bytes > 0);
-        assert_eq!(exec.rounds, 2 + 2 + 1, "setup + one layer + output");
+        assert_eq!(exec.counts.rounds, 2 + 2 + 1, "setup + one layer + output");
     }
 
     /// A session that counts the `OtSetup` messages its actors send.
@@ -897,17 +887,16 @@ mod tests {
         GmwBatching,
         &OtConfig,
         Vec<GmwJob>,
-    ) -> Result<Vec<(GmwExecution, TrafficAccountant)>, MpcError>;
+    ) -> Result<Vec<GmwExecution>, MpcError>;
 
     /// Runs `job` alone through `door` on a session of `transport` and
-    /// returns its execution, its flows and the `OtSetup` messages its
-    /// parties sent.
+    /// returns its execution and the `OtSetup` messages its parties sent.
     fn through(
         door: Door,
         transport: &dyn Transport<GmwMessage>,
         circuit: &Circuit,
         job: &GmwJob,
-    ) -> (GmwExecution, TrafficAccountant, usize) {
+    ) -> (GmwExecution, usize) {
         let mut session = SetupCounting {
             inner: transport.open(job.node_ids.len()).unwrap(),
             setups: 0,
@@ -920,8 +909,7 @@ mod tests {
             &ot,
             vec![job.clone()],
         );
-        let (execution, flows) = batch.unwrap().pop().unwrap();
-        (execution, flows, session.setups)
+        (batch.unwrap().pop().unwrap(), session.setups)
     }
 
     #[test]
@@ -959,7 +947,6 @@ mod tests {
                 established.counts.combined(&setup),
                 "{name}"
             );
-            assert_eq!(one_shot.rounds, established.rounds + 2, "{name}");
         }
     }
 
@@ -968,7 +955,7 @@ mod tests {
         // Neither door puts an `OtSetup` on the wire, on either backend;
         // the one-shot door charges exactly `session_setup()` per pair:
         // its compute and rounds, and its two encodings in the counts, in
-        // each sending party's bytes and in each directed pair's flow.
+        // each sending party's bytes and in each directed pair's bytes.
         let (circuit, job) = four_party_job();
         let parties = job.node_ids.len();
         let pairs = (parties * (parties - 1) / 2) as u64;
@@ -978,45 +965,31 @@ mod tests {
         let socket = SocketTransport::new();
         for transport in [&SimTransport as &dyn Transport<GmwMessage>, &socket] {
             let name = transport.name();
-            let (one_shot, one_shot_flows, sent) =
-                through(execute_batch, transport, &circuit, &job);
-            let (established, established_flows, established_sent) =
+            let (one_shot, sent) = through(execute_batch, transport, &circuit, &job);
+            let (established, established_sent) =
                 through(execute_established, transport, &circuit, &job);
             assert_eq!((sent, established_sent), (0, 0), "{name}");
             let mut charged = established.counts.combined(&session.counts.scaled(pairs));
             charged.wire_bytes += pairs * (to_peer + to_owner);
             charged.rounds += session.rounds;
             assert_eq!(one_shot.counts, charged, "{name}");
-            assert_eq!(one_shot.rounds, established.rounds + session.rounds);
+            let (one_shot, established) = (one_shot.traffic.tally(), established.traffic.tally());
             for p in 0..parties {
                 // Party p owns its pairs with the higher indices.
                 let owned = (parties - 1 - p) as u64;
                 let sent = owned * to_peer + p as u64 * to_owner;
                 assert_eq!(
-                    one_shot.wire_bytes_per_party[p],
-                    established.wire_bytes_per_party[p] + sent,
+                    one_shot.sent_bytes(p),
+                    established.sent_bytes(p) + sent,
                     "{name}: party {p}"
                 );
             }
-            let (mut one_shot_pairs, mut established_pairs) = (
-                TrafficAccountant::with_pair_tracking(),
-                TrafficAccountant::with_pair_tracking(),
-            );
-            one_shot_pairs.merge(&one_shot_flows);
-            established_pairs.merge(&established_flows);
-            for (from, &from_id) in job.node_ids.iter().enumerate() {
-                for (to, &to_id) in job
-                    .node_ids
-                    .iter()
-                    .enumerate()
-                    .filter(|&(to, _)| to != from)
-                {
+            for from in 0..parties {
+                for to in (0..parties).filter(|&to| to != from) {
                     let setup = if from < to { to_peer } else { to_owner };
                     assert_eq!(
-                        one_shot_pairs.pair_bytes(from_id, to_id),
-                        established_pairs
-                            .pair_bytes(from_id, to_id)
-                            .map(|b| b + setup),
+                        one_shot.bytes_between(from, to),
+                        established.bytes_between(from, to) + setup,
                         "{name}: {from} -> {to}"
                     );
                 }
@@ -1298,7 +1271,7 @@ mod tests {
             let mut session = SimTransport.open(parties).unwrap();
             let ot = OtConfig::extension();
             let batch = execute_batch(&mut *session, &circuit, batching, &ot, jobs.clone());
-            for (execution, _) in batch.unwrap() {
+            for execution in batch.unwrap() {
                 let counts = execution.counts;
                 let free = (stats.xor_gates + stats.not_gates) as u64;
                 assert_eq!(counts.free_gates, free, "{batching:?}");
@@ -1317,8 +1290,7 @@ mod tests {
         let mut inputs = encode_word(1, 8);
         inputs.extend(encode_word(2, 8));
         let (_, exec) = run_gmw(&circuit, &inputs, 3, 9);
-        assert_eq!(exec.rounds, 2 + 2 * layers.rounds() as u64 + 1);
-        assert_eq!(exec.counts.rounds, exec.rounds);
+        assert_eq!(exec.counts.rounds, 2 + 2 * layers.rounds() as u64 + 1);
         // The layering covers *all* gates (GMW evaluates them all), so it
         // can only be at least the output-reachable AND depth.
         let stats = dstress_circuit::CircuitStats::of(&circuit);
@@ -1339,15 +1311,15 @@ mod tests {
         let wide_batched = run_gmw_with(&wide, &wide_inputs, 3, 5, GmwBatching::Layered);
         // 16x the AND gates, same depth: identical round count (2 setup
         // + 2 for the single layer + 1 output).
-        assert_eq!(narrow_batched.rounds, 5);
-        assert_eq!(wide_batched.rounds, 5);
+        assert_eq!(narrow_batched.counts.rounds, 5);
+        assert_eq!(wide_batched.counts.rounds, 5);
         assert_eq!(wide_batched.counts.and_gates, 64);
 
         let narrow_per_gate = run_gmw_with(&narrow, &narrow_inputs, 3, 5, GmwBatching::PerGate);
         let wide_per_gate = run_gmw_with(&wide, &wide_inputs, 3, 5, GmwBatching::PerGate);
-        assert_eq!(narrow_per_gate.rounds, 2 + 2 * 4 + 1);
-        assert_eq!(wide_per_gate.rounds, 2 + 2 * 64 + 1);
-        assert!(wide_batched.rounds < wide_per_gate.rounds);
+        assert_eq!(narrow_per_gate.counts.rounds, 2 + 2 * 4 + 1);
+        assert_eq!(wide_per_gate.counts.rounds, 2 + 2 * 64 + 1);
+        assert!(wide_batched.counts.rounds < wide_per_gate.counts.rounds);
     }
 
     #[test]
@@ -1413,17 +1385,16 @@ mod tests {
             );
         }
         // Per-party bytes in the execution agree with the accountant and
-        // sum to the execution's total.
+        // sum to the execution's total; its node entries are the
+        // accountant's.
         for (p, &id) in ids.iter().enumerate() {
             assert_eq!(
                 traffic.node(id).wire_bytes_sent,
-                exec.wire_bytes_per_party[p]
+                exec.traffic.tally().sent_bytes(p)
             );
         }
-        assert_eq!(
-            exec.wire_bytes_per_party.iter().sum::<u64>(),
-            exec.counts.wire_bytes
-        );
+        assert_eq!(exec.traffic.tally().total_bytes(), exec.counts.wire_bytes);
+        assert_eq!(exec.traffic.node_entries(), traffic.sorted_node_entries());
     }
 
     #[test]

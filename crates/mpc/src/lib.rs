@@ -24,7 +24,7 @@
 //!   depth.
 //! * [`gmw`] — the GMW engine driving those parties: XOR-shared wires,
 //!   free XOR/NOT gates, one OT per unordered party pair per AND gate
-//!   (grouped per layer on the wire), per-party traffic and operation
+//!   (grouped per layer on the wire), per-pair traffic and operation
 //!   accounting, and helpers for sharing inputs and reconstructing
 //!   outputs.
 //! * [`wire`] — the wire encoding of every [`party::GmwMessage`]:
@@ -62,6 +62,7 @@ pub mod wire;
 pub use error::MpcError;
 pub use gmw::{
     execute_batch, reconstruct_outputs, share_inputs, GmwConfig, GmwExecution, GmwJob, GmwProtocol,
+    GmwTraffic,
 };
 pub use ot::{ElGamalOt, OtProvider, SimulatedOtExtension};
 pub use party::{GmwBatching, GmwMessage, GmwParty, OtConfig};

@@ -144,19 +144,20 @@
 //! let protocol = GmwProtocol::new(GmwConfig::with_default_ids(3)).unwrap();
 //!
 //! // The same parties run on the deterministic backend or over TCP.
+//! let ot = OtConfig::extension();
 //! let mut traffic = TrafficAccountant::new();
 //! let sim = protocol
-//!     .execute_seeded(&SimTransport, &circuit, &shares, &OtConfig::extension(), &mut traffic, 99)
+//!     .execute_on(&SimTransport, &circuit, &shares, &ot, &mut traffic, &mut Xoshiro256::new(99))
 //!     .unwrap();
 //! let mut traffic = TrafficAccountant::new();
 //! let socket = protocol
-//!     .execute_seeded(
+//!     .execute_on(
 //!         &SocketTransport::new(),
 //!         &circuit,
 //!         &shares,
-//!         &OtConfig::extension(),
+//!         &ot,
 //!         &mut traffic,
-//!         99,
+//!         &mut Xoshiro256::new(99),
 //!     )
 //!     .unwrap();
 //!

@@ -4,8 +4,8 @@
 //!    random circuits, inputs and seeds, running the same per-party state
 //!    machines on the deterministic [`SimTransport`] and on the
 //!    multi-threaded, real-TCP [`SocketTransport`] must produce identical
-//!    output shares, identical `OperationCounts`, identical per-party
-//!    byte totals and identical traffic reports — concurrency and real
+//!    output shares, identical `OperationCounts`, identical per-pair
+//!    byte tallies and identical per-node traffic — concurrency and real
 //!    sockets may only change wall-clock, never results.  This contract is
 //!    what lets the deployment layer place block MPCs on remote workers
 //!    without changing a bit of any run.
@@ -24,13 +24,10 @@
 use dstress_circuit::builder::CircuitBuilder;
 use dstress_circuit::{evaluate, Circuit, WireId};
 use dstress_math::rng::{DetRng, SplitMix64, Xoshiro256};
-use dstress_mpc::gmw::{
-    execute_batch, reconstruct_outputs, share_inputs, GmwConfig, GmwJob, GmwProtocol,
-};
+use dstress_mpc::gmw::{execute_batch, reconstruct_outputs, share_inputs, GmwJob};
 use dstress_mpc::party::{GmwBatching, OtConfig};
 use dstress_mpc::GmwExecution;
 use dstress_net::socket::{encode_stream_payload, split_stream_payload, SocketTransport};
-use dstress_net::traffic::TrafficAccountant;
 use dstress_net::transport::{SimTransport, Transport};
 use proptest::prelude::*;
 
@@ -62,6 +59,21 @@ fn random_circuit(seed: u64, inputs: usize, extra_gates: usize) -> Circuit {
         .expect("random circuits are topologically valid")
 }
 
+/// Runs `job` alone through the one-shot door, on a session of its own.
+fn run_alone(
+    transport: &dyn Transport<dstress_mpc::GmwMessage>,
+    circuit: &Circuit,
+    ot: &OtConfig,
+    batching: GmwBatching,
+    job: GmwJob,
+) -> GmwExecution {
+    let mut session = transport.open(job.node_ids.len()).expect("session opens");
+    execute_batch(&mut *session, circuit, batching, ot, vec![job])
+        .expect("execution succeeds")
+        .pop()
+        .expect("one job yields one execution")
+}
+
 fn run_on(
     transport: &dyn Transport<dstress_mpc::GmwMessage>,
     circuit: &Circuit,
@@ -70,14 +82,13 @@ fn run_on(
     ot: &OtConfig,
     master_seed: u64,
     batching: GmwBatching,
-) -> (GmwExecution, TrafficAccountant) {
-    let protocol =
-        GmwProtocol::new(GmwConfig::with_default_ids(parties).with_batching(batching)).unwrap();
-    let mut traffic = TrafficAccountant::new();
-    let exec = protocol
-        .execute_seeded(transport, circuit, shares, ot, &mut traffic, master_seed)
-        .expect("execution succeeds");
-    (exec, traffic)
+) -> GmwExecution {
+    let job = GmwJob {
+        node_ids: (0..parties).map(NodeId).collect(),
+        input_shares: shares.to_vec(),
+        master_seed,
+    };
+    run_alone(transport, circuit, ot, batching, job)
 }
 
 /// Shared fixture: circuit, plaintext inputs, shares and master seed for
@@ -97,7 +108,7 @@ fn scenario(seed: u64, parties: usize) -> (Circuit, Vec<bool>, Vec<Vec<bool>>, u
 fn assert_backends_agree(seed: u64, parties: usize, ot: &OtConfig, batching: GmwBatching) {
     let (circuit, inputs, shares, master_seed) = scenario(seed, parties);
 
-    let (sim, sim_traffic) = run_on(
+    let sim = run_on(
         &SimTransport,
         &circuit,
         &shares,
@@ -106,7 +117,7 @@ fn assert_backends_agree(seed: u64, parties: usize, ot: &OtConfig, batching: Gmw
         master_seed,
         batching,
     );
-    let (sock, sock_traffic) = run_on(
+    let sock = run_on(
         &SocketTransport::new(),
         &circuit,
         &shares,
@@ -119,15 +130,15 @@ fn assert_backends_agree(seed: u64, parties: usize, ot: &OtConfig, batching: Gmw
     // Bit-identical shares, not merely identical reconstructions.
     assert_eq!(sim.output_shares, sock.output_shares, "seed {seed}");
     assert_eq!(sim.counts, sock.counts, "seed {seed}");
-    assert_eq!(sim.rounds, sock.rounds, "seed {seed}");
     // Measured wire bytes — the encoded sizes of the actual messages —
     // are deterministic, even when the messages crossed real TCP frames.
+    assert_eq!(sim.traffic.tally(), sock.traffic.tally(), "seed {seed}");
+    assert_eq!(sim.counts.wire_bytes, sock.counts.wire_bytes, "seed {seed}");
     assert_eq!(
-        sim.wire_bytes_per_party, sock.wire_bytes_per_party,
+        sim.traffic.node_entries(),
+        sock.traffic.node_entries(),
         "seed {seed}"
     );
-    assert_eq!(sim.counts.wire_bytes, sock.counts.wire_bytes, "seed {seed}");
-    assert_eq!(sim_traffic.report(), sock_traffic.report(), "seed {seed}");
 
     // Both must also be *correct*: reconstruction equals the plaintext
     // evaluation.
@@ -145,7 +156,7 @@ fn assert_batching_modes_agree(
 ) {
     let (circuit, inputs, shares, master_seed) = scenario(seed, parties);
     let ot = OtConfig::extension();
-    let (batched, batched_traffic) = run_on(
+    let batched = run_on(
         transport,
         &circuit,
         &shares,
@@ -154,7 +165,7 @@ fn assert_batching_modes_agree(
         master_seed,
         GmwBatching::Layered,
     );
-    let (per_gate, per_gate_traffic) = run_on(
+    let per_gate = run_on(
         transport,
         &circuit,
         &shares,
@@ -184,8 +195,8 @@ fn assert_batching_modes_agree(
         // the traffic is identical.
         assert_eq!(b.wire_bytes, p.wire_bytes, "seed {seed}");
         assert_eq!(
-            batched_traffic.sorted_node_entries(),
-            per_gate_traffic.sorted_node_entries(),
+            batched.traffic.node_entries(),
+            per_gate.traffic.node_entries(),
             "seed {seed}"
         );
     }
@@ -264,7 +275,7 @@ fn measured_wire_bytes_bit_identical_across_the_grid() {
     let ot = OtConfig::extension();
     let mut grid = Vec::new();
     for batching in [GmwBatching::Layered, GmwBatching::PerGate] {
-        let (sim, sim_traffic) = run_on(
+        let sim = run_on(
             &SimTransport,
             &circuit,
             &shares,
@@ -273,7 +284,7 @@ fn measured_wire_bytes_bit_identical_across_the_grid() {
             master_seed,
             batching,
         );
-        let (sock, sock_traffic) = run_on(
+        let sock = run_on(
             &SocketTransport::new(),
             &circuit,
             &shares,
@@ -286,13 +297,10 @@ fn measured_wire_bytes_bit_identical_across_the_grid() {
             sim.counts.wire_bytes, sock.counts.wire_bytes,
             "{batching:?}"
         );
+        assert_eq!(sim.traffic.tally(), sock.traffic.tally(), "{batching:?}");
         assert_eq!(
-            sim.wire_bytes_per_party, sock.wire_bytes_per_party,
-            "{batching:?}"
-        );
-        assert_eq!(
-            sim_traffic.sorted_node_entries(),
-            sock_traffic.sorted_node_entries(),
+            sim.traffic.node_entries(),
+            sock.traffic.node_entries(),
             "{batching:?}"
         );
         assert!(sim.counts.wire_bytes > 0, "{batching:?}");
@@ -327,7 +335,7 @@ fn batched_choices_payload_is_bit_packed_on_the_wire() {
         security_parameter: 0,
     };
 
-    let (batched, _) = run_on(
+    let batched = run_on(
         &SimTransport,
         &circuit,
         &shares,
@@ -340,12 +348,12 @@ fn batched_choices_payload_is_bit_packed_on_the_wire() {
     // Choices message: two w-bit planes plus the header.
     let header_max = dstress_mpc::wire::BATCH_HEADER_MAX as u64;
     assert!(
-        batched.wire_bytes_per_party[1] <= (2 * w.div_ceil(8)) as u64 + header_max,
+        batched.traffic.tally().sent_bytes(1) <= (2 * w.div_ceil(8)) as u64 + header_max,
         "batched choices cost {} bytes for w = {w}",
-        batched.wire_bytes_per_party[1]
+        batched.traffic.tally().sent_bytes(1)
     );
 
-    let (per_gate, _) = run_on(
+    let per_gate = run_on(
         &SimTransport,
         &circuit,
         &shares,
@@ -357,8 +365,9 @@ fn batched_choices_payload_is_bit_packed_on_the_wire() {
     // Per-gate framing pays a whole one-gate `Choices` per AND gate — at
     // least tag + layer + width + two plane bytes + payload length —
     // measurably more than the bit-packed batch.
-    assert!(per_gate.wire_bytes_per_party[1] >= (3 * w) as u64);
-    assert!(batched.wire_bytes_per_party[1] * 4 < per_gate.wire_bytes_per_party[1]);
+    let (batched, per_gate) = (batched.traffic.tally(), per_gate.traffic.tally());
+    assert!(per_gate.sent_bytes(1) >= (3 * w) as u64);
+    assert!(batched.sent_bytes(1) * 4 < per_gate.sent_bytes(1));
 }
 
 /// Two socket runs of one seed, each on a mesh of its own, agree.
@@ -372,7 +381,7 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
     let mut share_rng = Xoshiro256::new(44);
     let shares = share_inputs(&inputs, 4, &mut share_rng);
     let ot = OtConfig::extension();
-    let (a, _) = run_on(
+    let a = run_on(
         &SocketTransport::new(),
         &circuit,
         &shares,
@@ -381,7 +390,7 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
         99,
         GmwBatching::Layered,
     );
-    let (b, _) = run_on(
+    let b = run_on(
         &SocketTransport::new(),
         &circuit,
         &shares,
@@ -403,8 +412,8 @@ fn same_seed_reproduces_across_repeated_threaded_runs() {
 // were captured once, on the commit before the layered hot path was
 // rebuilt, and pin every observable of a layered execution absolutely:
 // output shares, operation counts, rounds, the per-pair wire tally, the
-// accountant's node and pair flows, and a fold over every encoded message
-// in lane order.
+// execution's per-node traffic, and a fold over every encoded message in
+// lane order.
 
 use dstress_mpc::GmwMessage;
 use dstress_net::cost::OperationCounts;
@@ -565,7 +574,7 @@ struct Fingerprint {
     tally: u64,
     /// Fold over every encoded message, lane by lane.
     messages: u64,
-    /// Fold over the accountant's per-node measured byte counters.
+    /// Fold over the execution's per-node measured byte counters.
     traffic: u64,
 }
 
@@ -642,33 +651,17 @@ fn fingerprint(
     ot: &OtConfig,
 ) -> Fingerprint {
     let (inputs, job) = pinned_job(circuit, parties);
-    let protocol = GmwProtocol::new(GmwConfig::with_node_ids(job.node_ids.clone())).unwrap();
     let recording = RecordingTransport::new(transport);
-    let mut traffic = TrafficAccountant::new();
-    let exec = protocol
-        .execute_seeded(
-            &recording,
-            circuit,
-            &job.input_shares,
-            ot,
-            &mut traffic,
-            job.master_seed,
-        )
-        .expect("execution succeeds");
+    let exec = run_alone(&recording, circuit, ot, GmwBatching::Layered, job);
     assert_eq!(
         reconstruct_outputs(&exec.output_shares).unwrap(),
         evaluate(circuit, &inputs).unwrap()
     );
     let (tally, messages) = recording.seen.lock().unwrap().pop().expect("one run");
-    fold_fingerprint(&exec, &traffic, &tally, messages)
+    fold_fingerprint(&exec, &tally, messages)
 }
 
-fn fold_fingerprint(
-    exec: &GmwExecution,
-    traffic: &TrafficAccountant,
-    tally: &WireTally,
-    messages: u64,
-) -> Fingerprint {
+fn fold_fingerprint(exec: &GmwExecution, tally: &WireTally, messages: u64) -> Fingerprint {
     let share_bytes: Vec<u8> = exec
         .output_shares
         .iter()
@@ -678,7 +671,7 @@ fn fold_fingerprint(
         fold_u64s(h, &[from as u64, to as u64, b, m])
     });
     let mut traffic_fold = FNV_OFFSET;
-    for (id, t) in traffic.sorted_node_entries() {
+    for (id, t) in exec.traffic.node_entries() {
         traffic_fold = fold_u64s(
             traffic_fold,
             &[id.0 as u64, t.wire_bytes_sent, t.wire_bytes_received],
@@ -687,7 +680,7 @@ fn fold_fingerprint(
     Fingerprint {
         shares: fold(FNV_OFFSET, &share_bytes),
         counts: counts_array(&exec.counts),
-        rounds: exec.rounds,
+        rounds: exec.counts.rounds,
         tally: tally_fold,
         messages,
         traffic: traffic_fold,
@@ -732,7 +725,7 @@ fn multiplexed_fingerprints(
         jobs.insert(position, pinned);
         let mut executions = execute_batch(&mut *session, circuit, GmwBatching::Layered, ot, jobs)
             .expect("batch succeeds");
-        let (exec, flows) = executions.swap_remove(position);
+        let exec = executions.swap_remove(position);
         assert_eq!(
             reconstruct_outputs(&exec.output_shares).unwrap(),
             evaluate(circuit, &inputs).unwrap()
@@ -743,7 +736,7 @@ fn multiplexed_fingerprints(
             seen.clear();
             group
         };
-        fingerprints.push(fold_fingerprint(&exec, &flows, &tally, messages));
+        fingerprints.push(fold_fingerprint(&exec, &tally, messages));
     }
     fingerprints
 }
@@ -881,34 +874,19 @@ fn layered_execution_matches_the_pinned_fingerprints_multiplexed() {
 /// transport's view of it.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    execution: (Vec<Vec<bool>>, OperationCounts, u64, Vec<u64>),
+    execution: (Vec<Vec<bool>>, OperationCounts),
     node_flows: Vec<(NodeId, dstress_net::traffic::NodeTraffic)>,
-    pair_flows: Vec<u64>,
+    /// The per-pair tally of the execution's traffic record.
+    record: WireTally,
     tally: WireTally,
     messages: u64,
 }
 
-fn observe(
-    exec: GmwExecution,
-    flows: &TrafficAccountant,
-    node_ids: &[NodeId],
-    seen: (WireTally, u64),
-) -> Observed {
-    let mut traffic = TrafficAccountant::with_pair_tracking();
-    traffic.merge(flows);
+fn observe(exec: GmwExecution, seen: (WireTally, u64)) -> Observed {
     Observed {
-        execution: (
-            exec.output_shares,
-            exec.counts,
-            exec.rounds,
-            exec.wire_bytes_per_party,
-        ),
-        node_flows: traffic.sorted_node_entries(),
-        pair_flows: node_ids
-            .iter()
-            .flat_map(|&from| node_ids.iter().map(move |&to| (from, to)))
-            .map(|(from, to)| traffic.pair_bytes(from, to).expect("pair tracking is on"))
-            .collect(),
+        execution: (exec.output_shares, exec.counts),
+        node_flows: exec.traffic.node_entries(),
+        record: exec.traffic.tally().clone(),
         tally: seen.0,
         messages: seen.1,
     }
@@ -935,8 +913,7 @@ fn observe_batch(
     executions
         .into_iter()
         .zip(seen)
-        .zip(jobs)
-        .map(|(((exec, flows), seen), job)| observe(exec, &flows, &job.node_ids, seen))
+        .map(|(exec, seen)| observe(exec, seen))
         .collect()
 }
 
@@ -945,8 +922,8 @@ proptest! {
 
     /// Random circuits, group counts and seeds: a batch on a `Sim`
     /// session, the same batch on a `Socket` session, and every job run
-    /// alone through today's one-group door agree in shares, counts,
-    /// rounds, per-pair wire tallies, message bytes and accountant flows.
+    /// alone on a session of its own agree in shares, counts, rounds,
+    /// per-pair wire tallies, message bytes and per-node traffic.
     #[test]
     fn prop_multiplexed_sessions_equal_one_group_runs(
         seed in any::<u64>(),
@@ -964,23 +941,10 @@ proptest! {
             .iter()
             .map(|job| {
                 let recording = RecordingTransport::new(&SimTransport);
-                let protocol = GmwProtocol::new(
-                    GmwConfig::with_node_ids(job.node_ids.clone()).with_batching(batching),
-                )
-                .unwrap();
-                let mut flows = TrafficAccountant::with_pair_tracking();
-                let exec = protocol
-                    .execute_seeded(
-                        &recording,
-                        &circuit,
-                        &job.input_shares,
-                        &OtConfig::extension(),
-                        &mut flows,
-                        job.master_seed,
-                    )
-                    .unwrap();
+                let ot = OtConfig::extension();
+                let exec = run_alone(&recording, &circuit, &ot, batching, job.clone());
                 let seen = recording.seen.lock().unwrap().pop().unwrap();
-                observe(exec, &flows, &job.node_ids, seen)
+                observe(exec, seen)
             })
             .collect();
         let sim = observe_batch(&SimTransport, &circuit, batching, &jobs);

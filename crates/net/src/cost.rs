@@ -147,9 +147,11 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Cost constants calibrated to the paper's prototype environment
-    /// (m3.xlarge instances, same-region EC2, secp384r1, GMW with OT
-    /// extension).  See `EXPERIMENTS.md` for the calibration fit.
+    /// Cost constants for the paper's prototype environment (m3.xlarge
+    /// instances, same-region EC2, secp384r1, GMW with OT extension).
+    /// The rates are hand-set from the figures named beside each, not
+    /// fitted to a measurement; rates measured by the benchmark's probes
+    /// are ROADMAP item 5 (c).
     pub fn paper_reference() -> Self {
         CostModel {
             // ~0.9 ms per 384-bit exponentiation (OpenSSL on 2.5 GHz Xeon).

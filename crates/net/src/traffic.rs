@@ -129,11 +129,6 @@ impl TrafficAccountant {
         }
     }
 
-    /// All nodes that have sent or received traffic.
-    pub fn nodes(&self) -> impl Iterator<Item = (&NodeId, &NodeTraffic)> {
-        self.per_node.iter()
-    }
-
     /// Per-node counters in ascending node order: the serializable view a
     /// remote worker ships back to the master.  Because the default
     /// accountant tracks no per-pair state, replaying these entries

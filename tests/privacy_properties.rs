@@ -228,9 +228,9 @@ fn gmw_pair_bytes_are_the_transport_tally() {
                     message.encoded_len() as u64
                 }
             };
-            for ((job, (_, traffic)), tally) in jobs.iter().zip(&executions).zip(&session.tallies) {
+            for ((job, execution), tally) in jobs.iter().zip(&executions).zip(&session.tallies) {
                 let mut pairs = TrafficAccountant::with_pair_tracking();
-                pairs.merge(traffic);
+                execution.traffic.merge_into(&mut pairs);
                 for (from, &from_id) in job.node_ids.iter().enumerate() {
                     for (to, &to_id) in job.node_ids.iter().enumerate() {
                         assert_eq!(

@@ -332,14 +332,18 @@ run_tests -q -p dstress-deploy a_batch_that_rolls_sessions_over_equals_the_per_t
 
 echo "==> deployment: engine-level transport invariance + master/worker units"
 # A master told to halt without a checkpoint directory is refused with the
-# engine's typed error before it waits for a single worker.
+# engine's typed error before it waits for a single worker.  A worker holds
+# no block table: it runs a block step and a transfer whose vertex, block
+# and receiver its job never named, to the engine's own outcomes.
 run_tests --release -q -p dstress-core transport_kind_does_not_change_results
 run_tests -q -p dstress-deploy --lib
 run_tests -q -p dstress-deploy a_halt_without_a_checkpoint_directory_is_refused_before_the_fleet
+run_tests -q -p dstress-deploy a_worker_runs_any_well_formed_task
 
 echo "==> loopback deployment e2e (master + 3 workers, release mode)"
 # Spawns the built dstress-master and dstress-node binaries on 127.0.0.1
-# and pins the released value bit-for-bit against the in-process run.
+# and pins the released value bit-for-bit, and the fleet's wire bytes
+# exactly, against the in-process run.
 run_tests --release -q -p dstress-deploy --test loopback
 
 echo "==> benchmark/: the yardstick builds against the public API, its tests pass, every workload runs"

@@ -129,11 +129,10 @@ impl TrafficAccountant {
         }
     }
 
-    /// Per-node counters in ascending node order: the serializable view a
-    /// remote worker ships back to the master.  Because the default
-    /// accountant tracks no per-pair state, replaying these entries
-    /// through [`Self::add_node_traffic`] reproduces [`Self::merge`]
-    /// exactly.
+    /// Per-node counters in ascending node order: the serializable view
+    /// an outcome carries.  Replaying these entries through
+    /// [`Self::add_entries`] into an empty accountant reproduces this
+    /// one's per-node counters and report.
     pub fn sorted_node_entries(&self) -> Vec<(NodeId, NodeTraffic)> {
         let mut entries: Vec<(NodeId, NodeTraffic)> =
             self.per_node.iter().map(|(&id, &t)| (id, t)).collect();
@@ -141,30 +140,11 @@ impl TrafficAccountant {
         entries
     }
 
-    /// Adds one node's counters wholesale (the merge half of
-    /// [`Self::sorted_node_entries`]).
-    pub fn add_node_traffic(&mut self, id: NodeId, t: &NodeTraffic) {
-        self.per_node.entry(id).or_default().add(t);
-    }
-
     /// Adds a list of per-node counters, such as
     /// [`Self::sorted_node_entries`] yields.
     pub fn add_entries(&mut self, entries: &[(NodeId, NodeTraffic)]) {
         for (id, t) in entries {
-            self.add_node_traffic(*id, t);
-        }
-    }
-
-    /// Merges the counters of another accountant into this one (used when
-    /// per-block sub-protocols are accounted separately and then combined).
-    pub fn merge(&mut self, other: &TrafficAccountant) {
-        for (id, t) in &other.per_node {
-            self.add_node_traffic(*id, t);
-        }
-        if self.track_pairs {
-            for (pair, bytes) in &other.per_pair {
-                *self.per_pair.entry(*pair).or_insert(0) += bytes;
-            }
+            self.per_node.entry(*id).or_default().add(t);
         }
     }
 
@@ -193,12 +173,6 @@ impl TrafficAccountant {
             max_node_bytes,
             active_nodes: self.per_node.len(),
         }
-    }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        self.per_node.clear();
-        self.per_pair.clear();
     }
 }
 
@@ -257,29 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_counters() {
-        let mut a = TrafficAccountant::with_pair_tracking();
-        a.record(NodeId(0), NodeId(1), 10);
-        let mut b = TrafficAccountant::with_pair_tracking();
-        b.record(NodeId(0), NodeId(1), 15);
-        b.record(NodeId(2), NodeId(0), 5);
-        a.merge(&b);
-        assert_eq!(a.node(NodeId(0)).wire_bytes_sent, 25);
-        assert_eq!(a.node(NodeId(0)).wire_bytes_received, 5);
-        assert_eq!(a.node(NodeId(2)).wire_bytes_sent, 5);
-        assert_eq!(a.pair_bytes(NodeId(0), NodeId(1)), Some(25));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut acct = TrafficAccountant::new();
-        acct.record(NodeId(0), NodeId(1), 10);
-        acct.reset();
-        assert_eq!(acct.report().total_bytes, 0);
-        assert_eq!(acct.report().active_nodes, 0);
-    }
-
-    #[test]
     fn display_of_node_id() {
         assert_eq!(NodeId(3).to_string(), "node3");
     }
@@ -291,21 +242,16 @@ mod tests {
         source.record(NodeId(0), NodeId(1), 7);
         source.record(NodeId(1), NodeId(2), 5);
 
-        let mut merged = TrafficAccountant::new();
-        merged.record(NodeId(0), NodeId(3), 100);
-        let mut replayed = merged.clone();
-        merged.merge(&source);
         let entries = source.sorted_node_entries();
         assert_eq!(
             entries.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
             vec![NodeId(0), NodeId(1), NodeId(2)]
         );
-        for (id, t) in &entries {
-            replayed.add_node_traffic(*id, t);
-        }
-        assert_eq!(replayed.report(), merged.report());
+        let mut replayed = TrafficAccountant::new();
+        replayed.add_entries(&entries);
+        assert_eq!(replayed.report(), source.report());
         for id in 0..4 {
-            assert_eq!(replayed.node(NodeId(id)), merged.node(NodeId(id)));
+            assert_eq!(replayed.node(NodeId(id)), source.node(NodeId(id)));
         }
     }
 

@@ -5,12 +5,18 @@
 //! ```text
 //! LISTEN 127.0.0.1:41234          actual bound address (port 0 resolves)
 //! RESULT <noised-hex> <ideal-hex> f64::to_bits of the released values
-//! WORKER_WIRE_BYTES <n>           wire bytes the fleet reported sending
+//! WORKER_WIRE_BYTES <n>           wire bytes of the phases the fleet runs
 //! DONE
 //! ```
 //!
 //! The `RESULT` line is the loopback integration test's pin: it must
-//! equal the in-process run's values bit for bit.
+//! equal the in-process run's values bit for bit.  `WORKER_WIRE_BYTES` is
+//! read from the run record: the measured wire bytes of the computation
+//! and communication phases, the two a fleet executes (a
+//! `RemoteExecutor` places exactly the block steps and the transfers).
+//! It must equal the in-process run's figure too.  After a resume the
+//! record carries the rounds before the checkpoint, so the figure counts
+//! them although the resumed fleet did not run them.
 //!
 //! With `--checkpoint-dir` the master checkpoints every round and
 //! resumes from the directory's latest checkpoint when one exists.
@@ -102,13 +108,11 @@ fn main() -> ExitCode {
                 report.run.noised_output.to_bits(),
                 report.run.ideal_output.to_bits()
             );
-            let fleet_wire: u64 = report
-                .worker_traffic
-                .sorted_node_entries()
-                .iter()
-                .map(|(_, totals)| totals.wire_bytes_sent)
-                .sum();
-            println!("WORKER_WIRE_BYTES {fleet_wire}");
+            let phases = &report.run.phases;
+            println!(
+                "WORKER_WIRE_BYTES {}",
+                phases.computation.counts.wire_bytes + phases.communication.counts.wire_bytes
+            );
             println!("DONE");
             ExitCode::SUCCESS
         }

@@ -1,8 +1,8 @@
 //! `dstress-node`: one deployment worker process.
 //!
 //! Connects to the master given by `--master host:port`, registers,
-//! executes task batches until the master sends `Finish`, reports its
-//! per-node traffic totals, and exits 0.  Any connection, protocol, or
+//! executes task batches until the master sends `Finish`, acknowledges
+//! it, and exits 0.  Any connection, protocol, or
 //! execution failure is printed to stderr with a non-zero exit.
 
 use std::process::ExitCode;

@@ -7,16 +7,18 @@
 //! served as a hand-rolled HTTP/1.0 status endpoint (`GET /healthz`),
 //! so the same port answers both workers and probes.
 //!
-//! Once the configured fleet has registered, the master replicates the
-//! engine's block assignment (`generate_block_assignment` under the
-//! run seed — the engine's first use of its RNG, so the replica is
-//! exact), sends each worker its [`JobSpec`],
-//! and runs [`DStressRuntime::execute_with`] over a [`RemoteExecutor`]
-//! that routes each window's tasks to workers by `vertex % fleet`
-//! (transfers by receiver) and stitches outcomes back in task order.
-//! Placement cannot change results: the loopback integration test pins
-//! the deployed run's released value bit-for-bit against the
-//! in-process one.
+//! Once the configured fleet has registered, the master sends every
+//! worker the same [`JobSpec`] — the run-wide parameters, built from the
+//! [`MasterConfig`] and the graph — and runs
+//! [`DStressRuntime::execute_with`] over a [`RemoteExecutor`] that routes
+//! each window's tasks to workers by `vertex % fleet` (transfers by
+//! receiver) and stitches outcomes back in task order.  The block
+//! assignment is made once, by the engine's setup; every task carries its
+//! block's members, so a worker needs no table of its own.  Placement
+//! cannot change results: the loopback integration test pins the
+//! deployed run's released value bit-for-bit against the in-process one.
+//! The traffic the fleet measures comes back inside the outcomes, which
+//! the engine merges into the run record.
 
 use std::io::{Read as IoRead, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
@@ -38,9 +40,7 @@ use dstress_graph::Graph;
 use dstress_math::rng::Xoshiro256;
 use dstress_net::frame::FRAME_MAGIC;
 use dstress_net::socket::FramedConn;
-use dstress_net::traffic::{NodeId, TrafficAccountant};
 use dstress_net::wire::Wire;
-use dstress_transfer::setup::generate_block_assignment;
 
 use crate::proto::{DeployMsg, JobSpec, PROTOCOL_VERSION};
 
@@ -311,11 +311,12 @@ impl Fleet {
             .map_err(|e| deploy_err(format!("receive from worker {w}: {e}")))
     }
 
-    /// Sends each worker its job description.
-    fn send_jobs(&self, jobs: &[JobSpec]) -> Result<(), RuntimeError> {
+    /// Sends every worker the run's job description.
+    fn send_job(&self, job: &JobSpec) -> Result<(), RuntimeError> {
         let mut conns = self.conns.lock().unwrap();
-        for (w, job) in jobs.iter().enumerate() {
-            Fleet::send(&mut conns, w, &DeployMsg::Job(job.clone()))?;
+        let message = DeployMsg::Job(job.clone());
+        for w in 0..conns.len() {
+            Fleet::send(&mut conns, w, &message)?;
         }
         Ok(())
     }
@@ -371,26 +372,25 @@ impl Fleet {
             .collect()
     }
 
-    /// Tells every worker the run is over and collects their traffic
-    /// reports, merged into one accountant.
-    fn finish(&self) -> Result<TrafficAccountant, RuntimeError> {
+    /// Tells every worker the run is over and waits until each has
+    /// acknowledged with its own `Finish`.
+    fn finish(&self) -> Result<(), RuntimeError> {
         let mut conns = self.conns.lock().unwrap();
         let fleet = conns.len();
-        let mut merged = TrafficAccountant::new();
         for w in 0..fleet {
             Fleet::send(&mut conns, w, &DeployMsg::Finish)?;
         }
         for w in 0..fleet {
             match Fleet::recv(&mut conns, w, SEND_TIMEOUT)? {
-                DeployMsg::Report { traffic } => merged.add_entries(&traffic),
+                DeployMsg::Finish => {}
                 other => {
                     return Err(deploy_err(format!(
-                        "expected Report from worker {w}, got {other:?}"
+                        "expected Finish from worker {w}, got {other:?}"
                     )))
                 }
             }
         }
-        Ok(merged)
+        Ok(())
     }
 }
 
@@ -444,48 +444,16 @@ impl StepExecutor for RemoteExecutor<'_> {
     }
 }
 
-/// The aggregated record of one deployed run.
+/// The record of one deployed run.
 pub struct MasterReport {
-    /// The engine's run record (noised output, phases, merged traffic).
+    /// The engine's run record (noised output, phases, merged traffic,
+    /// the fleet's share included).
     pub run: DStressRun,
-    /// Per-node traffic totals as reported back by the workers — the
-    /// remote share of `run.traffic`.
-    pub worker_traffic: TrafficAccountant,
-}
-
-/// Builds each worker's [`JobSpec`] by replicating the engine's block
-/// assignment: `generate_block_assignment` under the run seed is the
-/// engine's first RNG draw, so the replica matches the run exactly.
-pub fn build_jobs(config: &MasterConfig, graph: &Graph) -> Result<Vec<JobSpec>, RuntimeError> {
-    let mut rng = Xoshiro256::new(config.seed);
-    let setup = generate_block_assignment(
-        graph.vertex_count(),
-        config.collusion_bound,
-        graph.degree_bound(),
-        config.width,
-        &mut rng,
-    )?;
-    let engine = config.engine_config();
-    Ok((0..config.fleet)
-        .map(|w| JobSpec {
-            worker: w as u32,
-            fleet: config.fleet as u32,
-            width: config.width,
-            rounds: config.rounds,
-            degree_bound: graph.degree_bound() as u32,
-            transport: config.worker_transport,
-            group: engine.group,
-            blocks: (0..graph.vertex_count())
-                .filter(|v| v % config.fleet == w)
-                .map(|v| (v as u64, setup.block_of(NodeId(v)).members.clone()))
-                .collect(),
-        })
-        .collect())
 }
 
 /// Runs one deployment end to end on an already-bound listener: accept
 /// workers, register the fleet, drive the engine through a
-/// [`RemoteExecutor`], then collect worker reports.
+/// [`RemoteExecutor`], then tell the fleet to finish.
 ///
 /// # Errors
 ///
@@ -527,9 +495,14 @@ fn run_master_inner(
     status.set_registered(fleet.len());
     status.set_phase("running");
 
-    fleet.send_jobs(&build_jobs(config, &graph)?)?;
-
     let runtime = DStressRuntime::new(config.engine_config());
+    fleet.send_job(&JobSpec {
+        width: config.width,
+        degree_bound: graph.degree_bound() as u32,
+        transport: config.worker_transport,
+        group: runtime.config().group,
+    })?;
+
     let program = CounterProgram {
         width: config.width,
         rounds: config.rounds,
@@ -548,12 +521,9 @@ fn run_master_inner(
         runtime.execute_with(&graph, &program, &executor)?
     };
 
-    let worker_traffic = fleet.finish()?;
+    fleet.finish()?;
     status.set_phase("done");
-    Ok(MasterReport {
-        run,
-        worker_traffic,
-    })
+    Ok(MasterReport { run })
 }
 
 #[cfg(test)]
@@ -636,30 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn jobs_partition_every_vertex_exactly_once() {
-        let config = MasterConfig::loopback(3);
-        let graph = config.build_graph();
-        let jobs = build_jobs(&config, &graph).unwrap();
-        assert_eq!(jobs.len(), 3);
-        let mut seen = vec![0usize; graph.vertex_count()];
-        for job in &jobs {
-            assert_eq!(job.fleet, 3);
-            assert_eq!(job.degree_bound, graph.degree_bound() as u32);
-            for (vertex, members) in &job.blocks {
-                assert_eq!(*vertex as usize % 3, job.worker as usize);
-                assert_eq!(members.len(), config.collusion_bound + 1);
-                assert_eq!(
-                    members[0],
-                    NodeId(*vertex as usize),
-                    "owner leads the block"
-                );
-                seen[*vertex as usize] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&count| count == 1));
-    }
-
-    #[test]
     fn registration_refuses_a_worker_of_the_previous_protocol_version() {
         // A worker built before the byte layouts changed speaks the
         // previous version; its Register must be refused, naming both versions, before any
@@ -685,7 +631,8 @@ mod tests {
                  master speaks {PROTOCOL_VERSION}"
             )
         );
-        assert_eq!((old, PROTOCOL_VERSION), (2, 3));
+        // Version 3 carried the block table and the Report frame: (2, 3).
+        assert_eq!((old, PROTOCOL_VERSION), (3, 4));
     }
 
     #[test]

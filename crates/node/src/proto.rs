@@ -7,54 +7,50 @@
 //!
 //! ```text
 //! worker → master   Register { version }
-//! master → worker   Job(JobSpec)                 run-wide parameters + blocks
+//! master → worker   Job(JobSpec)                 run-wide parameters
 //! master → worker   BlockSteps(tasks)        ┐
 //! worker → master   BlockStepResults(..)     │ repeated per window,
 //! master → worker   Transfers(tasks)         │ in engine schedule order
 //! worker → master   TransferResults(..)      ┘
 //! master → worker   Finish
-//! worker → master   Report { traffic }           per-node totals, then close
+//! worker → master   Finish                       drained, then close
 //! ```
 //!
 //! The task and outcome payloads are exactly the engine's serializable
 //! executor types ([`dstress_core::exec`]); the protocol adds only
-//! envelope tags and the registration/job/report bookkeeping.  Workers
-//! are deterministic functions of `Job` plus the task stream, so a
-//! remote fleet is bit-identical to the in-process pool.
+//! envelope tags and the registration/job bookkeeping.  Every task
+//! carries its block's members and its derived seed, so a worker is a
+//! deterministic function of `Job` plus the task stream and can take any
+//! task: a remote fleet is bit-identical to the in-process pool.  The
+//! traffic a worker measures comes back inside the outcomes, which the
+//! engine merges into the run record.
 
 use dstress_core::{BlockStepOutcome, BlockStepTask, TransferOutcome, TransferTask, TransportKind};
 use dstress_crypto::group::GroupKind;
-use dstress_net::traffic::{NodeId, NodeTraffic};
 use dstress_net::wire::{self, Wire, WireError};
 
 /// Protocol version sent in `Register`; the master rejects mismatches.
 /// Version 2 dropped the analytic byte model from the operation counts and
 /// the traffic entries that `BatchResults` and `Report` carry; version 3
 /// dropped the batching byte from `Job`: every deployed block MPC walks
-/// the depth layering (`GmwBatching::Layered`).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// the depth layering (`GmwBatching::Layered`); version 4 dropped
+/// `worker`, `fleet`, `rounds` and the block table from `Job`, and the
+/// `Report` frame: a worker acknowledges `Finish` with `Finish`.
+pub const PROTOCOL_VERSION: u64 = 4;
 
-/// Run-wide parameters a worker needs to execute tasks bit-identically
-/// to the master's in-process pool, plus the block assignment it hosts.
+/// The run-wide parameters a worker computes with: the same job for
+/// every worker, so that outcomes are bit-identical to the master's
+/// in-process pool wherever a task is placed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobSpec {
-    /// This worker's index in the fleet (assigned in registration order).
-    pub worker: u32,
-    /// Fleet size; vertex `v` is hosted by worker `v % fleet`.
-    pub fleet: u32,
     /// Counter program word width (state and message bits).
     pub width: u32,
-    /// Counter program iteration count.
-    pub rounds: u32,
     /// Public degree bound `D` of the run's graph.
     pub degree_bound: u32,
     /// Transport backend the worker's block MPCs run on.
     pub transport: TransportKind,
     /// ElGamal group of the run (sizes the accounted transfer costs).
     pub group: GroupKind,
-    /// The blocks this worker hosts: `(vertex, members)` pairs from the
-    /// master's replicated `generate_block_assignment`, owner first.
-    pub blocks: Vec<(u64, Vec<NodeId>)>,
 }
 
 /// Reads a `u32` parameter written as a uvarint; a value that does not
@@ -67,10 +63,7 @@ fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
 
 impl Wire for JobSpec {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::put_uvarint(out, self.worker as u64);
-        wire::put_uvarint(out, self.fleet as u64);
         wire::put_uvarint(out, self.width as u64);
-        wire::put_uvarint(out, self.rounds as u64);
         wire::put_uvarint(out, self.degree_bound as u64);
         wire::put_u8(
             out,
@@ -86,18 +79,10 @@ impl Wire for JobSpec {
                 GroupKind::Prod256 => 1,
             },
         );
-        wire::put_uvarint(out, self.blocks.len() as u64);
-        for (vertex, members) in &self.blocks {
-            wire::put_uvarint(out, *vertex);
-            members.encode_into(out);
-        }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let worker = get_u32(buf)?;
-        let fleet = get_u32(buf)?;
         let width = get_u32(buf)?;
-        let rounds = get_u32(buf)?;
         let degree_bound = get_u32(buf)?;
         let transport = match wire::get_u8(buf)? {
             0 => TransportKind::Sim,
@@ -119,20 +104,11 @@ impl Wire for JobSpec {
                 })
             }
         };
-        let block_count = wire::get_uvarint(buf)? as usize;
-        let mut blocks = Vec::new();
-        for _ in 0..block_count {
-            blocks.push((wire::get_uvarint(buf)?, Vec::decode(buf)?));
-        }
         Ok(JobSpec {
-            worker,
-            fleet,
             width,
-            rounds,
             degree_bound,
             transport,
             group,
-            blocks,
         })
     }
 }
@@ -145,7 +121,7 @@ pub enum DeployMsg {
         /// The worker's [`PROTOCOL_VERSION`].
         version: u64,
     },
-    /// Master → worker: run-wide parameters and the block assignment.
+    /// Master → worker: the run-wide parameters.
     Job(JobSpec),
     /// Master → worker: one window's computation-step tasks.
     BlockSteps(Vec<BlockStepTask>),
@@ -155,13 +131,9 @@ pub enum DeployMsg {
     Transfers(Vec<TransferTask>),
     /// Worker → master: outcomes, in task order.
     TransferResults(Vec<TransferOutcome>),
-    /// Master → worker: the run is complete; report and close.
+    /// Master → worker: the run is complete.  Worker → master: every
+    /// batch is answered; the worker closes.
     Finish,
-    /// Worker → master: per-node traffic totals the worker accounted.
-    Report {
-        /// `(node, totals)` entries, ascending node order.
-        traffic: Vec<(NodeId, NodeTraffic)>,
-    },
 }
 
 const TAG_REGISTER: u8 = 0x01;
@@ -171,7 +143,6 @@ const TAG_BLOCK_STEP_RESULTS: u8 = 0x04;
 const TAG_TRANSFERS: u8 = 0x05;
 const TAG_TRANSFER_RESULTS: u8 = 0x06;
 const TAG_FINISH: u8 = 0x07;
-const TAG_REPORT: u8 = 0x08;
 
 impl Wire for DeployMsg {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -201,10 +172,6 @@ impl Wire for DeployMsg {
                 outcomes.encode_into(out);
             }
             DeployMsg::Finish => wire::put_u8(out, TAG_FINISH),
-            DeployMsg::Report { traffic } => {
-                wire::put_u8(out, TAG_REPORT);
-                traffic.encode_into(out);
-            }
         }
     }
 
@@ -219,9 +186,6 @@ impl Wire for DeployMsg {
             TAG_TRANSFERS => Ok(DeployMsg::Transfers(Vec::decode(buf)?)),
             TAG_TRANSFER_RESULTS => Ok(DeployMsg::TransferResults(Vec::decode(buf)?)),
             TAG_FINISH => Ok(DeployMsg::Finish),
-            TAG_REPORT => Ok(DeployMsg::Report {
-                traffic: Vec::decode(buf)?,
-            }),
             tag => Err(WireError::BadTag {
                 tag,
                 what: "DeployMsg",
@@ -233,22 +197,16 @@ impl Wire for DeployMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dstress_net::traffic::{NodeId, NodeTraffic};
     use dstress_net::wire::hex;
     use proptest::prelude::*;
 
     fn sample_job() -> JobSpec {
         JobSpec {
-            worker: 1,
-            fleet: 3,
             width: 8,
-            rounds: 2,
             degree_bound: 4,
             transport: TransportKind::Socket,
             group: GroupKind::Sim64,
-            blocks: vec![
-                (0, vec![NodeId(0), NodeId(5)]),
-                (3, vec![NodeId(3), NodeId(1)]),
-            ],
         }
     }
 
@@ -256,27 +214,13 @@ mod tests {
     fn golden_encodings() {
         assert_eq!(hex(&DeployMsg::Register { version: 1 }.encode()), "0101");
         assert_eq!(hex(&DeployMsg::Finish.encode()), "07");
-        // tag · worker 01 · fleet 03 · width 08 · rounds 02 · degree 04 ·
-        // transport 01 · group 00 · 2 blocks of (vertex · id list).
-        // Version 2 carried a batching byte (01) before the transport:
-        // "020103080204010100020002000503020301".
-        assert_eq!(
-            hex(&DeployMsg::Job(sample_job()).encode()),
-            "0201030802040100020002000503020301"
-        );
-        // tag · 1 entry · NodeId(1) · the traffic.rs golden NodeTraffic.
-        // Version 1's entry led with the four modeled counters
-        // (01 c801 03 04) the analytic byte model kept.
-        let report = DeployMsg::Report {
-            traffic: vec![(
-                NodeId(1),
-                NodeTraffic {
-                    wire_bytes_sent: 70_000,
-                    wire_bytes_received: 6,
-                },
-            )],
-        };
-        assert_eq!(hex(&report.encode()), "080101".to_string() + "f0a20406");
+        // tag · width 08 · degree 04 · transport 01 · group 00.
+        // Version 3 led with worker 01 · fleet 03 and carried rounds 02
+        // after the width and 2 blocks of (vertex · id list) after the
+        // group: "0201030802040100020002000503020301".  Version 2 also
+        // carried a batching byte (01) before the transport.  Version 3's
+        // Report frame (tag 08 · entries) is gone with the variant.
+        assert_eq!(hex(&DeployMsg::Job(sample_job()).encode()), "0208040100");
     }
 
     #[test]
@@ -338,9 +282,6 @@ mod tests {
                 traffic: vec![],
             }]),
             DeployMsg::Finish,
-            DeployMsg::Report {
-                traffic: vec![(NodeId(0), NodeTraffic::default())],
-            },
         ];
         for message in messages {
             let encoded = message.encode();
@@ -364,16 +305,18 @@ mod tests {
         ));
         // Unknown enum byte inside a JobSpec.
         let mut bad_group = DeployMsg::Job(sample_job()).encode();
-        // tag(1) + 5 uvarints + transport, then the group byte.
-        bad_group[7] = 9;
+        // tag(1) + 2 uvarints + transport, then the group byte (version
+        // 3: tag + 5 uvarints + transport, index 7).
+        bad_group[4] = 9;
         assert!(DeployMsg::decode_exact(&bad_group).is_err());
-        // A parameter past `u32` is rejected, not truncated: worker = 2³² + 1
-        // would otherwise decode as worker 1.
-        let mut wide_worker = vec![TAG_JOB];
-        wire::put_uvarint(&mut wide_worker, (1 << 32) + 1);
-        wide_worker.extend_from_slice(&DeployMsg::Job(sample_job()).encode()[2..]);
+        // A parameter past `u32` is rejected, not truncated: width = 2³² + 1
+        // would otherwise decode as width 1 (version 3 widened the worker
+        // index, which led the job then).
+        let mut wide_width = vec![TAG_JOB];
+        wire::put_uvarint(&mut wide_width, (1 << 32) + 1);
+        wide_width.extend_from_slice(&DeployMsg::Job(sample_job()).encode()[2..]);
         assert!(matches!(
-            DeployMsg::decode_exact(&wide_worker),
+            DeployMsg::decode_exact(&wide_width),
             Err(WireError::Invalid { .. })
         ));
     }
@@ -382,53 +325,23 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn prop_register_and_report_round_trip(
-            version in any::<u64>(),
-            ids in proptest::collection::vec(any::<u64>(), 0..8),
-        ) {
+        fn prop_register_round_trips(version in any::<u64>()) {
             let register = DeployMsg::Register { version };
             prop_assert_eq!(DeployMsg::decode_exact(&register.encode()).unwrap(), register);
-            let traffic: Vec<(NodeId, NodeTraffic)> = ids
-                .into_iter()
-                .map(|id| (
-                    NodeId((id % 251) as usize),
-                    NodeTraffic {
-                        wire_bytes_sent: id.rotate_left(17),
-                        wire_bytes_received: id,
-                    },
-                ))
-                .collect();
-            let report = DeployMsg::Report { traffic };
-            prop_assert_eq!(DeployMsg::decode_exact(&report.encode()).unwrap(), report);
         }
 
         #[test]
         fn prop_job_spec_round_trips(
-            worker in 0u32..64,
-            fleet in 1u32..64,
-            width in 1u32..32,
-            rounds in 0u32..8,
-            degree in 0u32..16,
-            vertices in proptest::collection::vec(any::<u32>(), 0..6),
+            width in any::<u32>(),
+            degree in any::<u32>(),
+            socket in any::<bool>(),
+            prod in any::<bool>(),
         ) {
-            // Derive each block's members from its vertex so block shapes
-            // vary without needing tuple strategies.
-            let blocks: Vec<(u64, Vec<usize>)> = vertices
-                .into_iter()
-                .map(|v| (v as u64, (0..(v % 5) as usize).map(|i| v as usize + i).collect()))
-                .collect();
             let spec = JobSpec {
-                worker,
-                fleet,
                 width,
-                rounds,
                 degree_bound: degree,
-                transport: if fleet % 2 == 0 { TransportKind::Sim } else { TransportKind::Socket },
-                group: if width % 2 == 0 { GroupKind::Sim64 } else { GroupKind::Prod256 },
-                blocks: blocks
-                    .into_iter()
-                    .map(|(v, members)| (v, members.into_iter().map(NodeId).collect()))
-                    .collect(),
+                transport: if socket { TransportKind::Socket } else { TransportKind::Sim },
+                group: if prod { GroupKind::Prod256 } else { GroupKind::Sim64 },
             };
             prop_assert_eq!(JobSpec::decode_exact(&spec.encode()).unwrap(), spec);
         }

@@ -2,7 +2,8 @@
 //!
 //! A worker is a deterministic function of its [`JobSpec`] and the task
 //! stream: it connects to the master, registers, rebuilds the program
-//! circuit from the job parameters, and then executes every batch with
+//! circuit from the job parameters, and then executes every well-formed
+//! batch it is sent — whatever vertices and blocks its tasks name — with
 //! the engine's own entry points
 //! ([`dstress_core::exec::execute_block_steps`],
 //! [`dstress_core::exec::execute_accounted_transfer_task`]) — so the
@@ -12,10 +13,10 @@
 //! the block's node actors over real loopback TCP connections: one mesh
 //! per pool lane and batch, the lane's block MPCs multiplexed over it.
 //!
-//! Per-node traffic is accounted locally as batches execute and
-//! reported back as totals when the master sends `Finish`.
+//! The worker keeps no state across batches: the per-node traffic it
+//! measures travels back inside each outcome, and it acknowledges the
+//! master's `Finish` once every batch is answered.
 
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -25,7 +26,6 @@ use dstress_crypto::group::Group;
 use dstress_mpc::GmwBatching;
 use dstress_net::pool::default_threads;
 use dstress_net::socket::FramedConn;
-use dstress_net::traffic::{NodeId, TrafficAccountant};
 
 use crate::proto::{DeployMsg, JobSpec, PROTOCOL_VERSION};
 
@@ -38,7 +38,7 @@ const BATCH_TIMEOUT: Duration = Duration::from_secs(600);
 const SEND_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One worker session: connect, register, execute batches until
-/// `Finish`, report traffic, close.
+/// `Finish`, acknowledge it, close.
 ///
 /// # Errors
 ///
@@ -97,21 +97,16 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
     if !(1..=64).contains(&job.width) {
         return Err(format!("job width {} is outside 1..=64 bits", job.width));
     }
+    // The update circuit does not read the iteration count.
     let program = CounterProgram {
         width: job.width,
-        rounds: job.rounds,
+        rounds: 0,
     };
     let update_circuit = program.update_circuit(job.degree_bound as usize);
     let state_bits = program.state_bits() as usize;
     let message_bits = program.message_bits() as usize;
     let group = Group::new(job.group);
-    let hosted: HashMap<u64, &[NodeId]> = job
-        .blocks
-        .iter()
-        .map(|(vertex, members)| (*vertex, members.as_slice()))
-        .collect();
     let threads = default_threads();
-    let mut report = TrafficAccountant::new();
 
     loop {
         let batch = conn
@@ -120,18 +115,6 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
         let reply = match batch {
             DeployMsg::BlockSteps(tasks) => {
                 for task in &tasks {
-                    let members = hosted.get(&task.vertex).copied().ok_or_else(|| {
-                        format!(
-                            "vertex {} is not hosted by worker {}",
-                            task.vertex, job.worker
-                        )
-                    })?;
-                    if task.members != members {
-                        return Err(format!(
-                            "vertex {} block members disagree with the assignment",
-                            task.vertex
-                        ));
-                    }
                     // The update circuit has one message slot per possible
                     // out-edge; the outcome is cut from its outputs.
                     if task.out_slots > u64::from(job.degree_bound) {
@@ -151,19 +134,10 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                     threads,
                 );
                 let outcomes = outcomes.map_err(|e| format!("block step failed: {e}"))?;
-                for outcome in &outcomes {
-                    report.add_entries(&outcome.traffic);
-                }
                 DeployMsg::BlockStepResults(outcomes)
             }
             DeployMsg::Transfers(tasks) => {
                 for task in &tasks {
-                    if !hosted.contains_key(&task.to) {
-                        return Err(format!(
-                            "transfer receiver {} is not hosted by worker {}",
-                            task.to, job.worker
-                        ));
-                    }
                     check_transfer_shape(task, job.width)?;
                 }
                 // An accounted transfer is bookkeeping — about a
@@ -174,24 +148,17 @@ fn serve_job(conn: &mut FramedConn, job: &JobSpec) -> Result<(), String> {
                     .iter()
                     .map(|task| execute_accounted_transfer_task(&group, job.width, task))
                     .collect();
-                for outcome in &outcomes {
-                    report.add_entries(&outcome.traffic);
-                }
                 DeployMsg::TransferResults(outcomes)
             }
-            DeployMsg::Finish => {
-                conn.send_msg(&DeployMsg::Report {
-                    traffic: report.sorted_node_entries(),
-                })
-                .and_then(|_| conn.flush_blocking(SEND_TIMEOUT))
-                .map_err(|e| format!("send report: {e}"))?;
-                return Ok(());
-            }
+            DeployMsg::Finish => DeployMsg::Finish,
             other => return Err(format!("unexpected batch frame: {other:?}")),
         };
         conn.send_msg(&reply)
             .and_then(|_| conn.flush_blocking(SEND_TIMEOUT))
-            .map_err(|e| format!("send results: {e}"))?;
+            .map_err(|e| format!("send reply: {e}"))?;
+        if reply == DeployMsg::Finish {
+            return Ok(());
+        }
     }
 }
 
@@ -202,6 +169,7 @@ mod tests {
     use dstress_core::{BlockStepTask, TransportKind};
     use dstress_crypto::group::GroupKind;
     use dstress_math::rng::{DetRng, Xoshiro256};
+    use dstress_net::traffic::NodeId;
     use std::net::TcpListener;
 
     fn block() -> Vec<NodeId> {
@@ -210,18 +178,14 @@ mod tests {
 
     fn job() -> JobSpec {
         JobSpec {
-            worker: 0,
-            fleet: 1,
             width: 8,
-            rounds: 1,
             degree_bound: 2,
             transport: TransportKind::Sim,
             group: GroupKind::Sim64,
-            blocks: vec![(0, block())],
         }
     }
 
-    /// A well-formed transfer into the hosted vertex 0.
+    /// A well-formed transfer into vertex 0.
     fn transfer() -> TransferTask {
         TransferTask {
             edge_index: 5,
@@ -240,13 +204,37 @@ mod tests {
     /// task that trips an executor assert panics here (the pool re-raises
     /// it on the calling thread) instead of returning.
     fn serve(job: &JobSpec, batch: DeployMsg) -> Result<(), String> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let master = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut master = FramedConn::new(master).unwrap();
-        let mut worker = FramedConn::new(listener.accept().unwrap().0).unwrap();
+        let (mut master, mut worker) = connected_pair();
         master.send_msg(&batch).unwrap();
         master.flush_blocking(SEND_TIMEOUT).unwrap();
         serve_job(&mut worker, job)
+    }
+
+    /// A master's and a worker's end of one loopback connection.
+    fn connected_pair() -> (FramedConn, FramedConn) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let master = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let master = FramedConn::new(master).unwrap();
+        let worker = FramedConn::new(listener.accept().unwrap().0).unwrap();
+        (master, worker)
+    }
+
+    /// Plays the master over a loopback connection: sends every batch
+    /// and then `Finish`, runs the worker's session to its end, and
+    /// returns the worker's replies — the last one its `Finish`.
+    fn replies(job: &JobSpec, batches: Vec<DeployMsg>) -> Vec<DeployMsg> {
+        let (mut master, mut worker) = connected_pair();
+        let count = batches.len() + 1;
+        for message in batches.into_iter().chain([DeployMsg::Finish]) {
+            master.send_msg(&message).unwrap();
+            master.flush_blocking(SEND_TIMEOUT).unwrap();
+        }
+        serve_job(&mut worker, job).unwrap();
+        let replies: Vec<DeployMsg> = (0..count)
+            .map(|_| master.recv_msg::<DeployMsg>(SEND_TIMEOUT).unwrap())
+            .collect();
+        assert_eq!(replies.last(), Some(&DeployMsg::Finish));
+        replies
     }
 
     #[test]
@@ -317,6 +305,84 @@ mod tests {
         }
     }
 
+    /// Random input shares for every member of a block running `circuit`.
+    fn input_shares(
+        circuit: &dstress_circuit::Circuit,
+        members: usize,
+        rng: &mut dyn DetRng,
+    ) -> Vec<Vec<bool>> {
+        (0..members)
+            .map(|_| (0..circuit.num_inputs()).map(|_| rng.next_bool()).collect())
+            .collect()
+    }
+
+    /// The update circuit and share widths a worker builds for `job`.
+    fn update_circuit(job: &JobSpec) -> (dstress_circuit::Circuit, usize, usize) {
+        let program = CounterProgram {
+            width: job.width,
+            rounds: 0,
+        };
+        (
+            program.update_circuit(job.degree_bound as usize),
+            program.state_bits() as usize,
+            program.message_bits() as usize,
+        )
+    }
+
+    #[test]
+    fn a_worker_runs_any_well_formed_task() {
+        // Neither the vertex, its block, nor the transfer's receiver is
+        // named by the job: a worker takes whatever well-formed task it is
+        // sent, and its outcomes are the engine's task-level entry points'.
+        let job = job();
+        let (circuit, state_bits, message_bits) = update_circuit(&job);
+        let mut rng = Xoshiro256::new(0xA11);
+        let members = vec![NodeId(41), NodeId(7), NodeId(19)];
+        let step = BlockStepTask {
+            vertex: 41,
+            seed: rng.next_u64(),
+            members: members.clone(),
+            out_slots: 2,
+            input_shares: input_shares(&circuit, members.len(), &mut rng),
+        };
+        let transfer = TransferTask {
+            edge_index: 12,
+            seed: rng.next_u64(),
+            from: 41,
+            to: 23,
+            in_slot: 1,
+            sender_members: members,
+            receiver_members: vec![NodeId(23), NodeId(2), NodeId(9)],
+            shares: (0..3)
+                .map(|_| (0..job.width).map(|_| rng.next_bool()).collect())
+                .collect(),
+        };
+        let expected_step = execute_block_step_task(
+            &circuit,
+            GmwBatching::Layered,
+            job.transport,
+            state_bits,
+            message_bits,
+            step.clone(),
+        )
+        .unwrap();
+        let expected_transfer =
+            execute_accounted_transfer_task(&Group::new(job.group), job.width, &transfer);
+
+        let replies = replies(
+            &job,
+            vec![
+                DeployMsg::BlockSteps(vec![step]),
+                DeployMsg::Transfers(vec![transfer]),
+            ],
+        );
+        assert_eq!(replies[0], DeployMsg::BlockStepResults(vec![expected_step]));
+        assert_eq!(
+            replies[1],
+            DeployMsg::TransferResults(vec![expected_transfer])
+        );
+    }
+
     #[test]
     fn a_batch_that_rolls_sessions_over_equals_the_per_task_door() {
         // Every lane keeps 8 block MPCs in flight on its session; 20 tasks
@@ -325,28 +391,17 @@ mod tests {
         let tasks_in_batch = default_threads() * 20 + 3;
         let job = JobSpec {
             transport: TransportKind::Socket,
-            blocks: (0..tasks_in_batch as u64)
-                .map(|v| (v, (0..3).map(|m| NodeId(v as usize + m)).collect()))
-                .collect(),
             ..job()
         };
-        let program = CounterProgram {
-            width: job.width,
-            rounds: job.rounds,
-        };
-        let circuit = program.update_circuit(job.degree_bound as usize);
+        let (circuit, state_bits, message_bits) = update_circuit(&job);
         let mut rng = Xoshiro256::new(0x5E55);
-        let tasks: Vec<BlockStepTask> = job
-            .blocks
-            .iter()
-            .map(|(vertex, members)| BlockStepTask {
-                vertex: *vertex,
+        let tasks: Vec<BlockStepTask> = (0..tasks_in_batch as u64)
+            .map(|vertex| BlockStepTask {
+                vertex,
                 seed: rng.next_u64(),
-                members: members.clone(),
+                members: (0..3).map(|m| NodeId(vertex as usize + m)).collect(),
                 out_slots: vertex % 3,
-                input_shares: (0..3)
-                    .map(|_| (0..circuit.num_inputs()).map(|_| rng.next_bool()).collect())
-                    .collect(),
+                input_shares: input_shares(&circuit, 3, &mut rng),
             })
             .collect();
         let expected: Vec<_> = tasks
@@ -356,36 +411,15 @@ mod tests {
                     &circuit,
                     GmwBatching::Layered,
                     TransportKind::Sim,
-                    program.state_bits() as usize,
-                    program.message_bits() as usize,
+                    state_bits,
+                    message_bits,
                     task.clone(),
                 )
                 .unwrap()
             })
             .collect();
-        let mut expected_report = TrafficAccountant::new();
-        for (id, totals) in expected.iter().flat_map(|outcome| &outcome.traffic) {
-            expected_report.add_node_traffic(*id, totals);
-        }
 
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let master = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut master = FramedConn::new(master).unwrap();
-        let mut worker = FramedConn::new(listener.accept().unwrap().0).unwrap();
-        for message in [DeployMsg::BlockSteps(tasks), DeployMsg::Finish] {
-            master.send_msg(&message).unwrap();
-            master.flush_blocking(SEND_TIMEOUT).unwrap();
-        }
-        serve_job(&mut worker, &job).unwrap();
-        match master.recv_msg::<DeployMsg>(SEND_TIMEOUT).unwrap() {
-            DeployMsg::BlockStepResults(outcomes) => assert_eq!(outcomes, expected),
-            other => panic!("expected block step results, got {other:?}"),
-        }
-        match master.recv_msg::<DeployMsg>(SEND_TIMEOUT).unwrap() {
-            DeployMsg::Report { traffic } => {
-                assert_eq!(traffic, expected_report.sorted_node_entries())
-            }
-            other => panic!("expected the traffic report, got {other:?}"),
-        }
+        let replies = replies(&job, vec![DeployMsg::BlockSteps(tasks)]);
+        assert_eq!(replies[0], DeployMsg::BlockStepResults(expected));
     }
 }

@@ -6,7 +6,8 @@
 //! The released value printed by the master is pinned bit-for-bit
 //! against an in-process [`DStressRuntime::execute`] run of the same
 //! configuration — placement across processes must not change a single
-//! bit.
+//! bit — and so is the fleet's wire-byte figure, against the in-process
+//! run's computation and communication bytes.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -94,7 +95,6 @@ fn master_and_three_workers_match_the_in_process_run() {
         .unwrap_or_else(|| panic!("expected WORKER_WIRE_BYTES line, got {wire:?}"))
         .parse()
         .unwrap();
-    assert!(fleet_wire > 0, "workers measured no wire bytes");
     assert_eq!(read_line(&mut master_out), "DONE");
 
     for mut worker in workers {
@@ -124,5 +124,13 @@ fn master_and_three_workers_match_the_in_process_run() {
         ideal,
         run.ideal_output.to_bits(),
         "deployed ideal output diverged from the in-process run"
+    );
+    let phases = &run.phases;
+    let in_process_wire =
+        phases.computation.counts.wire_bytes + phases.communication.counts.wire_bytes;
+    assert!(in_process_wire > 0, "the run measured no wire bytes");
+    assert_eq!(
+        fleet_wire, in_process_wire,
+        "the fleet's wire bytes diverged from the in-process run's"
     );
 }
